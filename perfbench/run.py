@@ -29,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -46,6 +47,24 @@ OUT_DIR = ROOT / ".perfbench_out"
 
 #: The end-to-end metrics every workload reports, with their units.
 END_TO_END = {"setup_s": "s", "op_ms_p50": "ms", "peak_rss_mb": "MB"}
+
+#: glibc's mallopt() parameter number of M_ARENA_MAX.
+M_ARENA_MAX = -8
+
+
+def single_malloc_arena() -> bool:
+    """Make every thread allocate from glibc's main arena.
+
+    By default each thread that calls malloc may get an arena of its own,
+    and how much memory those arenas hold depends on thread timing:
+    ``serve-3k``'s peak RSS then reads about 335 or 380 MB from run to
+    run.  With one arena it is the same in every run.  Must run before
+    any thread is started; returns whether it took effect.
+    """
+    try:
+        return bool(ctypes.CDLL("libc.so.6").mallopt(M_ARENA_MAX, 1))
+    except (OSError, AttributeError):
+        return False
 
 
 def load_program() -> None:
@@ -88,10 +107,11 @@ def source_digest() -> str:
     return digest.hexdigest()
 
 
-def environment() -> dict:
+def environment(one_arena: bool) -> dict:
     import numpy
 
     return {
+        "malloc_single_arena": one_arena,
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -130,6 +150,7 @@ def record(scale_name: str, workload: str, seed: int, values: dict) -> None:
 
 def execute(args) -> dict:
     """Run the workload; returns the full report (see module docstring)."""
+    one_arena = single_malloc_arena()
     load_program()
     import tracing
     import workloads
@@ -151,10 +172,18 @@ def execute(args) -> dict:
         tracer.uninstall()
         shutil.rmtree(workdir, ignore_errors=True)
 
+    # Times are scaled to the reference host (see workloads.Calibration);
+    # the raw ones are reported beside them.
     e2e = {
-        "setup_s": statistics.median(run.setup_times),
+        "setup_s": statistics.median(run.setup_seconds()),
         "op_ms_p50": 1e3 * run.median(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    detail = {
+        "setup_s_raw": (statistics.median(run.setup_seconds(raw=True)), "s"),
+        "op_ms_p50_raw": (1e3 * run.median(raw=True), "ms"),
+        "host_cal_ms": (1e3 * statistics.median(run.cal.seconds), "ms"),
+        **detail,
     }
     report = {
         "workload": args.workload,
@@ -162,13 +191,19 @@ def execute(args) -> dict:
         "seconds": args.seconds,
         "trace": args.trace,
         "scale": scale_name,
-        "environment": environment(),
+        "environment": environment(one_arena),
         "inputs_sha256": run.inputs,
         "end_to_end": {k: {"value": v, "unit": END_TO_END[k]} for k, v in e2e.items()},
         "samples": {"setup": len(run.setup_times), "ops": len(run.samples),
-                    "input_groups": run.groups},
-        "setup_times_s": run.setup_times,
-        "operations": [{"group": g, "traced": t, "seconds": parts}
+                    "input_groups": run.groups, "calibrations": len(run.cal.seconds)},
+        "setup_times_s": run.setup_seconds(),
+        "setup_times_raw_s": run.setup_seconds(raw=True),
+        "calibration_s": {"reference": workloads.CAL_REF_S,
+                          "measured": run.cal.seconds},
+        "operations": [{"group": g, "traced": t,
+                        "seconds": {k: run.seconds_of(v) for k, v in parts.items()},
+                        "raw_seconds": {k: run.seconds_of(v, raw=True)
+                                        for k, v in parts.items()}}
                        for g, t, parts in run.samples],
         "workload_metrics": {k: {"value": v, "unit": u} for k, (v, u) in detail.items()},
         "correct": run.failed == 0,

@@ -22,7 +22,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # Every runnable workload, including those BENCHMARK.json leaves out.
-WORKLOADS = ("cold-200k", "query-10k", "drift-3k", "serve-3k")
+WORKLOADS = ("cold-200k", "query-5k", "drift-3k", "serve-3k")
 
 
 def run_smoke(workload: str, trace: int) -> dict:

@@ -7,18 +7,24 @@ timed, and each input file's SHA-256 is recorded.
 
 - ``cold-200k`` — one cold ``sparsify(g, 0.4, "GDB^A-t", h=0.25)`` per
   operation on a 200k-edge forest-fire graph.
-- ``query-10k`` — per operation, a cold ``EMD^R-t`` sparsify of a
-  10k-edge forest-fire graph, then 300-world RL, SP, CC and PR estimates
+- ``query-5k`` — per operation, a cold ``EMD^R-t`` sparsify of a
+  5k-edge forest-fire graph, then 300-world RL, SP, CC and PR estimates
   on the original and on the sparse graph.
 - ``drift-3k`` — one ``IncrementalSparsifier.apply`` per operation along
-  a structural drift stream over ``flickr_like(n=3000, avg_degree=16)``.
+  a structural drift stream over ``flickr_like(n=3000, avg_degree=16)``;
+  the stream restarts from a fresh build every 40 batches, so every run
+  times the same batches.
 - ``serve-3k`` — per operation, one request cycle against an in-process
   ``SparsifierService``: ``update`` (1% probability drift), ``sparsify``
   (a read-after-write miss), the same ``sparsify`` (a hit), ``estimate``.
+
+Every timed interval is rescaled by the host-speed calibration of
+:class:`Calibration`; the raw times are reported beside the scaled ones.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import gc
 import hashlib
@@ -59,6 +65,76 @@ D1_TOL = 1e-6
 SETUP_REPEATS = 3
 SETUP_PROBES = 8
 
+#: Seconds the calibration kernel takes on the reference host: scaled
+#: times read as they would on a host running it in this time.
+CAL_REF_S = 0.0033
+CAL_LOOP = 20_000
+CAL_N = 60_000
+#: Kernel runs per calibration; the fastest one counts, so that a
+#: momentary interruption does not pass for a slow host.
+CAL_REPEATS = 3
+
+
+class Calibration:
+    """Host speed, from a fixed kernel timed around every timed interval.
+
+    The shared VMs this benchmark runs on switch, for seconds to minutes
+    at a time, between faster and slower states that move every latency
+    by up to ~1.4x, which no single run can average out.  A fixed mix of
+    interpreter and numpy work, timed just before and just after an
+    interval, tells how fast the host ran meanwhile; :meth:`factor`
+    rescales the interval to a host on which that kernel takes
+    :data:`CAL_REF_S`.  The kernel is the benchmark's own code: a change
+    to the program moves the scaled times, never the kernel.
+    """
+
+    def __init__(self):
+        rng = np.random.default_rng(20190408)
+        self.values = rng.random(CAL_N)
+        self.index = rng.integers(0, CAL_N, CAL_N)
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+        self.seconds: list[float] = []
+
+    def _kernel(self):
+        total = 0
+        table = {}
+        for i in range(CAL_LOOP):
+            total += i * i
+            table[i & 1023] = total
+        order = np.argsort(self.values)
+        sums = np.bincount(self.index, weights=self.values, minlength=CAL_N)
+        return total, order[0], sums[0]
+
+    def measure(self) -> None:
+        self.starts.append(time.perf_counter())
+        times = []
+        for _ in range(CAL_REPEATS):
+            start = time.perf_counter()
+            self._kernel()
+            times.append(time.perf_counter() - start)
+        self.ends.append(time.perf_counter())
+        self.seconds.append(min(times))
+
+    def factor(self, start: float, end: float) -> float:
+        """:data:`CAL_REF_S` over the mean of the kernel times measured
+        last before ``start`` and first after ``end``."""
+        near = []
+        before = bisect.bisect_right(self.ends, start) - 1
+        if before >= 0:
+            near.append(self.seconds[before])
+        after = bisect.bisect_left(self.starts, end)
+        if after < len(self.starts):
+            near.append(self.seconds[after])
+        if not near:
+            raise AssertionError("an interval was timed without calibration")
+        return CAL_REF_S / statistics.mean(near)
+
+    def scaled(self, interval: tuple) -> float:
+        """Seconds of ``interval`` (start, end) on the reference host."""
+        start, end = interval
+        return (end - start) * self.factor(start, end)
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -77,7 +153,7 @@ class Scale:
     serve_min_cycles: int
 
 
-FULL = Scale(cold_n=20000, cold_graphs=3, query_n=1000, query_graphs=3,
+FULL = Scale(cold_n=20000, cold_graphs=3, query_n=500, query_graphs=4,
              query_worlds=300, query_pairs=100,
              drift_n=3000, drift_min_batches=40, serve_n=3000,
              serve_worlds=200, serve_min_cycles=3)
@@ -112,12 +188,13 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
-        self.setup_times: list[float] = []
+        self.cal = Calibration()
+        self.setup_times: list[tuple] = []  # (start, end)
         self._rebuild = None  # (build, close) of the set-up
         self.groups = 1
-        self.samples: list[tuple] = []  # (group, traced, {part: seconds})
-        # Sparse graphs the Monte-Carlo runs used; kept alive so the
-        # tracer can tell them apart from originals by id().
+        self.samples: list[tuple] = []  # (group, traced, {part: (start, end)})
+        # Sparse graphs the traced Monte-Carlo runs used; kept alive so
+        # the tracer can tell them apart from originals by id().
         self.sparse_graphs: list = []
         self.recorded: dict = {}      # values comparable across commits
         self.differs: list[str] = []  # informational mismatches vs expected
@@ -185,20 +262,45 @@ class Run:
 
     def _timed_setup(self, build):
         with self.tracer.phase("setup", len(self.setup_times)):
+            self.cal.measure()
             start = time.perf_counter()
             value = build()
-            self.setup_times.append(time.perf_counter() - start)
+            self.setup_times.append((start, time.perf_counter()))
+            self.cal.measure()
         return value
 
-    def loop(self, operation, check, min_ops: int, groups: int = 1) -> None:
+    def rebuild(self):
+        """One more timed set-up, whose value the caller keeps."""
+        return self._timed_setup(self._rebuild[0])
+
+    def setup_seconds(self, raw: bool = False) -> list[float]:
+        """Every set-up's time, scaled to the reference host unless ``raw``."""
+        return [self.seconds_of(t, raw) for t in self.setup_times]
+
+    def seconds_of(self, interval: tuple, raw: bool = False) -> float:
+        return interval[1] - interval[0] if raw else self.cal.scaled(interval)
+
+    def timed(self, call):
+        """``(call(), (start, end))``, with a calibration after the call."""
+        start = time.perf_counter()
+        value = call()
+        end = time.perf_counter()
+        self.cal.measure()
+        return value, (start, end)
+
+    def loop(self, operation, check, min_ops: int, groups: int = 1,
+             probes: int = SETUP_PROBES) -> None:
         """Closed loop over ``operation(index)`` for the run's seconds.
 
-        ``operation`` returns ``(latency_s, parts, outcome)``, where
-        ``parts`` names sub-latencies in seconds; ``check(index,
-        outcome)`` then runs outside the timed phase.  Operation
-        ``index`` works on input group ``index % groups``.  A traced run
-        traces every other round of ``groups`` operations, so traced and
-        untraced latencies of the same inputs give the tracing overhead.
+        ``operation`` returns ``(parts, outcome)``, where ``parts`` names
+        the ``(start, end)`` intervals the operation timed; its latency is
+        their sum.  It times them with :meth:`timed`, which calibrates the
+        host after each; the loop calibrates before each operation.
+        ``check(index, outcome)`` then runs outside the timed phase.
+        Operation ``index`` works on input group ``index % groups``.  A
+        traced run traces every other round of ``groups`` operations, so
+        traced and untraced latencies of the same inputs give the tracing
+        overhead.  ``probes`` more set-ups are spread over the run.
         """
         self.groups = groups
         if self.tracer.enabled:  # one traced and one untraced round at least
@@ -206,9 +308,9 @@ class Run:
         deadline = time.perf_counter() + self.seconds
         # Set-up probes sample the host's speed over the whole run, as the
         # operations do, instead of only at its start.
-        probe_every = self.seconds / (SETUP_PROBES + 1)
+        probe_every = self.seconds / (probes + 1)
         next_probe = time.perf_counter() + probe_every
-        probes = 0
+        probed = 0
         walls: list[float] = []
         index = 0
         while True:
@@ -222,20 +324,24 @@ class Run:
                 else contextlib.nullcontext()
             )
             start = time.perf_counter()
+            # Each operation starts from a collected heap, so none pays for
+            # the garbage of the one before (or of the checks).
+            gc.collect()
+            self.cal.measure()
             with phase:
-                latency, parts, outcome = operation(index)
-            self.samples.append((index % groups, traced, {"op": latency, **parts}))
+                parts, outcome = operation(index)
+            self.samples.append((index % groups, traced, parts))
             check(index, outcome)
             walls.append(time.perf_counter() - start)
             index += 1
-            if probes < SETUP_PROBES and time.perf_counter() >= next_probe:
+            if probed < probes and time.perf_counter() >= next_probe:
                 build, close = self._rebuild
                 value = self._timed_setup(build)
                 if close is not None:
                     close(value)
                 del value
                 gc.collect()  # the probe's garbage is not the next op's cost
-                probes += 1
+                probed += 1
                 next_probe += probe_every
             now = time.perf_counter()
             if index >= min_ops and now + statistics.median(walls) > deadline:
@@ -246,23 +352,31 @@ class Run:
         """Whether :meth:`loop` traced operation ``index``."""
         return self.tracer.enabled and (index // self.groups) % 2 == 0
 
-    def latencies(self, part: str = "op", traced: "bool | None" = None) -> dict:
-        """Group -> latencies (s) of one part; untraced ones by default.
+    def latencies(self, part="op", traced: "bool | None" = None,
+                  raw: bool = False) -> dict:
+        """Group -> latencies (s) of a part; untraced ones by default.
 
-        With ``traced=None`` the untraced operations are used, or the
-        traced ones when every operation was traced.
+        ``part`` names one part, or is a tuple of parts to add up;
+        ``"op"`` adds up all of them.  Latencies are scaled to the
+        reference host unless ``raw``.  With ``traced=None`` the untraced
+        operations are used, or the traced ones when every operation was
+        traced.
         """
         if traced is None:
             traced = not any(not t for _, t, _ in self.samples)
         by_group: dict[int, list] = {}
         for group, was_traced, parts in self.samples:
             if was_traced == traced:
-                by_group.setdefault(group, []).append(parts[part])
+                names = parts if part == "op" else (
+                    (part,) if isinstance(part, str) else part)
+                by_group.setdefault(group, []).append(
+                    sum(self.seconds_of(parts[name], raw) for name in names))
         return by_group
 
-    def median(self, part: str = "op", traced: "bool | None" = None) -> float:
+    def median(self, part="op", traced: "bool | None" = None,
+               raw: bool = False) -> float:
         """Mean over input groups of each group's median latency (s)."""
-        by_group = self.latencies(part, traced)
+        by_group = self.latencies(part, traced, raw)
         return statistics.mean(statistics.median(v) for v in by_group.values())
 
     def overhead_pct(self) -> "float | None":
@@ -340,10 +454,9 @@ def cold(run: Run) -> dict:
     def operation(index):
         graph = graphs[index % k]
         with run.tracer.span("op.sparsify"):
-            start = time.perf_counter()
-            result = sparsify(graph, alpha, "GDB^A-t", rng=run.seed, h=0.25)
-            latency = time.perf_counter() - start
-        return latency, {}, result
+            result, interval = run.timed(
+                lambda: sparsify(graph, alpha, "GDB^A-t", rng=run.seed, h=0.25))
+        return {"sparsify": interval}, result
 
     def check(index, result):
         j = index % k
@@ -363,7 +476,7 @@ def cold(run: Run) -> dict:
     }
 
 
-# -- query-10k ---------------------------------------------------------------
+# -- query-5k ---------------------------------------------------------------
 QUERY_NAMES = ("RL", "SP", "CC", "PR")
 
 
@@ -383,30 +496,37 @@ def query(run: Run) -> dict:
         pairs = sample_vertex_pairs(graph, scale.query_pairs, rng=sub_seed(run.seed, j))
         workloads.append((ReliabilityQuery(pairs), ShortestPathQuery(pairs),
                           ClusteringCoefficientQuery(n), PageRankQuery(n)))
+    # Untimed, on a tiny graph: the first calls' one-off costs.
+    tiny = forest_fire_graph(120, sub_seed(run.seed, k), "warm-up")
+    tiny_pairs = sample_vertex_pairs(tiny, 10, rng=run.seed)
+    tiny_sparse = sparsify(tiny, alpha, "EMD^R-t", rng=run.seed)
+    tiny_n = tiny.number_of_vertices()
+    for q in (ReliabilityQuery(tiny_pairs), ShortestPathQuery(tiny_pairs),
+              ClusteringCoefficientQuery(tiny_n), PageRankQuery(tiny_n)):
+        MonteCarloEstimator(tiny_sparse, n_samples=20, workers=1).run(q, rng=run.seed)
 
-    def estimates(target, queries, kind):
+    def estimates(target, queries, kind, parts):
         outcomes = []
         with run.tracer.span(f"op.estimate.{kind}"):
-            for offset, q in enumerate(queries):
+            for offset, (name, q) in enumerate(zip(QUERY_NAMES, queries)):
                 estimator = MonteCarloEstimator(
                     target, n_samples=scale.query_worlds, workers=1)
-                outcomes.append(estimator.run(q, rng=run.seed + offset))
+                outcome, parts[f"{name}_{kind}"] = run.timed(
+                    lambda: estimator.run(q, rng=run.seed + offset))
+                outcomes.append(outcome)
         return outcomes
 
     def operation(index):
         graph, queries = graphs[index % k], workloads[index % k]
-        start = time.perf_counter()
+        parts = {}
         with run.tracer.span("op.sparsify"):
-            sparse = sparsify(graph, alpha, "EMD^R-t", rng=run.seed)
-        run.sparse_graphs.append(sparse)
-        mid = time.perf_counter()
-        orig = estimates(graph, queries, "orig")
-        after_orig = time.perf_counter()
-        sparse_out = estimates(sparse, queries, "sparse")
-        end = time.perf_counter()
-        parts = {"sparsify": mid - start, "estimate_orig": after_orig - mid,
-                 "estimate": end - after_orig}
-        return end - start, parts, (sparse, orig, sparse_out)
+            sparse, parts["sparsify"] = run.timed(
+                lambda: sparsify(graph, alpha, "EMD^R-t", rng=run.seed))
+        if run.is_traced(index):
+            run.sparse_graphs.append(sparse)
+        orig = estimates(graph, queries, "orig", parts)
+        sparse_out = estimates(sparse, queries, "sparse", parts)
+        return parts, (sparse, orig, sparse_out)
 
     digests: dict[int, tuple] = {}
     quality: dict[int, tuple] = {}
@@ -444,8 +564,8 @@ def query(run: Run) -> dict:
     per_query = np.mean([errors for _, errors in quality.values()], axis=0)
     return {
         "sparsify_s": (run.median("sparsify"), "s"),
-        "estimate_orig_s": (run.median("estimate_orig"), "s"),
-        "estimate_s": (run.median("estimate"), "s"),
+        "estimate_orig_s": (run.median(tuple(f"{q}_orig" for q in QUERY_NAMES)), "s"),
+        "estimate_s": (run.median(tuple(f"{q}_sparse" for q in QUERY_NAMES)), "s"),
         "query_rel_err": (float(per_query.mean()), "1"),
         "query_rel_err_by_query": (dict(zip(QUERY_NAMES, per_query.tolist())), "1"),
         "d1": (statistics.mean(d1 for d1, _ in quality.values()), "1"),
@@ -458,27 +578,36 @@ DRIFT = dict(alpha=0.4, variant="GDB^A-t", tau=1e-8)
 
 def drift(run: Run) -> dict:
     scale = run.scale
+    batches = scale.drift_min_batches  # of one stream, from a fresh build
     path = run.write_input(
         "drift.txt", flickr_like(n=scale.drift_n, avg_degree=16, seed=run.seed))
 
     def build():
-        return IncrementalSparsifier(read_edge_list(path), DRIFT["alpha"],
-                                     variant=DRIFT["variant"], rng=run.seed,
-                                     tau=DRIFT["tau"])
+        maintainer = IncrementalSparsifier(
+            read_edge_list(path), DRIFT["alpha"], variant=DRIFT["variant"],
+            rng=run.seed, tau=DRIFT["tau"])
+        stream = DriftWorkload(maintainer.graph, edge_fraction=0.01,
+                               insert_rate=0.1, delete_rate=0.1, seed=run.seed)
+        return maintainer, stream
 
-    maintainer = run.setup(build)
-    stream = DriftWorkload(maintainer.graph, edge_fraction=0.01,
-                           insert_rate=0.1, delete_rate=0.1, seed=run.seed)
+    maintainer, stream = run.setup(build)
+    # One untimed batch warms the write path; the stream then restarts.
+    maintainer.apply(stream.next_batch(maintainer.graph))
+    del maintainer, stream
+    live = list(run.rebuild())  # [maintainer, stream]
     churn: list[int] = []
+    selections: list[str] = []
+    d1s: list[float] = []
 
     def operation(index):
+        maintainer, stream = live
         batch = stream.next_batch(maintainer.graph)
-        start = time.perf_counter()
         with run.tracer.span("op.maintain"):
-            report = maintainer.apply(batch)
-        return time.perf_counter() - start, {}, report
+            report, interval = run.timed(lambda: maintainer.apply(batch))
+        return {"maintain": interval}, report
 
     def check(index, report):
+        maintainer = live[0]
         churn.append(report.removed + report.added)
         state = maintainer.state
         try:
@@ -488,28 +617,42 @@ def drift(run: Run) -> dict:
             run.check("state.verify", False, f"batch {index}: {error}")
         run.check("budget", state.edge_count() == target_edge_count(
             state.m, DRIFT["alpha"]), f"batch {index}")
-        if index + 1 == scale.drift_min_batches:
-            run.expect_d1("d1", maintainer.d1())
-            run.note("selection_sha", sha256(state.selected.tobytes()))
+        if (index + 1) % batches:
+            return
+        # The end of a stream: check it, then restart from a fresh build.
+        selection = sha256(state.selected.tobytes())
+        if selections:  # a replayed stream must end where the first did
+            run.check("deterministic", selection == selections[0], f"batch {index}")
+        else:
+            end_of_stream(maintainer, selection)
+        selections.append(selection)
+        live.clear()
+        gc.collect()
+        live.extend(run.rebuild())
 
-    run.loop(operation, check, min_ops=scale.drift_min_batches)
-    rebuilt = IncrementalSparsifier(
-        maintainer.graph.copy(), DRIFT["alpha"], variant=DRIFT["variant"],
-        rng=run.seed, tau=DRIFT["tau"])
-    run.check("selection_matches_rebuild",
-              np.array_equal(maintainer.state.selected, rebuilt.state.selected))
-    cold_d1 = rebuilt.d1()
-    run.check("d1_matches_rebuild",
-              maintainer.d1() <= cold_d1 + D1_TOL * max(1.0, cold_d1),
-              f"maintained {maintainer.d1()!r} vs rebuilt {cold_d1!r}")
-    latencies = run.latencies()[0]
+    def end_of_stream(maintainer, selection):
+        run.expect_d1("d1", maintainer.d1())
+        run.note("selection_sha", selection)
+        rebuilt = IncrementalSparsifier(
+            maintainer.graph.copy(), DRIFT["alpha"], variant=DRIFT["variant"],
+            rng=run.seed, tau=DRIFT["tau"])
+        run.check("selection_matches_rebuild",
+                  np.array_equal(maintainer.state.selected, rebuilt.state.selected))
+        cold_d1 = rebuilt.d1()
+        run.check("d1_matches_rebuild",
+                  maintainer.d1() <= cold_d1 + D1_TOL * max(1.0, cold_d1),
+                  f"maintained {maintainer.d1()!r} vs rebuilt {cold_d1!r}")
+        d1s.append(maintainer.d1())
+
+    run.loop(operation, check, min_ops=batches, groups=batches, probes=0)
+    latencies = [t for group in run.latencies().values() for t in group]
     p75 = float(np.percentile(latencies, 75))
     return {
         "maintain_ms_p50": (1e3 * statistics.median(latencies), "ms"),
         "maintain_ms_p75": (1e3 * p75, "ms"),
         "maintain_samples_above_p75": (sum(1 for t in latencies if t > p75), "count"),
         "churn_median": (statistics.median(churn), "count"),
-        "d1": (maintainer.d1(), "1"),
+        "d1": (d1s[0], "1"),
     }
 
 
@@ -539,13 +682,14 @@ def serve(run: Run) -> dict:
     d1s: list[float] = []
 
     def request(kind, call):
-        start = time.perf_counter()
-        try:
-            value = call()
-        except ReproError as error:
-            run.check(f"request.{kind}", False, repr(error))
-            value = None
-        return value, time.perf_counter() - start
+        def guarded():
+            try:
+                return call()
+            except ReproError as error:
+                run.check(f"request.{kind}", False, repr(error))
+                return None
+
+        return run.timed(guarded)
 
     def cycle(index):
         batch = stream.next_batch(model)
@@ -565,7 +709,7 @@ def serve(run: Run) -> dict:
                 "estimate", dict(estimate_params)))
         parts = {"update": t_update, "resparsify": t_miss, "hit": t_hit,
                  "estimate": t_estimate}
-        return sum(parts.values()), parts, (batch, update, miss, hit, estimate)
+        return parts, (batch, update, miss, hit, estimate)
 
     def check(index, outcome):
         batch, update, miss, hit, estimate = outcome
@@ -594,7 +738,7 @@ def serve(run: Run) -> dict:
 
     try:
         # One untimed cycle first builds the dataset's backbone plan.
-        check(-1, cycle(-1)[2])
+        check(-1, cycle(-1)[1])
         run.loop(cycle, check, min_ops=scale.serve_min_cycles)
         stats = service.status()
     finally:
@@ -617,7 +761,7 @@ def serve(run: Run) -> dict:
 
 WORKLOADS = {
     "cold-200k": cold,
-    "query-10k": query,
+    "query-5k": query,
     "drift-3k": drift,
     "serve-3k": serve,
 }
