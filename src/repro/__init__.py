@@ -28,8 +28,7 @@ Package layout
 - :mod:`repro.experiments` — one module per paper table / figure.
 """
 
-from repro import backend, baselines, core, datasets, metrics, queries, sampling, utils
-from repro.backend import available_backends, resolve_backend
+from repro import baselines, core, datasets, metrics, queries, sampling, utils
 from repro.core import (
     EMDConfig,
     GDBConfig,
@@ -70,9 +69,7 @@ __all__ = [
     "UncertainGraph",
     "WorldSampler",
     "__version__",
-    "available_backends",
     "available_variants",
-    "backend",
     "baselines",
     "core",
     "datasets",
@@ -84,7 +81,6 @@ __all__ = [
     "parse_variant",
     "queries",
     "relative_entropy",
-    "resolve_backend",
     "sampling",
     "sparsify",
     "utils",

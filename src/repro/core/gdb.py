@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.backbone import BackbonePlan, build_backbone
 from repro.core.discrepancy import SparsificationState
 from repro.core.rules import make_array_rule, make_rule
 from repro.core.sweep import (
-    DeviceSweep,
     SweepPlan,
     apply_probability_vector,
     apply_scalar_step,
@@ -115,7 +113,6 @@ def gdb_refine(
     config: GDBConfig,
     engine: str = "vector",
     plan: "SweepPlan | None" = None,
-    backend=None,
 ) -> int:
     """Run GDB sweeps in place on ``state``; returns the sweep count.
 
@@ -135,13 +132,6 @@ def gdb_refine(
         Optional precomputed :class:`SweepPlan` for the currently
         selected edge set (the grid driver reuses one plan across an
         entire ``h`` sweep).  Ignored by the ``"loop"`` engine.
-    backend:
-        Array backend (``None`` / ``"numpy"`` = the bit-identical host
-        engines above).  A non-reference backend runs the color-blocked
-        ``k = 1`` sweeps as device kernels (:class:`DeviceSweep`) under
-        the vector engine; the globally-coupled ``k >= 2`` / ``"n"``
-        rules and the ``loop``/``fused`` engines are inherently
-        sequential and stay host-side regardless.
     """
     engine = _validate_engine(engine, allowed=ENGINES)
     # Constructing the scalar rule also validates the (k, relative)
@@ -149,21 +139,6 @@ def gdb_refine(
     rule = make_rule(config.k, config.relative, state.n)
     objective = state.d1(relative=config.relative)
     sweeps = 0
-
-    xp = resolve_backend(backend)
-    if not xp.is_reference and _colored_eligible(engine, config.k, state.n):
-        if plan is None or (plan.n_colors == 0 and len(plan.eids)):
-            plan = build_sweep_plan(state)
-        device = DeviceSweep(state, plan, xp, config.relative, config.h)
-        for sweeps in range(1, config.max_sweeps + 1):
-            device.sweep()
-            new_objective = device.objective()
-            if abs(objective - new_objective) <= config.tau:
-                objective = new_objective
-                break
-            objective = new_objective
-        device.download()
-        return sweeps
 
     if engine == "loop":
         edge_ids = [int(e) for e in state.selected_edge_ids()]
@@ -220,7 +195,6 @@ def gdb_refine_warm(
     dirty_vertices=None,
     engine: str = "vector",
     plan: "SweepPlan | None" = None,
-    backend=None,
     hops: int = 1,
 ) -> int:
     """Warm-started GDB: drain the dirty region, then certify globally.
@@ -260,18 +234,13 @@ def gdb_refine_warm(
     streams).  Returns the total sweep count (micro + full).
 
     Falls back to plain :func:`gdb_refine` whenever the restriction
-    cannot apply: no ``dirty_vertices``, a non-reference backend, or a
-    rule/engine combination outside the color-blocked ``k = 1`` path
-    (the globally-coupled rules touch every edge each sweep anyway).
+    cannot apply: no ``dirty_vertices``, or a rule/engine combination
+    outside the color-blocked ``k = 1`` path (the globally-coupled rules
+    touch every edge each sweep anyway).
     """
     engine = _validate_engine(engine, allowed=ENGINES)
-    xp = resolve_backend(backend)
-    if (
-        dirty_vertices is None
-        or not xp.is_reference
-        or not _colored_eligible(engine, config.k, state.n)
-    ):
-        return gdb_refine(state, config, engine=engine, plan=plan, backend=backend)
+    if dirty_vertices is None or not _colored_eligible(engine, config.k, state.n):
+        return gdb_refine(state, config, engine=engine, plan=plan)
 
     dirty_vertices = np.asarray(dirty_vertices, dtype=np.int64)
     vmask = np.zeros(state.n, dtype=bool)
@@ -382,7 +351,6 @@ def gdb(
     name: str = "",
     engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
-    backend=None,
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Gradient Descent Backbone (Algorithm 2).
 
@@ -415,9 +383,6 @@ def gdb(
         ``graph``: the ``alpha`` path builds its backbone from the plan
         (bit-identical to the per-call builder for the same seed, with
         the Kruskal peels shared across calls).
-    backend:
-        Array backend for the sweeps (``None`` = the bit-identical
-        NumPy reference; see :func:`gdb_refine`).
 
     Returns
     -------
@@ -431,6 +396,6 @@ def gdb(
     )
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
-    gdb_refine(state, config, engine=engine, backend=backend)
+    gdb_refine(state, config, engine=engine)
     label = name or f"gdb[{'R' if config.relative else 'A'},k={config.k}]({graph.name})"
     return state.build_graph(name=label)

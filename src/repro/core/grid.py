@@ -100,7 +100,6 @@ def gdb_grid(
     backbone_plan: "BackbonePlan | None" = None,
     workers: int = 1,
     dataset=None,
-    backend=None,
 ) -> dict[tuple[float, float], "GridCell | object"]:
     """Run GDB over the full ``alphas x h_values`` grid, sharing setup.
 
@@ -128,21 +127,7 @@ def gdb_grid(
     int ``rng`` seed, and accepts ``dataset`` (a binary dataset path or
     :class:`~repro.datasets.binary_io.BinaryDataset`) so workers mmap
     the edge data instead of receiving it pickled.
-
-    ``backend`` selects the sweep array backend (``None`` = the
-    bit-identical NumPy reference; see :func:`repro.core.gdb.gdb_refine`).
-    A non-reference backend holds live device state, so it cannot be
-    combined with process sharding — one device, one driver.
     """
-    from repro.backend import resolve_backend
-
-    xp = resolve_backend(backend)
-    if workers > 1 and not xp.is_reference:
-        raise ValueError(
-            f"backend={xp.name!r} cannot be combined with workers > 1: "
-            "sharded grids fan over host processes; run device grids "
-            "serially (workers=1)"
-        )
     if workers > 1:
         if build_graphs:
             raise ValueError(
@@ -191,9 +176,7 @@ def gdb_grid(
             config = GDBConfig(
                 h=h, tau=tau, max_sweeps=max_sweeps, k=k, relative=relative
             )
-            sweeps = gdb_refine(
-                state, config, engine=engine, plan=plan, backend=xp
-            )
+            sweeps = gdb_refine(state, config, engine=engine, plan=plan)
             objective = float(state.d1(relative=relative))
             cell_graph = None
             if build_graphs:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.discrepancy import SparsificationState
@@ -107,9 +106,6 @@ class IncrementalSparsifier:
     hops:
         Dirty-region growth radius for the warm sweeps (see
         :func:`~repro.core.gdb.gdb_refine_warm`).
-    backend:
-        Array backend for the sweeps (non-reference backends run full
-        device sweeps; the dirty-region restriction is host-only).
     top_up:
         BGI top-up discipline.  ``"stable"`` (default) draws the
         weighted sample by seeded order statistics, so a small delta
@@ -132,7 +128,6 @@ class IncrementalSparsifier:
         max_sweeps: int = 200,
         engine: str = "vector",
         hops: int = 1,
-        backend=None,
         top_up: str = "stable",
     ) -> None:
         spec = parse_variant(variant)
@@ -155,7 +150,6 @@ class IncrementalSparsifier:
                                 k=spec.k, relative=spec.relative)
         self.engine = _validate_engine(engine)
         self.hops = int(hops)
-        self.backend = backend
         self.backbone_method = "bgi" if spec.bgi_backbone else "random"
         if top_up not in ("mc", "stable"):
             raise ValueError(f"unknown top_up {top_up!r} (use 'mc' or 'stable')")
@@ -171,15 +165,14 @@ class IncrementalSparsifier:
         )
         self.state.select_edges(ids)
         self._sweep_plan = None
-        self._keep_plan = (
-            _colored_eligible(self.engine, self.config.k, self.state.n)
-            and resolve_backend(backend).is_reference
+        self._keep_plan = _colored_eligible(
+            self.engine, self.config.k, self.state.n
         )
         if self._keep_plan:
             self._sweep_plan = build_sweep_plan(self.state)
         self.sweeps = gdb_refine(
             self.state, self.config, engine=self.engine,
-            plan=self._sweep_plan, backend=self.backend,
+            plan=self._sweep_plan,
         )
         self.batches_applied = 0
 
@@ -213,8 +206,7 @@ class IncrementalSparsifier:
         self._refresh_sweep_plan(applied, removed, added)
         sweeps = gdb_refine_warm(
             self.state, self.config, dirty_vertices=dirty,
-            engine=self.engine, plan=self._sweep_plan,
-            backend=self.backend, hops=self.hops,
+            engine=self.engine, plan=self._sweep_plan, hops=self.hops,
         )
         self.sweeps += sweeps
         self.batches_applied += 1

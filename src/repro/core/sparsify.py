@@ -123,7 +123,6 @@ def sparsify(
     backbone: "np.ndarray | list[int] | None" = None,
     lp_solver: str = "highs",
     emd_mode: str = "eager",
-    backend=None,
     warm_state=None,
 ) -> UncertainGraph:
     """Sparsify an uncertain graph with any paper variant.
@@ -171,12 +170,6 @@ def sparsify(
         (default, the bit-identity reference) or ``"lazy"`` (deferred
         batched heap maintenance; converged-objective equivalent).
         Other variants ignore it.
-    backend:
-        Array backend for the GDB sweep kernels (``None`` = the
-        bit-identical NumPy reference; see
-        :func:`repro.backend.available_backends`).  Only the GDB
-        variants have the color-blocked array seam; passing a
-        non-reference backend with any other variant raises.
     warm_state:
         Optional :class:`~repro.core.discrepancy.SparsificationState`
         carrying previously-converged probabilities for ``graph`` (GDB
@@ -192,17 +185,8 @@ def sparsify(
     UncertainGraph
         The sparsified graph ``G' = (V, E', p')``.
     """
-    from repro.backend import resolve_backend
-
     _validate_engine(engine)
     spec = parse_variant(variant)
-    xp = resolve_backend(backend)
-    if not xp.is_reference and spec.method != "gdb":
-        raise ValueError(
-            f"variant {variant!r} does not support backend={xp.name!r}: "
-            "only the GDB variants run their sweeps through the array "
-            "backend seam"
-        )
     backbone_method = "bgi" if spec.bgi_backbone else "random"
     label = name or f"{spec.canonical_name}@{alpha:g}({graph.name})"
     if backbone is not None and backbone_plan is not None:
@@ -252,16 +236,14 @@ def sparsify(
             state.select_edges(added)
         diff = np.concatenate([removed, added])
         dirty = np.unique(state.edge_vertices[diff].ravel())
-        gdb_refine_warm(
-            state, config, dirty_vertices=dirty, engine=engine, backend=xp
-        )
+        gdb_refine_warm(state, config, dirty_vertices=dirty, engine=engine)
         return state.build_graph(name=label)
 
     if spec.method == "gdb":
         config = GDBConfig(h=h, tau=tau, k=spec.k, relative=spec.relative)
         return gdb(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, backend=xp, **seed_kwargs)
+                   engine=engine, **seed_kwargs)
     if spec.method == "emd":
         if spec.k != 1:
             raise ValueError("EMD is defined for k = 1 only (paper section 5)")

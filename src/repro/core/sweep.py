@@ -29,13 +29,6 @@ order differs from the reference loop's, but coordinate descent on the
 convex ``D_1`` objective reaches the same converged value (the
 loop-vs-vector contract pinned by ``tests/test_sweep.py``).
 
-A third execution, :class:`DeviceSweep`, lifts the color-blocked ``k = 1``
-path onto an ``xp`` array backend (:mod:`repro.backend`): state uploads
-once, every color class becomes one elementwise device kernel, and only
-the per-sweep objective scalar syncs back.  It is selected by
-``gdb_refine(..., backend=...)`` for non-reference backends; the host
-engines above remain the bit-identity reference.
-
 The entropy guard uses the closed form ``H(p') > H(p)  <=>
 |p' - 0.5| < |p - 0.5|`` (see :func:`repro.core.entropy.entropy_increases`)
 so neither engine spends a transcendental call per edge.
@@ -499,142 +492,3 @@ def fused_sweep(
     state.delta[:] = delta
     state.phat[:] = phat
     state.total_residual = total_residual
-
-
-# ----------------------------------------------------------------------
-# Device sweep (k = 1 rules through the xp backend shim)
-# ----------------------------------------------------------------------
-def _device_color_blocks(state: SparsificationState, plan: SweepPlan, xp) -> list:
-    """Upload every color class of ``plan`` as a device block.
-
-    Unlike the host engine — which folds classes below
-    :data:`MIN_BLOCK_SIZE` into a sequential scalar tail to dodge numpy
-    dispatch overhead — the device runs *every* class as its own block:
-    one kernel launch costs the same at any class size, and the merged
-    tail cannot be a block at all (its edges may share endpoints).
-    Class order is color order, so the sweep remains exact coordinate
-    descent in (color, edge-id) order.
-    """
-    order = np.argsort(plan.colors, kind="stable")
-    boundaries = np.searchsorted(plan.colors[order], np.arange(plan.n_colors + 1))
-    blocks = []
-    for color in range(plan.n_colors):
-        class_eids = plan.eids[order[boundaries[color]:boundaries[color + 1]]]
-        if len(class_eids) == 0:
-            continue
-        uv = state.edge_vertices[class_eids]
-        blocks.append((
-            xp.asarray(class_eids, xp.int64),
-            xp.asarray(uv[:, 0].copy(), xp.int64),
-            xp.asarray(uv[:, 1].copy(), xp.int64),
-        ))
-    return blocks
-
-
-class DeviceSweep:
-    """GDB's ``k = 1`` sweep loop resident on an ``xp`` backend.
-
-    State (``phat``, ``delta``, the residual shift) uploads once; each
-    :meth:`sweep` runs one elementwise rule + clamp/attenuation kernel
-    per color class, scattering endpoint updates with exact
-    ``put`` writes (endpoints are unique within a class); each
-    :meth:`objective` is one device reduction and a single host scalar
-    sync.  :meth:`download` writes the converged probabilities back and
-    restores the host state's incremental bookkeeping (``delta``,
-    ``total_residual``) the way :func:`colored_sweep` maintains it.
-
-    Class order is (color, edge-id) throughout — small classes run as
-    their own blocks instead of the host's merged scalar tail, so the
-    descent order differs from the host engine's where tails exist; both
-    are exact coordinate descent on the convex ``D_1`` objective and
-    meet at the same converged value (the 1e-6 gate of the conformance
-    suite), while the NumPy *reference* backend never routes here and
-    keeps host results bit-identical.
-    """
-
-    def __init__(
-        self,
-        state: SparsificationState,
-        plan: SweepPlan,
-        backend,
-        relative: bool,
-        h: float,
-    ) -> None:
-        xp = backend
-        self.xp = xp
-        self.state = state
-        self.h = float(h)
-        self.relative = bool(relative)
-        self.blocks = _device_color_blocks(state, plan, xp)
-        self.phat = xp.asarray(state.phat, xp.float64)
-        self.delta = xp.asarray(state.delta, xp.float64)
-        # Sum of all probability changes, accumulated on device; the
-        # host residual is shifted by it once at download time.
-        self.residual_delta = xp.asarray(np.zeros(1), xp.float64)
-        if self.relative:
-            degrees = state.original_degrees
-            self._positive = xp.asarray(degrees > 0, xp.bool_)
-            self._safe_scale = xp.asarray(
-                np.where(degrees > 0, degrees, 1.0), xp.float64
-            )
-            self._pi = xp.asarray(degrees, xp.float64)
-
-    def sweep(self) -> None:
-        """One coordinate-descent sweep in (color, edge-id) order."""
-        xp = self.xp
-        for eids, u, v in self.blocks:
-            cur = xp.take(self.phat, eids, axis=0)
-            du = xp.take(self.delta, u, axis=0)
-            dv = xp.take(self.delta, v, axis=0)
-            if self.relative:
-                pi_u = xp.take(self._pi, u, axis=0)
-                pi_v = xp.take(self._pi, v, axis=0)
-                denominator = pi_u + pi_v
-                positive = denominator > 0.0
-                steps = xp.where(
-                    positive,
-                    (pi_v * du + pi_u * dv)
-                    / xp.where(positive, denominator, 1.0),
-                    0.0,
-                )
-            else:
-                steps = 0.5 * (du + dv)
-            # clamp_and_attenuate, expression for expression, on device.
-            proposed = cur + steps
-            attenuated = xp.clip(cur + self.h * steps, 0.0, 1.0)
-            raises = xp.abs(proposed - 0.5) < xp.abs(cur - 0.5)
-            new_p = xp.where(
-                proposed < 0.0,
-                0.0,
-                xp.where(
-                    proposed > 1.0,
-                    1.0,
-                    xp.where(raises, attenuated, proposed),
-                ),
-            )
-            changes = new_p - cur
-            # u and v are disjoint vertex sets within a proper color
-            # class, so both writes are exact scatters.
-            self.delta = xp.put(self.delta, u, du - changes)
-            self.delta = xp.put(self.delta, v, dv - changes)
-            self.phat = xp.put(self.phat, eids, new_p)
-            self.residual_delta = self.residual_delta + xp.sum(changes)
-
-    def objective(self) -> float:
-        """Current ``D_1`` (one device reduction + one host sync)."""
-        xp = self.xp
-        if not self.relative:
-            return xp.float_scalar(xp.sum(self.delta * self.delta))
-        rel = xp.where(self._positive, self.delta / self._safe_scale, 0.0)
-        return xp.float_scalar(xp.sum(rel * rel))
-
-    def download(self) -> None:
-        """Write converged device state back into the host state."""
-        xp = self.xp
-        xp.synchronize()
-        state = self.state
-        state.phat[:] = np.asarray(xp.to_host(self.phat), dtype=np.float64)
-        state.delta[:] = np.asarray(xp.to_host(self.delta), dtype=np.float64)
-        state.total_residual -= float(
-            np.asarray(xp.to_host(self.residual_delta), dtype=np.float64)[0]
-        )

@@ -21,7 +21,6 @@ from repro.sampling.adaptive import AdaptiveResult, adaptive_estimate, samples_t
 from repro.sampling.batch import (
     BatchTopology,
     WorldBatch,
-    auto_batch_size,
     auto_chunk_size,
     kernel_world_bytes,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "most_probable_path_weights",
     "EstimationResult",
     "adaptive_estimate",
-    "auto_batch_size",
     "auto_chunk_size",
     "kernel_world_bytes",
     "samples_to_width",

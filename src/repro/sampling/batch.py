@@ -34,7 +34,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.backend import resolve_backend
+from repro.exceptions import EstimationError
 from repro.sampling import kernels
 from repro.sampling.worlds import World
 
@@ -66,73 +66,52 @@ def kernel_world_bytes(n_edges: int, n_vertices: int, kernel: str | None = None)
     return 16 * max(2 * n_edges, 1) + vertex_term
 
 
+def _env_batch_bytes() -> int | None:
+    """The ``REPRO_BATCH_BYTES`` budget, or ``None`` when unset.
+
+    Anything but a positive integer is rejected here, at the boundary,
+    rather than failing deep inside an estimate (``"64MB"``) or silently
+    forcing one-world chunks (``"0"``, ``"-5"``).
+    """
+    raw = os.environ.get(BATCH_BYTES_ENV, "").strip()
+    if not raw:
+        return None
+    if not (raw.isascii() and raw.isdigit()) or int(raw) == 0:
+        raise EstimationError(
+            f"{BATCH_BYTES_ENV} must be a positive integer byte count, "
+            f"got {raw!r}"
+        )
+    return int(raw)
+
+
 def auto_chunk_size(
     n_samples: int,
     n_edges: int,
     n_vertices: int = 0,
     budget_bytes: int | None = None,
     kernel: str | None = None,
-    backend=None,
 ) -> int:
     """Chunk size keeping one chunk's working set near the byte budget.
 
     Budget resolution, in priority order: an explicit ``budget_bytes``;
-    the ``REPRO_BATCH_BYTES`` environment variable; for a non-reference
-    backend, half the device's reported free memory
-    (:meth:`~repro.backend.base.ArrayBackend.free_memory`); else
+    the ``REPRO_BATCH_BYTES`` environment variable (a positive integer,
+    else :class:`~repro.exceptions.EstimationError`); else
     :data:`DEFAULT_BATCH_BYTES`.
 
-    The per-world footprint is kernel-aware on the host
-    (:func:`kernel_world_bytes` — the packed-uint64 default moves ~8x
-    fewer bytes than the dense boolean kernel) and backend-supplied for
-    device backends (:meth:`~repro.backend.base.ArrayBackend.world_bytes`
-    — the portable xp kernels run dense, dtype-correct float64/bool
-    matrices).
+    The per-world footprint is kernel-aware (:func:`kernel_world_bytes`
+    — the packed-uint64 default moves ~8x fewer bytes than the dense
+    boolean kernel).
 
     Chunk boundaries remain a pure function of the problem shape and the
     resolved budget — sequential-mode estimates are chunk-invariant by
     the row-major stream contract, so re-budgeting never changes results.
     """
     if budget_bytes is None:
-        env = os.environ.get(BATCH_BYTES_ENV)
-        if env:
-            budget_bytes = int(env)
-    per_world = None
-    if backend is not None:
-        xp = resolve_backend(backend)
-        if not xp.is_reference:
-            per_world = xp.world_bytes(n_edges, n_vertices)
-            if budget_bytes is None:
-                free = xp.free_memory()
-                if free:
-                    budget_bytes = free // 2
+        budget_bytes = _env_batch_bytes()
     if budget_bytes is None:
         budget_bytes = DEFAULT_BATCH_BYTES
-    if per_world is None:
-        per_world = kernel_world_bytes(n_edges, n_vertices, kernel)
+    per_world = kernel_world_bytes(n_edges, n_vertices, kernel)
     return int(max(1, min(n_samples, budget_bytes // max(per_world, 1))))
-
-
-def auto_batch_size(
-    n_samples: int,
-    n_edges: int,
-    n_vertices: int = 0,
-    budget_bytes: int | None = None,
-    kernel: str | None = None,
-) -> int:
-    """Compatibility alias for :func:`auto_chunk_size` (host kernels only).
-
-    Kept as the stable public name; sizes for the *default* BFS kernel
-    unless ``kernel=`` names another, so the packed kernel now gets
-    chunks ~8x larger than the historical boolean-scratch model allowed.
-    """
-    return auto_chunk_size(
-        n_samples,
-        n_edges,
-        n_vertices=n_vertices,
-        budget_bytes=budget_bytes,
-        kernel=kernel,
-    )
 
 
 class BatchTopology:
@@ -280,14 +259,6 @@ class WorldBatch:
         :data:`repro.sampling.kernels.DEFAULT_BFS_KERNEL`.  All kernels
         return bit-identical distances — the knob trades memory traffic,
         never answers.
-    backend:
-        Array backend for the traversal methods — ``None`` / ``"numpy"``
-        (the reference, running the specialised host kernels above,
-        bit-identical to always), or any name from
-        :func:`repro.backend.available_backends` to run the portable
-        ``xp`` kernel formulations on that namespace.  Non-traversal
-        batch ops (degrees, components, pagerank, triangles) stay host
-        NumPy regardless.
 
     Examples
     --------
@@ -301,8 +272,8 @@ class WorldBatch:
 
     __slots__ = (
         "n", "m", "n_worlds", "masks", "topology", "edge_weights",
-        "bfs_kernel", "backend", "_alive_directed", "_labels",
-        "_packed_masks", "_packed_alive", "_alive_ordered", "_xp_plan",
+        "bfs_kernel", "_alive_directed", "_labels",
+        "_packed_masks", "_packed_alive", "_alive_ordered",
     )
 
     def __init__(
@@ -313,7 +284,6 @@ class WorldBatch:
         topology: BatchTopology | None = None,
         edge_weights: np.ndarray | None = None,
         bfs_kernel: str | None = None,
-        backend=None,
     ) -> None:
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2:
@@ -340,13 +310,11 @@ class WorldBatch:
         )
         self.edge_weights = edge_weights
         self.bfs_kernel = bfs_kernel
-        self.backend = resolve_backend(backend)
         self._alive_directed: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._packed_masks = None
         self._packed_alive = None
         self._alive_ordered = None
-        self._xp_plan = None
 
     # -- per-world views ----------------------------------------------------
     def world(self, index: int) -> World:
@@ -400,16 +368,7 @@ class WorldBatch:
         ``-1``, so only consume the target columns (the point-to-point
         query optimisation; BFS levels are deterministic, so the target
         distances are unaffected by the early exit).
-
-        On a non-reference ``backend`` the portable xp formulation runs
-        instead (``kernel`` does not apply there — the device kernel is
-        its own frontier representation); BFS levels are representation-
-        independent, so distances stay exactly equal.
         """
-        if not self.backend.is_reference:
-            return kernels.bfs_distances_xp(
-                self, source, targets, backend=self.backend
-            )
         run = kernels.resolve_bfs_kernel(
             kernel if kernel is not None else self.bfs_kernel
         )
@@ -438,11 +397,6 @@ class WorldBatch:
             raise ValueError(
                 "no edge weights: pass weights= or build the batch through "
                 "a WorldSampler (which attaches the -log p transform)"
-            )
-        if not self.backend.is_reference:
-            return kernels.delta_stepping_distances_xp(
-                self, source, weights, delta=delta, targets=targets,
-                backend=self.backend,
             )
         return kernels.delta_stepping_distances(
             self, source, weights, delta=delta, targets=targets

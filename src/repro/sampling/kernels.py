@@ -3,9 +3,8 @@
 :class:`~repro.sampling.batch.WorldBatch` is the *data* layout of a
 world ensemble — an ``(N, m)`` mask matrix over one shared parent CSR.
 This module holds the *traversal* kernels that run over that layout, so
-the batch object stays a thin facade and alternative backends (packed
-CPU words today, a GPU array library tomorrow) plug in behind the same
-interface:
+the batch object stays a thin facade and the frontier representations
+plug in behind the same interface:
 
 - :func:`bfs_distances_boolean` — the original ``(worlds, vertices)``
   boolean-frontier BFS, one scatter per level across every world;
@@ -190,25 +189,15 @@ def _world_word_mask(n_worlds: int) -> np.ndarray:
     return _pack_world_columns(np.ones((n_worlds, 1), dtype=bool))[0]
 
 
-#: Cache key of the host-layout transforms below.  Every ``_batch_cached``
-#: slot stores ``(key, value)`` so arrays built for one array namespace
-#: can never be served to another (e.g. after flipping ``backend=`` on a
-#: live batch — the xp plan cache uses the backend's ``key`` here).
-_HOST_KEY = "numpy"
-
-
-def _batch_cached(batch, slot: str, key: str, build):
+def _batch_cached(batch, slot: str, build):
     """Per-batch kernel cache: queries traverse from many sources, so
-    layout transforms of the (immutable) mask matrix are built once.
-    A slot holds ``(key, value)``; a key mismatch rebuilds, so switching
-    backends on a live batch invalidates instead of serving stale
-    arrays from another namespace."""
+    layout transforms of the (immutable) mask matrix are built once."""
     cached = getattr(batch, slot, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    if cached is not None:
+        return cached
     value = build()
     try:
-        setattr(batch, slot, (key, value))
+        setattr(batch, slot, value)
     except AttributeError:  # duck-typed batch without the cache slot
         pass
     return value
@@ -217,7 +206,7 @@ def _batch_cached(batch, slot: str, key: str, build):
 def _packed_masks(batch) -> np.ndarray:
     """The batch's ``(m, W)`` packed mask matrix (cached on the batch)."""
     return _batch_cached(
-        batch, "_packed_masks", _HOST_KEY, lambda: _pack_world_columns(batch.masks)
+        batch, "_packed_masks", lambda: _pack_world_columns(batch.masks)
     )
 
 
@@ -226,7 +215,6 @@ def _packed_alive_directed(batch) -> np.ndarray:
     return _batch_cached(
         batch,
         "_packed_alive",
-        _HOST_KEY,
         lambda: _packed_masks(batch)[batch.topology.dir_edge],
     )
 
@@ -234,27 +222,8 @@ def _packed_alive_directed(batch) -> np.ndarray:
 def _alive_target_ordered(batch, order: np.ndarray) -> np.ndarray:
     """``(N, 2m)`` boolean liveness in target-sorted order (cached)."""
     return _batch_cached(
-        batch, "_alive_ordered", _HOST_KEY, lambda: batch.alive_directed()[:, order]
+        batch, "_alive_ordered", lambda: batch.alive_directed()[:, order]
     )
-
-
-def _xp_plan(batch, xp):
-    """Device-resident ensemble plan: liveness + directed-edge indices.
-
-    The host builds the ``(N, 2m)`` liveness matrix and the CSR index
-    vectors once; they are uploaded once per (batch, backend ``key``)
-    and reused across every traversal from every source.
-    """
-
-    def build():
-        topology = batch.topology
-        return {
-            "alive": xp.asarray(batch.alive_directed(), xp.bool_),
-            "src": xp.asarray(topology.dir_source, xp.int64),
-            "dst": xp.asarray(topology.indices, xp.int64),
-        }
-
-    return _batch_cached(batch, "_xp_plan", xp.key, build)
 
 
 def _unpack_word_entries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,169 +497,6 @@ def delta_stepping_distances(
         tent[rows] = np.minimum(tent[rows], relax(rows, settled, want_light=False))
         bucket += 1
     return tent
-
-
-# ----------------------------------------------------------------------
-# Portable xp kernels: the device formulations behind non-reference
-# backends (see repro.backend).  Host builds the plan; the backend runs
-# one dense array program per level / bucket phase.  They are the
-# *same algorithms* as the specialised kernels above — identical
-# per-level / per-bucket retirement conditions — so integer BFS levels
-# are exactly equal on any backend, and weighted distances agree to
-# float-min exactness (minimum is order-exact, so only the candidate
-# additions can differ, bounded by the usual 1e-9 gate on devices).
-# ----------------------------------------------------------------------
-def bfs_distances_xp(
-    batch,
-    source: int,
-    targets: "np.ndarray | list[int] | None" = None,
-    backend=None,
-) -> np.ndarray:
-    """``(N, n)`` BFS distances through the ``xp`` shim (-1 unreachable).
-
-    Dense boolean-frontier formulation without the host kernels' row
-    compaction: retired worlds keep a cleared frontier row (their
-    ``active`` bit masks every update), which is the branch-free shape
-    devices want.  Retirement — empty new frontier, or all ``targets``
-    reached — mirrors :func:`bfs_distances_boolean` level for level, so
-    the returned matrix (including the ``-1`` pattern of the targeted
-    early exit) is bit-identical to the host kernels'.
-    """
-    from repro.backend import resolve_backend
-
-    xp = resolve_backend(backend)
-    N, n = batch.n_worlds, batch.n
-    host_dist = np.full((N, n), -1, dtype=np.int64)
-    host_dist[:, source] = 0
-    if N == 0:
-        return host_dist
-    plan = _xp_plan(batch, xp)
-    alive, src, dst = plan["alive"], plan["src"], plan["dst"]
-
-    host_reached = np.zeros((N, n), dtype=bool)
-    host_reached[:, source] = True
-    dist = xp.asarray(host_dist, xp.int64)
-    reached = xp.asarray(host_reached, xp.bool_)
-    target_idx = None
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size:
-            target_idx = xp.asarray(targets, xp.int64)
-    active = xp.asarray(np.ones(N, dtype=bool), xp.bool_)
-    if target_idx is not None:
-        active = active & ~xp.all(xp.take(reached, target_idx, axis=1), axis=1)
-    # host_reached doubles as the initial frontier: only the source set.
-    frontier = xp.asarray(host_reached, xp.bool_) & xp.expand_cols(active)
-    level = 0
-    while xp.bool_scalar(xp.any(frontier)):
-        level += 1
-        activated = alive & xp.take(frontier, src, axis=1)
-        hit = xp.scatter_or_cols((N, n), dst, activated)
-        new = hit & ~reached & xp.expand_cols(active)
-        if not xp.bool_scalar(xp.any(new)):
-            break
-        reached = reached | new
-        dist = xp.where(new, level, dist)
-        active = active & xp.any(new, axis=1)
-        if target_idx is not None:
-            active = active & ~xp.all(xp.take(reached, target_idx, axis=1), axis=1)
-        frontier = new & xp.expand_cols(active)
-    return np.asarray(xp.to_host(dist), dtype=np.int64)
-
-
-def delta_stepping_distances_xp(
-    batch,
-    source: int,
-    weights: np.ndarray,
-    delta: "float | None" = None,
-    targets: "np.ndarray | list[int] | None" = None,
-    backend=None,
-) -> np.ndarray:
-    """``(N, n)`` weighted distances through the ``xp`` shim.
-
-    Same shared bucket schedule as :func:`delta_stepping_distances` —
-    validation, default ``delta``, light/heavy split, bucket jump, and
-    every retirement condition are identical — but dense: instead of
-    compacting retired world rows out of the working set, a per-world
-    ``active`` mask silences them (their frontier rows contribute only
-    ``inf`` candidates, so their tentative rows provably never change
-    once retired, exactly like the compacted kernel).  One
-    ``scatter_min_cols`` per relaxation replaces the host's
-    ``reduceat`` / ``minimum.at`` hybrid; min is order-exact, so this
-    cannot introduce divergence by itself.
-    """
-    from repro.backend import resolve_backend
-
-    xp = resolve_backend(backend)
-    N, n = batch.n_worlds, batch.n
-    topology = batch.topology
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (batch.m,):
-        raise ValueError(
-            f"weights must have shape ({batch.m},), got {weights.shape}"
-        )
-    if np.any(weights < 0):
-        raise ValueError("edge weights must be non-negative")
-    if delta is None:
-        delta = default_bucket_width(weights)
-    delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-
-    host_tent = np.full((N, n), np.inf, dtype=np.float64)
-    host_tent[:, source] = 0.0
-    if N == 0 or n == 0:
-        return host_tent
-    plan = _xp_plan(batch, xp)
-    alive, src, dst = plan["alive"], plan["src"], plan["dst"]
-    weight_dir = weights[topology.dir_edge]
-    light_host = weight_dir <= delta
-    w_dir = xp.asarray(weight_dir, xp.float64)
-    light = xp.asarray(light_host, xp.bool_)
-    heavy = xp.asarray(~light_host, xp.bool_)
-    tent = xp.asarray(host_tent, xp.float64)
-    target_idx = None
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size:
-            target_idx = xp.asarray(targets, xp.int64)
-    inf = float("inf")
-
-    def relax(tent, frontier, edge_class):
-        candidates = xp.where(
-            alive & xp.take(frontier, src, axis=1) & edge_class,
-            xp.take(tent, src, axis=1) + w_dir,
-            inf,
-        )
-        return xp.scatter_min_cols((N, n), dst, candidates)
-
-    bucket = 0
-    while True:
-        lower = bucket * delta
-        pending = xp.isfinite(tent) & (tent >= lower)
-        world_active = xp.any(pending, axis=1)
-        if target_idx is not None:
-            world_active = world_active & ~xp.all(
-                xp.take(tent, target_idx, axis=1) < lower, axis=1
-            )
-        if not xp.bool_scalar(xp.any(world_active)):
-            break
-        pending = pending & xp.expand_cols(world_active)
-        # Shared schedule: jump to the smallest nonempty bucket anywhere.
-        masked = xp.where(pending, tent, inf)
-        bucket = int(xp.float_scalar(xp.min(masked)) // delta)
-        upper = (bucket + 1) * delta
-        current = pending & (tent < upper)
-        settled = xp.asarray(np.zeros((N, n), dtype=bool), xp.bool_)
-        while xp.bool_scalar(xp.any(current)):
-            settled = settled | current
-            relaxed = relax(tent, current, light)
-            improved = relaxed < tent
-            tent = xp.minimum(tent, relaxed)
-            current = improved & (tent < upper) & xp.expand_cols(world_active)
-        tent = xp.minimum(tent, relax(tent, settled, heavy))
-        bucket += 1
-    return np.asarray(xp.to_host(tent), dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

@@ -120,7 +120,7 @@ class MonteCarloEstimator:
         Number of worlds per run (the paper uses 500 for quality plots).
     batch_size:
         Worlds per chunk; ``None`` auto-sizes from ``N * m`` against a
-        fixed memory budget (:func:`repro.sampling.batch.auto_batch_size`).
+        fixed memory budget (:func:`repro.sampling.batch.auto_chunk_size`).
     batched:
         ``False`` restores the legacy world-at-a-time loop (escape
         hatch, e.g. for queries whose per-world path is under test).
@@ -134,13 +134,6 @@ class MonteCarloEstimator:
         ``graph``: with ``workers > 1`` the pool workers ``mmap`` the
         edge arrays from it instead of receiving them pickled.  Results
         are unchanged — the sharded answer stays bit-identical.
-    backend:
-        Array backend for the batched traversal kernels (``None`` =
-        the bit-identical NumPy reference; see
-        :func:`repro.backend.available_backends`).  Requires the
-        batched path — the legacy per-world loop has no array seam to
-        dispatch through, so ``batched=False`` with a non-reference
-        backend raises.
 
     Examples
     --------
@@ -161,22 +154,13 @@ class MonteCarloEstimator:
         batched: bool = True,
         workers: int | None = 1,
         dataset=None,
-        backend=None,
     ) -> None:
-        from repro.backend import resolve_backend
-
         if n_samples < 1:
             raise EstimationError(f"n_samples must be positive, got {n_samples}")
         if batch_size is not None and batch_size < 1:
             raise EstimationError(f"batch_size must be positive, got {batch_size}")
         if workers is not None and workers < 0:
             raise EstimationError(f"workers must be non-negative, got {workers}")
-        self.backend = resolve_backend(backend)
-        if not batched and not self.backend.is_reference:
-            raise EstimationError(
-                f"backend={self.backend.name!r} needs the batched path; the "
-                "legacy per-world loop (batched=False) has no array seam"
-            )
         self.graph = graph
         self.n_samples = n_samples
         self.batch_size = batch_size
@@ -206,7 +190,6 @@ class MonteCarloEstimator:
             chunk_size=self.batch_size,
             rng_mode="sequential",
             dataset=self.dataset,
-            backend=self.backend,
         )
         self._executor_query = query
         return self._executor
@@ -257,7 +240,6 @@ def repeated_estimates(
     batched: bool = True,
     workers: int | None = 1,
     dataset=None,
-    backend=None,
 ) -> np.ndarray:
     """Variance protocol: ``runs`` independent scalar estimates Phi_i(G).
 
@@ -269,7 +251,7 @@ def repeated_estimates(
     generators = spawn_rngs(rng, runs)
     estimator = MonteCarloEstimator(
         graph, n_samples=n_samples, batch_size=batch_size, batched=batched,
-        workers=workers, dataset=dataset, backend=backend,
+        workers=workers, dataset=dataset,
     )
     try:
         return np.array([

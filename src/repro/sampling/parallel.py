@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
 from repro.sampling.batch import auto_chunk_size
@@ -111,14 +110,8 @@ def _init_worker(
     edge_vertices: np.ndarray,
     probabilities: np.ndarray,
     query: "Query",
-    backend: "str | None" = None,
 ) -> None:
-    """Pool initializer: cache arrays + topology once per worker process.
-
-    ``backend`` travels as its registry *spec string* — backend objects
-    hold library handles that may not pickle — and each worker resolves
-    its own instance once here.
-    """
+    """Pool initializer: cache arrays + topology once per worker process."""
     from repro.sampling.batch import BatchTopology
     from repro.sampling.kernels import most_probable_path_weights
 
@@ -132,16 +125,13 @@ def _init_worker(
     _WORKER_STATE["probabilities"] = probabilities
     _WORKER_STATE["query"] = query
     _WORKER_STATE["topology"] = BatchTopology(int(n), edge_vertices)
-    _WORKER_STATE["backend"] = resolve_backend(backend)
     # The -log p transform rides the initializer (derived from the
     # probabilities already shipped), so weighted queries never pay
     # per-chunk weight IPC.
     _WORKER_STATE["edge_weights"] = most_probable_path_weights(probabilities)
 
 
-def _init_worker_from_dataset(
-    path: str, query: "Query", backend: "str | None" = None
-) -> None:
+def _init_worker_from_dataset(path: str, query: "Query") -> None:
     """Pool initializer for binary datasets: mmap instead of pickling.
 
     Each worker maps the ``src``/``dst``/``prob`` sections read-only
@@ -159,7 +149,6 @@ def _init_worker_from_dataset(
         graph.edge_index_array(),
         graph.probability_array(),
         query,
-        backend=backend,
     )
 
 
@@ -171,7 +160,7 @@ def _pool_evaluate_masks(masks: np.ndarray) -> np.ndarray:
     state = _WORKER_STATE
     batch = WorldBatch(
         state["n"], state["edge_vertices"], masks, topology=state["topology"],
-        edge_weights=state["edge_weights"], backend=state.get("backend"),
+        edge_weights=state["edge_weights"],
     )
     return evaluate_query_batch(state["query"], batch)
 
@@ -211,14 +200,7 @@ class ParallelBatchExecutor:
         Worlds per chunk; ``None`` auto-sizes from the memory budget
         exactly like the serial batched path
         (:func:`repro.sampling.batch.auto_chunk_size`, which is
-        backend- and kernel-footprint-aware).
-    backend:
-        Array backend for chunk evaluation (``None`` = the bit-identical
-        NumPy reference).  The registry spec string rides the pool
-        initializer, so every worker resolves its own instance; in
-        sequential RNG mode results remain a pure function of the seed
-        for any worker count *per backend* (bit-identical on the
-        reference, tolerance-gated across backends).
+        kernel-footprint-aware).
     rng_mode:
         ``"sequential"`` (default) or ``"spawn"`` — see the module
         docstring for the determinism contract of each.
@@ -256,7 +238,6 @@ class ParallelBatchExecutor:
         chunk_size: "int | None" = None,
         rng_mode: str = "sequential",
         dataset=None,
-        backend=None,
     ) -> None:
         if rng_mode not in RNG_MODES:
             raise EstimationError(
@@ -271,7 +252,6 @@ class ParallelBatchExecutor:
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size
         self.rng_mode = rng_mode
-        self.backend = resolve_backend(backend)
         self.dataset_path = self._resolve_dataset(dataset)
         self._pool: "ProcessPoolExecutor | None" = None
         self._pool_failed = False
@@ -377,8 +357,7 @@ class ParallelBatchExecutor:
         if self.chunk_size is not None:
             return min(self.chunk_size, max(n_samples, 1))
         return auto_chunk_size(
-            n_samples, self.sampler.m, n_vertices=self.sampler.n,
-            backend=self.backend,
+            n_samples, self.sampler.m, n_vertices=self.sampler.n
         )
 
     def _sequential_tasks(
@@ -411,9 +390,7 @@ class ParallelBatchExecutor:
     def _evaluate_local(self, masks: np.ndarray) -> np.ndarray:
         from repro.queries.base import evaluate_query_batch
 
-        return evaluate_query_batch(
-            self.query, self.sampler.batch_from_masks(masks, backend=self.backend)
-        )
+        return evaluate_query_batch(self.query, self.sampler.batch_from_masks(masks))
 
     def _sample_and_evaluate_local(
         self, chunk_rng: np.random.Generator, count: int
@@ -429,13 +406,10 @@ class ParallelBatchExecutor:
         if self._pool_failed or self.workers <= 1:
             return None
         sampler = self.sampler
-        # Ship the backend's registry spec, not the instance: workers
-        # re-resolve it so unpicklable library handles never cross IPC.
-        backend_spec = self.backend.spec
         if self.dataset_path is not None:
             initializer, initargs = (
                 _init_worker_from_dataset,
-                (self.dataset_path, self.query, backend_spec),
+                (self.dataset_path, self.query),
             )
         else:
             initializer, initargs = (
@@ -445,7 +419,6 @@ class ParallelBatchExecutor:
                     sampler.edge_vertices,
                     sampler.probabilities,
                     self.query,
-                    backend_spec,
                 ),
             )
         try:

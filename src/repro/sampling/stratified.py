@@ -171,9 +171,9 @@ class StratifiedEstimator:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Per-world scalars of one stratum via the batch executor."""
-        from repro.sampling.batch import auto_batch_size
+        from repro.sampling.batch import auto_chunk_size
 
-        chunk = auto_batch_size(
+        chunk = auto_chunk_size(
             budget, self.sampler.m, n_vertices=self.sampler.n
         )
 

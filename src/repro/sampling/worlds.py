@@ -255,19 +255,11 @@ class WorldSampler:
         self,
         count: int,
         rng: "int | np.random.Generator | None" = None,
-        backend=None,
     ) -> "WorldBatch":
-        """Sample ``count`` worlds as one :class:`~repro.sampling.batch.WorldBatch`.
+        """Sample ``count`` worlds as one :class:`~repro.sampling.batch.WorldBatch`."""
+        return self.batch_from_masks(self.sample_mask_matrix(count, rng))
 
-        ``backend`` selects the traversal array backend of the batch
-        (``None`` = the bit-identical NumPy reference); sampling itself
-        always draws on the host so the seeded mask stream is invariant.
-        """
-        return self.batch_from_masks(
-            self.sample_mask_matrix(count, rng), backend=backend
-        )
-
-    def batch_from_masks(self, masks: np.ndarray, backend=None) -> "WorldBatch":
+    def batch_from_masks(self, masks: np.ndarray) -> "WorldBatch":
         """Wrap an explicit ``(N, m)`` mask matrix, sharing the parent CSR."""
         from repro.sampling.batch import BatchTopology, WorldBatch
 
@@ -280,7 +272,7 @@ class WorldSampler:
             self._topology = BatchTopology(self.n, self.edge_vertices)
         return WorldBatch(
             self.n, self.edge_vertices, masks, topology=self._topology,
-            edge_weights=self.edge_weights, backend=backend,
+            edge_weights=self.edge_weights,
         )
 
     def world_from_mask(self, mask: np.ndarray) -> World:

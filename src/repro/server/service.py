@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
+from repro.core.emd_sparsifier import EMD_MODES
+from repro.core.gdb import PUBLIC_ENGINES
 from repro.core.grid import gdb_grid, objective_rows
+from repro.core.lp import LP_SOLVERS
 from repro.core.sparsify import parse_variant, sparsify
 from repro.datasets.io import (
     content_digest,
@@ -53,22 +56,24 @@ _ESTIMATE_QUERIES = (
 )
 
 
-def _normalise_backend(params: dict) -> str:
-    """Validate the optional ``backend`` request parameter.
+#: The enumerated sparsify fields each method reads; the others are
+#: validated but kept out of the cache key (and left to the defaults).
+_SPARSIFY_FIELDS = {
+    "gdb": ("engine",),
+    "emd": ("engine", "emd_mode"),
+    "lp": ("lp_solver",),
+}
 
-    Part of the cache key: non-reference backends are only
-    tolerance-equivalent to the numpy reference, so their artifacts must
-    never collide with (or overwrite) reference artifacts.
-    """
-    from repro.backend import available_backends
 
-    backend = str(params.pop("backend", "numpy"))
-    if backend not in available_backends():
+def _choice(params: dict, name: str, default: str, allowed: tuple) -> str:
+    """Pop an enumerated request field, rejecting values outside
+    ``allowed`` before the request can occupy a queue slot."""
+    value = str(params.pop(name, default))
+    if value not in allowed:
         raise ServerError(
-            f"unknown or unavailable backend {backend!r}; this server "
-            f"offers {sorted(available_backends())}"
+            f"{name} must be one of {list(allowed)}, got {value!r}"
         )
-    return backend
+    return value
 
 
 @dataclass
@@ -198,8 +203,10 @@ class SparsifierService:
     def _normalise(self, endpoint: str, params: dict) -> dict:
         """Canonicalise request params (also the cache-key material).
 
-        Every field is defaulted and type-coerced here so two requests
-        meaning the same computation produce identical keys.
+        Every field is defaulted, validated and type-coerced here, and an
+        enumerated sparsify field enters only when the variant reads it,
+        so two requests meaning the same computation produce identical
+        keys.
         """
         if not isinstance(params, dict):
             raise ServerError("request body must be a JSON object")
@@ -221,17 +228,15 @@ class SparsifierService:
                 alpha=float(params.pop("alpha")),
                 variant=str(params.pop("variant", "EMD^R-t")),
                 h=float(params.pop("h", 0.05)),
-                engine=str(params.pop("engine", "vector")),
-                lp_solver=str(params.pop("lp_solver", "highs")),
-                emd_mode=str(params.pop("emd_mode", "eager")),
-                backend=_normalise_backend(params),
             )
             spec = parse_variant(norm["variant"])  # fail fast on bad notation
-            if norm["backend"] != "numpy" and spec.method != "gdb":
-                raise ServerError(
-                    f"backend {norm['backend']!r} only applies to GDB "
-                    f"variants, not {norm['variant']!r}"
-                )
+            choices = {
+                "engine": _choice(params, "engine", "vector", PUBLIC_ENGINES),
+                "lp_solver": _choice(params, "lp_solver", "highs", LP_SOLVERS),
+                "emd_mode": _choice(params, "emd_mode", "eager", EMD_MODES),
+            }
+            for name in _SPARSIFY_FIELDS.get(spec.method, ()):
+                norm[name] = choices[name]
             if not 0.0 < norm["alpha"] < 1.0:
                 raise ServerError(f"alpha must be in (0, 1), got {norm['alpha']}")
         elif endpoint == "estimate":
@@ -240,7 +245,6 @@ class SparsifierService:
                 samples=int(params.pop("samples", 200)),
                 pairs=int(params.pop("pairs", 50)),
                 weighted=bool(params.pop("weighted", False)),
-                backend=_normalise_backend(params),
             )
             if norm["query"] not in _ESTIMATE_QUERIES:
                 raise ServerError(
@@ -269,8 +273,7 @@ class SparsifierService:
                 k=k_raw if k_raw == "n" else int(k_raw),
                 relative=bool(params.pop("relative", False)),
                 backbone_method=str(params.pop("backbone_method", "bgi")),
-                engine=str(params.pop("engine", "vector")),
-                backend=_normalise_backend(params),
+                engine=_choice(params, "engine", "vector", PUBLIC_ENGINES),
             )
         if params:
             raise ServerError(
@@ -480,11 +483,8 @@ class SparsifierService:
             variant=norm["variant"],
             rng=norm["seed"],
             h=norm["h"],
-            engine=norm["engine"],
             backbone_plan=plan,
-            lp_solver=norm["lp_solver"],
-            emd_mode=norm["emd_mode"],
-            backend=norm["backend"],
+            **{name: norm[name] for name in _SPARSIFY_FIELDS.get(spec.method, ())},
         )
         return canonical_body({
             "endpoint": "sparsify",
@@ -533,7 +533,7 @@ class SparsifierService:
         )
         with MonteCarloEstimator(
             graph, n_samples=norm["samples"], workers=self.config.mc_workers,
-            dataset=mc_dataset, backend=norm["backend"],
+            dataset=mc_dataset,
         ) as estimator:
             result = estimator.run(query, rng=norm["seed"])
         return canonical_body({
@@ -560,7 +560,6 @@ class SparsifierService:
             engine=norm["engine"],
             build_graphs=False,
             backbone_plan=self._plan_for(entry),
-            backend=norm["backend"],
         )
         return canonical_body({
             "endpoint": "grid",
@@ -596,8 +595,12 @@ class SparsifierService:
             raise ServerError(
                 f"unknown parameters for update: {sorted(params)}"
             )
-        if resparsify is not None and not isinstance(resparsify, dict):
-            raise ServerError("'resparsify' must be a sparsify params object")
+        if resparsify is not None:
+            if not isinstance(resparsify, dict):
+                raise ServerError("'resparsify' must be a sparsify params object")
+            # Reject a bad refresh request before the delta lands, so a
+            # client that gets an error can retry the same update.
+            self._normalise("sparsify", {**resparsify, "dataset": dataset})
         with self._update_lock:  # serialise delta pushes across datasets
             old_digest = self._digest(dataset)
             entry = self._dataset(dataset, old_digest)

@@ -35,7 +35,12 @@ from repro.sampling import (
     WorldBatch,
     WorldSampler,
     adaptive_estimate,
-    auto_batch_size,
+    auto_chunk_size,
+)
+from repro.sampling.batch import (
+    BATCH_BYTES_ENV,
+    DEFAULT_BATCH_BYTES,
+    kernel_world_bytes,
 )
 
 
@@ -196,12 +201,12 @@ class TestEstimatorEquivalence:
         with pytest.raises(EstimationError):
             MonteCarloEstimator(triangle, n_samples=5, batch_size=0)
 
-    def test_auto_batch_size_bounds(self):
-        assert auto_batch_size(500, 2000) >= 1
-        assert auto_batch_size(10, 2000) <= 10
-        assert auto_batch_size(500, 0, n_vertices=0) <= 500
+    def test_auto_chunk_size_bounds(self):
+        assert auto_chunk_size(500, 2000) >= 1
+        assert auto_chunk_size(10, 2000) <= 10
+        assert auto_chunk_size(500, 0, n_vertices=0) <= 500
         # A huge graph must still get a positive chunk.
-        assert auto_batch_size(500, 10**9) == 1
+        assert auto_chunk_size(500, 10**9) == 1
 
     def test_adaptive_equivalence(self, small_power_law):
         query = ReliabilityQuery(sample_vertex_pairs(small_power_law, 5, rng=2))
@@ -232,3 +237,56 @@ class TestConfidenceWidth:
         per_sample = np.array([float(np.nanmean(row)) for row in outcomes])
         expected = 3.92 * float(np.nanstd(per_sample, ddof=1)) / np.sqrt(40)
         assert result.confidence_width() == expected
+
+
+class TestChunkAutosizing:
+    """The kernel-aware footprint model and the byte-budget resolution."""
+
+    M, N = 10_000, 1_000  # packed/world = 72 kB, boolean/world = 352 kB
+
+    def test_kernel_world_bytes_model(self):
+        assert kernel_world_bytes(self.M, self.N, kernel="packed") == 72_000
+        assert kernel_world_bytes(self.M, self.N, kernel="boolean") == 352_000
+        # The default kernel is packed: the historical boolean model
+        # overestimated it ~5x at this shape (8x asymptotically in m).
+        assert kernel_world_bytes(self.M, self.N) == 72_000
+        assert kernel_world_bytes(0, 0) > 0
+        with pytest.raises(ValueError):
+            kernel_world_bytes(self.M, self.N, kernel="not-a-kernel")
+
+    def test_pinned_chunk_sizes_per_kernel(self):
+        budget = 1_000_000
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
+                               kernel="packed") == 13
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
+                               kernel="boolean") == 2
+        # Same budget, default kernel == packed.
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget) == 13
+
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv(BATCH_BYTES_ENV, "352000")
+        assert auto_chunk_size(100, self.M, self.N, kernel="boolean") == 1
+        assert auto_chunk_size(100, self.M, self.N, kernel="packed") == 4
+        # An explicit budget always beats the environment.
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000,
+                               kernel="packed") == 13
+
+    def test_default_budget(self, monkeypatch):
+        monkeypatch.delenv(BATCH_BYTES_ENV, raising=False)
+        assert auto_chunk_size(10**9, self.M, self.N, kernel="packed") == \
+            DEFAULT_BATCH_BYTES // 72_000
+        # An empty value reads as unset.
+        monkeypatch.setenv(BATCH_BYTES_ENV, "")
+        assert auto_chunk_size(10**9, self.M, self.N, kernel="packed") == \
+            DEFAULT_BATCH_BYTES // 72_000
+
+    def test_floors_and_caps(self):
+        assert auto_chunk_size(500, 10**9, budget_bytes=1) == 1
+        assert auto_chunk_size(500, 1, budget_bytes=2**40) == 500
+        assert auto_chunk_size(0, 0) == 1
+
+    @pytest.mark.parametrize("raw", ["64MB", "1e6", "lots", "0", "-5"])
+    def test_env_rejects_non_positive_integers(self, monkeypatch, raw):
+        monkeypatch.setenv(BATCH_BYTES_ENV, raw)
+        with pytest.raises(EstimationError, match=BATCH_BYTES_ENV):
+            auto_chunk_size(100, self.M, self.N)

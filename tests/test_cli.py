@@ -244,6 +244,37 @@ class TestEstimate:
         ]) == 1
         assert "--weighted only applies" in capsys.readouterr().err
 
+    def test_bad_batch_bytes_env_is_a_clean_error(
+        self, graph_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BATCH_BYTES", "64MB")
+        assert main(["estimate", str(graph_file), "--samples", "10"]) == 1
+        assert "REPRO_BATCH_BYTES" in capsys.readouterr().err
+
+
+class TestDrift:
+    def test_compare_rebuild_selections_match_every_batch(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "flickr.txt"
+        main(["generate", "flickr", str(path), "--n", "120", "--seed", "3"])
+        capsys.readouterr()
+        code = main([
+            "drift", str(path), "--alpha", "0.3", "--batches", "3",
+            "--edge-fraction", "0.02", "--insert-rate", "0.01",
+            "--delete-rate", "0.01", "--seed", "11", "--compare-rebuild",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.split()[0] == "batch")
+        assert lines[start].split()[-2:] == ["same", "sel"]
+        rows = [line.split() for line in lines[start + 1:start + 4]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        for row in rows:
+            assert row[-1] == "yes"
+            # One-sided: maintenance never converges worse than a rebuild.
+            assert float(row[-2]) <= 1e-6
+
 
 class TestDiagnose:
     def test_diagnose_output(self, graph_file, tmp_path, capsys):

@@ -42,7 +42,7 @@ from repro.sampling import (
     ParallelBatchExecutor,
     StratifiedEstimator,
     adaptive_estimate,
-    auto_batch_size,
+    auto_chunk_size,
     chunk_counts,
     repeated_estimates,
     resolve_workers,
@@ -268,7 +268,7 @@ class TestAutoBatchSizeProperties:
     def test_always_a_positive_chunk_within_the_run(
         self, n_samples, n_edges, n_vertices, budget
     ):
-        chunk = auto_batch_size(
+        chunk = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=budget
         )
         assert 1 <= chunk <= max(1, n_samples)
@@ -280,10 +280,10 @@ class TestAutoBatchSizeProperties:
         n_vertices=st.integers(min_value=0, max_value=10**5),
     )
     def test_monotone_in_budget(self, n_samples, n_edges, n_vertices):
-        small = auto_batch_size(
+        small = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=1
         )
-        large = auto_batch_size(
+        large = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=2**40
         )
         assert small <= large
@@ -291,11 +291,11 @@ class TestAutoBatchSizeProperties:
         assert large == n_samples  # unbounded budget takes the whole run
 
     def test_empty_and_tiny_graphs(self):
-        assert auto_batch_size(100, 0, n_vertices=0) == 100
-        assert auto_batch_size(0, 0, n_vertices=0) == 1
-        assert auto_batch_size(7, 1, n_vertices=1) == 7
+        assert auto_chunk_size(100, 0, n_vertices=0) == 100
+        assert auto_chunk_size(0, 0, n_vertices=0) == 1
+        assert auto_chunk_size(7, 1, n_vertices=1) == 7
         # A world bigger than the whole budget still gets a chunk of 1.
-        assert auto_batch_size(500, 10**9, budget_bytes=1) == 1
+        assert auto_chunk_size(500, 10**9, budget_bytes=1) == 1
 
 
 class TestChunkCounts:

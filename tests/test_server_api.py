@@ -211,6 +211,44 @@ class TestServiceCore:
         with pytest.raises(ServerError, match="unknown endpoint"):
             service.handle("evaluate", {"dataset": dataset})
 
+    def test_bad_enumerated_params_rejected_before_queueing(
+        self, service, dataset
+    ):
+        for field, value in (
+            ("engine", "gpu"), ("lp_solver", "cplex"), ("emd_mode", "fast"),
+        ):
+            with pytest.raises(ServerError, match=field):
+                service.handle(
+                    "sparsify", {"dataset": dataset, **SPARSIFY, field: value}
+                )
+        with pytest.raises(ServerError, match="engine"):
+            service.handle("grid", {"dataset": dataset, "engine": "gpu"})
+        # There is no array-backend knob: the field is just unknown.
+        with pytest.raises(ServerError, match="unknown parameters"):
+            service.handle(
+                "sparsify", {"dataset": dataset, **SPARSIFY, "backend": "numpy"}
+            )
+        stats = service.queue.stats()
+        assert (stats["submitted"], stats["failed"]) == (0, 0)
+
+    def test_unused_fields_stay_out_of_the_cache_key(self, service, dataset):
+        gdb = {"dataset": dataset, "alpha": 0.4, "variant": "GDB^A-t", "seed": 0}
+        lp = {**gdb, "variant": "LP-t"}
+        emd = {**gdb, "variant": "EMD^A-t"}
+        for params, unused in (
+            (gdb, {"emd_mode": "lazy", "lp_solver": "pdp"}),
+            (lp, {"engine": "loop", "emd_mode": "lazy"}),
+            (emd, {"lp_solver": "pdp"}),
+        ):
+            body, hit = service.handle("sparsify", params)
+            assert not hit
+            again, hit = service.handle("sparsify", {**params, **unused})
+            assert hit and again == body  # byte-identical hit
+        assert service.queue.stats()["submitted"] == 3
+        # A field the variant does read still partitions the cache.
+        _, hit = service.handle("sparsify", {**emd, "emd_mode": "lazy"})
+        assert not hit
+
     def test_scheduled_refresh_warms_the_cache(self, service, dataset):
         params = {"dataset": dataset, "alpha": 0.45, "variant": "GDB^A",
                   "seed": 0}

@@ -131,6 +131,19 @@ class TestUpdateSemantics:
         with pytest.raises(ServerError, match="resparsify"):
             service.update({"dataset": dataset, "resparsify": "yes"})
 
+    def test_bad_resparsify_rejected_before_the_delta_lands(
+        self, service, dataset
+    ):
+        _, u, v, _ = _first_edge(dataset)
+        before = service._digest(dataset)
+        with pytest.raises(ServerError, match="engine"):
+            service.update({
+                "dataset": dataset, "updates": [[u, v, 0.321]],
+                "resparsify": {**SPARSIFY, "engine": "gpu"},
+            })
+        assert service._digest(dataset) == before
+        assert service.queue.stats()["submitted"] == 0
+
     def test_binary_datasets_are_immutable(self, service, dataset,
                                            tmp_path_factory):
         from repro.datasets import write_binary
