@@ -1,11 +1,14 @@
 """Smoke benchmark: batched vs legacy Monte-Carlo estimator throughput.
 
-Times a 500-world reliability estimate on a ~2k-edge synthetic graph
-through both execution paths of :class:`MonteCarloEstimator`.  The
-batched world-ensemble engine must (a) return the exact same outcome
-matrix and (b) beat the per-world loop by at least ``MIN_SPEEDUP``.
-Results are archived under ``benchmarks/results/`` like the figure
-benchmarks.
+Times reliability (RL), shortest-path distance (SP), clustering
+coefficient (CC) and PageRank (PR) estimates on a ~2k-edge synthetic
+graph through both execution paths of :class:`MonteCarloEstimator`.
+For every query the batched world-ensemble engine must return the exact
+same outcome matrix as the per-world loop; the reliability workload
+(the headline claim) must also beat it by at least ``MIN_SPEEDUP``.
+Tables are archived under ``benchmarks/results/`` like the figure
+benchmarks, and every query's timings are collected in the JSON twin
+``benchmarks/results/BENCH_batch_estimator.json``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import pytest
 
 from repro.datasets import flickr_like
 from repro.experiments.common import ResultTable
-from repro.queries import PageRankQuery, ReliabilityQuery, sample_vertex_pairs
+from repro.queries import (
+    ClusteringCoefficientQuery,
+    PageRankQuery,
+    ReliabilityQuery,
+    ShortestPathQuery,
+    sample_vertex_pairs,
+)
 from repro.sampling import MonteCarloEstimator
 
 #: Acceptance floor for the reliability workload (the headline claim).
@@ -38,8 +47,20 @@ def graph():
     return g
 
 
+@pytest.fixture(scope="module")
+def report(graph):
+    """Per-query timings, shared by the module's tests for the JSON twin."""
+    return {
+        "graph": {
+            "vertices": graph.number_of_vertices(),
+            "edges": graph.number_of_edges(),
+        },
+        "queries": {},
+    }
+
+
 def _run_both(graph, query, n_samples=N_WORLDS, legacy_samples=None):
-    """(speedup, batched outcomes, legacy outcomes) for one query.
+    """(speedup, batched seconds, legacy seconds) for one query.
 
     ``legacy_samples`` lets slow queries time the legacy path on fewer
     worlds and extrapolate per-world cost; outcomes are then compared on
@@ -64,37 +85,64 @@ def _run_both(graph, query, n_samples=N_WORLDS, legacy_samples=None):
     return legacy_seconds / batched_seconds, batched_seconds, legacy_seconds
 
 
-def test_bench_batch_vs_legacy_reliability(graph, emit):
-    pairs = sample_vertex_pairs(graph, N_PAIRS, rng=7)
-    speedup, batched_s, legacy_s = _run_both(graph, ReliabilityQuery(pairs))
-
+def _measure(graph, report, emit, emit_json, name, label, query,
+             n_samples=N_WORLDS, legacy_samples=None):
+    """Time one query both ways, archive its table and refresh the JSON."""
+    speedup, batched_s, legacy_s = _run_both(
+        graph, query, n_samples=n_samples, legacy_samples=legacy_samples
+    )
     table = ResultTable(
-        title=f"Batched vs legacy estimator — RL, {N_WORLDS} worlds, "
+        title=f"Batched vs legacy estimator — {label}, {n_samples} worlds, "
         f"{graph.number_of_edges()} edges",
         headers=["path", "seconds", "speedup"],
     )
     table.add_row("legacy", legacy_s, 1.0)
     table.add_row("batched", batched_s, speedup)
-    emit("bench_batch_estimator", table)
+    emit(name, table)
+    report["queries"][label] = {
+        "worlds": n_samples,
+        "legacy_worlds": legacy_samples or n_samples,
+        "batched_s": batched_s,
+        "legacy_s": legacy_s,
+        "speedup": speedup,
+    }
+    emit_json("batch_estimator", report)
+    return speedup
 
+
+def test_bench_batch_vs_legacy_reliability(graph, report, emit, emit_json):
+    pairs = sample_vertex_pairs(graph, N_PAIRS, rng=7)
+    speedup = _measure(
+        graph, report, emit, emit_json, "bench_batch_estimator", "RL",
+        ReliabilityQuery(pairs),
+    )
     assert speedup >= MIN_SPEEDUP, (
         f"batched reliability estimate only {speedup:.1f}x faster "
         f"(need >= {MIN_SPEEDUP}x)"
     )
 
 
-def test_bench_batch_vs_legacy_pagerank(graph, emit):
-    query = PageRankQuery(graph.number_of_vertices())
-    speedup, batched_s, legacy_s = _run_both(
-        graph, query, n_samples=100, legacy_samples=100
+def test_bench_batch_vs_legacy_shortest_path(graph, report, emit, emit_json):
+    pairs = sample_vertex_pairs(graph, N_PAIRS, rng=7)
+    _measure(
+        graph, report, emit, emit_json, "bench_batch_estimator_sp", "SP",
+        ShortestPathQuery(pairs), legacy_samples=100,
     )
-    table = ResultTable(
-        title=f"Batched vs legacy estimator — PR, 100 worlds, "
-        f"{graph.number_of_edges()} edges",
-        headers=["path", "seconds", "speedup"],
+
+
+def test_bench_batch_vs_legacy_clustering(graph, report, emit, emit_json):
+    _measure(
+        graph, report, emit, emit_json, "bench_batch_estimator_cc", "CC",
+        ClusteringCoefficientQuery(graph.number_of_vertices()),
+        legacy_samples=50,
     )
-    table.add_row("legacy", legacy_s, 1.0)
-    table.add_row("batched", batched_s, speedup)
-    emit("bench_batch_estimator_pagerank", table)
+
+
+def test_bench_batch_vs_legacy_pagerank(graph, report, emit, emit_json):
+    speedup = _measure(
+        graph, report, emit, emit_json, "bench_batch_estimator_pagerank", "PR",
+        PageRankQuery(graph.number_of_vertices()),
+        n_samples=100, legacy_samples=100,
+    )
     # PR's legacy inner loop is already vectorised; just require a win.
     assert speedup >= 1.0

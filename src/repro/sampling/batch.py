@@ -14,8 +14,8 @@ runs over *all* worlds simultaneously as dense NumPy kernels —
   bit-identical),
 - batched *weighted* distances (the ``-log p`` most-probable-path
   transform) via the bucketed delta-stepping kernel,
-- batched connected components via min-label propagation with pointer
-  jumping,
+- batched connected components via one ``scipy.sparse.csgraph`` pass
+  over the block-diagonal graph of all worlds,
 - batched triangle counting from a precomputed parent triangle table.
 
 Every kernel is *bit-identical* to its per-world counterpart in
@@ -181,57 +181,54 @@ class BatchTopology:
 
         Each triangle is listed once (``u < v < w``); built lazily and
         cached since it only depends on the parent graph.
+
+        Every wedge ``a - b - w`` with ``a < b < w`` is enumerated at
+        once: each edge ``(a, b)`` expands the CSR segment of its higher
+        endpoint ``b`` restricted to neighbours ``w > b`` (an "upward"
+        CSR, so a hub pays only for its higher-id neighbours), and one
+        ``searchsorted`` over the sorted endpoint keys closes the wedges
+        whose ``(a, w)`` edge exists.  Rows come out in edge-id order,
+        each edge's wedges in CSR order, so a triangle anchors at its
+        lexicographically smallest edge.
         """
         if self._triangles is None:
-            n, m = self.n, self.m
-            u, v = self.edge_vertices[:, 0], self.edge_vertices[:, 1]
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            # Sorted key table for (endpoint pair) -> undirected edge id.
-            keys = lo * n + hi
-            key_order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[key_order]
-            corners: list[np.ndarray] = []
-            edge_ids: list[np.ndarray] = []
-            indptr, indices, dir_edge = self.indptr, self.indices, self.dir_edge
-            for eid in range(m):
-                a, b = int(lo[eid]), int(hi[eid])
-                nbrs_b = indices[indptr[b]:indptr[b + 1]]
-                eids_b = dir_edge[indptr[b]:indptr[b + 1]]
-                # Close the wedge a-b-w with w > b so each triangle
-                # anchors at its lexicographically smallest edge.
-                grow = nbrs_b > b
-                if not grow.any():
-                    continue
-                cand_w = nbrs_b[grow]
-                probe = np.searchsorted(sorted_keys, a * n + cand_w)
-                probe = np.minimum(probe, m - 1)
-                closed = sorted_keys[probe] == a * n + cand_w
-                if not closed.any():
-                    continue
-                w_ids = cand_w[closed]
-                corners.append(
-                    np.stack([
-                        np.full(len(w_ids), a), np.full(len(w_ids), b), w_ids,
-                    ], axis=1)
-                )
-                edge_ids.append(
-                    np.stack([
-                        np.full(len(w_ids), eid),
-                        key_order[probe[closed]],
-                        eids_b[grow][closed],
-                    ], axis=1)
-                )
-            if corners:
-                self._triangles = (
-                    np.concatenate(corners).astype(np.int64),
-                    np.concatenate(edge_ids).astype(np.int64),
-                )
-            else:
-                self._triangles = (
-                    np.empty((0, 3), dtype=np.int64),
-                    np.empty((0, 3), dtype=np.int64),
-                )
+            self._triangles = self._enumerate_triangles()
         return self._triangles
+
+    def _enumerate_triangles(self) -> tuple[np.ndarray, np.ndarray]:
+        n, m = self.n, self.m
+        none = (np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+        if m == 0:
+            return none
+        u, v = self.edge_vertices[:, 0], self.edge_vertices[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # Sorted key table for (endpoint pair) -> undirected edge id.
+        keys = lo * n + hi
+        key_order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[key_order]
+        # Upward CSR: the directed edges pointing to a higher id, in the
+        # parent CSR's order.
+        upward = np.flatnonzero(self.indices > self.dir_source)
+        up_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.dir_source[upward], minlength=n))]
+        )
+        lengths = up_indptr[hi + 1] - up_indptr[hi]
+        total = int(lengths.sum())
+        if total == 0:
+            return none
+        slots = upward[kernels._csr_segment_indices(up_indptr, hi, lengths, total)]
+        anchor = np.repeat(np.arange(m), lengths)
+        w = self.indices[slots]
+        wanted = lo[anchor] * n + w
+        probe = np.minimum(np.searchsorted(sorted_keys, wanted), m - 1)
+        closed = sorted_keys[probe] == wanted
+        anchor, w = anchor[closed], w[closed]
+        corners = np.stack([lo[anchor], hi[anchor], w], axis=1)
+        edge_ids = np.stack(
+            [anchor, key_order[probe[closed]], self.dir_edge[slots[closed]]],
+            axis=1,
+        )
+        return corners.astype(np.int64), edge_ids.astype(np.int64)
 
 
 class WorldBatch:
@@ -419,49 +416,38 @@ class WorldBatch:
         return self.connected_component_count() == 1
 
     def component_labels(self) -> np.ndarray:
-        """``(N, n)`` labels: each vertex mapped to its component's min id.
+        """``(N, n)`` int32 labels: each vertex mapped to its component's min id.
 
-        Min-label propagation over the shared CSR with pointer jumping
-        (``label <- label[label]``) between rounds, so convergence takes
-        roughly log-diameter rounds instead of diameter.  Converged
-        worlds drop out of the working set each round.  Cached: every
+        One :func:`scipy.sparse.csgraph.connected_components` pass over
+        the block-diagonal union of all worlds: vertex ``v`` of world
+        ``w`` is node ``w * n + v``, with one entry per alive edge of
+        the mask matrix.  Node ids ascend inside a world's block, so a
+        component's smallest node is its smallest vertex id plus the
+        block offset — the label is that node mod ``n``.  Cached: every
         connectivity-flavoured query on the batch shares one pass.
         """
         if self._labels is not None:
             return self._labels
+        # Imported on first use: csgraph adds ~1-2 MB of resident memory
+        # to processes that never label components.
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         N, n = self.n_worlds, self.n
-        labels = np.tile(np.arange(n, dtype=np.int32), (N, 1))
-        if self.m == 0 or n == 0:
-            self._labels = labels
-            return labels
-        alive = self.alive_directed()
-        indptr, dst = self.topology.indptr, self.topology.indices
-        empty = np.diff(indptr) == 0
-        starts = indptr[:-1]
-        sentinel = np.int32(n)
-        rows = np.arange(N)
-        while rows.size:
-            current = labels[rows]
-            # Min neighbour label per vertex: the CSR groups each
-            # vertex's incident edges contiguously; a sentinel column
-            # keeps reduceat well-defined for the trailing segment.
-            cand = np.where(alive[rows], current[:, dst], sentinel)
-            padded = np.concatenate(
-                [cand, np.full((rows.size, 1), sentinel, dtype=np.int32)],
-                axis=1,
-            )
-            mins = np.minimum.reduceat(padded, starts, axis=1)
-            mins[:, empty] = sentinel
-            new = np.minimum(current, mins)
-            # Pointer jumping: labels are vertex ids of the same
-            # component, so chasing them compresses chains.
-            new = np.take_along_axis(new, new, axis=1)
-            new = np.take_along_axis(new, new, axis=1)
-            changed = (new != current).any(axis=1)
-            labels[rows] = new
-            rows = rows[changed]
-        self._labels = labels
-        return labels
+        size = N * n
+        if size == 0:
+            self._labels = np.empty((N, n), dtype=np.int32)
+            return self._labels
+        world, edge = np.nonzero(self.masks)
+        ends = self.topology.edge_vertices[edge] + (world * n)[:, None]
+        graph = coo_matrix(
+            (np.ones(len(edge)), (ends[:, 0], ends[:, 1])), shape=(size, size)
+        )
+        count, component = connected_components(graph, directed=False)
+        first = np.full(count, size, dtype=np.int64)
+        np.minimum.at(first, component, np.arange(size))
+        self._labels = (first[component] % n).astype(np.int32).reshape(N, n)
+        return self._labels
 
     def connected_component_count(self) -> np.ndarray:
         """``(N,)`` number of connected components per world."""

@@ -210,12 +210,12 @@ def _packed_masks(batch) -> np.ndarray:
     )
 
 
-def _packed_alive_directed(batch) -> np.ndarray:
-    """``(2m, W)`` packed liveness per directed edge (cached on the batch)."""
+def _packed_alive_ordered(batch, order: np.ndarray) -> np.ndarray:
+    """``(2m, W)`` packed directed-edge liveness, target-sorted (cached)."""
     return _batch_cached(
         batch,
         "_packed_alive",
-        lambda: _packed_masks(batch)[batch.topology.dir_edge],
+        lambda: _packed_masks(batch)[batch.topology.dir_edge[order]],
     )
 
 
@@ -224,14 +224,6 @@ def _alive_target_ordered(batch, order: np.ndarray) -> np.ndarray:
     return _batch_cached(
         batch, "_alive_ordered", lambda: batch.alive_directed()[:, order]
     )
-
-
-def _unpack_word_entries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ``(k,)`` uint64 words into (entry index, bit position) pairs."""
-    bits = np.unpackbits(
-        words[:, None].view(np.uint8), axis=1, bitorder="little"
-    )
-    return np.nonzero(bits)
 
 
 def bfs_distances_packed(
@@ -243,24 +235,26 @@ def bfs_distances_packed(
     with the ensemble's worlds packed along the bits (``W = ceil(N/64)``
     words), so one AND over the alive-edge words expands a level for 64
     worlds at a time and the level loop moves ~8x fewer bytes than the
-    boolean kernel.  Wide frontiers group the activated edge words by
-    target vertex with a single ``bitwise_or.reduceat`` over the
-    target-sorted CSR; narrow frontiers gather only the touched CSR
-    segments and scatter with ``bitwise_or.at``.  BFS levels are a
+    boolean kernel.  Wide frontiers AND the cached target-sorted
+    liveness words with the frontier and group them by target vertex
+    with a single ``bitwise_or.reduceat``; narrow frontiers gather only
+    the touched CSR segments and scatter with ``bitwise_or.at``.  Each
+    level is recorded in binary across packed bit-planes and the
+    distance matrix is decoded once, after the loop.  BFS levels are a
     property of the graph, not of the frontier encoding, so the
     returned matrix — including the ``-1`` pattern left by the
     ``targets`` early exit, which retires worlds under exactly the same
     per-level condition — is bit-identical to the boolean kernel's.
     """
     N, n = batch.n_worlds, batch.n
-    dist = np.full((N, n), -1, dtype=np.int64)
     if N == 0:
-        return dist
-    dist[:, source] = 0
+        return np.full((N, n), -1, dtype=np.int64)
     topology = batch.topology
     indptr, src, dst = topology.indptr, topology.dir_source, topology.indices
     order, starts, empty = topology.target_grouping()
-    alive_packed = _packed_alive_directed(batch)
+    source_ordered = src[order]
+    alive_ordered = _packed_alive_ordered(batch, order)
+    packed_masks = _packed_masks(batch)
     words = (N + WORD_BITS - 1) // WORD_BITS
     world_mask = _world_word_mask(N)
 
@@ -274,6 +268,11 @@ def bfs_distances_packed(
     frontier = np.zeros((n, words), dtype=np.uint64)
     frontier[source] = active
     two_m = len(dst)
+    # Activated edge words in target order, plus one zero row that
+    # keeps reduceat well-defined for trailing empty segments.
+    activated = np.zeros((two_m + 1, words), dtype=np.uint64)
+    # planes[j] holds bit j of every visited entry's level.
+    planes: list[np.ndarray] = []
     level = 0
     while active.any():
         level += 1
@@ -283,30 +282,57 @@ def bfs_distances_packed(
         if total == 0:
             break
         if total * 4 >= two_m:
-            activated = alive_packed & frontier[src]
-            padded = np.concatenate(
-                [activated[order], np.zeros((1, words), dtype=np.uint64)],
-                axis=0,
+            np.bitwise_and(
+                alive_ordered, frontier[source_ordered], out=activated[:two_m]
             )
-            hit = np.bitwise_or.reduceat(padded, starts, axis=0)
+            hit = np.bitwise_or.reduceat(activated, starts, axis=0)
             hit[empty] = 0
         else:
             e_sub = _csr_segment_indices(indptr, cols, lengths, total)
-            activated = alive_packed[e_sub] & frontier[np.repeat(cols, lengths)]
+            words_sub = (
+                packed_masks[topology.dir_edge[e_sub]]
+                & frontier[np.repeat(cols, lengths)]
+            )
             hit = np.zeros((n, words), dtype=np.uint64)
-            np.bitwise_or.at(hit, dst[e_sub], activated)
+            np.bitwise_or.at(hit, dst[e_sub], words_sub)
         new = hit & ~visited & active
         if not new.any():
             break
         visited |= new
-        vertex_idx, word_idx = np.nonzero(new)
-        entry, bit = _unpack_word_entries(new[vertex_idx, word_idx])
-        dist[word_idx[entry] * WORD_BITS + bit, vertex_idx[entry]] = level
+        if level == 1 << len(planes):
+            planes.append(np.zeros((n, words), dtype=np.uint64))
+        for j, plane in enumerate(planes):
+            if level >> j & 1:
+                plane |= new
         active &= np.bitwise_or.reduce(new, axis=0)
         if targets is not None and targets.size:
             active &= ~np.bitwise_and.reduce(visited[targets], axis=0)
         frontier = new & active
-    return dist
+    return _decode_levels(planes, visited, N)
+
+
+def _decode_levels(
+    planes: "list[np.ndarray]", visited: np.ndarray, n_worlds: int
+) -> np.ndarray:
+    """``(N, n)`` int64 distances from packed level bit-planes.
+
+    ``planes[j]`` holds bit ``j`` of each visited (vertex, world)'s BFS
+    level; unvisited entries read ``-1``.  Levels are assembled in the
+    narrowest type that holds them (int16 unless a BFS ran 2**15
+    levels deep) and widened once at the end.
+    """
+    level_type = np.int16 if len(planes) < 16 else np.int64
+
+    def unpack(plane: np.ndarray) -> np.ndarray:
+        return np.unpackbits(
+            plane.view(np.uint8), axis=1, count=n_worlds, bitorder="little"
+        ).astype(level_type)
+
+    dist = unpack(visited)
+    dist -= 1
+    for j, plane in enumerate(planes):
+        dist += unpack(plane) << j
+    return dist.T.astype(np.int64, order="C")
 
 
 #: Registry of frontier kernels selectable per batch or per call.

@@ -71,24 +71,32 @@ class EstimationResult:
         return float(defined.mean())
 
     def unit_standard_deviations(self) -> np.ndarray:
-        """Per-unit nan standard deviation of outcomes across worlds."""
-        with np.errstate(invalid="ignore"):
+        """Per-unit nan standard deviation of outcomes across worlds.
+
+        nan (without a warning) for a unit defined in fewer than two
+        worlds.
+        """
+        with warnings_suppressed():
             return np.nanstd(self.outcomes, axis=0, ddof=1)
 
     def confidence_width(self, unit: int | None = None) -> float:
         """95% CI width ``3.92 sigma / sqrt(N)`` (paper section 6.3).
 
-        With ``unit=None`` the scalar-summary width is returned.
+        With ``unit=None`` the scalar-summary width is returned.  The
+        width is undefined — nan, without a warning — when fewer than
+        two samples are defined.
         """
         if unit is None:
             with warnings_suppressed():
                 per_sample = np.nanmean(self.outcomes, axis=1)
+            if np.count_nonzero(~np.isnan(per_sample)) < 2:
+                return float("nan")
             sigma = float(np.nanstd(per_sample, ddof=1))
             return 3.92 * sigma / np.sqrt(self.n_samples)
-        sigma = float(self.unit_standard_deviations()[unit])
         n_defined = int(np.sum(~np.isnan(self.outcomes[:, unit])))
-        if n_defined == 0:
+        if n_defined < 2:
             return float("nan")
+        sigma = float(self.unit_standard_deviations()[unit])
         return 3.92 * sigma / np.sqrt(n_defined)
 
 

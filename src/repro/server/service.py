@@ -21,6 +21,7 @@ to recomputation and the cache key can ignore ``mc_workers``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -54,6 +55,9 @@ REFRESH_PRIORITY = 60
 _ESTIMATE_QUERIES = (
     "reliability", "distance", "pagerank", "clustering", "connectivity"
 )
+#: The estimate queries that read ``pairs``; the others validate it but
+#: keep it out of the cache key.
+_PAIR_QUERIES = ("reliability", "distance")
 
 
 #: The enumerated sparsify fields each method reads; the others are
@@ -96,8 +100,13 @@ class ServerConfig:
 
 
 def canonical_body(document: dict) -> bytes:
-    """Serialise a response document to canonical (byte-stable) JSON."""
-    return (json.dumps(document, sort_keys=True, separators=(",", ":"))
+    """Serialise a response document to canonical (byte-stable) JSON.
+
+    Strict JSON: a non-finite float raises ``ValueError`` instead of
+    leaking a ``NaN``/``Infinity`` token that strict parsers reject.
+    """
+    return (json.dumps(document, sort_keys=True, separators=(",", ":"),
+                       allow_nan=False)
             + "\n").encode("utf-8")
 
 
@@ -243,14 +252,18 @@ class SparsifierService:
             norm.update(
                 query=str(params.pop("query", "reliability")),
                 samples=int(params.pop("samples", 200)),
-                pairs=int(params.pop("pairs", 50)),
                 weighted=bool(params.pop("weighted", False)),
             )
+            pairs = int(params.pop("pairs", 50))
             if norm["query"] not in _ESTIMATE_QUERIES:
                 raise ServerError(
                     f"query must be one of {_ESTIMATE_QUERIES}, "
                     f"got {norm['query']!r}"
                 )
+            if pairs < 1:
+                raise ServerError(f"pairs must be >= 1, got {pairs}")
+            if norm["query"] in _PAIR_QUERIES:
+                norm["pairs"] = pairs
             if norm["weighted"] and norm["query"] != "distance":
                 raise ServerError("weighted only applies to the distance query")
             if not 1 <= norm["samples"] <= self.config.max_samples:
@@ -512,7 +525,7 @@ class SparsifierService:
         entry = self._dataset(norm["dataset"], norm["digest"])
         graph = entry["graph"]
         name = norm["query"]
-        if name in ("reliability", "distance"):
+        if name in _PAIR_QUERIES:
             pairs = sample_vertex_pairs(graph, norm["pairs"], rng=norm["seed"])
             query = (
                 ReliabilityQuery(pairs) if name == "reliability"
@@ -536,6 +549,7 @@ class SparsifierService:
             dataset=mc_dataset,
         ) as estimator:
             result = estimator.run(query, rng=norm["seed"])
+        width = result.confidence_width()
         return canonical_body({
             "endpoint": "estimate",
             "digest": norm["digest"],
@@ -544,7 +558,8 @@ class SparsifierService:
             "samples": norm["samples"],
             "seed": norm["seed"],
             "estimate": result.scalar_estimate(),
-            "confidence_width": result.confidence_width(),
+            # null when undefined (fewer than two samples).
+            "confidence_width": width if math.isfinite(width) else None,
         })
 
     def _run_grid(self, norm: dict) -> bytes:

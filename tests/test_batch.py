@@ -9,6 +9,8 @@ and chunk size under a fixed seed.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.queries import (
     sample_vertex_pairs,
 )
 from repro.sampling import (
+    BatchTopology,
     MonteCarloEstimator,
     StratifiedEstimator,
     WorldBatch,
@@ -153,6 +156,162 @@ class TestKernelEquivalence:
         assert np.array_equal(outcomes[:, 0], batch.edge_counts())
 
 
+def smallest_vertex_labels(world) -> np.ndarray:
+    """Per-world oracle: each vertex labelled with its component's min id."""
+    labels = np.full(world.n, -1, dtype=np.int64)
+    for vertex in range(world.n):
+        if labels[vertex] < 0:
+            # Ascending scan: the first unlabelled vertex of a component
+            # is its smallest id.
+            labels[world.reachable_from(vertex)] = vertex
+    return labels
+
+
+def assert_labels_match_worlds(batch: WorldBatch) -> None:
+    labels = batch.component_labels()
+    assert labels.dtype == np.int32
+    assert labels.shape == (batch.n_worlds, batch.n)
+    for i, world in enumerate(batch.iter_worlds()):
+        assert np.array_equal(labels[i], smallest_vertex_labels(world)), (
+            f"world {i}"
+        )
+
+
+def per_edge_triangle_table(topology) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``triangle_table()``: one wedge scan per parent edge."""
+    n, m = topology.n, topology.m
+    u, v = topology.edge_vertices[:, 0], topology.edge_vertices[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi
+    key_order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[key_order]
+    corners: list[np.ndarray] = []
+    edge_ids: list[np.ndarray] = []
+    indptr, indices, dir_edge = topology.indptr, topology.indices, topology.dir_edge
+    for eid in range(m):
+        a, b = int(lo[eid]), int(hi[eid])
+        nbrs_b = indices[indptr[b]:indptr[b + 1]]
+        eids_b = dir_edge[indptr[b]:indptr[b + 1]]
+        # Close the wedge a-b-w with w > b so each triangle anchors at
+        # its lexicographically smallest edge.
+        grow = nbrs_b > b
+        if not grow.any():
+            continue
+        cand_w = nbrs_b[grow]
+        probe = np.searchsorted(sorted_keys, a * n + cand_w)
+        probe = np.minimum(probe, m - 1)
+        closed = sorted_keys[probe] == a * n + cand_w
+        if not closed.any():
+            continue
+        w_ids = cand_w[closed]
+        corners.append(np.stack([
+            np.full(len(w_ids), a), np.full(len(w_ids), b), w_ids,
+        ], axis=1))
+        edge_ids.append(np.stack([
+            np.full(len(w_ids), eid),
+            key_order[probe[closed]],
+            eids_b[grow][closed],
+        ], axis=1))
+    if not corners:
+        return (np.empty((0, 3), dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+    return (
+        np.concatenate(corners).astype(np.int64),
+        np.concatenate(edge_ids).astype(np.int64),
+    )
+
+
+def assert_triangle_table_matches_loop(graph: UncertainGraph) -> None:
+    topology = BatchTopology(graph.number_of_vertices(), graph.edge_index_array())
+    got = topology.triangle_table()
+    want = per_edge_triangle_table(topology)
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == np.int64
+        assert got_part.shape == want_part.shape
+        assert np.array_equal(got_part, want_part)
+
+
+class TestComponentLabels:
+    """``component_labels()`` against a per-world reachability oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=18),
+        avg_degree=st.integers(min_value=1, max_value=6),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        mask_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_graphs(self, n, avg_degree, graph_seed, mask_seed):
+        graph = erdos_renyi_uncertain(
+            n, avg_degree=min(avg_degree, n - 1), rng=graph_seed
+        )
+        m = graph.number_of_edges()
+        rng = np.random.default_rng(mask_seed)
+        masks = rng.random((12, m)) < rng.random(m)
+        assert_labels_match_worlds(WorldSampler(graph).batch_from_masks(masks))
+
+    def test_empty_full_and_isolated(self):
+        graph = UncertainGraph(
+            [(0, 1, 0.5), (2, 3, 0.9), (4, 5, 0.3), (5, 6, 0.7), (4, 6, 0.6)],
+            vertices=[7, 8],
+        )
+        m, n = graph.number_of_edges(), graph.number_of_vertices()
+        masks = np.random.default_rng(0).random((16, m)) < 0.5
+        masks[0] = False  # the empty world: every vertex its own label
+        masks[1] = True   # the full world
+        batch = WorldSampler(graph).batch_from_masks(masks)
+        assert_labels_match_worlds(batch)
+        assert np.array_equal(batch.component_labels()[0], np.arange(n))
+
+    def test_no_edges(self):
+        graph = UncertainGraph([], vertices=[0, 1, 2])
+        masks = np.zeros((4, 0), dtype=bool)
+        batch = WorldSampler(graph).batch_from_masks(masks)
+        assert_labels_match_worlds(batch)
+        assert np.array_equal(
+            batch.component_labels(), np.tile(np.arange(3), (4, 1))
+        )
+
+    def test_no_worlds(self, triangle):
+        masks = np.zeros((0, 3), dtype=bool)
+        batch = WorldSampler(triangle).batch_from_masks(masks)
+        labels = batch.component_labels()
+        assert labels.shape == (0, 3) and labels.dtype == np.int32
+        assert batch.connected_component_count().shape == (0,)
+
+
+class TestTriangleTable:
+    """``triangle_table()`` row for row against the per-edge loop."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=18),
+        avg_degree=st.integers(min_value=1, max_value=10),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_graphs(self, n, avg_degree, graph_seed):
+        assert_triangle_table_matches_loop(erdos_renyi_uncertain(
+            n, avg_degree=min(avg_degree, n - 1), rng=graph_seed
+        ))
+
+    def test_dense_graph(self):
+        graph = erdos_renyi_uncertain(20, avg_degree=10, rng=1)
+        assert_triangle_table_matches_loop(graph)
+        topology = BatchTopology(20, graph.edge_index_array())
+        assert len(topology.triangle_table()[0]) > 0
+
+    def test_graph_without_triangles(self):
+        # A 4-cycle plus a pendant path: wedges everywhere, no triangle.
+        graph = UncertainGraph(
+            [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5), (3, 4, 0.5)]
+        )
+        assert_triangle_table_matches_loop(graph)
+        corners, _ = BatchTopology(5, graph.edge_index_array()).triangle_table()
+        assert corners.shape == (0, 3)
+
+    def test_no_edges(self):
+        assert_triangle_table_matches_loop(UncertainGraph([], vertices=[0, 1, 2]))
+
+
 class TestSampling:
     def test_mask_matrix_matches_sequential_stream(self, small_power_law):
         sampler = WorldSampler(small_power_law)
@@ -237,6 +396,21 @@ class TestConfidenceWidth:
         per_sample = np.array([float(np.nanmean(row)) for row in outcomes])
         expected = 3.92 * float(np.nanstd(per_sample, ddof=1)) / np.sqrt(40)
         assert result.confidence_width() == expected
+
+    @pytest.mark.parametrize("outcomes", [
+        [[0.5, 1.0]],                                 # one sample
+        [[0.5, np.nan], [np.nan, np.nan]],            # one defined sample
+        [[np.nan, np.nan], [np.nan, np.nan]],         # none defined
+    ])
+    def test_undefined_width_is_nan_without_warning(self, outcomes):
+        from repro.sampling import EstimationResult
+
+        result = EstimationResult(outcomes=np.array(outcomes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(result.confidence_width())
+            assert np.isnan(result.confidence_width(unit=0))
+            assert np.isnan(result.confidence_width(unit=1))
 
 
 class TestChunkAutosizing:

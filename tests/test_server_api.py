@@ -19,6 +19,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -146,6 +147,20 @@ class TestServiceCore:
         assert body1 == body2
         assert parallel_module.active_pool_count() == baseline
 
+    @pytest.mark.parametrize("query", ["connectivity", "reliability", "distance"])
+    def test_single_sample_width_is_strict_json_null(self, service, dataset, query):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            body, _ = service.handle("estimate", {
+                "dataset": dataset, "query": query, "samples": 1, "pairs": 5,
+            })
+        document = json.loads(body, parse_constant=reject)
+        assert document["confidence_width"] is None
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_grid_endpoint_rows(self, service, dataset):
         body, _ = service.handle(
             "grid", {"dataset": dataset, "alphas": [0.4, 0.6],
@@ -228,6 +243,12 @@ class TestServiceCore:
             service.handle(
                 "sparsify", {"dataset": dataset, **SPARSIFY, "backend": "numpy"}
             )
+        for query in ("reliability", "distance", "pagerank"):
+            for pairs in (0, -3):
+                with pytest.raises(ServerError, match="pairs"):
+                    service.handle("estimate", {
+                        "dataset": dataset, "query": query, "pairs": pairs,
+                    })
         stats = service.queue.stats()
         assert (stats["submitted"], stats["failed"]) == (0, 0)
 
@@ -247,6 +268,17 @@ class TestServiceCore:
         assert service.queue.stats()["submitted"] == 3
         # A field the variant does read still partitions the cache.
         _, hit = service.handle("sparsify", {**emd, "emd_mode": "lazy"})
+        assert not hit
+        # Only the pair queries read ``pairs``.
+        for query in ("pagerank", "clustering", "connectivity"):
+            params = {"dataset": dataset, "query": query, "samples": 8}
+            body, hit = service.handle("estimate", params)
+            assert not hit
+            again, hit = service.handle("estimate", {**params, "pairs": 7})
+            assert hit and again == body
+        reliability = {"dataset": dataset, "query": "reliability", "samples": 8}
+        service.handle("estimate", reliability)
+        _, hit = service.handle("estimate", {**reliability, "pairs": 7})
         assert not hit
 
     def test_scheduled_refresh_warms_the_cache(self, service, dataset):
