@@ -50,7 +50,13 @@ import numpy as np
 
 from repro.core.backbone import BackbonePlan
 from repro.core.discrepancy import SparsificationState
-from repro.core.gdb import GDBConfig, _resolve_backbone, _validate_engine, gdb_refine
+from repro.core.gdb import (
+    GDBConfig,
+    _resolve_backbone,
+    _validate_engine,
+    _validate_stopping,
+    gdb_refine,
+)
 from repro.core.sweep import clamp_and_attenuate
 from repro.core.rules import (
     degree_step_absolute,
@@ -91,8 +97,11 @@ class EMDConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.h <= 1.0):
             raise ValueError(f"entropy parameter h must be in [0, 1], got {self.h}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+        _validate_stopping(
+            self.tau,
+            max_iterations=self.max_iterations,
+            gdb_max_sweeps=self.gdb_max_sweeps,
+        )
 
 
 def _best_probability(state: SparsificationState, eid: int, h: float,

@@ -29,13 +29,14 @@ reuses it).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.backbone import BackbonePlan, build_backbone
 from repro.core.discrepancy import SparsificationState
-from repro.core.rules import make_array_rule, make_rule
+from repro.core.rules import make_rule
 from repro.core.sweep import (
     SweepPlan,
     apply_probability_vector,
@@ -70,6 +71,16 @@ def _colored_eligible(engine: str, k: "int | str", n: int) -> bool:
     return engine == "vector" and isinstance(k, int) and k == 1 and n > k
 
 
+def _validate_stopping(tau: float, **caps) -> None:
+    """Reject a NaN or negative ``tau`` and any iteration cap that is not
+    a positive integer (shared by the GDB and EMD configs)."""
+    if not tau >= 0.0:  # NaN too: no sweep would ever pass the tau test
+        raise ValueError(f"tau must be non-negative, got {tau}")
+    for name, cap in caps.items():
+        if not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+
+
 @dataclass(frozen=True)
 class GDBConfig:
     """Hyper-parameters of Algorithm 2.
@@ -102,10 +113,7 @@ class GDBConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.h <= 1.0):
             raise ValueError(f"entropy parameter h must be in [0, 1], got {self.h}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be positive, got {self.max_sweeps}")
+        _validate_stopping(self.tau, max_sweeps=self.max_sweeps)
 
 
 def gdb_refine(
@@ -159,11 +167,10 @@ def gdb_refine(
     elif colored and plan.n_colors == 0 and len(plan.eids):
         # A sequential-only plan can't drive color blocks; re-plan.
         plan = build_sweep_plan(state)
-    array_rule = make_array_rule(config.k, config.relative, state.n) if colored else None
 
     for sweeps in range(1, config.max_sweeps + 1):
         if colored:
-            colored_sweep(state, plan, array_rule, rule, config.h)
+            colored_sweep(state, plan, config.relative, config.h)
         else:
             fused_sweep(state, plan, config.k, config.relative, config.h)
         new_objective = state.d1(relative=config.relative)
@@ -268,14 +275,12 @@ def gdb_refine_warm(
             state, sub, config.relative, config.h, config.tau, budget
         )
 
-    rule = make_rule(config.k, config.relative, state.n)
-    array_rule = make_array_rule(config.k, config.relative, state.n)
     eids = plan.eids
     objective = state.d1(relative=config.relative)
     x_prev = state.phat[eids].copy()
     prev_norm = prev_ratio = None
     for _ in range(config.max_sweeps):
-        colored_sweep(state, plan, array_rule, rule, config.h)
+        colored_sweep(state, plan, config.relative, config.h)
         sweeps += 1
         new_objective = state.d1(relative=config.relative)
         if abs(objective - new_objective) <= config.tau:

@@ -4,15 +4,10 @@ Each rule returns the *unclamped* optimal step ``stp`` for one edge given
 the current :class:`~repro.core.discrepancy.SparsificationState`; GDB
 applies clamping to ``[0, 1]`` and the entropy attenuation (Eq. 9 / 14).
 
-Every rule also has an array-valued variant (``*_array``) computing the
-steps of many edges against the *same* state in one gather — the
-building block of the color-blocked sweep engine and EMD's vectorised
-candidate scan.  Applying array steps simultaneously is exactly
-order-equivalent to the scalar loop only when the edges share no
-endpoint and the rule has no global term (the ``k = 1`` rules); the
-``k >= 2`` array variants are still exact *evaluations* at the current
-state (used for scans and diagnostics), but the sweep engines apply
-those rules sequentially.
+The ``k = 1`` rules also have array-valued variants (``*_array``)
+computing the steps of many edges against the *same* state in one
+gather — EMD's vectorised candidate scan uses them.  The sweep engines
+of :mod:`repro.core.sweep` inline the same arithmetic instead.
 
 Rules
 -----
@@ -105,59 +100,6 @@ def degree_step_relative_array(state: SparsificationState,
     denominator = pi_u + pi_v
     steps = pi_v * state.delta[uv[:, 0]] + pi_u * state.delta[uv[:, 1]]
     return np.where(denominator > 0.0, steps / np.where(denominator > 0.0, denominator, 1.0), 0.0)
-
-
-def residual_excluding_array(state: SparsificationState,
-                             eids: np.ndarray) -> np.ndarray:
-    """Vectorised ``Delta-hat(e)`` (Eq. 13) for a batch of edges."""
-    uv = state.edge_vertices[eids]
-    edge_residual = state.p_original[eids] - state.phat[eids]
-    incident_residual = (
-        state.delta[uv[:, 0]] + state.delta[uv[:, 1]] - edge_residual
-    )
-    return state.total_residual - incident_residual
-
-
-def cut_step_array(state: SparsificationState, eids: np.ndarray,
-                   k: int) -> np.ndarray:
-    """Eq. (13)/(14) evaluated for a batch at the current state."""
-    degree_coeff, global_coeff = cut_rule_coefficients(state.n, k)
-    uv = state.edge_vertices[eids]
-    steps = degree_coeff * (state.delta[uv[:, 0]] + state.delta[uv[:, 1]])
-    if global_coeff != 0.0:
-        steps = steps + global_coeff * residual_excluding_array(state, eids)
-    return steps
-
-
-def full_redistribution_step_array(state: SparsificationState,
-                                   eids: np.ndarray) -> np.ndarray:
-    """Eq. (16) evaluated for a batch at the current state."""
-    return state.total_residual - (state.p_original[eids] - state.phat[eids])
-
-
-def make_array_rule(k: int | str, relative: bool, n: int):
-    """Array-valued counterpart of :func:`make_rule`.
-
-    Returns a ``(state, eids) -> steps`` callable mirroring the scalar
-    rule element-for-element (identical float arithmetic per edge).
-    """
-    if k == "n":
-        return full_redistribution_step_array
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive int or 'n', got {k!r}")
-    if k >= n:
-        return full_redistribution_step_array
-    if relative:
-        if k != 1:
-            raise ValueError("the relative-discrepancy rule is defined for k = 1 only")
-        return degree_step_relative_array
-    if k == 1:
-        return degree_step_absolute_array
-
-    def rule(state: SparsificationState, eids: np.ndarray) -> np.ndarray:
-        return cut_step_array(state, eids, k)
-
-    return rule
 
 
 def make_rule(k: int | str, relative: bool, n: int):

@@ -13,7 +13,11 @@ the same sweep:
   order.  Classes below :data:`MIN_BLOCK_SIZE` are folded into a scalar
   tail (power-law hubs force many tiny classes; any sequential order is
   still exact coordinate descent), which keeps the per-class numpy
-  dispatch overhead off the hot path.
+  dispatch overhead off the hot path.  The tail runs as one fused pass
+  over plain Python floats, indexed by the local endpoint ids the plan
+  precomputes, and the sweep is bit-identical to applying the rule,
+  clamp and attenuation of Algorithm 2 block by block and then edge by
+  edge through :func:`apply_scalar_step`.
 - **Fused sequential** (all rules): the same edge-id order as the
   reference loop, executed over plain Python floats pulled from the
   state arrays once per sweep — bit-identical arithmetic to the
@@ -45,7 +49,7 @@ from repro.core.entropy import entropy_increases
 from repro.utils.binomials import cut_rule_coefficients
 
 #: Color classes smaller than this run in the scalar tail instead of as
-#: an array block: ~30 numpy dispatches per class cost more than a few
+#: an array block: ~20 numpy dispatches per class cost more than a few
 #: scalar steps.
 MIN_BLOCK_SIZE = 16
 
@@ -76,15 +80,21 @@ class SweepPlan:
 
     Built once per backbone (and reused across sweeps, entropy
     parameters, and grid cells): the greedy coloring, the large color
-    classes as gather-ready arrays, the scalar tail, and the sequential
-    (edge-id-ordered) endpoint lists the fused engine consumes.
+    classes as gather-ready arrays, the scalar tail with its local
+    endpoint indexing, and the sequential (edge-id-ordered) endpoint
+    lists the fused engine consumes.  Nothing in it depends on edge
+    probabilities, so a plan survives probability-only drift.
     """
 
     eids: np.ndarray                 # ascending edge ids of the swept set
     colors: np.ndarray               # greedy color per edge, aligned with eids
     n_colors: int
     blocks: list = field(default_factory=list)      # (eids, u, v) arrays per class
-    tail_eids: list = field(default_factory=list)   # small-class edges, ascending
+    # Small-class edges (ascending ids) and their sorted unique endpoints.
+    tail_eids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    tail_verts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    tail_lu: list = field(default_factory=list)     # tail endpoints as
+    tail_lv: list = field(default_factory=list)     # positions in tail_verts
     seq_eids: list = field(default_factory=list)    # reference-loop order
     seq_u: list = field(default_factory=list)
     seq_v: list = field(default_factory=list)
@@ -151,7 +161,12 @@ def _layout_plan(
         else:
             tail.append(class_eids)
     if tail:
-        plan.tail_eids = np.sort(np.concatenate(tail)).tolist()
+        plan.tail_eids = np.sort(np.concatenate(tail))
+        ends = state.edge_vertices[plan.tail_eids]
+        plan.tail_verts, local = np.unique(ends.ravel(), return_inverse=True)
+        local = local.reshape(-1, 2)
+        plan.tail_lu = local[:, 0].tolist()
+        plan.tail_lv = local[:, 1].tolist()
     return plan
 
 
@@ -230,7 +245,7 @@ def extend_sweep_plan(
 
 
 # ----------------------------------------------------------------------
-# Scalar step application (shared by the reference loop and the tails)
+# Scalar step application (the reference loop's per-edge update)
 # ----------------------------------------------------------------------
 def apply_scalar_step(state: SparsificationState, eid: int, step: float,
                       h: float) -> None:
@@ -261,8 +276,9 @@ def clamp_and_attenuate(current, steps, guard_baseline, h: float) -> np.ndarray:
     entropy relative to ``guard_baseline`` (the edge's current
     probability in GDB sweeps, its *original* probability in EMD's
     insertion rule), restart from the baseline with an ``h``-scaled
-    step.  Elementwise mirror of the scalar helpers — shared so the
-    guard semantics live in exactly one place for both array paths.
+    step.  Elementwise mirror of the scalar helpers; EMD's candidate
+    scan uses it, while :func:`colored_sweep` inlines the cheaper
+    equivalent that holds when the baseline is the current value.
     """
     proposed = current + steps
     attenuated = np.clip(guard_baseline + h * steps, 0.0, 1.0)
@@ -279,33 +295,101 @@ def clamp_and_attenuate(current, steps, guard_baseline, h: float) -> np.ndarray:
 def colored_sweep(
     state: SparsificationState,
     plan: SweepPlan,
-    array_rule,
-    scalar_rule,
+    relative: bool,
     h: float,
 ) -> None:
-    """One coordinate-descent sweep in (color, edge-id) order.
+    """One ``k = 1`` coordinate-descent sweep in (color, edge-id) order.
 
-    Large color classes go through ``array_rule`` and a vectorised
-    clamp/attenuation; the tail runs the scalar path.  Valid only for
-    endpoint-local rules (``k = 1``): within a class no two edges share
-    an endpoint, so the simultaneous application below is exactly the
-    sequential one.
+    Each large color class is one array step: within a class no two
+    edges share an endpoint, so the simultaneous application below is
+    exactly the sequential one.  The scalar tail then runs in ascending
+    edge-id order over plain Python floats gathered once per sweep.
+    Both mirror the ``k = 1`` rule (Eq. 8) and the clamp/attenuation of
+    Algorithm 2 operation for operation, so ``phat``, ``delta`` and
+    ``total_residual`` come out bit-identical to stepping every edge
+    through the scalar rule and :func:`apply_scalar_step` in that order
+    (``total_residual`` takes one rounded sum per block, then one
+    decrement per tail edge).
+
+    ``relative`` selects the relative rule, whose weights are the
+    endpoints' original expected degrees; they are read from the state
+    on every sweep because a plan outlives probability-only drift.
     """
     phat = state.phat
     delta = state.delta
+    degrees = state.original_degrees
     for class_eids, u, v in plan.blocks:
         current = phat[class_eids]
-        steps = array_rule(state, class_eids)
-        new_p = clamp_and_attenuate(current, steps, current, h)
+        du = delta[u]
+        dv = delta[v]
+        if relative:
+            pi_u = degrees[u]
+            pi_v = degrees[v]
+            denominator = pi_u + pi_v
+            steps = np.divide(
+                pi_v * du + pi_u * dv, denominator,
+                out=np.zeros(len(current)), where=denominator > 0.0,
+            )
+        else:
+            steps = 0.5 * (du + dv)
+        proposed = current + steps
+        # One select plus an in-place clamp: a proposal outside [0, 1]
+        # is farther from 0.5 than any current value in [0, 1], so it
+        # never takes the attenuated branch, and the attenuated value
+        # lies between current and proposed.
+        new_p = np.where(
+            np.abs(proposed - 0.5) < np.abs(current - 0.5),
+            current + h * steps, proposed,
+        )
+        new_p.clip(0.0, 1.0, out=new_p)
         changes = new_p - current
-        # Endpoints are unique within a class, so plain fancy-index
-        # subtraction is an exact scatter (no accumulation needed).
-        delta[u] -= changes
-        delta[v] -= changes
+        # Endpoints are unique within a class, so writing back from the
+        # values gathered above is an exact read-modify-write scatter.
+        delta[u] = du - changes
+        delta[v] = dv - changes
         state.total_residual -= float(changes.sum())
         phat[class_eids] = new_p
-    for eid in plan.tail_eids:
-        apply_scalar_step(state, eid, scalar_rule(state, eid), h)
+
+    tail = plan.tail_eids
+    if not len(tail):
+        return
+    verts = plan.tail_verts
+    dloc = delta[verts].tolist()
+    ploc = phat[tail].tolist()
+    pi = degrees[verts].tolist() if relative else None
+    total_residual = float(state.total_residual)
+    for i, (iu, iv) in enumerate(zip(plan.tail_lu, plan.tail_lv)):
+        du = dloc[iu]
+        dv = dloc[iv]
+        if relative:
+            pi_u = pi[iu]
+            pi_v = pi[iv]
+            denominator = pi_u + pi_v
+            step = (
+                (pi_v * du + pi_u * dv) / denominator
+                if denominator > 0.0 else 0.0
+            )
+        else:
+            step = 0.5 * (du + dv)
+        current = ploc[i]
+        proposed = current + step
+        if proposed < 0.0:
+            new_p = 0.0
+        elif proposed > 1.0:
+            new_p = 1.0
+        elif abs(proposed - 0.5) < abs(current - 0.5):
+            new_p = min(max(current + h * step, 0.0), 1.0)
+        else:
+            new_p = proposed
+        if new_p != current:
+            change = new_p - current
+            dloc[iu] = du - change
+            dloc[iv] = dloc[iv] - change
+            total_residual -= change
+            ploc[i] = new_p
+    delta[verts] = dloc
+    phat[tail] = ploc
+    state.total_residual = total_residual
 
 
 def apply_probability_vector(state: SparsificationState, eids: np.ndarray,

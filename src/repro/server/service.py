@@ -60,11 +60,13 @@ _ESTIMATE_QUERIES = (
 _PAIR_QUERIES = ("reliability", "distance")
 
 
-#: The enumerated sparsify fields each method reads; the others are
-#: validated but kept out of the cache key (and left to the defaults).
+#: The optional sparsify fields each method reads; the others are
+#: validated but kept out of the cache key and the artifact (and left
+#: to the defaults).  Only GDB and EMD have an iterative core that
+#: reads the entropy parameter ``h``.
 _SPARSIFY_FIELDS = {
-    "gdb": ("engine",),
-    "emd": ("engine", "emd_mode"),
+    "gdb": ("h", "engine"),
+    "emd": ("h", "engine", "emd_mode"),
     "lp": ("lp_solver",),
 }
 
@@ -77,6 +79,15 @@ def _choice(params: dict, name: str, default: str, allowed: tuple) -> str:
         raise ServerError(
             f"{name} must be one of {list(allowed)}, got {value!r}"
         )
+    return value
+
+
+def _entropy_parameter(value, name: str = "h") -> float:
+    """Coerce an entropy parameter, rejecting one outside ``[0, 1]``
+    (NaN and infinities included) before the request is queued."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ServerError(f"{name} must be in [0, 1], got {value}")
     return value
 
 
@@ -213,7 +224,7 @@ class SparsifierService:
         """Canonicalise request params (also the cache-key material).
 
         Every field is defaulted, validated and type-coerced here, and an
-        enumerated sparsify field enters only when the variant reads it,
+        optional sparsify field enters only when the variant reads it,
         so two requests meaning the same computation produce identical
         keys.
         """
@@ -236,16 +247,16 @@ class SparsifierService:
             norm.update(
                 alpha=float(params.pop("alpha")),
                 variant=str(params.pop("variant", "EMD^R-t")),
-                h=float(params.pop("h", 0.05)),
             )
             spec = parse_variant(norm["variant"])  # fail fast on bad notation
-            choices = {
+            fields = {
+                "h": _entropy_parameter(params.pop("h", 0.05)),
                 "engine": _choice(params, "engine", "vector", PUBLIC_ENGINES),
                 "lp_solver": _choice(params, "lp_solver", "highs", LP_SOLVERS),
                 "emd_mode": _choice(params, "emd_mode", "eager", EMD_MODES),
             }
             for name in _SPARSIFY_FIELDS.get(spec.method, ()):
-                norm[name] = choices[name]
+                norm[name] = fields[name]
             if not 0.0 < norm["alpha"] < 1.0:
                 raise ServerError(f"alpha must be in (0, 1), got {norm['alpha']}")
         elif endpoint == "estimate":
@@ -272,9 +283,15 @@ class SparsifierService:
                 )
         elif endpoint == "grid":
             alphas = [float(a) for a in params.pop("alphas", [0.2, 0.4])]
-            h_values = [float(h) for h in params.pop("h_values", [0.05])]
+            h_values = [
+                _entropy_parameter(h, "h_values")
+                for h in params.pop("h_values", [0.05])
+            ]
             if not alphas or not h_values:
                 raise ServerError("grid needs non-empty alphas and h_values")
+            for alpha in alphas:
+                if not 0.0 < alpha < 1.0:
+                    raise ServerError(f"alphas must be in (0, 1), got {alpha}")
             if len(alphas) * len(h_values) > self.config.max_grid_cells:
                 raise ServerError(
                     f"grid larger than {self.config.max_grid_cells} cells"
@@ -495,21 +512,22 @@ class SparsifierService:
             norm["alpha"],
             variant=norm["variant"],
             rng=norm["seed"],
-            h=norm["h"],
             backbone_plan=plan,
             **{name: norm[name] for name in _SPARSIFY_FIELDS.get(spec.method, ())},
         )
-        return canonical_body({
+        document = {
             "endpoint": "sparsify",
             "digest": norm["digest"],
             "variant": spec.canonical_name,
             "alpha": norm["alpha"],
-            "h": norm["h"],
             "seed": norm["seed"],
             "vertices": result.number_of_vertices(),
             "edges": result.number_of_edges(),
             "artifact": format_edge_list(result, header=False),
-        })
+        }
+        if "h" in norm:
+            document["h"] = norm["h"]
+        return canonical_body(document)
 
     def _run_estimate(self, norm: dict) -> bytes:
         from repro.queries import (

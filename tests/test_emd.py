@@ -18,6 +18,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             EMDConfig(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(tau=float("nan")),
+            dict(tau=-1.0),
+            dict(max_iterations=2.5),
+            dict(gdb_max_sweeps=0),
+            dict(gdb_max_sweeps=12.5),
+        ],
+        ids=["tau-nan", "tau-negative", "iterations-fractional",
+             "sweeps-zero", "sweeps-fractional"],
+    )
+    def test_invalid_stopping_rule(self, kwargs):
+        with pytest.raises(ValueError, match="tau|max_iterations|gdb_max_sweeps"):
+            EMDConfig(**kwargs)
+
 
 class TestInterface:
     def test_requires_exactly_one_of_alpha_backbone(self, small_power_law):

@@ -30,6 +30,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             GDBConfig(max_sweeps=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(tau=float("nan")),
+            dict(tau=-1e-12),
+            dict(max_sweeps=2.5),
+            dict(max_sweeps=200.0),
+            dict(max_sweeps=-3),
+        ],
+        ids=["tau-nan", "tau-negative", "sweeps-fractional", "sweeps-float",
+             "sweeps-negative"],
+    )
+    def test_invalid_stopping_rule(self, kwargs):
+        with pytest.raises(ValueError, match="tau|max_sweeps"):
+            GDBConfig(**kwargs)
+
+    def test_integral_caps_accepted(self):
+        assert GDBConfig(max_sweeps=np.int64(7), tau=0.0).max_sweeps == 7
+
 
 class TestInterface:
     def test_requires_exactly_one_of_alpha_backbone(self, small_power_law):

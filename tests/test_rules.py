@@ -140,61 +140,3 @@ class TestArrayRules:
         steps = degree_step_relative_array(seeded_state, eids)
         for eid in eids:
             assert steps[eid] == degree_step_relative(seeded_state, int(eid))
-
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_cut_array_matches_scalar(self, seeded_state, k):
-        from repro.core.rules import cut_step_array
-
-        eids = self.all_eids(seeded_state)
-        steps = cut_step_array(seeded_state, eids, k)
-        for eid in eids:
-            assert steps[eid] == pytest.approx(
-                cut_step(seeded_state, int(eid), k), rel=1e-15, abs=1e-15
-            )
-
-    def test_residual_excluding_array_matches_scalar(self, seeded_state):
-        from repro.core.rules import residual_excluding_array
-
-        eids = self.all_eids(seeded_state)
-        residuals = residual_excluding_array(seeded_state, eids)
-        for eid in eids:
-            assert residuals[eid] == pytest.approx(
-                seeded_state.residual_excluding(int(eid)), rel=1e-15, abs=1e-15
-            )
-
-    def test_full_redistribution_array_matches_scalar(self, seeded_state):
-        from repro.core.rules import full_redistribution_step_array
-
-        eids = self.all_eids(seeded_state)
-        steps = full_redistribution_step_array(seeded_state, eids)
-        for eid in eids:
-            assert steps[eid] == pytest.approx(
-                full_redistribution_step(seeded_state, int(eid)),
-                rel=1e-15, abs=1e-15,
-            )
-
-    def test_make_array_rule_dispatch(self, seeded_state):
-        from repro.core.rules import make_array_rule
-
-        n = seeded_state.n
-        eids = self.all_eids(seeded_state)
-        for k, relative in ((1, False), (1, True), (2, False), ("n", False),
-                            (n + 1, False)):
-            scalar = make_rule(k, relative, n)
-            array = make_array_rule(k, relative, n)
-            steps = array(seeded_state, eids)
-            for eid in (0, 1, seeded_state.m - 1):
-                assert steps[eid] == pytest.approx(
-                    scalar(seeded_state, eid), rel=1e-15, abs=1e-15
-                )
-
-    def test_make_array_rule_validation(self, seeded_state):
-        from repro.core.rules import make_array_rule
-
-        n = seeded_state.n
-        with pytest.raises(ValueError):
-            make_array_rule(2, True, n)  # relative is k = 1 only
-        with pytest.raises(ValueError):
-            make_array_rule(0, False, n)
-        with pytest.raises(ValueError):
-            make_array_rule("m", False, n)

@@ -238,6 +238,23 @@ class TestServiceCore:
                 )
         with pytest.raises(ServerError, match="engine"):
             service.handle("grid", {"dataset": dataset, "engine": "gpu"})
+        # Entropy parameters and grid ratios are range-checked up front
+        # (NaN and infinities included), for every variant.
+        for variant in ("GDB^A", "LP-t"):
+            for h in (2.0, -0.5, float("nan"), float("inf")):
+                with pytest.raises(ServerError, match="h must be"):
+                    service.handle("sparsify", {
+                        "dataset": dataset, **SPARSIFY, "variant": variant,
+                        "h": h,
+                    })
+        for h_values in ([1.5], [0.05, float("nan")]):
+            with pytest.raises(ServerError, match="h_values"):
+                service.handle(
+                    "grid", {"dataset": dataset, "h_values": h_values}
+                )
+        for alphas in ([1.4], [0.0], [0.2, float("nan")]):
+            with pytest.raises(ServerError, match="alphas"):
+                service.handle("grid", {"dataset": dataset, "alphas": alphas})
         # There is no array-backend knob: the field is just unknown.
         with pytest.raises(ServerError, match="unknown parameters"):
             service.handle(
@@ -256,19 +273,25 @@ class TestServiceCore:
         gdb = {"dataset": dataset, "alpha": 0.4, "variant": "GDB^A-t", "seed": 0}
         lp = {**gdb, "variant": "LP-t"}
         emd = {**gdb, "variant": "EMD^A-t"}
+        ni = {**gdb, "variant": "NI"}
         for params, unused in (
             (gdb, {"emd_mode": "lazy", "lp_solver": "pdp"}),
-            (lp, {"engine": "loop", "emd_mode": "lazy"}),
+            (lp, {"engine": "loop", "emd_mode": "lazy", "h": 0.5}),
             (emd, {"lp_solver": "pdp"}),
+            (ni, {"h": 0.5}),
         ):
             body, hit = service.handle("sparsify", params)
             assert not hit
+            assert ("h" in json.loads(body)) == (params in (gdb, emd))
             again, hit = service.handle("sparsify", {**params, **unused})
             assert hit and again == body  # byte-identical hit
-        assert service.queue.stats()["submitted"] == 3
+        assert service.queue.stats()["submitted"] == 4
         # A field the variant does read still partitions the cache.
         _, hit = service.handle("sparsify", {**emd, "emd_mode": "lazy"})
         assert not hit
+        for params in (gdb, emd):
+            body, hit = service.handle("sparsify", {**params, "h": 0.5})
+            assert not hit and json.loads(body)["h"] == 0.5
         # Only the pair queries read ``pairs``.
         for query in ("pagerank", "clustering", "connectivity"):
             params = {"dataset": dataset, "query": query, "samples": 8}

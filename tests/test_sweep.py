@@ -1,4 +1,5 @@
-"""Sweep engines: coloring, loop-vs-vector equivalence, grid driver."""
+"""Sweep engines: coloring, the colored-sweep oracle, loop-vs-vector
+equivalence, grid driver."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,20 @@ from repro.core import (
     greedy_edge_coloring,
 )
 from repro.core.backbone import bgi_backbone, random_backbone
-from repro.core.sweep import colored_sweep, fused_sweep
-from repro.core.rules import degree_step_absolute, degree_step_absolute_array
+from repro.core.rules import (
+    degree_step_absolute,
+    degree_step_absolute_array,
+    degree_step_relative,
+    degree_step_relative_array,
+)
+from repro.core.sweep import (
+    apply_scalar_step,
+    clamp_and_attenuate,
+    colored_sweep,
+    extend_sweep_plan,
+    fused_sweep,
+    restrict_sweep_plan,
+)
 from repro.datasets import erdos_renyi_uncertain, flickr_like
 
 #: Loop-vs-vector contract: converged objectives agree to this gate
@@ -110,11 +123,103 @@ class TestPlan:
             state.select_edge(eid)
         plan = build_sweep_plan(state)
         before = state.d1()
-        colored_sweep(
-            state, plan, degree_step_absolute_array, degree_step_absolute, 0.05
-        )
+        colored_sweep(state, plan, False, 0.05)
         assert state.d1() <= before + 1e-12
         state.verify()
+
+
+def reference_colored_sweep(state, plan, relative, h):
+    """Oracle for :func:`colored_sweep`: array-rule blocks, then the
+    scalar tail stepped through ``apply_scalar_step`` in ascending
+    edge-id order."""
+    array_rule = (
+        degree_step_relative_array if relative else degree_step_absolute_array
+    )
+    scalar_rule = degree_step_relative if relative else degree_step_absolute
+    phat = state.phat
+    delta = state.delta
+    for class_eids, u, v in plan.blocks:
+        current = phat[class_eids]
+        steps = array_rule(state, class_eids)
+        new_p = clamp_and_attenuate(current, steps, current, h)
+        changes = new_p - current
+        delta[u] -= changes
+        delta[v] -= changes
+        state.total_residual -= float(changes.sum())
+        phat[class_eids] = new_p
+    for eid in sorted(plan.tail_eids.tolist()):
+        apply_scalar_step(state, eid, scalar_rule(state, eid), h)
+
+
+PLAN_KINDS = ("build", "restrict", "extend", "no-tail", "no-blocks")
+
+
+def make_plan(state, kind):
+    """A sweep plan over the selected edges, laid out by ``kind``."""
+    full = build_sweep_plan(state)
+    if kind == "build":
+        return full
+    if kind == "restrict":
+        keep = full.eids[np.arange(len(full.eids)) % 4 != 0]
+        return restrict_sweep_plan(state, full, keep)
+    if kind == "extend":
+        base = build_sweep_plan(state, eids=full.eids[::2])
+        return extend_sweep_plan(state, base.eids, base.colors, full.eids[1::2])
+    if kind == "no-tail":
+        plan = build_sweep_plan(state, min_block_size=1)
+        assert plan.blocks and not len(plan.tail_eids)
+        return plan
+    plan = build_sweep_plan(state, min_block_size=len(full.eids) + 1)
+    assert not plan.blocks and len(plan.tail_eids)
+    return plan
+
+
+def assert_sweeps_bit_identical(graph, backbone_ids, kind, relative, h,
+                                sweeps=30):
+    """Production and oracle sweeps from one state agree bit for bit
+    after every sweep."""
+    oracle, fast = (SparsificationState(graph) for _ in range(2))
+    for state in (oracle, fast):
+        state.select_edges(np.asarray(backbone_ids, dtype=np.int64))
+    plan = make_plan(fast, kind)
+    for sweep in range(sweeps):
+        reference_colored_sweep(oracle, plan, relative, h)
+        colored_sweep(fast, plan, relative, h)
+        context = (kind, relative, h, sweep)
+        assert oracle.phat.tobytes() == fast.phat.tobytes(), context
+        assert oracle.delta.tobytes() == fast.delta.tobytes(), context
+        assert (
+            float(oracle.total_residual).hex()
+            == float(fast.total_residual).hex()
+        ), context
+
+
+@pytest.mark.parametrize("backbone_fn", [bgi_backbone, random_backbone])
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_colored_sweep_bit_identical_to_oracle(small_power_law, kind,
+                                               backbone_fn):
+    ids = backbone_fn(small_power_law, 0.4, rng=2)
+    for relative in (False, True):
+        for h in (0.0, 0.05, 1.0):
+            assert_sweeps_bit_identical(small_power_law, ids, kind, relative, h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(40, 160),
+    avg_degree=st.integers(4, 10),
+    backbone_fn=st.sampled_from([bgi_backbone, random_backbone]),
+    kind=st.sampled_from(PLAN_KINDS),
+    relative=st.booleans(),
+    h=st.sampled_from([0.0, 0.05, 1.0]),
+)
+def test_property_colored_sweep_bit_identical_on_er_graphs(
+    seed, n, avg_degree, backbone_fn, kind, relative, h
+):
+    graph = erdos_renyi_uncertain(n, avg_degree=avg_degree, rng=seed)
+    ids = backbone_fn(graph, 0.6, rng=seed)
+    assert_sweeps_bit_identical(graph, ids, kind, relative, h)
 
 
 @pytest.mark.parametrize("backbone_fn", [bgi_backbone, random_backbone])
