@@ -14,7 +14,9 @@ edges:
   noisy shared runners and is env-overridable like the other benches).
   Skipped on single-core machines; the quality gate still runs there.
 
-Results land under ``benchmarks/results/`` like the other benches.
+Results land under ``benchmarks/results/`` like the other benches, with
+a machine-readable twin in ``BENCH_lp_solver.json``: both solvers'
+seconds and objectives, the speedup and the pdp shortfall.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def backbone(bench_graph):
     return ids
 
 
-def test_bench_pdp_vs_highs(bench_graph, backbone, emit):
+def test_bench_pdp_vs_highs(bench_graph, backbone, emit, emit_json):
     solutions = {}
     timings = {}
     for solver in ("highs", "pdp"):
@@ -95,6 +97,15 @@ def test_bench_pdp_vs_highs(bench_graph, backbone, emit):
     table.add_row("highs", timings["highs"], 1.0, objectives["highs"])
     table.add_row("pdp", timings["pdp"], speedup, objectives["pdp"])
     emit("bench_lp_solver", table)
+    emit_json("lp_solver", {
+        "backbone_edges": len(backbone),
+        "highs_s": timings["highs"],
+        "pdp_s": timings["pdp"],
+        "highs_objective": objectives["highs"],
+        "pdp_objective": objectives["pdp"],
+        "speedup": speedup,
+        "pdp_shortfall": shortfall,
+    })
 
     if (os.cpu_count() or 1) < 2:
         pytest.skip(

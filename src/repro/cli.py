@@ -110,12 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="probability solver for LP variants: exact scipy HiGHS "
         "(default) or the first-order primal-dual projection solver",
     )
-    sparsify_cmd.add_argument(
-        "--emd-mode", choices=["eager", "lazy"], default="eager",
-        help="EMD E-phase heap discipline: eager indexed heap (default, "
-        "bit-identity reference) or lazy deferred maintenance "
-        "(converged-objective equivalent, faster)",
-    )
 
     info_cmd = sub.add_parser("info", help="print graph statistics")
     info_cmd.add_argument("input", help="edge list path")
@@ -381,7 +375,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,
             h=args.entropy_h, engine=args.engine, backbone_plan=plan,
-            lp_solver=args.lp_solver, emd_mode=args.emd_mode,
+            lp_solver=args.lp_solver,
         )
         output = args.output.replace("{alpha}", f"{alpha:g}")
         write_edge_list(sparsified, output)

@@ -880,6 +880,10 @@ def local_degree_backbone(
     return _as_edge_ids(_local_degree_order(graph)[:target])
 
 
+#: The backbone construction methods :func:`build_backbone` dispatches on.
+BACKBONE_METHODS = ("bgi", "random", "local_degree", "t_bundle")
+
+
 def build_backbone(
     graph: UncertainGraph,
     alpha: float,

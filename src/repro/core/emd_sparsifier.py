@@ -5,41 +5,33 @@ EMD alternates two phases until the degree objective
 
 - **E-phase** (edge swapping): walk over the current backbone edges; for
   each edge ``e``, tentatively remove it, look at the vertex ``v_H``
-  with the *largest* absolute discrepancy (a vertex-indexed max-heap
-  keyed by ``|delta_A|``), and among the non-selected original edges
-  adjacent to ``v_H`` — plus ``e`` itself — insert the edge with the
-  highest *gain* (Eq. 10) at its rule-optimal probability (Eq. 9).
-  The edge budget is preserved: each removal is paired with one insert.
+  with the *largest* absolute discrepancy ``|delta_A|``, and among the
+  non-selected original edges adjacent to ``v_H`` — plus ``e`` itself —
+  insert the edge with the highest *gain* (Eq. 10) at its rule-optimal
+  probability (Eq. 9).  The edge budget is preserved: each removal is
+  paired with one insert.
 - **M-phase**: run GDB (:func:`repro.core.gdb.gdb_refine`) on the new
   backbone to re-optimise all probabilities.
 
-The heap makes each E-phase ``O(alpha |E| log |V|)`` (section 4.3's
-complexity argument): an edge update touches exactly two vertices.
+One discipline fixes every discrete decision of the E-phase:
 
-Two engines execute the E-phase candidate scan: ``engine="loop"`` walks
-the candidates one scalar ``_best_probability`` / ``_gain`` pair at a
-time (the reference), while ``engine="vector"`` (default) scores every
-non-selected edge incident to the max-discrepancy vertex in one array
-computation — same candidate order, same tie-breaking, bit-identical
-selections.  The vector engine's M-phase runs GDB's fused sequential
-sweep (same edge order and arithmetic as the reference loop), so the
-whole of vector EMD reproduces loop EMD exactly, only faster.
+- ``v_H`` is the exact argmax of ``|delta|``, ties broken towards the
+  smallest vertex id;
+- gains are compared in the factored form of Eq. 10,
+  ``2 w (delta_u + delta_v - w)``, and a candidate beats the incumbent
+  only on a strict improvement, so the first maximal candidate in
+  ascending edge-id order wins.
 
-Orthogonally, ``emd_mode`` picks the E-phase *outer-loop* heap
-discipline:
-
-- ``"eager"`` (default, the reference): every removal/insertion updates
-  the endpoint keys of an :class:`~repro.utils.heap.IndexedMaxHeap` in
-  place — four O(log n) sifts per swapped edge.
-- ``"lazy"``: a :class:`~repro.utils.heap.LazyMaxHeap` defers the
-  updates — the endpoints dirtied by an insertion and the following
-  removal share one vectorised magnitude rescan at the next peek, stale
-  keys are discarded lazily as upper bounds, and the per-iteration heap
-  build is a single C ``heapify`` over the delta array instead of an
-  O(n) Python dict.  The peeked vertex is still the exact
-  max-discrepancy argmax; only *ties* may break differently (smallest
-  vertex id instead of heap order), so the lazy engine is gated on
-  converged-objective equivalence rather than bit identity.
+``engine="loop"`` is the scalar reference: it finds ``v_H`` by a
+brute-force scan and scores one candidate at a time.  ``engine="vector"``
+(default) keeps ``|delta|`` in a :class:`~repro.utils.heap.LazyMaxHeap`:
+the endpoints touched by a removal and by the preceding insertion are
+only marked, and the next peek refreshes them in one pass, so an E-phase
+costs ``O(alpha |E| log |V|)`` heap work (section 4.3's complexity
+argument) without four eager sifts per swap.  It scores every candidate
+at ``v_H`` in one array computation, and its M-phase is GDB's fused
+sequential sweep (same edge order and arithmetic as the reference loop),
+so vector EMD reproduces loop EMD bit for bit, only faster.
 """
 
 from __future__ import annotations
@@ -57,26 +49,9 @@ from repro.core.gdb import (
     _validate_stopping,
     gdb_refine,
 )
-from repro.core.sweep import clamp_and_attenuate
-from repro.core.rules import (
-    degree_step_absolute,
-    degree_step_absolute_array,
-    degree_step_relative,
-    degree_step_relative_array,
-)
+from repro.core.rules import degree_step_absolute, degree_step_relative
 from repro.core.uncertain_graph import UncertainGraph
-from repro.utils.heap import IndexedMaxHeap, LazyMaxHeap
-
-#: E-phase outer-loop heap disciplines (see module docstring).
-EMD_MODES = ("eager", "lazy")
-
-
-def _validate_emd_mode(emd_mode: str) -> str:
-    if emd_mode not in EMD_MODES:
-        raise ValueError(
-            f"unknown emd_mode {emd_mode!r}; expected one of {EMD_MODES}"
-        )
-    return emd_mode
+from repro.utils.heap import LazyMaxHeap
 
 
 @dataclass(frozen=True)
@@ -137,30 +112,32 @@ def _gain(state: SparsificationState, eid: int, probability: float) -> float:
     """Objective gain of inserting ``eid`` at ``probability`` (Eq. 10).
 
     ``g = delta_u^2 - (delta_u - w)^2 + delta_v^2 - (delta_v - w)^2``
-    with deltas taken at the edge's current (absent) contribution.
+    with deltas taken at the edge's current (absent) contribution,
+    evaluated in the factored form ``2 w ((delta_u + delta_v) - w)``.
+    Scaling by 2 is exact, so this is exactly twice the vector engine's
+    half-gain and both engines rank candidates identically.
     """
     u, v = state.endpoints(eid)
     du = float(state.delta[u])
     dv = float(state.delta[v])
     w = probability
-    return du * du - (du - w) ** 2 + dv * dv - (dv - w) ** 2
+    return 2.0 * w * ((du + dv) - w)
 
 
-def _e_phase(state: SparsificationState, heap: IndexedMaxHeap,
-             config: EMDConfig) -> int:
-    """One pass of edge swapping (Algorithm 3, lines 8-20).
+def _e_phase(state: SparsificationState, config: EMDConfig) -> int:
+    """One pass of edge swapping (Algorithm 3, lines 8-20): the scalar
+    reference of the vector engine's :func:`_e_phase_lazy`.
 
     Returns the number of structural swaps (edges replaced by a
     different edge); zero means the backbone has stabilised.
     """
     swaps = 0
     for eid in [int(e) for e in state.selected_edge_ids()]:
-        u, v = state.endpoints(eid)
         previous_p = state.deselect_edge(eid)
-        heap.update(u, abs(float(state.delta[u])))
-        heap.update(v, abs(float(state.delta[v])))
 
-        top_vertex, _ = heap.peek()
+        # The max-discrepancy vertex by brute force: the smallest id
+        # among the maximal |delta| (what LazyMaxHeap.peek returns).
+        top_vertex = int(np.argmax(np.abs(state.delta)))
         # Candidates: every unselected original edge at the top vertex.
         # Line 17's arg max also includes the just-removed edge e, but
         # that is scored separately below (as the incumbent), so it is
@@ -192,103 +169,32 @@ def _e_phase(state: SparsificationState, heap: IndexedMaxHeap,
         if best_eid != eid:
             swaps += 1
         state.select_edge(best_eid, probability=best_p)
-        bu, bv = state.endpoints(best_eid)
-        heap.update(bu, abs(float(state.delta[bu])))
-        heap.update(bv, abs(float(state.delta[bv])))
     return swaps
 
 
-def _e_phase_vector(state: SparsificationState, heap: IndexedMaxHeap,
-                    config: EMDConfig) -> int:
-    """Edge swapping with the candidate scan as one array computation.
-
-    For each removed edge, every unselected candidate at the
-    max-discrepancy vertex is scored in a single gather: rule step,
-    clamp, entropy guard against the original probability (Eq. 9) and
-    gain (Eq. 10) are elementwise mirrors of the scalar helpers, and
-    ``argmax`` returns the *first* maximal gain — exactly the reference
-    loop's strict-improvement tie-breaking.  Selections are therefore
-    identical to :func:`_e_phase`, swap for swap.
-    """
-    array_rule = (
-        degree_step_relative_array if config.relative else degree_step_absolute_array
-    )
-    edge_vertices = state.edge_vertices
-    delta = state.delta
-    swaps = 0
-    for eid in [int(e) for e in state.selected_edge_ids()]:
-        u, v = state.endpoints(eid)
-        previous_p = state.deselect_edge(eid)
-        heap.update(u, abs(float(delta[u])))
-        heap.update(v, abs(float(delta[v])))
-
-        top_vertex, _ = heap.peek()
-        incident = state.incident_edges(top_vertex)
-        candidates = incident[~state.selected[incident]]
-        candidates = candidates[candidates != eid]
-
-        # The removed edge competes both at its rule-optimal probability
-        # and at the probability it already had.
-        best_eid = eid
-        best_p = _best_probability(state, eid, config.h, config.relative)
-        best_gain = _gain(state, eid, best_p)
-        keep_gain = _gain(state, eid, previous_p)
-        if keep_gain > best_gain:
-            best_gain, best_p = keep_gain, previous_p
-
-        if len(candidates):
-            current = state.phat[candidates]  # zeros: all unselected
-            steps = array_rule(state, candidates)
-            # Eq. 9's guard measures against the *original* probability
-            # (see _best_probability).
-            probs = clamp_and_attenuate(
-                current, steps, state.p_original[candidates], config.h
-            )
-            uv = edge_vertices[candidates]
-            du = delta[uv[:, 0]]
-            dv = delta[uv[:, 1]]
-            gains = du * du - (du - probs) ** 2 + dv * dv - (dv - probs) ** 2
-            top = int(np.argmax(gains))
-            if float(gains[top]) > best_gain:
-                best_gain = float(gains[top])
-                best_eid = int(candidates[top])
-                best_p = float(probs[top])
-
-        if best_eid != eid:
-            swaps += 1
-        state.select_edge(best_eid, probability=best_p)
-        bu, bv = state.endpoints(best_eid)
-        heap.update(bu, abs(float(delta[bu])))
-        heap.update(bv, abs(float(delta[bv])))
-    return swaps
-
-
-def _e_phase_lazy(state: SparsificationState, heap: LazyMaxHeap,
-                  config: EMDConfig) -> int:
+def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
     """Edge swapping with deferred heap maintenance and fused scoring.
 
-    The endpoint discrepancies dirtied by a removal (and by the previous
-    iteration's insertion) are only *marked* with
-    :meth:`LazyMaxHeap.defer`; the peek before the candidate scan
-    flushes them in one batched magnitude rescan.  The peeked vertex is
-    still the exact argmax of ``|delta|`` — only exact-float ties at the
-    top may resolve to a different vertex than the eager heap.
+    The vector engine's E-phase, making exactly the decisions of the
+    reference :func:`_e_phase`.  The endpoint discrepancies dirtied by
+    a removal (and by the previous iteration's insertion) are only
+    *marked* with :meth:`LazyMaxHeap.defer`; the peek before the
+    candidate scan flushes them in one batched magnitude rescan and
+    returns the exact argmax of ``|delta|``, smallest id first — the
+    reference's brute-force scan.
 
-    Freed from bit identity, the per-removal work is fused: the
-    membership bookkeeping of ``deselect_edge`` / ``select_edge`` is
-    inlined on the state arrays, the removed edge's incumbent scores are
-    scalar Python, the candidate scan shares one endpoint gather between
-    the step rule and the gain, and the gain uses the algebraic
-    reduction of Eq. 10::
-
-        g = delta_u^2 - (delta_u - w)^2 + delta_v^2 - (delta_v - w)^2
-          = 2 w (delta_u + delta_v - w)
-
-    Equal in exact arithmetic, different in float rounding — another
-    reason the lazy engine is gated on converged-objective equivalence
-    rather than bit identity.  Candidate probabilities replicate
-    ``clamp_and_attenuate`` element-for-element (with ``current = 0``:
-    every candidate is unselected).
+    The per-removal work is fused: the membership bookkeeping of
+    ``deselect_edge`` / ``select_edge`` is inlined on the state arrays
+    (same float operations), the removed edge's incumbent scores are
+    scalar Python, and the candidate scan shares one endpoint gather
+    between the step rule and the gain.  Gains are Eq. 10 halved,
+    ``w (delta_u + delta_v - w)``: the reference's factored ``_gain``
+    is exactly twice that, so every comparison agrees.  Candidate
+    probabilities replicate ``_best_probability`` element for element
+    (every candidate is unselected, so its current probability is 0).
+    The removed edge itself may appear among the candidates, but its
+    score there equals its incumbent rule-optimal score, so it never
+    wins the strict comparison — the reference's skip.
     """
     relative = config.relative
     h = config.h
@@ -301,6 +207,7 @@ def _e_phase_lazy(state: SparsificationState, heap: LazyMaxHeap,
     original_degrees = state.original_degrees
     degree_list = original_degrees.tolist()
     total_residual = state.total_residual
+    heap = LazyMaxHeap(delta)
     swaps = 0
     for eid in state.selected_edge_ids().tolist():
         u, v = endpoint_list[eid]
@@ -340,8 +247,8 @@ def _e_phase_lazy(state: SparsificationState, heap: LazyMaxHeap,
                 p_opt = min(max(original + h * step, 0.0), 1.0)
             else:
                 p_opt = step
-        # Half-gains throughout: g/2 = w (s - w) preserves every argmax
-        # and comparison, one multiply cheaper per batch.
+        # Half-gains throughout: the reference's _gain is exactly twice
+        # these, so every argmax and comparison agrees.
         best_eid = eid
         best_p = p_opt
         best_gain = p_opt * (s_e - p_opt)
@@ -404,7 +311,6 @@ def emd(
     name: str = "",
     engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
-    emd_mode: str = "eager",
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Expectation-Maximization Degree (Algorithm 3).
 
@@ -414,14 +320,10 @@ def emd(
     its E-phases, so it is less sensitive to the initial backbone than
     GDB (section 4.3).
 
-    ``engine="vector"`` (default) vectorises the E-phase candidate scan
-    and runs the M-phase on the fused sequential sweep; the result is
-    bit-identical to ``engine="loop"`` (the scalar reference).
-
-    ``emd_mode="lazy"`` (vector engine only) defers the per-swap heap
-    updates into batched vectorised rescans (see the module docstring);
-    it reaches the same converged objective as ``"eager"`` but is only
-    tie-equivalent, not bit-identical.
+    ``engine="vector"`` (default) runs the deferred-heap E-phase with a
+    vectorised candidate scan and the M-phase on the fused sequential
+    sweep; the result is bit-identical to ``engine="loop"`` (the scalar
+    reference).
 
     Returns
     -------
@@ -429,12 +331,6 @@ def emd(
         Sparsified graph with the same edge budget as the backbone.
     """
     engine = _validate_engine(engine)
-    emd_mode = _validate_emd_mode(emd_mode)
-    if emd_mode == "lazy" and engine == "loop":
-        raise ValueError(
-            "emd_mode='lazy' requires the vector engine; "
-            "engine='loop' is the eager bit-identity reference"
-        )
     config = config or EMDConfig()
     backbone_ids = _resolve_backbone(
         graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
@@ -443,7 +339,7 @@ def emd(
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
 
-    e_phase = _e_phase if engine == "loop" else _e_phase_vector
+    e_phase = _e_phase if engine == "loop" else _e_phase_lazy
     # The M-phase of the vector engine is the fused sequential sweep:
     # same edge order and arithmetic as the loop engine (the colored
     # sweep would converge to the same objective but along a different
@@ -465,14 +361,7 @@ def emd(
     )
     objective = state.d1(relative=config.relative)
     for _ in range(config.max_iterations):
-        if emd_mode == "lazy":
-            heap = LazyMaxHeap(state.delta)
-            swaps = _e_phase_lazy(state, heap, config)
-        else:
-            heap = IndexedMaxHeap(
-                {v: abs(float(state.delta[v])) for v in range(state.n)}
-            )
-            swaps = e_phase(state, heap, config)   # E-phase: swap edges
+        swaps = e_phase(state, config)                  # E-phase: swap edges
         gdb_refine(state, gdb_config, engine=m_engine)  # M-phase: re-optimise
         new_objective = state.d1(relative=config.relative)
         converged = abs(objective - new_objective) <= config.tau

@@ -4,10 +4,8 @@ Each rule returns the *unclamped* optimal step ``stp`` for one edge given
 the current :class:`~repro.core.discrepancy.SparsificationState`; GDB
 applies clamping to ``[0, 1]`` and the entropy attenuation (Eq. 9 / 14).
 
-The ``k = 1`` rules also have array-valued variants (``*_array``)
-computing the steps of many edges against the *same* state in one
-gather — EMD's vectorised candidate scan uses them.  The sweep engines
-of :mod:`repro.core.sweep` inline the same arithmetic instead.
+The sweep engines of :mod:`repro.core.sweep` and EMD's vectorised
+candidate scan inline the same arithmetic on arrays.
 
 Rules
 -----
@@ -24,8 +22,6 @@ Rules
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.discrepancy import SparsificationState
 from repro.utils.binomials import cut_rule_coefficients
@@ -79,27 +75,6 @@ def full_redistribution_step(state: SparsificationState, eid: int) -> float:
     until the residual is absorbed.
     """
     return state.residual_excluding_edge_only(eid)
-
-
-# ----------------------------------------------------------------------
-# Array-valued variants (same arithmetic, one gather per batch)
-# ----------------------------------------------------------------------
-def degree_step_absolute_array(state: SparsificationState,
-                               eids: np.ndarray) -> np.ndarray:
-    """Eq. (8), absolute: mean endpoint discrepancy for every ``eid``."""
-    uv = state.edge_vertices[eids]
-    return 0.5 * (state.delta[uv[:, 0]] + state.delta[uv[:, 1]])
-
-
-def degree_step_relative_array(state: SparsificationState,
-                               eids: np.ndarray) -> np.ndarray:
-    """Eq. (8), relative: degree-weighted endpoint discrepancies."""
-    uv = state.edge_vertices[eids]
-    pi_u = state.original_degrees[uv[:, 0]]
-    pi_v = state.original_degrees[uv[:, 1]]
-    denominator = pi_u + pi_v
-    steps = pi_v * state.delta[uv[:, 0]] + pi_u * state.delta[uv[:, 1]]
-    return np.where(denominator > 0.0, steps / np.where(denominator > 0.0, denominator, 1.0), 0.0)
 
 
 def make_rule(k: int | str, relative: bool, n: int):

@@ -122,7 +122,6 @@ def sparsify(
     backbone_plan: "BackbonePlan | None" = None,
     backbone: "np.ndarray | list[int] | None" = None,
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
     warm_state=None,
 ) -> UncertainGraph:
     """Sparsify an uncertain graph with any paper variant.
@@ -164,11 +163,6 @@ def sparsify(
         Probability solver for the LP variants: ``"highs"`` (default,
         the exact scipy reference) or ``"pdp"`` (first-order
         primal-dual projection; see :func:`repro.core.lp.solve_pdp`).
-        Other variants ignore it.
-    emd_mode:
-        E-phase heap discipline for the EMD variants: ``"eager"``
-        (default, the bit-identity reference) or ``"lazy"`` (deferred
-        batched heap maintenance; converged-objective equivalent).
         Other variants ignore it.
     warm_state:
         Optional :class:`~repro.core.discrepancy.SparsificationState`
@@ -250,7 +244,7 @@ def sparsify(
         config = EMDConfig(h=h, tau=tau, relative=spec.relative)
         return emd(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, emd_mode=emd_mode, **seed_kwargs)
+                   engine=engine, **seed_kwargs)
     if spec.method == "lp":
         return lp_sparsify(graph, backbone_method=backbone_method, rng=rng,
                            name=label, solver=lp_solver, **seed_kwargs)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.discrepancy import SparsificationState
-from repro.core.entropy import entropy_increases
 from repro.utils.binomials import cut_rule_coefficients
 
 #: Color classes smaller than this run in the scalar tail instead of as
@@ -267,26 +266,6 @@ def apply_scalar_step(state: SparsificationState, eid: int, step: float,
         new_p = proposed
     if new_p != current:
         state.set_probability(eid, new_p)
-
-
-def clamp_and_attenuate(current, steps, guard_baseline, h: float) -> np.ndarray:
-    """Vectorised Algorithm 2 lines 7-10 / Eq. 9 for a batch of edges.
-
-    Clamp ``current + steps`` to ``[0, 1]``; where the move would raise
-    entropy relative to ``guard_baseline`` (the edge's current
-    probability in GDB sweeps, its *original* probability in EMD's
-    insertion rule), restart from the baseline with an ``h``-scaled
-    step.  Elementwise mirror of the scalar helpers; EMD's candidate
-    scan uses it, while :func:`colored_sweep` inlines the cheaper
-    equivalent that holds when the baseline is the current value.
-    """
-    proposed = current + steps
-    attenuated = np.clip(guard_baseline + h * steps, 0.0, 1.0)
-    raises = entropy_increases(guard_baseline, proposed)
-    return np.where(
-        proposed < 0.0, 0.0,
-        np.where(proposed > 1.0, 1.0, np.where(raises, attenuated, proposed)),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ def run_fig04a(
     graph=None,
     backbone_plan: "BackbonePlan | None" = None,
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> ResultTable:
     """MAE of ``delta_A(S)`` over sampled k-cuts vs alpha (Fig. 4a)."""
     if graph is None:
@@ -58,7 +57,7 @@ def run_fig04a(
             sparsified = sparsify(
                 graph, alpha, variant=variant, rng=seed, engine=engine,
                 backbone_plan=plan_for_variant(plan, variant),
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             row.append(
                 sampled_cut_discrepancy_mae(graph, sparsified, cut_sets=cut_sets)
@@ -74,7 +73,6 @@ def run_fig04b(
     graph=None,
     backbone_plan: "BackbonePlan | None" = None,
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> ResultTable:
     """Wall-clock seconds of LP vs GDB vs EMD vs alpha (Fig. 4b)."""
     if graph is None:
@@ -97,7 +95,7 @@ def run_fig04b(
             _, seconds = timed(
                 sparsify, graph, alpha, variant=variant, rng=seed,
                 engine=engine, backbone_plan=plan,
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             row.append(seconds)
         table.rows.append(row)
@@ -109,16 +107,15 @@ def run_fig04(
     seed: int = 17,
     engine: str = "vector",
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> tuple[ResultTable, ResultTable]:
     """Both panels off one shared backbone plan."""
     graph = make_flickr_reduced(scale, seed=seed)
     plan = BackbonePlan(graph)
     return (
         run_fig04a(scale, seed=seed, engine=engine, graph=graph,
-                   backbone_plan=plan, lp_solver=lp_solver, emd_mode=emd_mode),
+                   backbone_plan=plan, lp_solver=lp_solver),
         run_fig04b(scale, seed=seed, engine=engine, graph=graph,
-                   backbone_plan=plan, lp_solver=lp_solver, emd_mode=emd_mode),
+                   backbone_plan=plan, lp_solver=lp_solver),
     )
 
 

@@ -38,7 +38,6 @@ def structural_comparison(
     seed: int = 23,
     engine: str = "vector",
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE tables (method x alpha) for one dataset."""
     n = graph.number_of_vertices()
@@ -61,7 +60,7 @@ def structural_comparison(
             sparsified = sparsify(
                 graph, alpha, variant=method, rng=seed, engine=engine,
                 backbone_plan=plan_for_variant(plan, method),
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             degree_row.append(degree_discrepancy_mae(graph, sparsified))
             cut_row.append(
@@ -77,17 +76,16 @@ def run_fig06(
     seed: int = 23,
     engine: str = "vector",
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> dict[str, tuple[ResultTable, ResultTable]]:
     """Both datasets' structural comparisons, keyed by dataset name."""
     return {
         "flickr": structural_comparison(
             make_flickr_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver, emd_mode=emd_mode,
+            lp_solver=lp_solver,
         ),
         "twitter": structural_comparison(
             make_twitter_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver, emd_mode=emd_mode,
+            lp_solver=lp_solver,
         ),
     }
 

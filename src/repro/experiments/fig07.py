@@ -42,7 +42,6 @@ def run_fig07(
     seed: int = 29,
     engine: str = "vector",
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE vs density at fixed alpha (Fig. 7)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -70,7 +69,7 @@ def run_fig07(
             sparsified = sparsify(
                 graph, alpha, variant=method, rng=seed, engine=engine,
                 backbone_plan=plan_for_variant(plans[density], method),
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             degree_row.append(degree_discrepancy_mae(graph, sparsified))
             cut_row.append(

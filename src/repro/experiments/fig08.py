@@ -27,7 +27,7 @@ from repro.metrics import relative_entropy
 
 def entropy_vs_alpha(
     graph: UncertainGraph, scale: ExperimentScale, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs", emd_mode: str = "eager",
+    engine: str = "vector", lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per alpha for one dataset."""
     table = ResultTable(
@@ -41,7 +41,7 @@ def entropy_vs_alpha(
             sparsified = sparsify(
                 graph, alpha, variant=method, rng=seed, engine=engine,
                 backbone_plan=plan_for_variant(plan, method),
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             row.append(relative_entropy(sparsified, graph))
         table.rows.append(row)
@@ -50,7 +50,7 @@ def entropy_vs_alpha(
 
 def entropy_vs_density(
     scale: ExperimentScale, alpha: float = 0.16, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs", emd_mode: str = "eager",
+    engine: str = "vector", lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per density (Fig. 8c)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -66,7 +66,7 @@ def entropy_vs_density(
             sparsified = sparsify(
                 graph, alpha, variant=method, rng=seed, engine=engine,
                 backbone_plan=plan_for_variant(plans[density], method),
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             row.append(relative_entropy(sparsified, graph))
         table.rows.append(row)
@@ -75,21 +75,20 @@ def entropy_vs_density(
 
 def run_fig08(
     scale: ExperimentScale = SMALL, seed: int = 31, engine: str = "vector",
-    lp_solver: str = "highs", emd_mode: str = "eager",
+    lp_solver: str = "highs",
 ) -> dict[str, ResultTable]:
     """All three panels keyed 'flickr' / 'twitter' / 'density'."""
     return {
         "flickr": entropy_vs_alpha(
             make_flickr_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver, emd_mode=emd_mode,
+            lp_solver=lp_solver,
         ),
         "twitter": entropy_vs_alpha(
             make_twitter_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver, emd_mode=emd_mode,
+            lp_solver=lp_solver,
         ),
         "density": entropy_vs_density(
-            scale, seed=seed, engine=engine,
-            lp_solver=lp_solver, emd_mode=emd_mode,
+            scale, seed=seed, engine=engine, lp_solver=lp_solver,
         ),
     }
 

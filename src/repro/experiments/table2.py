@@ -34,7 +34,6 @@ def run_table2(
     variants: tuple[str, ...] = TABLE2_VARIANTS,
     seed: int = 13,
     lp_solver: str = "highs",
-    emd_mode: str = "eager",
 ) -> ResultTable:
     """MAE of ``delta_A(u)`` for every variant x alpha (Table 2)."""
     graph = make_flickr_reduced(scale, seed=seed)
@@ -51,7 +50,7 @@ def run_table2(
         for alpha in scale.alphas:
             sparsified = sparsify(
                 graph, alpha, variant=variant, rng=seed,
-                lp_solver=lp_solver, emd_mode=emd_mode,
+                lp_solver=lp_solver,
             )
             row.append(degree_discrepancy_mae(graph, sparsified))
         table.rows.append(row)

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.backbone import BackbonePlan
+from repro.core.backbone import BACKBONE_METHODS, BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
-from repro.core.emd_sparsifier import EMD_MODES
 from repro.core.gdb import PUBLIC_ENGINES
 from repro.core.grid import gdb_grid, objective_rows
 from repro.core.lp import LP_SOLVERS
@@ -66,7 +66,7 @@ _PAIR_QUERIES = ("reliability", "distance")
 #: reads the entropy parameter ``h``.
 _SPARSIFY_FIELDS = {
     "gdb": ("h", "engine"),
-    "emd": ("h", "engine", "emd_mode"),
+    "emd": ("h", "engine"),
     "lp": ("lp_solver",),
 }
 
@@ -79,6 +79,30 @@ def _choice(params: dict, name: str, default: str, allowed: tuple) -> str:
         raise ServerError(
             f"{name} must be one of {list(allowed)}, got {value!r}"
         )
+    return value
+
+
+def _integer(value, name: str, minimum: "int | None" = None) -> int:
+    """Coerce an integral request field, rejecting a fractional,
+    non-numeric or boolean value (or one below ``minimum``) before the
+    request is queued, instead of truncating it or failing in a job."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    ):
+        raise ServerError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ServerError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _flag(params: dict, name: str) -> bool:
+    """Pop a boolean request field; only a JSON boolean is accepted
+    (``bool("false")`` is ``True``)."""
+    value = params.pop(name, False)
+    if not isinstance(value, bool):
+        raise ServerError(f"{name} must be a JSON boolean, got {value!r}")
     return value
 
 
@@ -238,8 +262,8 @@ class SparsifierService:
         norm: dict = {
             "dataset": dataset,
             "digest": digest,
-            "seed": int(params.pop("seed", 0)),
-            "priority": int(priority),
+            "seed": _integer(params.pop("seed", 0), "seed", minimum=0),
+            "priority": _integer(priority, "priority"),
         }
         if endpoint == "sparsify":
             if "alpha" not in params:
@@ -253,7 +277,6 @@ class SparsifierService:
                 "h": _entropy_parameter(params.pop("h", 0.05)),
                 "engine": _choice(params, "engine", "vector", PUBLIC_ENGINES),
                 "lp_solver": _choice(params, "lp_solver", "highs", LP_SOLVERS),
-                "emd_mode": _choice(params, "emd_mode", "eager", EMD_MODES),
             }
             for name in _SPARSIFY_FIELDS.get(spec.method, ()):
                 norm[name] = fields[name]
@@ -262,10 +285,10 @@ class SparsifierService:
         elif endpoint == "estimate":
             norm.update(
                 query=str(params.pop("query", "reliability")),
-                samples=int(params.pop("samples", 200)),
-                weighted=bool(params.pop("weighted", False)),
+                samples=_integer(params.pop("samples", 200), "samples"),
+                weighted=_flag(params, "weighted"),
             )
-            pairs = int(params.pop("pairs", 50))
+            pairs = _integer(params.pop("pairs", 50), "pairs")
             if norm["query"] not in _ESTIMATE_QUERIES:
                 raise ServerError(
                     f"query must be one of {_ESTIMATE_QUERIES}, "
@@ -296,15 +319,23 @@ class SparsifierService:
                 raise ServerError(
                     f"grid larger than {self.config.max_grid_cells} cells"
                 )
-            k_raw = params.pop("k", 1)
+            k = params.pop("k", 1)
+            if k != "n":
+                k = _integer(k, "k", minimum=1)
             norm.update(
                 alphas=alphas,
                 h_values=h_values,
-                k=k_raw if k_raw == "n" else int(k_raw),
-                relative=bool(params.pop("relative", False)),
-                backbone_method=str(params.pop("backbone_method", "bgi")),
+                k=k,
+                relative=_flag(params, "relative"),
+                backbone_method=_choice(
+                    params, "backbone_method", "bgi", BACKBONE_METHODS
+                ),
                 engine=_choice(params, "engine", "vector", PUBLIC_ENGINES),
             )
+            if norm["relative"] and k != 1:
+                raise ServerError(
+                    f"relative applies to k = 1 only, got k = {k!r}"
+                )
         if params:
             raise ServerError(
                 f"unknown parameters for {endpoint}: {sorted(params)}"

@@ -3,7 +3,9 @@
 Contents
 --------
 - :class:`repro.utils.heap.IndexedMaxHeap` — binary max-heap with
-  update-key, the structure behind EMD's vertex heap (paper section 4.3).
+  update-key (the Dijkstra reference kernel's queue); the module's
+  :class:`~repro.utils.heap.LazyMaxHeap` is EMD's vertex heap (paper
+  section 4.3).
 - :class:`repro.utils.unionfind.UnionFind` — disjoint sets with union by
   rank and path compression, used by every spanning-forest routine.
 - :func:`repro.utils.binomials.binomial_prefix_sum` — the paper's

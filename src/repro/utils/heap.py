@@ -1,18 +1,18 @@
 """Indexed binary max-heap with update-key, plus a lazy variant.
 
+``heapq`` cannot update keys in place, so :class:`IndexedMaxHeap` is a
+classic array-based binary heap with a position index, giving O(log n)
+``update`` / ``push`` / ``pop`` and O(1) ``peek``; the per-world
+Dijkstra reference kernel runs on it with negated keys.
+
 EMD (paper Algorithm 3) keeps the vertices of the graph in a max-heap
 ordered by the magnitude of their degree discrepancy ``|delta_A(v)|`` and
-repeatedly (a) peeks at the top vertex and (b) updates the keys of the two
-endpoints of an edge after a swap.  ``heapq`` cannot update keys in place,
-so this module provides a classic array-based binary heap with a
-position index, giving O(log n) ``update`` / ``push`` / ``pop`` and O(1)
-``peek``.
-
-:class:`LazyMaxHeap` is the deferred-update twin used by EMD's lazy
-E-phase engine: priorities live in a numpy array owned by the caller,
+repeatedly (a) peeks at the top vertex and (b) updates the keys of the
+two endpoints of an edge after a swap.  :class:`LazyMaxHeap` serves its
+vector E-phase: priorities live in a numpy array owned by the caller,
 heap entries are stale *upper bounds* cleaned out lazily at peek time,
-and several updates are batched into one vectorised rescan of the dirty
-items instead of one eager sift per change.
+and several updates are batched into one rescan of the dirty items
+instead of one eager sift per change.
 """
 
 from __future__ import annotations
@@ -205,10 +205,9 @@ class LazyMaxHeap:
     |values[i]|``, so the first heap top whose entry matches its current
     magnitude is the true argmax.
 
-    Ties break towards the smallest item id (heapq tuple order) —
-    deterministic, but *different* from :class:`IndexedMaxHeap`'s
-    heap-order tie-breaking, which is why the lazy EMD engine is gated
-    on converged-objective equivalence rather than bit identity.
+    Ties break towards the smallest item id (heapq tuple order), so
+    :meth:`peek` equals ``np.argmax(np.abs(values))`` — the scan EMD's
+    scalar reference E-phase runs, which keeps the engines bit-identical.
     """
 
     __slots__ = ("_values", "_bound", "_entries", "_pending")

@@ -2,10 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import EMDConfig, GDBConfig, emd, gdb, graph_entropy
+from repro.core import (
+    EMDConfig,
+    GDBConfig,
+    UncertainGraph,
+    emd,
+    gdb,
+    graph_entropy,
+)
 from repro.core.backbone import bgi_backbone, random_backbone, target_edge_count
+from repro.datasets import erdos_renyi_uncertain, flickr_like
 from repro.metrics import degree_discrepancy_mae
+
+
+def tie_heavy_graph(n, seed, probabilities):
+    """An ER topology whose probabilities are all 0.5 (``"half"``) or
+    drawn from {0.25, 0.5, 1} (``"quantised"``): equal discrepancies
+    and equal gains are then common, so tie-breaking decides swaps."""
+    base = erdos_renyi_uncertain(n, 8.0, rng=seed)
+    edges = base.edge_list()
+    if probabilities == "half":
+        ps = [0.5] * len(edges)
+    else:
+        rng = np.random.default_rng(seed)
+        ps = rng.choice([0.25, 0.5, 1.0], size=len(edges)).tolist()
+    return UncertainGraph(
+        [(u, v, p) for (u, v), p in zip(edges, ps)], vertices=base.vertices()
+    )
 
 
 class TestConfig:
@@ -117,7 +143,8 @@ class TestQuality:
 class TestEngines:
     """Vector EMD = vectorised E-phase scan + fused M-phase.
 
-    The candidate scan preserves the loop's candidate order and strict
+    Both E-phases pick the smallest-id max-discrepancy vertex and compare
+    the same (factored) gains with the loop's candidate order and strict
     tie-breaking, and the fused M-phase is bit-identical to the loop's,
     so the two engines must agree swap for swap: same edge set, same
     probabilities (exact), for every config variant and backbone.
@@ -127,7 +154,8 @@ class TestEngines:
     @pytest.mark.parametrize("backbone_fn", [bgi_backbone, random_backbone])
     def test_engines_bit_identical(self, small_power_law, small_sparse,
                                    relative, backbone_fn):
-        for graph in (small_power_law, small_sparse):
+        dense = flickr_like(n=80, avg_degree=14, seed=9)
+        for graph in (small_power_law, small_sparse, dense):
             ids = backbone_fn(graph, 0.3, rng=11)
             config = EMDConfig(relative=relative)
             loop = emd(graph, backbone_ids=list(ids), config=config,
@@ -138,6 +166,27 @@ class TestEngines:
                 {frozenset(e[:2]) for e in vector.edges()}
             )
             assert loop.isomorphic_probabilities(vector, tol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(12, 30),
+        seed=st.integers(0, 2**16),
+        probabilities=st.sampled_from(["half", "quantised"]),
+        h=st.sampled_from([0.0, 0.05, 1.0]),
+        relative=st.booleans(),
+        backbone_fn=st.sampled_from([bgi_backbone, random_backbone]),
+    )
+    def test_engines_bit_identical_on_tie_heavy_graphs(
+        self, n, seed, probabilities, h, relative, backbone_fn
+    ):
+        graph = tie_heavy_graph(n, seed, probabilities)
+        ids = list(backbone_fn(graph, 0.4, rng=seed))
+        config = EMDConfig(h=h, relative=relative)
+        loop = emd(graph, backbone_ids=ids, config=config, engine="loop")
+        vector = emd(graph, backbone_ids=ids, config=config, engine="vector")
+        assert loop.edge_list() == vector.edge_list()
+        assert (loop.probability_array().tobytes()
+                == vector.probability_array().tobytes())
 
     def test_engines_same_objective(self, small_power_law):
         ids = bgi_backbone(small_power_law, 0.4, rng=2)

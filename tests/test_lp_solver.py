@@ -1,11 +1,9 @@
-"""Optimisation layer: pdp LP solver, lazy EMD mode, NI-on-peels.
+"""Optimisation layer: pdp LP solver, NI-on-peels.
 
-Three equivalence contracts introduced by the solver-grade layer:
+Two equivalence contracts introduced by the solver-grade layer:
 
 - ``solver="pdp"`` reaches the HiGHS objective within its duality-gap
   tolerance and always returns a feasible point (Lemma 1 holds);
-- ``emd_mode="lazy"`` reaches the eager reference's converged objective
-  (``D_1`` agreement, not bit-identity — heap tie-breaking differs);
 - ``peeler="plan"`` NI is bit-identical to the legacy scalar peeler and
   memoises its peel structure on a shared :class:`BackbonePlan`.
 """
@@ -20,9 +18,8 @@ from repro.baselines.ni import (
     ni_peel_structure,
     ni_sparsify,
 )
-from repro.core import UncertainGraph, delta_1, lp_assign_probabilities, sparsify
+from repro.core import UncertainGraph, lp_assign_probabilities, sparsify
 from repro.core.backbone import BackbonePlan, bgi_backbone, target_edge_count
-from repro.core.emd_sparsifier import EMDConfig, emd
 from repro.core.lp import (
     LP_SOLVERS,
     PDPDiagnostics,
@@ -30,7 +27,7 @@ from repro.core.lp import (
     lp_sparsify,
     solve_pdp,
 )
-from repro.datasets import erdos_renyi_uncertain, figure1_graph, flickr_like
+from repro.datasets import erdos_renyi_uncertain, figure1_graph
 
 #: The pdp default relative duality-gap tolerance (see repro.core.lp).
 PDP_TOL = 1e-3
@@ -219,60 +216,6 @@ def test_min_probability_validated(small_power_law, bad):
         lp_sparsify(
             small_power_law, alpha=0.4, rng=0, min_probability=bad
         )
-
-
-# ----------------------------------------------------------------------
-# lazy vs eager EMD: converged-objective equivalence
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backbone_method", ["bgi", "random"])
-@pytest.mark.parametrize("relative", [False, True])
-@pytest.mark.parametrize("eager_engine", ["vector", "loop"])
-def test_lazy_emd_matches_eager_converged_d1(
-    backbone_method, relative, eager_engine
-):
-    graph = flickr_like(n=80, avg_degree=14, seed=9)
-    config = EMDConfig(relative=relative)
-    eager = emd(
-        graph, alpha=0.35, config=config, backbone_method=backbone_method,
-        rng=11, engine=eager_engine, emd_mode="eager",
-    )
-    lazy = emd(
-        graph, alpha=0.35, config=config, backbone_method=backbone_method,
-        rng=11, engine="vector", emd_mode="lazy",
-    )
-    assert lazy.number_of_edges() == eager.number_of_edges()
-    d1_eager = delta_1(graph, eager, relative=relative)
-    d1_lazy = delta_1(graph, lazy, relative=relative)
-    assert abs(d1_lazy - d1_eager) <= 1e-6 * max(1.0, d1_eager)
-
-
-def test_lazy_emd_through_sparsify_facade(small_power_law):
-    eager = sparsify(
-        small_power_law, 0.3, variant="EMD^R-t", rng=5, emd_mode="eager"
-    )
-    lazy = sparsify(
-        small_power_law, 0.3, variant="EMD^R-t", rng=5, emd_mode="lazy"
-    )
-    assert lazy.number_of_edges() == eager.number_of_edges()
-    d1_eager = delta_1(small_power_law, eager, relative=True)
-    d1_lazy = delta_1(small_power_law, lazy, relative=True)
-    assert abs(d1_lazy - d1_eager) <= 1e-6 * max(1.0, d1_eager)
-    for _, _, p in lazy.edges():
-        assert 0.0 < p <= 1.0
-
-
-def test_lazy_mode_rejects_loop_engine(small_power_law):
-    with pytest.raises(ValueError, match="vector engine"):
-        emd(small_power_law, alpha=0.3, rng=0, engine="loop",
-            emd_mode="lazy")
-
-
-def test_unknown_emd_mode_rejected(small_power_law):
-    with pytest.raises(ValueError, match="unknown emd_mode"):
-        emd(small_power_law, alpha=0.3, rng=0, emd_mode="eagerly")
-    with pytest.raises(ValueError, match="unknown emd_mode"):
-        sparsify(small_power_law, 0.3, variant="EMD^A", rng=0,
-                 emd_mode="eagerly")
 
 
 # ----------------------------------------------------------------------

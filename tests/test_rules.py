@@ -119,14 +119,15 @@ def test_optimal_step_zeroes_endpoint_gradient():
 
 
 class TestArrayRules:
-    """Every array rule matches its scalar sibling element for element
-    (exact float equality: the arithmetic is mirrored per edge)."""
+    """Every array rule of the colored-sweep oracle (``test_sweep.py``)
+    matches its scalar sibling element for element (exact float
+    equality: the arithmetic is mirrored per edge)."""
 
     def all_eids(self, state):
         return np.arange(state.m)
 
     def test_absolute_array_matches_scalar(self, seeded_state):
-        from repro.core.rules import degree_step_absolute_array
+        from test_sweep import degree_step_absolute_array
 
         eids = self.all_eids(seeded_state)
         steps = degree_step_absolute_array(seeded_state, eids)
@@ -134,7 +135,7 @@ class TestArrayRules:
             assert steps[eid] == degree_step_absolute(seeded_state, int(eid))
 
     def test_relative_array_matches_scalar(self, seeded_state):
-        from repro.core.rules import degree_step_relative_array
+        from test_sweep import degree_step_relative_array
 
         eids = self.all_eids(seeded_state)
         steps = degree_step_relative_array(seeded_state, eids)

@@ -230,7 +230,7 @@ class TestServiceCore:
         self, service, dataset
     ):
         for field, value in (
-            ("engine", "gpu"), ("lp_solver", "cplex"), ("emd_mode", "fast"),
+            ("engine", "gpu"), ("lp_solver", "cplex"),
         ):
             with pytest.raises(ServerError, match=field):
                 service.handle(
@@ -238,6 +238,36 @@ class TestServiceCore:
                 )
         with pytest.raises(ServerError, match="engine"):
             service.handle("grid", {"dataset": dataset, "engine": "gpu"})
+        # Integral fields are checked, not truncated: a fractional seed
+        # would otherwise be served another seed's artifact.
+        for endpoint, extra in (
+            ("sparsify", SPARSIFY), ("estimate", {}), ("grid", {}),
+        ):
+            for field, value in (
+                ("seed", -1), ("seed", 2.9), ("seed", "3"), ("seed", True),
+                ("priority", 1.5),
+            ):
+                with pytest.raises(ServerError, match=f"{field} must be"):
+                    service.handle(endpoint, {
+                        "dataset": dataset, **extra, field: value,
+                    })
+        for field, value in (
+            ("seed", -5), ("samples", 2.5), ("pairs", 1.5),
+            ("weighted", "false"), ("weighted", 1),
+        ):
+            with pytest.raises(ServerError, match=f"{field} must be"):
+                service.handle("estimate", {
+                    "dataset": dataset, "query": "distance", field: value,
+                })
+        for fields, name in (
+            ({"k": 0}, "k"), ({"k": -3}, "k"), ({"k": 2.5}, "k"),
+            ({"k": "m"}, "k"), ({"backbone_method": "nope"}, "backbone_method"),
+            ({"k": 2, "relative": True}, "relative"),
+            ({"k": "n", "relative": True}, "relative"),
+            ({"relative": "false"}, "relative"),
+        ):
+            with pytest.raises(ServerError, match=f"{name} (must be|applies)"):
+                service.handle("grid", {"dataset": dataset, **fields})
         # Entropy parameters and grid ratios are range-checked up front
         # (NaN and infinities included), for every variant.
         for variant in ("GDB^A", "LP-t"):
@@ -255,11 +285,13 @@ class TestServiceCore:
         for alphas in ([1.4], [0.0], [0.2, float("nan")]):
             with pytest.raises(ServerError, match="alphas"):
                 service.handle("grid", {"dataset": dataset, "alphas": alphas})
-        # There is no array-backend knob: the field is just unknown.
-        with pytest.raises(ServerError, match="unknown parameters"):
-            service.handle(
-                "sparsify", {"dataset": dataset, **SPARSIFY, "backend": "numpy"}
-            )
+        # There is no array-backend knob and no EMD mode: each field is
+        # just unknown.
+        for field, value in (("backend", "numpy"), ("emd_mode", "fast")):
+            with pytest.raises(ServerError, match="unknown parameters"):
+                service.handle(
+                    "sparsify", {"dataset": dataset, **SPARSIFY, field: value}
+                )
         for query in ("reliability", "distance", "pagerank"):
             for pairs in (0, -3):
                 with pytest.raises(ServerError, match="pairs"):
@@ -275,8 +307,8 @@ class TestServiceCore:
         emd = {**gdb, "variant": "EMD^A-t"}
         ni = {**gdb, "variant": "NI"}
         for params, unused in (
-            (gdb, {"emd_mode": "lazy", "lp_solver": "pdp"}),
-            (lp, {"engine": "loop", "emd_mode": "lazy", "h": 0.5}),
+            (gdb, {"lp_solver": "pdp"}),
+            (lp, {"engine": "loop", "h": 0.5}),
             (emd, {"lp_solver": "pdp"}),
             (ni, {"h": 0.5}),
         ):
@@ -287,7 +319,7 @@ class TestServiceCore:
             assert hit and again == body  # byte-identical hit
         assert service.queue.stats()["submitted"] == 4
         # A field the variant does read still partitions the cache.
-        _, hit = service.handle("sparsify", {**emd, "emd_mode": "lazy"})
+        _, hit = service.handle("sparsify", {**emd, "engine": "loop"})
         assert not hit
         for params in (gdb, emd):
             body, hit = service.handle("sparsify", {**params, "h": 0.5})

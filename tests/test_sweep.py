@@ -17,15 +17,10 @@ from repro.core import (
     greedy_edge_coloring,
 )
 from repro.core.backbone import bgi_backbone, random_backbone
-from repro.core.rules import (
-    degree_step_absolute,
-    degree_step_absolute_array,
-    degree_step_relative,
-    degree_step_relative_array,
-)
+from repro.core.entropy import entropy_increases
+from repro.core.rules import degree_step_absolute, degree_step_relative
 from repro.core.sweep import (
     apply_scalar_step,
-    clamp_and_attenuate,
     colored_sweep,
     extend_sweep_plan,
     fused_sweep,
@@ -126,6 +121,36 @@ class TestPlan:
         colored_sweep(state, plan, False, 0.05)
         assert state.d1() <= before + 1e-12
         state.verify()
+
+
+def degree_step_absolute_array(state, eids):
+    """Eq. (8), absolute: mean endpoint discrepancy for every ``eid``."""
+    uv = state.edge_vertices[eids]
+    return 0.5 * (state.delta[uv[:, 0]] + state.delta[uv[:, 1]])
+
+
+def degree_step_relative_array(state, eids):
+    """Eq. (8), relative: degree-weighted endpoint discrepancies."""
+    uv = state.edge_vertices[eids]
+    pi_u = state.original_degrees[uv[:, 0]]
+    pi_v = state.original_degrees[uv[:, 1]]
+    denominator = pi_u + pi_v
+    steps = pi_v * state.delta[uv[:, 0]] + pi_u * state.delta[uv[:, 1]]
+    return np.where(denominator > 0.0, steps / np.where(denominator > 0.0, denominator, 1.0), 0.0)
+
+
+def clamp_and_attenuate(current, steps, guard_baseline, h):
+    """Vectorised Algorithm 2 lines 7-10 for a batch of edges: clamp
+    ``current + steps`` to ``[0, 1]``; where the move would raise entropy
+    relative to ``guard_baseline``, restart from the baseline with an
+    ``h``-scaled step."""
+    proposed = current + steps
+    attenuated = np.clip(guard_baseline + h * steps, 0.0, 1.0)
+    raises = entropy_increases(guard_baseline, proposed)
+    return np.where(
+        proposed < 0.0, 0.0,
+        np.where(proposed > 1.0, 1.0, np.where(raises, attenuated, proposed)),
+    )
 
 
 def reference_colored_sweep(state, plan, relative, h):
