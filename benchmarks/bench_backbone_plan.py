@@ -16,7 +16,8 @@ Equality always gates: every ladder cell's plan backbone must be
 The speedup gate (``MIN_SPEEDUP``, default 3x) is timing-based and
 therefore core-count-aware — it skips itself on single-core machines;
 CI relaxes it via ``REPRO_BENCH_BACKBONE_MIN_SPEEDUP`` for noisy shared
-runners.
+runners.  Results are archived as a table and as machine-readable
+``results/BENCH_backbone_plan.json``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def bench_graph():
     return graph
 
 
-def test_bench_backbone_plan_ladder(bench_graph, emit):
+def test_bench_backbone_plan_ladder(bench_graph, emit, emit_json):
     # Reference: an independent seeded build per alpha (backbones are
     # shared across the h row, exactly like the historical grid driver).
     reference = {}
@@ -95,6 +96,14 @@ def test_bench_backbone_plan_ladder(bench_graph, emit):
     table.add_row("per-call reference", reference_seconds, 1.0, total_edges)
     table.add_row("backbone plan", plan_seconds, speedup, total_edges)
     emit("bench_backbone_plan", table)
+    emit_json("backbone_plan", {
+        "edges": bench_graph.number_of_edges(),
+        "alphas": list(ALPHAS),
+        "reference_s": reference_seconds,
+        "plan_s": plan_seconds,
+        "speedup": speedup,
+        "forests_computed": plan.forests_computed,
+    })
 
     if (os.cpu_count() or 1) < 2:
         pytest.skip(

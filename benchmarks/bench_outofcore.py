@@ -1,4 +1,4 @@
-"""Smoke benchmark: out-of-core binary datasets + sharded grid execution.
+"""Smoke benchmark: out-of-core binary datasets under the grid driver.
 
 Generates a forest-fire graph as dense edge arrays, writes it both as a
 binary dataset and as a text edge list, then runs ``gdb_grid`` end to
@@ -6,23 +6,17 @@ end in *subprocesses* (one per phase) so ``ru_maxrss`` measures each
 execution model in isolation:
 
 - ``import``       — interpreter + numpy/scipy import floor (baseline),
-- ``binary_grid``  — mmap-backed binary load + sharded grid (workers 1
-  and ``WORKERS``),
+- ``binary_grid``  — mmap-backed binary load + the grid driver,
 - ``text_grid``    — materialised text parse into the dict graph + the
-  serial grid driver (skipped above ``TEXT_CAP`` edges).
+  grid driver (skipped above ``TEXT_CAP`` edges).
 
 Gates:
 
-- **Determinism (always):** the objective rows for ``workers=1`` and
-  ``workers=WORKERS`` are bit-identical (compared as ``repr`` strings).
 - **O(header) load (when the text baseline runs):** the binary dataset
   must open at least ``MIN_LOAD_SPEEDUP``x faster than the text parse.
 - **Bounded RSS (when the text baseline runs):** the binary phase's RSS
   increment over the import floor must stay below ``MAX_RSS_RATIO`` of
   the text phase's increment — the out-of-core claim.
-- **Worker speedup (core-count-aware):** ``workers=WORKERS`` must beat
-  ``workers=1`` by ``MIN_SPEEDUP`` — skipped when the machine has fewer
-  cores than workers (the determinism gate above still ran).
 
 Scale with ``REPRO_BENCH_OUTOFCORE_EDGES`` (default 200k; the 10M-edge
 acceptance run uses ``REPRO_BENCH_OUTOFCORE_EDGES=10000000``, which
@@ -45,9 +39,6 @@ from repro.experiments.common import ResultTable
 #: Target edge count; vertices are derived (m ~= 10 n at avg_degree 20).
 EDGES = int(os.environ.get("REPRO_BENCH_OUTOFCORE_EDGES", "200000"))
 
-#: Worker count for the sharded phase (CI smoke uses 2).
-WORKERS = int(os.environ.get("REPRO_BENCH_OUTOFCORE_WORKERS", "2"))
-
 #: Above this edge count the materialised-text baseline is skipped (it
 #: is the thing the binary path exists to avoid).
 TEXT_CAP = int(os.environ.get("REPRO_BENCH_OUTOFCORE_TEXT_CAP", "2000000"))
@@ -62,13 +53,6 @@ MAX_RSS_RATIO = float(
 #: measured gap at 200k edges is >100x, so 10x has a wide margin).
 MIN_LOAD_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_OUTOFCORE_MIN_LOAD_SPEEDUP", "10.0")
-)
-
-#: Floor for the sharded-vs-serial grid wall time.  Shared runners are
-#: noisy and shards are coarse, so the default only guards against the
-#: pool being a net loss; determinism is the real gate.
-MIN_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_OUTOFCORE_MIN_SPEEDUP", "1.0")
 )
 
 ALPHAS = [0.4, 0.7]
@@ -89,17 +73,16 @@ if phase == "import":
     import repro  # noqa: F401  (pull in numpy/scipy for the RSS floor)
     import repro.core, repro.datasets  # noqa: F401
 elif phase == "binary_grid":
-    from repro.core import sharded_gdb_grid
-    from repro.core.grid import objective_rows
+    from repro.core.grid import gdb_grid, objective_rows
     from repro.datasets import read_binary
 
     t0 = time.perf_counter()
     graph = read_binary(args["binary"], mmap=True).graph()
     out["load_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cells = sharded_gdb_grid(
+    cells = gdb_grid(
         graph, args["alphas"], args["h_values"],
-        workers=args["workers"], rng=args["seed"], dataset=args["binary"],
+        build_graphs=False, rng=args["seed"],
     )
     out["grid_s"] = time.perf_counter() - t0
     out["rows"] = [
@@ -169,55 +152,39 @@ def test_bench_outofcore(corpus, emit, emit_json):
     grid_args = dict(alphas=ALPHAS, h_values=H_VALUES, seed=SEED)
 
     baseline = _run_phase("import")
-    serial = _run_phase(
-        "binary_grid", binary=corpus["binary"], workers=1, **grid_args
-    )
-    sharded = _run_phase(
-        "binary_grid", binary=corpus["binary"], workers=WORKERS, **grid_args
-    )
+    binary = _run_phase("binary_grid", binary=corpus["binary"], **grid_args)
     text = None
     if corpus["text"] is not None:
         text = _run_phase("text_grid", text=corpus["text"], **grid_args)
 
-    # -- determinism: sharding must not change a single bit ------------
-    assert serial["rows"] == sharded["rows"], (
-        f"workers={WORKERS} changed the grid objectives"
-    )
-
     floor_kb = baseline["ru_maxrss_kb"]
-    binary_inc = max(serial["ru_maxrss_kb"], sharded["ru_maxrss_kb"]) - floor_kb
+    binary_inc = binary["ru_maxrss_kb"] - floor_kb
     payload = {
         "edges": corpus["m"],
         "vertices": corpus["n"],
-        "workers": WORKERS,
         "grid": {"alphas": ALPHAS, "h_values": H_VALUES, "seed": SEED},
         "import_rss_kb": floor_kb,
         "binary": {
-            "load_s": serial["load_s"],
-            "grid_s_workers1": serial["grid_s"],
-            f"grid_s_workers{WORKERS}": sharded["grid_s"],
-            "shard_speedup": serial["grid_s"] / max(sharded["grid_s"], 1e-9),
+            "load_s": binary["load_s"],
+            "grid_s": binary["grid_s"],
             "rss_increment_kb": binary_inc,
         },
-        "rows": serial["rows"],
-        "rows_identical_across_workers": True,
+        "rows": binary["rows"],
     }
 
     table = ResultTable(
         title=(
             f"Out-of-core grid — {corpus['m']} edges, "
-            f"grid {len(ALPHAS)}x{len(H_VALUES)}, workers {{1, {WORKERS}}}"
+            f"grid {len(ALPHAS)}x{len(H_VALUES)}"
         ),
         headers=["phase", "load s", "grid s", "rss inc KB"],
     )
-    table.add_row("binary workers=1", serial["load_s"], serial["grid_s"],
-                  serial["ru_maxrss_kb"] - floor_kb)
-    table.add_row(f"binary workers={WORKERS}", sharded["load_s"],
-                  sharded["grid_s"], sharded["ru_maxrss_kb"] - floor_kb)
+    table.add_row("binary (mmap)", binary["load_s"], binary["grid_s"],
+                  binary_inc)
 
     if text is not None:
         text_inc = text["ru_maxrss_kb"] - floor_kb
-        load_speedup = text["load_s"] / max(serial["load_s"], 1e-9)
+        load_speedup = text["load_s"] / max(binary["load_s"], 1e-9)
         payload["text"] = {
             "load_s": text["load_s"],
             "grid_s": text["grid_s"],
@@ -225,7 +192,7 @@ def test_bench_outofcore(corpus, emit, emit_json):
             "load_speedup": load_speedup,
             "rss_ratio": binary_inc / max(text_inc, 1),
         }
-        table.add_row("text serial", text["load_s"], text["grid_s"], text_inc)
+        table.add_row("text (parsed)", text["load_s"], text["grid_s"], text_inc)
 
     emit("bench_outofcore", table)
     emit_json("outofcore", payload)
@@ -239,15 +206,3 @@ def test_bench_outofcore(corpus, emit, emit_json):
             f"binary-path RSS increment {binary_inc} KB not below "
             f"{MAX_RSS_RATIO:.0%} of the text baseline's {text_inc} KB"
         )
-
-    cores = os.cpu_count() or 1
-    speedup = serial["grid_s"] / max(sharded["grid_s"], 1e-9)
-    if cores < WORKERS:
-        pytest.skip(
-            f"only {cores} cores for {WORKERS} workers — determinism and "
-            f"RSS gated, speedup needs the cores (measured {speedup:.2f}x)"
-        )
-    assert speedup >= MIN_SPEEDUP, (
-        f"sharded grid only {speedup:.2f}x vs serial "
-        f"(need >= {MIN_SPEEDUP}x at {WORKERS} workers)"
-    )

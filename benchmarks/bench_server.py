@@ -8,7 +8,8 @@ floors are environment-tunable" idiom:
    hit with a byte-identical body and *zero* extra queue submissions.
    The hot/cold speedup is reported and gated via
    ``REPRO_BENCH_SERVER_MIN_SPEEDUP`` (default 5x — a hot hit is a dict
-   lookup; cold runs a full GDB sweep).
+   lookup; cold runs a full GDB sweep), and archived as
+   ``results/BENCH_server.json``.
 
 2. **Subprocess** — boot ``python -m repro.server --port 0`` exactly as
    an operator would, parse the advertised port from stdout, and drive
@@ -51,7 +52,7 @@ def dataset(tmp_path_factory):
     return str(path)
 
 
-def test_bench_cache_hot_vs_cold(dataset, emit):
+def test_bench_cache_hot_vs_cold(dataset, emit, emit_json):
     params = {"dataset": dataset, "alpha": 0.3, "variant": "EMD^R-t",
               "seed": 0}
     with SparsifierService(ServerConfig(workers=2)) as service:
@@ -82,6 +83,11 @@ def test_bench_cache_hot_vs_cold(dataset, emit):
         table.add_row("cold (computed)", cold_s, 1.0)
         table.add_row("hot (cache hit)", hot_s, speedup)
         emit("bench_server_cache", table)
+        emit_json("server", {
+            "cold_s": cold_s,
+            "hot_s": hot_s,
+            "speedup": speedup,
+        })
 
     assert speedup >= MIN_SPEEDUP, (
         f"hot request only {speedup:.1f}x faster than cold "

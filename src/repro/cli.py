@@ -27,12 +27,11 @@ Generate a synthetic uncertain graph / estimate a query by Monte-Carlo::
     repro-sparsify estimate graph.txt --query reliability --samples 500
 
 Convert between the text and binary dataset formats, then sweep an
-``(alpha, h)`` grid out-of-core over 4 worker processes (results are
-bit-identical for any worker count)::
+``(alpha, h)`` grid over the memory-mapped binary dataset::
 
     repro-sparsify convert graph.txt graph.rpbg
     repro-sparsify grid graph.rpbg --alphas 0.2,0.4 --h-values 0.05,0.2 \
-        --workers 4 --seed 7
+        --seed 7
 
 Replay a seeded drift stream through the incremental maintainer,
 comparing against a cold rebuild after every batch::
@@ -175,11 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-batch", action="store_true",
         help="evaluate worlds one at a time (legacy path)",
     )
-    estimate_cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for batch-chunk evaluation (default 1 = in-process; "
-        "0 means one per CPU; results are identical for any value)",
-    )
 
     convert_cmd = sub.add_parser(
         "convert", help="convert a dataset between text and binary formats"
@@ -200,9 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     grid_cmd = sub.add_parser(
-        "grid",
-        help="sweep GDB over an (alpha, h) grid, optionally sharded over "
-        "worker processes",
+        "grid", help="sweep GDB over an (alpha, h) grid"
     )
     grid_cmd.add_argument("input", help="input dataset (text or binary)")
     add_format_flag(grid_cmd)
@@ -215,13 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated entropy parameters in [0, 1], e.g. 0.05,0.2",
     )
     grid_cmd.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1 = serial; 0 means one per CPU; "
-        "results are bit-identical for any value)",
-    )
-    grid_cmd.add_argument(
-        "--seed", type=int, default=0,
-        help="backbone RNG seed (default 0; sharded runs require a seed)",
+        "--seed", type=int, default=0, help="backbone RNG seed (default 0)",
     )
     grid_cmd.add_argument(
         "--engine", choices=["vector", "loop"], default="vector",
@@ -326,13 +312,9 @@ def _parse_alphas(raw: str) -> list[float]:
 
 
 def _load_graph(path: str, input_format: str = "auto"):
-    """Load a dataset as ``(graph, dataset_path_or_None)``.
-
-    Binary inputs come back as a memory-mapped
-    :class:`~repro.core.array_graph.EdgeArrayGraph` plus the dataset
-    path (so sharded commands can hand workers the file to mmap); text
-    inputs as a parsed :class:`UncertainGraph` and ``None``.
-    """
+    """Load a dataset: binary inputs as a memory-mapped
+    :class:`~repro.core.array_graph.EdgeArrayGraph`, text inputs as a
+    parsed :class:`UncertainGraph`."""
     from repro.datasets.binary_io import is_binary_file, read_binary
 
     binary = (
@@ -340,15 +322,15 @@ def _load_graph(path: str, input_format: str = "auto"):
         or (input_format == "auto" and is_binary_file(path))
     )
     if binary:
-        return read_binary(path, mmap=True).graph(), path
-    return read_edge_list(path), None
+        return read_binary(path, mmap=True).graph()
+    return read_edge_list(path)
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
-    graph, dataset_path = _load_graph(args.input, args.input_format)
-    if dataset_path is not None:
-        from repro.core import parse_variant
+    from repro.core import EdgeArrayGraph, parse_variant
 
+    graph = _load_graph(args.input, args.input_format)
+    if isinstance(graph, EdgeArrayGraph):
         if parse_variant(args.variant).method not in ("gdb", "emd", "lp"):
             raise ReproError(
                 f"variant {args.variant!r} needs the dict-backed graph API; "
@@ -363,7 +345,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         )
     plan = None
     if args.backbone_plan:
-        from repro.core import BackbonePlan, parse_variant
+        from repro.core import BackbonePlan
 
         if not parse_variant(args.variant).accepts_plan:
             raise ReproError(
@@ -452,7 +434,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     from repro.sampling import MonteCarloEstimator
 
-    graph, dataset_path = _load_graph(args.input, args.input_format)
+    graph = _load_graph(args.input, args.input_format)
     n = graph.number_of_vertices()
     if args.weighted and args.query != "distance":
         raise EstimationError(
@@ -470,27 +452,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         query = ClusteringCoefficientQuery(n)
     else:
         query = ConnectivityQuery()
-    from repro.sampling.parallel import resolve_workers
-
-    workers = resolve_workers(args.workers if args.workers != 0 else None)
-    estimator = MonteCarloEstimator(
+    result = MonteCarloEstimator(
         graph,
         n_samples=args.samples,
         batch_size=args.batch_size,
         batched=not args.no_batch,
-        workers=workers,
-        dataset=dataset_path if workers > 1 else None,
-    )
-    try:
-        result = estimator.run(query, rng=args.seed)
-    finally:
-        estimator.close()
-    if args.no_batch:
-        evaluation = "per-world (legacy)"
-    elif workers > 1:
-        evaluation = f"batched ({workers} workers)"
-    else:
-        evaluation = "batched"
+    ).run(query, rng=args.seed)
+    evaluation = "per-world (legacy)" if args.no_batch else "batched"
     label = f"{args.query} (weighted -log p)" if args.weighted else args.query
     print(f"query:            {label}")
     print(f"worlds sampled:   {args.samples}")
@@ -617,12 +585,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.grid import gdb_grid, objective_rows
-    from repro.sampling.parallel import resolve_workers
 
-    graph, dataset_path = _load_graph(args.input, args.input_format)
+    graph = _load_graph(args.input, args.input_format)
     alphas = _parse_floats(args.alphas, "--alphas")
     h_values = _parse_floats(args.h_values, "--h-values")
-    workers = resolve_workers(args.workers if args.workers != 0 else None)
     results = gdb_grid(
         graph, alphas, h_values,
         relative=args.relative,
@@ -630,8 +596,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         rng=args.seed,
         engine=args.engine,
         build_graphs=False,
-        workers=workers,
-        dataset=dataset_path if workers > 1 else None,
     )
     rows = objective_rows(results)
     if args.output is not None:

@@ -7,12 +7,13 @@ Public surface:
 - :func:`~repro.core.gdb.gdb` / :func:`~repro.core.emd_sparsifier.emd` /
   :func:`~repro.core.lp.lp_sparsify` — the individual algorithms,
 - :func:`~repro.core.backbone.bgi_backbone` — Algorithm 1,
+- :func:`~repro.core.grid.gdb_grid` — the ``(alpha, h)`` grid driver,
+  one in-process loop sharing a CSR state and a backbone plan,
 - entropy / discrepancy helpers.
 """
 
 from repro.core.backbone import (
     BackbonePlan,
-    backbone_as_list,
     bgi_backbone,
     bgi_backbone_legacy,
     build_backbone,
@@ -43,7 +44,6 @@ from repro.core.gdb import GDBConfig, gdb, gdb_refine, gdb_refine_warm
 from repro.core.grid import GridCell, gdb_grid, objective_rows
 from repro.core.lp import lp_assign_probabilities, lp_sparsify
 from repro.core.maintain import IncrementalSparsifier, MaintenanceReport
-from repro.core.shard import GridShard, grid_shards, sharded_gdb_grid
 from repro.core.sweep import SweepPlan, build_sweep_plan, greedy_edge_coloring
 from repro.core.sparsify import (
     VariantSpec,
@@ -67,13 +67,11 @@ __all__ = [
     "apply_delta",
     "GDBConfig",
     "GridCell",
-    "GridShard",
     "SparsificationState",
     "SweepPlan",
     "UncertainGraph",
     "VariantSpec",
     "available_variants",
-    "backbone_as_list",
     "bgi_backbone",
     "bgi_backbone_legacy",
     "build_backbone",
@@ -93,7 +91,6 @@ __all__ = [
     "gdb_refine_warm",
     "graph_entropy",
     "greedy_edge_coloring",
-    "grid_shards",
     "local_degree_backbone",
     "lp_assign_probabilities",
     "lp_sparsify",
@@ -102,7 +99,6 @@ __all__ = [
     "parse_variant",
     "random_backbone",
     "relative_entropy",
-    "sharded_gdb_grid",
     "sparsify",
     "target_edge_count",
 ]

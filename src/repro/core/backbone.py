@@ -16,8 +16,7 @@ Every proposed sparsifier starts from an unweighted *backbone* with
 All functions work on *edge ids* — positions in
 ``graph.edge_list()`` — so they compose directly with
 :class:`repro.core.discrepancy.SparsificationState`, and all builders
-return **read-only int64 arrays** of edge ids (use
-:func:`backbone_as_list` if a caller really needs a list).
+return **read-only int64 arrays** of edge ids.
 
 Plan-then-instantiate
 ---------------------
@@ -38,7 +37,6 @@ prefix is a prefix of the ``alpha_2`` one).
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 
@@ -62,23 +60,6 @@ def _as_edge_ids(ids) -> np.ndarray:
     arr = np.array(ids, dtype=np.int64, copy=True)
     arr.setflags(write=False)
     return arr
-
-
-def backbone_as_list(ids) -> list[int]:
-    """Deprecated shim: convert a backbone edge-id array to ``list[int]``.
-
-    Backbone builders historically returned ``list[int]``; they now
-    return read-only int64 arrays (which iterate, index and ``len()``
-    the same way).  Callers that genuinely need a list should migrate;
-    this shim exists so they keep working one release longer.
-    """
-    warnings.warn(
-        "backbone builders return read-only int64 arrays now; "
-        "backbone_as_list is a transitional shim and will be removed",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [int(eid) for eid in ids]
 
 
 def maximum_spanning_forest(
@@ -840,8 +821,8 @@ def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
     # rank[eid] = best (lowest) nomination position across both endpoints.
     # Ties between equal-degree neighbours break on dense vertex id, so
     # the ranking is a pure function of the graph's content — identical
-    # whether computed on the dict adjacency or on an edge-array view in
-    # a sharded worker (adjacency *insertion* order never leaks in).
+    # whether computed on the dict adjacency or on an edge-array view
+    # (adjacency *insertion* order never leaks in).
     rank: dict[int, float] = {}
     for u in graph.vertices():
         nbrs = sorted(graph.neighbors(u),

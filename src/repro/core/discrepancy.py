@@ -175,7 +175,7 @@ class SparsificationState:
 
         Only scalar label-facing callers need this; the vectorised paths
         never touch it, and building it eagerly would cost O(n) dict
-        entries per worker process in sharded runs.
+        entries for array-backed graphs.
         """
         return self.graph.vertex_indexer()
 

@@ -98,8 +98,6 @@ def gdb_grid(
     name_prefix: str = "",
     consume=None,
     backbone_plan: "BackbonePlan | None" = None,
-    workers: int = 1,
-    dataset=None,
 ) -> dict[tuple[float, float], "GridCell | object"]:
     """Run GDB over the full ``alphas x h_values`` grid, sharing setup.
 
@@ -119,42 +117,7 @@ def gdb_grid(
     ``backbone_plan``, if given, must belong to ``graph``; otherwise one
     is built internally (callers sweeping several grids over the same
     graph should build one plan and pass it to every call).
-
-    ``workers > 1`` fans the grid over deterministic shards of worker
-    processes (:func:`repro.core.shard.sharded_gdb_grid`) — results are
-    bit-identical to the serial run for any worker count.  Sharded mode
-    is objective-only (``build_graphs=False``, no ``consume``), needs an
-    int ``rng`` seed, and accepts ``dataset`` (a binary dataset path or
-    :class:`~repro.datasets.binary_io.BinaryDataset`) so workers mmap
-    the edge data instead of receiving it pickled.
     """
-    if workers > 1:
-        if build_graphs:
-            raise ValueError(
-                "sharded gdb_grid (workers > 1) is objective-only: pass "
-                "build_graphs=False (materialised graphs would be pickled "
-                "back from every worker)"
-            )
-        if consume is not None:
-            raise ValueError(
-                "consume hooks run in the parent and are not supported "
-                "with workers > 1"
-            )
-        if backbone_plan is not None:
-            raise ValueError(
-                "backbone_plan cannot be shared with worker processes; "
-                "each worker builds its own (bit-identical) plan"
-            )
-        from repro.core.shard import sharded_gdb_grid
-
-        return sharded_gdb_grid(
-            graph, alphas, h_values, workers=workers, k=k,
-            relative=relative, tau=tau, max_sweeps=max_sweeps,
-            backbone_method=backbone_method, rng=rng, engine=engine,
-            dataset=dataset,
-        )
-    if dataset is not None:
-        raise ValueError("dataset= is only meaningful with workers > 1")
     engine = _validate_engine(engine)
     alphas = list(alphas)
     h_values = list(h_values)

@@ -137,7 +137,7 @@ class IncrementalSparsifier:
                 f"{spec.canonical_name!r} (warm restarts seed converged "
                 f"probabilities into the coordinate-descent core)"
             )
-        if not isinstance(rng, (int, np.integer)):
+        if isinstance(rng, bool) or not isinstance(rng, (int, np.integer)):
             raise ValueError(
                 "IncrementalSparsifier needs an integer seed: the backbone "
                 "MC top-up replays under the same seed every batch"

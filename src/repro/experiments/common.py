@@ -53,9 +53,6 @@ class ExperimentScale:
     mc_batch_size: "int | None" = None
     #: Escape hatch: False runs the estimators world-at-a-time.
     mc_batched: bool = True
-    #: Processes for batch-chunk evaluation (1 = in-process, None = one
-    #: per CPU); estimates are bit-identical for any value.
-    mc_workers: "int | None" = 1
 
     def __post_init__(self) -> None:
         # The paper assumes alpha >= (|V|-1)/|E| (footnote 7) so spanning

@@ -12,7 +12,7 @@ Two sweeps share the figure's shape:
   weighted WSP kernel), through the full ``repeated_estimates``
   protocol.  This driver reaches the estimators indirectly, so it
   surfaces the scale's batching knobs (``mc_batch_size`` /
-  ``mc_batched`` / ``mc_workers``) end to end.
+  ``mc_batched``) end to end.
 """
 
 from __future__ import annotations
@@ -70,10 +70,9 @@ def estimation_runtime_table(
     """Seconds of the repeated-estimates protocol per query.
 
     The scale's batching knobs ride through unchanged —
-    ``mc_batch_size`` bounds the chunk working set, ``mc_batched=False``
-    times the legacy per-world loop, ``mc_workers`` fans chunks over a
-    process pool — none of which can change the estimates (the
-    determinism contract), only the clock.
+    ``mc_batch_size`` bounds the chunk working set and
+    ``mc_batched=False`` times the legacy per-world loop — neither can
+    change the estimates (the determinism contract), only the clock.
     """
     runs = max(2, scale.variance_runs // 4) if runs is None else runs
     queries = build_queries(graph, scale, seed=seed, names=query_names)
@@ -87,7 +86,6 @@ def estimation_runtime_table(
             repeated_estimates, graph, query, runs=runs,
             n_samples=scale.variance_samples, rng=seed,
             batch_size=scale.mc_batch_size, batched=scale.mc_batched,
-            workers=scale.mc_workers,
         )
         table.add_row(name, runs, scale.variance_samples, seconds)
     return table

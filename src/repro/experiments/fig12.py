@@ -50,7 +50,6 @@ def variance_tables(
                 graph, query, runs=scale.variance_runs,
                 n_samples=scale.variance_samples, rng=seed,
                 batch_size=scale.mc_batch_size, batched=scale.mc_batched,
-                workers=scale.mc_workers,
             )
         )
         for name, query in queries.items()
@@ -65,7 +64,6 @@ def variance_tables(
                         sparsified, query, runs=scale.variance_runs,
                         n_samples=scale.variance_samples, rng=seed + 1,
                         batch_size=scale.mc_batch_size, batched=scale.mc_batched,
-                        workers=scale.mc_workers,
                     )
                 )
                 denominator = baseline_variance[name]

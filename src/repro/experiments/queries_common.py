@@ -31,14 +31,13 @@ def make_estimator(
 
     Every query experiment builds its estimators through this helper so
     one scale object configures the whole pipeline (world budget, chunk
-    size, batched/legacy path, worker processes).
+    size, batched/legacy path).
     """
     return MonteCarloEstimator(
         graph,
         n_samples=scale.mc_samples if n_samples is None else n_samples,
         batch_size=scale.mc_batch_size,
         batched=scale.mc_batched,
-        workers=scale.mc_workers,
     )
 
 

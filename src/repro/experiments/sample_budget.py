@@ -45,7 +45,6 @@ def run_sample_budget(
     )
     base = adaptive_estimate(
         graph, query, target_width, rng=seed, max_samples=max_samples,
-        workers=scale.mc_workers,
     )
     table.add_row(
         "original", base.samples_used, base.estimate, base.confidence_width, 1.0
@@ -54,7 +53,6 @@ def run_sample_budget(
         sparsified = sparsify(graph, alpha, variant=method, rng=seed)
         result = adaptive_estimate(
             sparsified, query, target_width, rng=seed, max_samples=max_samples,
-            workers=scale.mc_workers,
         )
         table.add_row(
             method,

@@ -53,7 +53,6 @@ def relative_variance(
     runs: int = 30,
     n_samples: int = 100,
     rng: "int | np.random.Generator | None" = None,
-    workers: "int | None" = 1,
     batch_size: "int | None" = None,
     batched: bool = True,
 ) -> VarianceComparison:
@@ -62,19 +61,18 @@ def relative_variance(
     ``runs`` independent estimators of ``n_samples`` worlds each are
     executed per graph (the paper uses 100 runs; benchmarks scale this
     down), and the unbiased variances of the scalar estimates compared.
-    ``workers > 1`` fans the Monte-Carlo chunks of every run over a
-    process pool, ``batch_size`` bounds a chunk's working set, and
-    ``batched=False`` restores the legacy per-world loop — none of
-    which can change any estimate (the determinism contract).
+    ``batch_size`` bounds a chunk's working set and ``batched=False``
+    restores the legacy per-world loop — neither can change any
+    estimate (the determinism contract).
     """
     rng = ensure_rng(rng)
     estimates_original = repeated_estimates(
         original, query, runs=runs, n_samples=n_samples, rng=rng,
-        workers=workers, batch_size=batch_size, batched=batched,
+        batch_size=batch_size, batched=batched,
     )
     estimates_sparsified = repeated_estimates(
         sparsified, query, runs=runs, n_samples=n_samples, rng=rng,
-        workers=workers, batch_size=batch_size, batched=batched,
+        batch_size=batch_size, batched=batched,
     )
     return VarianceComparison(
         variance_original=unbiased_variance(estimates_original),

@@ -3,16 +3,15 @@
 - :class:`~repro.sampling.worlds.WorldSampler` /
   :class:`~repro.sampling.worlds.World` — vectorised world sampling,
 - :class:`~repro.sampling.batch.WorldBatch` — world *ensembles*: all
-  sampled worlds evaluated at once as dense array programs,
+  sampled worlds evaluated at once as dense array programs, and
+  :func:`~repro.sampling.batch.evaluate_chunks` — the in-process chunk
+  loop every batched estimator runs,
 - :mod:`~repro.sampling.kernels` — the swappable traversal kernels
   underneath (bit-packed BFS, batched delta-stepping for ``-log p``
   most-probable-path distances, the per-world Dijkstra reference),
 - :mod:`~repro.sampling.exact` — exhaustive enumeration (Eq. 1),
 - :class:`~repro.sampling.monte_carlo.MonteCarloEstimator` — the MC
   query engine + variance protocol (batched by default),
-- :class:`~repro.sampling.parallel.ParallelBatchExecutor` — batch
-  chunks fanned over a process pool, deterministic for any worker
-  count (``workers=`` on every estimator),
 - :class:`~repro.sampling.stratified.StratifiedEstimator` — stratified
   variant after [23].
 """
@@ -22,6 +21,8 @@ from repro.sampling.batch import (
     BatchTopology,
     WorldBatch,
     auto_chunk_size,
+    chunk_counts,
+    evaluate_chunks,
     kernel_world_bytes,
 )
 from repro.sampling.kernels import (
@@ -31,7 +32,6 @@ from repro.sampling.kernels import (
     dijkstra_distances,
     most_probable_path_weights,
 )
-from repro.sampling.parallel import ParallelBatchExecutor, chunk_counts, resolve_workers
 from repro.sampling.exact import (
     exact_connectivity_probability,
     exact_expectation,
@@ -60,16 +60,15 @@ __all__ = [
     "EstimationResult",
     "adaptive_estimate",
     "auto_chunk_size",
+    "evaluate_chunks",
     "kernel_world_bytes",
     "samples_to_width",
     "MonteCarloEstimator",
-    "ParallelBatchExecutor",
     "StratifiedEstimator",
     "World",
     "WorldBatch",
     "WorldSampler",
     "chunk_counts",
-    "resolve_workers",
     "exact_connectivity_probability",
     "exact_expectation",
     "exact_query_probability",

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
+from repro.sampling.batch import evaluate_chunks
 from repro.sampling.worlds import WorldSampler
 from repro.utils.rng import ensure_rng
 
@@ -60,7 +61,6 @@ def adaptive_estimate(
     max_samples: int = 20_000,
     batch: int = 10,
     batched: bool = True,
-    workers: int | None = 1,
 ) -> AdaptiveResult:
     """Sample worlds until the 95% CI width falls below ``target_width``.
 
@@ -87,11 +87,6 @@ def adaptive_estimate(
         Evaluate each draw through the ensemble kernels (default); the
         sequential stopping rule sees the exact same per-world scalars
         either way, so this only changes speed.
-    workers:
-        Process count for batched draws
-        (:class:`~repro.sampling.parallel.ParallelBatchExecutor` in
-        sequential-compatibility mode — the stopping rule sees the same
-        scalars for any worker count).  ``<= 1`` stays in-process.
 
     Raises
     ------
@@ -105,25 +100,15 @@ def adaptive_estimate(
     rng = ensure_rng(rng)
     sampler = WorldSampler(graph)
 
-    executor = None
-    if batched:
-        from repro.sampling.parallel import ParallelBatchExecutor
-
-        # One executor (and process pool, when workers > 1) serves every
-        # draw of the stopping loop; sequential mode consumes the RNG
-        # stream exactly like sample_batch would, so the per-world
-        # scalars — and hence the stopping point — are unchanged.
-        executor = ParallelBatchExecutor(
-            sampler, query, workers=workers, rng_mode="sequential"
-        )
-
     values: list[float] = []
 
     def draw(count: int) -> None:
         from repro.sampling.monte_carlo import warnings_suppressed
 
-        if executor is not None:
-            outcomes = executor.run(count, rng)
+        if batched:
+            # The chunk loop consumes the RNG stream exactly like the
+            # per-world loop, so the stopping point is the same.
+            outcomes = evaluate_chunks(sampler, query, count, rng)
             with warnings_suppressed():
                 values.extend(float(v) for v in np.nanmean(outcomes, axis=1))
             return
@@ -132,37 +117,33 @@ def adaptive_estimate(
             with warnings_suppressed():
                 values.append(float(np.nanmean(outcome)))
 
-    try:
-        draw(min_samples)
-        while True:
-            arr = np.asarray(values, dtype=np.float64)
-            defined = arr[~np.isnan(arr)]
-            if len(defined) >= 2:
-                sigma = float(np.std(defined, ddof=1))
-                width = 3.92 * sigma / np.sqrt(len(defined))
-                if width <= target_width:
-                    return AdaptiveResult(
-                        estimate=float(defined.mean()),
-                        samples_used=len(values),
-                        confidence_width=width,
-                        converged=True,
-                    )
-            if len(values) >= max_samples:
-                defined = arr[~np.isnan(arr)]
-                sigma = float(np.std(defined, ddof=1)) if len(defined) >= 2 else float("nan")
+    draw(min_samples)
+    while True:
+        arr = np.asarray(values, dtype=np.float64)
+        defined = arr[~np.isnan(arr)]
+        if len(defined) >= 2:
+            sigma = float(np.std(defined, ddof=1))
+            width = 3.92 * sigma / np.sqrt(len(defined))
+            if width <= target_width:
                 return AdaptiveResult(
-                    estimate=float(defined.mean()) if len(defined) else float("nan"),
+                    estimate=float(defined.mean()),
                     samples_used=len(values),
-                    confidence_width=(
-                        3.92 * sigma / np.sqrt(len(defined)) if len(defined) >= 2
-                        else float("nan")
-                    ),
-                    converged=False,
+                    confidence_width=width,
+                    converged=True,
                 )
-            draw(min(batch, max_samples - len(values)))
-    finally:
-        if executor is not None:
-            executor.close()
+        if len(values) >= max_samples:
+            defined = arr[~np.isnan(arr)]
+            sigma = float(np.std(defined, ddof=1)) if len(defined) >= 2 else float("nan")
+            return AdaptiveResult(
+                estimate=float(defined.mean()) if len(defined) else float("nan"),
+                samples_used=len(values),
+                confidence_width=(
+                    3.92 * sigma / np.sqrt(len(defined)) if len(defined) >= 2
+                    else float("nan")
+                ),
+                converged=False,
+            )
+        draw(min(batch, max_samples - len(values)))
 
 
 def samples_to_width(

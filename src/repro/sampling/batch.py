@@ -31,12 +31,18 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.sampling import kernels
 from repro.sampling.worlds import World
+from repro.utils.rng import ensure_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.queries.base import Query
+    from repro.sampling.worlds import WorldSampler
 
 #: Default memory budget (bytes) for one batch chunk's working arrays.
 DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
@@ -103,8 +109,8 @@ def auto_chunk_size(
     boolean kernel).
 
     Chunk boundaries remain a pure function of the problem shape and the
-    resolved budget — sequential-mode estimates are chunk-invariant by
-    the row-major stream contract, so re-budgeting never changes results.
+    resolved budget — estimates are chunk-invariant by the row-major
+    stream contract, so re-budgeting never changes results.
     """
     if budget_bytes is None:
         budget_bytes = _env_batch_bytes()
@@ -112,6 +118,54 @@ def auto_chunk_size(
         budget_bytes = DEFAULT_BATCH_BYTES
     per_world = kernel_world_bytes(n_edges, n_vertices, kernel)
     return int(max(1, min(n_samples, budget_bytes // max(per_world, 1))))
+
+
+def chunk_counts(n_samples: int, chunk: int) -> list[int]:
+    """Chunk boundaries of a run: full chunks, then the remainder."""
+    if n_samples < 0:
+        raise EstimationError(f"n_samples must be non-negative, got {n_samples}")
+    if chunk < 1:
+        raise EstimationError(f"chunk must be positive, got {chunk}")
+    counts = [chunk] * (n_samples // chunk)
+    if n_samples % chunk:
+        counts.append(n_samples % chunk)
+    return counts
+
+
+def evaluate_chunks(
+    sampler: "WorldSampler",
+    query: "Query",
+    n_samples: int,
+    rng: "int | np.random.Generator | None" = None,
+    chunk_size: int | None = None,
+    fixed_edges: "tuple[np.ndarray, tuple[bool, ...]] | None" = None,
+) -> np.ndarray:
+    """Sample and evaluate ``n_samples`` worlds chunk by chunk: ``(N, units)``.
+
+    Each chunk's masks come from one
+    :meth:`~repro.sampling.worlds.WorldSampler.sample_mask_matrix` call,
+    drawn in chunk order, so the run consumes ``rng`` exactly like
+    ``n_samples`` sequential per-world draws and the outcome matrix does
+    not depend on ``chunk_size`` (``None`` sizes chunks with
+    :func:`auto_chunk_size`).  ``fixed_edges=(columns, values)``
+    overwrites those mask columns in every chunk before it is evaluated
+    — the stratified estimator's conditioned edges.
+    """
+    from repro.queries.base import evaluate_query_batch
+
+    rng = ensure_rng(rng)
+    if chunk_size is None:
+        chunk_size = auto_chunk_size(n_samples, sampler.m, n_vertices=sampler.n)
+    rows = []
+    for count in chunk_counts(n_samples, chunk_size):
+        masks = sampler.sample_mask_matrix(count, rng)
+        if fixed_edges is not None:
+            columns, values = fixed_edges
+            masks[:, columns] = values
+        rows.append(evaluate_query_batch(query, sampler.batch_from_masks(masks)))
+    if not rows:
+        return np.empty((0, query.unit_count()), dtype=np.float64)
+    return np.concatenate(rows, axis=0)
 
 
 class BatchTopology:

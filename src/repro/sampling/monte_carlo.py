@@ -11,24 +11,31 @@ returns the full ``(N, units)`` outcome matrix — the raw material for
   scalar estimates — the paper's footnote-10 "variance of G", which
   drives its sample-complexity argument
   ``N'/N = (sigma(G')/sigma(G))^2``.
+
+A run is one in-process chunk loop
+(:func:`~repro.sampling.batch.evaluate_chunks`): draw a chunk's masks,
+evaluate them, move on.  Under a fixed seed the outcome matrix is the
+same for every chunk size and for the per-world loop.
 """
 
 from __future__ import annotations
 
 import contextlib
+import numbers
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
-from typing import TYPE_CHECKING
+from repro.sampling.batch import evaluate_chunks
+from repro.sampling.worlds import WorldSampler
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.base import Query
-from repro.sampling.worlds import WorldSampler
-from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 @contextlib.contextmanager
@@ -105,20 +112,11 @@ class MonteCarloEstimator:
 
     By default the run is *batched*: worlds are sampled as ``(B, m)``
     mask matrices and evaluated through the queries' ensemble kernels
-    (:func:`repro.queries.base.evaluate_query_batch`), chunked so one
+    (:func:`repro.sampling.batch.evaluate_chunks`), chunked so one
     chunk's working set stays memory-bounded.  The batched path consumes
     the RNG stream exactly like the legacy per-world loop and the
     kernels are bit-identical, so results do not depend on ``batched``
     or ``batch_size``.
-
-    With ``workers > 1`` the chunks are evaluated concurrently on a
-    process pool (:class:`repro.sampling.parallel.ParallelBatchExecutor`
-    in sequential-compatibility mode): the parent draws every chunk's
-    masks from the single RNG stream in chunk order and workers only
-    evaluate, so results are *also* independent of ``workers`` — the
-    outcome matrix is bit-identical for any worker count under a fixed
-    seed.  If the pool cannot start, evaluation falls back in-process
-    with a warning but the same answer.
 
     Parameters
     ----------
@@ -133,15 +131,8 @@ class MonteCarloEstimator:
         ``False`` restores the legacy world-at-a-time loop (escape
         hatch, e.g. for queries whose per-world path is under test).
     workers:
-        Process count for chunk evaluation; ``<= 1`` stays in-process,
-        ``None`` uses one worker per CPU.  Ignored when ``batched`` is
-        ``False``.
-    dataset:
-        Optional binary dataset path (or
-        :class:`~repro.datasets.binary_io.BinaryDataset`) backing
-        ``graph``: with ``workers > 1`` the pool workers ``mmap`` the
-        edge arrays from it instead of receiving them pickled.  Results
-        are unchanged — the sharded answer stays bit-identical.
+        Must be ``1``: chunks always run in-process.  The keyword stays
+        so existing ``workers=1`` callers keep working.
 
     Examples
     --------
@@ -160,64 +151,21 @@ class MonteCarloEstimator:
         n_samples: int = 500,
         batch_size: int | None = None,
         batched: bool = True,
-        workers: int | None = 1,
-        dataset=None,
+        workers: int = 1,
     ) -> None:
-        if n_samples < 1:
-            raise EstimationError(f"n_samples must be positive, got {n_samples}")
-        if batch_size is not None and batch_size < 1:
-            raise EstimationError(f"batch_size must be positive, got {batch_size}")
-        if workers is not None and workers < 0:
-            raise EstimationError(f"workers must be non-negative, got {workers}")
+        _check_positive_int("n_samples", n_samples)
+        if batch_size is not None:
+            _check_positive_int("batch_size", batch_size)
+        if isinstance(workers, bool) or workers != 1:
+            raise EstimationError(
+                f"workers must be 1, got {workers!r}: the Monte-Carlo "
+                "process pool was removed and chunks always run in-process"
+            )
         self.graph = graph
         self.n_samples = n_samples
         self.batch_size = batch_size
         self.batched = batched
-        self.workers = workers
-        self.dataset = dataset
         self.sampler = WorldSampler(graph)
-        self._executor = None
-        self._executor_query = None
-
-    def _executor_for(self, query: "Query"):
-        """The (cached) batch executor for ``query``.
-
-        One executor — and hence one process pool — is reused across
-        runs of the same query object, which is what the variance
-        protocol and the adaptive stopping rule do in a loop.
-        """
-        from repro.sampling.parallel import ParallelBatchExecutor
-
-        if self._executor is not None and self._executor_query is query:
-            return self._executor
-        self.close()
-        self._executor = ParallelBatchExecutor(
-            self.sampler,
-            query,
-            workers=self.workers,
-            chunk_size=self.batch_size,
-            rng_mode="sequential",
-            dataset=self.dataset,
-        )
-        self._executor_query = query
-        return self._executor
-
-    def close(self) -> None:
-        """Release the cached process pool (no-op for serial estimators)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._executor_query = None
-
-    def __enter__(self) -> "MonteCarloEstimator":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        # Long-lived processes (the job server) scope each estimator to
-        # one job batch; exit closes the cached pool deterministically
-        # instead of leaning on __del__/GC timing.
-        self.close()
-        return False
 
     def run(self, query: "Query", rng: "int | np.random.Generator | None" = None) -> EstimationResult:
         """One Monte-Carlo run: the ``(N, units)`` outcome matrix."""
@@ -229,13 +177,23 @@ class MonteCarloEstimator:
             for i, world in enumerate(self.sampler.sample_many(self.n_samples, rng)):
                 outcomes[i] = query.evaluate(world)
             return EstimationResult(outcomes=outcomes)
-        return EstimationResult(
-            outcomes=self._executor_for(query).run(self.n_samples, rng)
-        )
+        return EstimationResult(outcomes=evaluate_chunks(
+            self.sampler, query, self.n_samples, rng, chunk_size=self.batch_size
+        ))
 
     def estimate(self, query: "Query", rng: "int | np.random.Generator | None" = None) -> np.ndarray:
         """Convenience: per-unit point estimates of one run."""
         return self.run(query, rng=rng).unit_estimates()
+
+
+def _check_positive_int(name: str, value) -> None:
+    """Reject a size that is not a positive integer (booleans included)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise EstimationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def repeated_estimates(
@@ -246,27 +204,19 @@ def repeated_estimates(
     rng: "int | np.random.Generator | None" = None,
     batch_size: int | None = None,
     batched: bool = True,
-    workers: int | None = 1,
-    dataset=None,
 ) -> np.ndarray:
     """Variance protocol: ``runs`` independent scalar estimates Phi_i(G).
 
     Paper section 6.3 re-runs each estimator 100 times and reports the
-    unbiased variance of the results.  With ``workers > 1`` every run's
-    chunks fan out over one shared process pool; per-run RNG streams are
-    unchanged, so the estimates match the serial protocol bit for bit.
+    unbiased variance of the results.
     """
     generators = spawn_rngs(rng, runs)
     estimator = MonteCarloEstimator(
         graph, n_samples=n_samples, batch_size=batch_size, batched=batched,
-        workers=workers, dataset=dataset,
     )
-    try:
-        return np.array([
-            estimator.run(query, rng=g).scalar_estimate() for g in generators
-        ])
-    finally:
-        estimator.close()
+    return np.array([
+        estimator.run(query, rng=g).scalar_estimate() for g in generators
+    ])
 
 
 def unbiased_variance(estimates: np.ndarray) -> float:

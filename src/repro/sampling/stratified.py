@@ -17,18 +17,19 @@ literature attack the same variance term from two directions.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.entropy import entropy_array
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
-from typing import TYPE_CHECKING
+from repro.sampling.batch import evaluate_chunks
+from repro.sampling.worlds import WorldSampler
+from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.base import Query
-from repro.sampling.worlds import WorldSampler
-from repro.utils.rng import ensure_rng
 
 
 class StratifiedEstimator:
@@ -60,8 +61,6 @@ class StratifiedEstimator:
         entropies = entropy_array(self.sampler.probabilities)
         self.conditioned = np.argsort(-entropies)[:r]
         self._weights: "dict[tuple[bool, ...], float]" = {}
-        self._executor = None
-        self._executor_key = None
 
     def _stratum_probability(self, assignment: tuple[bool, ...]) -> float:
         """Probability mass of one stratum (cached per assignment).
@@ -95,18 +94,13 @@ class StratifiedEstimator:
         query: "Query",
         rng: "int | np.random.Generator | None" = None,
         batched: bool = True,
-        workers: "int | None" = 1,
     ) -> float:
         """Stratified scalar estimate of the query.
 
         With ``batched=True`` (default) each stratum's worlds are drawn
-        as one mask matrix — the conditioned columns overwritten in one
-        assignment — and evaluated through the ensemble kernels; the
-        per-world scalars are identical to the legacy loop.  With
-        ``workers > 1`` the chunks of every stratum fan out over one
-        shared process pool; masks are still drawn by the parent from
-        the single stream, so the estimate does not depend on the worker
-        count.
+        as mask matrices — the conditioned columns overwritten in each
+        chunk — and evaluated through the ensemble kernels; the
+        per-world scalars are identical to the legacy loop.
         """
         rng = ensure_rng(rng)
         total = 0.0
@@ -114,13 +108,12 @@ class StratifiedEstimator:
         weights = self.stratum_weights()
         # Proportional allocation with at least 1 sample per non-null stratum.
         allocation = np.maximum(1, np.rint(weights * self.n_samples).astype(int))
-        executor = self._executor_for(query, workers) if batched else None
         for assignment, weight, budget in zip(assignments, weights, allocation):
             if weight == 0.0:
                 continue
-            if executor is not None:
+            if batched:
                 stratum_values = self._batched_stratum_values(
-                    executor, assignment, budget, rng
+                    query, assignment, budget, rng
                 )
             else:
                 stratum_values = np.empty(budget, dtype=np.float64)
@@ -137,56 +130,18 @@ class StratifiedEstimator:
             total += weight * float(defined_values.mean())
         return total
 
-    def _executor_for(self, query: "Query", workers: "int | None"):
-        """The (cached) batch executor, one pool across repeated runs.
-
-        Mirrors :meth:`MonteCarloEstimator._executor_for`: variance
-        protocols call ``run`` in a loop, so the pool must survive
-        between calls; :meth:`close` releases it.
-        """
-        from repro.sampling.parallel import ParallelBatchExecutor, resolve_workers
-
-        key = (query, resolve_workers(workers))
-        if self._executor is not None and self._executor_key == key:
-            return self._executor
-        self.close()
-        self._executor = ParallelBatchExecutor(
-            self.sampler, query, workers=workers, rng_mode="sequential"
-        )
-        self._executor_key = key
-        return self._executor
-
-    def close(self) -> None:
-        """Release the cached process pool (no-op for serial runs)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._executor_key = None
-
     def _batched_stratum_values(
         self,
-        executor,
+        query: "Query",
         assignment: tuple[bool, ...],
         budget: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Per-world scalars of one stratum via the batch executor."""
-        from repro.sampling.batch import auto_chunk_size
-
-        chunk = auto_chunk_size(
-            budget, self.sampler.m, n_vertices=self.sampler.n
+        """Per-world scalars of one stratum via the chunk loop."""
+        outcomes = evaluate_chunks(
+            self.sampler, query, budget, rng,
+            fixed_edges=(self.conditioned, assignment),
         )
-
-        def stratum_chunks():
-            start = 0
-            while start < budget:
-                count = min(chunk, budget - start)
-                masks = self.sampler.sample_mask_matrix(count, rng)
-                masks[:, self.conditioned] = assignment
-                yield masks
-                start += count
-
-        outcomes = executor.map_masks(stratum_chunks())
         # Reduce each row exactly like the legacy per-world loop (mean of
         # the compacted defined entries — not nanmean over the full row,
         # whose different summation partition can differ in the last ulp).

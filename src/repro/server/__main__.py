@@ -7,9 +7,9 @@ Serve the current directory's datasets on the default port::
     repro-serve --port 8765
 
 Ephemeral port (the chosen port is printed on the first line, which is
-what the CI smoke driver parses), 4 job workers, 2-process estimators::
+what the CI smoke driver parses), 4 job worker threads::
 
-    repro-serve --port 0 --workers 4 --mc-workers 2
+    repro-serve --port 0 --workers 4
 
 Also reachable as ``python -m repro.server`` and as the ``serve``
 subcommand of ``repro-sparsify``.
@@ -43,10 +43,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=defaults.workers,
                         help="job worker threads "
                         f"(default {defaults.workers})")
-    parser.add_argument("--mc-workers", type=int, default=defaults.mc_workers,
-                        help="process-pool width inside estimate jobs; "
-                        "results are identical for any value "
-                        f"(default {defaults.mc_workers})")
     parser.add_argument("--datasets-root", default=None,
                         help="confine dataset paths to this directory "
                         "(default: any readable path)")
@@ -73,7 +69,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         queue_depth=args.queue_depth,
         cache_capacity=args.cache_size,
         workers=args.workers,
-        mc_workers=args.mc_workers,
         datasets_root=args.datasets_root,
         request_timeout=args.request_timeout,
         cache_spill_dir=args.cache_spill_dir,

@@ -5,17 +5,14 @@ A request becomes a :class:`~repro.server.queue.Job` only on a cache
 miss; the artifact cache (keyed by the full parameter tuple including
 the dataset's content digest) intercepts repeats and deduplicates
 concurrent identical requests down to one computation (single flight).
-Job workers are plain threads claiming from the priority queue — the
-heavy lifting inside a job is numpy (and optionally a process pool via
-``mc_workers``), so threads overlap fine — and every estimate job
-scopes its :class:`~repro.sampling.MonteCarloEstimator` with a context
-manager, so no process pool outlives a completed job batch.
+Job workers are plain threads claiming from the priority queue; the
+heavy lifting inside a job is numpy, so threads overlap fine.
+Estimates evaluate their Monte-Carlo chunks in the worker thread too.
 
 Determinism contract: artifacts are canonical JSON (sorted keys) whose
 payload is a pure function of ``(dataset digest, endpoint params,
 seed)`` — the compute layers underneath are bit-identical under a fixed
-seed regardless of engine parallelism, so a cache hit is byte-identical
-to recomputation and the cache key can ignore ``mc_workers``.
+seed, so a cache hit is byte-identical to recomputation.
 """
 
 from __future__ import annotations
@@ -124,7 +121,7 @@ class ServerConfig:
     queue_depth: int = 64          # admission-control bound (429 beyond it)
     cache_capacity: int = 256      # artifact LRU entries
     workers: int = 2               # job worker threads
-    mc_workers: int = 1            # process-pool width inside estimate jobs
+    mc_workers: int = 1            # must be 1: estimates run in-process
     max_samples: int = 100_000     # per-request Monte-Carlo world cap
     max_grid_cells: int = 256      # per-request (alpha, h) grid cap
     dataset_capacity: int = 16     # parsed graphs + plans kept in RAM
@@ -150,6 +147,12 @@ class SparsifierService:
 
     def __init__(self, config: "ServerConfig | None" = None) -> None:
         self.config = config or ServerConfig()
+        mc_workers = self.config.mc_workers
+        if isinstance(mc_workers, bool) or mc_workers != 1:
+            raise ServerError(
+                f"mc_workers must be 1, got {mc_workers!r}: the Monte-Carlo "
+                "process pool was removed and estimates run in-process"
+            )
         self.queue = PriorityJobQueue(max_depth=self.config.queue_depth)
         self.cache = ArtifactCache(
             capacity=self.config.cache_capacity,
@@ -460,7 +463,7 @@ class SparsifierService:
             ) from error
         entry = {
             "graph": ds.graph(), "plan": None, "lock": threading.Lock(),
-            "binary": True, "path": path,
+            "binary": True,
         }
         with self._datasets_lock:
             entry = self._datasets.setdefault(digest, entry)
@@ -586,18 +589,9 @@ class SparsifierService:
             query = ClusteringCoefficientQuery(graph.number_of_vertices())
         else:
             query = ConnectivityQuery()
-        # Context-managed: the estimator's process pool (mc_workers > 1)
-        # is reaped with the job, never left behind in the server.
-        # Binary datasets hand the pool their on-disk path so workers
-        # mmap the arrays instead of receiving them pickled.
-        mc_dataset = (
-            entry.get("path") if self.config.mc_workers > 1 else None
+        result = MonteCarloEstimator(graph, n_samples=norm["samples"]).run(
+            query, rng=norm["seed"]
         )
-        with MonteCarloEstimator(
-            graph, n_samples=norm["samples"], workers=self.config.mc_workers,
-            dataset=mc_dataset,
-        ) as estimator:
-            result = estimator.run(query, rng=norm["seed"])
         width = result.confidence_width()
         return canonical_body({
             "endpoint": "estimate",
@@ -760,7 +754,6 @@ class SparsifierService:
             "datasets_loaded": datasets,
             "schedules": self.scheduler.tasks(),
             "workers": len(self._workers),
-            "mc_workers": self.config.mc_workers,
         }
 
     def metrics(self) -> dict:

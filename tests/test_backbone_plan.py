@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import GDBConfig, UncertainGraph, gdb, gdb_grid, sparsify
 from repro.core.backbone import (
     BackbonePlan,
-    backbone_as_list,
     bgi_backbone,
     bgi_backbone_legacy,
     build_backbone,
@@ -217,13 +216,6 @@ class TestNormalisedReturns:
             assert isinstance(ids, np.ndarray)
             assert ids.dtype == np.int64
             assert not ids.flags.writeable
-
-    def test_backbone_as_list_shim_warns(self, graph):
-        ids = bgi_backbone(graph, 0.4, rng=0)
-        with pytest.warns(DeprecationWarning):
-            as_list = backbone_as_list(ids)
-        assert as_list == [int(e) for e in ids]
-        assert all(type(e) is int for e in as_list)
 
 
 class TestPlanThreading:

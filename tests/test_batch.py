@@ -357,8 +357,9 @@ class TestEstimatorEquivalence:
             assert np.array_equal(legacy, chunked, equal_nan=True)
 
     def test_invalid_batch_size(self, triangle):
-        with pytest.raises(EstimationError):
-            MonteCarloEstimator(triangle, n_samples=5, batch_size=0)
+        for batch_size in (0, 2.5, True, "4"):
+            with pytest.raises(EstimationError, match="batch_size"):
+                MonteCarloEstimator(triangle, n_samples=5, batch_size=batch_size)
 
     def test_auto_chunk_size_bounds(self):
         assert auto_chunk_size(500, 2000) >= 1
@@ -464,3 +465,46 @@ class TestChunkAutosizing:
         monkeypatch.setenv(BATCH_BYTES_ENV, raw)
         with pytest.raises(EstimationError, match=BATCH_BYTES_ENV):
             auto_chunk_size(100, self.M, self.N)
+
+
+class TestAutoBatchSizeProperties:
+    """Edge-case boundaries of the chunk sizing every estimator uses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_samples=st.integers(min_value=0, max_value=10_000),
+        n_edges=st.integers(min_value=0, max_value=10**7),
+        n_vertices=st.integers(min_value=0, max_value=10**6),
+        budget=st.integers(min_value=1, max_value=2**40),
+    )
+    def test_always_a_positive_chunk_within_the_run(
+        self, n_samples, n_edges, n_vertices, budget
+    ):
+        chunk = auto_chunk_size(
+            n_samples, n_edges, n_vertices=n_vertices, budget_bytes=budget
+        )
+        assert 1 <= chunk <= max(1, n_samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_samples=st.integers(min_value=1, max_value=10_000),
+        n_edges=st.integers(min_value=0, max_value=10**5),
+        n_vertices=st.integers(min_value=0, max_value=10**5),
+    )
+    def test_monotone_in_budget(self, n_samples, n_edges, n_vertices):
+        small = auto_chunk_size(
+            n_samples, n_edges, n_vertices=n_vertices, budget_bytes=1
+        )
+        large = auto_chunk_size(
+            n_samples, n_edges, n_vertices=n_vertices, budget_bytes=2**40
+        )
+        assert small <= large
+        assert small == 1  # budget below one world still yields a chunk
+        assert large == n_samples  # unbounded budget takes the whole run
+
+    def test_empty_and_tiny_graphs(self):
+        assert auto_chunk_size(100, 0, n_vertices=0) == 100
+        assert auto_chunk_size(0, 0, n_vertices=0) == 1
+        assert auto_chunk_size(7, 1, n_vertices=1) == 7
+        # A world bigger than the whole budget still gets a chunk of 1.
+        assert auto_chunk_size(500, 10**9, budget_bytes=1) == 1

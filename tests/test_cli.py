@@ -353,17 +353,23 @@ class TestGrid:
         ))
         assert rows == expected
 
-    def test_workers_bit_identical_from_binary(self, graph_file, tmp_path,
-                                               capsys):
+    def test_binary_input_matches_library(self, graph_file, tmp_path,
+                                          capsys):
+        import json
+
+        from repro.core import gdb_grid, objective_rows
+        from repro.datasets import read_binary
+
         binary = tmp_path / "graph.bin"
         assert main(["convert", str(graph_file), str(binary)]) == 0
-        outputs = []
-        for workers in (1, 2):
-            out = tmp_path / f"rows{workers}.json"
-            assert main(["grid", str(binary)] + self.args +
-                        ["--workers", str(workers), "--output", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        out = tmp_path / "rows.json"
+        assert main(["grid", str(binary)] + self.args +
+                    ["--output", str(out)]) == 0
+        expected = objective_rows(gdb_grid(
+            read_binary(binary, mmap=True).graph(), [0.3, 0.5], [0.1, 0.4],
+            rng=2, build_graphs=False,
+        ))
+        assert json.loads(out.read_text()) == expected
 
     def test_bad_h_values_rejected(self, graph_file, capsys):
         code = main(["grid", str(graph_file), "--alphas", "0.3",

@@ -350,10 +350,9 @@ class TestIncrementalSparsifier:
             IncrementalSparsifier(GRAPH.copy(), 0.4, variant="EMD^R-t")
 
     def test_requires_integer_seed(self):
-        with pytest.raises(ValueError, match="integer seed"):
-            IncrementalSparsifier(
-                GRAPH.copy(), 0.4, rng=np.random.default_rng(0)
-            )
+        for rng in (np.random.default_rng(0), True):
+            with pytest.raises(ValueError, match="integer seed"):
+                IncrementalSparsifier(GRAPH.copy(), 0.4, rng=rng)
 
     def test_rejects_unknown_top_up(self):
         with pytest.raises(ValueError, match="top_up"):

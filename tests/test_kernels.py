@@ -9,7 +9,7 @@ Two contracts, both seeded:
 - the batched delta-stepping kernel must match the per-world
   binary-heap Dijkstra reference within float tolerance, including
   unreachable targets and ``w = inf`` (zero-probability) edges, and be
-  invariant to the worker count of :class:`ParallelBatchExecutor`.
+  invariant to the estimator's chunk size.
 """
 
 from __future__ import annotations
@@ -335,9 +335,9 @@ class TestWeightedQueries:
         assert dist[0, target] == pytest.approx(-2 * np.log(0.9))
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-class TestWeightedWorkerInvariance:
-    """Acceptance gate: weighted results identical for workers 1/2/4."""
+@pytest.mark.parametrize("batch_size", [2, 4])
+class TestWeightedChunkInvariance:
+    """Weighted results identical for any chunk size."""
 
     def queries(self, graph):
         pairs = sample_vertex_pairs(graph, 6, rng=7)
@@ -347,17 +347,13 @@ class TestWeightedWorkerInvariance:
             SourceDistanceQuery(0, n, weighted=True),
         ]
 
-    def test_outcomes_bit_identical(self, workers):
+    def test_outcomes_bit_identical(self, batch_size):
         graph = flickr_like(n=40, avg_degree=8, seed=5)
         for query in self.queries(graph):
-            serial = MonteCarloEstimator(
-                graph, n_samples=18, batch_size=5, workers=1
+            whole = MonteCarloEstimator(
+                graph, n_samples=18, batch_size=18
             ).run(query, rng=3).outcomes
-            estimator = MonteCarloEstimator(
-                graph, n_samples=18, batch_size=5, workers=workers
-            )
-            try:
-                pooled = estimator.run(query, rng=3).outcomes
-            finally:
-                estimator.close()
-            assert np.array_equal(serial, pooled, equal_nan=True), query.name
+            chunked = MonteCarloEstimator(
+                graph, n_samples=18, batch_size=batch_size
+            ).run(query, rng=3).outcomes
+            assert np.array_equal(whole, chunked, equal_nan=True), query.name

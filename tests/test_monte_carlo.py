@@ -18,8 +18,9 @@ from repro.sampling import (
 
 class TestEstimator:
     def test_invalid_sample_count(self, triangle):
-        with pytest.raises(EstimationError):
-            MonteCarloEstimator(triangle, n_samples=0)
+        for n_samples in (0, 2.5, True, "10"):
+            with pytest.raises(EstimationError, match="n_samples"):
+                MonteCarloEstimator(triangle, n_samples=n_samples)
 
     def test_outcome_matrix_shape(self, triangle):
         estimator = MonteCarloEstimator(triangle, n_samples=25)

@@ -23,7 +23,6 @@ import warnings
 
 import pytest
 
-import repro.sampling.parallel as parallel_module
 from repro.core import sparsify
 from repro.datasets import format_edge_list, twitter_like, write_edge_list
 from repro.exceptions import AdmissionError, ServerError
@@ -135,17 +134,13 @@ class TestServiceCore:
             service._dataset(str(path), digest)
 
     def test_estimate_deterministic_and_pool_reaped(self, dataset):
-        baseline = parallel_module.active_pool_count()
-        with SparsifierService(ServerConfig(workers=1, mc_workers=2)) as svc:
+        with SparsifierService(ServerConfig(workers=1)) as svc:
             params = {"dataset": dataset, "query": "reliability",
                       "samples": 40, "pairs": 10, "seed": 7}
             body1, hit1 = svc.handle("estimate", params)
-            # No process pool outlives the completed job batch.
-            assert parallel_module.active_pool_count() == baseline
             body2, hit2 = svc.handle("estimate", params)
         assert (hit1, hit2) == (False, True)
         assert body1 == body2
-        assert parallel_module.active_pool_count() == baseline
 
     @pytest.mark.parametrize("query", ["connectivity", "reliability", "distance"])
     def test_single_sample_width_is_strict_json_null(self, service, dataset, query):
@@ -225,6 +220,10 @@ class TestServiceCore:
             )
         with pytest.raises(ServerError, match="unknown endpoint"):
             service.handle("evaluate", {"dataset": dataset})
+        # The Monte-Carlo process pool is gone: only mc_workers=1 starts.
+        for mc_workers in (2, 0, None, True):
+            with pytest.raises(ServerError, match="mc_workers"):
+                SparsifierService(ServerConfig(mc_workers=mc_workers))
 
     def test_bad_enumerated_params_rejected_before_queueing(
         self, service, dataset

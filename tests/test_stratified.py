@@ -62,3 +62,25 @@ def test_variance_not_worse_than_plain_mc(diamond):
     ]
     stratified = unbiased_variance(np.array(stratified_estimates))
     assert stratified <= plain * 1.5  # generous: both are noisy at this budget
+
+
+class TestStratumWeightCache:
+    def test_weights_pinned_and_cached(self, triangle):
+        """Regression: triangle probabilities (0.5, 0.25, 1.0), r=2 conditions
+        the two highest-entropy edges (0.5 then 0.25)."""
+        estimator = StratifiedEstimator(triangle, n_samples=16, r=2)
+        conditioned_p = estimator.sampler.probabilities[estimator.conditioned]
+        assert np.allclose(sorted(conditioned_p), [0.25, 0.5])
+        weights = estimator.stratum_weights()
+        assert weights == pytest.approx([0.375, 0.125, 0.375, 0.125])
+        assert weights.sum() == pytest.approx(1.0)
+        # All 2^r weights are memoised after one sweep, and a second
+        # sweep returns the same values without recomputation.
+        assert len(estimator._weights) == 4
+        cached = dict(estimator._weights)
+        assert np.array_equal(estimator.stratum_weights(), weights)
+        assert estimator._weights == cached
+
+    def test_r_zero_single_stratum(self, triangle):
+        estimator = StratifiedEstimator(triangle, n_samples=8, r=0)
+        assert estimator.stratum_weights() == pytest.approx([1.0])
