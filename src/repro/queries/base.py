@@ -25,10 +25,13 @@ Native batch kernels must return exactly what stacking the per-world
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.exceptions import EstimationError
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +63,58 @@ class BatchQuery(Query, Protocol):
         ...
 
 
+def is_index(value) -> bool:
+    """``value`` is a non-negative integer (booleans excluded)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def group_pairs_by_source(
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
+    """Validate vertex pairs and group ``(index, target)`` by source.
+
+    Raises ``ValueError`` for an empty list and for a pair holding a
+    negative, boolean or non-integral id — numpy would otherwise wrap
+    ``-1`` round to the last vertex.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("at least one vertex pair is required")
+    by_source: dict[int, list[tuple[int, int]]] = {}
+    for idx, pair in enumerate(pairs):
+        s, t = pair
+        if not (is_index(s) and is_index(t)):
+            raise ValueError(
+                f"vertex pair {pair!r}: ids must be non-negative integers"
+            )
+        by_source.setdefault(s, []).append((idx, t))
+    return pairs, by_source
+
+
+def check_outcome_width(query: Query, width) -> None:
+    """Raise :class:`EstimationError` unless ``width == query.unit_count()``."""
+    units = query.unit_count()
+    if width != units:
+        raise EstimationError(
+            f"{type(query).__name__} ({query.name}) produced {width} outcomes "
+            f"per world, but its unit_count() is {units}"
+        )
+
+
+def evaluate_worlds(query: Query, worlds: Iterable[World], count: int) -> np.ndarray:
+    """The per-world protocol: ``(count, units)`` rows of ``query.evaluate``."""
+    outcomes = np.empty((count, query.unit_count()), dtype=np.float64)
+    for i, world in enumerate(worlds):
+        row = query.evaluate(world)
+        check_outcome_width(query, np.size(row))
+        outcomes[i] = row
+    return outcomes
+
+
 def evaluate_query_batch(query: Query, batch: "WorldBatch") -> np.ndarray:
     """Evaluate ``query`` on every world of ``batch`` as ``(N, units)``.
 
@@ -67,11 +122,14 @@ def evaluate_query_batch(query: Query, batch: "WorldBatch") -> np.ndarray:
     kernel when present; otherwise adapts the per-world protocol by
     materialising each world of the ensemble in turn (correct for any
     :class:`Query`, but pays the legacy per-world interpreter cost).
+    Either way an outcome width other than ``unit_count()`` raises
+    :class:`~repro.exceptions.EstimationError`.
     """
     native = getattr(query, "evaluate_batch", None)
-    if callable(native):
-        return np.asarray(native(batch), dtype=np.float64)
-    outcomes = np.empty((batch.n_worlds, query.unit_count()), dtype=np.float64)
-    for i, world in enumerate(batch.iter_worlds()):
-        outcomes[i] = query.evaluate(world)
+    if not callable(native):
+        return evaluate_worlds(query, batch.iter_worlds(), batch.n_worlds)
+    outcomes = np.asarray(native(batch), dtype=np.float64)
+    check_outcome_width(
+        query, outcomes.shape[1] if outcomes.ndim == 2 else outcomes.shape
+    )
     return outcomes

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.queries.base import is_index
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +45,10 @@ class SourceDistanceQuery:
     """
 
     def __init__(self, source: int, n: int, weighted: bool = False) -> None:
+        if not is_index(source):
+            raise ValueError(
+                f"source must be a non-negative integer vertex id, got {source!r}"
+            )
         self.source = source
         self.n = n
         self.weighted = bool(weighted)

@@ -4,14 +4,20 @@ Per-world pagerank by power iteration on the world's CSR adjacency.
 Dangling vertices (degree 0 in the world) redistribute their mass
 uniformly, the standard convention.  The uncertain-graph pagerank of a
 vertex is the expectation of its per-world score.
+
+:func:`world_pagerank` iterates one world; :func:`batch_pagerank`
+iterates a whole world ensemble with array operations and returns the
+same bytes, row for row.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.queries.base import is_index
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,76 +61,138 @@ def batch_pagerank(
 ) -> np.ndarray:
     """``(N, n)`` pagerank matrix: power iteration over the whole ensemble.
 
-    Bit-identical to running :func:`world_pagerank` per world: each
-    iteration pushes every world's mass through one flat ``bincount``
-    whose weights list exactly the alive directed edges in the per-world
-    CSR order (dead edges never enter the pair lists), and each world
-    freezes exactly when its own L1 delta drops below ``tol``.  The
-    working block compacts once more than half its worlds have frozen,
-    bounding wasted work on converged worlds.
+    Bit-identical to running :func:`world_pagerank` per world.  Each
+    step pushes every world's mass through one flat ``bincount`` whose
+    weights list exactly the alive directed edges in the per-world CSR
+    order (dead edges never enter the pair lists); the same gather
+    indices, counted, give the degrees.  A world's dangling mass is the
+    row sum of a ``(worlds, count)`` gather over the worlds that share
+    its dangling-vertex count, which numpy sums with the same pairwise
+    grouping as the per-world ``pr[dangling].sum()``.  The rest of a
+    step is whole-block arithmetic in the per-world operation order.
+
+    Each world freezes exactly when its own L1 delta drops below
+    ``tol``.  While every world of the working block is running, the
+    new iterate simply replaces the old; once some have frozen, only
+    the running rows are written back.  The block compacts once more
+    than half its worlds have frozen, bounding wasted work on converged
+    worlds.
     """
     N, n = batch.n_worlds, batch.n
     if n == 0:
         return np.zeros((N, 0))
-    degrees = batch.degrees().astype(np.float64)
-    dangling = degrees == 0
-    has_dangling = dangling.any(axis=1)
-    safe_degrees = np.where(dangling, 1.0, degrees)
-    pr = np.full((N, n), 1.0 / n)
     alive = batch.alive_directed()
     dir_source = batch.topology.dir_source
     dir_target = batch.topology.indices
+    two_m = alive.shape[1]
 
-    def build_pairs(world_ids: np.ndarray):
+    def build_pairs(alive_rows: np.ndarray):
         """Flat (world, alive-edge) gather/scatter indices for a block."""
-        w_local, e_idx = np.nonzero(alive[world_ids])
-        return (
-            w_local * n + dir_source[e_idx],  # gather index into shares
-            w_local * n + dir_target[e_idx],  # scatter index into pushed
-        )
+        # Row-major like ``np.nonzero`` on the 2-D rows at a fraction of
+        # its cost, then split in place into edge id and row offset.
+        edge = np.flatnonzero(alive_rows)
+        offset = edge // two_m
+        edge -= offset * two_m
+        offset *= n
+        gather = dir_source[edge]   # index into shares
+        gather += offset
+        scatter = dir_target[edge]  # index into pushed
+        scatter += offset
+        return gather, scatter
 
-    block = np.arange(N)          # global world ids of the working block
+    def dangling_groups(dangling: np.ndarray):
+        """``(rows, flat (rows, count) indices)`` per dangling count > 0."""
+        counts = dangling.sum(axis=1)
+        groups = []
+        for count in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == count)
+            cols = np.flatnonzero(dangling[rows]).reshape(rows.size, count) % n
+            groups.append((rows, rows[:, None] * n + cols))
+        return groups
+
+    gather_idx, scatter_idx = build_pairs(alive)
+    degrees = np.bincount(gather_idx, minlength=N * n).reshape(N, n)
+    dangling = degrees == 0
+    safe_degrees = np.where(dangling, 1.0, degrees)
+    groups = dangling_groups(dangling)
+    teleport = (1.0 - damping) / n
+
+    pr = np.empty((N, n))
+    block = np.arange(N)              # global world ids of the working block
+    cur = np.full((N, n), 1.0 / n)    # the block's iterates, row per world
+    work = np.empty_like(cur)
     running = np.ones(N, dtype=bool)  # per-block-row: not yet converged
-    gather_idx, scatter_idx = build_pairs(block)
     for _ in range(max_iterations):
         k = block.size
-        shares = pr[block] / safe_degrees[block]
+        np.divide(cur, safe_degrees, out=work)
+        # (An empty bincount comes back int64, whatever the weights.)
         pushed = np.bincount(
-            scatter_idx, weights=shares.ravel()[gather_idx], minlength=k * n
-        ).reshape(k, n)
-        live = np.flatnonzero(running)
-        # Per-world fancy-index sum, matching the summation order (and
-        # pairwise grouping) of the legacy ``pr[dangling].sum()``; rows
-        # without dangling vertices keep the exact 0.0 an empty
+            scatter_idx, weights=work.ravel()[gather_idx], minlength=k * n
+        ).astype(np.float64, copy=False).reshape(k, n)
+        # Rows without dangling vertices keep the exact 0.0 an empty
         # selection would sum to.
-        dangling_mass = np.zeros(k)
-        for row in live:
-            world = block[row]
-            if has_dangling[world]:
-                dangling_mass[row] = pr[world][dangling[world]].sum()
-        new_pr = (1.0 - damping) / n + damping * (
-            pushed + dangling_mass[:, None] / n
-        )
-        deltas = np.abs(new_pr - pr[block]).sum(axis=1)
-        updated = block[live]
-        pr[updated] = new_pr[live]
-        running[live] = deltas[live] >= tol
+        mass = np.zeros(k)
+        flat = cur.ravel()
+        for rows, idx in groups:
+            mass[rows] = flat[idx].sum(axis=1)
+        mass /= n
+        # (1 - d) / n + d * (pushed + mass / n), operation for operation.
+        pushed += mass[:, None]
+        pushed *= damping
+        pushed += teleport
+        np.subtract(pushed, cur, out=work)
+        np.abs(work, out=work)
+        deltas = work.sum(axis=1)
+        if running.all():
+            cur = pushed
+            running = deltas >= tol
+        else:
+            live = np.flatnonzero(running)
+            cur[live] = pushed[live]
+            running[live] = deltas[live] >= tol
         still = int(running.sum())
         if still == 0:
             break
         if still * 2 <= k:
+            pr[block] = cur
             block = block[running]
+            cur = cur[running]
+            work = np.empty_like(cur)
+            safe_degrees = safe_degrees[running]
+            dangling = dangling[running]
             running = np.ones(block.size, dtype=bool)
-            gather_idx, scatter_idx = build_pairs(block)
+            gather_idx, scatter_idx = build_pairs(alive[block])
+            groups = dangling_groups(dangling)
+    pr[block] = cur
     return pr
 
 
 class PageRankQuery:
-    """Per-vertex pagerank outcomes across possible worlds."""
+    """Per-vertex pagerank outcomes across possible worlds.
+
+    ``n`` must be a non-negative integer, ``damping`` a real in
+    ``[0, 1]`` and ``max_iterations`` a positive integer (booleans are
+    rejected for all three); anything else raises ``ValueError`` here
+    rather than a wrong estimate later.
+    """
 
     name = "PR"
 
     def __init__(self, n: int, damping: float = 0.85, max_iterations: int = 60) -> None:
+        if not is_index(n):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        if (
+            isinstance(damping, bool)
+            or not isinstance(damping, numbers.Real)
+            or not 0 <= damping <= 1
+        ):
+            raise ValueError(
+                f"damping must be a finite real in [0, 1], got {damping!r}"
+            )
+        if not is_index(max_iterations) or max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be a positive integer, got {max_iterations!r}"
+            )
         self.n = n
         self.damping = damping
         self.max_iterations = max_iterations

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.queries.base import group_pairs_by_source
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,12 +25,7 @@ class ReliabilityQuery:
     name = "RL"
 
     def __init__(self, pairs: list[tuple[int, int]]) -> None:
-        if not pairs:
-            raise ValueError("at least one vertex pair is required")
-        self.pairs = list(pairs)
-        self._by_source: dict[int, list[tuple[int, int]]] = {}
-        for idx, (s, t) in enumerate(self.pairs):
-            self._by_source.setdefault(s, []).append((idx, t))
+        self.pairs, self._by_source = group_pairs_by_source(pairs)
 
     def unit_count(self) -> int:
         return len(self.pairs)

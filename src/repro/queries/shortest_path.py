@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
+from repro.queries.base import group_pairs_by_source
 from repro.sampling.worlds import World
 from repro.utils.rng import ensure_rng
 
@@ -71,16 +72,11 @@ class ShortestPathQuery:
     """
 
     def __init__(self, pairs: list[tuple[int, int]], weighted: bool = False) -> None:
-        if not pairs:
-            raise ValueError("at least one vertex pair is required")
-        self.pairs = list(pairs)
+        # Pairs grouped by source: each world runs one traversal per
+        # distinct source.
+        self.pairs, self._by_source = group_pairs_by_source(pairs)
         self.weighted = bool(weighted)
         self.name = "WSP" if self.weighted else "SP"
-        # Group pairs by source so each world runs one traversal per
-        # distinct source.
-        self._by_source: dict[int, list[tuple[int, int]]] = {}
-        for idx, (s, t) in enumerate(self.pairs):
-            self._by_source.setdefault(s, []).append((idx, t))
 
     def unit_count(self) -> int:
         return len(self.pairs)

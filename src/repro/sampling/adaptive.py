@@ -103,6 +103,7 @@ def adaptive_estimate(
     values: list[float] = []
 
     def draw(count: int) -> None:
+        from repro.queries.base import check_outcome_width
         from repro.sampling.monte_carlo import warnings_suppressed
 
         if batched:
@@ -114,6 +115,7 @@ def adaptive_estimate(
             return
         for world in sampler.sample_many(count, rng):
             outcome = query.evaluate(world)
+            check_outcome_width(query, np.size(outcome))
             with warnings_suppressed():
                 values.append(float(np.nanmean(outcome)))
 

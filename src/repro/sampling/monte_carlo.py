@@ -171,12 +171,12 @@ class MonteCarloEstimator:
         """One Monte-Carlo run: the ``(N, units)`` outcome matrix."""
         rng = ensure_rng(rng)
         if not self.batched:
-            outcomes = np.empty(
-                (self.n_samples, query.unit_count()), dtype=np.float64
-            )
-            for i, world in enumerate(self.sampler.sample_many(self.n_samples, rng)):
-                outcomes[i] = query.evaluate(world)
-            return EstimationResult(outcomes=outcomes)
+            from repro.queries.base import evaluate_worlds
+
+            return EstimationResult(outcomes=evaluate_worlds(
+                query, self.sampler.sample_many(self.n_samples, rng),
+                self.n_samples,
+            ))
         return EstimationResult(outcomes=evaluate_chunks(
             self.sampler, query, self.n_samples, rng, chunk_size=self.batch_size
         ))

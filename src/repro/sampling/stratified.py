@@ -102,6 +102,8 @@ class StratifiedEstimator:
         chunk — and evaluated through the ensemble kernels; the
         per-world scalars are identical to the legacy loop.
         """
+        from repro.queries.base import check_outcome_width
+
         rng = ensure_rng(rng)
         total = 0.0
         assignments = self.stratum_assignments()
@@ -122,6 +124,7 @@ class StratifiedEstimator:
                     mask[self.conditioned] = assignment
                     world = self.sampler.world_from_mask(mask)
                     outcome = query.evaluate(world)
+                    check_outcome_width(query, np.size(outcome))
                     defined = outcome[~np.isnan(outcome)]
                     stratum_values[i] = defined.mean() if len(defined) else np.nan
             defined_values = stratum_values[~np.isnan(stratum_values)]

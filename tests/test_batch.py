@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UncertainGraph
-from repro.datasets import erdos_renyi_uncertain
+from repro.datasets import erdos_renyi_uncertain, forest_fire_like_arrays
 from repro.exceptions import EstimationError
 from repro.queries import (
     ClusteringCoefficientQuery,
@@ -28,8 +28,10 @@ from repro.queries import (
     ReliabilityQuery,
     ShortestPathQuery,
     SourceDistanceQuery,
+    batch_pagerank,
     evaluate_query_batch,
     sample_vertex_pairs,
+    world_pagerank,
 )
 from repro.sampling import (
     BatchTopology,
@@ -312,6 +314,117 @@ class TestTriangleTable:
         assert_triangle_table_matches_loop(UncertainGraph([], vertices=[0, 1, 2]))
 
 
+def assert_pagerank_matches_worlds(batch: WorldBatch, **kwargs) -> None:
+    """``batch_pagerank`` byte for byte against stacked ``world_pagerank``."""
+    got = batch_pagerank(batch, **kwargs)
+    want = np.stack([world_pagerank(w, **kwargs) for w in batch.iter_worlds()])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def iterations_run(world, **kwargs) -> int:
+    """Power iterations ``world_pagerank`` runs before it stops.
+
+    The smallest ``max_iterations`` that already returns the final bytes
+    (each iteration moves a vector that has not met ``tol``).
+    """
+    final = world_pagerank(world, **kwargs).tobytes()
+    lo, hi = 1, kwargs["max_iterations"]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        capped = world_pagerank(world, **dict(kwargs, max_iterations=mid))
+        if capped.tobytes() == final:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def density_sweep_batch(n: int = 300, worlds: int = 24, seed: int = 3) -> WorldBatch:
+    """Low-probability ring-plus-chords graph, worlds from empty to full.
+
+    Every vertex sits on the ring, so the full world has no dangling
+    vertex and the empty world has ``n``; the densities between give
+    dangling counts on every side of numpy's pairwise-summation
+    thresholds (8 and 128).
+    """
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n, float(rng.uniform(0.05, 0.3))) for i in range(n)]
+    chords: set[tuple[int, int]] = set()
+    while len(chords) < n:
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if (u - v) % n not in (0, 1, n - 1):
+            chords.add((min(u, v), max(u, v)))
+    edges += [(u, v, float(rng.uniform(0.05, 0.3))) for u, v in sorted(chords)]
+    sampler = WorldSampler(UncertainGraph(edges))
+    density = np.linspace(0.0, 1.0, worlds)[:, None]
+    return sampler.batch_from_masks(rng.random((worlds, sampler.m)) < density)
+
+
+class TestPageRankKernel:
+    """``batch_pagerank`` against per-world ``world_pagerank``, byte for byte."""
+
+    def test_query_sized_forest_fire_ensemble(self):
+        n, src, dst, prob = forest_fire_like_arrays(500, avg_degree=20, rng=1000)
+        graph = UncertainGraph.from_edge_arrays(
+            range(n), np.stack([src, dst], axis=1), prob
+        )
+        batch = WorldSampler(graph).sample_batch(60, rng=4)
+        assert_pagerank_matches_worlds(batch, max_iterations=60)
+
+    def test_dangling_counts_across_summation_shapes(self):
+        batch = density_sweep_batch()
+        counts = (batch.degrees() == 0).sum(axis=1)
+        assert (counts == 0).any()
+        assert ((counts >= 1) & (counts <= 8)).any()
+        assert ((counts >= 9) & (counts <= 128)).any()
+        assert (counts > 128).any()
+        assert_pagerank_matches_worlds(batch)
+
+    # (1e-6, 66) stops worlds that are still running after a compaction.
+    @pytest.mark.parametrize(
+        "tol, max_iterations", [(1e-6, 100), (1e-6, 66), (1e-4, 100)]
+    )
+    def test_worlds_freezing_at_different_iterations(self, tol, max_iterations):
+        batch = density_sweep_batch()
+        kwargs = dict(tol=tol, max_iterations=max_iterations)
+        runs = np.array([iterations_run(w, **kwargs) for w in batch.iter_worlds()])
+        worlds = len(runs)
+        # A partly frozen block: the first worlds to stop are fewer than half.
+        first = runs == runs.min()
+        assert 0 < first.sum() and 2 * first.sum() < worlds
+        # A compaction with worlds still running behind it.
+        assert np.sort(runs)[(worlds - 1) // 2] < runs.max()
+        assert_pagerank_matches_worlds(batch, **kwargs)
+
+    def test_zero_worlds_on_one_vertex(self):
+        sampler = WorldSampler(UncertainGraph([], vertices=[0]))
+        batch = sampler.batch_from_masks(np.zeros((0, 0), dtype=bool))
+        out = batch_pagerank(batch)
+        assert out.shape == (0, 1) and out.dtype == np.float64
+        assert evaluate_query_batch(PageRankQuery(1), batch).shape == (0, 1)
+        # Worlds without a single alive edge push through an empty bincount.
+        assert_pagerank_matches_worlds(
+            sampler.batch_from_masks(np.zeros((3, 0), dtype=bool))
+        )
+
+    def test_grouped_row_sums_match_one_dimensional_sums(self):
+        """The dangling-mass identity: ``(rows, c).sum(axis=1)`` is ``.sum()`` per row."""
+        rng = np.random.default_rng(11)
+        order_matters = False
+        for count in range(1, 301):
+            values = rng.random((3, count)) * 10.0 ** rng.integers(-8, 3, (3, count))
+            flat = values.ravel()
+            idx = np.arange(3)[:, None] * count + np.arange(count)
+            grouped = flat[idx].sum(axis=1)
+            for row in range(3):
+                one_d = values[row][np.ones(count, dtype=bool)].sum()
+                assert grouped[row].tobytes() == one_d.tobytes(), count
+                order_matters |= np.cumsum(values[row])[-1] != one_d
+        # Left-to-right summation differs somewhere: the grouping is pinned.
+        assert order_matters
+
+
 class TestSampling:
     def test_mask_matrix_matches_sequential_stream(self, small_power_law):
         sampler = WorldSampler(small_power_law)
@@ -355,6 +468,39 @@ class TestEstimatorEquivalence:
             ).run(query, rng=9).outcomes
             assert np.array_equal(legacy, one_batch, equal_nan=True)
             assert np.array_equal(legacy, chunked, equal_nan=True)
+
+    def test_outcome_width_must_match_unit_count(self, small_power_law):
+        class TwoCountsQuery:
+            name = "TWO"
+
+            def unit_count(self):
+                return 2
+
+            def evaluate(self, world):
+                return np.array([float(world.number_of_edges())])
+
+        assert small_power_law.number_of_vertices() == 60
+        for query in (
+            PageRankQuery(10), ClusteringCoefficientQuery(10), DegreeQuery(10),
+            TwoCountsQuery(),
+        ):
+            message = rf"{type(query).__name__} .* unit_count\(\) is {query.unit_count()}"
+            for batched in (True, False):
+                runs = (
+                    lambda: MonteCarloEstimator(
+                        small_power_law, n_samples=4, batched=batched
+                    ).run(query, rng=0),
+                    lambda: adaptive_estimate(
+                        small_power_law, query, target_width=0.1, rng=0,
+                        batched=batched,
+                    ),
+                    lambda: StratifiedEstimator(
+                        small_power_law, n_samples=8, r=2
+                    ).run(query, rng=0, batched=batched),
+                )
+                for run in runs:
+                    with pytest.raises(EstimationError, match=message):
+                        run()
 
     def test_invalid_batch_size(self, triangle):
         for batch_size in (0, 2.5, True, "4"):

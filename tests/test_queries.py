@@ -1,5 +1,7 @@
 """Query implementations against analytic and networkx oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,23 @@ from repro.queries import (
     PageRankQuery,
     ReliabilityQuery,
     ShortestPathQuery,
+    SourceDistanceQuery,
     sample_vertex_pairs,
     world_pagerank,
 )
 from repro.sampling import MonteCarloEstimator, WorldSampler
+
+
+#: Pair lists every pair query rejects, with the message it must name.
+#: Negative, boolean and non-integral ids count: -1 would wrap to n-1.
+BAD_PAIRS = [
+    ([], "at least one vertex pair"),
+    ([(0, -1)], "(0, -1)"),
+    ([(0, 1), (-2, 3)], "(-2, 3)"),
+    ([(True, 1)], "(True, 1)"),
+    ([(0, 1.5)], "(0, 1.5)"),
+    ([(0, np.int64(-1))], "-1"),
+]
 
 
 def full_world(graph):
@@ -59,6 +74,34 @@ class TestPageRank:
         out = query.evaluate(full_world(small_power_law))
         assert out.shape == (query.unit_count(),)
 
+    @pytest.mark.parametrize("field, value", [
+        ("damping", 1.5),
+        ("damping", -0.5),
+        ("damping", float("nan")),
+        ("damping", float("inf")),
+        ("damping", True),
+        ("damping", "0.85"),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("max_iterations", 0),
+        ("max_iterations", -3),
+        ("n", -1),
+        ("n", True),
+        ("n", 4.0),
+    ])
+    def test_invalid_parameters(self, field, value):
+        kwargs = {"n": 5, field: value}
+        with pytest.raises(ValueError, match=field):
+            PageRankQuery(**kwargs)
+
+    def test_boundary_parameters_accepted(self):
+        for kwargs in (
+            dict(n=0), dict(n=np.int64(5)), dict(n=5, damping=0),
+            dict(n=5, damping=1.0), dict(n=5, damping=np.float32(0.5)),
+            dict(n=5, max_iterations=1), dict(n=5, max_iterations=np.int32(7)),
+        ):
+            PageRankQuery(**kwargs)
+
 
 class TestShortestPath:
     def test_distances_on_path(self, path4):
@@ -78,8 +121,9 @@ class TestShortestPath:
         assert list(out) == [1.0, 2.0, 3.0]
 
     def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            ShortestPathQuery([])
+        for pairs, message in BAD_PAIRS:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ShortestPathQuery(pairs)
 
     def test_expected_distance_excludes_disconnecting_worlds(self):
         """SP protocol: average over connected worlds only."""
@@ -101,8 +145,17 @@ class TestReliability:
         assert query.evaluate(full_world(g))[0] == 0.0
 
     def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            ReliabilityQuery([])
+        for pairs, message in BAD_PAIRS:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ReliabilityQuery(pairs)
+
+
+class TestSourceDistance:
+    def test_invalid_source_rejected(self):
+        for source in (-1, np.int64(-1), True, 1.5, "0"):
+            with pytest.raises(ValueError, match="source"):
+                SourceDistanceQuery(source, 5)
+        assert SourceDistanceQuery(np.int64(4), 5).source == 4
 
 
 class TestClusteringAndConnectivity:
