@@ -14,10 +14,12 @@ Two workloads on a ~5k-edge Flickr-style topology:
   world's reachable component is tiny and the per-world Dijkstra is
   competitive; the equality gate still runs there via the unit tests.
 - **packed BFS**: bit-packed uint64 frontiers against the boolean
-  kernel.  Distances must be *bit-identical* (always gated) and the
-  packed frontier working set must be ~8x smaller — a deterministic
-  arithmetic gate, not a timing; wall-clocks of both kernels are
-  reported for the archive.
+  kernel, untargeted and with ``targets`` (the point-to-point calls of
+  the SP query).  Distances must be *bit-identical* (always gated): for
+  every source the two kernels' targeted columns agree, and both equal
+  the untargeted matrix's target columns.  The packed frontier working
+  set must be ~8x smaller — a deterministic arithmetic gate, not a
+  timing; wall-clocks of all four calls are reported for the archive.
 
 Results land under ``benchmarks/results/`` like the other benches.
 """
@@ -46,6 +48,9 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_WEIGHTED_MIN_SPEEDUP", "1.5"))
 N_WORLDS = int(os.environ.get("REPRO_BENCH_WEIGHTED_WORLDS", "256"))
 
 N_SOURCES = 4
+
+#: Targets per source of the targeted BFS calls.
+N_TARGETS = 25
 
 
 @pytest.fixture(scope="module")
@@ -117,23 +122,32 @@ def test_bench_weighted_delta_stepping(dense_sampler, emit):
 def test_bench_packed_bfs(sparse_sampler, emit):
     batch = sparse_sampler.sample_batch(N_WORLDS, rng=3)
     sources = list(range(N_SOURCES))
+    n = sparse_sampler.n
+    targets = np.random.default_rng(5).choice(n, size=N_TARGETS, replace=False)
 
-    start = time.perf_counter()
-    boolean = [batch.bfs_distances(s, kernel="boolean") for s in sources]
-    boolean_s = time.perf_counter() - start
+    seconds = {}
+    results = {}
+    for kernel in ("boolean", "packed"):
+        for label, wanted in ((kernel, None), (f"{kernel} targeted", targets)):
+            start = time.perf_counter()
+            results[label] = [
+                batch.bfs_distances(s, targets=wanted, kernel=kernel)
+                for s in sources
+            ]
+            seconds[label] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    packed = [batch.bfs_distances(s, kernel="packed") for s in sources]
-    packed_s = time.perf_counter() - start
-
-    # Bit-identity always gates.
-    for got, want in zip(packed, boolean):
-        assert np.array_equal(got, want)
+    # Bit-identity always gates, untargeted and targeted.
+    for i in range(N_SOURCES):
+        full = results["boolean"][i]
+        assert np.array_equal(results["packed"][i], full)
+        columns = results["boolean targeted"][i]
+        assert columns.shape == (N_WORLDS, N_TARGETS)
+        assert np.array_equal(results["packed targeted"][i], columns)
+        assert np.array_equal(columns, full[:, targets])
 
     # The memory gate is arithmetic, not a timing: per (vertices x
     # worlds) state matrix, the packed layout spends 8 bytes per 64
     # worlds against 1 byte per world.
-    n = sparse_sampler.n
     boolean_frontier_bytes = N_WORLDS * n  # bool
     packed_frontier_bytes = ((N_WORLDS + 63) // 64) * 8 * n  # uint64 words
     ratio = boolean_frontier_bytes / packed_frontier_bytes
@@ -142,11 +156,17 @@ def test_bench_packed_bfs(sparse_sampler, emit):
     table = ResultTable(
         title=(
             f"Packed vs boolean BFS frontiers — {N_WORLDS} worlds, "
-            f"{sparse_sampler.m} edges, {N_SOURCES} sources"
+            f"{sparse_sampler.m} edges, {N_SOURCES} sources "
+            f"(targeted: {N_TARGETS} targets each)"
         ),
         headers=["kernel", "seconds", "frontier_bytes"],
         notes=f"frontier memory ratio {ratio:.1f}x (gated >= 7.5x)",
     )
-    table.add_row("boolean", boolean_s, boolean_frontier_bytes)
-    table.add_row("packed", packed_s, packed_frontier_bytes)
+    for label, frontier_bytes in (
+        ("boolean", boolean_frontier_bytes),
+        ("packed", packed_frontier_bytes),
+        ("boolean targeted", boolean_frontier_bytes),
+        ("packed targeted", packed_frontier_bytes),
+    ):
+        table.add_row(label, seconds[label], frontier_bytes)
     emit("bench_packed_bfs", table)

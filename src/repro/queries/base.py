@@ -25,14 +25,13 @@ Native batch kernels must return exactly what stacking the per-world
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.sampling.worlds import World
+from repro.sampling.worlds import World, is_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -63,36 +62,54 @@ class BatchQuery(Query, Protocol):
         ...
 
 
-def is_index(value) -> bool:
-    """``value`` is a non-negative integer (booleans excluded)."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and value >= 0
-    )
+class PairQuery:
+    """Shared state of the vertex-pair queries (SP and RL).
 
+    ``pairs`` is the list as given, one outcome unit per pair;
+    ``sources`` and ``targets`` hold its ids as int64 arrays, and
+    ``by_source`` maps each distinct source, in order of first
+    appearance, to the int64 arrays ``(units, targets)`` of its pairs,
+    so one traversal per source answers all of them.
 
-def group_pairs_by_source(
-    pairs: Iterable[tuple[int, int]],
-) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
-    """Validate vertex pairs and group ``(index, target)`` by source.
-
-    Raises ``ValueError`` for an empty list and for a pair holding a
-    negative, boolean or non-integral id — numpy would otherwise wrap
-    ``-1`` round to the last vertex.
+    The constructor raises ``ValueError`` for an empty list and for a
+    pair holding a negative, boolean or non-integral id — numpy would
+    otherwise wrap ``-1`` round to the last vertex.  Ids at or above a
+    world's vertex count are rejected when the query evaluates it
+    (:meth:`check_ids`).
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("at least one vertex pair is required")
-    by_source: dict[int, list[tuple[int, int]]] = {}
-    for idx, pair in enumerate(pairs):
-        s, t = pair
-        if not (is_index(s) and is_index(t)):
+
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("at least one vertex pair is required")
+        units: dict[int, list[int]] = {}
+        for idx, pair in enumerate(pairs):
+            s, t = pair
+            if not (is_index(s) and is_index(t)):
+                raise ValueError(
+                    f"vertex pair {pair!r}: ids must be non-negative integers"
+                )
+            units.setdefault(int(s), []).append(idx)
+        ends = np.array(pairs, dtype=np.int64)
+        self.pairs = pairs
+        self.sources, self.targets = ends[:, 0], ends[:, 1]
+        self.by_source = {
+            s: (np.array(idx, dtype=np.int64), self.targets[idx])
+            for s, idx in units.items()
+        }
+        self._id_bound = int(ends.max()) + 1
+
+    def unit_count(self) -> int:
+        return len(self.pairs)
+
+    def check_ids(self, n: int) -> None:
+        """``ValueError`` naming the first pair with an id outside ``[0, n)``."""
+        if self._id_bound > n:
+            pair = next(p for p in self.pairs if max(p) >= n)
             raise ValueError(
-                f"vertex pair {pair!r}: ids must be non-negative integers"
+                f"vertex pair {pair!r} is out of range for a graph with n={n} "
+                f"vertices"
             )
-        by_source.setdefault(s, []).append((idx, t))
-    return pairs, by_source
 
 
 def check_outcome_width(query: Query, width) -> None:

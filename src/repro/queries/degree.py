@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.queries.base import is_index
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -23,6 +24,8 @@ class DegreeQuery:
     name = "DEG"
 
     def __init__(self, n: int) -> None:
+        if not is_index(n):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         self.n = n
 
     def unit_count(self) -> int:
@@ -32,5 +35,5 @@ class DegreeQuery:
         return world.degrees().astype(np.float64)
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
-        """The whole degree matrix from one masked prefix-sum pass."""
+        """The whole degree matrix from one ``bincount`` per endpoint column."""
         return batch.degrees().astype(np.float64)

@@ -12,37 +12,35 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.queries.base import group_pairs_by_source
+from repro.queries.base import PairQuery
 from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
 
 
-class ReliabilityQuery:
+class ReliabilityQuery(PairQuery):
     """Per-pair reachability indicators (0/1)."""
 
     name = "RL"
 
-    def __init__(self, pairs: list[tuple[int, int]]) -> None:
-        self.pairs, self._by_source = group_pairs_by_source(pairs)
-
-    def unit_count(self) -> int:
-        return len(self.pairs)
-
     def evaluate(self, world: World) -> np.ndarray:
+        self.check_ids(world.n)
         out = np.zeros(len(self.pairs))
-        for source, targets in self._by_source.items():
-            reach = world.reachable_from(source)
-            for idx, t in targets:
-                out[idx] = 1.0 if reach[t] else 0.0
+        for source, (units, targets) in self.by_source.items():
+            out[units] = world.reachable_from(source)[targets]
         return out
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
-        """All pairs over all worlds: one batched BFS per distinct source."""
-        out = np.zeros((batch.n_worlds, len(self.pairs)))
-        for source, targets in self._by_source.items():
-            reach = batch.reachable_from(source)
-            for idx, t in targets:
-                out[:, idx] = reach[:, t]
-        return out
+        """All pairs over all worlds from the batch's component labels.
+
+        Two vertices are connected exactly when they share a component,
+        so one comparison of the label columns of the pairs' targets and
+        sources answers every pair of every world.
+        """
+        self.check_ids(batch.n)
+        labels = batch.component_labels()
+        same = np.take(labels, self.targets, axis=1) == np.take(
+            labels, self.sources, axis=1
+        )
+        return same.astype(np.float64)

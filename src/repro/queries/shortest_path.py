@@ -14,7 +14,8 @@ Two distance notions are supported:
   binary-heap Dijkstra, or the batched delta-stepping kernel for
   ensembles.
 
-Pairs sharing a source are batched into a single traversal.
+Pairs sharing a source are batched into a single traversal, and a
+batched traversal returns just the columns of that source's targets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
-from repro.queries.base import group_pairs_by_source
+from repro.queries.base import PairQuery
 from repro.sampling.worlds import World
 from repro.utils.rng import ensure_rng
 
@@ -62,7 +63,7 @@ def sample_vertex_pairs(
     return pairs
 
 
-class ShortestPathQuery:
+class ShortestPathQuery(PairQuery):
     """Per-pair distances with nan for disconnected pairs.
 
     ``weighted=True`` switches from hop BFS to most-probable-path
@@ -72,52 +73,39 @@ class ShortestPathQuery:
     """
 
     def __init__(self, pairs: list[tuple[int, int]], weighted: bool = False) -> None:
-        # Pairs grouped by source: each world runs one traversal per
-        # distinct source.
-        self.pairs, self._by_source = group_pairs_by_source(pairs)
+        super().__init__(pairs)
         self.weighted = bool(weighted)
         self.name = "WSP" if self.weighted else "SP"
 
-    def unit_count(self) -> int:
-        return len(self.pairs)
-
     def evaluate(self, world: World) -> np.ndarray:
+        self.check_ids(world.n)
         out = np.full(len(self.pairs), np.nan)
-        for source, targets in self._by_source.items():
+        for source, (units, targets) in self.by_source.items():
             if self.weighted:
-                dist = world.weighted_distances(source)
-                for idx, t in targets:
-                    d = dist[t]
-                    if np.isfinite(d):
-                        out[idx] = float(d)
+                dist = world.weighted_distances(source)[targets]
+                connected = np.isfinite(dist)
             else:
-                dist = world.bfs_distances(source)
-                for idx, t in targets:
-                    d = dist[t]
-                    if d >= 0:
-                        out[idx] = float(d)
+                dist = world.bfs_distances(source)[targets]
+                connected = dist >= 0
+            out[units[connected]] = dist[connected]
         return out
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """One batched traversal per distinct source covers every world.
 
-        Each traversal (BFS or delta-stepping) retires a world as soon
-        as that source's targets are resolved (or provably
-        unreachable), so worlds rarely pay for a full pass.
+        Each traversal (BFS or delta-stepping) returns the ``(N, k)``
+        distances of the source's ``k`` targets and retires a world as
+        soon as they are resolved (or provably unreachable), so worlds
+        rarely pay for a full pass.
         """
+        self.check_ids(batch.n)
         out = np.full((batch.n_worlds, len(self.pairs)), np.nan)
-        for source, targets in self._by_source.items():
-            wanted = [t for _, t in targets]
+        for source, (units, targets) in self.by_source.items():
             if self.weighted:
-                dist = batch.weighted_distances(source, targets=wanted)
-                for idx, t in targets:
-                    d = dist[:, t]
-                    connected = np.isfinite(d)
-                    out[connected, idx] = d[connected]
+                dist = batch.weighted_distances(source, targets=targets)
+                connected = np.isfinite(dist)
             else:
-                dist = batch.bfs_distances(source, targets=wanted)
-                for idx, t in targets:
-                    d = dist[:, t]
-                    connected = d >= 0
-                    out[connected, idx] = d[connected]
+                dist = batch.bfs_distances(source, targets=targets)
+                connected = dist >= 0
+            out[:, units] = np.where(connected, dist, np.nan)
         return out

@@ -7,7 +7,7 @@ through the Python interpreter.  This module flips the layout: a
 shared parent CSR (:class:`BatchTopology`), and each graph primitive
 runs over *all* worlds simultaneously as dense NumPy kernels —
 
-- batched degrees via masked prefix sums over the shared CSR,
+- batched degrees via one ``bincount`` of the alive edges' endpoints,
 - batched BFS through the swappable ensemble kernels of
   :mod:`repro.sampling.kernels` (bit-packed uint64 frontiers by
   default; the original boolean-frontier kernel stays selectable and
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.sampling import kernels
-from repro.sampling.worlds import World
+from repro.sampling.worlds import World, check_vertex, check_vertices
 from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -392,12 +392,20 @@ class WorldBatch:
         return self.masks.sum(axis=1)
 
     def degrees(self) -> np.ndarray:
-        """``(N, n)`` degree matrix (masked prefix sums over the CSR)."""
-        alive = self.alive_directed()
-        prefix = np.zeros((self.n_worlds, alive.shape[1] + 1), dtype=np.int64)
-        np.cumsum(alive, axis=1, out=prefix[:, 1:])
-        indptr = self.topology.indptr
-        return prefix[:, indptr[1:]] - prefix[:, indptr[:-1]]
+        """``(N, n)`` int64 degree matrix.
+
+        One ``bincount`` per endpoint column over the alive (world,
+        edge) pairs, taken from ``flatnonzero`` of the mask matrix.
+        """
+        N, n, m = self.n_worlds, self.n, self.m
+        if N * m == 0:
+            return np.zeros((N, n), dtype=np.int64)
+        world, edge = np.divmod(np.flatnonzero(self.masks), m)
+        offset = world * n
+        ends = self.topology.edge_vertices
+        degrees = np.bincount(offset + ends[edge, 0], minlength=N * n)
+        degrees += np.bincount(offset + ends[edge, 1], minlength=N * n)
+        return degrees.reshape(N, n)
 
     # -- traversal -----------------------------------------------------------
     def bfs_distances(
@@ -406,23 +414,25 @@ class WorldBatch:
         targets: "np.ndarray | list[int] | None" = None,
         kernel: str | None = None,
     ) -> np.ndarray:
-        """``(N, n)`` BFS distances from ``source`` in every world (-1 unreachable).
+        """BFS distances from ``source`` in every world (-1 unreachable).
 
-        Dispatches to an ensemble kernel from
+        Returns the ``(N, n)`` matrix, or with ``targets`` the
+        ``(N, len(targets))`` columns of the listed vertices in the
+        order given.  A targeted call also retires a world as soon as
+        every listed vertex has a distance; BFS levels are
+        deterministic, so the early exit never changes a returned
+        column.  Dispatches to an ensemble kernel from
         :mod:`repro.sampling.kernels` — bit-packed uint64 frontiers by
-        default, the boolean-frontier original via
-        ``kernel="boolean"`` — every kernel returning bit-identical
-        distances.
+        default, the boolean-frontier original via ``kernel="boolean"``
+        — every kernel returning bit-identical distances.
 
-        With ``targets``, a world retires as soon as every listed
-        vertex has a distance — its other entries may then still read
-        ``-1``, so only consume the target columns (the point-to-point
-        query optimisation; BFS levels are deterministic, so the target
-        distances are unaffected by the early exit).
+        ``source`` and every target must be integers in ``[0, n)``
+        (booleans rejected); anything else raises ``ValueError``.
         """
         run = kernels.resolve_bfs_kernel(
             kernel if kernel is not None else self.bfs_kernel
         )
+        source, targets = self._check_ids(source, targets)
         return run(self, source, targets)
 
     def weighted_distances(
@@ -432,15 +442,15 @@ class WorldBatch:
         weights: np.ndarray | None = None,
         delta: "float | None" = None,
     ) -> np.ndarray:
-        """``(N, n)`` weighted distances in every world (``inf`` unreachable).
+        """Weighted distances in every world (``inf`` unreachable).
 
         Weights default to the batch's attached ``edge_weights`` (the
         samplers supply the ``-log p`` most-probable-path transform, so
         the result is ``-log`` of each pair's most probable path
         probability).  Computed by the batched delta-stepping kernel
-        (:func:`repro.sampling.kernels.delta_stepping_distances`);
-        ``targets`` enables the same per-world early exit as
-        :meth:`bfs_distances` — only consume the target columns then.
+        (:func:`repro.sampling.kernels.delta_stepping_distances`), with
+        the same column contract, early exit and id checks as
+        :meth:`bfs_distances`.
         """
         if weights is None:
             weights = self.edge_weights
@@ -449,19 +459,17 @@ class WorldBatch:
                 "no edge weights: pass weights= or build the batch through "
                 "a WorldSampler (which attaches the -log p transform)"
             )
+        source, targets = self._check_ids(source, targets)
         return kernels.delta_stepping_distances(
             self, source, weights, delta=delta, targets=targets
         )
 
-    def reachable_from(self, source: int) -> np.ndarray:
-        """``(N, n)`` boolean reachability from ``source`` per world.
-
-        Reachability is component membership, so one (cached) label
-        propagation answers every source — much cheaper than a BFS per
-        source for multi-pair reliability workloads.
-        """
-        labels = self.component_labels()
-        return labels == labels[:, source][:, None]
+    def _check_ids(self, source, targets):
+        """The traversal ids as ``(int, int64 array or None)``, checked."""
+        source = check_vertex(source, self.n)
+        if targets is not None:
+            targets = check_vertices(targets, self.n)
+        return source, targets
 
     def is_connected(self) -> np.ndarray:
         """``(N,)`` booleans: world forms a single connected component."""

@@ -28,7 +28,11 @@ plug in behind the same interface:
 Kernels are deliberately ignorant of :class:`WorldBatch` itself; they
 consume the duck-typed surface (``n``, ``n_worlds``, ``masks``,
 ``topology``, ``alive_directed()``) so they never import the batch
-module and the dependency points one way only.
+module and the dependency points one way only.  They trust the source
+and target ids they are given: the ``WorldBatch`` entry points check
+them.  Every traversal returns the ``(N, n)`` matrix, or with
+``targets`` the ``(N, len(targets))`` target columns in the order
+given.
 """
 
 from __future__ import annotations
@@ -86,31 +90,34 @@ def _csr_segment_indices(
 def bfs_distances_boolean(
     batch, source: int, targets: "np.ndarray | list[int] | None" = None
 ) -> np.ndarray:
-    """``(N, n)`` BFS distances from ``source`` in every world (-1 unreachable).
+    """BFS distances from ``source`` in every world (-1 unreachable).
 
     Each level expands the frontier of *all still-growing worlds* at
     once: activate the directed edges leaving any frontier vertex,
     scatter their targets through one flat ``bincount``, and retire
     worlds whose frontier emptied.
 
-    With ``targets``, a world also retires as soon as every listed
-    vertex has a distance — its other entries may then still read
-    ``-1``, so only consume the target columns (the point-to-point
-    query optimisation; BFS levels are deterministic, so the target
-    distances are unaffected by the early exit).
+    Returns the ``(N, n)`` matrix, or with ``targets`` the
+    ``(N, len(targets))`` columns of the listed vertices in the order
+    given.  A targeted call also retires a world as soon as every
+    listed vertex has a distance (the point-to-point query
+    optimisation); BFS levels are deterministic, so the early exit
+    never changes a returned column.
     """
     N, n = batch.n_worlds, batch.n
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.size == 0:
+            return np.empty((N, 0), dtype=np.int64)
     dist = np.full((N, n), -1, dtype=np.int64)
     dist[:, source] = 0
     reached = np.zeros((N, n), dtype=bool)
     reached[:, source] = True
     alive = batch.alive_directed()
     src, dst = batch.topology.dir_source, batch.topology.indices
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
     indptr = batch.topology.indptr
     rows = np.arange(N)
-    if targets is not None and targets.size:
+    if targets is not None:
         rows = rows[~reached[:, targets].all(axis=1)]
     frontier = np.zeros((N, n), dtype=bool)
     frontier[:, source] = True
@@ -150,11 +157,11 @@ def bfs_distances_boolean(
         dist[rows[w_new], v_new] = level
         reached[rows[w_new], v_new] = True
         keep = new.any(axis=1)
-        if targets is not None and targets.size:
+        if targets is not None:
             keep &= ~reached[np.ix_(rows, targets)].all(axis=1)
         rows = rows[keep]
         frontier = new[keep]
-    return dist
+    return dist if targets is None else dist[:, targets]
 
 
 # ----------------------------------------------------------------------
@@ -238,21 +245,30 @@ def bfs_distances_packed(
     boolean kernel.  Wide frontiers AND the cached target-sorted
     liveness words with the frontier and group them by target vertex
     with a single ``bitwise_or.reduceat``; narrow frontiers gather only
-    the touched CSR segments and scatter with ``bitwise_or.at``.  Each
-    level is recorded in binary across packed bit-planes and the
-    distance matrix is decoded once, after the loop.  BFS levels are a
-    property of the graph, not of the frontier encoding, so the
-    returned matrix — including the ``-1`` pattern left by the
-    ``targets`` early exit, which retires worlds under exactly the same
-    per-level condition — is bit-identical to the boolean kernel's.
+    the touched CSR segments and scatter with ``bitwise_or.at``.  Word
+    rows are gathered with ``np.take(..., axis=0)``, which copies whole
+    rows where fancy indexing walks them element by element.
+
+    Each level is recorded in binary across packed bit-planes and the
+    distances are decoded once, after the loop.  With ``targets`` the
+    planes hold only the target rows, so the decode touches
+    ``(len(targets), W)`` words and the result is the
+    ``(N, len(targets))`` block of target columns in the order given
+    (repeats included).  BFS levels are a property of the graph, not of
+    the frontier encoding, and the early exit retires worlds under
+    exactly the boolean kernel's per-level condition, so the returned
+    matrix is bit-identical to :func:`bfs_distances_boolean`'s.
     """
     N, n = batch.n_worlds, batch.n
-    if N == 0:
-        return np.full((N, n), -1, dtype=np.int64)
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.int64)
+    width = n if targets is None else len(targets)
+    if N == 0 or width == 0:
+        return np.full((N, width), -1, dtype=np.int64)
     topology = batch.topology
-    indptr, src, dst = topology.indptr, topology.dir_source, topology.indices
+    indptr, dst, dir_edge = topology.indptr, topology.indices, topology.dir_edge
     order, starts, empty = topology.target_grouping()
-    source_ordered = src[order]
+    source_ordered = topology.dir_source[order]
     alive_ordered = _packed_alive_ordered(batch, order)
     packed_masks = _packed_masks(batch)
     words = (N + WORD_BITS - 1) // WORD_BITS
@@ -260,66 +276,77 @@ def bfs_distances_packed(
 
     visited = np.zeros((n, words), dtype=np.uint64)
     visited[source] = world_mask
+    # The rows whose levels are recorded: every vertex, or the targets.
+    reached = visited if targets is None else np.take(visited, targets, axis=0)
     active = world_mask.copy()
     if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size:
-            active &= ~np.bitwise_and.reduce(visited[targets], axis=0)
+        active &= ~np.bitwise_and.reduce(reached, axis=0)
     frontier = np.zeros((n, words), dtype=np.uint64)
     frontier[source] = active
+    cols = np.array([source])  # the vertices fronting in some world
     two_m = len(dst)
     # Activated edge words in target order, plus one zero row that
     # keeps reduceat well-defined for trailing empty segments.
     activated = np.zeros((two_m + 1, words), dtype=np.uint64)
-    # planes[j] holds bit j of every visited entry's level.
+    # planes[j] holds bit j of every recorded entry's level.
     planes: list[np.ndarray] = []
     level = 0
     while active.any():
         level += 1
-        cols = np.flatnonzero(frontier.any(axis=1))
         lengths = indptr[cols + 1] - indptr[cols]
         total = int(lengths.sum())
         if total == 0:
             break
         if total * 4 >= two_m:
             np.bitwise_and(
-                alive_ordered, frontier[source_ordered], out=activated[:two_m]
+                alive_ordered,
+                np.take(frontier, source_ordered, axis=0),
+                out=activated[:two_m],
             )
             hit = np.bitwise_or.reduceat(activated, starts, axis=0)
             hit[empty] = 0
         else:
             e_sub = _csr_segment_indices(indptr, cols, lengths, total)
-            words_sub = (
-                packed_masks[topology.dir_edge[e_sub]]
-                & frontier[np.repeat(cols, lengths)]
-            )
+            words_sub = np.take(packed_masks, dir_edge[e_sub], axis=0)
+            words_sub &= np.take(frontier, np.repeat(cols, lengths), axis=0)
             hit = np.zeros((n, words), dtype=np.uint64)
             np.bitwise_or.at(hit, dst[e_sub], words_sub)
         new = hit & ~visited & active
-        if not new.any():
+        # Reductions across a short word row are slow in numpy; on the
+        # worlds-major copy they run along contiguous vertex rows.
+        new_by_word = np.ascontiguousarray(new.T)
+        grew = np.bitwise_or.reduce(new_by_word, axis=1)
+        if not grew.any():
             break
         visited |= new
+        recorded = new
+        if targets is not None:
+            recorded = np.take(new, targets, axis=0)
+            reached |= recorded
         if level == 1 << len(planes):
-            planes.append(np.zeros((n, words), dtype=np.uint64))
+            planes.append(np.zeros_like(reached))
         for j, plane in enumerate(planes):
             if level >> j & 1:
-                plane |= new
-        active &= np.bitwise_or.reduce(new, axis=0)
-        if targets is not None and targets.size:
-            active &= ~np.bitwise_and.reduce(visited[targets], axis=0)
+                plane |= recorded
+        active &= grew
+        if targets is not None:
+            active &= ~np.bitwise_and.reduce(reached, axis=0)
         frontier = new & active
-    return _decode_levels(planes, visited, N)
+        cols = np.flatnonzero(
+            np.bitwise_or.reduce(new_by_word & active[:, None], axis=0)
+        )
+    return _decode_levels(planes, reached, N)
 
 
 def _decode_levels(
-    planes: "list[np.ndarray]", visited: np.ndarray, n_worlds: int
+    planes: "list[np.ndarray]", reached: np.ndarray, n_worlds: int
 ) -> np.ndarray:
-    """``(N, n)`` int64 distances from packed level bit-planes.
+    """``(N, rows)`` int64 distances from packed level bit-planes.
 
-    ``planes[j]`` holds bit ``j`` of each visited (vertex, world)'s BFS
-    level; unvisited entries read ``-1``.  Levels are assembled in the
-    narrowest type that holds them (int16 unless a BFS ran 2**15
-    levels deep) and widened once at the end.
+    ``planes[j]`` holds bit ``j`` of each reached (row, world)'s BFS
+    level; entries not in ``reached`` read ``-1``.  Levels are
+    assembled in the narrowest type that holds them (int16 unless a BFS
+    ran 2**15 levels deep) and widened once at the end.
     """
     level_type = np.int16 if len(planes) < 16 else np.int64
 
@@ -328,7 +355,7 @@ def _decode_levels(
             plane.view(np.uint8), axis=1, count=n_worlds, bitorder="little"
         ).astype(level_type)
 
-    dist = unpack(visited)
+    dist = unpack(reached)
     dist -= 1
     for j, plane in enumerate(planes):
         dist += unpack(plane) << j
@@ -387,7 +414,7 @@ def delta_stepping_distances(
     delta: "float | None" = None,
     targets: "np.ndarray | list[int] | None" = None,
 ) -> np.ndarray:
-    """``(N, n)`` weighted shortest-path distances in every world at once.
+    """Weighted shortest-path distances in every world at once.
 
     ``weights`` holds one non-negative weight per *parent* undirected
     edge (``inf`` marks an unusable edge, e.g. the ``-log p`` image of a
@@ -403,8 +430,9 @@ def delta_stepping_distances(
     depends on its chunk-mates (rounds where a world's bucket is empty
     reduce with ``inf`` and are exact no-ops); worlds whose pending set
     empties — or, with ``targets``, whose target distances are all
-    final — retire from the working set.  As with the BFS early exit,
-    only consume the target columns of a targeted call.
+    final — retire from the working set.  Like the BFS kernels it
+    returns the ``(N, n)`` matrix, or the ``(N, len(targets))`` target
+    columns in the order given.
 
     Relaxation order differs from Dijkstra's, so agreement with the
     per-world reference is up to float addition reordering (the seeded
@@ -425,10 +453,14 @@ def delta_stepping_distances(
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
 
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.size == 0:
+            return np.empty((N, 0), dtype=np.float64)
     tent = np.full((N, n), np.inf, dtype=np.float64)
     tent[:, source] = 0.0
     if N == 0 or n == 0:
-        return tent
+        return tent if targets is None else tent[:, targets]
     order, starts, empty = topology.target_grouping()
     indptr, src, dst = topology.indptr, topology.dir_source, topology.indices
     weight_dir = weights[topology.dir_edge]
@@ -442,10 +474,6 @@ def delta_stepping_distances(
     light_dir = weight_dir <= delta
     light_ordered = light_dir[order]
     two_m = len(weight_dir)
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            targets = None
 
     def relax(rows: np.ndarray, frontier: np.ndarray, want_light: bool) -> np.ndarray:
         """Min candidate distance per (world row, vertex) via ``frontier``.
@@ -522,7 +550,7 @@ def delta_stepping_distances(
             current = improved & (tentative < upper)
         tent[rows] = np.minimum(tent[rows], relax(rows, settled, want_light=False))
         bucket += 1
-    return tent
+    return tent if targets is None else tent[:, targets]
 
 
 # ----------------------------------------------------------------------

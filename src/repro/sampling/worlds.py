@@ -16,12 +16,47 @@ Worlds index vertices densely ``0..n-1`` in the order of
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numbers
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
 from repro.utils.rng import ensure_rng
+
+
+def is_index(value) -> bool:
+    """``value`` is a non-negative integer (booleans excluded)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def check_vertex(vertex, n: int) -> int:
+    """``vertex`` as an ``int``; ``ValueError`` unless it is an integer in ``[0, n)``.
+
+    numpy would otherwise wrap ``-1`` round to the last vertex and read
+    ``True`` as vertex 1.
+    """
+    if not (is_index(vertex) and vertex < n):
+        raise ValueError(f"vertex id {vertex!r} is not an integer in [0, {n})")
+    return int(vertex)
+
+
+def check_vertices(vertices: "np.ndarray | Iterable[int]", n: int) -> np.ndarray:
+    """:func:`check_vertex` for a sequence: the ids as a 1-D int64 array."""
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+        if vertices.ndim != 1:
+            raise ValueError(f"vertex ids must be 1-D, got shape {vertices.shape}")
+        outside = (vertices < 0) | (vertices >= n)
+        if outside.any():
+            check_vertex(int(vertices[outside][0]), n)
+        return vertices.astype(np.int64, copy=False)
+    if isinstance(vertices, np.ndarray):
+        vertices = vertices.tolist()
+    return np.array([check_vertex(v, n) for v in vertices], dtype=np.int64)
 
 
 class World:
@@ -86,6 +121,7 @@ class World:
     # -- traversal -----------------------------------------------------------
     def bfs_distances(self, source: int) -> np.ndarray:
         """Unweighted shortest-path distances from ``source`` (-1 unreachable)."""
+        source = check_vertex(source, self.n)
         dist = np.full(self.n, -1, dtype=np.int64)
         dist[source] = 0
         frontier = np.array([source], dtype=np.int64)
@@ -128,7 +164,8 @@ class World:
         from repro.sampling.kernels import dijkstra_distances
 
         return dijkstra_distances(
-            self.n, self.indptr, self.indices, self.edge_weights, source
+            self.n, self.indptr, self.indices, self.edge_weights,
+            check_vertex(source, self.n),
         )
 
     def reachable_from(self, source: int) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Ensemble traversal kernels: packed BFS and batched weighted distances.
 
-Two contracts, both seeded:
+Three contracts, all seeded:
 
 - the bit-packed BFS kernel must return **bit-identical** distance
   matrices to the boolean-frontier kernel — on every topology fixture,
   with and without the ``targets`` early exit, and for every built-in
   query class end to end;
+- a call with ``targets`` returns exactly the ``(N, len(targets))``
+  target columns of the untargeted matrix, in the order given, on both
+  BFS kernels and the weighted kernel;
 - the batched delta-stepping kernel must match the per-world
   binary-heap Dijkstra reference within float tolerance, including
   unreachable targets and ``w = inf`` (zero-probability) edges, and be
@@ -13,6 +16,8 @@ Two contracts, both seeded:
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +52,22 @@ TOPOLOGY_FIXTURES = ("triangle", "path4", "figure1", "small_power_law", "small_s
 
 #: World counts straddling the uint64 word boundary.
 WORLD_COUNTS = (1, 63, 64, 65)
+
+#: The targeted-column fixtures: every topology fixture plus a certain
+#: path whose far end lies 16 levels out, which takes 5 level bit-planes.
+TARGETED_FIXTURES = TOPOLOGY_FIXTURES + ("certain_path17",)
+
+
+@pytest.fixture
+def certain_path17() -> UncertainGraph:
+    """17-vertex path 0-1-...-16 with every edge at p = 1."""
+    return UncertainGraph([(i, i + 1, 1.0) for i in range(16)])
+
+
+def target_lists(n: int, source: int) -> list[list[int]]:
+    """Targets covering the column contract: out of order, the source
+    itself, a repeated vertex, and none at all."""
+    return [[n - 1, source, n // 2, n - 1], [source], [n // 2, 0], []]
 
 
 def kernel_batches(graph: UncertainGraph, n_worlds: int, seed: int):
@@ -102,6 +123,7 @@ class TestPackedBFS:
         for targets in ([0], [n - 1], [0, n - 1, n // 2]):
             expected = batches["boolean"].bfs_distances(0, targets=targets)
             actual = batches["packed"].bfs_distances(0, targets=targets)
+            assert actual.shape == (70, len(targets))
             assert np.array_equal(expected, actual), targets
 
     def test_fragmented_graph_with_isolated_vertices(self):
@@ -110,11 +132,16 @@ class TestPackedBFS:
             vertices=[7, 8],
         )
         batches = kernel_batches(graph, 130, seed=2)
-        for source in range(graph.number_of_vertices()):
-            assert np.array_equal(
-                batches["boolean"].bfs_distances(source),
-                batches["packed"].bfs_distances(source),
-            )
+        n = graph.number_of_vertices()
+        for source in range(n):
+            full = batches["boolean"].bfs_distances(source)
+            assert np.array_equal(full, batches["packed"].bfs_distances(source))
+            # Every vertex as a target, isolated ones included, last first.
+            targets = list(range(n))[::-1]
+            for batch in batches.values():
+                assert np.array_equal(
+                    batch.bfs_distances(source, targets=targets), full[:, targets]
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -134,10 +161,13 @@ class TestPackedBFS:
             batches["boolean"].bfs_distances(source),
             batches["packed"].bfs_distances(source),
         )
-        targets = [source, (source + 1) % n]
+        full = batches["boolean"].bfs_distances(source)
+        targets = [(source + 1) % n, source, (source + 1) % n]
+        expected = batches["boolean"].bfs_distances(source, targets=targets)
+        assert expected.shape == (n_worlds, len(targets))
+        assert np.array_equal(expected, full[:, targets])
         assert np.array_equal(
-            batches["boolean"].bfs_distances(source, targets=targets),
-            batches["packed"].bfs_distances(source, targets=targets),
+            expected, batches["packed"].bfs_distances(source, targets=targets)
         )
 
     def test_every_query_class_identical_across_kernels(self, small_power_law):
@@ -169,6 +199,95 @@ class TestPackedBFS:
                 sampler.n, sampler.edge_vertices, batch.masks,
                 bfs_kernel="quantum",
             )
+
+
+class TestTargetedColumns:
+    """A targeted call returns the untargeted matrix's target columns."""
+
+    @pytest.mark.parametrize("fixture", TARGETED_FIXTURES)
+    @pytest.mark.parametrize("n_worlds", WORLD_COUNTS)
+    def test_columns_equal_untargeted_on_both_kernels(
+        self, fixture, n_worlds, request
+    ):
+        graph = request.getfixturevalue(fixture)
+        seed = TARGETED_FIXTURES.index(fixture) + 41
+        batches = kernel_batches(graph, n_worlds, seed=seed)
+        n = graph.number_of_vertices()
+        for source in sorted({0, n // 2, n - 1}):
+            full = batches["boolean"].bfs_distances(source)
+            for targets in target_lists(n, source):
+                want = full[:, targets]
+                for name, batch in batches.items():
+                    got = batch.bfs_distances(source, targets=targets)
+                    assert got.dtype == np.int64
+                    assert got.shape == (n_worlds, len(targets))
+                    assert got.tobytes() == want.tobytes(), (name, source, targets)
+
+    def test_far_end_of_certain_path_takes_five_planes(self, certain_path17):
+        batches = kernel_batches(certain_path17, 65, seed=1)
+        targets = [16, 1, 8, 15, 0, 16]
+        for batch in batches.values():
+            got = batch.bfs_distances(0, targets=targets)
+            assert np.array_equal(got, np.tile(targets, (65, 1)))
+
+    def test_targets_unreachable_in_some_worlds(self, path4):
+        batches = kernel_batches(path4, 65, seed=3)
+        full = batches["boolean"].bfs_distances(0)
+        far = full[:, 3]
+        assert (far == -1).any() and (far == 3).any()
+        for batch in batches.values():
+            assert np.array_equal(
+                batch.bfs_distances(0, targets=[3, 2, 3]), full[:, [3, 2, 3]]
+            )
+
+
+class TestVertexIds:
+    """Traversal entry points reject ids that are not integers in [0, n)."""
+
+    @pytest.mark.parametrize("bad", ["-1", "n", "True", "1.5"])
+    def test_bad_ids_rejected_by_world_and_batch(self, bad, small_power_law):
+        n = small_power_law.number_of_vertices()
+        vertex = {"-1": -1, "n": n, "True": True, "1.5": 1.5}[bad]
+        sampler = WorldSampler(small_power_law)
+        world = sampler.sample(rng=0)
+        batch = sampler.sample_batch(5, rng=0)
+        calls = {
+            "World.bfs_distances": lambda: world.bfs_distances(vertex),
+            "World.weighted_distances": lambda: world.weighted_distances(vertex),
+            "World.reachable_from": lambda: world.reachable_from(vertex),
+        }
+        for kernel in BFS_KERNELS:
+            calls[f"{kernel} source"] = lambda k=kernel: batch.bfs_distances(
+                vertex, kernel=k
+            )
+            calls[f"{kernel} target"] = lambda k=kernel: batch.bfs_distances(
+                0, targets=[1, vertex], kernel=k
+            )
+            calls[f"{kernel} target array"] = lambda k=kernel: batch.bfs_distances(
+                0, targets=np.array([vertex]), kernel=k
+            )
+        calls["WorldBatch.weighted_distances source"] = (
+            lambda: batch.weighted_distances(vertex)
+        )
+        calls["WorldBatch.weighted_distances target"] = (
+            lambda: batch.weighted_distances(0, targets=[vertex])
+        )
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=re.escape(repr(vertex))):
+                call()
+                pytest.fail(f"{name} accepted vertex {vertex!r}")
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_pair_beyond_last_vertex_rejected(self, batched, small_power_law):
+        n = small_power_law.number_of_vertices()
+        estimator = MonteCarloEstimator(small_power_law, n_samples=4, batched=batched)
+        for query, pair in (
+            (ShortestPathQuery([(0, 1), (0, n)]), (0, n)),
+            (ShortestPathQuery([(n, 0)], weighted=True), (n, 0)),
+            (ReliabilityQuery([(0, n)]), (0, n)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{pair!r}") + f".*n={n}"):
+                estimator.run(query, rng=0)
 
 
 class TestWeightTransform:
@@ -214,6 +333,9 @@ class TestDeltaStepping:
             batched = batch.weighted_distances(source)
             reference = self.dijkstra_reference(batch, source)
             assert np.allclose(batched, reference, rtol=1e-9, atol=1e-12)
+            for targets in target_lists(n, source):
+                columns = batch.weighted_distances(source, targets=targets)
+                assert columns.tobytes() == batched[:, targets].tobytes()
 
     def test_unreachable_targets_stay_inf(self):
         graph = UncertainGraph(
@@ -252,7 +374,8 @@ class TestDeltaStepping:
         targets = [3, 17, 40]
         full = batch.weighted_distances(0)
         early = batch.weighted_distances(0, targets=targets)
-        assert np.allclose(early[:, targets], full[:, targets], rtol=1e-9)
+        assert early.shape == (33, len(targets))
+        assert np.allclose(early, full[:, targets], rtol=1e-9)
 
     def test_bucket_width_invariance(self, small_sparse):
         batch = WorldSampler(small_sparse).sample_batch(20, rng=7)

@@ -175,6 +175,17 @@ class TestClusteringAndConnectivity:
         query = DegreeQuery(small_power_law.number_of_vertices())
         assert np.array_equal(query.evaluate(world), world.degrees())
 
+    @pytest.mark.parametrize("query", [ClusteringCoefficientQuery, DegreeQuery])
+    @pytest.mark.parametrize("n", [-1, True, 2.5, "3", None])
+    def test_invalid_n_rejected(self, query, n):
+        with pytest.raises(ValueError, match="^n must"):
+            query(n)
+
+    @pytest.mark.parametrize("query", [ClusteringCoefficientQuery, DegreeQuery])
+    def test_boundary_n_accepted(self, query):
+        assert query(0).unit_count() == 0
+        assert query(np.int64(5)).unit_count() == 5
+
 
 class TestPairSampling:
     def test_count_and_distinctness(self, small_power_law):
