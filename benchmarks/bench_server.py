@@ -1,6 +1,6 @@
-"""Server smoke benchmark: cold vs hot artifact-cache latency.
+"""Server smoke benchmark: cache latency and the update write path.
 
-Two layers, matching the other benches' "equality always gates, speed
+Three layers, matching the other benches' "equality always gates, speed
 floors are environment-tunable" idiom:
 
 1. **In-process** — drive :class:`SparsifierService` directly: a cold
@@ -11,7 +11,13 @@ floors are environment-tunable" idiom:
    lookup; cold runs a full GDB sweep), and archived as
    ``results/BENCH_server.json``.
 
-2. **Subprocess** — boot ``python -m repro.server --port 0`` exactly as
+2. **Update write path** — time a run of probability-only ``update``
+   calls (1% drift per call, as in perfbench's serve-3k) on a
+   3000-vertex graph and archive the median as ``update_ms``.  Each
+   returned ``digest`` must equal ``graph_digest`` of the client's own
+   copy, drifted by the same batches through ``apply_delta``.
+
+3. **Subprocess** — boot ``python -m repro.server --port 0`` exactly as
    an operator would, parse the advertised port from stdout, and drive
    ``sparsify`` twice + ``estimate`` + ``metrics`` over real HTTP.  The
    repeat must arrive with ``X-Repro-Cache: hit`` and a bit-identical
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -31,7 +38,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.datasets import flickr_like, write_edge_list
+from repro.core.delta import apply_delta
+from repro.datasets import flickr_like, graph_digest, read_edge_list, write_edge_list
+from repro.datasets.drift import DriftWorkload
 from repro.experiments.common import ResultTable
 from repro.server import ServerConfig, SparsifierService
 
@@ -42,7 +51,17 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SERVER_MIN_SPEEDUP", "5.0"))
 
 REPEATS = 5
 
+#: Probability-only ``update`` calls timed by the write-path bench.
+UPDATES = 10
+
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="module")
+def results():
+    """``BENCH_server.json``'s payload: each bench adds its figures and
+    writes the union, so running one bench alone still writes a file."""
+    return {}
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +71,7 @@ def dataset(tmp_path_factory):
     return str(path)
 
 
-def test_bench_cache_hot_vs_cold(dataset, emit, emit_json):
+def test_bench_cache_hot_vs_cold(dataset, results, emit, emit_json):
     params = {"dataset": dataset, "alpha": 0.3, "variant": "EMD^R-t",
               "seed": 0}
     with SparsifierService(ServerConfig(workers=2)) as service:
@@ -83,16 +102,56 @@ def test_bench_cache_hot_vs_cold(dataset, emit, emit_json):
         table.add_row("cold (computed)", cold_s, 1.0)
         table.add_row("hot (cache hit)", hot_s, speedup)
         emit("bench_server_cache", table)
-        emit_json("server", {
-            "cold_s": cold_s,
-            "hot_s": hot_s,
-            "speedup": speedup,
-        })
+        results.update(cold_s=cold_s, hot_s=hot_s, speedup=speedup)
+        emit_json("server", results)
 
     assert speedup >= MIN_SPEEDUP, (
         f"hot request only {speedup:.1f}x faster than cold "
         f"(need >= {MIN_SPEEDUP}x — is the cache recomputing?)"
     )
+
+
+def test_bench_update_write_path(tmp_path, results, emit, emit_json):
+    path = tmp_path / "serve.txt"
+    write_edge_list(flickr_like(n=3000, avg_degree=16, seed=11), path)
+    dataset = str(path)
+    model = read_edge_list(dataset)  # the client's own copy
+    stream = DriftWorkload(model, edge_fraction=0.01, seed=11)
+    params = {"dataset": dataset, "alpha": 0.4, "variant": "GDB^A-t",
+              "seed": 0}
+    seconds = []
+    with SparsifierService(ServerConfig(workers=1)) as service:
+        service.handle("sparsify", params)  # registers the graph, builds its plan
+        for _ in range(UPDATES):
+            batch = stream.next_batch(model)
+            edges = model.edge_list()
+            rows = [
+                [*edges[eid], p] for eid, p in
+                zip(batch.update_eids.tolist(), batch.update_ps.tolist())
+            ]
+            start = time.perf_counter()
+            out = service.update({"dataset": dataset, "updates": rows})
+            seconds.append(time.perf_counter() - start)
+            apply_delta(model, batch, in_place=True)
+            # Correctness gates: a probability-only delta repairs the plan,
+            # and the served digest names exactly the client's graph.
+            assert not out["structural"] and out["plan_repaired"]
+            assert out["updates"] == len(rows)
+            assert out["digest"] == graph_digest(model), (
+                "served digest differs from the client's drifted copy"
+            )
+
+    update_ms = 1e3 * statistics.median(seconds)
+    table = ResultTable(
+        title=f"Probability-only update, {len(rows)} edges of "
+        f"{model.number_of_edges()} per call, flickr-like n=3000",
+        headers=["calls", "median ms", "min ms"],
+    )
+    table.add_row(UPDATES, update_ms, 1e3 * min(seconds))
+    emit("bench_server_update", table)
+    results.update(update_ms=update_ms, update_calls=UPDATES,
+                   update_edges=len(rows), edges=model.number_of_edges())
+    emit_json("server", results)
 
 
 def _post(port, path, document):

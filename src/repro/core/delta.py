@@ -32,6 +32,7 @@ vertex set remains a rebuild.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,36 @@ from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import GraphError, ProbabilityError
 
 
-def _as_int_ids(ids) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64).reshape(-1)
-    return arr
+def _as_int_ids(ids, what: str) -> np.ndarray:
+    """``ids`` as a new flat int64 array.
+
+    numpy would truncate ``1.7`` to 1 and read ``True`` as 1, so any
+    value that is not an integer (booleans included) is an error.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return ids.astype(np.int64).reshape(-1)
+    values = np.asarray(ids, dtype=object).reshape(-1).tolist()
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise GraphError(f"{what} must be an integer, got {value!r}")
+    return np.array(values, dtype=np.int64)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_probs(ps, what: str) -> np.ndarray:
-    arr = np.asarray(ps, dtype=np.float64).reshape(-1)
+    if isinstance(ps, np.ndarray) and ps.dtype.kind == "f":
+        arr = ps.astype(np.float64).reshape(-1)
+    else:
+        values = np.asarray(ps, dtype=object).reshape(-1).tolist()
+        for value in values:
+            if not _is_real(value):
+                raise ProbabilityError(
+                    f"{what} probability must be a real number, got {value!r}"
+                )
+        arr = np.array(values, dtype=np.float64)
     if len(arr):
         bad = np.flatnonzero(~((arr > 0.0) & (arr <= 1.0)))
         if len(bad):
@@ -77,7 +101,7 @@ class EdgeDeltaBatch:
     insert_ps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
     def __post_init__(self) -> None:
-        update_eids = _as_int_ids(self.update_eids)
+        update_eids = _as_int_ids(self.update_eids, "update edge id")
         update_ps = _as_probs(self.update_ps, "update")
         if update_eids.shape != update_ps.shape:
             raise GraphError(
@@ -90,8 +114,9 @@ class EdgeDeltaBatch:
         if len(update_eids) and np.any(np.diff(update_eids) == 0):
             raise GraphError("duplicate edge ids in delta updates")
 
-        delete_eids = np.sort(np.unique(_as_int_ids(self.delete_eids)))
-        if len(delete_eids) != len(_as_int_ids(self.delete_eids)):
+        raw_deletes = _as_int_ids(self.delete_eids, "delete edge id")
+        delete_eids = np.unique(raw_deletes)
+        if len(delete_eids) != len(raw_deletes):
             raise GraphError("duplicate edge ids in delta deletes")
         if len(update_eids) and len(delete_eids) and len(
             np.intersect1d(update_eids, delete_eids)
@@ -102,7 +127,7 @@ class EdgeDeltaBatch:
         ):
             raise GraphError("negative edge id in delta batch")
 
-        pairs = np.asarray(self.insert_endpoints, dtype=np.int64).reshape(-1, 2)
+        pairs = _as_int_ids(self.insert_endpoints, "insert vertex id").reshape(-1, 2)
         insert_ps = _as_probs(self.insert_ps, "insert")
         if len(pairs) != len(insert_ps):
             raise GraphError(
@@ -156,15 +181,15 @@ class EdgeDeltaBatch:
         constructor for external callers (the server's ``/update``
         endpoint, replay scripts) that speak vertex labels rather than
         edge ids.  Updated/deleted pairs must exist; inserted pairs must
-        not.
+        not.  Every row must be a list or tuple of exactly that shape,
+        with ``p`` a real number (not a boolean or a string); a
+        malformed row is an error that names it.
         """
         indexer = graph.vertex_indexer()
-        endpoints = graph.edge_index_array()
-        eid_of: dict[tuple[int, int], int] = {}
-        for eid, (a, b) in enumerate(
-            np.sort(endpoints, axis=1).tolist() if len(endpoints) else []
-        ):
-            eid_of[(a, b)] = eid
+        n = graph.number_of_vertices()
+        keys = _pair_keys(graph.edge_index_array(), n)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
 
         def dense(label):
             # Exact label first; fall back to its string form so JSON
@@ -179,33 +204,49 @@ class EdgeDeltaBatch:
             except (KeyError, TypeError):
                 raise GraphError(f"vertex not in graph: {label!r}") from None
 
-        def dense_pair(u, v):
+        def resolve(row, what: str, width: int):
+            """``(dense pair, edge id or -1)`` of a checked row."""
+            if not isinstance(row, (list, tuple)) or len(row) != width:
+                shape = "[u, v, p]" if width == 3 else "[u, v]"
+                raise GraphError(
+                    f"{what} row must be a list {shape}, got {row!r}"
+                )
+            if width == 3 and not _is_real(row[2]):
+                raise GraphError(
+                    f"{what} row {row!r}: probability must be a real number"
+                )
+            u, v = row[0], row[1]
             a, b = dense(u), dense(v)
             if a == b:
                 raise GraphError(f"self-loops are not allowed: {u!r}")
-            return (a, b) if a < b else (b, a)
+            pair = (a, b) if a < b else (b, a)
+            key = pair[0] * n + pair[1]
+            i = int(np.searchsorted(sorted_keys, key))
+            found = i < len(sorted_keys) and sorted_keys[i] == key
+            return pair, int(order[i]) if found else -1
 
         update_eids, update_ps = [], []
-        for u, v, p in updates:
-            pair = dense_pair(u, v)
-            if pair not in eid_of:
-                raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-            update_eids.append(eid_of[pair])
-            update_ps.append(float(p))
+        for row in updates:
+            _, eid = resolve(row, "update", 3)
+            if eid < 0:
+                raise GraphError(f"edge not in graph: ({row[0]!r}, {row[1]!r})")
+            update_eids.append(eid)
+            update_ps.append(float(row[2]))
         delete_eids = []
-        for item in deletes:
-            u, v = item[0], item[1]
-            pair = dense_pair(u, v)
-            if pair not in eid_of:
-                raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-            delete_eids.append(eid_of[pair])
+        for row in deletes:
+            _, eid = resolve(row, "delete", 2)
+            if eid < 0:
+                raise GraphError(f"edge not in graph: ({row[0]!r}, {row[1]!r})")
+            delete_eids.append(eid)
         insert_pairs, insert_ps = [], []
-        for u, v, p in inserts:
-            pair = dense_pair(u, v)
-            if pair in eid_of:
-                raise GraphError(f"insert of an existing edge: ({u!r}, {v!r})")
+        for row in inserts:
+            pair, eid = resolve(row, "insert", 3)
+            if eid >= 0:
+                raise GraphError(
+                    f"insert of an existing edge: ({row[0]!r}, {row[1]!r})"
+                )
             insert_pairs.append(pair)
-            insert_ps.append(float(p))
+            insert_ps.append(float(row[2]))
         return cls(
             update_eids=np.array(update_eids, dtype=np.int64),
             update_ps=np.array(update_ps, dtype=np.float64),
@@ -301,22 +342,19 @@ def apply_delta(graph, batch: EdgeDeltaBatch, in_place: bool = True) -> AppliedD
 def _apply_to_uncertain(
     graph: UncertainGraph, batch: EdgeDeltaBatch, in_place: bool
 ) -> AppliedDelta:
-    m = graph.number_of_edges()
+    old_ps = graph.probability_array()
+    old_index = graph.edge_index_array()
+    m = len(old_ps)
     n = graph.number_of_vertices()
     _check_eid_range(batch, m)
     _check_insert_range(batch, n)
-    old_ps = np.array(graph.probability_array(), dtype=np.float64)
-    old_index = graph.edge_index_array()
     old_update_ps = old_ps[batch.update_eids]
-    delete_endpoints = old_index[batch.delete_eids].copy()
+    delete_endpoints = old_index[batch.delete_eids]
     if not in_place:
         graph = graph.copy()
-    edge_list = list(graph.edge_list())
-    vertex_of = list(graph.vertices())
-
-    for eid, p in zip(batch.update_eids.tolist(), batch.update_ps.tolist()):
-        u, v = edge_list[eid]
-        graph.set_probability(u, v, p)
+    # Read the edge list before any structural mutation drops the cache.
+    edge_list = graph.edge_list()
+    graph.set_probabilities(batch.update_eids, batch.update_ps)
     if not batch.is_structural:
         return AppliedDelta(
             batch=batch, graph=graph, id_map=np.arange(m, dtype=np.int64),
@@ -328,6 +366,7 @@ def _apply_to_uncertain(
     for eid in batch.delete_eids.tolist():
         u, v = edge_list[eid]
         graph.remove_edge(u, v)
+    vertex_of = graph.vertices()
     for (a, b), p in zip(batch.insert_endpoints.tolist(), batch.insert_ps.tolist()):
         u, v = vertex_of[a], vertex_of[b]
         if graph.has_edge(u, v):

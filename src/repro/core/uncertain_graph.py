@@ -11,8 +11,9 @@ Design
 The class keeps a dict-of-dicts adjacency (like networkx, but specialised
 and much lighter) for O(1) edge updates, plus lazily-built, cached numpy
 *edge views* (``edge_index_array`` / ``probability_array``) which the
-Monte-Carlo samplers and the vectorised algorithms consume.  Any mutation
-invalidates the cache.
+Monte-Carlo samplers and the vectorised algorithms consume.  A mutation
+of the edge or vertex set invalidates the cache; a bulk probability
+update (``set_probabilities``) keeps the structural views.
 
 Vertices may be arbitrary hashable objects; algorithms that need dense
 integer ids use :meth:`vertex_indexer`.
@@ -196,6 +197,50 @@ class UncertainGraph:
         self._adj[v][u] = p
         self._invalidate_caches()
 
+    def set_probabilities(self, eids: np.ndarray, probabilities: np.ndarray) -> None:
+        """Update the probabilities of existing edges named by edge id.
+
+        Ids are positions in :meth:`edge_list`.  A probability change
+        leaves the edge set and its order alone, so the edge list, the
+        vertex indexer and :meth:`edge_index_array` stay cached.  The
+        probability array is replaced by a patched copy: an array a
+        caller obtained from :meth:`probability_array` earlier keeps its
+        values.
+        """
+        eids = np.asarray(eids)
+        probabilities = np.asarray(probabilities)
+        if (eids.size and eids.dtype.kind not in "iu") or (
+            probabilities.size and probabilities.dtype.kind not in "iuf"
+        ):
+            raise GraphError(
+                f"edge ids must be integers and probabilities real numbers, "
+                f"got {eids.dtype} and {probabilities.dtype}"
+            )
+        eids = eids.astype(np.int64).reshape(-1)
+        probabilities = probabilities.astype(np.float64).reshape(-1)
+        if len(eids) != len(probabilities):
+            raise GraphError(
+                f"eids/probabilities length mismatch: "
+                f"{len(eids)} vs {len(probabilities)}"
+            )
+        edge_list, old = self._build_edge_cache()
+        if not len(eids):
+            return
+        if eids.min() < 0 or eids.max() >= len(edge_list):
+            raise GraphError(f"edge id outside [0, {len(edge_list)})")
+        bad = np.flatnonzero(~((probabilities > 0.0) & (probabilities <= 1.0)))
+        if len(bad):
+            _validate_probability(probabilities[bad[0]])
+        new = old.copy()
+        new[eids] = probabilities
+        new.setflags(write=False)
+        adj = self._adj
+        for eid, p in zip(eids.tolist(), new[eids].tolist()):
+            u, v = edge_list[eid]
+            adj[u][v] = p
+            adj[v][u] = p
+        self._edge_cache = (edge_list, new)
+
     def remove_edge(self, u: Vertex, v: Vertex) -> float:
         """Remove edge ``(u, v)``; returns its probability."""
         if not self.has_edge(u, v):
@@ -335,12 +380,20 @@ class UncertainGraph:
     # Copies / conversions
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "UncertainGraph":
-        """Deep copy (probabilities included)."""
+        """Independent copy: same vertices, edges, probabilities and orders.
+
+        The adjacency rows are copied dict by dict, and the cached views
+        come along as new objects, so the copy's first consumer pays no
+        O(m) rebuild.  Only the read-only endpoint array is shared.
+        """
         clone = UncertainGraph(name=self.name if name is None else name)
-        for v in self._adj:
-            clone.add_vertex(v)
-        for u, v, p in self.edges():
-            clone.add_edge(u, v, p)
+        clone._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        if self._edge_cache is not None:
+            edge_list, probs = self._edge_cache
+            clone._edge_cache = (list(edge_list), probs.copy())
+        if self._indexer_cache is not None:
+            clone._indexer_cache = dict(self._indexer_cache)
+        clone._edge_index_cache = self._edge_index_cache
         return clone
 
     def subgraph_with_edges(

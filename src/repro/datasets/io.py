@@ -22,6 +22,7 @@ serialisation of a graph is a pure function of its content.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 
 from repro.core.uncertain_graph import UncertainGraph
@@ -36,7 +37,9 @@ def _serialisable_token(vertex) -> str:
     mis-parsed (or rejected) on read.  Fail at write time instead.
     """
     token = str(vertex)
-    if not token or "#" in token or any(ch.isspace() for ch in token):
+    # ``split()`` breaks on exactly the characters ``str.isspace()``
+    # accepts: one C-level call rejects empty and whitespace tokens.
+    if "#" in token or token.split() != [token]:
         raise GraphError(
             f"vertex {vertex!r} cannot be serialised as an edge-list token: "
             f"tokens must be non-empty and contain no whitespace or '#'"
@@ -51,7 +54,19 @@ def format_edge_list(graph: UncertainGraph, header: bool = True) -> str:
     as a string lets callers (the artifact server, digests) serialise
     without touching disk.  Probabilities use ``repr`` so the write →
     read round trip is bit-identical.
+
+    One line per edge in :meth:`~UncertainGraph.edge_list` order, then
+    one per isolated vertex in vertex order.  Each vertex's token is
+    rendered and checked once, in the order the lines first mention it,
+    so an error names the first unrepresentable vertex of the output.
     """
+    edge_list = graph.edge_list()
+    touched = dict.fromkeys(itertools.chain.from_iterable(edge_list))
+    isolated = [vertex for vertex in graph.vertices() if vertex not in touched]
+    tokens = {
+        vertex: _serialisable_token(vertex)
+        for vertex in itertools.chain(touched, isolated)
+    }
     lines = []
     if header:
         lines.append(
@@ -59,14 +74,11 @@ def format_edge_list(graph: UncertainGraph, header: bool = True) -> str:
             f"{graph.number_of_vertices()} vertices, "
             f"{graph.number_of_edges()} edges\n"
         )
-    touched = set()
-    for u, v, p in graph.edges():
-        lines.append(f"{_serialisable_token(u)} {_serialisable_token(v)} {p!r}\n")
-        touched.add(u)
-        touched.add(v)
-    for vertex in graph.vertices():
-        if vertex not in touched:
-            lines.append(f"{_serialisable_token(vertex)}\n")
+    lines += [
+        f"{tokens[u]} {tokens[v]} {p!r}\n"
+        for (u, v), p in zip(edge_list, graph.probability_array().tolist())
+    ]
+    lines += [f"{tokens[vertex]}\n" for vertex in isolated]
     return "".join(lines)
 
 

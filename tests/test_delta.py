@@ -8,6 +8,8 @@ bookkeeping invariants, and the warm-started maintainer must land on the
 cold rebuild's selection and objective.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,37 @@ class TestApplyDelta:
             new_index[applied.id_map[alive]], old_index[alive]
         )
 
+    @settings(max_examples=30, deadline=None)
+    @given(batch=delta_batches(structural=False))
+    def test_probability_update_carries_views_byte_for_byte(self, batch):
+        def views(g):
+            return (
+                list(g.edge_list()), g.probability_array().dtype,
+                g.probability_array().tobytes(),
+                g.edge_index_array().tobytes(), dict(g.vertex_indexer()),
+            )
+
+        original = views(GRAPH)
+        graph = apply_delta(GRAPH, batch, in_place=False).graph
+        carried = views(graph)
+        graph._invalidate_caches()
+        assert carried == views(graph)
+        # The registered graph the copy came from is untouched.
+        assert views(GRAPH) == original
+
+    def test_in_place_update_keeps_earlier_arrays(self):
+        graph = GRAPH.copy()
+        held = graph.probability_array()
+        held_bytes = held.tobytes()
+        index = graph.edge_index_array()
+        batch = EdgeDeltaBatch(update_eids=[0, 5], update_ps=[0.5, 0.25])
+        applied = apply_delta(graph, batch, in_place=True)
+        assert applied.graph is graph
+        assert held.tobytes() == held_bytes
+        assert graph.edge_index_array() is index
+        assert graph.probability_array()[[0, 5]].tolist() == [0.5, 0.25]
+        assert applied.old_update_ps.tolist() == held[[0, 5]].tolist()
+
     def test_empty_batch_is_identity(self):
         batch = EdgeDeltaBatch()
         assert batch.is_empty and not batch.is_structural and batch.size == 0
@@ -135,6 +168,57 @@ class TestBatchValidation:
     def test_negative_ids(self):
         with pytest.raises(GraphError, match="negative"):
             EdgeDeltaBatch(delete_eids=[-1])
+
+    @pytest.mark.parametrize("bad", [1.7, True, 1.0, np.float64(2.0),
+                                     np.bool_(True), "1", None])
+    @pytest.mark.parametrize("field", ["update_eids", "delete_eids"])
+    def test_non_integer_edge_ids(self, field, bad):
+        kwargs = {field: [0, bad]}
+        if field == "update_eids":
+            kwargs["update_ps"] = [0.5, 0.5]
+        with pytest.raises(GraphError, match=re.escape(f"must be an integer, got {bad!r}")):
+            EdgeDeltaBatch(**kwargs)
+
+    @pytest.mark.parametrize("ids", [np.array([1.7]), np.array([True]),
+                                     np.array([1.0])])
+    def test_non_integer_id_arrays(self, ids):
+        with pytest.raises(GraphError, match="must be an integer"):
+            EdgeDeltaBatch(update_eids=ids, update_ps=[0.5])
+        with pytest.raises(GraphError, match="must be an integer"):
+            EdgeDeltaBatch(delete_eids=ids)
+
+    @pytest.mark.parametrize("bad", [1.7, True, 2.0])
+    def test_non_integer_insert_endpoints(self, bad):
+        with pytest.raises(GraphError, match=re.escape(f"must be an integer, got {bad!r}")):
+            EdgeDeltaBatch(insert_endpoints=[[0, bad]], insert_ps=[0.5])
+
+    def test_integer_ids_of_any_width_accepted(self):
+        batch = EdgeDeltaBatch(
+            update_eids=np.array([3, 1], dtype=np.uint8),
+            update_ps=np.array([0.5, 0.25], dtype=np.float32),
+            delete_eids=[np.int64(7), 2],
+            insert_endpoints=np.array([[4, 1]], dtype=np.int32),
+            insert_ps=[1],
+        )
+        assert batch.update_eids.dtype == np.int64
+        assert batch.update_eids.tolist() == [1, 3]
+        assert batch.update_ps.tolist() == [0.25, 0.5]
+        assert batch.delete_eids.tolist() == [2, 7]
+        assert batch.insert_endpoints.tolist() == [[1, 4]]
+        assert batch.insert_ps.tolist() == [1.0]
+
+    def test_input_arrays_are_not_frozen(self):
+        eids = np.array([1, 2], dtype=np.int64)
+        ps = np.array([0.5, 0.5])
+        EdgeDeltaBatch(update_eids=eids, update_ps=ps, delete_eids=np.array([3]))
+        assert eids.flags.writeable and ps.flags.writeable
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", None])
+    def test_non_real_probabilities(self, bad):
+        with pytest.raises(ProbabilityError, match="real number"):
+            EdgeDeltaBatch(update_eids=[0], update_ps=[bad])
+        with pytest.raises(ProbabilityError, match="real number"):
+            EdgeDeltaBatch(insert_endpoints=[[0, 1]], insert_ps=[bad])
 
     def test_length_mismatch(self):
         with pytest.raises(GraphError, match="mismatch"):
@@ -214,6 +298,60 @@ class TestFromPairs:
     def test_self_loop(self, labelled):
         with pytest.raises(GraphError, match="self-loop"):
             EdgeDeltaBatch.from_pairs(labelled, deletes=[("1", "1")])
+
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"updates": [["0", "1", True]]}, "real number"),
+        ({"updates": [["0", "1", "0.5"]]}, "real number"),
+        ({"updates": [["0", "1", None]]}, "real number"),
+        ({"updates": ["011"]}, "must be a list"),
+        ({"updates": [["0", "1"]]}, "must be a list"),
+        ({"updates": [["0", "1", 0.5, "extra"]]}, "must be a list"),
+        ({"updates": [{"u": "0", "v": "1", "p": 0.5}]}, "must be a list"),
+        ({"deletes": ["12"]}, "must be a list"),
+        ({"deletes": [["1", "2", 0.5]]}, "must be a list"),
+        ({"deletes": [["1"]]}, "must be a list"),
+        ({"inserts": [["0", "3", False]]}, "real number"),
+        ({"inserts": [("0", "3")]}, "must be a list"),
+    ])
+    def test_malformed_rows_rejected(self, labelled, kwargs, match):
+        labelled.add_vertex("3")
+        with pytest.raises(GraphError, match=match) as excinfo:
+            EdgeDeltaBatch.from_pairs(labelled, **kwargs)
+        (row,) = next(iter(kwargs.values()))
+        assert repr(row) in str(excinfo.value)
+
+    def test_well_formed_rows_of_every_kind(self, labelled):
+        labelled.add_vertex("3")
+        batch = EdgeDeltaBatch.from_pairs(
+            labelled, updates=[("1", "0", np.float64(0.5)), ["1", "2", 1]],
+            deletes=[("2", "0")], inserts=[[3, "0", 0.25]],
+        )
+        index = np.sort(labelled.edge_index_array(), axis=1).tolist()
+        assert [index[e] for e in batch.update_eids] == [[0, 1], [1, 2]]
+        assert batch.update_ps.tolist() == [0.5, 1.0]
+        assert [index[e] for e in batch.delete_eids] == [[0, 2]]
+        assert batch.insert_endpoints.tolist() == [[0, 3]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lookup_matches_the_edge_enumeration(self, data):
+        edges = GRAPH.edge_list()
+        eids = data.draw(st.lists(st.integers(0, M - 1), unique=True,
+                                  max_size=12))
+        # Either orientation names the same edge.
+        rows = [
+            (edges[e][1], edges[e][0], 0.5) if data.draw(st.booleans())
+            else (edges[e][0], edges[e][1], 0.5)
+            for e in eids
+        ]
+        batch = EdgeDeltaBatch.from_pairs(GRAPH, updates=rows)
+        assert batch.update_eids.tolist() == sorted(eids)
+        missing = data.draw(st.sampled_from(NON_EDGES))
+        with pytest.raises(GraphError, match="edge not in graph"):
+            EdgeDeltaBatch.from_pairs(GRAPH, deletes=[missing])
+        inserted = EdgeDeltaBatch.from_pairs(GRAPH, inserts=[(*missing, 0.5)])
+        assert inserted.insert_endpoints.tolist() == [sorted(missing)]
 
 
 class TestPlanRepair:

@@ -1,10 +1,14 @@
 """Edge-list I/O round trips and error handling."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UncertainGraph
+from repro.core.array_graph import EdgeArrayGraph
 from repro.datasets import (
     dataset_digest,
     parse_edge_list,
@@ -285,3 +289,147 @@ class TestParseEngineParity:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             parse_edge_list("a b 0.5\n", engine="turbo")
+
+
+# -- format_edge_list against the per-edge writer it replaced ---------------
+
+def _reference_token(vertex):
+    token = str(vertex)
+    if not token or "#" in token or any(ch.isspace() for ch in token):
+        raise GraphError(
+            f"vertex {vertex!r} cannot be serialised as an edge-list token: "
+            f"tokens must be non-empty and contain no whitespace or '#'"
+        )
+    return token
+
+
+def reference_format_edge_list(graph, header=True):
+    """The per-edge loop ``format_edge_list`` used to run: the oracle."""
+    lines = []
+    if header:
+        lines.append(
+            f"# uncertain graph {graph.name!r}: "
+            f"{graph.number_of_vertices()} vertices, "
+            f"{graph.number_of_edges()} edges\n"
+        )
+    touched = set()
+    for u, v, p in graph.edges():
+        lines.append(f"{_reference_token(u)} {_reference_token(v)} {p!r}\n")
+        touched.add(u)
+        touched.add(v)
+    for vertex in graph.vertices():
+        if vertex not in touched:
+            lines.append(f"{_reference_token(vertex)}\n")
+    return "".join(lines)
+
+
+def _outcome(formatter, graph, header):
+    try:
+        return formatter(graph, header=header)
+    except GraphError as error:
+        return ("GraphError", str(error))
+
+
+_probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                           allow_nan=False)
+_good_labels = st.one_of(
+    st.integers(-40, 40),
+    st.text(alphabet="abz09_-.é中", min_size=1, max_size=3),
+)
+# Spaces, tabs, '#' and the empty string cannot be written as tokens;
+# '\x1c' is whitespace to str.isspace() though not to most eyes.
+_any_labels = st.one_of(
+    _good_labels,
+    st.text(alphabet="ab #\t\x1c　", max_size=3),
+)
+
+
+@st.composite
+def _uncertain_graphs(draw, labels=_good_labels):
+    """Graphs with int and string labels, isolated vertices, both edge
+    orientations and any insertion order (rows are not canonical)."""
+    pool = draw(st.lists(labels, min_size=2, max_size=10, unique=True))
+    graph = UncertainGraph(name=draw(st.text(max_size=4)))
+    for vertex in draw(st.lists(st.sampled_from(pool), unique=True)):
+        graph.add_vertex(vertex)
+    for u, v, p in draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(pool), _probabilities),
+        max_size=25,
+    )):
+        if u != v:
+            graph.add_edge(u, v, p)
+    return graph
+
+
+class TestFormatEdgeListOracle:
+    """``format_edge_list`` writes the old per-edge loop's bytes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph=_uncertain_graphs(), header=st.booleans())
+    def test_matches_reference(self, graph, header):
+        assert format_edge_list(graph, header=header) == \
+            reference_format_edge_list(graph, header=header)
+        assert graph_digest(graph) == hashlib.sha256(
+            reference_format_edge_list(graph, header=False).encode("utf-8")
+        ).hexdigest()
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_uncertain_graphs(), data=st.data())
+    def test_matches_reference_after_mutations(self, graph, data):
+        graph.probability_array()  # warm caches: bulk updates patch them
+        for _ in range(data.draw(st.integers(1, 6))):
+            edges = graph.edge_list()
+            vertices = graph.vertices()
+            kind = data.draw(st.sampled_from(["add", "remove", "bulk"]))
+            if kind == "add" and len(vertices) >= 2:
+                u = data.draw(st.sampled_from(vertices))
+                v = data.draw(st.sampled_from(vertices))
+                if u != v:
+                    graph.add_edge(u, v, data.draw(_probabilities))
+            elif kind == "remove" and edges:
+                graph.remove_edge(*data.draw(st.sampled_from(edges)))
+            elif edges:
+                eids = data.draw(st.lists(
+                    st.integers(0, len(edges) - 1), unique=True, max_size=5))
+                graph.set_probabilities(
+                    np.array(eids, dtype=np.int64),
+                    [data.draw(_probabilities) for _ in eids],
+                )
+            assert format_edge_list(graph) == reference_format_edge_list(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_edge_array_graph_matches_reference(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)),
+                      st.integers(0, max(n - 1, 0))),
+            max_size=20, unique_by=lambda e: (min(e), max(e)),
+        ))
+        pairs = [(u, v) for u, v in pairs if u != v]
+        probs = [data.draw(_probabilities) for _ in pairs]
+        graph = EdgeArrayGraph(
+            n,
+            np.array([u for u, _ in pairs], dtype=np.int64),
+            np.array([v for _, v in pairs], dtype=np.int64),
+            np.array(probs, dtype=np.float64),
+            name="arrays",
+        )
+        assert format_edge_list(graph) == reference_format_edge_list(graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_uncertain_graphs(labels=_any_labels), header=st.booleans())
+    def test_same_error_names_the_same_vertex(self, graph, header):
+        assert _outcome(format_edge_list, graph, header) == \
+            _outcome(reference_format_edge_list, graph, header)
+
+    def test_first_encountered_bad_vertex_is_named(self):
+        # Vertex order puts "x y" before "p q"; the lines meet "p q" first.
+        graph = UncertainGraph(vertices=["ok", "x y"])
+        graph.add_edge("ok", "p q", 0.5)
+        graph.add_edge("ok", "x y", 0.5)
+        with pytest.raises(GraphError, match="'p q'"):
+            format_edge_list(graph)
+        isolated_last = UncertainGraph([("a", "b", 0.5)], vertices=["c d"])
+        with pytest.raises(GraphError, match="'c d'"):
+            format_edge_list(isolated_last)

@@ -10,7 +10,7 @@ The contracts under test:
   graph (the overlay is transparent);
 - ``resparsify`` queues a background refresh that warms the cache;
 - malformed requests fail loudly (unknown params, binary datasets,
-  missing edges/vertices).
+  missing edges/vertices, malformed rows) before the delta lands.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 from repro.core import sparsify
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.datasets import read_edge_list, twitter_like, write_edge_list
-from repro.exceptions import ServerError
+from repro.exceptions import GraphError, ServerError
 from repro.server import ServerConfig, SparsifierService, start_server
 
 SPARSIFY = dict(alpha=0.4, variant="GDB^A", seed=0)
@@ -156,6 +156,46 @@ class TestUpdateSemantics:
             })
 
 
+def _malformed(u, v):
+    """Rows an earlier ``/update`` silently misread."""
+    return [
+        {"updates": [[u, v, True]]},           # was p = 1.0
+        {"updates": [[u, v, "0.5"]]},          # was p = 0.5
+        {"updates": ["011"]},                  # was ('0', '1', '1')
+        {"updates": [[u, v, 0.5, "extra"]]},   # extra item was ignored
+        {"deletes": ["12"]},                   # was the pair ('1', '2')
+        {"deletes": [[u, v, 0.5]]},
+    ]
+
+
+class TestMalformedRows:
+    def _state(self, service, dataset):
+        return (
+            service._digest(dataset),
+            dict(service._overlays),
+            service.cache.stats()["size"],
+            service.cache.stats()["invalidations"],
+        )
+
+    def test_rejected_before_the_delta_lands(self, service, dataset):
+        _, u, v, _ = _first_edge(dataset)
+        # An overlay and a cached artifact for the drifted graph exist.
+        service.update({"dataset": dataset, "updates": [[u, v, 0.5]]})
+        body, _ = service.handle("sparsify", {"dataset": dataset, **SPARSIFY})
+        before = self._state(service, dataset)
+        assert before[1] == {dataset: before[0]}
+        for rows in _malformed(u, v):
+            with pytest.raises(GraphError) as excinfo:
+                service.update({"dataset": dataset, **rows})
+            (row,) = next(iter(rows.values()))
+            assert repr(row) in str(excinfo.value)
+            assert self._state(service, dataset) == before
+        again, hit = service.handle(
+            "sparsify", {"dataset": dataset, **SPARSIFY}
+        )
+        assert hit and again == body
+
+
 class TestUpdateHTTP:
     def _post(self, port, path, document):
         request = urllib.request.Request(
@@ -188,3 +228,16 @@ class TestUpdateHTTP:
                     "dataset": dataset, "updates": [["no-such", "vertex", 0.5]],
                 })
             assert 400 <= excinfo.value.code < 500
+
+    def test_malformed_rows_are_400(self, dataset):
+        _, u, v, _ = _first_edge(dataset)
+        with start_server(ServerConfig(port=0, workers=2)) as server:
+            before = server.service._digest(dataset)
+            for rows in _malformed(u, v):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    self._post(server.port, "/update",
+                               {"dataset": dataset, **rows})
+                assert excinfo.value.code == 400
+                assert "GraphError" in excinfo.value.read().decode()
+            assert server.service._digest(dataset) == before
+            assert dataset not in server.service._overlays

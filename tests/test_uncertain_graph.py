@@ -383,3 +383,137 @@ class TestFromEdgeArrays:
             UncertainGraph.from_edge_arrays(
                 ["a", "b"], np.array([[0, 1]]), np.array([0.5, 0.6])
             )
+
+
+def _snapshot(graph):
+    """Everything a copy must keep apart: adjacency rows in order, the
+    edge enumeration, probability and endpoint bytes, the indexer."""
+    return (
+        [(v, list(graph.neighbors(v).items())) for v in graph],
+        list(graph.edge_list()),
+        graph.probability_array().tobytes(),
+        graph.edge_index_array().tobytes(),
+        dict(graph.vertex_indexer()),
+    )
+
+
+def _views(graph):
+    return (
+        list(graph.edge_list()),
+        graph.probability_array().dtype,
+        graph.probability_array().tobytes(),
+        graph.edge_index_array().dtype,
+        graph.edge_index_array().tobytes(),
+        dict(graph.vertex_indexer()),
+    )
+
+
+def _cold_views(graph):
+    """The cached views, then the views a fresh rebuild computes."""
+    warm = _views(graph)
+    graph._invalidate_caches()
+    return warm, _views(graph)
+
+
+def _mutate(graph, kind):
+    edges = graph.edge_list()
+    if kind == "bulk":
+        graph.set_probabilities(np.array([0, len(edges) - 1]), [0.125, 0.875])
+    elif kind == "add":
+        graph.add_edge("fresh", edges[0][0], 0.5)
+    else:
+        graph.remove_edge(*edges[1])
+
+
+class TestCopyIndependence:
+    """``copy`` carries the adjacency and cached views as new objects."""
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_copy_equals_original(self, small_power_law, warm):
+        graph = small_power_law
+        # Re-adding an edge moves it to the end of both rows, so row
+        # order is no longer the order a rebuild from edges() gives.
+        u, v = graph.edge_list()[0]
+        graph.add_edge(v, u, graph.remove_edge(u, v))
+        if warm:
+            graph.edge_index_array()
+        clone = graph.copy(name="clone")
+        assert clone.name == "clone"
+        assert _snapshot(clone) == _snapshot(graph)
+
+    @pytest.mark.parametrize("kind", ["bulk", "add", "remove"])
+    @pytest.mark.parametrize("mutated", ["original", "copy"])
+    def test_mutating_one_side_leaves_the_other(
+        self, small_power_law, kind, mutated
+    ):
+        original = small_power_law
+        original.edge_index_array()  # warm: the copy carries the views
+        clone = original.copy()
+        target, other = (
+            (original, clone) if mutated == "original" else (clone, original)
+        )
+        before = _snapshot(other)
+        target_before = _snapshot(target)
+        _mutate(target, kind)
+        assert _snapshot(target) != target_before
+        assert _snapshot(other) == before
+        warm, cold = _cold_views(target)
+        assert warm == cold
+
+    def test_copy_does_not_alias_mutable_views(self, triangle):
+        triangle.edge_index_array()
+        clone = triangle.copy()
+        assert clone.edge_list() is not triangle.edge_list()
+        assert clone.probability_array() is not triangle.probability_array()
+        assert clone.vertex_indexer() is not triangle.vertex_indexer()
+        for v in triangle:
+            assert clone._adj[v] is not triangle._adj[v]
+
+
+class TestSetProbabilities:
+    def test_updates_adjacency_and_keeps_structure(self, small_power_law):
+        graph = small_power_law
+        edges = graph.edge_list()
+        index = graph.edge_index_array()
+        held = graph.probability_array()
+        held_bytes = held.tobytes()
+        graph.set_probabilities(np.array([3, 0]), np.array([0.25, 1.0]))
+        # Structural views are the same objects; the holder's array kept
+        # its values, and the new array is read-only.
+        assert graph.edge_list() is edges
+        assert graph.edge_index_array() is index
+        assert held.tobytes() == held_bytes
+        probs = graph.probability_array()
+        assert probs is not held and not probs.flags.writeable
+        assert probs[3] == 0.25 and probs[0] == 1.0
+        for (u, v), p in zip(edges, probs.tolist()):
+            assert graph.probability(u, v) == p == graph.probability(v, u)
+        warm, cold = _cold_views(graph)
+        assert warm == cold
+
+    def test_cold_graph(self, triangle):
+        triangle.set_probabilities([1], [0.75])
+        u, v = triangle.edge_list()[1]
+        assert triangle.probability(u, v) == 0.75
+
+    def test_empty_update_is_a_no_op(self, triangle):
+        before = _snapshot(triangle)
+        triangle.set_probabilities([], [])
+        assert _snapshot(triangle) == before
+
+    @pytest.mark.parametrize("eids, ps, error, match", [
+        ([0, 1], [0.5], GraphError, "mismatch"),
+        ([3], [0.5], GraphError, r"\[0, 3\)"),
+        ([-1], [0.5], GraphError, r"\[0, 3\)"),
+        ([0], [0.0], ProbabilityError, r"\(0, 1\]"),
+        ([0, 1], [0.5, float("nan")], ProbabilityError, r"\(0, 1\]"),
+        ([1.7], [0.5], GraphError, "integers"),
+        ([True], [0.5], GraphError, "integers"),
+        ([0], [True], GraphError, "real numbers"),
+        ([0], ["0.5"], GraphError, "real numbers"),
+    ])
+    def test_rejects_bad_input_untouched(self, triangle, eids, ps, error, match):
+        before = _snapshot(triangle)
+        with pytest.raises(error, match=match):
+            triangle.set_probabilities(eids, ps)
+        assert _snapshot(triangle) == before
