@@ -1,8 +1,11 @@
-"""Smoke benchmark: the array-native sparsifier engine.
+"""Smoke benchmark: the array-native sparsifiers against their scalar
+references.
 
 GDB and EMD on a ~10k-edge Forest-Fire sample of a Flickr-style
-topology (the paper's "Flickr reduced" construction), loop engine vs
-vector engine:
+topology (the paper's "Flickr reduced" construction).  The ``loop``
+side of every table is the scalar reference in ``tests/oracles/``
+(``benchmarks/conftest.py`` puts ``tests/`` on ``sys.path``), the
+``vector`` side the production path:
 
 - **GDB sweeps** (the hot path of every fig04-08 grid point): a fixed
   number of ``k = 1`` coordinate-descent sweeps, color-blocked arrays
@@ -10,15 +13,15 @@ vector engine:
   default 3x) is timing-based and therefore core-count-aware — it skips
   itself on single-core machines; equality always gates via a separate
   run to the exact descent fixed point (``h = 1``), where the two
-  engines' converged objectives must agree within 1e-6.
+  converged objectives must agree within 1e-6.
 - **EMD**: the full Algorithm 3 with the deferred-heap E-phase and its
   vectorised candidate scan + fused M-phase against the scalar
-  reference.  Here the engines are *bit-identical by construction*, so
+  reference.  Here the two sides are *bit-identical by construction*, so
   the equality gate is exact (``tol=0``) and always runs; the speedup
   floor is softer (``MIN_EMD_SPEEDUP``, default 1.2 — the E-phase is
   only part of EMD's cost).
-- **EMD E-phase**: one isolated swap pass over the backbone, the vector
-  engine's deferred-heap pass against the scalar reference (brute-force
+- **EMD E-phase**: one isolated swap pass over the backbone, the
+  production deferred-heap pass against the scalar reference (brute-force
   max-discrepancy scan, one candidate at a time).  Both make the same
   decisions, so the gate is exact equality of ``phat``, ``delta``,
   ``selected``, ``total_residual`` and the swap count after the pass;
@@ -40,9 +43,11 @@ import time
 
 import pytest
 
+from oracles.emd import e_phase, reference_emd
+from oracles.gdb import loop_refine
 from repro.core import EMDConfig, GDBConfig, SparsificationState, emd, gdb_refine
 from repro.core.backbone import bgi_backbone
-from repro.core.emd_sparsifier import _e_phase, _e_phase_lazy
+from repro.core.emd_sparsifier import _e_phase_lazy
 from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
 
@@ -93,13 +98,17 @@ def seeded_state(graph, backbone_ids):
     return state
 
 
+#: The two sides of every table: the scalar reference and production.
+REFINES = {"loop": loop_refine, "vector": gdb_refine}
+
+
 def fixed_point_objective(graph, backbone_ids, engine):
     """Converged D1 at ``h = 1``: chunked sweeps to the exact fixed point."""
     state = seeded_state(graph, backbone_ids)
     chunk = GDBConfig(h=1.0, tau=0.0, max_sweeps=200)
     previous = None
     for _ in range(10):
-        gdb_refine(state, chunk, engine=engine)
+        REFINES[engine](state, chunk)
         current = state.d1()
         if current == previous:
             break
@@ -115,20 +124,20 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
         state = seeded_state(bench_graph, backbone)
         config = GDBConfig(h=0.05, tau=0.0, max_sweeps=N_SWEEPS)
         start = time.perf_counter()
-        gdb_refine(state, config, engine=engine)
+        REFINES[engine](state, config)
         timings[engine] = time.perf_counter() - start
         sweep_objectives[engine] = state.d1()
         state.verify()
 
-    # Equality always gates: both engines descend to the same fixed
-    # point of the h = 1 dynamics (within the loop-vs-vector contract).
+    # Equality always gates: both sides descend to the same fixed point
+    # of the h = 1 dynamics (within the converged-D1 contract).
     converged = {
         engine: fixed_point_objective(bench_graph, backbone, engine)
         for engine in ("loop", "vector")
     }
     gap = abs(converged["loop"] - converged["vector"])
     assert gap <= 1e-6 * max(1.0, abs(converged["loop"])), (
-        f"engines converged {gap:.3e} apart"
+        f"loop and vector converged {gap:.3e} apart"
     )
 
     speedup = timings["loop"] / timings["vector"]
@@ -171,14 +180,17 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
 
 def test_bench_emd_engine(bench_graph, backbone, emit, emit_json, sections):
     config = EMDConfig()
+    runs = {
+        "loop": lambda: reference_emd(bench_graph, backbone, config),
+        "vector": lambda: emd(
+            bench_graph, backbone_ids=list(backbone), config=config
+        ),
+    }
     results = {}
     timings = {}
-    for engine in ("loop", "vector"):
+    for engine, run in runs.items():
         start = time.perf_counter()
-        results[engine] = emd(
-            bench_graph, backbone_ids=list(backbone), config=config,
-            engine=engine,
-        )
+        results[engine] = run()
         timings[engine] = time.perf_counter() - start
 
     # Bit-identity always gates: same edge set, exactly equal
@@ -223,7 +235,7 @@ def test_bench_emd_lazy_e_phase(bench_graph, backbone, emit, emit_json,
     always gates exactly on the state they leave behind.
     """
     config = EMDConfig()
-    passes = {"loop": _e_phase, "vector": _e_phase_lazy}
+    passes = {"loop": e_phase, "vector": _e_phase_lazy}
 
     def timed_e_phase(engine):
         state = seeded_state(bench_graph, backbone)
@@ -245,7 +257,7 @@ def test_bench_emd_lazy_e_phase(bench_graph, backbone, emit, emit_json,
     assert vector_swaps == loop_swaps
     for name in ("phat", "delta", "selected"):
         assert getattr(vector, name).tobytes() == getattr(loop, name).tobytes(), (
-            f"E-phase {name} differs between engines"
+            f"E-phase {name} differs between loop and vector"
         )
     assert float(vector.total_residual).hex() == float(loop.total_residual).hex()
 

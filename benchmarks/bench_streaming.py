@@ -85,7 +85,7 @@ def _cold_rebuild(graph, config):
     state = SparsificationState(graph)
     state.select_edges(ids)
     sweep_plan = build_sweep_plan(state)
-    sweeps = gdb_refine(state, config, engine="vector", plan=sweep_plan)
+    sweeps = gdb_refine(state, config, plan=sweep_plan)
     return plan, state, sweeps
 
 

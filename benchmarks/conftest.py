@@ -11,9 +11,14 @@ directly (``python -m repro.experiments.fig10``).
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# The scalar reference oracles (``tests/oracles/``) the engine benchmark
+# gates the fast paths on.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.experiments import TINY
 from repro.experiments.common import ExperimentScale, ResultTable

@@ -16,7 +16,7 @@ from repro.baselines.effective_resistance import (
     effective_resistance_sparsify,
     effective_resistances,
 )
-from repro.baselines.ni import integer_weights, ni_core, ni_sparsify
+from repro.baselines.ni import integer_weights, ni_sparsify
 from repro.baselines.random_sparsifier import random_sparsify
 from repro.baselines.representative import representative_instance
 from repro.baselines.spanner import baswana_sen_spanner, spanner_sparsify
@@ -26,7 +26,6 @@ __all__ = [
     "effective_resistance_sparsify",
     "effective_resistances",
     "integer_weights",
-    "ni_core",
     "ni_sparsify",
     "random_sparsify",
     "representative_instance",

@@ -25,13 +25,13 @@ clamp the weight scale at ``max_weight`` (default 128) — this only
 coarsens the weight quantisation, not the method's structure — and
 record the choice in DESIGN.md's deviations.
 
-Plan-riding peeler
-------------------
+Peeling on the plan
+-------------------
 The forest-peeling trajectory of Algorithm 4 — which edges form each
 forest, and the round at which each edge's weight exhausts — depends
 only on the weights, *not* on ``epsilon`` or the RNG: sampling happens
 at exhaustion time and never alters which edges stay alive.  The
-default ``peeler="plan"`` therefore splits the algorithm into
+algorithm is therefore split in two:
 
 1. :func:`ni_peel_structure` — one structural pass running every peel as
    a batched Kruskal sweep on
@@ -44,11 +44,11 @@ default ``peeler="plan"`` therefore splits the algorithm into
 2. :func:`ni_core_planned` — per calibration step, one vectorised
    sampling pass over the exhaustion order.
 
-The planned peeler is bit-identical to the scalar reference
-(``peeler="legacy"``, :func:`ni_core`): the batched Kruskal accepts
-exactly the sequential forest, a block ``rng.random(k)`` draw consumes
-the PCG64 stream exactly like ``k`` scalar draws, and the kept-edge
-dict preserves exhaustion order.
+Together they are bit-identical to the scalar Algorithm 4 that
+re-peels every forest per calibration step (``tests/oracles/ni.py``):
+the batched Kruskal accepts exactly the sequential forest, a block
+``rng.random(k)`` draw consumes the PCG64 stream exactly like ``k``
+scalar draws, and the kept-edge dict preserves exhaustion order.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ from repro.core.backbone import BackbonePlan, target_edge_count
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import CalibrationError
 from repro.utils.rng import ensure_rng
-from repro.utils.unionfind import ArrayUnionFind, UnionFind
-
-NI_PEELERS = ("plan", "legacy")
+from repro.utils.unionfind import ArrayUnionFind
 
 
 def integer_weights(probabilities: np.ndarray, max_weight: int = 128) -> tuple[np.ndarray, float]:
@@ -82,56 +80,6 @@ def integer_weights(probabilities: np.ndarray, max_weight: int = 128) -> tuple[n
     return weights, scale
 
 
-def ni_core(
-    n: int,
-    edge_vertices: np.ndarray,
-    weights: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> dict[int, float]:
-    """Algorithm 4: returns ``{edge_id: sampled_weight}`` for kept edges.
-
-    The contiguity requirement — an edge of the previous forest that is
-    still alive must stay in the next forest — is honoured by seeding
-    each round's union-find pass with the previous forest's surviving
-    edges before scanning the rest.
-    """
-    m = len(weights)
-    remaining = weights.astype(np.int64).copy()
-    alive = set(range(m))
-    log_n = math.log(max(n, 2))
-    kept: dict[int, float] = {}
-    previous_forest: list[int] = []
-    r = 0
-    while alive:
-        r += 1
-        uf = UnionFind(n)
-        forest: list[int] = []
-        # Contiguous forests: previous forest edges first (Algorithm 4 line 5).
-        for eid in previous_forest:
-            if eid in alive:
-                u, v = edge_vertices[eid]
-                if uf.union(int(u), int(v)):
-                    forest.append(eid)
-        for eid in list(alive):
-            u, v = edge_vertices[eid]
-            if uf.union(int(u), int(v)):
-                forest.append(eid)
-        if not forest:
-            # Alive edges are all intra-component duplicates, which cannot
-            # happen in a simple graph; guard against infinite loops anyway.
-            break
-        for eid in forest:
-            remaining[eid] -= 1
-            if remaining[eid] == 0:
-                sampling_probability = min(log_n / (epsilon * epsilon * r), 1.0)
-                if rng.random() < sampling_probability:
-                    kept[eid] = float(weights[eid]) / sampling_probability
-                alive.discard(eid)
-        previous_forest = forest
-    return kept
-
-
 def ni_peel_structure(
     n: int,
     edge_vertices: np.ndarray,
@@ -139,18 +87,21 @@ def ni_peel_structure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Epsilon/RNG-free peel trajectory of Algorithm 4.
 
-    Runs the forest-peeling rounds of :func:`ni_core` with every
-    union-find pass batched (:meth:`ArrayUnionFind.union_batch` accepts
-    exactly the sequential Kruskal forest, previous-forest candidates
-    first, then the alive edges in ascending id — the reference's
-    ``set`` iteration order; duplicates are rejected as cycles).
+    Each round peels one spanning forest, and an edge with weight ``w``
+    takes part in ``w`` contiguous forests.  Contiguity — an edge of
+    the previous forest that is still alive stays in the next one — is
+    honoured by offering the previous forest's surviving edges to the
+    union-find pass first (Algorithm 4, line 5), then the alive edges
+    in ascending id.  Every pass is batched:
+    :meth:`ArrayUnionFind.union_batch` accepts exactly the sequential
+    Kruskal forest, and duplicates are rejected as cycles.
 
     Returns
     -------
     (order, rounds):
-        ``order`` — edge ids in exhaustion order (the order the
-        reference draws its sampling randoms); ``rounds`` — the 1-based
-        round at which each edge of ``order`` exhausted.
+        ``order`` — edge ids in exhaustion order (the order Algorithm 4
+        draws its sampling randoms); ``rounds`` — the 1-based round at
+        which each edge of ``order`` exhausted.
     """
     m = len(weights)
     remaining = weights.astype(np.int64).copy()
@@ -171,8 +122,8 @@ def ni_peel_structure(
         accepted = uf.union_batch(us[candidates], vs[candidates])
         forest = candidates[accepted]
         if not len(forest):
-            # Mirrors the reference guard: cannot happen in a simple
-            # graph, but never loop forever.
+            # Alive edges are all intra-component duplicates, which
+            # cannot happen in a simple graph; never loop forever.
             break
         remaining[forest] -= 1
         exhausted = forest[remaining[forest] == 0]
@@ -201,14 +152,16 @@ def ni_core_planned(
     epsilon: float,
     rng: np.random.Generator,
 ) -> dict[int, float]:
-    """One vectorised sampling pass over a precomputed peel structure.
+    """One vectorised sampling pass over a precomputed peel structure:
+    Algorithm 4's ``{edge_id: sampled_weight}`` for the kept edges.
 
-    Bit-identical to :func:`ni_core` for the same ``rng`` state: the
-    block ``rng.random(len(order))`` draw consumes the generator stream
-    exactly like the reference's per-edge scalar draws (same order —
-    edges exhaust in ``order``), the sampling probabilities repeat the
-    scalar float arithmetic elementwise, and the returned dict lists
-    kept edges in exhaustion order.
+    An edge exhausting at round ``r`` is kept with probability
+    ``l_e = min(log|V| / (eps^2 r), 1)`` and re-weighted ``w_e / l_e``.
+    The block ``rng.random(len(order))`` draw consumes the generator
+    stream exactly like one scalar draw per edge in exhaustion order,
+    so the output is bit-identical to the scalar Algorithm 4 for the
+    same ``rng`` state; the returned dict lists kept edges in exhaustion
+    order.
     """
     order, rounds = structure
     log_n = math.log(max(n, 2))
@@ -229,7 +182,6 @@ def ni_sparsify(
     max_calibration_steps: int = 60,
     max_weight: int = 128,
     name: str = "",
-    peeler: str = "plan",
     backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """NI benchmark sparsifier: calibrated Algorithm 4 + MC top-up.
@@ -248,15 +200,10 @@ def ni_sparsify(
         Upper bound on calibration retries before giving up.
     max_weight:
         Weight-quantisation cap (see module docstring).
-    peeler:
-        ``"plan"`` (default) computes the peel structure once and runs
-        every calibration step as a vectorised sampling pass;
-        ``"legacy"`` re-peels scalar forests per step (the reference).
-        Both produce bit-identical output for the same seed.
     backbone_plan:
-        Optional :class:`BackbonePlan` for ``graph``; with
-        ``peeler="plan"`` the peel structure is memoised on it, so NI
-        shares the cache the BGI-seeded sparsifiers already use.
+        Optional :class:`BackbonePlan` for ``graph``; the peel structure
+        is memoised on it, so NI shares the cache the BGI-seeded
+        sparsifiers already use.
 
     Raises
     ------
@@ -265,10 +212,6 @@ def ni_sparsify(
         ``alpha |E|`` edges (practically unreachable: ``epsilon`` large
         enough keeps nothing).
     """
-    if peeler not in NI_PEELERS:
-        raise ValueError(
-            f"unknown peeler {peeler!r}; expected one of {NI_PEELERS}"
-        )
     if backbone_plan is not None and backbone_plan.graph is not graph:
         raise ValueError("backbone plan was built for a different graph")
     rng = ensure_rng(rng)
@@ -279,18 +222,14 @@ def ni_sparsify(
     probabilities = np.array(graph.probability_array())
     weights, scale = integer_weights(probabilities, max_weight=max_weight)
 
-    if peeler == "plan":
-        plan = backbone_plan if backbone_plan is not None else BackbonePlan(graph)
-        structure = plan.cached(
-            ("ni_peel", max_weight),
-            lambda: ni_peel_structure(n, edge_vertices, weights),
-        )
+    plan = backbone_plan if backbone_plan is not None else BackbonePlan(graph)
+    structure = plan.cached(
+        ("ni_peel", max_weight),
+        lambda: ni_peel_structure(n, edge_vertices, weights),
+    )
 
-        def run_core(eps: float) -> dict[int, float]:
-            return ni_core_planned(n, weights, structure, eps, rng)
-    else:
-        def run_core(eps: float) -> dict[int, float]:
-            return ni_core(n, edge_vertices, weights, eps, rng)
+    def run_core(eps: float) -> dict[int, float]:
+        return ni_core_planned(n, weights, structure, eps, rng)
 
     log_n = math.log(max(n, 2))
     epsilon = math.sqrt(max(n * log_n * log_n / (alpha * m), 1e-12))

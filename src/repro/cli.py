@@ -93,11 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entropy parameter h in [0, 1] (default 0.05)",
     )
     sparsify_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB/EMD sweep engine: the array-native engine (default) or "
-        "the scalar reference loop",
-    )
-    sparsify_cmd.add_argument(
         "--backbone-plan", action="store_true",
         help="build one BackbonePlan and reuse it across all alphas "
         "(one Kruskal pass for the whole ladder; outputs are "
@@ -210,10 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="backbone RNG seed (default 0)",
     )
     grid_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB sweep engine (default vector)",
-    )
-    grid_cmd.add_argument(
         "--relative", action="store_true",
         help="minimise relative instead of absolute discrepancy",
     )
@@ -265,10 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     drift_cmd.add_argument(
         "--h", type=float, default=0.05, dest="entropy_h",
         help="GDB entropy parameter (default 0.05)",
-    )
-    drift_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB sweep engine (default vector)",
     )
     drift_cmd.add_argument(
         "--compare-rebuild", action="store_true",
@@ -356,7 +343,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     for alpha in alphas:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,
-            h=args.entropy_h, engine=args.engine, backbone_plan=plan,
+            h=args.entropy_h, backbone_plan=plan,
             lp_solver=args.lp_solver,
         )
         output = args.output.replace("{alpha}", f"{alpha:g}")
@@ -526,7 +513,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     def fresh(graph):
         return IncrementalSparsifier(
             graph, args.alpha, variant=args.variant, rng=args.seed,
-            h=args.entropy_h, engine=args.engine,
+            h=args.entropy_h,
         )
 
     maintainer = fresh(graph.copy())
@@ -594,7 +581,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         relative=args.relative,
         backbone_method=args.backbone_method,
         rng=args.seed,
-        engine=args.engine,
         build_graphs=False,
     )
     rows = objective_rows(results)

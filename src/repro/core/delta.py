@@ -41,13 +41,31 @@ from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import GraphError, ProbabilityError
 
 
+def _checked_shape(values, field: str, pairs: bool = False) -> np.ndarray:
+    """``values`` as an array of the field's shape: 1-D, or ``(k, 2)``
+    for insert endpoints (an empty sequence also means no inserts).
+
+    Without this, a scalar or a nested list would be flattened into a
+    batch the caller never wrote.
+    """
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=object)
+    shape = values.shape
+    if pairs:
+        if not (len(shape) == 2 and shape[1] == 2) and shape != (0,):
+            raise GraphError(f"{field} must be shaped (k, 2), got shape {shape}")
+    elif len(shape) != 1:
+        raise GraphError(f"{field} must be 1-D, got shape {shape}")
+    return values
+
+
 def _as_int_ids(ids, what: str) -> np.ndarray:
-    """``ids`` as a new flat int64 array.
+    """``ids`` (already shape-checked) as a new flat int64 array.
 
     numpy would truncate ``1.7`` to 1 and read ``True`` as 1, so any
     value that is not an integer (booleans included) is an error.
     """
-    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+    if ids.dtype.kind in "iu":
         return ids.astype(np.int64).reshape(-1)
     values = np.asarray(ids, dtype=object).reshape(-1).tolist()
     for value in values:
@@ -60,9 +78,21 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _label_kind(label) -> type:
+    """The kind a vertex label must share with the vertex it names:
+    integers of any width match each other, as do reals."""
+    if isinstance(label, (bool, np.bool_)):
+        return bool
+    if isinstance(label, numbers.Integral):
+        return numbers.Integral
+    if isinstance(label, numbers.Real):
+        return numbers.Real
+    return type(label)
+
+
 def _as_probs(ps, what: str) -> np.ndarray:
-    if isinstance(ps, np.ndarray) and ps.dtype.kind == "f":
-        arr = ps.astype(np.float64).reshape(-1)
+    if ps.dtype.kind == "f":
+        arr = ps.astype(np.float64)
     else:
         values = np.asarray(ps, dtype=object).reshape(-1).tolist()
         for value in values:
@@ -101,8 +131,10 @@ class EdgeDeltaBatch:
     insert_ps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
     def __post_init__(self) -> None:
-        update_eids = _as_int_ids(self.update_eids, "update edge id")
-        update_ps = _as_probs(self.update_ps, "update")
+        update_eids = _as_int_ids(
+            _checked_shape(self.update_eids, "update_eids"), "update edge id"
+        )
+        update_ps = _as_probs(_checked_shape(self.update_ps, "update_ps"), "update")
         if update_eids.shape != update_ps.shape:
             raise GraphError(
                 f"update eids/probabilities length mismatch: "
@@ -114,7 +146,9 @@ class EdgeDeltaBatch:
         if len(update_eids) and np.any(np.diff(update_eids) == 0):
             raise GraphError("duplicate edge ids in delta updates")
 
-        raw_deletes = _as_int_ids(self.delete_eids, "delete edge id")
+        raw_deletes = _as_int_ids(
+            _checked_shape(self.delete_eids, "delete_eids"), "delete edge id"
+        )
         delete_eids = np.unique(raw_deletes)
         if len(delete_eids) != len(raw_deletes):
             raise GraphError("duplicate edge ids in delta deletes")
@@ -127,8 +161,11 @@ class EdgeDeltaBatch:
         ):
             raise GraphError("negative edge id in delta batch")
 
-        pairs = _as_int_ids(self.insert_endpoints, "insert vertex id").reshape(-1, 2)
-        insert_ps = _as_probs(self.insert_ps, "insert")
+        pairs = _as_int_ids(
+            _checked_shape(self.insert_endpoints, "insert_endpoints", pairs=True),
+            "insert vertex id",
+        ).reshape(-1, 2)
+        insert_ps = _as_probs(_checked_shape(self.insert_ps, "insert_ps"), "insert")
         if len(pairs) != len(insert_ps):
             raise GraphError(
                 f"insert endpoints/probabilities length mismatch: "
@@ -186,22 +223,38 @@ class EdgeDeltaBatch:
         malformed row is an error that names it.
         """
         indexer = graph.vertex_indexer()
+        vertex_of = graph.vertices()
         n = graph.number_of_vertices()
         keys = _pair_keys(graph.edge_index_array(), n)
         order = np.argsort(keys)
         sorted_keys = keys[order]
 
         def dense(label):
-            # Exact label first; fall back to its string form so JSON
-            # clients can address parsed edge lists (whose labels are
-            # strings) with bare integers.
+            # A label names only a vertex of its own kind: dict equality
+            # alone would let True and 1.0 name vertex 1.
+            if isinstance(label, (bool, np.bool_)):
+                raise GraphError(f"vertex label must not be a boolean: {label!r}")
             try:
-                return indexer[label]
+                index = indexer[label]
             except (KeyError, TypeError):
                 pass
+            else:
+                vertex = vertex_of[index]
+                if type(vertex) is not type(label) and (
+                    _label_kind(vertex) != _label_kind(label)
+                ):
+                    raise GraphError(
+                        f"vertex label {label!r} is a {type(label).__name__}, "
+                        f"but the graph's vertex {vertex!r} is a "
+                        f"{type(vertex).__name__}"
+                    )
+                return index
+            # Fall back to the string form, so JSON clients can address
+            # parsed edge lists (whose labels are strings) with bare
+            # integers.
             try:
                 return indexer[str(label)]
-            except (KeyError, TypeError):
+            except KeyError:
                 raise GraphError(f"vertex not in graph: {label!r}") from None
 
         def resolve(row, what: str, width: int):
@@ -262,11 +315,9 @@ class AppliedDelta:
 
     Bundles everything the incremental consumers need: the post-delta
     graph, the old-id → new-id map (``-1`` for deleted edges; strictly
-    increasing on survivors), the new ids of inserted edges, the
+    increasing on survivors), the new ids of inserted edges, and the
     pre-delta probabilities of updated edges (repair distinguishes
-    increases from decreases), and the dense endpoints of deleted edges
-    (their vertices' discrepancies are dirty even though the edges are
-    gone).
+    increases from decreases).
     """
 
     batch: EdgeDeltaBatch
@@ -277,27 +328,12 @@ class AppliedDelta:
     structural: bool
     old_update_ps: np.ndarray   # aligned with batch.update_eids
     insert_eids: np.ndarray     # new ids aligned with batch.insert_endpoints
-    delete_endpoints: np.ndarray  # (d, 2) dense endpoints of deleted edges
 
     def update_eids_new(self) -> np.ndarray:
         """New ids of the updated edges (updates always survive)."""
         if not self.structural:
             return self.batch.update_eids
         return self.id_map[self.batch.update_eids]
-
-    def dirty_new_eids(self) -> np.ndarray:
-        """New ids of every surviving touched edge (updates + inserts)."""
-        return np.concatenate([self.update_eids_new(), self.insert_eids])
-
-    def dirty_vertices(self) -> np.ndarray:
-        """Dense vertices incident to any touched edge (deletes included)."""
-        parts = [self.delete_endpoints.reshape(-1)]
-        dirty = self.dirty_new_eids()
-        if len(dirty):
-            parts.append(
-                np.asarray(self.graph.edge_index_array())[dirty].reshape(-1)
-            )
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
 
 
 def _check_eid_range(batch: EdgeDeltaBatch, m: int) -> None:
@@ -324,6 +360,18 @@ def _pair_keys(endpoints: np.ndarray, n: int) -> np.ndarray:
     return lo * np.int64(n) + hi
 
 
+def _existing_insert(batch: EdgeDeltaBatch, edge_keys: np.ndarray, n: int) -> int:
+    """Position of the first insert whose pair key is in ``edge_keys``
+    (the keys of the edges that survive the batch), or ``-1``."""
+    if not len(edge_keys):
+        return -1
+    edge_keys = np.sort(edge_keys)
+    inserts = _pair_keys(batch.insert_endpoints, n)
+    at = np.minimum(np.searchsorted(edge_keys, inserts), len(edge_keys) - 1)
+    clash = np.flatnonzero(edge_keys[at] == inserts)
+    return int(clash[0]) if len(clash) else -1
+
+
 def apply_delta(graph, batch: EdgeDeltaBatch, in_place: bool = True) -> AppliedDelta:
     """Apply ``batch`` to ``graph`` and return the :class:`AppliedDelta`.
 
@@ -348,8 +396,18 @@ def _apply_to_uncertain(
     n = graph.number_of_vertices()
     _check_eid_range(batch, m)
     _check_insert_range(batch, n)
+    vertex_of = graph.vertices()
+    if len(batch.insert_endpoints):
+        # Refuse an insert of a surviving edge before anything mutates,
+        # so a failing batch leaves the graph as it was (keys are >= 0,
+        # so -1 marks the deleted edges).
+        keys = _pair_keys(old_index, n)
+        keys[batch.delete_eids] = -1
+        clash = _existing_insert(batch, keys, n)
+        if clash >= 0:
+            u, v = (vertex_of[i] for i in batch.insert_endpoints[clash].tolist())
+            raise GraphError(f"insert of an existing edge: ({u!r}, {v!r})")
     old_update_ps = old_ps[batch.update_eids]
-    delete_endpoints = old_index[batch.delete_eids]
     if not in_place:
         graph = graph.copy()
     # Read the edge list before any structural mutation drops the cache.
@@ -360,18 +418,13 @@ def _apply_to_uncertain(
             batch=batch, graph=graph, id_map=np.arange(m, dtype=np.int64),
             old_m=m, new_m=m, structural=False, old_update_ps=old_update_ps,
             insert_eids=np.empty(0, dtype=np.int64),
-            delete_endpoints=delete_endpoints,
         )
 
     for eid in batch.delete_eids.tolist():
         u, v = edge_list[eid]
         graph.remove_edge(u, v)
-    vertex_of = graph.vertices()
     for (a, b), p in zip(batch.insert_endpoints.tolist(), batch.insert_ps.tolist()):
-        u, v = vertex_of[a], vertex_of[b]
-        if graph.has_edge(u, v):
-            raise GraphError(f"insert of an existing edge: ({u!r}, {v!r})")
-        graph.add_edge(u, v, p)
+        graph.add_edge(vertex_of[a], vertex_of[b], p)
 
     # Derive the id map from the post-mutation enumeration itself: the
     # dict adjacency interleaves inserted edges (an edge enumerates at
@@ -394,7 +447,7 @@ def _apply_to_uncertain(
     return AppliedDelta(
         batch=batch, graph=graph, id_map=id_map, old_m=m,
         new_m=len(new_keys), structural=True, old_update_ps=old_update_ps,
-        insert_eids=insert_eids, delete_endpoints=delete_endpoints,
+        insert_eids=insert_eids,
     )
 
 
@@ -414,24 +467,19 @@ def _apply_to_edge_arrays(graph, batch: EdgeDeltaBatch) -> AppliedDelta:
     prob = np.array(graph.probability_array(), dtype=np.float64)
     old_update_ps = prob[batch.update_eids].copy()
     prob[batch.update_eids] = batch.update_ps
-    delete_endpoints = np.column_stack(
-        (src[batch.delete_eids], dst[batch.delete_eids])
-    )
     if not batch.is_structural:
         out = EdgeArrayGraph(n, src, dst, prob, name=graph.name, validate=False)
         return AppliedDelta(
             batch=batch, graph=out, id_map=np.arange(m, dtype=np.int64),
             old_m=m, new_m=m, structural=False, old_update_ps=old_update_ps,
             insert_eids=np.empty(0, dtype=np.int64),
-            delete_endpoints=delete_endpoints,
         )
 
     keep = np.ones(m, dtype=bool)
     keep[batch.delete_eids] = False
     if len(batch.insert_endpoints):
         live_keys = (np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))[keep]
-        insert_keys = _pair_keys(batch.insert_endpoints, n)
-        if np.any(np.isin(insert_keys, live_keys)):
+        if _existing_insert(batch, live_keys, n) >= 0:
             raise GraphError("insert of an existing edge")
     new_src = np.concatenate([src[keep], batch.insert_endpoints[:, 0]])
     new_dst = np.concatenate([dst[keep], batch.insert_endpoints[:, 1]])
@@ -445,5 +493,4 @@ def _apply_to_edge_arrays(graph, batch: EdgeDeltaBatch) -> AppliedDelta:
     return AppliedDelta(
         batch=batch, graph=out, id_map=id_map, old_m=m, new_m=len(new_prob),
         structural=True, old_update_ps=old_update_ps, insert_eids=insert_eids,
-        delete_endpoints=delete_endpoints,
     )

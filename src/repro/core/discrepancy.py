@@ -138,7 +138,7 @@ class SparsificationState:
 
     Incidence is stored in CSR form — ``inc_indptr`` (``n + 1``) and
     ``inc_eids`` (``2 m``, ascending edge ids per vertex) — so the sweep
-    and scan engines slice a vertex's incident edges as one contiguous
+    and scan passes slice a vertex's incident edges as one contiguous
     array view instead of walking ``list[list[int]]``.
 
     The class is deliberately unaware of *which* rule updates

@@ -22,16 +22,15 @@ One discipline fixes every discrete decision of the E-phase:
   only on a strict improvement, so the first maximal candidate in
   ascending edge-id order wins.
 
-``engine="loop"`` is the scalar reference: it finds ``v_H`` by a
-brute-force scan and scores one candidate at a time.  ``engine="vector"``
-(default) keeps ``|delta|`` in a :class:`~repro.utils.heap.LazyMaxHeap`:
+The E-phase keeps ``|delta|`` in a :class:`~repro.utils.heap.LazyMaxHeap`:
 the endpoints touched by a removal and by the preceding insertion are
 only marked, and the next peek refreshes them in one pass, so an E-phase
 costs ``O(alpha |E| log |V|)`` heap work (section 4.3's complexity
 argument) without four eager sifts per swap.  It scores every candidate
-at ``v_H`` in one array computation, and its M-phase is GDB's fused
-sequential sweep (same edge order and arithmetic as the reference loop),
-so vector EMD reproduces loop EMD bit for bit, only faster.
+at ``v_H`` in one array computation.  The M-phase is GDB's fused
+sequential sweep (edge-id order).  Together they reproduce the scalar
+reference (a brute-force ``v_H`` scan, one candidate at a time, and the
+one-rule-call-per-edge GDB loop; ``tests/oracles/``) bit for bit.
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ from repro.core.discrepancy import SparsificationState
 from repro.core.gdb import (
     GDBConfig,
     _resolve_backbone,
-    _validate_engine,
     _validate_stopping,
     gdb_refine,
 )
-from repro.core.rules import degree_step_absolute, degree_step_relative
+from repro.core.sweep import build_sweep_plan
 from repro.core.uncertain_graph import UncertainGraph
 from repro.utils.heap import LazyMaxHeap
 
@@ -79,104 +77,13 @@ class EMDConfig:
         )
 
 
-def _best_probability(state: SparsificationState, eid: int, h: float,
-                      relative: bool) -> float:
-    """Rule-optimal insertion probability for an edge (Eq. 9).
-
-    The edge is currently absent (``phat = 0``), so the unclamped
-    optimum is the bare step.  Algorithm 3 line 15 applies the entropy
-    guard of Eq. (9), whose pseudocode compares against ``p_e`` — the
-    edge's probability in the *input graph* (an edge re-entering ``E'``
-    is granted the entropy it carried in ``G``).  Only candidates whose
-    optimal probability would be *more* uncertain than the original are
-    attenuated: they restart from ``p_e`` with an ``h``-scaled step.
-    Measuring against the absent state (entropy 0) instead would cap
-    every insertion at ``h * stp`` and stall the E-phase.
-    """
-    step_rule = degree_step_relative if relative else degree_step_absolute
-    step = step_rule(state, eid)
-    proposed = float(state.phat[eid]) + step
-    if proposed < 0.0:
-        return 0.0
-    if proposed > 1.0:
-        return 1.0
-    original = float(state.p_original[eid])
-    # Closed form of edge_entropy(proposed) > edge_entropy(original):
-    # binary entropy is strictly decreasing in |p - 0.5|.
-    if abs(proposed - 0.5) < abs(original - 0.5):
-        return min(max(original + h * step, 0.0), 1.0)
-    return proposed
-
-
-def _gain(state: SparsificationState, eid: int, probability: float) -> float:
-    """Objective gain of inserting ``eid`` at ``probability`` (Eq. 10).
-
-    ``g = delta_u^2 - (delta_u - w)^2 + delta_v^2 - (delta_v - w)^2``
-    with deltas taken at the edge's current (absent) contribution,
-    evaluated in the factored form ``2 w ((delta_u + delta_v) - w)``.
-    Scaling by 2 is exact, so this is exactly twice the vector engine's
-    half-gain and both engines rank candidates identically.
-    """
-    u, v = state.endpoints(eid)
-    du = float(state.delta[u])
-    dv = float(state.delta[v])
-    w = probability
-    return 2.0 * w * ((du + dv) - w)
-
-
-def _e_phase(state: SparsificationState, config: EMDConfig) -> int:
-    """One pass of edge swapping (Algorithm 3, lines 8-20): the scalar
-    reference of the vector engine's :func:`_e_phase_lazy`.
-
-    Returns the number of structural swaps (edges replaced by a
-    different edge); zero means the backbone has stabilised.
-    """
-    swaps = 0
-    for eid in [int(e) for e in state.selected_edge_ids()]:
-        previous_p = state.deselect_edge(eid)
-
-        # The max-discrepancy vertex by brute force: the smallest id
-        # among the maximal |delta| (what LazyMaxHeap.peek returns).
-        top_vertex = int(np.argmax(np.abs(state.delta)))
-        # Candidates: every unselected original edge at the top vertex.
-        # Line 17's arg max also includes the just-removed edge e, but
-        # that is scored separately below (as the incumbent), so it is
-        # skipped here.
-        incident = state.incident_edges(top_vertex)
-        candidates = [
-            int(candidate)
-            for candidate in incident[~state.selected[incident]]
-        ]
-
-        # The removed edge competes both at its rule-optimal probability
-        # and at the probability it already had (the entropy guard can
-        # cap the former below the latter; keeping the edge unchanged
-        # must never lose to a worse swap).
-        best_eid = eid
-        best_p = _best_probability(state, eid, config.h, config.relative)
-        best_gain = _gain(state, eid, best_p)
-        keep_gain = _gain(state, eid, previous_p)
-        if keep_gain > best_gain:
-            best_gain, best_p = keep_gain, previous_p
-        for candidate in candidates:
-            if candidate == eid:
-                continue
-            p = _best_probability(state, candidate, config.h, config.relative)
-            g = _gain(state, candidate, p)
-            if g > best_gain:
-                best_gain, best_eid, best_p = g, candidate, p
-
-        if best_eid != eid:
-            swaps += 1
-        state.select_edge(best_eid, probability=best_p)
-    return swaps
-
-
 def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
     """Edge swapping with deferred heap maintenance and fused scoring.
 
-    The vector engine's E-phase, making exactly the decisions of the
-    reference :func:`_e_phase`.  The endpoint discrepancies dirtied by
+    One pass of Algorithm 3, lines 8-20, making exactly the decisions of
+    the scalar reference (``tests/oracles/emd.py``).  Returns the number
+    of structural swaps (edges replaced by a different edge); zero means
+    the backbone has stabilised.  The endpoint discrepancies dirtied by
     a removal (and by the previous iteration's insertion) are only
     *marked* with :meth:`LazyMaxHeap.defer`; the peek before the
     candidate scan flushes them in one batched magnitude rescan and
@@ -188,10 +95,14 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
     (same float operations), the removed edge's incumbent scores are
     scalar Python, and the candidate scan shares one endpoint gather
     between the step rule and the gain.  Gains are Eq. 10 halved,
-    ``w (delta_u + delta_v - w)``: the reference's factored ``_gain``
-    is exactly twice that, so every comparison agrees.  Candidate
-    probabilities replicate ``_best_probability`` element for element
-    (every candidate is unselected, so its current probability is 0).
+    ``w (delta_u + delta_v - w)``: the reference's factored gain is
+    exactly twice that, so every comparison agrees.  Insertion
+    probabilities follow Eq. 9 with the entropy guard of Algorithm 3
+    line 15, which compares against ``p_e``, the edge's probability in
+    the *input graph* (an edge re-entering ``E'`` is granted the entropy
+    it carried in ``G``; measuring against the absent state would cap
+    every insertion at ``h * stp`` and stall the E-phase).  Every
+    candidate is unselected, so its unclamped optimum is the bare step.
     The removed edge itself may appear among the candidates, but its
     score there equals its incumbent rule-optimal score, so it never
     wins the strict comparison — the reference's skip.
@@ -225,8 +136,9 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
         candidates = incident[~selected[incident]]
 
         # The removed edge competes both at its rule-optimal probability
-        # and at the probability it already had (scalar fused mirror of
-        # _best_probability / _gain).
+        # and at the probability it already had (the entropy guard can
+        # cap the former below the latter; keeping the edge unchanged
+        # must never lose to a worse swap).
         du = float(delta[u])
         dv = float(delta[v])
         s_e = du + dv
@@ -247,7 +159,7 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
                 p_opt = min(max(original + h * step, 0.0), 1.0)
             else:
                 p_opt = step
-        # Half-gains throughout: the reference's _gain is exactly twice
+        # Half-gains throughout: Eq. 10's factored gain is exactly twice
         # these, so every argmax and comparison agrees.
         best_eid = eid
         best_p = p_opt
@@ -309,7 +221,6 @@ def emd(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Expectation-Maximization Degree (Algorithm 3).
@@ -320,17 +231,11 @@ def emd(
     its E-phases, so it is less sensitive to the initial backbone than
     GDB (section 4.3).
 
-    ``engine="vector"`` (default) runs the deferred-heap E-phase with a
-    vectorised candidate scan and the M-phase on the fused sequential
-    sweep; the result is bit-identical to ``engine="loop"`` (the scalar
-    reference).
-
     Returns
     -------
     UncertainGraph
         Sparsified graph with the same edge budget as the backbone.
     """
-    engine = _validate_engine(engine)
     config = config or EMDConfig()
     backbone_ids = _resolve_backbone(
         graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
@@ -338,14 +243,6 @@ def emd(
 
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
-
-    e_phase = _e_phase if engine == "loop" else _e_phase_lazy
-    # The M-phase of the vector engine is the fused sequential sweep:
-    # same edge order and arithmetic as the loop engine (the colored
-    # sweep would converge to the same objective but along a different
-    # trajectory, and E-phase swaps are discrete decisions we keep
-    # engine-invariant).
-    m_engine = "loop" if engine == "loop" else "fused"
 
     gdb_config = GDBConfig(
         h=config.h,
@@ -360,15 +257,19 @@ def emd(
         k=1, relative=config.relative,
     )
     objective = state.d1(relative=config.relative)
+    # The M-phase sweeps in edge-id order (a sequential-only plan): the
+    # colored sweep would converge to the same objective along another
+    # trajectory, and every later E-phase swap depends on it.
     for _ in range(config.max_iterations):
-        swaps = e_phase(state, config)                  # E-phase: swap edges
-        gdb_refine(state, gdb_config, engine=m_engine)  # M-phase: re-optimise
+        swaps = _e_phase_lazy(state, config)            # E-phase: swap edges
+        plan = build_sweep_plan(state, sequential_only=True)
+        gdb_refine(state, gdb_config, plan=plan)        # M-phase: re-optimise
         new_objective = state.d1(relative=config.relative)
         converged = abs(objective - new_objective) <= config.tau
         objective = new_objective
         if swaps == 0 or converged:
             # Structure stabilised: finish with a fully-converged M-phase.
-            gdb_refine(state, final_gdb_config, engine=m_engine)
+            gdb_refine(state, final_gdb_config, plan=plan)
             break
 
     label = name or f"emd[{'R' if config.relative else 'A'}]({graph.name})"

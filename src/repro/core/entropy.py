@@ -47,7 +47,7 @@ def entropy_increases(current, proposed):
     binary entropy is strictly decreasing in the distance from ``0.5``,
     so ``H(p') > H(p)  <=>  |p' - 0.5| < |p - 0.5|``.  Works on scalars
     and arrays alike, and — unlike the log-based comparison — costs no
-    transcendental calls, which is what makes the sweep engines' guard
+    transcendental calls, which is what makes the sweeps' guard
     vectorisable (GDB Algorithm 2 line 10, EMD Eq. 9).
     """
     return np.abs(np.asarray(proposed) - 0.5) < np.abs(np.asarray(current) - 0.5)

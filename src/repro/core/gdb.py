@@ -6,21 +6,19 @@ coordinate descent on the squared discrepancy objective
     ``D_k = sum over vertex sets S, |S| <= k, of delta_A(S)^2``
 
 (for ``k = 1`` this is ``sum_u delta(u)^2``).  For each edge the
-closed-form optimal step is computed by a rule from
-:mod:`repro.core.rules`; the resulting probability is clamped to
-``[0, 1]``, and if the move would *increase* the edge's entropy the step
-is attenuated by the entropy parameter ``h in [0, 1]`` (Algorithm 2,
-line 10).  Sweeps repeat until the objective improves by less than
-``tau``.
+closed-form optimal step is computed by the rule of the variant (Eq. 8
+for ``k = 1``, Eq. 13-15 for larger ``k``, Eq. 16 for ``k = "n"``); the
+resulting probability is clamped to ``[0, 1]``, and if the move would
+*increase* the edge's entropy the step is attenuated by the entropy
+parameter ``h in [0, 1]`` (Algorithm 2, line 10).  Sweeps repeat until
+the objective improves by less than ``tau``.
 
-Two sweep engines execute the descent (see :mod:`repro.core.sweep`):
-
-- ``engine="loop"`` — the scalar reference: one rule call and one state
-  update per edge, in edge-id order.
-- ``engine="vector"`` (default) — the array-native engine: color-blocked
-  vectorised sweeps for the endpoint-local ``k = 1`` rules, and the
-  fused sequential fast path (bit-identical to the reference loop) for
-  the globally-coupled ``k >= 2`` / ``k = "n"`` rules.
+The sweeps themselves live in :mod:`repro.core.sweep`: color-blocked
+array sweeps for the endpoint-local ``k = 1`` rules, and the fused
+sequential sweep (edge-id order, plain Python floats) for the
+globally-coupled ``k >= 2`` / ``k = "n"`` rules.  The scalar
+one-rule-call-per-edge reference they are checked against lives with
+the tests (``tests/oracles/``).
 
 The public entry point is :func:`gdb`; :func:`gdb_refine` runs the same
 loop in place on an existing :class:`SparsificationState` (EMD's M-phase
@@ -36,39 +34,21 @@ import numpy as np
 
 from repro.core.backbone import BackbonePlan, build_backbone
 from repro.core.discrepancy import SparsificationState
-from repro.core.rules import make_rule
 from repro.core.sweep import (
     SweepPlan,
     apply_probability_vector,
-    apply_scalar_step,
     build_sweep_plan,
     colored_sweep,
     fused_sweep,
-    local_fused_sweeps,
-    restrict_sweep_plan,
 )
 from repro.core.uncertain_graph import UncertainGraph
 
-#: Public engines of the gdb/emd/sparsify facades; "fused" (the
-#: sequential fast path, same order and arithmetic as "loop") is an
-#: additional gdb_refine-only value used by EMD's M-phase.
-PUBLIC_ENGINES = ("vector", "loop")
-ENGINES = PUBLIC_ENGINES + ("fused",)
 
-
-def _validate_engine(engine: str, allowed: tuple = PUBLIC_ENGINES) -> str:
-    if engine not in allowed:
-        raise ValueError(
-            f"unknown sweep engine {engine!r}; expected one of {allowed}"
-        )
-    return engine
-
-
-def _colored_eligible(engine: str, k: "int | str", n: int) -> bool:
+def _colored_eligible(k: "int | str", n: int) -> bool:
     """Whether the color-blocked sweep applies: only the endpoint-local
-    ``k = 1`` rules under the vector engine (shared with the grid
-    driver so both build the same plan flavour)."""
-    return engine == "vector" and isinstance(k, int) and k == 1 and n > k
+    ``k = 1`` rules (shared with the grid driver and the maintainer so
+    they build the same plan flavour)."""
+    return k == 1 and n > 1
 
 
 def _validate_stopping(tau: float, **caps) -> None:
@@ -113,13 +93,15 @@ class GDBConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.h <= 1.0):
             raise ValueError(f"entropy parameter h must be in [0, 1], got {self.h}")
+        k = self.k
+        if k != "n" and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise ValueError(f"k must be a positive int or 'n', got {k!r}")
         _validate_stopping(self.tau, max_sweeps=self.max_sweeps)
 
 
 def gdb_refine(
     state: SparsificationState,
     config: GDBConfig,
-    engine: str = "vector",
     plan: "SweepPlan | None" = None,
 ) -> int:
     """Run GDB sweeps in place on ``state``; returns the sweep count.
@@ -128,51 +110,35 @@ def gdb_refine(
     probabilities of selected edges change; membership is untouched
     (that is EMD's job).
 
+    A ``k = 1`` solve on a colored plan runs color-blocked sweeps; every
+    other solve runs the fused sequential sweep in edge-id order.
+
     Parameters
     ----------
-    engine:
-        ``"vector"`` (default) — color-blocked array sweeps for ``k = 1``
-        and the fused sequential fast path otherwise; ``"loop"`` — the
-        scalar reference implementation; ``"fused"`` — force the fused
-        sequential path (what EMD's M-phase uses: same edge order and
-        bit-identical arithmetic as ``"loop"``).
     plan:
         Optional precomputed :class:`SweepPlan` for the currently
         selected edge set (the grid driver reuses one plan across an
-        entire ``h`` sweep).  Ignored by the ``"loop"`` engine.
+        entire ``h`` sweep).  Without one, a colored plan is built for
+        ``k = 1`` and a sequential-only plan otherwise; EMD's M-phase
+        passes a sequential-only plan to keep its ``k = 1`` sweeps in
+        edge-id order.
     """
-    engine = _validate_engine(engine, allowed=ENGINES)
-    # Constructing the scalar rule also validates the (k, relative)
-    # combination for every engine.
-    rule = make_rule(config.k, config.relative, state.n)
-    objective = state.d1(relative=config.relative)
-    sweeps = 0
-
-    if engine == "loop":
-        edge_ids = [int(e) for e in state.selected_edge_ids()]
-        for sweeps in range(1, config.max_sweeps + 1):
-            for eid in edge_ids:
-                step = rule(state, eid)
-                apply_scalar_step(state, eid, step, config.h)
-            new_objective = state.d1(relative=config.relative)
-            if abs(objective - new_objective) <= config.tau:
-                objective = new_objective
-                break
-            objective = new_objective
-        return sweeps
-
-    colored = _colored_eligible(engine, config.k, state.n)
+    k = config.k
+    # The relative rule is defined for k = 1 only; k = "n" and any
+    # k >= n are full redistribution, which ignores it.
+    if config.relative and k != "n" and 1 < k < state.n:
+        raise ValueError("the relative-discrepancy rule is defined for k = 1 only")
+    colored = _colored_eligible(k, state.n)
     if plan is None:
         plan = build_sweep_plan(state, sequential_only=not colored)
-    elif colored and plan.n_colors == 0 and len(plan.eids):
-        # A sequential-only plan can't drive color blocks; re-plan.
-        plan = build_sweep_plan(state)
-
+    colored = colored and plan.n_colors > 0
+    objective = state.d1(relative=config.relative)
+    sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
         if colored:
             colored_sweep(state, plan, config.relative, config.h)
         else:
-            fused_sweep(state, plan, config.k, config.relative, config.h)
+            fused_sweep(state, plan, k, config.relative, config.h)
         new_objective = state.d1(relative=config.relative)
         if abs(objective - new_objective) <= config.tau:
             objective = new_objective
@@ -181,14 +147,6 @@ def gdb_refine(
     return sweeps
 
 
-#: Dirty regions larger than this skip the scalar micro tier — past a
-#: few hundred edges the plain-float loop loses to the vectorised full
-#: sweep it is trying to avoid.
-WARM_MICRO_MAX_EDGES = 600
-#: Edge-sweep budget of the micro tier (sweeps x region size): small
-#: regions may relax for hundreds of cheap sweeps, larger ones get
-#: proportionally fewer before the certified phase takes over.
-WARM_MICRO_BUDGET = 48_000
 #: Extrapolation guard rails: jump only when the contraction ratio of
 #: two consecutive sweeps agrees within the jitter, and never assume a
 #: slower (= longer jump) ratio than the cap.
@@ -199,82 +157,43 @@ WARM_RATIO_CAP = 0.99
 def gdb_refine_warm(
     state: SparsificationState,
     config: GDBConfig,
-    dirty_vertices=None,
-    engine: str = "vector",
     plan: "SweepPlan | None" = None,
-    hops: int = 1,
 ) -> int:
-    """Warm-started GDB: drain the dirty region, then certify globally.
+    """Warm-started GDB: extrapolated colored sweeps, then a certificate.
 
-    ``state`` carries previously-converged probabilities plus a local
-    perturbation (a delta batch, a backbone membership diff);
-    ``dirty_vertices`` are the dense vertex ids the perturbation touched.
-    Three phases:
+    ``state`` carries previously-converged probabilities plus a
+    perturbation (a delta batch, a backbone membership diff).  Two
+    phases:
 
-    1. **Micro tier** — the dirty region is grown ``hops`` times over
-       the selected edges (an edge is dirty when either endpoint is; its
-       endpoints then become dirty) and, when small enough
-       (:data:`WARM_MICRO_MAX_EDGES`), relaxed with
-       :func:`~repro.core.sweep.local_fused_sweeps`: ``O(|region|)``
-       reference-order sweeps that absorb the perturbation's amplitude
-       at a tiny fraction of a full sweep's cost.
-    2. **Accelerated global phase** — full color-blocked sweeps with
-       geometric extrapolation.  Coordinate descent's tail is an almost
-       linear contraction, so the per-sweep update direction settles and
+    1. **Accelerated phase** — full color-blocked sweeps with geometric
+       extrapolation.  Coordinate descent's tail is an almost linear
+       contraction, so the per-sweep update direction settles and
        shrinks by a stable ratio ``r``; once two consecutive sweeps
        agree on ``r`` the remaining geometric series is applied in one
        jump (``x + dx * r / (1 - r)``), with an objective re-check that
        reverts any overshoot (the entropy guard and the ``[0, 1]``
        clamps make the map only piecewise linear).  Each jump replaces
-       ``O(1 / (1 - r))`` sweeps — the bulk of a cold refinement's
-       work — by one vector operation.
-    3. **Certificate** — plain sweeps continue until the objective
-       improves by ``<= config.tau``, the same stopping rule as
-       :func:`gdb_refine`, so the converged objective matches a cold
-       refinement of the same selection to within the usual
-       coordinate-descent tolerance.
+       ``O(1 / (1 - r))`` sweeps by one vector operation.
+    2. **Certificate** — sweeps continue until the objective improves by
+       ``<= config.tau``, the same stopping rule as :func:`gdb_refine`,
+       so the converged objective matches a cold refinement of the same
+       selection to within the usual coordinate-descent tolerance.
 
     Extrapolation jumps are *not* coordinate-descent steps, so the warm
     trajectory differs from the cold one; the certificate pins the end
     point to the same fixed-point tolerance, which is the maintained
     contract (``benchmarks/bench_streaming.py`` gates it along drift
-    streams).  Returns the total sweep count (micro + full).
+    streams).  Returns the sweep count.
 
-    Falls back to plain :func:`gdb_refine` whenever the restriction
-    cannot apply: no ``dirty_vertices``, or a rule/engine combination
-    outside the color-blocked ``k = 1`` path (the globally-coupled rules
-    touch every edge each sweep anyway).
+    Solves outside the color-blocked ``k = 1`` path run plain
+    :func:`gdb_refine`.
     """
-    engine = _validate_engine(engine, allowed=ENGINES)
-    if dirty_vertices is None or not _colored_eligible(engine, config.k, state.n):
-        return gdb_refine(state, config, engine=engine, plan=plan)
-
-    dirty_vertices = np.asarray(dirty_vertices, dtype=np.int64)
-    vmask = np.zeros(state.n, dtype=bool)
-    if len(dirty_vertices):
-        vmask[dirty_vertices] = True
-    ev = state.edge_vertices
-    emask = np.zeros(len(state.phat), dtype=bool)
-    for _ in range(max(1, int(hops))):
-        emask = state.selected & (vmask[ev[:, 0]] | vmask[ev[:, 1]])
-        vmask[ev[emask, 0]] = True
-        vmask[ev[emask, 1]] = True
-    dirty_eids = np.flatnonzero(emask)
-
+    if not _colored_eligible(config.k, state.n):
+        return gdb_refine(state, config, plan=plan)
     if plan is None or (plan.n_colors == 0 and len(plan.eids)):
         plan = build_sweep_plan(state)
 
     sweeps = 0
-    if 0 < len(dirty_eids) <= min(WARM_MICRO_MAX_EDGES, len(plan.eids) - 1):
-        sub = restrict_sweep_plan(state, plan, dirty_eids)
-        budget = min(
-            config.max_sweeps,
-            max(40, WARM_MICRO_BUDGET // len(dirty_eids)),
-        )
-        sweeps += local_fused_sweeps(
-            state, sub, config.relative, config.h, config.tau, budget
-        )
-
     eids = plan.eids
     objective = state.d1(relative=config.relative)
     x_prev = state.phat[eids].copy()
@@ -354,7 +273,6 @@ def gdb(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Gradient Descent Backbone (Algorithm 2).
@@ -380,9 +298,6 @@ def gdb(
         Seed / generator for backbone construction.
     name:
         Name for the returned graph.
-    engine:
-        Sweep engine, ``"vector"`` (default) or ``"loop"`` (see
-        :func:`gdb_refine`).
     backbone_plan:
         Optional :class:`~repro.core.backbone.BackbonePlan` for
         ``graph``: the ``alpha`` path builds its backbone from the plan
@@ -394,13 +309,12 @@ def gdb(
     UncertainGraph
         Sparsified graph on the full vertex set with ``alpha |E|`` edges.
     """
-    engine = _validate_engine(engine)
     config = config or GDBConfig()
     backbone_ids = _resolve_backbone(
         graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
     )
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
-    gdb_refine(state, config, engine=engine)
+    gdb_refine(state, config)
     label = name or f"gdb[{'R' if config.relative else 'A'},k={config.k}]({graph.name})"
     return state.build_graph(name=label)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.backbone import BackbonePlan
 from repro.core.discrepancy import SparsificationState
-from repro.core.gdb import GDBConfig, _colored_eligible, _validate_engine, gdb_refine
+from repro.core.gdb import GDBConfig, _colored_eligible, gdb_refine
 from repro.core.sweep import build_sweep_plan
 from repro.core.uncertain_graph import UncertainGraph
 
@@ -93,7 +93,6 @@ def gdb_grid(
     max_sweeps: int = 200,
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
-    engine: str = "vector",
     build_graphs: bool = True,
     name_prefix: str = "",
     consume=None,
@@ -118,7 +117,6 @@ def gdb_grid(
     is built internally (callers sweeping several grids over the same
     graph should build one plan and pass it to every call).
     """
-    engine = _validate_engine(engine)
     alphas = list(alphas)
     h_values = list(h_values)
     if backbone_plan is None:
@@ -127,7 +125,7 @@ def gdb_grid(
         raise ValueError("backbone plan was built for a different graph")
     state = SparsificationState(graph)
     empty = state.snapshot()
-    colored = _colored_eligible(engine, k, state.n)
+    colored = _colored_eligible(k, state.n)
     results: dict[tuple[float, float], GridCell] = {}
     for alpha in alphas:
         backbone = backbone_plan.backbone(alpha, method=backbone_method, rng=rng)
@@ -139,7 +137,7 @@ def gdb_grid(
             config = GDBConfig(
                 h=h, tau=tau, max_sweeps=max_sweeps, k=k, relative=relative
             )
-            sweeps = gdb_refine(state, config, engine=engine, plan=plan)
+            sweeps = gdb_refine(state, config, plan=plan)
             objective = float(state.d1(relative=relative))
             cell_graph = None
             if build_graphs:

@@ -25,7 +25,7 @@ which any LP solver handles.  Two solvers are offered:
   degree), and duality-gap stopping at a configurable relative
   tolerance.  Each iteration costs two sparse mat-vecs, so the LP
   curves of fig04-08 become feasible at the 10k-1M edge scale the other
-  engines reach.
+  sparsifiers reach.
 
 The pdp solver always returns a *feasible* point: the iterate is
 rescaled edge-wise onto ``A_b p' <= d`` before the objective is

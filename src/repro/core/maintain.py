@@ -16,7 +16,7 @@ re-converged sparsifier without replanning from scratch:
    to a fresh plan's, by the repair contract) and only the membership
    diff is re-seeded;
 5. :func:`~repro.core.gdb.gdb_refine_warm` re-converges from the warm
-   probabilities, sweeping only the dirty region first.
+   probabilities with extrapolated colored sweeps.
 
 The maintained result matches a cold rebuild: same selected edge set
 (same seed, equivalent plan) and converged ``D_1`` within the
@@ -34,13 +34,7 @@ import numpy as np
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.discrepancy import SparsificationState
-from repro.core.gdb import (
-    GDBConfig,
-    _colored_eligible,
-    _validate_engine,
-    gdb_refine,
-    gdb_refine_warm,
-)
+from repro.core.gdb import GDBConfig, _colored_eligible, gdb_refine, gdb_refine_warm
 from repro.core.sparsify import parse_variant
 from repro.core.sweep import build_sweep_plan, extend_sweep_plan
 from repro.core.uncertain_graph import UncertainGraph
@@ -61,7 +55,7 @@ class MaintenanceReport:
         Backbone membership churn: edges that left / entered the
         selected set after the repaired plan re-instantiated.
     sweeps:
-        GDB sweeps spent re-converging (restricted + full).
+        GDB sweeps spent re-converging.
     d1:
         Converged objective after the batch.
     elapsed:
@@ -100,19 +94,13 @@ class IncrementalSparsifier:
     h / tau / max_sweeps:
         GDB entropy parameter, convergence threshold and sweep cap,
         shared by the initial build and every warm re-convergence.
-    engine:
-        Sweep engine (``"vector"`` enables the dirty-region restriction;
-        ``"loop"`` falls back to full reference sweeps).
-    hops:
-        Dirty-region growth radius for the warm sweeps (see
-        :func:`~repro.core.gdb.gdb_refine_warm`).
     top_up:
         BGI top-up discipline.  ``"stable"`` (default) draws the
         weighted sample by seeded order statistics, so a small delta
         moves the selection by O(|delta|) edges and the warm restart
         stays warm; ``"mc"`` replays the permutation-based Monte-Carlo
         pass, which re-randomises the top-up wholesale on any change
-        (correct, but the dirty region becomes the whole graph).
+        (correct, but every batch then restarts far from converged).
         Either way the maintained selection is bit-identical to a fresh
         plan's under the same seed and mode.
     """
@@ -126,8 +114,6 @@ class IncrementalSparsifier:
         h: float = 0.05,
         tau: float = 1e-9,
         max_sweeps: int = 200,
-        engine: str = "vector",
-        hops: int = 1,
         top_up: str = "stable",
     ) -> None:
         spec = parse_variant(variant)
@@ -148,8 +134,6 @@ class IncrementalSparsifier:
         self.seed = int(rng)
         self.config = GDBConfig(h=h, tau=tau, max_sweeps=max_sweeps,
                                 k=spec.k, relative=spec.relative)
-        self.engine = _validate_engine(engine)
-        self.hops = int(hops)
         self.backbone_method = "bgi" if spec.bgi_backbone else "random"
         if top_up not in ("mc", "stable"):
             raise ValueError(f"unknown top_up {top_up!r} (use 'mc' or 'stable')")
@@ -165,15 +149,10 @@ class IncrementalSparsifier:
         )
         self.state.select_edges(ids)
         self._sweep_plan = None
-        self._keep_plan = _colored_eligible(
-            self.engine, self.config.k, self.state.n
-        )
+        self._keep_plan = _colored_eligible(self.config.k, self.state.n)
         if self._keep_plan:
             self._sweep_plan = build_sweep_plan(self.state)
-        self.sweeps = gdb_refine(
-            self.state, self.config, engine=self.engine,
-            plan=self._sweep_plan,
-        )
+        self.sweeps = gdb_refine(self.state, self.config, plan=self._sweep_plan)
         self.batches_applied = 0
 
     # -- stream steps -----------------------------------------------------
@@ -197,17 +176,8 @@ class IncrementalSparsifier:
             self.state.deselect_edges(removed)
         if len(added):
             self.state.select_edges(added)
-
-        dirty = np.unique(np.concatenate([
-            applied.dirty_vertices(),
-            self.state.edge_vertices[removed].ravel(),
-            self.state.edge_vertices[added].ravel(),
-        ]))
         self._refresh_sweep_plan(applied, removed, added)
-        sweeps = gdb_refine_warm(
-            self.state, self.config, dirty_vertices=dirty,
-            engine=self.engine, plan=self._sweep_plan, hops=self.hops,
-        )
+        sweeps = gdb_refine_warm(self.state, self.config, plan=self._sweep_plan)
         self.sweeps += sweeps
         self.batches_applied += 1
         return MaintenanceReport(

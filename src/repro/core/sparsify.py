@@ -31,15 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backbone import BackbonePlan, build_backbone, target_edge_count
+from repro.core.backbone import BackbonePlan, target_edge_count
 from repro.core.emd_sparsifier import EMDConfig, emd
-from repro.core.gdb import (
-    GDBConfig,
-    _resolve_backbone,
-    _validate_engine,
-    gdb,
-    gdb_refine_warm,
-)
+from repro.core.gdb import GDBConfig, gdb
 from repro.core.lp import lp_sparsify
 from repro.core.uncertain_graph import UncertainGraph
 
@@ -118,11 +112,9 @@ def sparsify(
     h: float = 0.05,
     tau: float = 1e-9,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
     backbone: "np.ndarray | list[int] | None" = None,
     lp_solver: str = "highs",
-    warm_state=None,
 ) -> UncertainGraph:
     """Sparsify an uncertain graph with any paper variant.
 
@@ -145,10 +137,6 @@ def sparsify(
         Convergence threshold for GDB/EMD.
     name:
         Optional name for the output graph.
-    engine:
-        Sweep/scan engine for GDB/EMD: ``"vector"`` (default, the
-        array-native engine) or ``"loop"`` (the scalar reference).  The
-        LP and benchmark methods have no iterative core and ignore it.
     backbone_plan:
         Optional :class:`~repro.core.backbone.BackbonePlan` for
         ``graph``: GDB/EMD/LP variants build their backbone from the
@@ -164,22 +152,12 @@ def sparsify(
         the exact scipy reference) or ``"pdp"`` (first-order
         primal-dual projection; see :func:`repro.core.lp.solve_pdp`).
         Other variants ignore it.
-    warm_state:
-        Optional :class:`~repro.core.discrepancy.SparsificationState`
-        carrying previously-converged probabilities for ``graph`` (GDB
-        variants only).  The call diffs the new backbone against the
-        state's current selection, re-seeds only the membership diff,
-        and re-converges with warm-started dirty-region sweeps
-        (:func:`repro.core.gdb.gdb_refine_warm`) instead of refining
-        from scratch — the streaming maintenance hot path.  The state
-        is refined *in place* and stays usable for the next call.
 
     Returns
     -------
     UncertainGraph
         The sparsified graph ``G' = (V, E', p')``.
     """
-    _validate_engine(engine)
     spec = parse_variant(variant)
     backbone_method = "bgi" if spec.bgi_backbone else "random"
     label = name or f"{spec.canonical_name}@{alpha:g}({graph.name})"
@@ -202,49 +180,18 @@ def sparsify(
         else dict(alpha=alpha, backbone_plan=backbone_plan)
     )
 
-    if warm_state is not None:
-        if spec.method != "gdb":
-            raise ValueError(
-                f"variant {spec.canonical_name!r} does not take warm_state; "
-                f"warm-started maintenance applies to the GDB variants only"
-            )
-        if warm_state.graph is not graph:
-            raise ValueError("warm_state was built for a different graph")
-        config = GDBConfig(h=h, tau=tau, k=spec.k, relative=spec.relative)
-        backbone_ids = _resolve_backbone(
-            graph,
-            alpha if backbone is None else None,
-            backbone,
-            backbone_method,
-            rng,
-            backbone_plan,
-        )
-        state = warm_state
-        new_sel = np.zeros(len(state.phat), dtype=bool)
-        new_sel[np.asarray(backbone_ids, dtype=np.int64)] = True
-        removed = np.flatnonzero(state.selected & ~new_sel)
-        added = np.flatnonzero(new_sel & ~state.selected)
-        if len(removed):
-            state.deselect_edges(removed)
-        if len(added):
-            state.select_edges(added)
-        diff = np.concatenate([removed, added])
-        dirty = np.unique(state.edge_vertices[diff].ravel())
-        gdb_refine_warm(state, config, dirty_vertices=dirty, engine=engine)
-        return state.build_graph(name=label)
-
     if spec.method == "gdb":
         config = GDBConfig(h=h, tau=tau, k=spec.k, relative=spec.relative)
         return gdb(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, **seed_kwargs)
+                   **seed_kwargs)
     if spec.method == "emd":
         if spec.k != 1:
             raise ValueError("EMD is defined for k = 1 only (paper section 5)")
         config = EMDConfig(h=h, tau=tau, relative=spec.relative)
         return emd(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, **seed_kwargs)
+                   **seed_kwargs)
     if spec.method == "lp":
         return lp_sparsify(graph, backbone_method=backbone_method, rng=rng,
                            name=label, solver=lp_solver, **seed_kwargs)

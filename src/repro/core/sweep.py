@@ -1,9 +1,9 @@
-"""Color-blocked and fused sweep engines for the iterative sparsifiers.
+"""Color-blocked and fused sweeps for the iterative sparsifiers.
 
-The scalar reference loop of GDB (:mod:`repro.core.gdb`) performs cyclic
-coordinate descent: one closed-form rule step per edge, applied
-immediately.  This module provides two faster, equivalent executions of
-the same sweep:
+GDB (:mod:`repro.core.gdb`) performs cyclic coordinate descent: one
+closed-form rule step per edge, applied immediately, then clamped and
+attenuated (Algorithm 2, lines 7-10).  This module runs those sweeps in
+one of two layouts:
 
 - **Color-blocked** (``k = 1`` rules only): the backbone is greedily
   edge-colored once; edges of one color share no endpoint, and the
@@ -15,27 +15,24 @@ the same sweep:
   still exact coordinate descent), which keeps the per-class numpy
   dispatch overhead off the hot path.  The tail runs as one fused pass
   over plain Python floats, indexed by the local endpoint ids the plan
-  precomputes, and the sweep is bit-identical to applying the rule,
-  clamp and attenuation of Algorithm 2 block by block and then edge by
-  edge through :func:`apply_scalar_step`.
-- **Fused sequential** (all rules): the same edge-id order as the
-  reference loop, executed over plain Python floats pulled from the
-  state arrays once per sweep — bit-identical arithmetic to the
-  reference loop (the rules and the clamp/attenuation of Algorithm 2
-  lines 7-10 are mirrored expression by expression) without the
-  per-edge method-call and numpy scalar-indexing overhead.  Rules with a
-  global residual term (``k >= 2`` and ``k = "n"``) couple every edge
-  through ``total_residual``, so color classes are *not* independent for
-  them; the vector engine runs this path instead.
+  precomputes.
+- **Fused sequential** (all rules): edge-id order, executed over plain
+  Python floats pulled from the state arrays once per sweep, with the
+  rules and the clamp/attenuation of Algorithm 2 written out expression
+  by expression.  Rules with a global residual term (``k >= 2`` and
+  ``k = "n"``) couple every edge through ``total_residual``, so color
+  classes are *not* independent for them; they always run this path.
 
-Both engines descend the same objective; the ``k = 1`` color-blocked
-order differs from the reference loop's, but coordinate descent on the
-convex ``D_1`` objective reaches the same converged value (the
-loop-vs-vector contract pinned by ``tests/test_sweep.py``).
+Both layouts are checked against the scalar reference (one rule call
+and one state update per edge, ``tests/oracles/``): the fused sweep and
+the colored sweep are bit-identical to it in their own edge orders, and
+since coordinate descent on the convex ``D_1`` objective reaches the
+same converged value in either order, colored and fused solves agree
+within the converged-D1 contract pinned by ``tests/test_sweep.py``.
 
 The entropy guard uses the closed form ``H(p') > H(p)  <=>
 |p' - 0.5| < |p - 0.5|`` (see :func:`repro.core.entropy.entropy_increases`)
-so neither engine spends a transcendental call per edge.
+so no sweep spends a transcendental call per edge.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ class SweepPlan:
     parameters, and grid cells): the greedy coloring, the large color
     classes as gather-ready arrays, the scalar tail with its local
     endpoint indexing, and the sequential (edge-id-ordered) endpoint
-    lists the fused engine consumes.  Nothing in it depends on edge
+    lists the fused sweep consumes.  Nothing in it depends on edge
     probabilities, so a plan survives probability-only drift.
     """
 
@@ -94,7 +91,7 @@ class SweepPlan:
     tail_verts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     tail_lu: list = field(default_factory=list)     # tail endpoints as
     tail_lv: list = field(default_factory=list)     # positions in tail_verts
-    seq_eids: list = field(default_factory=list)    # reference-loop order
+    seq_eids: list = field(default_factory=list)    # edge-id order
     seq_u: list = field(default_factory=list)
     seq_v: list = field(default_factory=list)
 
@@ -108,8 +105,9 @@ def build_sweep_plan(
     """Color the (selected) edge set and lay out the sweep schedule.
 
     With ``sequential_only=True`` the coloring is skipped and only the
-    fused engine's edge-id-ordered lists are laid out (the ``k >= 2``
-    rules never consume color classes).
+    fused sweep's edge-id-ordered lists are laid out (the ``k >= 2``
+    rules never consume color classes, and EMD's M-phase keeps to
+    edge-id order).
     """
     if eids is None:
         eids = state.selected_edge_ids()
@@ -169,25 +167,6 @@ def _layout_plan(
     return plan
 
 
-def restrict_sweep_plan(
-    state: SparsificationState,
-    plan: SweepPlan,
-    eids,
-    min_block_size: int = MIN_BLOCK_SIZE,
-) -> SweepPlan:
-    """Sub-plan of ``plan`` covering only the edges in ``eids``.
-
-    Any subset of a proper color class is still proper, so the restricted
-    plan inherits the parent's colors verbatim — no re-coloring — and
-    just re-cuts the block/tail layout (classes that shrink below
-    ``min_block_size`` fold into the scalar tail).  The warm-started GDB
-    path uses this to sweep only the dirty region of a converged state.
-    """
-    eids = np.asarray(eids, dtype=np.int64)
-    mask = np.isin(plan.eids, eids)
-    return _layout_plan(state, plan.eids[mask], plan.colors[mask], min_block_size)
-
-
 def extend_sweep_plan(
     state: SparsificationState,
     eids,
@@ -244,31 +223,6 @@ def extend_sweep_plan(
 
 
 # ----------------------------------------------------------------------
-# Scalar step application (the reference loop's per-edge update)
-# ----------------------------------------------------------------------
-def apply_scalar_step(state: SparsificationState, eid: int, step: float,
-                      h: float) -> None:
-    """Clamp-and-attenuate probability update (Algorithm 2, lines 7-10).
-
-    The entropy guard is the closed-form ``|p - 0.5|`` monotonicity test
-    — exactly ``edge_entropy(proposed) > edge_entropy(current)`` with no
-    log calls.
-    """
-    current = float(state.phat[eid])
-    proposed = current + step
-    if proposed < 0.0:
-        new_p = 0.0
-    elif proposed > 1.0:
-        new_p = 1.0
-    elif abs(proposed - 0.5) < abs(current - 0.5):
-        new_p = min(max(current + h * step, 0.0), 1.0)
-    else:
-        new_p = proposed
-    if new_p != current:
-        state.set_probability(eid, new_p)
-
-
-# ----------------------------------------------------------------------
 # Color-blocked sweep (k = 1 rules)
 # ----------------------------------------------------------------------
 def colored_sweep(
@@ -286,7 +240,7 @@ def colored_sweep(
     Both mirror the ``k = 1`` rule (Eq. 8) and the clamp/attenuation of
     Algorithm 2 operation for operation, so ``phat``, ``delta`` and
     ``total_residual`` come out bit-identical to stepping every edge
-    through the scalar rule and :func:`apply_scalar_step` in that order
+    through the scalar rule and step of the reference in that order
     (``total_residual`` takes one rounded sum per block, then one
     decrement per tail edge).
 
@@ -375,7 +329,7 @@ def apply_probability_vector(state: SparsificationState, eids: np.ndarray,
                              values: np.ndarray) -> None:
     """Set ``phat[eids] = clip(values, 0, 1)`` with exact bookkeeping.
 
-    Unlike the sweep engines this is not a descent step: it writes an
+    Unlike the sweeps this is not a descent step: it writes an
     externally-computed probability vector (the warm path's geometric
     extrapolation jumps through here) while maintaining ``delta`` and
     ``total_residual`` incrementally.  Endpoints may repeat across
@@ -391,100 +345,8 @@ def apply_probability_vector(state: SparsificationState, eids: np.ndarray,
     state.phat[eids] = values
 
 
-def local_fused_sweeps(
-    state: SparsificationState,
-    plan: SweepPlan,
-    relative: bool,
-    h: float,
-    tau: float,
-    max_sweeps: int,
-) -> int:
-    """Reference-order ``k = 1`` sweeps touching only ``plan``'s edges.
-
-    The fused engine above still pays ``O(n + m)`` per sweep to pull and
-    write back the full state arrays; on a dirty region of a few dozen
-    edges that overhead dwarfs the arithmetic.  This variant localises
-    everything: endpoint discrepancies are pulled once for the region's
-    vertices, per-sweep work is ``O(|plan|)`` plain-float operations in
-    the same edge-id order and with the same step/clamp/attenuation
-    arithmetic as the reference loop, and the arrays are written back
-    once at the end.
-
-    The stop test mirrors :func:`~repro.core.gdb.gdb_refine`'s
-    (objective improvement ``<= tau``), with the global objective
-    assembled incrementally as ``d1_outside + d1_region`` — only the
-    region's contribution can change.  The assembly order differs from
-    ``state.d1()``'s full-array sum, so the test controls *effort*, not
-    the certificate: callers re-certify globally afterwards.  Returns
-    the sweep count.
-    """
-    seq_eids = plan.seq_eids
-    if not seq_eids:
-        return 0
-    verts = sorted({*plan.seq_u, *plan.seq_v})
-    vert_index = {v: i for i, v in enumerate(verts)}
-    lu = [vert_index[u] for u in plan.seq_u]
-    lv = [vert_index[v] for v in plan.seq_v]
-    dloc = state.delta[verts].tolist()
-    ploc = state.phat[seq_eids].tolist()
-    if relative:
-        degrees = [float(state.original_degrees[v]) for v in verts]
-        weight = [1.0 / (d * d) if d > 0.0 else 0.0 for d in degrees]
-    else:
-        degrees = None
-        weight = [1.0] * len(verts)
-    region = sum(w * d * d for w, d in zip(weight, dloc))
-    outside = state.d1(relative=relative) - region
-    objective = outside + region
-    total_change = 0.0
-    sweeps = 0
-    for _ in range(max_sweeps):
-        for i in range(len(seq_eids)):
-            iu = lu[i]
-            iv = lv[i]
-            du = dloc[iu]
-            dv = dloc[iv]
-            if relative:
-                pi_u = degrees[iu]
-                pi_v = degrees[iv]
-                denominator = pi_u + pi_v
-                step = (
-                    (pi_v * du + pi_u * dv) / denominator
-                    if denominator > 0.0 else 0.0
-                )
-            else:
-                step = 0.5 * (du + dv)
-            current = ploc[i]
-            proposed = current + step
-            if proposed < 0.0:
-                new_p = 0.0
-            elif proposed > 1.0:
-                new_p = 1.0
-            elif abs(proposed - 0.5) < abs(current - 0.5):
-                new_p = min(max(current + h * step, 0.0), 1.0)
-            else:
-                new_p = proposed
-            if new_p != current:
-                change = new_p - current
-                dloc[iu] = du - change
-                dloc[iv] = dloc[iv] - change
-                total_change += change
-                ploc[i] = new_p
-        sweeps += 1
-        region = sum(w * d * d for w, d in zip(weight, dloc))
-        new_objective = outside + region
-        if abs(objective - new_objective) <= tau:
-            objective = new_objective
-            break
-        objective = new_objective
-    state.delta[verts] = dloc
-    state.phat[np.asarray(seq_eids, dtype=np.int64)] = ploc
-    state.total_residual -= total_change
-    return sweeps
-
-
 # ----------------------------------------------------------------------
-# Fused sequential sweep (bit-identical to the reference loop)
+# Fused sequential sweep (all rules, edge-id order)
 # ----------------------------------------------------------------------
 def fused_sweep(
     state: SparsificationState,
@@ -493,13 +355,13 @@ def fused_sweep(
     relative: bool,
     h: float,
 ) -> None:
-    """One reference-order sweep over plain Python floats.
+    """One edge-id-order sweep over plain Python floats.
 
-    Pulls ``delta`` / ``phat`` into lists, mirrors the rule and
-    clamp/attenuation arithmetic of the scalar loop expression by
-    expression, and writes the arrays back once — the IEEE operation
-    sequence per edge is identical to the reference loop, so results are
-    bit-for-bit equal at a fraction of the interpreter overhead.
+    Pulls ``delta`` / ``phat`` into lists, writes the rule and
+    clamp/attenuation arithmetic out expression by expression, and
+    writes the arrays back once — the IEEE operation sequence per edge
+    is that of the scalar reference, so results are bit-for-bit equal
+    to it at a fraction of the interpreter overhead.
     """
     n = state.n
     delta = state.delta.tolist()

@@ -34,7 +34,6 @@ def run_fig04a(
     scale: ExperimentScale = SMALL,
     variants: tuple[str, ...] = FIG4A_VARIANTS,
     seed: int = 17,
-    engine: str = "vector",
     graph=None,
     backbone_plan: "BackbonePlan | None" = None,
     lp_solver: str = "highs",
@@ -55,7 +54,7 @@ def run_fig04a(
         row: list = [variant]
         for alpha in scale.alphas:
             sparsified = sparsify(
-                graph, alpha, variant=variant, rng=seed, engine=engine,
+                graph, alpha, variant=variant, rng=seed,
                 backbone_plan=plan_for_variant(plan, variant),
                 lp_solver=lp_solver,
             )
@@ -69,7 +68,6 @@ def run_fig04a(
 def run_fig04b(
     scale: ExperimentScale = SMALL,
     seed: int = 17,
-    engine: str = "vector",
     graph=None,
     backbone_plan: "BackbonePlan | None" = None,
     lp_solver: str = "highs",
@@ -94,8 +92,7 @@ def run_fig04b(
         for alpha in scale.alphas:
             _, seconds = timed(
                 sparsify, graph, alpha, variant=variant, rng=seed,
-                engine=engine, backbone_plan=plan,
-                lp_solver=lp_solver,
+                backbone_plan=plan, lp_solver=lp_solver,
             )
             row.append(seconds)
         table.rows.append(row)
@@ -105,16 +102,15 @@ def run_fig04b(
 def run_fig04(
     scale: ExperimentScale = SMALL,
     seed: int = 17,
-    engine: str = "vector",
     lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
     """Both panels off one shared backbone plan."""
     graph = make_flickr_reduced(scale, seed=seed)
     plan = BackbonePlan(graph)
     return (
-        run_fig04a(scale, seed=seed, engine=engine, graph=graph,
+        run_fig04a(scale, seed=seed, graph=graph,
                    backbone_plan=plan, lp_solver=lp_solver),
-        run_fig04b(scale, seed=seed, engine=engine, graph=graph,
+        run_fig04b(scale, seed=seed, graph=graph,
                    backbone_plan=plan, lp_solver=lp_solver),
     )
 

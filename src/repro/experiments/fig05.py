@@ -35,7 +35,6 @@ def run_fig05(
     scale: ExperimentScale = SMALL,
     h_values: tuple[float, ...] = H_VALUES,
     seed: int = 19,
-    engine: str = "vector",
 ) -> tuple[ResultTable, ResultTable]:
     """Returns ``(mae_table, entropy_table)`` for the h sweep."""
     graph = make_flickr_reduced(scale, seed=seed)
@@ -63,7 +62,6 @@ def run_fig05(
         alphas=scale.alphas,
         h_values=h_values,
         rng=seed,
-        engine=engine,
         consume=to_metrics,
         backbone_plan=BackbonePlan(graph),
     )

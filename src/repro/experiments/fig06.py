@@ -36,7 +36,6 @@ def structural_comparison(
     scale: ExperimentScale,
     methods: tuple[str, ...] = COMPARISON_METHODS,
     seed: int = 23,
-    engine: str = "vector",
     lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE tables (method x alpha) for one dataset."""
@@ -58,7 +57,7 @@ def structural_comparison(
         cut_row: list = [method]
         for alpha in scale.alphas:
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plan, method),
                 lp_solver=lp_solver,
             )
@@ -74,18 +73,15 @@ def structural_comparison(
 def run_fig06(
     scale: ExperimentScale = SMALL,
     seed: int = 23,
-    engine: str = "vector",
     lp_solver: str = "highs",
 ) -> dict[str, tuple[ResultTable, ResultTable]]:
     """Both datasets' structural comparisons, keyed by dataset name."""
     return {
         "flickr": structural_comparison(
-            make_flickr_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver,
+            make_flickr_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
         ),
         "twitter": structural_comparison(
-            make_twitter_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver,
+            make_twitter_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
         ),
     }
 

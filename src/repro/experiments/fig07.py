@@ -40,7 +40,6 @@ def run_fig07(
     scale: ExperimentScale = SMALL,
     alpha: float = 0.16,
     seed: int = 29,
-    engine: str = "vector",
     lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE vs density at fixed alpha (Fig. 7)."""
@@ -67,7 +66,7 @@ def run_fig07(
         cut_row: list = [method]
         for density, graph in graphs.items():
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plans[density], method),
                 lp_solver=lp_solver,
             )

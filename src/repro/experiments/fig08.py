@@ -27,7 +27,7 @@ from repro.metrics import relative_entropy
 
 def entropy_vs_alpha(
     graph: UncertainGraph, scale: ExperimentScale, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs",
+    lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per alpha for one dataset."""
     table = ResultTable(
@@ -39,7 +39,7 @@ def entropy_vs_alpha(
         row: list = [method]
         for alpha in scale.alphas:
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plan, method),
                 lp_solver=lp_solver,
             )
@@ -50,7 +50,7 @@ def entropy_vs_alpha(
 
 def entropy_vs_density(
     scale: ExperimentScale, alpha: float = 0.16, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs",
+    lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per density (Fig. 8c)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -64,7 +64,7 @@ def entropy_vs_density(
         row: list = [method]
         for density, graph in graphs.items():
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plans[density], method),
                 lp_solver=lp_solver,
             )
@@ -74,21 +74,18 @@ def entropy_vs_density(
 
 
 def run_fig08(
-    scale: ExperimentScale = SMALL, seed: int = 31, engine: str = "vector",
-    lp_solver: str = "highs",
+    scale: ExperimentScale = SMALL, seed: int = 31, lp_solver: str = "highs",
 ) -> dict[str, ResultTable]:
     """All three panels keyed 'flickr' / 'twitter' / 'density'."""
     return {
         "flickr": entropy_vs_alpha(
-            make_flickr_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver,
+            make_flickr_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
         ),
         "twitter": entropy_vs_alpha(
-            make_twitter_proxy(scale), scale, seed=seed, engine=engine,
-            lp_solver=lp_solver,
+            make_twitter_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
         ),
         "density": entropy_vs_density(
-            scale, seed=seed, engine=engine, lp_solver=lp_solver,
+            scale, seed=seed, lp_solver=lp_solver,
         ),
     }
 

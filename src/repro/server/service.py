@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from repro.core.backbone import BACKBONE_METHODS, BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
-from repro.core.gdb import PUBLIC_ENGINES
 from repro.core.grid import gdb_grid, objective_rows
 from repro.core.lp import LP_SOLVERS
 from repro.core.sparsify import parse_variant, sparsify
@@ -62,8 +61,8 @@ _PAIR_QUERIES = ("reliability", "distance")
 #: to the defaults).  Only GDB and EMD have an iterative core that
 #: reads the entropy parameter ``h``.
 _SPARSIFY_FIELDS = {
-    "gdb": ("h", "engine"),
-    "emd": ("h", "engine"),
+    "gdb": ("h",),
+    "emd": ("h",),
     "lp": ("lp_solver",),
 }
 
@@ -278,7 +277,6 @@ class SparsifierService:
             spec = parse_variant(norm["variant"])  # fail fast on bad notation
             fields = {
                 "h": _entropy_parameter(params.pop("h", 0.05)),
-                "engine": _choice(params, "engine", "vector", PUBLIC_ENGINES),
                 "lp_solver": _choice(params, "lp_solver", "highs", LP_SOLVERS),
             }
             for name in _SPARSIFY_FIELDS.get(spec.method, ()):
@@ -333,7 +331,6 @@ class SparsifierService:
                 backbone_method=_choice(
                     params, "backbone_method", "bgi", BACKBONE_METHODS
                 ),
-                engine=_choice(params, "engine", "vector", PUBLIC_ENGINES),
             )
             if norm["relative"] and k != 1:
                 raise ServerError(
@@ -615,7 +612,6 @@ class SparsifierService:
             relative=norm["relative"],
             backbone_method=norm["backbone_method"],
             rng=norm["seed"],
-            engine=norm["engine"],
             build_graphs=False,
             backbone_plan=self._plan_for(entry),
         )

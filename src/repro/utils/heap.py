@@ -207,7 +207,7 @@ class LazyMaxHeap:
 
     Ties break towards the smallest item id (heapq tuple order), so
     :meth:`peek` equals ``np.argmax(np.abs(values))`` — the scan EMD's
-    scalar reference E-phase runs, which keeps the engines bit-identical.
+    scalar reference E-phase runs, which keeps EMD bit-identical to it.
     """
 
     __slots__ = ("_values", "_bound", "_entries", "_pending")

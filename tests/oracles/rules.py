@@ -3,16 +3,15 @@
 Each rule returns the *unclamped* optimal step ``stp`` for one edge given
 the current :class:`~repro.core.discrepancy.SparsificationState`; GDB
 applies clamping to ``[0, 1]`` and the entropy attenuation (Eq. 9 / 14).
-
-The sweep engines of :mod:`repro.core.sweep` and EMD's vectorised
-candidate scan inline the same arithmetic on arrays.
+The sweeps of :mod:`repro.core.sweep` and EMD's vectorised candidate scan
+inline the same arithmetic on arrays.
 
 Rules
 -----
 - ``k = 1`` absolute (Eq. 8 with ``pi = 1``): ``stp = (delta(u) + delta(v)) / 2``.
 - ``k = 1`` relative (Eq. 8 with ``pi(u) = C_G(u)``, the original expected
   degree): ``stp = (pi(v) delta(u) + pi(u) delta(v)) / (pi(u) + pi(v))``.
-  The paper states this closed form directly; we implement it as written.
+  The paper states this closed form directly; it is implemented as written.
 - general ``k`` (Eq. 13/14): weights the endpoint degree discrepancies
   against the global residual of non-incident edges with the
   Sigma-binomial coefficients of :func:`repro.utils.binomials.cut_rule_coefficients`.
@@ -22,6 +21,8 @@ Rules
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.discrepancy import SparsificationState
 from repro.utils.binomials import cut_rule_coefficients
@@ -109,3 +110,19 @@ def make_rule(k: int | str, relative: bool, n: int):
         return cut_step(state, eid, k)
 
     return rule
+
+
+def degree_step_absolute_array(state, eids):
+    """Eq. (8), absolute: mean endpoint discrepancy for every ``eid``."""
+    uv = state.edge_vertices[eids]
+    return 0.5 * (state.delta[uv[:, 0]] + state.delta[uv[:, 1]])
+
+
+def degree_step_relative_array(state, eids):
+    """Eq. (8), relative: degree-weighted endpoint discrepancies."""
+    uv = state.edge_vertices[eids]
+    pi_u = state.original_degrees[uv[:, 0]]
+    pi_v = state.original_degrees[uv[:, 1]]
+    denominator = pi_u + pi_v
+    steps = pi_v * state.delta[uv[:, 0]] + pi_u * state.delta[uv[:, 1]]
+    return np.where(denominator > 0.0, steps / np.where(denominator > 0.0, denominator, 1.0), 0.0)

@@ -31,28 +31,17 @@ def test_sparsify_default_variant(graph_file, tmp_path):
     assert main(["sparsify", str(graph_file), str(out), "--alpha", "0.3"]) == 0
 
 
-def test_sparsify_engine_flag(graph_file, tmp_path):
-    loop_out = tmp_path / "loop.txt"
-    vector_out = tmp_path / "vector.txt"
-    for engine, path in (("loop", loop_out), ("vector", vector_out)):
-        code = main([
-            "sparsify", str(graph_file), str(path),
-            "--alpha", "0.4", "--variant", "EMD^A", "--seed", "0",
-            "--engine", engine,
-        ])
-        assert code == 0
-    # EMD's engines are bit-identical, so the files describe one graph.
-    assert read_edge_list(loop_out).isomorphic_probabilities(
-        read_edge_list(vector_out)
-    )
-
-
 def test_sparsify_engine_flag_rejects_unknown(graph_file, tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main([
-            "sparsify", str(graph_file), str(tmp_path / "x.txt"),
-            "--alpha", "0.4", "--engine", "warp",
-        ])
+    # No subcommand has an --engine flag: every value is refused.
+    for argv in (
+        ["sparsify", str(graph_file), str(tmp_path / "x.txt"), "--alpha", "0.4"],
+        ["grid", str(graph_file), "--alphas", "0.4", "--h-values", "0.05"],
+        ["drift", str(graph_file), "--alpha", "0.4"],
+    ):
+        for engine in ("warp", "vector", "loop"):
+            with pytest.raises(SystemExit):
+                main(argv + ["--engine", engine])
+            assert "--engine" in capsys.readouterr().err
 
 
 def test_sparsify_bad_variant_fails(graph_file, tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.array_graph import EdgeArrayGraph
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.discrepancy import SparsificationState
@@ -141,7 +142,7 @@ class TestApplyDelta:
         applied = apply_delta(GRAPH, batch, in_place=False)
         assert not applied.structural
         assert np.array_equal(applied.id_map, np.arange(M))
-        assert len(applied.dirty_vertices()) == 0
+        assert len(applied.update_eids_new()) == len(applied.insert_eids) == 0
 
     def test_delete_then_reinsert_same_pair(self):
         u, v = sorted(int(x) for x in GRAPH.edge_index_array()[0])
@@ -191,6 +192,35 @@ class TestBatchValidation:
     def test_non_integer_insert_endpoints(self, bad):
         with pytest.raises(GraphError, match=re.escape(f"must be an integer, got {bad!r}")):
             EdgeDeltaBatch(insert_endpoints=[[0, bad]], insert_ps=[0.5])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"update_eids": [[0]], "update_ps": [[0.5]]}, "update_eids must be 1-D"),
+        ({"update_eids": 0, "update_ps": 0.5}, "update_eids must be 1-D"),
+        ({"update_eids": np.array([[0, 1]]), "update_ps": [0.5, 0.5]},
+         "update_eids must be 1-D"),
+        ({"delete_eids": [[1]]}, "delete_eids must be 1-D"),
+        ({"delete_eids": 1}, "delete_eids must be 1-D"),
+        ({"update_eids": [0], "update_ps": [[0.5]]}, "update_ps must be 1-D"),
+        ({"update_eids": [0], "update_ps": 0.5}, "update_ps must be 1-D"),
+        ({"insert_endpoints": [[0, 1]], "insert_ps": [[0.5]]},
+         "insert_ps must be 1-D"),
+        ({"insert_endpoints": [[0, 1]], "insert_ps": 0.5}, "insert_ps must be 1-D"),
+        ({"insert_endpoints": [0, 1], "insert_ps": [0.5]},
+         "insert_endpoints must be shaped"),
+        ({"insert_endpoints": [[[0, 1]]], "insert_ps": [0.5]},
+         "insert_endpoints must be shaped"),
+        ({"insert_endpoints": [[0, 1, 2]], "insert_ps": [0.5]},
+         "insert_endpoints must be shaped"),
+    ])
+    def test_fields_of_another_shape(self, kwargs, message):
+        # Flattened, each would be a batch the caller never wrote
+        # (``[[0]]`` or ``0`` as one update of edge 0).
+        with pytest.raises(GraphError, match=message):
+            EdgeDeltaBatch(**kwargs)
+
+    def test_empty_inserts_accepted(self):
+        batch = EdgeDeltaBatch(insert_endpoints=[], insert_ps=[])
+        assert batch.insert_endpoints.shape == (0, 2) and batch.is_empty
 
     def test_integer_ids_of_any_width_accepted(self):
         batch = EdgeDeltaBatch(
@@ -262,6 +292,30 @@ class TestBatchValidation:
                 in_place=False,
             )
 
+    def test_failing_in_place_batch_leaves_graph_unchanged(self):
+        """An update, a delete and an insert of a surviving edge: the
+        insert is refused before the update or the delete lands."""
+        graph = UncertainGraph([(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7)])
+        batch = EdgeDeltaBatch(
+            update_eids=[0], update_ps=[0.5], delete_eids=[2],
+            insert_endpoints=[[1, 2]], insert_ps=[0.3],
+        )
+
+        def views(g):
+            return (list(g.edges()), g.edge_list(),
+                    g.probability_array().tobytes())
+
+        before = views(graph)
+        with pytest.raises(GraphError, match=r"existing edge: \(1, 2\)"):
+            apply_delta(graph, batch, in_place=True)
+        assert views(graph) == before
+        index = graph.edge_index_array()
+        arrays = EdgeArrayGraph(
+            4, index[:, 0], index[:, 1], graph.probability_array()
+        )
+        with pytest.raises(GraphError, match="existing edge"):
+            apply_delta(arrays, batch)
+
 
 class TestFromPairs:
     @pytest.fixture
@@ -298,6 +352,31 @@ class TestFromPairs:
     def test_self_loop(self, labelled):
         with pytest.raises(GraphError, match="self-loop"):
             EdgeDeltaBatch.from_pairs(labelled, deletes=[("1", "1")])
+
+    @pytest.mark.parametrize("label", [True, np.bool_(True), 1.0,
+                                       np.float64(1.0)])
+    def test_label_of_another_type_rejected(self, label):
+        # Dict equality alone would let each of these name vertex 1.
+        graph = UncertainGraph([(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7)])
+        for kwargs in ({"updates": [(0, label, 0.5)]},
+                       {"deletes": [(label, 2)]},
+                       {"inserts": [(label, 3, 0.5)]}):
+            with pytest.raises(GraphError, match=re.escape(repr(label))):
+                EdgeDeltaBatch.from_pairs(graph, **kwargs)
+
+    def test_integer_labels_of_any_width_resolve(self):
+        graph = UncertainGraph([(0, 1, 0.9), (1, 2, 0.8)])
+        batch = EdgeDeltaBatch.from_pairs(
+            graph, updates=[(np.int64(0), np.int32(1), 0.5)]
+        )
+        assert batch.update_eids.tolist() == [0]
+
+    def test_boolean_never_takes_the_string_fallback(self, labelled):
+        labelled.add_edge("True", "0", 0.5)
+        with pytest.raises(GraphError, match="boolean: True"):
+            EdgeDeltaBatch.from_pairs(labelled, updates=[(True, "0", 0.25)])
+        batch = EdgeDeltaBatch.from_pairs(labelled, updates=[("True", 0, 0.25)])
+        assert len(batch.update_eids) == 1
 
 
     @pytest.mark.parametrize("kwargs, match", [
@@ -512,14 +591,29 @@ class TestIncrementalSparsifier:
             cold = SparsificationState(maintainer.graph)
             cold.select_edges(ids)
             sweeps = gdb_refine(
-                cold, maintainer.config, engine="vector",
-                plan=build_sweep_plan(cold),
+                cold, maintainer.config, plan=build_sweep_plan(cold),
             )
             assert sweeps < maintainer.config.max_sweeps
             assert np.array_equal(maintainer.state.selected, cold.selected)
             cold_d1 = cold.d1()
             assert maintainer.d1() <= cold_d1 + 1e-6 * max(1.0, cold_d1)
             maintainer.state.verify()
+
+    def test_failing_batch_leaves_the_maintainer_intact(self):
+        maintainer = IncrementalSparsifier(GRAPH.copy(), 0.4, rng=11)
+        index = np.sort(maintainer.graph.edge_index_array(), axis=1)
+        batch = EdgeDeltaBatch(
+            update_eids=[0], update_ps=[0.5], delete_eids=[1],
+            insert_endpoints=index[2:3], insert_ps=[0.3],
+        )
+        edges = list(maintainer.graph.edges())
+        probabilities = maintainer.graph.probability_array().tobytes()
+        with pytest.raises(GraphError, match="existing edge"):
+            maintainer.apply(batch)
+        assert list(maintainer.graph.edges()) == edges
+        assert maintainer.graph.probability_array().tobytes() == probabilities
+        maintainer.state.verify()
+        assert maintainer.batches_applied == 0
 
     def test_probability_drift_keeps_selection_local(self):
         maintainer = IncrementalSparsifier(GRAPH.copy(), 0.4, rng=11)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.emd import reference_emd
 from repro.core import (
     EMDConfig,
     GDBConfig,
@@ -141,13 +142,14 @@ class TestQuality:
 
 
 class TestEngines:
-    """Vector EMD = vectorised E-phase scan + fused M-phase.
+    """EMD = deferred-heap E-phase with a vectorised candidate scan +
+    fused M-phase, against the scalar reference (``oracles.emd``).
 
     Both E-phases pick the smallest-id max-discrepancy vertex and compare
-    the same (factored) gains with the loop's candidate order and strict
-    tie-breaking, and the fused M-phase is bit-identical to the loop's,
-    so the two engines must agree swap for swap: same edge set, same
-    probabilities (exact), for every config variant and backbone.
+    the same (factored) gains with the reference's candidate order and
+    strict tie-breaking, and the fused M-phase is bit-identical to the
+    reference loop, so the two must agree swap for swap: same edge set,
+    same probabilities (exact), for every config variant and backbone.
     """
 
     @pytest.mark.parametrize("relative", [False, True])
@@ -158,10 +160,8 @@ class TestEngines:
         for graph in (small_power_law, small_sparse, dense):
             ids = backbone_fn(graph, 0.3, rng=11)
             config = EMDConfig(relative=relative)
-            loop = emd(graph, backbone_ids=list(ids), config=config,
-                       engine="loop")
-            vector = emd(graph, backbone_ids=list(ids), config=config,
-                         engine="vector")
+            loop = reference_emd(graph, ids, config)
+            vector = emd(graph, backbone_ids=list(ids), config=config)
             assert {frozenset(e[:2]) for e in loop.edges()} == (
                 {frozenset(e[:2]) for e in vector.edges()}
             )
@@ -182,32 +182,28 @@ class TestEngines:
         graph = tie_heavy_graph(n, seed, probabilities)
         ids = list(backbone_fn(graph, 0.4, rng=seed))
         config = EMDConfig(h=h, relative=relative)
-        loop = emd(graph, backbone_ids=ids, config=config, engine="loop")
-        vector = emd(graph, backbone_ids=ids, config=config, engine="vector")
+        loop = reference_emd(graph, ids, config)
+        vector = emd(graph, backbone_ids=ids, config=config)
         assert loop.edge_list() == vector.edge_list()
         assert (loop.probability_array().tobytes()
                 == vector.probability_array().tobytes())
 
     def test_engines_same_objective(self, small_power_law):
         ids = bgi_backbone(small_power_law, 0.4, rng=2)
-        loop = emd(small_power_law, backbone_ids=list(ids), engine="loop")
-        vector = emd(small_power_law, backbone_ids=list(ids), engine="vector")
+        loop = reference_emd(small_power_law, ids)
+        vector = emd(small_power_law, backbone_ids=list(ids))
         assert degree_discrepancy_mae(small_power_law, vector) == (
             pytest.approx(degree_discrepancy_mae(small_power_law, loop),
                           rel=1e-12, abs=1e-15)
         )
 
-    def test_vector_is_default(self, small_power_law):
-        ids = bgi_backbone(small_power_law, 0.3, rng=5)
-        default = emd(small_power_law, backbone_ids=list(ids))
-        explicit = emd(small_power_law, backbone_ids=list(ids), engine="vector")
-        assert default.isomorphic_probabilities(explicit, tol=0.0)
-
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
-            emd(small_power_law, alpha=0.3, rng=0, engine="turbo")
+        # One implementation: there is no engine to pick, good or bad.
+        for engine in ("turbo", "vector", "loop"):
+            with pytest.raises(TypeError, match="engine"):
+                emd(small_power_law, alpha=0.3, rng=0, engine=engine)
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # "fused" is the gdb_refine-internal M-phase path only.
-        with pytest.raises(ValueError):
+        # The fused sweep is the M-phase's own choice, not a knob.
+        with pytest.raises(TypeError, match="engine"):
             emd(small_power_law, alpha=0.3, rng=0, engine="fused")

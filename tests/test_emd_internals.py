@@ -1,10 +1,10 @@
-"""EMD internals: insertion probability (Eq. 9) and gain (Eq. 10)."""
+"""EMD's scalar reference: insertion probability (Eq. 9) and gain (Eq. 10)."""
 
 import numpy as np
 import pytest
 
+from oracles.emd import best_probability, gain
 from repro.core import SparsificationState, UncertainGraph
-from repro.core.emd_sparsifier import _best_probability, _gain
 
 
 @pytest.fixture
@@ -22,17 +22,17 @@ def test_gain_formula_by_hand(state):
     du, dv = float(state.delta[u]), float(state.delta[v])
     w = 0.3
     expected = du**2 - (du - w) ** 2 + dv**2 - (dv - w) ** 2
-    assert _gain(state, eid, w) == pytest.approx(expected)
+    assert gain(state, eid, w) == pytest.approx(expected)
 
 
 def test_gain_zero_probability_is_zero(state):
-    assert _gain(state, 0, 0.0) == 0.0
+    assert gain(state, 0, 0.0) == 0.0
 
 
 def test_gain_positive_when_demand_exists(state):
     # All edges absent: every endpoint has positive delta, so inserting
     # any edge at a moderate probability improves D1.
-    assert _gain(state, 0, 0.2) > 0.0
+    assert gain(state, 0, 0.2) > 0.0
 
 
 def test_gain_negative_when_oversatisfied(state):
@@ -46,12 +46,12 @@ def test_gain_negative_when_oversatisfied(state):
     # instead deselect one and re-insert at a probability far above demand.
     eid = int(state.incident_edges(0)[0])
     state.deselect_edge(eid)
-    assert _gain(state, eid, 1.0) < _gain(state, eid, 0.1)
+    assert gain(state, eid, 1.0) < gain(state, eid, 0.1)
 
 
 def test_best_probability_is_clamped(state):
     for eid in range(state.m):
-        w = _best_probability(state, eid, h=0.05, relative=False)
+        w = best_probability(state, eid, h=0.05, relative=False)
         assert 0.0 <= w <= 1.0
 
 
@@ -66,7 +66,7 @@ def test_best_probability_zero_when_no_demand(state):
     # (edges saturated at 1 vs original p <= 0.4), so delta < 0 and the
     # optimal insertion probability is 0.
     assert state.delta[u] < 0 and state.delta[v] < 0
-    assert _best_probability(state, eid, h=1.0, relative=False) == 0.0
+    assert best_probability(state, eid, h=1.0, relative=False) == 0.0
 
 
 def test_best_probability_entropy_guard_uses_original(state):
@@ -76,8 +76,8 @@ def test_best_probability_entropy_guard_uses_original(state):
     original = float(state.p_original[eid])
     # Current deltas are the full expected degrees -> large step -> the
     # optimum exceeds H(0.4)'s entropy region or clamps at 1.
-    full = _best_probability(state, eid, h=1.0, relative=False)
-    damped = _best_probability(state, eid, h=0.0, relative=False)
+    full = best_probability(state, eid, h=1.0, relative=False)
+    damped = best_probability(state, eid, h=0.0, relative=False)
     if full < 1.0:
         # With h = 0 the guard (if triggered) pins the value at the
         # original probability.
@@ -87,7 +87,7 @@ def test_best_probability_entropy_guard_uses_original(state):
 def test_relative_flag_changes_step(state):
     # Select one edge so deltas differ between endpoints of others.
     state.select_edge(1, probability=0.9)
-    absolute = _best_probability(state, 0, h=1.0, relative=False)
-    relative = _best_probability(state, 0, h=1.0, relative=True)
+    absolute = best_probability(state, 0, h=1.0, relative=False)
+    relative = best_probability(state, 0, h=1.0, relative=True)
     # Different pi-weights -> generally different insertion probability.
     assert absolute != pytest.approx(relative) or absolute in (0.0, 1.0)

@@ -52,27 +52,37 @@ def test_fig04(capsys):
     assert all(v >= 0 for row in timing.rows for v in row[1:])
 
 
-def test_fig04_loop_engine():
-    assert_table_ok(run_fig04a(MICRO, engine="loop"))
-
-
 def test_fig05_engines_agree():
-    """fig05 rides the grid driver; the loop engine stays selectable and
-    both engines yield the same table shapes (EMD-free sweep: GDB-only,
-    so values agree within the loop-vs-vector contract tolerances)."""
+    """fig05 rides the grid driver; every cell agrees with the scalar
+    reference loop run on the cell's backbone (GDB-only, so values agree
+    within the converged-D1 contract's tolerances)."""
+    from oracles.gdb import loop_refine
+    from repro.core import GDBConfig, SparsificationState
+    from repro.core.backbone import BackbonePlan
     from repro.experiments import run_fig05
+    from repro.experiments.common import make_flickr_reduced
+    from repro.metrics import degree_discrepancy_mae, relative_entropy
 
-    vector_mae, vector_entropy = run_fig05(MICRO, h_values=(0.0, 1.0))
-    loop_mae, loop_entropy = run_fig05(MICRO, h_values=(0.0, 1.0), engine="loop")
-    for table in (vector_mae, vector_entropy, loop_mae, loop_entropy):
+    h_values = (0.0, 1.0)
+    mae, entropy = run_fig05(MICRO, h_values=h_values)
+    for table in (mae, entropy):
         assert_table_ok(table, rows=2)
-    for vector_table, loop_table in (
-        (vector_mae, loop_mae), (vector_entropy, loop_entropy)
-    ):
-        for vector_row, loop_row in zip(vector_table.rows, loop_table.rows):
-            assert vector_row[0] == loop_row[0]
-            for a, b in zip(vector_row[1:], loop_row[1:]):
-                assert a == pytest.approx(b, rel=0.05, abs=1e-3)
+    graph = make_flickr_reduced(MICRO, seed=19)
+    plan = BackbonePlan(graph)
+    for row, (mae_row, entropy_row) in enumerate(zip(mae.rows, entropy.rows)):
+        h = h_values[row]
+        assert mae_row[0] == entropy_row[0] == h
+        for column, alpha in enumerate(MICRO.alphas, start=1):
+            state = SparsificationState(graph)
+            state.select_edges(plan.backbone(alpha, rng=19))
+            loop_refine(state, GDBConfig(h=h))
+            loop = state.build_graph()
+            assert mae_row[column] == pytest.approx(
+                degree_discrepancy_mae(graph, loop), rel=0.05, abs=1e-3
+            )
+            assert entropy_row[column] == pytest.approx(
+                relative_entropy(loop, graph), rel=0.05, abs=1e-3
+            )
 
 
 def test_fig06():

@@ -49,6 +49,21 @@ class TestConfig:
     def test_integral_caps_accepted(self):
         assert GDBConfig(max_sweeps=np.int64(7), tau=0.0).max_sweeps == 7
 
+    @pytest.mark.parametrize("k", [True, False, 0, -2, 1.0, 2.5, "m", None])
+    def test_invalid_k(self, k):
+        # A boolean k would otherwise run as k = 1; every rejection
+        # happens at construction, before any sweep.
+        with pytest.raises(ValueError, match="k must be a positive int or 'n'"):
+            GDBConfig(k=k)
+
+    def test_relative_rule_needs_k1_below_n(self, small_power_law):
+        state = SparsificationState(small_power_law)
+        with pytest.raises(ValueError, match="k = 1 only"):
+            gdb_refine(state, GDBConfig(k=2, relative=True))
+        # k = "n" and any k >= n are full redistribution: relative is moot.
+        for k in ("n", state.n):
+            assert gdb_refine(state, GDBConfig(k=k, relative=True, max_sweeps=1)) == 1
+
 
 class TestInterface:
     def test_requires_exactly_one_of_alpha_backbone(self, small_power_law):

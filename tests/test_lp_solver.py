@@ -4,8 +4,9 @@ Two equivalence contracts introduced by the solver-grade layer:
 
 - ``solver="pdp"`` reaches the HiGHS objective within its duality-gap
   tolerance and always returns a feasible point (Lemma 1 holds);
-- ``peeler="plan"`` NI is bit-identical to the legacy scalar peeler and
-  memoises its peel structure on a shared :class:`BackbonePlan`.
+- NI on the peel plan is bit-identical to the scalar Algorithm 4
+  (``oracles.ni``) and memoises its peel structure on a shared
+  :class:`BackbonePlan`.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines.ni as ni_module
+from oracles.ni import ni_core
 from repro.baselines.ni import (
     integer_weights,
     ni_peel_structure,
@@ -219,14 +222,24 @@ def test_min_probability_validated(small_power_law, bad):
 
 
 # ----------------------------------------------------------------------
-# NI on peels: bit-identity with the legacy peeler + plan memoisation
+# NI on peels: bit-identity with the scalar Algorithm 4 + plan memoisation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("alpha", [0.25, 0.5])
 @pytest.mark.parametrize("seed", [1, 42])
-def test_ni_plan_bit_identical_to_legacy(small_power_law, alpha, seed):
-    legacy = ni_sparsify(small_power_law, alpha, rng=seed, peeler="legacy")
-    planned = ni_sparsify(small_power_law, alpha, rng=seed, peeler="plan")
-    assert sorted(planned.edges()) == sorted(legacy.edges())
+def test_ni_plan_bit_identical_to_legacy(small_power_law, alpha, seed,
+                                         monkeypatch):
+    """The whole calibrated NI, once with every calibration step on the
+    peel plan and once with each step re-peeling scalar forests."""
+    planned = ni_sparsify(small_power_law, alpha, rng=seed)
+    edge_vertices = small_power_law.edge_index_array()
+    monkeypatch.setattr(
+        ni_module, "ni_core_planned",
+        lambda n, weights, structure, epsilon, rng: ni_core(
+            n, edge_vertices, weights, epsilon, rng
+        ),
+    )
+    legacy = ni_sparsify(small_power_law, alpha, rng=seed)
+    assert list(planned.edges()) == list(legacy.edges())
 
 
 def test_ni_memoises_peel_structure_on_plan(small_power_law):
@@ -252,8 +265,10 @@ def test_ni_plan_seed_stream_matches_planless(small_power_law):
 
 
 def test_ni_rejects_bad_peeler_and_foreign_plan(small_power_law, small_sparse):
-    with pytest.raises(ValueError, match="unknown peeler"):
-        ni_sparsify(small_power_law, 0.4, rng=0, peeler="recursive")
+    # One peeler: there is none to pick, good or bad.
+    for peeler in ("recursive", "plan", "legacy"):
+        with pytest.raises(TypeError, match="peeler"):
+            ni_sparsify(small_power_law, 0.4, rng=0, peeler=peeler)
     with pytest.raises(ValueError, match="different graph"):
         ni_sparsify(
             small_power_law, 0.4, rng=0,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ni import integer_weights, ni_core, ni_sparsify
+from oracles.ni import ni_core
+from repro.baselines.ni import integer_weights, ni_sparsify
 from repro.core import UncertainGraph
 from repro.core.backbone import target_edge_count
 
@@ -37,6 +38,9 @@ class TestIntegerWeights:
 
 
 class TestNICore:
+    """Algorithm 4's scalar reference (the plan-riding core is gated on
+    it in ``test_lp_solver.py``)."""
+
     def test_small_epsilon_keeps_everything(self, small_power_law):
         weights, _ = integer_weights(np.array(small_power_law.probability_array()))
         kept = ni_core(

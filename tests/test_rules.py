@@ -1,16 +1,19 @@
-"""Update rules: Eq. 8/9 (degrees), Eq. 13-15 (cuts), Eq. 16 (k = n)."""
+"""The scalar update rules of the GDB reference (``oracles.rules``):
+Eq. 8/9 (degrees), Eq. 13-15 (cuts), Eq. 16 (k = n)."""
 
 import numpy as np
 import pytest
 
-from repro.core import SparsificationState, UncertainGraph
-from repro.core.rules import (
+from oracles.rules import (
     cut_step,
     degree_step_absolute,
+    degree_step_absolute_array,
     degree_step_relative,
+    degree_step_relative_array,
     full_redistribution_step,
     make_rule,
 )
+from repro.core import SparsificationState, UncertainGraph
 
 
 @pytest.fixture
@@ -119,24 +122,20 @@ def test_optimal_step_zeroes_endpoint_gradient():
 
 
 class TestArrayRules:
-    """Every array rule of the colored-sweep oracle (``test_sweep.py``)
-    matches its scalar sibling element for element (exact float
-    equality: the arithmetic is mirrored per edge)."""
+    """Every array rule of the colored-sweep oracle matches its scalar
+    sibling element for element (exact float equality: the arithmetic is
+    mirrored per edge)."""
 
     def all_eids(self, state):
         return np.arange(state.m)
 
     def test_absolute_array_matches_scalar(self, seeded_state):
-        from test_sweep import degree_step_absolute_array
-
         eids = self.all_eids(seeded_state)
         steps = degree_step_absolute_array(seeded_state, eids)
         for eid in eids:
             assert steps[eid] == degree_step_absolute(seeded_state, int(eid))
 
     def test_relative_array_matches_scalar(self, seeded_state):
-        from test_sweep import degree_step_relative_array
-
         eids = self.all_eids(seeded_state)
         steps = degree_step_relative_array(seeded_state, eids)
         for eid in eids:

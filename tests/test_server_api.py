@@ -228,15 +228,10 @@ class TestServiceCore:
     def test_bad_enumerated_params_rejected_before_queueing(
         self, service, dataset
     ):
-        for field, value in (
-            ("engine", "gpu"), ("lp_solver", "cplex"),
-        ):
-            with pytest.raises(ServerError, match=field):
-                service.handle(
-                    "sparsify", {"dataset": dataset, **SPARSIFY, field: value}
-                )
-        with pytest.raises(ServerError, match="engine"):
-            service.handle("grid", {"dataset": dataset, "engine": "gpu"})
+        with pytest.raises(ServerError, match="lp_solver"):
+            service.handle(
+                "sparsify", {"dataset": dataset, **SPARSIFY, "lp_solver": "cplex"}
+            )
         # Integral fields are checked, not truncated: a fractional seed
         # would otherwise be served another seed's artifact.
         for endpoint, extra in (
@@ -284,13 +279,21 @@ class TestServiceCore:
         for alphas in ([1.4], [0.0], [0.2, float("nan")]):
             with pytest.raises(ServerError, match="alphas"):
                 service.handle("grid", {"dataset": dataset, "alphas": alphas})
-        # There is no array-backend knob and no EMD mode: each field is
-        # just unknown.
-        for field, value in (("backend", "numpy"), ("emd_mode", "fast")):
+        # There is no array-backend knob, no EMD mode and no sweep
+        # engine: each field is just unknown, for every variant.
+        for field, value in (
+            ("backend", "numpy"), ("emd_mode", "fast"), ("engine", "vector"),
+            ("engine", "loop"),
+        ):
+            for variant in ("GDB^A-t", "EMD^R-t", "LP-t"):
+                with pytest.raises(ServerError, match="unknown parameters"):
+                    service.handle("sparsify", {
+                        "dataset": dataset, **SPARSIFY, "variant": variant,
+                        field: value,
+                    })
+        for value in ("vector", "loop", "gpu"):
             with pytest.raises(ServerError, match="unknown parameters"):
-                service.handle(
-                    "sparsify", {"dataset": dataset, **SPARSIFY, field: value}
-                )
+                service.handle("grid", {"dataset": dataset, "engine": value})
         for query in ("reliability", "distance", "pagerank"):
             for pairs in (0, -3):
                 with pytest.raises(ServerError, match="pairs"):
@@ -307,7 +310,7 @@ class TestServiceCore:
         ni = {**gdb, "variant": "NI"}
         for params, unused in (
             (gdb, {"lp_solver": "pdp"}),
-            (lp, {"engine": "loop", "h": 0.5}),
+            (lp, {"h": 0.5}),
             (emd, {"lp_solver": "pdp"}),
             (ni, {"h": 0.5}),
         ):
@@ -318,8 +321,6 @@ class TestServiceCore:
             assert hit and again == body  # byte-identical hit
         assert service.queue.stats()["submitted"] == 4
         # A field the variant does read still partitions the cache.
-        _, hit = service.handle("sparsify", {**emd, "engine": "loop"})
-        assert not hit
         for params in (gdb, emd):
             body, hit = service.handle("sparsify", {**params, "h": 0.5})
             assert not hit and json.loads(body)["h"] == 0.5

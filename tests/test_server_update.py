@@ -136,11 +136,12 @@ class TestUpdateSemantics:
     ):
         _, u, v, _ = _first_edge(dataset)
         before = service._digest(dataset)
-        with pytest.raises(ServerError, match="engine"):
-            service.update({
-                "dataset": dataset, "updates": [[u, v, 0.321]],
-                "resparsify": {**SPARSIFY, "engine": "gpu"},
-            })
+        for engine in ("gpu", "vector"):  # no engine field at all
+            with pytest.raises(ServerError, match=r"unknown parameters.*engine"):
+                service.update({
+                    "dataset": dataset, "updates": [[u, v, 0.321]],
+                    "resparsify": {**SPARSIFY, "engine": engine},
+                })
         assert service._digest(dataset) == before
         assert service.queue.stats()["submitted"] == 0
 

@@ -2,8 +2,14 @@
 
 import pytest
 
+from oracles.emd import reference_emd
+from oracles.gdb import loop_refine
 from repro.core import (
+    EMDConfig,
+    GDBConfig,
+    SparsificationState,
     available_variants,
+    build_backbone,
     check_budget,
     parse_variant,
     sparsify,
@@ -88,34 +94,44 @@ class TestDispatch:
 
 
 class TestEngineKnob:
+    """One implementation per sparsifier: no ``engine`` to pick, and the
+    scalar references (``tests/oracles/``) reach the same selection."""
+
     @pytest.mark.parametrize(
         "variant", ["GDB^A", "GDB^R-t", "GDB^A_2", "GDB^A_n", "EMD^R-t"]
     )
     def test_loop_engine_meets_budget_too(self, small_power_law, variant):
-        sparsified = sparsify(
-            small_power_law, 0.4, variant=variant, rng=0, engine="loop"
-        )
-        assert check_budget(small_power_law, sparsified, 0.4)
-
-    def test_vector_is_default(self, small_power_law):
-        default = sparsify(small_power_law, 0.4, variant="EMD^R-t", rng=3)
-        vector = sparsify(
-            small_power_law, 0.4, variant="EMD^R-t", rng=3, engine="vector"
-        )
-        assert default.isomorphic_probabilities(vector)
-
-    def test_engine_ignored_by_baselines(self, small_power_law):
-        a = sparsify(small_power_law, 0.4, variant="NI", rng=0, engine="loop")
-        b = sparsify(small_power_law, 0.4, variant="NI", rng=0, engine="vector")
-        assert a.isomorphic_probabilities(b)
+        """The reference loop on the variant's seed backbone keeps the
+        budget and the edge set ``sparsify`` returns; where the fast path
+        keeps the reference's edge order (EMD, and GDB with k >= 2) it
+        returns the very same graph."""
+        spec = parse_variant(variant)
+        method = "bgi" if spec.bgi_backbone else "random"
+        ids = build_backbone(small_power_law, 0.4, method=method, rng=0)
+        if spec.method == "emd":
+            loop = reference_emd(
+                small_power_law, ids, EMDConfig(relative=spec.relative)
+            )
+        else:
+            state = SparsificationState(small_power_law)
+            state.select_edges(ids)
+            loop_refine(state, GDBConfig(k=spec.k, relative=spec.relative))
+            loop = state.build_graph()
+        assert check_budget(small_power_law, loop, 0.4)
+        sparsified = sparsify(small_power_law, 0.4, variant=variant, rng=0)
+        assert set(loop.edge_list()) == set(sparsified.edge_list())
+        if spec.method == "emd" or spec.k != 1:
+            assert loop.isomorphic_probabilities(sparsified, tol=0.0)
 
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
-            sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fast")
+        for engine in ("fast", "vector", "loop"):
+            with pytest.raises(TypeError, match="engine"):
+                sparsify(small_power_law, 0.4, variant="GDB^A", rng=0,
+                         engine=engine)
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # "fused" is the internal M-phase path, not a sparsify() knob.
-        with pytest.raises(ValueError):
+        # The fused sweep is the M-phase's own choice, not a sparsify() knob.
+        with pytest.raises(TypeError, match="engine"):
             sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fused")
 
 

@@ -1,11 +1,12 @@
-"""Sweep engines: coloring, the colored-sweep oracle, loop-vs-vector
-equivalence, grid driver."""
+"""GDB sweeps: coloring, the colored-sweep oracle, equivalence with the
+scalar reference loop, grid driver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.gdb import loop_refine, reference_colored_sweep
 from repro.core import (
     GDBConfig,
     SparsificationState,
@@ -17,23 +18,20 @@ from repro.core import (
     greedy_edge_coloring,
 )
 from repro.core.backbone import bgi_backbone, random_backbone
-from repro.core.entropy import entropy_increases
-from repro.core.rules import degree_step_absolute, degree_step_relative
-from repro.core.sweep import (
-    apply_scalar_step,
-    colored_sweep,
-    extend_sweep_plan,
-    fused_sweep,
-    restrict_sweep_plan,
-)
-from repro.datasets import erdos_renyi_uncertain, flickr_like
+from repro.core.sweep import colored_sweep, extend_sweep_plan, fused_sweep
+from repro.datasets import erdos_renyi_uncertain
 
-#: Loop-vs-vector contract: converged objectives agree to this gate
-#: when both engines run to tight convergence.
+#: Converged-D1 contract: the production sweeps and the scalar reference
+#: loop agree to this gate when both run to tight convergence.
 TOL = 1e-6
 
+#: The two sides of the contract, by the name the results carry.
+REFINES = {"loop": loop_refine, "vector": gdb_refine}
+
+
 def converged_pair(graph, backbone_ids, max_chunks=30, **config_kwargs):
-    """Converged D1 of both engines from the same backbone.
+    """Converged D1 of the reference loop and of ``gdb_refine`` from the
+    same backbone.
 
     Convergence is chunked: 1000 forced sweeps at a time until the
     objective stops changing *exactly* (the descent reaches a true fixed
@@ -44,24 +42,24 @@ def converged_pair(graph, backbone_ids, max_chunks=30, **config_kwargs):
     relative = config_kwargs.get("relative", False)
     chunk = GDBConfig(**{**config_kwargs, "tau": 0.0, "max_sweeps": 1000})
     results = {}
-    for engine in ("loop", "vector"):
+    for side, refine in REFINES.items():
         state = SparsificationState(graph)
         for eid in backbone_ids:
             state.select_edge(eid)
         objectives = [state.d1(relative=relative)]
         one_sweep = GDBConfig(**{**config_kwargs, "tau": 0.0, "max_sweeps": 1})
         for _ in range(25):
-            gdb_refine(state, one_sweep, engine=engine)
+            refine(state, one_sweep)
             objectives.append(state.d1(relative=relative))
         previous = objectives[-1]
         for _ in range(max_chunks):
-            gdb_refine(state, chunk, engine=engine)
+            refine(state, chunk)
             current = state.d1(relative=relative)
             if current == previous:
                 break
             previous = current
         state.verify()
-        results[engine] = (state.d1(relative=relative), objectives)
+        results[side] = (state.d1(relative=relative), objectives)
     return results
 
 
@@ -123,59 +121,6 @@ class TestPlan:
         state.verify()
 
 
-def degree_step_absolute_array(state, eids):
-    """Eq. (8), absolute: mean endpoint discrepancy for every ``eid``."""
-    uv = state.edge_vertices[eids]
-    return 0.5 * (state.delta[uv[:, 0]] + state.delta[uv[:, 1]])
-
-
-def degree_step_relative_array(state, eids):
-    """Eq. (8), relative: degree-weighted endpoint discrepancies."""
-    uv = state.edge_vertices[eids]
-    pi_u = state.original_degrees[uv[:, 0]]
-    pi_v = state.original_degrees[uv[:, 1]]
-    denominator = pi_u + pi_v
-    steps = pi_v * state.delta[uv[:, 0]] + pi_u * state.delta[uv[:, 1]]
-    return np.where(denominator > 0.0, steps / np.where(denominator > 0.0, denominator, 1.0), 0.0)
-
-
-def clamp_and_attenuate(current, steps, guard_baseline, h):
-    """Vectorised Algorithm 2 lines 7-10 for a batch of edges: clamp
-    ``current + steps`` to ``[0, 1]``; where the move would raise entropy
-    relative to ``guard_baseline``, restart from the baseline with an
-    ``h``-scaled step."""
-    proposed = current + steps
-    attenuated = np.clip(guard_baseline + h * steps, 0.0, 1.0)
-    raises = entropy_increases(guard_baseline, proposed)
-    return np.where(
-        proposed < 0.0, 0.0,
-        np.where(proposed > 1.0, 1.0, np.where(raises, attenuated, proposed)),
-    )
-
-
-def reference_colored_sweep(state, plan, relative, h):
-    """Oracle for :func:`colored_sweep`: array-rule blocks, then the
-    scalar tail stepped through ``apply_scalar_step`` in ascending
-    edge-id order."""
-    array_rule = (
-        degree_step_relative_array if relative else degree_step_absolute_array
-    )
-    scalar_rule = degree_step_relative if relative else degree_step_absolute
-    phat = state.phat
-    delta = state.delta
-    for class_eids, u, v in plan.blocks:
-        current = phat[class_eids]
-        steps = array_rule(state, class_eids)
-        new_p = clamp_and_attenuate(current, steps, current, h)
-        changes = new_p - current
-        delta[u] -= changes
-        delta[v] -= changes
-        state.total_residual -= float(changes.sum())
-        phat[class_eids] = new_p
-    for eid in sorted(plan.tail_eids.tolist()):
-        apply_scalar_step(state, eid, scalar_rule(state, eid), h)
-
-
 PLAN_KINDS = ("build", "restrict", "extend", "no-tail", "no-blocks")
 
 
@@ -185,8 +130,10 @@ def make_plan(state, kind):
     if kind == "build":
         return full
     if kind == "restrict":
-        keep = full.eids[np.arange(len(full.eids)) % 4 != 0]
-        return restrict_sweep_plan(state, full, keep)
+        # What the maintainer lays out when backbone edges only leave:
+        # the survivors keep their colors, nothing is added.
+        keep = np.arange(len(full.eids)) % 4 != 0
+        return extend_sweep_plan(state, full.eids[keep], full.colors[keep], [])
     if kind == "extend":
         base = build_sweep_plan(state, eids=full.eids[::2])
         return extend_sweep_plan(state, base.eids, base.colors, full.eids[1::2])
@@ -260,12 +207,13 @@ def test_property_colored_sweep_bit_identical_on_er_graphs(
     ids=["abs", "abs-h1", "rel", "k2", "kn"],
 )
 class TestEngineEquivalence:
-    """Loop and vector engines reach the same converged objective.
+    """``gdb_refine`` and the scalar reference loop reach the same
+    converged objective.
 
     ``k = 1``: the colored order differs from the loop order, but
     coordinate descent on the convex D1 objective converges to the same
-    value (gated at 1e-6).  ``k >= 2`` / ``"n"``: the vector engine runs
-    the fused sequential path in the loop's order — results are exactly
+    value (gated at 1e-6).  ``k >= 2`` / ``"n"``: ``gdb_refine`` runs
+    the fused sequential sweep in the loop's order — results are exactly
     equal.  Per-sweep monotone descent of D1 is asserted for the k = 1
     rules (the k >= 2 rules minimise D_k, not D1).
     """
@@ -285,7 +233,7 @@ class TestEngineEquivalence:
                         for a, b in zip(trajectory, trajectory[1:])
                     )
             else:
-                # Fused path: bit-identical trajectory to the loop.
+                # Fused sweep: bit-identical trajectory to the loop.
                 assert vec_traj == loop_traj
                 assert vec_obj == loop_obj
 
@@ -303,7 +251,8 @@ class TestEngineEquivalence:
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_property_engines_agree_on_er_graphs(seed):
-    """Hypothesis ER graphs: loop and vector GDB converge together."""
+    """Hypothesis ER graphs: the reference loop and ``gdb_refine``
+    converge together."""
     rng = np.random.default_rng(seed)
     graph = erdos_renyi_uncertain(30, avg_degree=8, rng=seed % 101)
     m = graph.number_of_edges()
@@ -319,13 +268,19 @@ def test_property_engines_agree_on_er_graphs(seed):
 
 class TestGdbFacade:
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
-            gdb(small_power_law, alpha=0.4, rng=0, engine="gpu")
+        # One implementation: there is no engine to pick, good or bad.
+        for engine in ("gpu", "vector", "loop"):
+            with pytest.raises(TypeError, match="engine"):
+                gdb(small_power_law, alpha=0.4, rng=0, engine=engine)
+            with pytest.raises(TypeError, match="engine"):
+                gdb_refine(SparsificationState(small_power_law), GDBConfig(),
+                           engine=engine)
 
     def test_fused_is_refine_only(self, small_power_law):
-        # The facade rejects "fused"; gdb_refine accepts it (EMD's
-        # M-phase path) and matches the loop engine bit for bit.
-        with pytest.raises(ValueError):
+        # The facade cannot pick the fused sweep; gdb_refine runs it on a
+        # sequential-only plan (EMD's M-phase) and matches the reference
+        # loop bit for bit.
+        with pytest.raises(TypeError):
             gdb(small_power_law, alpha=0.4, rng=0, engine="fused")
         states = []
         for _ in range(2):
@@ -334,28 +289,21 @@ class TestGdbFacade:
                 state.select_edge(eid)
             states.append(state)
         config = GDBConfig(h=0.05, tau=0.0, max_sweeps=5)
-        gdb_refine(states[0], config, engine="loop")
-        gdb_refine(states[1], config, engine="fused")
-        assert np.array_equal(states[0].phat, states[1].phat)
-
-    def test_vector_is_default_and_budget_holds(self, small_power_law):
-        out = gdb(small_power_law, alpha=0.4, rng=0)
-        explicit = gdb(small_power_law, alpha=0.4, rng=0, engine="vector")
-        assert out.isomorphic_probabilities(explicit)
-
-    def test_loop_engine_still_selectable(self, small_power_law):
-        out = gdb(small_power_law, alpha=0.4, rng=0, engine="loop")
-        assert out.number_of_edges() == gdb(
-            small_power_law, alpha=0.4, rng=0
-        ).number_of_edges()
+        loop_refine(states[0], config)
+        gdb_refine(states[1], config,
+                   plan=build_sweep_plan(states[1], sequential_only=True))
+        assert states[0].phat.tobytes() == states[1].phat.tobytes()
+        assert states[0].delta.tobytes() == states[1].delta.tobytes()
 
     def test_relative_k2_rejected_by_both_engines(self, small_power_law):
-        for engine in ("loop", "vector"):
-            with pytest.raises(ValueError):
-                gdb(
-                    small_power_law, alpha=0.4, rng=0, engine=engine,
-                    config=GDBConfig(k=2, relative=True),
-                )
+        with pytest.raises(ValueError, match="k = 1 only"):
+            gdb(
+                small_power_law, alpha=0.4, rng=0,
+                config=GDBConfig(k=2, relative=True),
+            )
+        state = SparsificationState(small_power_law)
+        with pytest.raises(ValueError, match="k = 1 only"):
+            loop_refine(state, GDBConfig(k=2, relative=True))
 
 
 class TestFusedSweep:
@@ -369,7 +317,7 @@ class TestFusedSweep:
                     state.select_edge(eid)
                 states.append(state)
             config = GDBConfig(h=0.05, k=k, tau=0.0, max_sweeps=1)
-            gdb_refine(states[0], config, engine="loop")
+            loop_refine(states[0], config)
             plan = build_sweep_plan(states[1], sequential_only=True)
             fused_sweep(states[1], plan, k, False, 0.05)
             assert np.array_equal(states[0].phat, states[1].phat)
@@ -387,8 +335,7 @@ class TestGridDriver:
         for (alpha, h), cell in cells.items():
             ids = bgi_backbone(small_power_law, alpha, rng=9)
             direct = gdb(
-                small_power_law, backbone_ids=list(ids),
-                config=GDBConfig(h=h), engine="vector",
+                small_power_law, backbone_ids=list(ids), config=GDBConfig(h=h),
             )
             assert cell.graph.number_of_edges() == direct.number_of_edges()
             assert cell.objective == pytest.approx(
@@ -414,17 +361,18 @@ class TestGridDriver:
         assert np.isfinite(cell.objective)
 
     def test_loop_engine_grid(self, small_power_law):
-        vector = gdb_grid(
+        """A grid cell converges to the reference loop's objective on the
+        cell's backbone."""
+        config = GDBConfig(h=0.05, tau=0.0, max_sweeps=2000)
+        grid = gdb_grid(
             small_power_law, alphas=(0.4,), h_values=(0.05,), rng=2,
-            engine="vector", build_graphs=False, tau=0.0, max_sweeps=2000,
+            build_graphs=False, tau=config.tau, max_sweeps=config.max_sweeps,
         )
-        loop = gdb_grid(
-            small_power_law, alphas=(0.4,), h_values=(0.05,), rng=2,
-            engine="loop", build_graphs=False, tau=0.0, max_sweeps=2000,
-        )
-        assert vector[(0.4, 0.05)].objective == pytest.approx(
-            loop[(0.4, 0.05)].objective, rel=TOL, abs=TOL
-        )
+        cell = grid[(0.4, 0.05)]
+        loop = SparsificationState(small_power_law)
+        loop.select_edges(cell.backbone)
+        loop_refine(loop, config)
+        assert cell.objective == pytest.approx(loop.d1(), rel=TOL, abs=TOL)
 
     def test_relative_and_k_variants(self, small_power_law):
         for kwargs in (dict(relative=True), dict(k=2), dict(k="n")):
