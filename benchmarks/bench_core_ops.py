@@ -25,7 +25,7 @@ def test_bench_world_sampling(benchmark, graph):
     import numpy as np
 
     rng = np.random.default_rng(0)
-    benchmark(lambda: sampler.sample(rng))
+    benchmark(lambda: sampler.sample_mask_matrix(1, rng))
 
 
 def test_bench_bgi_backbone(benchmark, graph):

@@ -4,22 +4,24 @@ Two workloads on a ~5k-edge Flickr-style topology:
 
 - **weighted**: batched delta-stepping (``-log p`` most-probable-path
   distances, all worlds at once) against the per-world binary-heap
-  Dijkstra loop, on a *dense-probability* ensemble (p in [0.4, 0.95] —
-  the regime the paper's sparsifiers produce by pushing probabilities
-  towards 1, and where whole-graph traversals dominate per-world cost).
-  The distance matrices must agree within float tolerance (always
-  gated) and the batched kernel must win by ``MIN_SPEEDUP`` — the
-  timing gate is skipped on single-core machines where clocks are too
-  noisy.  On very sparse ensembles (mean p well under 0.1) each
-  world's reachable component is tiny and the per-world Dijkstra is
-  competitive; the equality gate still runs there via the unit tests.
-- **packed BFS**: bit-packed uint64 frontiers against the boolean
-  kernel, untargeted and with ``targets`` (the point-to-point calls of
-  the SP query).  Distances must be *bit-identical* (always gated): for
-  every source the two kernels' targeted columns agree, and both equal
-  the untargeted matrix's target columns.  The packed frontier working
-  set must be ~8x smaller — a deterministic arithmetic gate, not a
-  timing; wall-clocks of all four calls are reported for the archive.
+  Dijkstra loop (``oracles.worlds.World``), on a *dense-probability*
+  ensemble (p in [0.4, 0.95] — the regime the paper's sparsifiers
+  produce by pushing probabilities towards 1, and where whole-graph
+  traversals dominate per-world cost).  The distance matrices must
+  agree within float tolerance (always gated) and the batched kernel
+  must win by ``MIN_SPEEDUP`` — the timing gate is skipped on
+  single-core machines where clocks are too noisy.  On very sparse
+  ensembles (mean p well under 0.1) each world's reachable component is
+  tiny and the per-world Dijkstra is competitive; the equality gate
+  still runs there via the unit tests.
+- **packed BFS**: the production bit-packed uint64 frontiers against
+  the boolean-frontier oracle (``oracles.kernels``), untargeted and
+  with ``targets`` (the point-to-point calls of the SP query).
+  Distances must be *bit-identical* (always gated): for every source
+  the two kernels' targeted columns agree, and both equal the
+  untargeted matrix's target columns.  The packed frontier working set
+  must be ~8x smaller — a deterministic arithmetic gate, not a timing;
+  wall-clocks of all four calls are reported for the archive.
 
 Results land under ``benchmarks/results/`` like the other benches.
 """
@@ -32,6 +34,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles.kernels import bfs_distances_boolean
+from oracles.worlds import batch_worlds
 from repro.core import UncertainGraph
 from repro.datasets import flickr_like
 from repro.experiments.common import ResultTable
@@ -82,7 +86,7 @@ def test_bench_weighted_delta_stepping(dense_sampler, emit):
     batched_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    worlds = list(batch.iter_worlds())
+    worlds = list(batch_worlds(batch))
     reference = [
         np.stack([world.weighted_distances(s) for world in worlds])
         for s in sources
@@ -125,15 +129,16 @@ def test_bench_packed_bfs(sparse_sampler, emit):
     n = sparse_sampler.n
     targets = np.random.default_rng(5).choice(n, size=N_TARGETS, replace=False)
 
+    kernels = {
+        "boolean": lambda s, wanted: bfs_distances_boolean(batch, s, wanted),
+        "packed": lambda s, wanted: batch.bfs_distances(s, targets=wanted),
+    }
     seconds = {}
     results = {}
-    for kernel in ("boolean", "packed"):
+    for kernel, run in kernels.items():
         for label, wanted in ((kernel, None), (f"{kernel} targeted", targets)):
             start = time.perf_counter()
-            results[label] = [
-                batch.bfs_distances(s, targets=wanted, kernel=kernel)
-                for s in sources
-            ]
+            results[label] = [run(s, wanted) for s in sources]
             seconds[label] = time.perf_counter() - start
 
     # Bit-identity always gates, untargeted and targeted.

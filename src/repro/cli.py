@@ -165,10 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=None,
         help="worlds per batch chunk (default: auto-sized from memory)",
     )
-    estimate_cmd.add_argument(
-        "--no-batch", action="store_true",
-        help="evaluate worlds one at a time (legacy path)",
-    )
 
     convert_cmd = sub.add_parser(
         "convert", help="convert a dataset between text and binary formats"
@@ -443,13 +439,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         graph,
         n_samples=args.samples,
         batch_size=args.batch_size,
-        batched=not args.no_batch,
     ).run(query, rng=args.seed)
-    evaluation = "per-world (legacy)" if args.no_batch else "batched"
     label = f"{args.query} (weighted -log p)" if args.weighted else args.query
     print(f"query:            {label}")
     print(f"worlds sampled:   {args.samples}")
-    print(f"evaluation:       {evaluation}")
     print(f"scalar estimate:  {result.scalar_estimate():.6f}")
     print(f"95% CI width:     {result.confidence_width():.6f}")
     return 0

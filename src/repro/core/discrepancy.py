@@ -430,29 +430,6 @@ class SparsificationState:
         """Current ``|E'|``."""
         return int(self.selected.sum())
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        """Dense integer endpoints of edge ``eid``."""
-        u, v = self.edge_vertices[eid]
-        return int(u), int(v)
-
-    def residual_excluding(self, eid: int) -> float:
-        """``Delta-hat(e)``: global residual over edges touching neither endpoint.
-
-        This is the term of Eq. (13): ``sum_{(u1,v1): u1 != u0, v1 != v0}
-        (p - phat)``.  Computed as the total residual minus the residual
-        of all edges incident to either endpoint — which equals
-        ``delta[u] + delta[v]`` minus the doubly-counted edge ``e``
-        itself.
-        """
-        u, v = self.endpoints(eid)
-        edge_residual = self.p_original[eid] - self.phat[eid]
-        incident_residual = self.delta[u] + self.delta[v] - edge_residual
-        return self.total_residual - incident_residual
-
-    def residual_excluding_edge_only(self, eid: int) -> float:
-        """Global residual over all edges except ``e`` (the k = n rule, Eq. 16)."""
-        return self.total_residual - (self.p_original[eid] - self.phat[eid])
-
     # -- objectives -------------------------------------------------------
     def d1(self, relative: bool = False) -> float:
         """Current ``D_1 = sum_u delta(u)^2`` (or the relative variant)."""

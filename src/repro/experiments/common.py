@@ -49,10 +49,8 @@ class ExperimentScale:
     density_base_n: int = 100
     densities: tuple[float, ...] = (0.15, 0.3, 0.5, 0.9)
     alphas: tuple[float, ...] = PAPER_ALPHAS
-    #: Worlds per batched-estimator chunk (None = auto-size from memory).
+    #: Worlds per estimator chunk (None = auto-size from memory).
     mc_batch_size: "int | None" = None
-    #: Escape hatch: False runs the estimators world-at-a-time.
-    mc_batched: bool = True
 
     def __post_init__(self) -> None:
         # The paper assumes alpha >= (|V|-1)/|E| (footnote 7) so spanning

@@ -10,9 +10,7 @@ Two sweeps share the figure's shape:
 - :func:`estimation_runtime_table` — wall-clock seconds of the
   Monte-Carlo *query estimation* per query (hop SP next to the
   weighted WSP kernel), through the full ``repeated_estimates``
-  protocol.  This driver reaches the estimators indirectly, so it
-  surfaces the scale's batching knobs (``mc_batch_size`` /
-  ``mc_batched``) end to end.
+  protocol, with the scale's ``mc_batch_size`` chunking.
 """
 
 from __future__ import annotations
@@ -69,10 +67,9 @@ def estimation_runtime_table(
 ) -> ResultTable:
     """Seconds of the repeated-estimates protocol per query.
 
-    The scale's batching knobs ride through unchanged —
-    ``mc_batch_size`` bounds the chunk working set and
-    ``mc_batched=False`` times the legacy per-world loop — neither can
-    change the estimates (the determinism contract), only the clock.
+    The scale's ``mc_batch_size`` bounds the chunk working set; it
+    cannot change the estimates (the determinism contract), only the
+    clock.
     """
     runs = max(2, scale.variance_runs // 4) if runs is None else runs
     queries = build_queries(graph, scale, seed=seed, names=query_names)
@@ -85,7 +82,7 @@ def estimation_runtime_table(
         _, seconds = timed(
             repeated_estimates, graph, query, runs=runs,
             n_samples=scale.variance_samples, rng=seed,
-            batch_size=scale.mc_batch_size, batched=scale.mc_batched,
+            batch_size=scale.mc_batch_size,
         )
         table.add_row(name, runs, scale.variance_samples, seconds)
     return table

@@ -49,7 +49,7 @@ def variance_tables(
             repeated_estimates(
                 graph, query, runs=scale.variance_runs,
                 n_samples=scale.variance_samples, rng=seed,
-                batch_size=scale.mc_batch_size, batched=scale.mc_batched,
+                batch_size=scale.mc_batch_size,
             )
         )
         for name, query in queries.items()
@@ -63,7 +63,7 @@ def variance_tables(
                     repeated_estimates(
                         sparsified, query, runs=scale.variance_runs,
                         n_samples=scale.variance_samples, rng=seed + 1,
-                        batch_size=scale.mc_batch_size, batched=scale.mc_batched,
+                        batch_size=scale.mc_batch_size,
                     )
                 )
                 denominator = baseline_variance[name]

@@ -27,17 +27,15 @@ def make_estimator(
     scale: ExperimentScale,
     n_samples: int | None = None,
 ) -> MonteCarloEstimator:
-    """Estimator honouring the scale's batching knobs.
+    """Estimator honouring the scale's world budget and chunk size.
 
     Every query experiment builds its estimators through this helper so
-    one scale object configures the whole pipeline (world budget, chunk
-    size, batched/legacy path).
+    one scale object configures the whole pipeline.
     """
     return MonteCarloEstimator(
         graph,
         n_samples=scale.mc_samples if n_samples is None else n_samples,
         batch_size=scale.mc_batch_size,
-        batched=scale.mc_batched,
     )
 
 

@@ -54,25 +54,23 @@ def relative_variance(
     n_samples: int = 100,
     rng: "int | np.random.Generator | None" = None,
     batch_size: "int | None" = None,
-    batched: bool = True,
 ) -> VarianceComparison:
     """Run the paper's variance protocol on both graphs.
 
     ``runs`` independent estimators of ``n_samples`` worlds each are
     executed per graph (the paper uses 100 runs; benchmarks scale this
     down), and the unbiased variances of the scalar estimates compared.
-    ``batch_size`` bounds a chunk's working set and ``batched=False``
-    restores the legacy per-world loop — neither can change any
+    ``batch_size`` bounds a chunk's working set; it cannot change any
     estimate (the determinism contract).
     """
     rng = ensure_rng(rng)
     estimates_original = repeated_estimates(
         original, query, runs=runs, n_samples=n_samples, rng=rng,
-        batch_size=batch_size, batched=batched,
+        batch_size=batch_size,
     )
     estimates_sparsified = repeated_estimates(
         sparsified, query, runs=runs, n_samples=n_samples, rng=rng,
-        batch_size=batch_size, batched=batched,
+        batch_size=batch_size,
     )
     return VarianceComparison(
         variance_original=unbiased_variance(estimates_original),

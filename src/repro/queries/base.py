@@ -1,8 +1,10 @@
 """Query protocol for Monte-Carlo evaluation (paper section 6.3).
 
-A *query* maps one possible :class:`~repro.sampling.worlds.World` to a
-vector of per-unit outcomes — one entry per vertex (pagerank, clustering
-coefficient) or per vertex pair (shortest-path distance, reliability).
+A *query* maps each world of a
+:class:`~repro.sampling.batch.WorldBatch` to a vector of per-unit
+outcomes — one entry per vertex (pagerank, clustering coefficient) or
+per vertex pair (shortest-path distance, reliability) — returned
+together as one ``(worlds, units)`` matrix by ``evaluate_batch``.
 Outcomes may be ``nan`` when undefined in that world (e.g. the distance
 of a disconnected pair), which the estimator machinery handles by
 exclusion, matching the paper's SP protocol.
@@ -11,16 +13,10 @@ Queries are stateless with respect to worlds and reusable across graphs
 *with the same vertex indexing* (the sparsified graphs keep the vertex
 set, so one query object serves both ``G`` and ``G'``).
 
-Batched evaluation
-------------------
-The estimators hand queries a whole
-:class:`~repro.sampling.batch.WorldBatch` at a time.  Queries that
-implement :class:`BatchQuery` evaluate the ensemble with dense array
-kernels; for anything else :func:`evaluate_query_batch` falls back to
-the per-world protocol, so third-party queries keep working unchanged.
-Native batch kernels must return exactly what stacking the per-world
-``evaluate`` results would — the seeded property tests in
-``tests/test_batch.py`` hold every built-in query to that contract.
+Every query, a custom one included, implements ``evaluate_batch``; the
+estimators reject a query without it.  The seeded property tests in
+``tests/test_batch.py`` hold every built-in query, row for row, to a
+one-world-at-a-time reference in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.sampling.worlds import World, is_index
+from repro.sampling.worlds import is_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -39,26 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @runtime_checkable
 class Query(Protocol):
-    """Anything that evaluates a world into a per-unit outcome vector."""
+    """Anything that evaluates a world ensemble into per-unit outcomes."""
 
     #: human-readable name used in experiment tables
     name: str
-
-    def evaluate(self, world: World) -> np.ndarray:
-        """Return the outcome vector (shape ``(units,)``, may contain nan)."""
-        ...
 
     def unit_count(self) -> int:
         """Number of evaluation units (vertices, pairs, or 1 for scalars)."""
         ...
 
-
-@runtime_checkable
-class BatchQuery(Query, Protocol):
-    """A query with a native world-ensemble kernel."""
-
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
-        """Return the ``(n_worlds, units)`` outcome matrix of the ensemble."""
+        """Return the ``(n_worlds, units)`` outcome matrix (may contain nan)."""
         ...
 
 
@@ -122,30 +109,25 @@ def check_outcome_width(query: Query, width) -> None:
         )
 
 
-def evaluate_worlds(query: Query, worlds: Iterable[World], count: int) -> np.ndarray:
-    """The per-world protocol: ``(count, units)`` rows of ``query.evaluate``."""
-    outcomes = np.empty((count, query.unit_count()), dtype=np.float64)
-    for i, world in enumerate(worlds):
-        row = query.evaluate(world)
-        check_outcome_width(query, np.size(row))
-        outcomes[i] = row
-    return outcomes
+def check_batch_query(query: Query) -> None:
+    """Raise :class:`EstimationError` unless ``query.evaluate_batch`` is callable."""
+    if not callable(getattr(query, "evaluate_batch", None)):
+        raise EstimationError(
+            f"{type(query).__name__} has no evaluate_batch(batch) method: "
+            "a query must return the (worlds, units) outcome matrix of a "
+            "whole WorldBatch"
+        )
 
 
 def evaluate_query_batch(query: Query, batch: "WorldBatch") -> np.ndarray:
     """Evaluate ``query`` on every world of ``batch`` as ``(N, units)``.
 
-    Dispatches to the query's native :meth:`BatchQuery.evaluate_batch`
-    kernel when present; otherwise adapts the per-world protocol by
-    materialising each world of the ensemble in turn (correct for any
-    :class:`Query`, but pays the legacy per-world interpreter cost).
-    Either way an outcome width other than ``unit_count()`` raises
-    :class:`~repro.exceptions.EstimationError`.
+    Calls the query's :meth:`Query.evaluate_batch`.  A query without one
+    (:func:`check_batch_query`), or an outcome width other than
+    ``unit_count()``, raises :class:`~repro.exceptions.EstimationError`.
     """
-    native = getattr(query, "evaluate_batch", None)
-    if not callable(native):
-        return evaluate_worlds(query, batch.iter_worlds(), batch.n_worlds)
-    outcomes = np.asarray(native(batch), dtype=np.float64)
+    check_batch_query(query)
+    outcomes = np.asarray(query.evaluate_batch(batch), dtype=np.float64)
     check_outcome_width(
         query, outcomes.shape[1] if outcomes.ndim == 2 else outcomes.shape
     )

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.queries.base import is_index
-from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -30,9 +29,6 @@ class ClusteringCoefficientQuery:
 
     def unit_count(self) -> int:
         return self.n
-
-    def evaluate(self, world: World) -> np.ndarray:
-        return world.clustering_coefficients()
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """Batched triangle counting over the parent triangle table."""

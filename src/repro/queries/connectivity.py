@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sampling.worlds import World
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
 
@@ -26,11 +24,8 @@ class ConnectivityQuery:
     def unit_count(self) -> int:
         return 1
 
-    def evaluate(self, world: World) -> np.ndarray:
-        return np.array([1.0 if world.is_connected() else 0.0])
-
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
-        """One batched BFS from vertex 0 answers every world at once."""
+        """A world is connected when its component labels leave one root."""
         return batch.is_connected().astype(np.float64)[:, None]
 
 
@@ -42,9 +37,6 @@ class ComponentCountQuery:
     def unit_count(self) -> int:
         return 1
 
-    def evaluate(self, world: World) -> np.ndarray:
-        return np.array([float(world.connected_component_count())])
-
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
-        """Component counts of all worlds via batched label propagation."""
+        """Component counts of all worlds: the roots of the component labels."""
         return batch.connected_component_count().astype(np.float64)[:, None]

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.queries.base import is_index
-from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -30,9 +29,6 @@ class DegreeQuery:
 
     def unit_count(self) -> int:
         return self.n
-
-    def evaluate(self, world: World) -> np.ndarray:
-        return world.degrees().astype(np.float64)
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """The whole degree matrix from one ``bincount`` per endpoint column."""

@@ -11,11 +11,11 @@ possible-world semantics.  Two standard notions are provided:
   cumulative world-probability reaches 1/2.
 
 Both are robust to the disconnection mass that breaks the naive
-"expected distance".  :class:`KNNQuery` returns the per-world distance
-vector from one source to all vertices; the estimator-side helpers
-aggregate a matrix of such outcomes into majority/median distances and
-a k-NN set — so the same MC machinery (and the same sparsified graphs)
-answer k-NN queries.
+"expected distance".  :class:`SourceDistanceQuery` returns the
+per-world distance vector from one source to all vertices; the
+estimator-side helpers aggregate a matrix of such outcomes into
+majority/median distances and a k-NN set — so the same MC machinery
+(and the same sparsified graphs) answer k-NN queries.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.queries.base import is_index
-from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -56,13 +55,6 @@ class SourceDistanceQuery:
 
     def unit_count(self) -> int:
         return self.n
-
-    def evaluate(self, world: World) -> np.ndarray:
-        if self.weighted:
-            return world.weighted_distances(self.source)
-        dist = world.bfs_distances(self.source).astype(np.float64)
-        dist[dist < 0] = UNREACHABLE
-        return dist
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """Source-to-all distances of every world from one batched pass."""

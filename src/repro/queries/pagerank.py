@@ -1,13 +1,13 @@
 """Pagerank query (paper section 6.3, query PR).
 
-Per-world pagerank by power iteration on the world's CSR adjacency.
+Per-world pagerank by power iteration on the world's adjacency.
 Dangling vertices (degree 0 in the world) redistribute their mass
 uniformly, the standard convention.  The uncertain-graph pagerank of a
 vertex is the expectation of its per-world score.
 
-:func:`world_pagerank` iterates one world; :func:`batch_pagerank`
-iterates a whole world ensemble with array operations and returns the
-same bytes, row for row.
+:func:`batch_pagerank` iterates a whole world ensemble with array
+operations; row for row it returns the bytes of iterating each world on
+its own CSR (the reference in ``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -18,39 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.queries.base import is_index
-from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
-
-
-def world_pagerank(
-    world: World,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iterations: int = 100,
-) -> np.ndarray:
-    """Pagerank vector of one deterministic world."""
-    n = world.n
-    if n == 0:
-        return np.zeros(0)
-    degrees = world.degrees().astype(np.float64)
-    dangling = degrees == 0
-    safe_degrees = np.where(dangling, 1.0, degrees)
-    pr = np.full(n, 1.0 / n)
-    indptr, indices = world.indptr, world.indices
-    # Directed-edge source ids for the bincount push (symmetric graph).
-    sources = np.repeat(np.arange(n), np.diff(indptr))
-    for _ in range(max_iterations):
-        shares = pr / safe_degrees
-        pushed = np.bincount(indices, weights=shares[sources], minlength=n)
-        dangling_mass = pr[dangling].sum()
-        new_pr = (1.0 - damping) / n + damping * (pushed + dangling_mass / n)
-        if np.abs(new_pr - pr).sum() < tol:
-            pr = new_pr
-            break
-        pr = new_pr
-    return pr
 
 
 def batch_pagerank(
@@ -61,14 +31,14 @@ def batch_pagerank(
 ) -> np.ndarray:
     """``(N, n)`` pagerank matrix: power iteration over the whole ensemble.
 
-    Bit-identical to running :func:`world_pagerank` per world.  Each
+    Bit-identical to power-iterating each world on its own CSR.  Each
     step pushes every world's mass through one flat ``bincount`` whose
     weights list exactly the alive directed edges in the per-world CSR
     order (dead edges never enter the pair lists); the same gather
     indices, counted, give the degrees.  A world's dangling mass is the
     row sum of a ``(worlds, count)`` gather over the worlds that share
     its dangling-vertex count, which numpy sums with the same pairwise
-    grouping as the per-world ``pr[dangling].sum()``.  The rest of a
+    grouping as a one-world ``pr[dangling].sum()``.  The rest of a
     step is whole-block arithmetic in the per-world operation order.
 
     Each world freezes exactly when its own L1 delta drops below
@@ -199,11 +169,6 @@ class PageRankQuery:
 
     def unit_count(self) -> int:
         return self.n
-
-    def evaluate(self, world: World) -> np.ndarray:
-        return world_pagerank(
-            world, damping=self.damping, max_iterations=self.max_iterations
-        )
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """Power-iterate every world at once; see :func:`batch_pagerank`."""

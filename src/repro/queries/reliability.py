@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.queries.base import PairQuery
-from repro.sampling.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import WorldBatch
@@ -23,13 +22,6 @@ class ReliabilityQuery(PairQuery):
     """Per-pair reachability indicators (0/1)."""
 
     name = "RL"
-
-    def evaluate(self, world: World) -> np.ndarray:
-        self.check_ids(world.n)
-        out = np.zeros(len(self.pairs))
-        for source, (units, targets) in self.by_source.items():
-            out[units] = world.reachable_from(source)[targets]
-        return out
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """All pairs over all worlds from the batch's component labels.

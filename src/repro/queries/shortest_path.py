@@ -8,14 +8,13 @@ disconnected; estimators average with nan-exclusion.
 
 Two distance notions are supported:
 
-- hop distance (default) — per-world BFS;
+- hop distance (default) — batched BFS;
 - ``weighted=True`` — most-probable-path distance under the paper's
-  ``-log p`` spanner transform (after Potamias et al. [32]): per-world
-  binary-heap Dijkstra, or the batched delta-stepping kernel for
-  ensembles.
+  ``-log p`` spanner transform (after Potamias et al. [32]): the
+  batched delta-stepping kernel.
 
-Pairs sharing a source are batched into a single traversal, and a
-batched traversal returns just the columns of that source's targets.
+Pairs sharing a source are batched into a single traversal, which
+returns just the columns of that source's targets.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
 from repro.queries.base import PairQuery
-from repro.sampling.worlds import World
 from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,19 +74,6 @@ class ShortestPathQuery(PairQuery):
         super().__init__(pairs)
         self.weighted = bool(weighted)
         self.name = "WSP" if self.weighted else "SP"
-
-    def evaluate(self, world: World) -> np.ndarray:
-        self.check_ids(world.n)
-        out = np.full(len(self.pairs), np.nan)
-        for source, (units, targets) in self.by_source.items():
-            if self.weighted:
-                dist = world.weighted_distances(source)[targets]
-                connected = np.isfinite(dist)
-            else:
-                dist = world.bfs_distances(source)[targets]
-                connected = dist >= 0
-            out[units[connected]] = dist[connected]
-        return out
 
     def evaluate_batch(self, batch: "WorldBatch") -> np.ndarray:
         """One batched traversal per distinct source covers every world.

@@ -1,19 +1,25 @@
 """Possible-world semantics: sampling, exact enumeration, estimation.
 
-- :class:`~repro.sampling.worlds.WorldSampler` /
-  :class:`~repro.sampling.worlds.World` — vectorised world sampling,
+One Monte-Carlo path serves every query: sampled edge masks become a
+world ensemble, and the query evaluates the whole ensemble at once.
+
+- :class:`~repro.sampling.worlds.WorldSampler` — vectorised mask
+  sampling,
 - :class:`~repro.sampling.batch.WorldBatch` — world *ensembles*: all
   sampled worlds evaluated at once as dense array programs, and
   :func:`~repro.sampling.batch.evaluate_chunks` — the in-process chunk
-  loop every batched estimator runs,
-- :mod:`~repro.sampling.kernels` — the swappable traversal kernels
-  underneath (bit-packed BFS, batched delta-stepping for ``-log p``
-  most-probable-path distances, the per-world Dijkstra reference),
+  loop every estimator runs,
+- :mod:`~repro.sampling.kernels` — the traversal kernels underneath
+  (bit-packed BFS, batched delta-stepping for ``-log p``
+  most-probable-path distances),
 - :mod:`~repro.sampling.exact` — exhaustive enumeration (Eq. 1),
 - :class:`~repro.sampling.monte_carlo.MonteCarloEstimator` — the MC
-  query engine + variance protocol (batched by default),
+  query engine + variance protocol,
 - :class:`~repro.sampling.stratified.StratifiedEstimator` — stratified
   variant after [23].
+
+The one-world-at-a-time references the kernels are tested against live
+in ``tests/oracles/``.
 """
 
 from repro.sampling.adaptive import AdaptiveResult, adaptive_estimate, samples_to_width
@@ -26,18 +32,12 @@ from repro.sampling.batch import (
     kernel_world_bytes,
 )
 from repro.sampling.kernels import (
-    BFS_KERNELS,
-    DEFAULT_BFS_KERNEL,
     delta_stepping_distances,
-    dijkstra_distances,
     most_probable_path_weights,
 )
 from repro.sampling.exact import (
     exact_connectivity_probability,
-    exact_expectation,
-    exact_query_probability,
     exact_reliability,
-    iter_worlds,
 )
 from repro.sampling.monte_carlo import (
     EstimationResult,
@@ -47,15 +47,12 @@ from repro.sampling.monte_carlo import (
     unbiased_variance,
 )
 from repro.sampling.stratified import StratifiedEstimator
-from repro.sampling.worlds import World, WorldSampler
+from repro.sampling.worlds import WorldSampler
 
 __all__ = [
     "AdaptiveResult",
-    "BFS_KERNELS",
     "BatchTopology",
-    "DEFAULT_BFS_KERNEL",
     "delta_stepping_distances",
-    "dijkstra_distances",
     "most_probable_path_weights",
     "EstimationResult",
     "adaptive_estimate",
@@ -65,15 +62,11 @@ __all__ = [
     "samples_to_width",
     "MonteCarloEstimator",
     "StratifiedEstimator",
-    "World",
     "WorldBatch",
     "WorldSampler",
     "chunk_counts",
     "exact_connectivity_probability",
-    "exact_expectation",
-    "exact_query_probability",
     "exact_reliability",
-    "iter_worlds",
     "repeated_estimates",
     "required_sample_ratio",
     "unbiased_variance",

@@ -15,6 +15,8 @@ that claim executable:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +25,7 @@ import numpy as np
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
 from repro.sampling.batch import evaluate_chunks
+from repro.sampling.monte_carlo import _check_positive_int, warnings_suppressed
 from repro.sampling.worlds import WorldSampler
 from repro.utils.rng import ensure_rng
 
@@ -60,7 +63,6 @@ def adaptive_estimate(
     min_samples: int = 30,
     max_samples: int = 20_000,
     batch: int = 10,
-    batched: bool = True,
 ) -> AdaptiveResult:
     """Sample worlds until the 95% CI width falls below ``target_width``.
 
@@ -83,18 +85,25 @@ def adaptive_estimate(
         Hard cap; the result reports ``converged=False`` when hit.
     batch:
         Worlds per stopping-rule check.
-    batched:
-        Evaluate each draw through the ensemble kernels (default); the
-        sequential stopping rule sees the exact same per-world scalars
-        either way, so this only changes speed.
 
     Raises
     ------
     EstimationError
-        If ``target_width`` is not positive or bounds are inconsistent.
+        If ``target_width`` is not a positive finite real, a sample
+        count is not a positive integer, or the bounds are inconsistent.
     """
-    if target_width <= 0:
-        raise EstimationError(f"target_width must be positive, got {target_width}")
+    if (
+        isinstance(target_width, bool)
+        or not isinstance(target_width, numbers.Real)
+        or not (target_width > 0 and math.isfinite(target_width))
+    ):
+        raise EstimationError(
+            f"target_width must be a positive finite real, got {target_width!r}"
+        )
+    for name, value in (
+        ("min_samples", min_samples), ("max_samples", max_samples), ("batch", batch)
+    ):
+        _check_positive_int(name, value)
     if min_samples < 2 or max_samples < min_samples:
         raise EstimationError("need max_samples >= min_samples >= 2")
     rng = ensure_rng(rng)
@@ -103,21 +112,11 @@ def adaptive_estimate(
     values: list[float] = []
 
     def draw(count: int) -> None:
-        from repro.queries.base import check_outcome_width
-        from repro.sampling.monte_carlo import warnings_suppressed
-
-        if batched:
-            # The chunk loop consumes the RNG stream exactly like the
-            # per-world loop, so the stopping point is the same.
-            outcomes = evaluate_chunks(sampler, query, count, rng)
-            with warnings_suppressed():
-                values.extend(float(v) for v in np.nanmean(outcomes, axis=1))
-            return
-        for world in sampler.sample_many(count, rng):
-            outcome = query.evaluate(world)
-            check_outcome_width(query, np.size(outcome))
-            with warnings_suppressed():
-                values.append(float(np.nanmean(outcome)))
+        # Chunks consume the RNG stream like one-world draws, so the
+        # stopping point does not depend on the chunk size.
+        outcomes = evaluate_chunks(sampler, query, count, rng)
+        with warnings_suppressed():
+            values.extend(float(v) for v in np.nanmean(outcomes, axis=1))
 
     draw(min_samples)
     while True:

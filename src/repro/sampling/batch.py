@@ -1,43 +1,37 @@
 """Batched world ensembles: all Monte-Carlo worlds as one array program.
 
-:class:`~repro.sampling.worlds.World` materialises a fresh CSR per
-sample, and every query walks worlds one at a time — ``N`` passes
-through the Python interpreter.  This module flips the layout: a
-:class:`WorldBatch` holds an ``(N, m)`` Bernoulli mask matrix over one
+A :class:`WorldBatch` holds an ``(N, m)`` Bernoulli mask matrix over one
 shared parent CSR (:class:`BatchTopology`), and each graph primitive
 runs over *all* worlds simultaneously as dense NumPy kernels —
 
-- batched degrees via one ``bincount`` of the alive edges' endpoints,
-- batched BFS through the swappable ensemble kernels of
-  :mod:`repro.sampling.kernels` (bit-packed uint64 frontiers by
-  default; the original boolean-frontier kernel stays selectable and
-  bit-identical),
-- batched *weighted* distances (the ``-log p`` most-probable-path
-  transform) via the bucketed delta-stepping kernel,
-- batched connected components via one ``scipy.sparse.csgraph`` pass
-  over the block-diagonal graph of all worlds,
-- batched triangle counting from a precomputed parent triangle table.
+- degrees via one ``bincount`` of the alive edges' endpoints,
+- BFS through the bit-packed uint64 frontier kernel of
+  :mod:`repro.sampling.kernels`,
+- *weighted* distances (the ``-log p`` most-probable-path transform)
+  via the bucketed delta-stepping kernel,
+- connected components via one ``scipy.sparse.csgraph`` pass over the
+  block-diagonal graph of all worlds,
+- triangle counting from a precomputed parent triangle table.
 
-Every kernel is *bit-identical* to its per-world counterpart in
-:class:`~repro.sampling.worlds.World`: the alive directed edges of a
-world appear in the shared CSR in exactly the order the per-world CSR
-lists them (a stable sort restricted to a subsequence preserves order),
-and dead edges only ever contribute exact no-ops (``+0.0``, ``| False``,
-``min(.., n)``).  The equivalence is enforced by the seeded property
-tests in ``tests/test_batch.py``.
+Every kernel returns exactly what building each world's own CSR and
+walking it would: the alive directed edges of a world appear in the
+shared CSR in the order that world's CSR lists them (a stable sort
+restricted to a subsequence preserves order), and dead edges only ever
+contribute exact no-ops (``+0.0``, ``| False``, ``min(.., n)``).  The
+seeded property tests in ``tests/test_batch.py`` hold the kernels to the
+one-world-at-a-time references in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.sampling import kernels
-from repro.sampling.worlds import World, check_vertex, check_vertices
+from repro.sampling.worlds import check_vertex, check_vertices
 from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,24 +46,16 @@ DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
 BATCH_BYTES_ENV = "REPRO_BATCH_BYTES"
 
 
-def kernel_world_bytes(n_edges: int, n_vertices: int, kernel: str | None = None) -> int:
-    """Per-world working-set estimate (bytes) of a host BFS kernel.
+def kernel_world_bytes(n_edges: int, n_vertices: int) -> int:
+    """Per-world working-set estimate (bytes) of the packed BFS kernel.
 
-    The historical model assumed the dense *boolean* kernel's scratch —
-    one ``(B, 2m)`` float64-equivalent activation row — which
-    overestimates the default packed-uint64 kernel ~8x: packed frontiers
-    carry 1 *bit* per (world, directed edge) plus the uint64 word
-    matrices, so its edge term is ``4m`` bytes/world (packed liveness +
-    packed mask layout) against the boolean kernel's ``32m``.  Both
-    models share the ``(B, n)`` vertex-state term (distance matrix,
-    reached/frontier rows, bincount scratch).
+    Packed frontiers carry 1 *bit* per (world, directed edge) plus the
+    uint64 word matrices, so the edge term is ``4m`` bytes per world
+    (packed liveness + packed mask layout); the ``(B, n)`` vertex-state
+    term covers the distance matrix, reached/frontier rows and bincount
+    scratch.
     """
-    name = kernels.DEFAULT_BFS_KERNEL if kernel is None else kernel
-    kernels.resolve_bfs_kernel(name)  # fail fast on typos
-    vertex_term = 32 * max(n_vertices, 1)
-    if name == "packed":
-        return 2 * max(2 * n_edges, 1) + vertex_term
-    return 16 * max(2 * n_edges, 1) + vertex_term
+    return 2 * max(2 * n_edges, 1) + 32 * max(n_vertices, 1)
 
 
 def _env_batch_bytes() -> int | None:
@@ -95,7 +81,6 @@ def auto_chunk_size(
     n_edges: int,
     n_vertices: int = 0,
     budget_bytes: int | None = None,
-    kernel: str | None = None,
 ) -> int:
     """Chunk size keeping one chunk's working set near the byte budget.
 
@@ -104,9 +89,7 @@ def auto_chunk_size(
     else :class:`~repro.exceptions.EstimationError`); else
     :data:`DEFAULT_BATCH_BYTES`.
 
-    The per-world footprint is kernel-aware (:func:`kernel_world_bytes`
-    — the packed-uint64 default moves ~8x fewer bytes than the dense
-    boolean kernel).
+    The per-world footprint is :func:`kernel_world_bytes`.
 
     Chunk boundaries remain a pure function of the problem shape and the
     resolved budget — estimates are chunk-invariant by the row-major
@@ -116,7 +99,7 @@ def auto_chunk_size(
         budget_bytes = _env_batch_bytes()
     if budget_bytes is None:
         budget_bytes = DEFAULT_BATCH_BYTES
-    per_world = kernel_world_bytes(n_edges, n_vertices, kernel)
+    per_world = kernel_world_bytes(n_edges, n_vertices)
     return int(max(1, min(n_samples, budget_bytes // max(per_world, 1))))
 
 
@@ -145,14 +128,21 @@ def evaluate_chunks(
     Each chunk's masks come from one
     :meth:`~repro.sampling.worlds.WorldSampler.sample_mask_matrix` call,
     drawn in chunk order, so the run consumes ``rng`` exactly like
-    ``n_samples`` sequential per-world draws and the outcome matrix does
+    ``n_samples`` sequential one-world draws and the outcome matrix does
     not depend on ``chunk_size`` (``None`` sizes chunks with
     :func:`auto_chunk_size`).  ``fixed_edges=(columns, values)``
     overwrites those mask columns in every chunk before it is evaluated
     — the stratified estimator's conditioned edges.
-    """
-    from repro.queries.base import evaluate_query_batch
 
+    A query without a callable ``evaluate_batch`` raises
+    :class:`~repro.exceptions.EstimationError` before any world is
+    drawn.
+    """
+    # Imported per call: the query modules import this package, and a
+    # wrapper installed on the module attribute sees every chunk.
+    from repro.queries.base import check_batch_query, evaluate_query_batch
+
+    check_batch_query(query)
     rng = ensure_rng(rng)
     if chunk_size is None:
         chunk_size = auto_chunk_size(n_samples, sampler.m, n_vertices=sampler.n)
@@ -171,10 +161,9 @@ def evaluate_chunks(
 class BatchTopology:
     """Shared parent-graph CSR reused by every chunk of a sampling run.
 
-    Directed edges are sorted by source with a stable sort — the same
-    construction :class:`~repro.sampling.worlds.World` applies to its
-    alive subset — so restricting the directed arrays to one world's
-    alive edges reproduces that world's CSR order exactly.
+    Directed edges are sorted by source with a stable sort, so
+    restricting the directed arrays to one world's alive edges gives
+    exactly the CSR that world's own stable sort would build.
 
     Attributes
     ----------
@@ -304,12 +293,6 @@ class WorldBatch:
         Optional ``(m,)`` non-negative weights per parent edge (the
         samplers attach the ``-log p`` most-probable-path transform);
         required by :meth:`weighted_distances`.
-    bfs_kernel:
-        Frontier kernel name for :meth:`bfs_distances` (``"packed"`` /
-        ``"boolean"``); ``None`` uses
-        :data:`repro.sampling.kernels.DEFAULT_BFS_KERNEL`.  All kernels
-        return bit-identical distances — the knob trades memory traffic,
-        never answers.
 
     Examples
     --------
@@ -323,7 +306,7 @@ class WorldBatch:
 
     __slots__ = (
         "n", "m", "n_worlds", "masks", "topology", "edge_weights",
-        "bfs_kernel", "_alive_directed", "_labels",
+        "_alive_directed", "_labels",
         "_packed_masks", "_packed_alive", "_alive_ordered",
     )
 
@@ -334,7 +317,6 @@ class WorldBatch:
         masks: np.ndarray,
         topology: BatchTopology | None = None,
         edge_weights: np.ndarray | None = None,
-        bfs_kernel: str | None = None,
     ) -> None:
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2:
@@ -353,32 +335,16 @@ class WorldBatch:
                     f"edge_weights must have shape ({self.m},), "
                     f"got {edge_weights.shape}"
                 )
-        if bfs_kernel is not None:
-            kernels.resolve_bfs_kernel(bfs_kernel)  # fail fast on typos
         self.masks = masks
         self.topology = topology if topology is not None else BatchTopology(
             n, edge_vertices
         )
         self.edge_weights = edge_weights
-        self.bfs_kernel = bfs_kernel
         self._alive_directed: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._packed_masks = None
         self._packed_alive = None
         self._alive_ordered = None
-
-    # -- per-world views ----------------------------------------------------
-    def world(self, index: int) -> World:
-        """Materialise world ``index`` as a legacy :class:`World`."""
-        return World(
-            self.n, self.topology.edge_vertices, self.masks[index],
-            edge_weights=self.edge_weights,
-        )
-
-    def iter_worlds(self) -> Iterator[World]:
-        """Yield every world of the ensemble as a legacy :class:`World`."""
-        for i in range(self.n_worlds):
-            yield self.world(i)
 
     # -- basic structure ----------------------------------------------------
     def alive_directed(self) -> np.ndarray:
@@ -412,7 +378,6 @@ class WorldBatch:
         self,
         source: int,
         targets: "np.ndarray | list[int] | None" = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """BFS distances from ``source`` in every world (-1 unreachable).
 
@@ -421,19 +386,14 @@ class WorldBatch:
         order given.  A targeted call also retires a world as soon as
         every listed vertex has a distance; BFS levels are
         deterministic, so the early exit never changes a returned
-        column.  Dispatches to an ensemble kernel from
-        :mod:`repro.sampling.kernels` — bit-packed uint64 frontiers by
-        default, the boolean-frontier original via ``kernel="boolean"``
-        — every kernel returning bit-identical distances.
+        column.  Runs the bit-packed kernel
+        :func:`repro.sampling.kernels.bfs_distances_packed`.
 
         ``source`` and every target must be integers in ``[0, n)``
         (booleans rejected); anything else raises ``ValueError``.
         """
-        run = kernels.resolve_bfs_kernel(
-            kernel if kernel is not None else self.bfs_kernel
-        )
         source, targets = self._check_ids(source, targets)
-        return run(self, source, targets)
+        return kernels.bfs_distances_packed(self, source, targets)
 
     def weighted_distances(
         self,

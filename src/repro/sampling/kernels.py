@@ -1,29 +1,22 @@
-"""Ensemble traversal kernels: the swappable compute layer under WorldBatch.
+"""Ensemble traversal kernels: the compute layer under WorldBatch.
 
 :class:`~repro.sampling.batch.WorldBatch` is the *data* layout of a
 world ensemble — an ``(N, m)`` mask matrix over one shared parent CSR.
-This module holds the *traversal* kernels that run over that layout, so
-the batch object stays a thin facade and the frontier representations
-plug in behind the same interface:
+This module holds the *traversal* kernels that run over that layout:
 
-- :func:`bfs_distances_boolean` — the original ``(worlds, vertices)``
-  boolean-frontier BFS, one scatter per level across every world;
-- :func:`bfs_distances_packed` — the same BFS with worlds bit-packed
-  into uint64 words: frontier / visited sets are ``(vertices, words)``
-  matrices (~8x less memory traffic) and each level expands all 64
-  worlds of a word with single bitwise AND/OR passes over the shared
-  CSR.  Distances are **bit-identical** to the boolean kernel — BFS
-  levels do not depend on the frontier representation — which the
-  seeded property tests in ``tests/test_kernels.py`` enforce;
+- :func:`bfs_distances_packed` — BFS with worlds bit-packed into uint64
+  words: frontier / visited sets are ``(vertices, words)`` matrices and
+  each level expands all 64 worlds of a word with single bitwise AND/OR
+  passes over the shared CSR;
 - :func:`delta_stepping_distances` — batched bucketed delta-stepping
   for *weighted* distances (the paper's ``-log p`` most-probable-path
   transform, after Potamias et al. [32]): one shared bucket schedule,
   a per-world tentative-distance matrix, and settled worlds dropping
-  out of the working set;
-- :func:`dijkstra_distances` — the per-world binary-heap reference
-  (``repro.utils.heap.IndexedMaxHeap`` with negated keys) used by the
-  legacy ``Query.evaluate`` protocol and as the test oracle for the
-  batched kernel.
+  out of the working set.
+
+``tests/test_kernels.py`` holds them to the references in
+``tests/oracles/``: the packed BFS bit for bit to a boolean-frontier
+BFS, delta-stepping within float tolerance to per-world Dijkstra.
 
 Kernels are deliberately ignorant of :class:`WorldBatch` itself; they
 consume the duck-typed surface (``n``, ``n_worlds``, ``masks``,
@@ -38,11 +31,6 @@ given.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.utils.heap import IndexedMaxHeap
-
-#: Kernel used by :meth:`WorldBatch.bfs_distances` when none is named.
-DEFAULT_BFS_KERNEL = "packed"
 
 #: Bits per packed frontier word.
 WORD_BITS = 64
@@ -82,86 +70,6 @@ def _csr_segment_indices(
         indptr[cols] - np.concatenate([[0], np.cumsum(lengths)[:-1]]),
         lengths,
     ) + np.arange(total)
-
-
-# ----------------------------------------------------------------------
-# Boolean-frontier BFS (the original WorldBatch kernel, moved here)
-# ----------------------------------------------------------------------
-def bfs_distances_boolean(
-    batch, source: int, targets: "np.ndarray | list[int] | None" = None
-) -> np.ndarray:
-    """BFS distances from ``source`` in every world (-1 unreachable).
-
-    Each level expands the frontier of *all still-growing worlds* at
-    once: activate the directed edges leaving any frontier vertex,
-    scatter their targets through one flat ``bincount``, and retire
-    worlds whose frontier emptied.
-
-    Returns the ``(N, n)`` matrix, or with ``targets`` the
-    ``(N, len(targets))`` columns of the listed vertices in the order
-    given.  A targeted call also retires a world as soon as every
-    listed vertex has a distance (the point-to-point query
-    optimisation); BFS levels are deterministic, so the early exit
-    never changes a returned column.
-    """
-    N, n = batch.n_worlds, batch.n
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            return np.empty((N, 0), dtype=np.int64)
-    dist = np.full((N, n), -1, dtype=np.int64)
-    dist[:, source] = 0
-    reached = np.zeros((N, n), dtype=bool)
-    reached[:, source] = True
-    alive = batch.alive_directed()
-    src, dst = batch.topology.dir_source, batch.topology.indices
-    indptr = batch.topology.indptr
-    rows = np.arange(N)
-    if targets is not None:
-        rows = rows[~reached[:, targets].all(axis=1)]
-    frontier = np.zeros((N, n), dtype=bool)
-    frontier[:, source] = True
-    frontier = frontier[rows]
-    level = 0
-    while rows.size:
-        level += 1
-        # Hybrid expansion: wide frontiers activate edges with one
-        # contiguous pass; narrow ones gather only the CSR segments
-        # of vertices that front in *some* world, so the long tail
-        # of levels costs almost nothing.
-        cols = np.flatnonzero(frontier.any(axis=0))
-        lengths = indptr[cols + 1] - indptr[cols]
-        total = int(lengths.sum())
-        if total == 0:
-            break
-        if total * 4 >= alive.shape[1]:
-            active = alive[rows] & frontier[:, src]
-            w_loc, e_loc = np.nonzero(active)
-            if w_loc.size == 0:
-                break
-            flat = w_loc * n + dst[e_loc]
-        else:
-            e_sub = _csr_segment_indices(indptr, cols, lengths, total)
-            src_sub = np.repeat(cols, lengths)
-            active = alive[np.ix_(rows, e_sub)] & frontier[:, src_sub]
-            w_loc, e_loc = np.nonzero(active)
-            if w_loc.size == 0:
-                break
-            flat = w_loc * n + dst[e_sub[e_loc]]
-        hit = np.bincount(flat, minlength=rows.size * n)
-        hit = hit.reshape(rows.size, n).astype(bool)
-        new = hit & ~reached[rows]
-        w_new, v_new = np.nonzero(new)
-        if w_new.size == 0:
-            break
-        dist[rows[w_new], v_new] = level
-        reached[rows[w_new], v_new] = True
-        keep = new.any(axis=1)
-        if targets is not None:
-            keep &= ~reached[np.ix_(rows, targets)].all(axis=1)
-        rows = rows[keep]
-        frontier = new[keep]
-    return dist if targets is None else dist[:, targets]
 
 
 # ----------------------------------------------------------------------
@@ -236,16 +144,17 @@ def _alive_target_ordered(batch, order: np.ndarray) -> np.ndarray:
 def bfs_distances_packed(
     batch, source: int, targets: "np.ndarray | list[int] | None" = None
 ) -> np.ndarray:
-    """Bit-packed twin of :func:`bfs_distances_boolean` — same distances.
+    """BFS distances from ``source`` in every world (-1 unreachable).
 
     Frontier and visited sets live as ``(vertices, W)`` uint64 matrices
     with the ensemble's worlds packed along the bits (``W = ceil(N/64)``
     words), so one AND over the alive-edge words expands a level for 64
-    worlds at a time and the level loop moves ~8x fewer bytes than the
-    boolean kernel.  Wide frontiers AND the cached target-sorted
-    liveness words with the frontier and group them by target vertex
-    with a single ``bitwise_or.reduceat``; narrow frontiers gather only
-    the touched CSR segments and scatter with ``bitwise_or.at``.  Word
+    worlds at a time and the level loop moves ~8x fewer bytes than a
+    boolean ``(worlds, vertices)`` frontier.  Wide frontiers AND the
+    cached target-sorted liveness words with the frontier and group them
+    by target vertex with a single ``bitwise_or.reduceat``; narrow
+    frontiers gather only the touched CSR segments and scatter with
+    ``bitwise_or.at``.  Word
     rows are gathered with ``np.take(..., axis=0)``, which copies whole
     rows where fancy indexing walks them element by element.
 
@@ -254,10 +163,9 @@ def bfs_distances_packed(
     planes hold only the target rows, so the decode touches
     ``(len(targets), W)`` words and the result is the
     ``(N, len(targets))`` block of target columns in the order given
-    (repeats included).  BFS levels are a property of the graph, not of
-    the frontier encoding, and the early exit retires worlds under
-    exactly the boolean kernel's per-level condition, so the returned
-    matrix is bit-identical to :func:`bfs_distances_boolean`'s.
+    (repeats included).  A targeted call also retires a world as soon
+    as every listed vertex has a distance; BFS levels are
+    deterministic, so the early exit never changes a returned column.
     """
     N, n = batch.n_worlds, batch.n
     if targets is not None:
@@ -362,24 +270,6 @@ def _decode_levels(
     return dist.T.astype(np.int64, order="C")
 
 
-#: Registry of frontier kernels selectable per batch or per call.
-BFS_KERNELS = {
-    "boolean": bfs_distances_boolean,
-    "packed": bfs_distances_packed,
-}
-
-
-def resolve_bfs_kernel(name: "str | None"):
-    """Map a kernel name (or ``None`` for the default) to its function."""
-    key = DEFAULT_BFS_KERNEL if name is None else name
-    try:
-        return BFS_KERNELS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown BFS kernel {key!r}; choose from {sorted(BFS_KERNELS)}"
-        ) from None
-
-
 # ----------------------------------------------------------------------
 # Batched weighted distances: bucketed delta-stepping
 # ----------------------------------------------------------------------
@@ -434,8 +324,8 @@ def delta_stepping_distances(
     returns the ``(N, n)`` matrix, or the ``(N, len(targets))`` target
     columns in the order given.
 
-    Relaxation order differs from Dijkstra's, so agreement with the
-    per-world reference is up to float addition reordering (the seeded
+    Relaxation order differs from Dijkstra's, so agreement with a
+    per-world Dijkstra is up to float addition reordering (the seeded
     property tests bound it at ``rtol = 1e-9``).
     """
     N, n = batch.n_worlds, batch.n
@@ -478,7 +368,7 @@ def delta_stepping_distances(
     def relax(rows: np.ndarray, frontier: np.ndarray, want_light: bool) -> np.ndarray:
         """Min candidate distance per (world row, vertex) via ``frontier``.
 
-        Hybrid like the BFS kernels: wide frontiers take one contiguous
+        Hybrid like the BFS kernel: wide frontiers take one contiguous
         pass over all directed edges (per-target ``minimum.reduceat``);
         narrow ones gather only the frontier vertices' CSR segments and
         scatter with ``minimum.at``.  Minimum is exact in floating
@@ -552,36 +442,3 @@ def delta_stepping_distances(
         bucket += 1
     return tent if targets is None else tent[:, targets]
 
-
-# ----------------------------------------------------------------------
-# Per-world reference: binary-heap Dijkstra
-# ----------------------------------------------------------------------
-def dijkstra_distances(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    source: int,
-) -> np.ndarray:
-    """Single-source weighted distances on one world's CSR (``inf`` = cut off).
-
-    The reference implementation behind ``Query.evaluate`` for weighted
-    queries and the oracle the batched delta-stepping kernel is tested
-    against: Dijkstra on an indexed binary heap
-    (:class:`~repro.utils.heap.IndexedMaxHeap` with negated keys, so
-    decrease-key is a real ``update`` instead of lazy deletion).
-    ``weights`` is aligned with the CSR's directed edges.
-    """
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[source] = 0.0
-    heap = IndexedMaxHeap({int(source): 0.0})
-    while heap:
-        u, negative = heap.pop()
-        d = -negative
-        for slot in range(int(indptr[u]), int(indptr[u + 1])):
-            v = int(indices[slot])
-            candidate = d + float(weights[slot])
-            if candidate < dist[v]:
-                dist[v] = candidate
-                heap.update(v, -candidate)
-    return dist

@@ -15,7 +15,7 @@ returns the full ``(N, units)`` outcome matrix — the raw material for
 A run is one in-process chunk loop
 (:func:`~repro.sampling.batch.evaluate_chunks`): draw a chunk's masks,
 evaluate them, move on.  Under a fixed seed the outcome matrix is the
-same for every chunk size and for the per-world loop.
+same for every chunk size.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
 from repro.sampling.batch import evaluate_chunks
 from repro.sampling.worlds import WorldSampler
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.base import Query
@@ -110,13 +110,11 @@ class EstimationResult:
 class MonteCarloEstimator:
     """Evaluate a query on ``n_samples`` possible worlds of a graph.
 
-    By default the run is *batched*: worlds are sampled as ``(B, m)``
-    mask matrices and evaluated through the queries' ensemble kernels
+    Worlds are sampled as ``(B, m)`` mask matrices and evaluated through
+    the queries' ensemble kernels
     (:func:`repro.sampling.batch.evaluate_chunks`), chunked so one
-    chunk's working set stays memory-bounded.  The batched path consumes
-    the RNG stream exactly like the legacy per-world loop and the
-    kernels are bit-identical, so results do not depend on ``batched``
-    or ``batch_size``.
+    chunk's working set stays memory-bounded.  Chunks consume the RNG
+    stream in order, so results do not depend on ``batch_size``.
 
     Parameters
     ----------
@@ -127,9 +125,6 @@ class MonteCarloEstimator:
     batch_size:
         Worlds per chunk; ``None`` auto-sizes from ``N * m`` against a
         fixed memory budget (:func:`repro.sampling.batch.auto_chunk_size`).
-    batched:
-        ``False`` restores the legacy world-at-a-time loop (escape
-        hatch, e.g. for queries whose per-world path is under test).
     workers:
         Must be ``1``: chunks always run in-process.  The keyword stays
         so existing ``workers=1`` callers keep working.
@@ -150,7 +145,6 @@ class MonteCarloEstimator:
         graph: UncertainGraph,
         n_samples: int = 500,
         batch_size: int | None = None,
-        batched: bool = True,
         workers: int = 1,
     ) -> None:
         _check_positive_int("n_samples", n_samples)
@@ -164,19 +158,10 @@ class MonteCarloEstimator:
         self.graph = graph
         self.n_samples = n_samples
         self.batch_size = batch_size
-        self.batched = batched
         self.sampler = WorldSampler(graph)
 
     def run(self, query: "Query", rng: "int | np.random.Generator | None" = None) -> EstimationResult:
         """One Monte-Carlo run: the ``(N, units)`` outcome matrix."""
-        rng = ensure_rng(rng)
-        if not self.batched:
-            from repro.queries.base import evaluate_worlds
-
-            return EstimationResult(outcomes=evaluate_worlds(
-                query, self.sampler.sample_many(self.n_samples, rng),
-                self.n_samples,
-            ))
         return EstimationResult(outcomes=evaluate_chunks(
             self.sampler, query, self.n_samples, rng, chunk_size=self.batch_size
         ))
@@ -203,7 +188,6 @@ def repeated_estimates(
     n_samples: int = 200,
     rng: "int | np.random.Generator | None" = None,
     batch_size: int | None = None,
-    batched: bool = True,
 ) -> np.ndarray:
     """Variance protocol: ``runs`` independent scalar estimates Phi_i(G).
 
@@ -212,7 +196,7 @@ def repeated_estimates(
     """
     generators = spawn_rngs(rng, runs)
     estimator = MonteCarloEstimator(
-        graph, n_samples=n_samples, batch_size=batch_size, batched=batched,
+        graph, n_samples=n_samples, batch_size=batch_size
     )
     return np.array([
         estimator.run(query, rng=g).scalar_estimate() for g in generators

@@ -25,7 +25,8 @@ from repro.core.entropy import entropy_array
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import EstimationError
 from repro.sampling.batch import evaluate_chunks
-from repro.sampling.worlds import WorldSampler
+from repro.sampling.monte_carlo import _check_positive_int
+from repro.sampling.worlds import WorldSampler, is_index
 from repro.utils.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,11 +46,15 @@ class StratifiedEstimator:
         Number of conditioned edges (``2^r`` strata); the ``r`` edges
         with the highest binary entropy are chosen, following [23]'s
         heuristic of stratifying where the uncertainty is.
+
+    Both sizes must be integers (booleans rejected); anything else
+    raises :class:`~repro.exceptions.EstimationError` here.
     """
 
     def __init__(self, graph: UncertainGraph, n_samples: int = 500, r: int = 4) -> None:
-        if r < 0 or r > 12:
-            raise EstimationError(f"r must be in [0, 12], got {r}")
+        _check_positive_int("n_samples", n_samples)
+        if not is_index(r) or r > 12:
+            raise EstimationError(f"r must be an integer in [0, 12], got {r!r}")
         if n_samples < 2 ** r:
             raise EstimationError(
                 f"budget {n_samples} cannot cover 2^{r} strata"
@@ -93,17 +98,13 @@ class StratifiedEstimator:
         self,
         query: "Query",
         rng: "int | np.random.Generator | None" = None,
-        batched: bool = True,
     ) -> float:
         """Stratified scalar estimate of the query.
 
-        With ``batched=True`` (default) each stratum's worlds are drawn
-        as mask matrices — the conditioned columns overwritten in each
-        chunk — and evaluated through the ensemble kernels; the
-        per-world scalars are identical to the legacy loop.
+        Each stratum's worlds are drawn as mask matrices — the
+        conditioned columns overwritten in each chunk — and evaluated
+        through the ensemble kernels.
         """
-        from repro.queries.base import check_outcome_width
-
         rng = ensure_rng(rng)
         total = 0.0
         assignments = self.stratum_assignments()
@@ -113,27 +114,14 @@ class StratifiedEstimator:
         for assignment, weight, budget in zip(assignments, weights, allocation):
             if weight == 0.0:
                 continue
-            if batched:
-                stratum_values = self._batched_stratum_values(
-                    query, assignment, budget, rng
-                )
-            else:
-                stratum_values = np.empty(budget, dtype=np.float64)
-                for i in range(budget):
-                    mask = self.sampler.sample_mask(rng)
-                    mask[self.conditioned] = assignment
-                    world = self.sampler.world_from_mask(mask)
-                    outcome = query.evaluate(world)
-                    check_outcome_width(query, np.size(outcome))
-                    defined = outcome[~np.isnan(outcome)]
-                    stratum_values[i] = defined.mean() if len(defined) else np.nan
+            stratum_values = self._stratum_values(query, assignment, budget, rng)
             defined_values = stratum_values[~np.isnan(stratum_values)]
             if len(defined_values) == 0:
                 continue
             total += weight * float(defined_values.mean())
         return total
 
-    def _batched_stratum_values(
+    def _stratum_values(
         self,
         query: "Query",
         assignment: tuple[bool, ...],
@@ -145,9 +133,9 @@ class StratifiedEstimator:
             self.sampler, query, budget, rng,
             fixed_edges=(self.conditioned, assignment),
         )
-        # Reduce each row exactly like the legacy per-world loop (mean of
-        # the compacted defined entries — not nanmean over the full row,
-        # whose different summation partition can differ in the last ulp).
+        # Each row is the mean of its compacted defined entries — not
+        # nanmean over the full row, whose different summation partition
+        # can differ in the last ulp.
         stratum_values = np.empty(budget, dtype=np.float64)
         for i, outcome in enumerate(outcomes):
             defined = outcome[~np.isnan(outcome)]

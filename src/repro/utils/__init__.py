@@ -2,10 +2,8 @@
 
 Contents
 --------
-- :class:`repro.utils.heap.IndexedMaxHeap` — binary max-heap with
-  update-key (the Dijkstra reference kernel's queue); the module's
-  :class:`~repro.utils.heap.LazyMaxHeap` is EMD's vertex heap (paper
-  section 4.3).
+- :class:`repro.utils.heap.LazyMaxHeap` — EMD's vertex heap (paper
+  section 4.3), with deferred updates over a live priority array.
 - :class:`repro.utils.unionfind.UnionFind` — disjoint sets with union by
   rank and path compression, used by every spanning-forest routine.
 - :func:`repro.utils.binomials.binomial_prefix_sum` — the paper's
@@ -14,12 +12,10 @@ Contents
 """
 
 from repro.utils.binomials import binomial_prefix_sum, cut_rule_coefficients
-from repro.utils.heap import IndexedMaxHeap
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.unionfind import UnionFind
 
 __all__ = [
-    "IndexedMaxHeap",
     "UnionFind",
     "binomial_prefix_sum",
     "cut_rule_coefficients",

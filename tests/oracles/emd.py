@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from oracles.gdb import loop_refine
-from oracles.rules import degree_step_absolute, degree_step_relative
+from oracles.rules import degree_step_absolute, degree_step_relative, endpoints
 from repro.core.discrepancy import SparsificationState
 from repro.core.emd_sparsifier import EMDConfig
 from repro.core.gdb import GDBConfig
@@ -57,7 +57,7 @@ def gain(state: SparsificationState, eid: int, probability: float) -> float:
     Scaling by 2 is exact, so this is exactly twice the production
     E-phase's half-gain and both rank candidates identically.
     """
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     du = float(state.delta[u])
     dv = float(state.delta[v])
     w = probability

@@ -28,9 +28,35 @@ from repro.core.discrepancy import SparsificationState
 from repro.utils.binomials import cut_rule_coefficients
 
 
+def endpoints(state: SparsificationState, eid: int) -> tuple[int, int]:
+    """Dense integer endpoints of edge ``eid``."""
+    u, v = state.edge_vertices[eid]
+    return int(u), int(v)
+
+
+def residual_excluding(state: SparsificationState, eid: int) -> float:
+    """``Delta-hat(e)``: global residual over edges touching neither endpoint.
+
+    This is the term of Eq. (13): ``sum_{(u1,v1): u1 != u0, v1 != v0}
+    (p - phat)``.  Computed as the total residual minus the residual
+    of all edges incident to either endpoint — which equals
+    ``delta[u] + delta[v]`` minus the doubly-counted edge ``e``
+    itself.
+    """
+    u, v = endpoints(state, eid)
+    edge_residual = state.p_original[eid] - state.phat[eid]
+    incident_residual = state.delta[u] + state.delta[v] - edge_residual
+    return state.total_residual - incident_residual
+
+
+def residual_excluding_edge_only(state: SparsificationState, eid: int) -> float:
+    """Global residual over all edges except ``e`` (the k = n rule, Eq. 16)."""
+    return state.total_residual - (state.p_original[eid] - state.phat[eid])
+
+
 def degree_step_absolute(state: SparsificationState, eid: int) -> float:
     """Eq. (8) with absolute discrepancy: the mean endpoint discrepancy."""
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     return 0.5 * (float(state.delta[u]) + float(state.delta[v]))
 
 
@@ -41,7 +67,7 @@ def degree_step_relative(state: SparsificationState, eid: int) -> float:
     (they are incident to at least this edge), so the denominator is
     positive.
     """
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     pi_u = float(state.original_degrees[u])
     pi_v = float(state.original_degrees[v])
     denominator = pi_u + pi_v
@@ -57,13 +83,13 @@ def cut_step(state: SparsificationState, eid: int, k: int) -> float:
 
     where ``Delta-hat(e)`` is the residual probability mass of edges
     touching neither endpoint (see
-    :meth:`SparsificationState.residual_excluding`).
+    :func:`residual_excluding`).
     """
     degree_coeff, global_coeff = cut_rule_coefficients(state.n, k)
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     step = degree_coeff * (float(state.delta[u]) + float(state.delta[v]))
     if global_coeff != 0.0:
-        step += global_coeff * state.residual_excluding(eid)
+        step += global_coeff * residual_excluding(state, eid)
     return step
 
 
@@ -75,7 +101,7 @@ def full_redistribution_step(state: SparsificationState, eid: int) -> float:
     residual) onto the edge; clamping in GDB then saturates edges at 1
     until the residual is absorbed.
     """
-    return state.residual_excluding_edge_only(eid)
+    return residual_excluding_edge_only(state, eid)
 
 
 def make_rule(k: int | str, relative: bool, n: int):

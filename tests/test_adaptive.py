@@ -23,6 +23,30 @@ def test_invalid_parameters(noisy_graph):
         adaptive_estimate(noisy_graph, query, 0.1, min_samples=1)
     with pytest.raises(EstimationError):
         adaptive_estimate(noisy_graph, query, 0.1, min_samples=50, max_samples=10)
+    # Each bad value is refused up front, naming its parameter: batch=0
+    # would otherwise draw nothing forever.
+    for kwargs, name in (
+        (dict(batch=0), "batch"),
+        (dict(batch=-1), "batch"),
+        (dict(batch=1.5), "batch"),
+        (dict(batch=True), "batch"),
+        (dict(min_samples=2.5), "min_samples"),
+        (dict(max_samples=10.5), "max_samples"),
+        (dict(target_width=float("nan")), "target_width"),
+        (dict(target_width=float("inf")), "target_width"),
+        (dict(target_width=-0.1), "target_width"),
+        (dict(target_width=True), "target_width"),
+        (dict(target_width="0.1"), "target_width"),
+    ):
+        arguments = dict(target_width=0.1, rng=0) | kwargs
+        with pytest.raises(EstimationError, match=name):
+            adaptive_estimate(noisy_graph, query, **arguments)
+    # An unreachable width with the smallest batch still stops at the cap.
+    triangle = UncertainGraph([(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    result = adaptive_estimate(
+        triangle, DegreeQuery(3), 1e-9, rng=0, max_samples=40, batch=1
+    )
+    assert not result.converged and result.samples_used == 40
 
 
 def test_deterministic_graph_converges_immediately():

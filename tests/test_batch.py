@@ -1,10 +1,11 @@
-"""Batched world-ensemble engine: seeded equivalence with the legacy path.
+"""World-ensemble engine: seeded equivalence with the per-world oracle.
 
 The batch kernels promise *bit-identical* results to evaluating each
-world through the per-world protocol.  These tests hold every built-in
-query to that contract on random graphs, and check that the estimator
-layers (Monte-Carlo, adaptive, stratified) are invariant to batching
-and chunk size under a fixed seed.
+world on its own through the per-world protocol of ``tests/oracles/``.
+These tests hold every built-in query to that contract on random
+graphs, and check that the estimator layers (Monte-Carlo, adaptive,
+stratified) return what their world-at-a-time loops return, for any
+chunk size, under a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import estimators as per_world
+from oracles.queries import evaluate, world_pagerank
+from oracles.worlds import batch_worlds, sample_mask
 from repro.core import UncertainGraph
 from repro.datasets import erdos_renyi_uncertain, forest_fire_like_arrays
 from repro.exceptions import EstimationError
@@ -31,7 +35,6 @@ from repro.queries import (
     batch_pagerank,
     evaluate_query_batch,
     sample_vertex_pairs,
-    world_pagerank,
 )
 from repro.sampling import (
     BatchTopology,
@@ -41,6 +44,7 @@ from repro.sampling import (
     WorldSampler,
     adaptive_estimate,
     auto_chunk_size,
+    evaluate_chunks,
 )
 from repro.sampling.batch import (
     BATCH_BYTES_ENV,
@@ -72,7 +76,7 @@ def assert_batch_matches_legacy(graph: UncertainGraph, masks: np.ndarray) -> Non
     batch = sampler.batch_from_masks(masks)
     for query in all_queries(graph):
         batched = evaluate_query_batch(query, batch)
-        legacy = np.stack([query.evaluate(w) for w in batch.iter_worlds()])
+        legacy = np.stack([evaluate(query, w) for w in batch_worlds(batch)])
         assert batched.shape == (batch.n_worlds, query.unit_count())
         assert np.array_equal(batched, legacy, equal_nan=True), (
             f"{type(query).__name__} batched != per-world"
@@ -120,7 +124,7 @@ class TestKernelEquivalence:
     def test_structural_kernels_match_world(self, small_power_law):
         sampler = WorldSampler(small_power_law)
         batch = sampler.sample_batch(8, rng=3)
-        worlds = list(batch.iter_worlds())
+        worlds = list(batch_worlds(batch))
         assert np.array_equal(
             batch.degrees(), np.stack([w.degrees() for w in worlds])
         )
@@ -143,6 +147,9 @@ class TestKernelEquivalence:
         )
 
     def test_fallback_adapter_for_plain_queries(self, triangle):
+        """A query without ``evaluate_batch`` is rejected by name, before
+        any world is drawn."""
+
         class EdgeCountQuery:
             name = "M"
 
@@ -152,10 +159,24 @@ class TestKernelEquivalence:
             def evaluate(self, world):
                 return np.array([float(world.number_of_edges())])
 
+        query = EdgeCountQuery()
+        message = "EdgeCountQuery has no evaluate_batch"
         sampler = WorldSampler(triangle)
-        batch = sampler.sample_batch(10, rng=5)
-        outcomes = evaluate_query_batch(EdgeCountQuery(), batch)
-        assert np.array_equal(outcomes[:, 0], batch.edge_counts())
+        with pytest.raises(EstimationError, match=message):
+            evaluate_query_batch(query, sampler.sample_batch(10, rng=5))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for n_samples in (0, 10):
+            with pytest.raises(EstimationError, match=message):
+                evaluate_chunks(sampler, query, n_samples, rng=rng)
+        assert rng.bit_generator.state == state
+        for run in (
+            lambda: MonteCarloEstimator(triangle, n_samples=4).run(query, rng=0),
+            lambda: adaptive_estimate(triangle, query, target_width=0.1, rng=0),
+            lambda: StratifiedEstimator(triangle, n_samples=8, r=2).run(query, rng=0),
+        ):
+            with pytest.raises(EstimationError, match=message):
+                run()
 
 
 def smallest_vertex_labels(world) -> np.ndarray:
@@ -173,7 +194,7 @@ def assert_labels_match_worlds(batch: WorldBatch) -> None:
     labels = batch.component_labels()
     assert labels.dtype == np.int32
     assert labels.shape == (batch.n_worlds, batch.n)
-    for i, world in enumerate(batch.iter_worlds()):
+    for i, world in enumerate(batch_worlds(batch)):
         assert np.array_equal(labels[i], smallest_vertex_labels(world)), (
             f"world {i}"
         )
@@ -317,7 +338,7 @@ class TestTriangleTable:
 def assert_pagerank_matches_worlds(batch: WorldBatch, **kwargs) -> None:
     """``batch_pagerank`` byte for byte against stacked ``world_pagerank``."""
     got = batch_pagerank(batch, **kwargs)
-    want = np.stack([world_pagerank(w, **kwargs) for w in batch.iter_worlds()])
+    want = np.stack([world_pagerank(w, **kwargs) for w in batch_worlds(batch)])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -388,7 +409,7 @@ class TestPageRankKernel:
     def test_worlds_freezing_at_different_iterations(self, tol, max_iterations):
         batch = density_sweep_batch()
         kwargs = dict(tol=tol, max_iterations=max_iterations)
-        runs = np.array([iterations_run(w, **kwargs) for w in batch.iter_worlds()])
+        runs = np.array([iterations_run(w, **kwargs) for w in batch_worlds(batch)])
         worlds = len(runs)
         # A partly frozen block: the first worlds to stop are fewer than half.
         first = runs == runs.min()
@@ -431,7 +452,7 @@ class TestSampling:
         matrix = sampler.sample_mask_matrix(9, rng=123)
         sequential_rng = np.random.default_rng(123)
         sequential = np.stack(
-            [sampler.sample_mask(sequential_rng) for _ in range(9)]
+            [sample_mask(sampler, sequential_rng) for _ in range(9)]
         )
         assert np.array_equal(matrix, sequential)
 
@@ -457,9 +478,9 @@ class TestEstimatorEquivalence:
             ShortestPathQuery(pairs),
             PageRankQuery(small_power_law.number_of_vertices()),
         ):
-            legacy = MonteCarloEstimator(
-                small_power_law, n_samples=30, batched=False
-            ).run(query, rng=9).outcomes
+            legacy = per_world.monte_carlo_outcomes(
+                MonteCarloEstimator(small_power_law, n_samples=30), query, rng=9
+            )
             one_batch = MonteCarloEstimator(
                 small_power_law, n_samples=30, batch_size=30
             ).run(query, rng=9).outcomes
@@ -479,28 +500,40 @@ class TestEstimatorEquivalence:
             def evaluate(self, world):
                 return np.array([float(world.number_of_edges())])
 
+            def evaluate_batch(self, batch):
+                return batch.edge_counts().astype(np.float64)[:, None]
+
         assert small_power_law.number_of_vertices() == 60
         for query in (
             PageRankQuery(10), ClusteringCoefficientQuery(10), DegreeQuery(10),
             TwoCountsQuery(),
         ):
             message = rf"{type(query).__name__} .* unit_count\(\) is {query.unit_count()}"
-            for batched in (True, False):
-                runs = (
-                    lambda: MonteCarloEstimator(
-                        small_power_law, n_samples=4, batched=batched
-                    ).run(query, rng=0),
-                    lambda: adaptive_estimate(
-                        small_power_law, query, target_width=0.1, rng=0,
-                        batched=batched,
-                    ),
-                    lambda: StratifiedEstimator(
-                        small_power_law, n_samples=8, r=2
-                    ).run(query, rng=0, batched=batched),
-                )
-                for run in runs:
-                    with pytest.raises(EstimationError, match=message):
-                        run()
+            # The production estimators, then their per-world oracles.
+            runs = (
+                lambda: MonteCarloEstimator(
+                    small_power_law, n_samples=4
+                ).run(query, rng=0),
+                lambda: adaptive_estimate(
+                    small_power_law, query, target_width=0.1, rng=0
+                ),
+                lambda: StratifiedEstimator(
+                    small_power_law, n_samples=8, r=2
+                ).run(query, rng=0),
+                lambda: per_world.monte_carlo_outcomes(
+                    MonteCarloEstimator(small_power_law, n_samples=4), query, rng=0
+                ),
+                lambda: per_world.adaptive_estimate(
+                    small_power_law, query, target_width=0.1, rng=0
+                ),
+                lambda: per_world.stratified_run(
+                    StratifiedEstimator(small_power_law, n_samples=8, r=2),
+                    query, rng=0,
+                ),
+            )
+            for run in runs:
+                with pytest.raises(EstimationError, match=message):
+                    run()
 
     def test_invalid_batch_size(self, triangle):
         for batch_size in (0, 2.5, True, "4"):
@@ -519,16 +552,16 @@ class TestEstimatorEquivalence:
         batched = adaptive_estimate(
             small_power_law, query, target_width=0.1, rng=11
         )
-        legacy = adaptive_estimate(
-            small_power_law, query, target_width=0.1, rng=11, batched=False
+        legacy = per_world.adaptive_estimate(
+            small_power_law, query, target_width=0.1, rng=11
         )
         assert batched == legacy
 
     def test_stratified_equivalence(self, small_power_law):
         query = ReliabilityQuery(sample_vertex_pairs(small_power_law, 5, rng=2))
         estimator = StratifiedEstimator(small_power_law, n_samples=48, r=3)
-        assert estimator.run(query, rng=13) == estimator.run(
-            query, rng=13, batched=False
+        assert estimator.run(query, rng=13) == per_world.stratified_run(
+            estimator, query, rng=13
         )
 
 
@@ -561,44 +594,31 @@ class TestConfidenceWidth:
 
 
 class TestChunkAutosizing:
-    """The kernel-aware footprint model and the byte-budget resolution."""
+    """The packed-kernel footprint model and the byte-budget resolution."""
 
-    M, N = 10_000, 1_000  # packed/world = 72 kB, boolean/world = 352 kB
+    M, N = 10_000, 1_000  # 72 kB per world
 
     def test_kernel_world_bytes_model(self):
-        assert kernel_world_bytes(self.M, self.N, kernel="packed") == 72_000
-        assert kernel_world_bytes(self.M, self.N, kernel="boolean") == 352_000
-        # The default kernel is packed: the historical boolean model
-        # overestimated it ~5x at this shape (8x asymptotically in m).
+        # 4 bytes per undirected edge plus 32 per vertex.
         assert kernel_world_bytes(self.M, self.N) == 72_000
         assert kernel_world_bytes(0, 0) > 0
-        with pytest.raises(ValueError):
-            kernel_world_bytes(self.M, self.N, kernel="not-a-kernel")
 
     def test_pinned_chunk_sizes_per_kernel(self):
-        budget = 1_000_000
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
-                               kernel="packed") == 13
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
-                               kernel="boolean") == 2
-        # Same budget, default kernel == packed.
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget) == 13
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000) == 13
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(BATCH_BYTES_ENV, "352000")
-        assert auto_chunk_size(100, self.M, self.N, kernel="boolean") == 1
-        assert auto_chunk_size(100, self.M, self.N, kernel="packed") == 4
+        assert auto_chunk_size(100, self.M, self.N) == 4
         # An explicit budget always beats the environment.
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000,
-                               kernel="packed") == 13
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000) == 13
 
     def test_default_budget(self, monkeypatch):
         monkeypatch.delenv(BATCH_BYTES_ENV, raising=False)
-        assert auto_chunk_size(10**9, self.M, self.N, kernel="packed") == \
+        assert auto_chunk_size(10**9, self.M, self.N) == \
             DEFAULT_BATCH_BYTES // 72_000
         # An empty value reads as unset.
         monkeypatch.setenv(BATCH_BYTES_ENV, "")
-        assert auto_chunk_size(10**9, self.M, self.N, kernel="packed") == \
+        assert auto_chunk_size(10**9, self.M, self.N) == \
             DEFAULT_BATCH_BYTES // 72_000
 
     def test_floors_and_caps(self):

@@ -200,6 +200,12 @@ class TestEstimate:
         output = capsys.readouterr().out
         assert "scalar estimate:" in output
         assert "CI width" in output
+        assert "evaluation:" not in output
+
+    def test_no_batch_flag_removed(self, graph_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", str(graph_file), "--samples", "10", "--no-batch"])
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_reliability_on_deterministic_path(self, tmp_path, capsys):
         path = tmp_path / "p.txt"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.rules import endpoints, residual_excluding, residual_excluding_edge_only
 from repro.core import (
     SparsificationState,
     UncertainGraph,
@@ -132,7 +133,7 @@ class TestSparsificationState:
     def test_select_with_custom_probability(self, triangle):
         state = SparsificationState(triangle)
         state.select_edge(0, probability=0.1)
-        u, v = state.endpoints(0)
+        u, v = endpoints(state, 0)
         assert state.delta[u] == pytest.approx(state.original_degrees[u] - 0.1)
         state.verify()
 
@@ -157,7 +158,7 @@ class TestSparsificationState:
     def test_set_probability_updates_delta(self, triangle):
         state = SparsificationState(triangle)
         state.select_edge(0)
-        u, v = state.endpoints(0)
+        u, v = endpoints(state, 0)
         before_u = state.delta[u]
         old_p = state.phat[0]
         state.set_probability(0, 1.0)
@@ -176,20 +177,20 @@ class TestSparsificationState:
         for eid in chosen:
             state.select_edge(int(eid), probability=float(rng.uniform(0.1, 1.0)))
         for eid in [0, int(chosen[0]), state.m - 1]:
-            u, v = state.endpoints(eid)
+            u, v = endpoints(state, eid)
             brute = 0.0
             for other in range(state.m):
-                ou, ov = state.endpoints(other)
+                ou, ov = endpoints(state, other)
                 if ou in (u, v) or ov in (u, v):
                     continue
                 brute += state.p_original[other] - state.phat[other]
-            assert state.residual_excluding(eid) == pytest.approx(brute)
+            assert residual_excluding(state, eid) == pytest.approx(brute)
 
     def test_residual_excluding_edge_only(self, triangle):
         state = SparsificationState(triangle)
         state.select_edge(0, probability=0.2)
         expected = state.total_residual - (state.p_original[0] - 0.2)
-        assert state.residual_excluding_edge_only(0) == pytest.approx(expected)
+        assert residual_excluding_edge_only(state, 0) == pytest.approx(expected)
 
     def test_d1_matches_function(self, small_power_law):
         state = SparsificationState(small_power_law)
@@ -244,7 +245,7 @@ class TestCSRIncidence:
         state = SparsificationState(small_power_law)
         brute: dict[int, list[int]] = {v: [] for v in range(state.n)}
         for eid in range(state.m):
-            u, v = state.endpoints(eid)
+            u, v = endpoints(state, eid)
             brute[u].append(eid)
             brute[v].append(eid)
         for vertex in range(state.n):

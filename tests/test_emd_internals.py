@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles.emd import best_probability, gain
+from oracles.rules import endpoints
 from repro.core import SparsificationState, UncertainGraph
 
 
@@ -18,7 +19,7 @@ def state():
 def test_gain_formula_by_hand(state):
     """g = du^2 - (du - w)^2 + dv^2 - (dv - w)^2 at the current deltas."""
     eid = 0
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     du, dv = float(state.delta[u]), float(state.delta[v])
     w = 0.3
     expected = du**2 - (du - w) ** 2 + dv**2 - (dv - w) ** 2
@@ -38,7 +39,7 @@ def test_gain_positive_when_demand_exists(state):
 def test_gain_negative_when_oversatisfied(state):
     # Saturate vertex 0's edges, making its delta negative.
     for eid in range(state.m):
-        u, v = state.endpoints(eid)
+        u, v = endpoints(state, eid)
         if 0 in (u, v):
             state.select_edge(eid, probability=1.0)
     remaining = [e for e in range(state.m) if not state.selected[e]]
@@ -61,7 +62,7 @@ def test_best_probability_zero_when_no_demand(state):
         state.select_edge(eid, probability=1.0)
     eid = 0
     state.deselect_edge(eid)
-    u, v = state.endpoints(eid)
+    u, v = endpoints(state, eid)
     # Both endpoints now carry more probability than their targets
     # (edges saturated at 1 vs original p <= 0.4), so delta < 0 and the
     # optimal insertion probability is 0.

@@ -1,11 +1,13 @@
-"""Max-heaps: eager indexed and lazy deferred-update variants."""
+"""Max-heaps: the eager indexed oracle (Dijkstra's queue) and EMD's lazy
+deferred-update heap."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.heap import IndexedMaxHeap, LazyMaxHeap
+from oracles.heap import IndexedMaxHeap
+from repro.utils.heap import LazyMaxHeap
 
 
 def test_empty_heap_is_falsy():

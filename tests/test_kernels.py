@@ -3,14 +3,14 @@
 Three contracts, all seeded:
 
 - the bit-packed BFS kernel must return **bit-identical** distance
-  matrices to the boolean-frontier kernel — on every topology fixture,
-  with and without the ``targets`` early exit, and for every built-in
-  query class end to end;
+  matrices to the boolean-frontier oracle (``oracles.kernels``) — on
+  every topology fixture, with and without the ``targets`` early exit,
+  and for every built-in query class end to end;
 - a call with ``targets`` returns exactly the ``(N, len(targets))``
   target columns of the untargeted matrix, in the order given, on both
   BFS kernels and the weighted kernel;
 - the batched delta-stepping kernel must match the per-world
-  binary-heap Dijkstra reference within float tolerance, including
+  binary-heap Dijkstra oracle within float tolerance, including
   unreachable targets and ``w = inf`` (zero-probability) edges, and be
   invariant to the estimator's chunk size.
 """
@@ -24,6 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import estimators as per_world
+from oracles.kernels import BooleanBFSBatch
+from oracles.worlds import World, batch_worlds, sample
 from repro.core import UncertainGraph
 from repro.datasets import erdos_renyi_uncertain, flickr_like
 from repro.queries import (
@@ -39,8 +42,6 @@ from repro.queries import (
     sample_vertex_pairs,
 )
 from repro.sampling import (
-    BFS_KERNELS,
-    DEFAULT_BFS_KERNEL,
     MonteCarloEstimator,
     WorldBatch,
     WorldSampler,
@@ -70,16 +71,20 @@ def target_lists(n: int, source: int) -> list[list[int]]:
     return [[n - 1, source, n // 2, n - 1], [source], [n // 2, 0], []]
 
 
+#: The production batch (packed BFS) and the boolean-frontier oracle.
+BFS_BATCHES = {"boolean": BooleanBFSBatch, "packed": WorldBatch}
+
+
 def kernel_batches(graph: UncertainGraph, n_worlds: int, seed: int):
     """The same seeded mask matrix wrapped once per BFS kernel."""
     sampler = WorldSampler(graph)
     masks = sampler.sample_mask_matrix(n_worlds, rng=seed)
     return {
-        name: WorldBatch(
+        name: batch_class(
             sampler.n, sampler.edge_vertices, masks,
-            edge_weights=sampler.edge_weights, bfs_kernel=name,
+            edge_weights=sampler.edge_weights,
         )
-        for name in BFS_KERNELS
+        for name, batch_class in BFS_BATCHES.items()
     }
 
 
@@ -181,25 +186,6 @@ class TestPackedBFS:
                 results["boolean"], results["packed"], equal_nan=True
             ), type(query).__name__
 
-    def test_default_kernel_is_packed(self, triangle):
-        assert DEFAULT_BFS_KERNEL == "packed"
-        batch = WorldSampler(triangle).sample_batch(5, rng=0)
-        assert batch.bfs_kernel is None  # falls through to the default
-        assert np.array_equal(
-            batch.bfs_distances(0), batch.bfs_distances(0, kernel="boolean")
-        )
-
-    def test_unknown_kernel_rejected(self, triangle):
-        sampler = WorldSampler(triangle)
-        batch = sampler.sample_batch(3, rng=0)
-        with pytest.raises(ValueError):
-            batch.bfs_distances(0, kernel="quantum")
-        with pytest.raises(ValueError):
-            WorldBatch(
-                sampler.n, sampler.edge_vertices, batch.masks,
-                bfs_kernel="quantum",
-            )
-
 
 class TestTargetedColumns:
     """A targeted call returns the untargeted matrix's target columns."""
@@ -249,22 +235,22 @@ class TestVertexIds:
         n = small_power_law.number_of_vertices()
         vertex = {"-1": -1, "n": n, "True": True, "1.5": 1.5}[bad]
         sampler = WorldSampler(small_power_law)
-        world = sampler.sample(rng=0)
+        world = sample(sampler, rng=0)
         batch = sampler.sample_batch(5, rng=0)
         calls = {
             "World.bfs_distances": lambda: world.bfs_distances(vertex),
             "World.weighted_distances": lambda: world.weighted_distances(vertex),
             "World.reachable_from": lambda: world.reachable_from(vertex),
         }
-        for kernel in BFS_KERNELS:
-            calls[f"{kernel} source"] = lambda k=kernel: batch.bfs_distances(
-                vertex, kernel=k
+        for kernel, kernel_batch in kernel_batches(small_power_law, 5, 0).items():
+            calls[f"{kernel} source"] = lambda b=kernel_batch: b.bfs_distances(
+                vertex
             )
-            calls[f"{kernel} target"] = lambda k=kernel: batch.bfs_distances(
-                0, targets=[1, vertex], kernel=k
+            calls[f"{kernel} target"] = lambda b=kernel_batch: b.bfs_distances(
+                0, targets=[1, vertex]
             )
-            calls[f"{kernel} target array"] = lambda k=kernel: batch.bfs_distances(
-                0, targets=np.array([vertex]), kernel=k
+            calls[f"{kernel} target array"] = lambda b=kernel_batch: b.bfs_distances(
+                0, targets=np.array([vertex])
             )
         calls["WorldBatch.weighted_distances source"] = (
             lambda: batch.weighted_distances(vertex)
@@ -277,17 +263,21 @@ class TestVertexIds:
                 call()
                 pytest.fail(f"{name} accepted vertex {vertex!r}")
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_pair_beyond_last_vertex_rejected(self, batched, small_power_law):
+    @pytest.mark.parametrize("production", [True, False])
+    def test_pair_beyond_last_vertex_rejected(self, production, small_power_law):
+        """The estimator and its per-world oracle both name the pair."""
         n = small_power_law.number_of_vertices()
-        estimator = MonteCarloEstimator(small_power_law, n_samples=4, batched=batched)
+        estimator = MonteCarloEstimator(small_power_law, n_samples=4)
         for query, pair in (
             (ShortestPathQuery([(0, 1), (0, n)]), (0, n)),
             (ShortestPathQuery([(n, 0)], weighted=True), (n, 0)),
             (ReliabilityQuery([(0, n)]), (0, n)),
         ):
             with pytest.raises(ValueError, match=re.escape(f"{pair!r}") + f".*n={n}"):
-                estimator.run(query, rng=0)
+                if production:
+                    estimator.run(query, rng=0)
+                else:
+                    per_world.monte_carlo_outcomes(estimator, query, rng=0)
 
 
 class TestWeightTransform:
@@ -307,7 +297,7 @@ class TestWeightTransform:
         assert np.array_equal(sampler.edge_weights, expected)
         batch = sampler.sample_batch(4, rng=1)
         assert np.array_equal(batch.edge_weights, expected)
-        world = sampler.sample(rng=1)
+        world = sample(sampler, rng=1)
         assert world.edge_weights is not None
         assert np.isfinite(world.weighted_distances(0)[0])
 
@@ -320,7 +310,7 @@ class TestWeightTransform:
 class TestDeltaStepping:
     def dijkstra_reference(self, batch, source):
         return np.stack(
-            [world.weighted_distances(source) for world in batch.iter_worlds()]
+            [world.weighted_distances(source) for world in batch_worlds(batch)]
         )
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
@@ -359,8 +349,6 @@ class TestDeltaStepping:
         weights[1] = np.inf  # cut the middle edge 1-2 weight-wise
         batched = batch.weighted_distances(0, weights=weights)
         assert np.isinf(batched[:, 2]).all() and np.isinf(batched[:, 3]).all()
-        from repro.sampling import World
-
         reference = np.stack([
             World(
                 sampler.n, sampler.edge_vertices, mask, edge_weights=weights
@@ -431,9 +419,9 @@ class TestWeightedQueries:
             ShortestPathQuery(pairs, weighted=True),
             SourceDistanceQuery(0, n, weighted=True),
         ):
-            legacy = MonteCarloEstimator(
-                small_power_law, n_samples=24, batched=False
-            ).run(query, rng=9).outcomes
+            legacy = per_world.monte_carlo_outcomes(
+                MonteCarloEstimator(small_power_law, n_samples=24), query, rng=9
+            )
             batched = MonteCarloEstimator(
                 small_power_law, n_samples=24, batch_size=7
             ).run(query, rng=9).outcomes

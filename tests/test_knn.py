@@ -13,20 +13,22 @@ from repro.queries import (
 from repro.sampling import MonteCarloEstimator, WorldSampler
 
 
-def full_world(graph):
+def full_outcome(query, graph):
+    """The query's outcome vector in the world holding every edge."""
     sampler = WorldSampler(graph)
-    return sampler.world_from_mask(np.ones(sampler.m, dtype=bool))
+    batch = sampler.batch_from_masks(np.ones((1, sampler.m), dtype=bool))
+    return query.evaluate_batch(batch)[0]
 
 
 class TestSourceDistanceQuery:
     def test_deterministic_path(self, path4):
         query = SourceDistanceQuery(0, 4)
-        out = query.evaluate(full_world(path4))
+        out = full_outcome(query, path4)
         assert list(out) == [0.0, 1.0, 2.0, 3.0]
 
     def test_unreachable_is_inf(self):
         g = UncertainGraph([(0, 1, 1.0), (2, 3, 1.0)])
-        out = SourceDistanceQuery(0, 4).evaluate(full_world(g))
+        out = full_outcome(SourceDistanceQuery(0, 4), g)
         assert out[2] == np.inf and out[3] == np.inf
 
     def test_unit_count(self):
@@ -34,14 +36,14 @@ class TestSourceDistanceQuery:
 
     def test_weighted_distances_are_minus_log_path_probability(self, path4):
         query = SourceDistanceQuery(0, 4, weighted=True)
-        out = query.evaluate(full_world(path4))
+        out = full_outcome(query, path4)
         # path4 probabilities: 0.9, 0.8, 0.7 along the line
         expected = [0.0, -np.log(0.9), -np.log(0.9 * 0.8), -np.log(0.9 * 0.8 * 0.7)]
         assert np.allclose(out, expected)
 
     def test_weighted_unreachable_is_inf(self):
         g = UncertainGraph([(0, 1, 1.0), (2, 3, 1.0)])
-        out = SourceDistanceQuery(0, 4, weighted=True).evaluate(full_world(g))
+        out = full_outcome(SourceDistanceQuery(0, 4, weighted=True), g)
         assert out[2] == np.inf and out[3] == np.inf
 
 
@@ -91,18 +93,18 @@ class TestAggregates:
 class TestKNN:
     def test_deterministic_line(self, path4):
         query = SourceDistanceQuery(0, 4)
-        outcomes = np.vstack([query.evaluate(full_world(path4))] * 5)
+        outcomes = np.vstack([full_outcome(query, path4)] * 5)
         assert k_nearest_neighbors(outcomes, source=0, k=2) == [1, 2]
 
     def test_excludes_source(self, path4):
         query = SourceDistanceQuery(0, 4)
-        outcomes = np.vstack([query.evaluate(full_world(path4))] * 3)
+        outcomes = np.vstack([full_outcome(query, path4)] * 3)
         assert 0 not in k_nearest_neighbors(outcomes, source=0, k=4)
 
     def test_unreachable_never_returned(self):
         g = UncertainGraph([(0, 1, 1.0), (2, 3, 1.0)])
         query = SourceDistanceQuery(0, 4)
-        outcomes = np.vstack([query.evaluate(full_world(g))] * 3)
+        outcomes = np.vstack([full_outcome(query, g)] * 3)
         assert k_nearest_neighbors(outcomes, source=0, k=3) == [1]
 
     def test_invalid_aggregate(self):

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,45 @@ def test_public_callables_documented(module_name):
         obj = getattr(module, name)
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__doc__, f"{module_name}.{name} missing docstring"
+
+
+#: Parameters that only chose between equivalent Monte-Carlo engines.
+REMOVED_ENGINE_PARAMETERS = {"batched", "bfs_kernel", "kernel"}
+
+
+def _signatures(obj):
+    """``(label, signature)`` of a public function, or of a class's
+    constructor and public methods."""
+    if inspect.isfunction(obj):
+        yield obj.__qualname__, inspect.signature(obj)
+        return
+    for name, member in vars(obj).items():
+        if inspect.isfunction(member) and (name == "__init__" or not name.startswith("_")):
+            yield f"{obj.__qualname__}.{name}", inspect.signature(member)
+
+
+@pytest.mark.parametrize("module_name", SUBPACKAGES)
+def test_no_engine_selection_parameters(module_name):
+    """One Monte-Carlo engine: no exported callable picks another."""
+    module = importlib.import_module(module_name)
+    for name in getattr(module, "__all__", []):
+        obj = getattr(module, name)
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        for label, signature in _signatures(obj):
+            taken = REMOVED_ENGINE_PARAMETERS & set(signature.parameters)
+            assert not taken, f"{module_name}.{label} takes {sorted(taken)}"
+
+
+def test_library_never_imports_test_oracles():
+    package = Path(repro.__file__).parent
+    pattern = re.compile(r"^\s*(from|import)\s+oracles\b", re.MULTILINE)
+    offenders = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders
 
 
 def test_exceptions_hierarchy():

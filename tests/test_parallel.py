@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import estimators as per_world
 from repro.core import UncertainGraph
 from repro.datasets import flickr_like
 from repro.exceptions import EstimationError
@@ -64,19 +65,18 @@ class TestSeededDeterminism:
             )
 
     def test_executor_matches_pr1_batched_estimator(self, graph):
-        """The chunk loop is the estimator's batched run, and both equal
-        the legacy per-world loop."""
+        """The chunk loop is the estimator's run, and both equal the
+        per-world loop."""
         query = ReliabilityQuery(sample_vertex_pairs(graph, 6, rng=4))
         chunked = evaluate_chunks(
             WorldSampler(graph), query, N_SAMPLES, rng=9, chunk_size=CHUNK
         )
         estimator = MonteCarloEstimator(
             graph, n_samples=N_SAMPLES, batch_size=CHUNK
-        ).run(query, rng=9).outcomes
-        legacy = MonteCarloEstimator(
-            graph, n_samples=N_SAMPLES, batched=False
-        ).run(query, rng=9).outcomes
-        assert np.array_equal(chunked, estimator)
+        )
+        run = estimator.run(query, rng=9).outcomes
+        legacy = per_world.monte_carlo_outcomes(estimator, query, rng=9)
+        assert np.array_equal(chunked, run)
         assert np.array_equal(chunked, legacy)
 
 
@@ -96,7 +96,7 @@ class TestEstimatorLayers:
         estimator = StratifiedEstimator(graph, n_samples=48, r=3)
         default = estimator.run(query, rng=13)
         repeat = estimator.run(query, rng=13)
-        legacy = estimator.run(query, rng=13, batched=False)
+        legacy = per_world.stratified_run(estimator, query, rng=13)
         monkeypatch.setenv(BATCH_BYTES_ENV, "1")
         single = estimator.run(query, rng=13)
         assert default == repeat == legacy == single
@@ -107,8 +107,8 @@ class TestEstimatorLayers:
             graph, query, runs=4, n_samples=12, rng=5, batch_size=CHUNK
         )
         auto = repeated_estimates(graph, query, runs=4, n_samples=12, rng=5)
-        legacy = repeated_estimates(
-            graph, query, runs=4, n_samples=12, rng=5, batched=False
+        legacy = per_world.repeated_estimates(
+            graph, query, runs=4, n_samples=12, rng=5
         )
         assert np.array_equal(chunked, auto)
         assert np.array_equal(chunked, legacy)

@@ -10,8 +10,11 @@ from oracles.rules import (
     degree_step_absolute_array,
     degree_step_relative,
     degree_step_relative_array,
+    endpoints,
     full_redistribution_step,
     make_rule,
+    residual_excluding,
+    residual_excluding_edge_only,
 )
 from repro.core import SparsificationState, UncertainGraph
 
@@ -26,14 +29,14 @@ def seeded_state(small_power_law):
 
 def test_absolute_step_is_mean_of_endpoint_deltas(seeded_state):
     for eid in (0, 2, 4):
-        u, v = seeded_state.endpoints(eid)
+        u, v = endpoints(seeded_state, eid)
         expected = 0.5 * (seeded_state.delta[u] + seeded_state.delta[v])
         assert degree_step_absolute(seeded_state, eid) == pytest.approx(expected)
 
 
 def test_relative_step_weights_by_original_degree(seeded_state):
     for eid in (0, 2):
-        u, v = seeded_state.endpoints(eid)
+        u, v = endpoints(seeded_state, eid)
         pi_u = seeded_state.original_degrees[u]
         pi_v = seeded_state.original_degrees[v]
         expected = (
@@ -52,10 +55,10 @@ def test_cut_step_k1_equals_absolute_step(seeded_state):
 def test_cut_step_k2_matches_equation_15(seeded_state):
     n = seeded_state.n
     for eid in (0, 2):
-        u, v = seeded_state.endpoints(eid)
+        u, v = endpoints(seeded_state, eid)
         expected = (
             (n - 2) * (seeded_state.delta[u] + seeded_state.delta[v])
-            + 4 * seeded_state.residual_excluding(eid)
+            + 4 * residual_excluding(seeded_state, eid)
         ) / (2 * n - 2)
         assert cut_step(seeded_state, eid, 2) == pytest.approx(expected)
 
@@ -63,7 +66,7 @@ def test_cut_step_k2_matches_equation_15(seeded_state):
 def test_full_step_is_remaining_residual(seeded_state):
     for eid in (0, 1):
         assert full_redistribution_step(seeded_state, eid) == pytest.approx(
-            seeded_state.residual_excluding_edge_only(eid)
+            residual_excluding_edge_only(seeded_state, eid)
         )
 
 
@@ -116,7 +119,7 @@ def test_optimal_step_zeroes_endpoint_gradient():
     state.select_edge(0, probability=0.3)
     step = degree_step_absolute(state, 0)
     state.set_probability(0, np.clip(0.3 + step, 0, 1))
-    u, v = state.endpoints(0)
+    u, v = endpoints(state, 0)
     if 0 <= 0.3 + step <= 1:  # unclamped case: gradient must vanish
         assert state.delta[u] + state.delta[v] == pytest.approx(0.0, abs=1e-12)
 

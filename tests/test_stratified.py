@@ -19,15 +19,19 @@ def diamond():
 
 
 def test_invalid_r(triangle):
-    with pytest.raises(EstimationError):
-        StratifiedEstimator(triangle, n_samples=100, r=-1)
-    with pytest.raises(EstimationError):
-        StratifiedEstimator(triangle, n_samples=100, r=13)
+    for r in (-1, 13, True, 1.5, "2"):
+        with pytest.raises(EstimationError, match="r must"):
+            StratifiedEstimator(triangle, n_samples=100, r=r)
+    StratifiedEstimator(triangle, n_samples=100, r=np.int64(2))
 
 
 def test_budget_must_cover_strata(triangle):
     with pytest.raises(EstimationError):
         StratifiedEstimator(triangle, n_samples=3, r=2)
+    for n_samples in (100.5, True, 0):
+        with pytest.raises(EstimationError, match="n_samples"):
+            StratifiedEstimator(triangle, n_samples=n_samples, r=2)
+    StratifiedEstimator(triangle, n_samples=np.int64(100), r=2)
 
 
 def test_conditions_highest_entropy_edges(diamond):

@@ -1,18 +1,20 @@
-"""Possible worlds: CSR construction, BFS, connectivity, clustering."""
+"""Possible worlds: mask sampling, and the one-world oracle (CSR
+construction, BFS, connectivity, clustering) against networkx."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.worlds import log_world_probability, sample_many, world_from_mask
 from repro.core import UncertainGraph
 from repro.datasets import flickr_like
-from repro.sampling import World, WorldSampler
+from repro.sampling import WorldSampler
 
 
 def full_world(graph):
     sampler = WorldSampler(graph)
-    return sampler.world_from_mask(np.ones(sampler.m, dtype=bool))
+    return world_from_mask(sampler, np.ones(sampler.m, dtype=bool))
 
 
 class TestWorldStructure:
@@ -22,7 +24,7 @@ class TestWorldStructure:
 
     def test_empty_world(self, triangle):
         sampler = WorldSampler(triangle)
-        world = sampler.world_from_mask(np.zeros(3, dtype=bool))
+        world = world_from_mask(sampler, np.zeros(3, dtype=bool))
         assert world.number_of_edges() == 0
         assert np.all(world.degrees() == 0)
 
@@ -40,7 +42,7 @@ class TestWorldStructure:
     def test_mask_shape_validated(self, triangle):
         sampler = WorldSampler(triangle)
         with pytest.raises(ValueError):
-            sampler.world_from_mask(np.ones(5, dtype=bool))
+            world_from_mask(sampler, np.ones(5, dtype=bool))
 
 
 class TestTraversal:
@@ -86,7 +88,7 @@ class TestTraversal:
     def test_single_vertex_world_connected(self):
         g = UncertainGraph(vertices=[0])
         sampler = WorldSampler(g)
-        assert sampler.world_from_mask(np.zeros(0, dtype=bool)).is_connected()
+        assert world_from_mask(sampler, np.zeros(0, dtype=bool)).is_connected()
 
 
 class TestClustering:
@@ -116,26 +118,20 @@ class TestSampler:
     def test_deterministic_edges_always_present(self):
         g = UncertainGraph([(0, 1, 1.0), (1, 2, 0.5)])
         sampler = WorldSampler(g)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            mask = sampler.sample_mask(rng)
-            assert mask[0]  # p = 1 edge must exist in every world
+        masks = sampler.sample_mask_matrix(20, rng=0)
+        assert masks[:, 0].all()  # p = 1 edge must exist in every world
 
     def test_sampling_frequency_matches_probability(self, small_power_law):
         sampler = WorldSampler(small_power_law)
-        rng = np.random.default_rng(1)
-        counts = np.zeros(sampler.m)
         trials = 400
-        for _ in range(trials):
-            counts += sampler.sample_mask(rng)
-        freq = counts / trials
+        freq = sampler.sample_mask_matrix(trials, rng=1).mean(axis=0)
         # 4-sigma tolerance per edge
         sigma = np.sqrt(sampler.probabilities * (1 - sampler.probabilities) / trials)
         assert np.all(np.abs(freq - sampler.probabilities) < 4 * sigma + 0.02)
 
     def test_sample_many_count(self, triangle):
         sampler = WorldSampler(triangle)
-        worlds = list(sampler.sample_many(7, rng=0))
+        worlds = list(sample_many(sampler, 7, rng=0))
         assert len(worlds) == 7
 
     def test_log_world_probability(self):
@@ -144,22 +140,21 @@ class TestSampler:
         mask = np.array([True, False, True])
         p = sampler.probabilities
         expected = np.log(p[0]) + np.log(1 - p[1]) + np.log(p[2])
-        assert sampler.log_world_probability(mask) == pytest.approx(expected)
+        assert log_world_probability(sampler, mask) == pytest.approx(expected)
 
     def test_log_world_probability_impossible_world(self, triangle):
         """Dropping a p = 1 edge yields log-probability -inf."""
         sampler = WorldSampler(triangle)
         probs = sampler.probabilities
         mask = probs < 1.0  # drop exactly the deterministic edge(s)
-        assert sampler.log_world_probability(mask) == float("-inf")
+        assert log_world_probability(sampler, mask) == float("-inf")
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 500))
 def test_property_world_edges_subset_and_counts(seed):
     g = flickr_like(n=25, avg_degree=6, seed=seed % 3)
-    sampler = WorldSampler(g)
-    world = sampler.sample(rng=seed)
-    degrees = world.degrees()
-    assert degrees.sum() == 2 * world.number_of_edges()
-    assert world.number_of_edges() <= g.number_of_edges()
+    batch = WorldSampler(g).sample_batch(3, rng=seed)
+    edges = batch.edge_counts()
+    assert np.array_equal(batch.degrees().sum(axis=1), 2 * edges)
+    assert (edges <= g.number_of_edges()).all()
