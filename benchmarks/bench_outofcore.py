@@ -7,8 +7,8 @@ execution model in isolation:
 
 - ``import``       — interpreter + numpy/scipy import floor (baseline),
 - ``binary_grid``  — mmap-backed binary load + the grid driver,
-- ``text_grid``    — materialised text parse into the dict graph + the
-  grid driver (skipped above ``TEXT_CAP`` edges).
+- ``text_grid``    — materialised text parse into the text-parsed graph +
+  the grid driver (skipped above ``TEXT_CAP`` edges).
 
 Gates:
 
@@ -44,7 +44,7 @@ EDGES = int(os.environ.get("REPRO_BENCH_OUTOFCORE_EDGES", "200000"))
 TEXT_CAP = int(os.environ.get("REPRO_BENCH_OUTOFCORE_TEXT_CAP", "2000000"))
 
 #: Binary-over-text RSS increment ceiling: the mmap-backed run must use
-#: less than this fraction of the dict-graph run's memory increment.
+#: less than this fraction of the text-parsed graph run's memory increment.
 MAX_RSS_RATIO = float(
     os.environ.get("REPRO_BENCH_OUTOFCORE_MAX_RSS_RATIO", "0.8")
 )

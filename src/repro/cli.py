@@ -295,9 +295,8 @@ def _parse_alphas(raw: str) -> list[float]:
 
 
 def _load_graph(path: str, input_format: str = "auto"):
-    """Load a dataset: binary inputs as a memory-mapped
-    :class:`~repro.core.array_graph.EdgeArrayGraph`, text inputs as a
-    parsed :class:`UncertainGraph`."""
+    """Load a dataset as an :class:`UncertainGraph`: binary inputs
+    memory-mapped (rows as stored), text inputs parsed."""
     from repro.datasets.binary_io import is_binary_file, read_binary
 
     binary = (
@@ -310,16 +309,9 @@ def _load_graph(path: str, input_format: str = "auto"):
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
-    from repro.core import EdgeArrayGraph, parse_variant
+    from repro.core import parse_variant
 
     graph = _load_graph(args.input, args.input_format)
-    if isinstance(graph, EdgeArrayGraph):
-        if parse_variant(args.variant).method not in ("gdb", "emd", "lp"):
-            raise ReproError(
-                f"variant {args.variant!r} needs the dict-backed graph API; "
-                "binary (out-of-core) inputs support the array-native "
-                "GDB/EMD/LP variants"
-            )
     alphas = _parse_alphas(args.alpha)
     if len(alphas) > 1 and "{alpha}" not in args.output:
         raise ReproError(

@@ -22,7 +22,6 @@ from repro.core.backbone import (
     random_backbone,
     target_edge_count,
 )
-from repro.core.array_graph import EdgeArrayGraph
 from repro.core.delta import AppliedDelta, EdgeDeltaBatch, apply_delta
 from repro.core.diagnostics import SparsificationReport, analyze_sparsification
 from repro.core.discrepancy import (
@@ -58,7 +57,6 @@ __all__ = [
     "AppliedDelta",
     "BackbonePlan",
     "EMDConfig",
-    "EdgeArrayGraph",
     "EdgeDeltaBatch",
     "IncrementalSparsifier",
     "MaintenanceReport",

@@ -820,9 +820,8 @@ def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
 
     # rank[eid] = best (lowest) nomination position across both endpoints.
     # Ties between equal-degree neighbours break on dense vertex id, so
-    # the ranking is a pure function of the graph's content — identical
-    # whether computed on the dict adjacency or on an edge-array view
-    # (adjacency *insertion* order never leaks in).
+    # the ranking is a pure function of the graph's content: the order
+    # neighbors() lists them in (creation rank) never leaks in.
     rank: dict[int, float] = {}
     for u in graph.vertices():
         nbrs = sorted(graph.neighbors(u),

@@ -5,10 +5,10 @@ edges appear/disappear while sparsifiers stay live.  This module defines
 the unit of change — :class:`EdgeDeltaBatch`, a canonicalised bundle of
 probability updates, insertions and deletions expressed against the
 *current* edge ids of a graph — and :func:`apply_delta`, which applies a
-batch to either graph representation and returns an
-:class:`AppliedDelta` carrying the old-id → new-id mapping every
-downstream incremental structure (``BackbonePlan.repair``,
-``SparsificationState.apply_delta``, sweep-plan extension) keys on.
+batch to a graph and returns an :class:`AppliedDelta` carrying the
+old-id → new-id mapping every downstream incremental structure
+(``BackbonePlan.repair``, ``SparsificationState.apply_delta``,
+sweep-plan extension) keys on.
 
 Id semantics
 ------------
@@ -17,13 +17,11 @@ names updates/deletes by *old* ids and insertions by canonical dense
 endpoint pairs.  After application:
 
 - pure probability updates keep every id (``id_map`` is the identity);
-- structural batches renumber: survivors keep their *relative* order
-  (both representations preserve it — dict adjacency deletions/inserts
-  never reorder existing entries, and the array path writes survivors
-  in row order), which is exactly the invariant the stable-sort
-  tie-breaking of ``BackbonePlan`` repair relies on.  ``id_map`` is
-  computed from the post-mutation enumeration itself, so it is correct
-  for either representation's ordering rules.
+- structural batches renumber: survivors keep their *relative* order,
+  which is exactly the invariant the stable-sort tie-breaking of
+  ``BackbonePlan`` repair relies on, and each inserted edge lands right
+  after the surviving edges of its lower endpoint (the graph's one
+  insert rule, see :mod:`repro.core.uncertain_graph`).
 
 Insertions are restricted to *existing* vertices (dense ids below
 ``n``): probability drift rewires a fixed population; growing the
@@ -321,7 +319,7 @@ class AppliedDelta:
     """
 
     batch: EdgeDeltaBatch
-    graph: object
+    graph: UncertainGraph
     id_map: np.ndarray          # (old_m,) int64, -1 for deleted edges
     old_m: int
     new_m: int
@@ -372,125 +370,46 @@ def _existing_insert(batch: EdgeDeltaBatch, edge_keys: np.ndarray, n: int) -> in
     return int(clash[0]) if len(clash) else -1
 
 
-def apply_delta(graph, batch: EdgeDeltaBatch, in_place: bool = True) -> AppliedDelta:
+def apply_delta(
+    graph: UncertainGraph, batch: EdgeDeltaBatch, in_place: bool = True
+) -> AppliedDelta:
     """Apply ``batch`` to ``graph`` and return the :class:`AppliedDelta`.
 
-    ``UncertainGraph`` targets mutate in place by default (``in_place=
-    False`` works on a copy — what the server uses so registered graphs
-    shared with running jobs stay frozen); :class:`EdgeArrayGraph`
-    targets always produce a new instance (their arrays are read-only /
-    memmap-backed), survivors first in row order, inserted edges
-    appended.
+    Mutates ``graph`` by default; ``in_place=False`` works on a copy
+    (what the server uses so registered graphs shared with running jobs
+    stay frozen).  Deleted rows drop out, survivors keep their relative
+    order, and each inserted edge goes right after the surviving edges
+    of its lower endpoint, ranked after every existing edge — on rows in
+    canonical order exactly where adding the edges one at a time puts
+    them.  A batch that fails a check leaves ``graph`` untouched.
     """
-    if isinstance(graph, UncertainGraph):
-        return _apply_to_uncertain(graph, batch, in_place)
-    return _apply_to_edge_arrays(graph, batch)
-
-
-def _apply_to_uncertain(
-    graph: UncertainGraph, batch: EdgeDeltaBatch, in_place: bool
-) -> AppliedDelta:
-    old_ps = graph.probability_array()
-    old_index = graph.edge_index_array()
-    m = len(old_ps)
+    m = graph.number_of_edges()
     n = graph.number_of_vertices()
     _check_eid_range(batch, m)
     _check_insert_range(batch, n)
-    vertex_of = graph.vertices()
     if len(batch.insert_endpoints):
-        # Refuse an insert of a surviving edge before anything mutates,
-        # so a failing batch leaves the graph as it was (keys are >= 0,
-        # so -1 marks the deleted edges).
-        keys = _pair_keys(old_index, n)
+        # Refuse an insert of a surviving edge before anything mutates
+        # (keys are >= 0, so -1 marks the deleted edges).
+        keys = _pair_keys(graph.edge_index_array(), n)
         keys[batch.delete_eids] = -1
         clash = _existing_insert(batch, keys, n)
         if clash >= 0:
+            vertex_of = graph.vertices()
             u, v = (vertex_of[i] for i in batch.insert_endpoints[clash].tolist())
             raise GraphError(f"insert of an existing edge: ({u!r}, {v!r})")
-    old_update_ps = old_ps[batch.update_eids]
+    old_update_ps = graph.probability_array()[batch.update_eids]
     if not in_place:
         graph = graph.copy()
-    # Read the edge list before any structural mutation drops the cache.
-    edge_list = graph.edge_list()
-    graph.set_probabilities(batch.update_eids, batch.update_ps)
     if not batch.is_structural:
+        graph.set_probabilities(batch.update_eids, batch.update_ps)
         return AppliedDelta(
             batch=batch, graph=graph, id_map=np.arange(m, dtype=np.int64),
             old_m=m, new_m=m, structural=False, old_update_ps=old_update_ps,
             insert_eids=np.empty(0, dtype=np.int64),
         )
-
-    for eid in batch.delete_eids.tolist():
-        u, v = edge_list[eid]
-        graph.remove_edge(u, v)
-    for (a, b), p in zip(batch.insert_endpoints.tolist(), batch.insert_ps.tolist()):
-        graph.add_edge(vertex_of[a], vertex_of[b], p)
-
-    # Derive the id map from the post-mutation enumeration itself: the
-    # dict adjacency interleaves inserted edges (an edge enumerates at
-    # its first endpoint's adjacency position), so positions are matched
-    # by canonical endpoint pair rather than assumed.
-    new_index = graph.edge_index_array()
-    new_keys = _pair_keys(new_index, n)
-    order = np.argsort(new_keys)
-    alive = np.ones(m, dtype=bool)
-    alive[batch.delete_eids] = False
-    id_map = np.full(m, -1, dtype=np.int64)
-    if alive.any():
-        old_keys = _pair_keys(old_index[alive], n)
-        id_map[alive] = order[np.searchsorted(new_keys[order], old_keys)]
-    insert_keys = _pair_keys(batch.insert_endpoints, n)
-    insert_eids = (
-        order[np.searchsorted(new_keys[order], insert_keys)]
-        if len(insert_keys) else np.empty(0, dtype=np.int64)
-    )
+    id_map, insert_eids = graph._apply_batch(batch)
     return AppliedDelta(
         batch=batch, graph=graph, id_map=id_map, old_m=m,
-        new_m=len(new_keys), structural=True, old_update_ps=old_update_ps,
-        insert_eids=insert_eids,
-    )
-
-
-def _apply_to_edge_arrays(graph, batch: EdgeDeltaBatch) -> AppliedDelta:
-    from repro.core.array_graph import EdgeArrayGraph
-
-    if not isinstance(graph, EdgeArrayGraph):
-        raise GraphError(
-            f"apply_delta expects an UncertainGraph or EdgeArrayGraph, "
-            f"got {type(graph).__name__}"
-        )
-    m, n = graph.m, graph.n
-    _check_eid_range(batch, m)
-    _check_insert_range(batch, n)
-    src = np.asarray(graph.src)
-    dst = np.asarray(graph.dst)
-    prob = np.array(graph.probability_array(), dtype=np.float64)
-    old_update_ps = prob[batch.update_eids].copy()
-    prob[batch.update_eids] = batch.update_ps
-    if not batch.is_structural:
-        out = EdgeArrayGraph(n, src, dst, prob, name=graph.name, validate=False)
-        return AppliedDelta(
-            batch=batch, graph=out, id_map=np.arange(m, dtype=np.int64),
-            old_m=m, new_m=m, structural=False, old_update_ps=old_update_ps,
-            insert_eids=np.empty(0, dtype=np.int64),
-        )
-
-    keep = np.ones(m, dtype=bool)
-    keep[batch.delete_eids] = False
-    if len(batch.insert_endpoints):
-        live_keys = (np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))[keep]
-        if _existing_insert(batch, live_keys, n) >= 0:
-            raise GraphError("insert of an existing edge")
-    new_src = np.concatenate([src[keep], batch.insert_endpoints[:, 0]])
-    new_dst = np.concatenate([dst[keep], batch.insert_endpoints[:, 1]])
-    new_prob = np.concatenate([prob[keep], batch.insert_ps])
-    out = EdgeArrayGraph(n, new_src, new_dst, new_prob, name=graph.name,
-                         validate=False)
-    id_map = np.full(m, -1, dtype=np.int64)
-    kept = int(keep.sum())
-    id_map[keep] = np.arange(kept, dtype=np.int64)
-    insert_eids = kept + np.arange(len(batch.insert_ps), dtype=np.int64)
-    return AppliedDelta(
-        batch=batch, graph=out, id_map=id_map, old_m=m, new_m=len(new_prob),
-        structural=True, old_update_ps=old_update_ps, insert_eids=insert_eids,
+        new_m=graph.number_of_edges(), structural=True,
+        old_update_ps=old_update_ps, insert_eids=insert_eids,
     )

@@ -382,9 +382,6 @@ class SparsificationState:
                 self.graph = applied.graph
                 return
             dp = batch.update_ps - self.p_original[eids]
-            if not self.original_degrees.flags.writeable:
-                # EdgeArrayGraph shares its cached read-only degree array.
-                self.original_degrees = self.original_degrees.copy()
             for col in (0, 1):
                 np.add.at(self.original_degrees, self.edge_vertices[eids, col], dp)
                 np.add.at(self.delta, self.edge_vertices[eids, col], dp)

@@ -8,15 +8,30 @@ keeping each edge independently with its probability.
 
 Design
 ------
-The class keeps a dict-of-dicts adjacency (like networkx, but specialised
-and much lighter) for O(1) edge updates, plus lazily-built, cached numpy
-*edge views* (``edge_index_array`` / ``probability_array``) which the
-Monte-Carlo samplers and the vectorised algorithms consume.  A mutation
-of the edge or vertex set invalidates the cache; a bulk probability
-update (``set_probabilities``) keeps the structural views.
+One array-native class.  A graph stores its vertex labels (a list, or a
+``range`` when the labels are the dense ids themselves) and three edge
+arrays in edge-id order: the dense endpoint ids ``src``/``dst`` and the
+probabilities, plus each edge's creation rank.  Everything else is
+derived on first use and cached: the ``(m, 2)`` endpoint view, the
+``(u, v)`` label tuples of :meth:`edge_list`, the label → id indexer, and
+a CSR (compressed sparse row) adjacency behind :meth:`neighbors` and
+:meth:`degree`.
 
-Vertices may be arbitrary hashable objects; algorithms that need dense
-integer ids use :meth:`vertex_indexer`.
+Edge order
+----------
+Vertex ids are first-touch positions.  Each edge row is written
+``(lower id, higher id)`` and rows are sorted by ``(lower id, creation
+rank)``.  Overwriting an edge keeps its rank; removing it and adding it
+again gives it a new rank.  :meth:`neighbors` lists a vertex's incident
+edges by rank.  A graph opened from a binary dataset keeps its rows as
+stored (rank = row position).
+
+Per-edge mutations (:meth:`add_edge`, :meth:`remove_edge`,
+:meth:`set_probability`) are buffered and folded into the arrays on the
+next array access, by the same splice :func:`repro.core.delta.apply_delta`
+uses: deleted rows drop out and each inserted edge goes right after the
+surviving edges of its lower endpoint.  The arrays themselves are never
+written in place, so an array a caller obtained earlier keeps its values.
 """
 
 from __future__ import annotations
@@ -28,12 +43,9 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import GraphError, ProbabilityError
-from repro.utils.unionfind import UnionFind
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
-
-_PROB_EPS = 1e-12
 
 
 def _validate_probability(p: float) -> float:
@@ -41,6 +53,69 @@ def _validate_probability(p: float) -> float:
     if not (0.0 < p <= 1.0):
         raise ProbabilityError(f"edge probability must be in (0, 1], got {p}")
     return p
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def validate_edge_arrays(
+    n: int, src: np.ndarray, dst: np.ndarray, probabilities: np.ndarray
+) -> None:
+    """Array-level well-formedness checks of dense-id edge rows.
+
+    Ids in ``[0, n)``, no self-loops, probabilities in ``(0, 1]`` and no
+    duplicate undirected edges; one O(m log m) pass.
+    """
+    if not len(probabilities):
+        return
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    if int(lo.min()) < 0 or int(hi.max()) >= n:
+        raise GraphError("endpoint id outside the vertex range")
+    if bool(np.any(lo == hi)):
+        raise GraphError("self-loops are not allowed")
+    if not (float(probabilities.min()) > 0.0 and float(probabilities.max()) <= 1.0):
+        raise ProbabilityError("edge probabilities must be in (0, 1]")
+    if len(np.unique(lo * np.int64(n) + hi)) != len(probabilities):
+        raise GraphError("duplicate undirected edges in edge arrays")
+
+
+def _canonical_rows(
+    a: np.ndarray, b: np.ndarray, probabilities: np.ndarray, n: int,
+    dedupe: bool = False,
+) -> tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+    """Rows given in creation order as ``(ends, prob, rank)`` in edge order.
+
+    Each row is written ``(lower, higher)`` and rows are stably sorted by
+    the lower id, so edges of one lower endpoint keep creation order.
+    With ``dedupe``, a repeated pair keeps its first row's rank and its
+    last row's probability (an overwrite).  ``rank`` is ``None`` when it
+    equals the row position.
+    """
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    if dedupe and len(lo) > 1:
+        key = lo * np.int64(n) + hi
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+        if len(starts) < len(key):
+            last = order[np.r_[starts[1:], len(key)] - 1]
+            first = order[starts]
+            by_rank = np.argsort(first)
+            rows = first[by_rank]
+            lo, hi = lo[rows], hi[rows]
+            probabilities = probabilities[last[by_rank]]
+    rank = None
+    if len(lo) > 1 and not bool(np.all(lo[1:] >= lo[:-1])):
+        rank = np.argsort(lo, kind="stable")
+        lo, hi, probabilities = lo[rank], hi[rank], probabilities[rank]
+    ends = np.empty((len(lo), 2), dtype=np.int64)
+    ends[:, 0] = lo
+    ends[:, 1] = hi
+    return ends, np.array(probabilities, dtype=np.float64), rank
 
 
 class UncertainGraph:
@@ -71,17 +146,267 @@ class UncertainGraph:
         vertices: Iterable[Vertex] | None = None,
         name: str = "",
     ) -> None:
-        self._adj: dict[Vertex, dict[Vertex, float]] = {}
         self.name = name
-        self._edge_cache: tuple[list[Edge], np.ndarray] | None = None
-        self._indexer_cache: dict[Vertex, int] | None = None
-        self._edge_index_cache: np.ndarray | None = None
+        ids: dict = {}
         if vertices is not None:
             for v in vertices:
-                self.add_vertex(v)
+                ids.setdefault(v, len(ids))
+        self._set_labels(list(ids), ids)
+        empty = np.empty((0, 2), dtype=np.int64)
+        self._set_rows(_read_only(empty), _read_only(np.empty(0)), None)
+        self._next_rank = 0
         if edges is not None:
             for u, v, p in edges:
                 self.add_edge(u, v, p)
+
+    # ------------------------------------------------------------------
+    # Internal state
+    # ------------------------------------------------------------------
+    def _set_labels(self, labels: "list | range", ids: "dict | None") -> None:
+        """Install vertex labels; the graph owns ``labels`` and ``ids``."""
+        self._labels = labels
+        self._ids = ids
+        self._labels_shared = False
+        self._csr = None
+
+    def _set_rows(
+        self, ends: "np.ndarray | None", prob: np.ndarray,
+        rank: "np.ndarray | None", src: "np.ndarray | None" = None,
+        dst: "np.ndarray | None" = None,
+    ) -> None:
+        """Install read-only edge arrays in edge-id order and drop every
+        view derived from the old ones.  ``ends`` may be ``None`` when
+        ``src``/``dst`` are given (stacked on first use)."""
+        if ends is not None:
+            src, dst = ends[:, 0], ends[:, 1]
+        self._ends = ends
+        self._src = src
+        self._dst = dst
+        self._prob = prob
+        self._rank = rank
+        self._upd: dict[int, float] = {}
+        self._dele: set[int] = set()
+        self._ins: dict[tuple[int, int], list] = {}
+        self._edge_list = None
+        self._pairs = None
+        self._csr = None
+
+    @classmethod
+    def _from_parts(
+        cls, labels: "list | range", ids: "dict | None", ends: np.ndarray,
+        prob: np.ndarray, rank: "np.ndarray | None", name: str = "",
+    ) -> "UncertainGraph":
+        out = cls.__new__(cls)
+        out.name = name
+        out._set_labels(labels, ids)
+        rank = None if rank is None else _read_only(rank)
+        out._set_rows(_read_only(ends), _read_only(prob), rank)
+        out._next_rank = len(prob) if rank is None else int(rank.max()) + 1
+        return out
+
+    @classmethod
+    def _from_creation_rows(
+        cls, labels: list, ids: "dict | None", a: np.ndarray, b: np.ndarray,
+        probabilities: np.ndarray, name: str = "",
+    ) -> "UncertainGraph":
+        """Graph from dense-id rows given in creation order, where a
+        repeated pair is an overwrite (see :func:`_canonical_rows`)."""
+        ends, prob, rank = _canonical_rows(
+            a, b, probabilities, len(labels), dedupe=True
+        )
+        return cls._from_parts(labels, ids, ends, prob, rank, name=name)
+
+    @classmethod
+    def _from_stored_rows(
+        cls, n: int, src: np.ndarray, dst: np.ndarray, prob: np.ndarray,
+        name: str = "",
+    ) -> "UncertainGraph":
+        """Wrap stored edge arrays as they are: labels ``range(n)``, rows
+        in stored order and orientation, rank = row position.  No copy
+        and no check (the binary writer validated, the digest pins the
+        bytes), so wrapping memory-mapped arrays stays O(1)."""
+        for array in (src, dst, prob):
+            if array.flags.writeable and array.flags.owndata:
+                array.setflags(write=False)
+        out = cls.__new__(cls)
+        out.name = name
+        out._set_labels(range(int(n)), None)
+        out._set_rows(None, prob, None, src=src, dst=dst)
+        out._next_rank = len(prob)
+        return out
+
+    def _own_labels(self) -> None:
+        """Make the label list and indexer private before mutating them."""
+        if isinstance(self._labels, range) or self._labels_shared:
+            ids = self._index()
+            self._labels = list(self._labels)
+            self._ids = dict(ids)
+            self._labels_shared = False
+
+    def _index(self) -> dict:
+        if self._ids is None:
+            self._ids = {v: i for i, v in enumerate(self._labels)}
+        return self._ids
+
+    def _flush(self) -> None:
+        """Fold the buffered per-edge mutations into the edge arrays."""
+        if not (self._upd or self._dele or self._ins):
+            return
+        prob = self._prob
+        if self._upd:
+            prob = prob.copy()
+            prob[np.fromiter(self._upd, np.int64, len(self._upd))] = list(
+                self._upd.values()
+            )
+            prob.setflags(write=False)
+        if self._dele or self._ins:
+            keep = np.ones(len(prob), dtype=bool)
+            keep[np.fromiter(self._dele, np.int64, len(self._dele))] = False
+            pairs = np.array(list(self._ins), dtype=np.int64).reshape(-1, 2)
+            values = list(self._ins.values())
+            self._splice(
+                prob, keep, pairs,
+                np.array([value[0] for value in values], dtype=np.float64),
+                np.array([value[1] for value in values], dtype=np.int64),
+            )
+        else:
+            self._prob = prob
+            self._upd = {}
+
+    def _splice(
+        self, prob: np.ndarray, keep: np.ndarray, inserts: np.ndarray,
+        insert_ps: np.ndarray, insert_ranks: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Drop the rows where ``keep`` is False and insert new edges.
+
+        ``inserts`` holds ``(lower, higher)`` dense pairs in creation
+        order, ranked ``insert_ranks``.  Each goes right after the last
+        surviving row whose lower endpoint is at most its own (on rows
+        in edge order: after the surviving edges of its lower endpoint),
+        inserts sharing a lower endpoint in creation order.  Returns the
+        old → new id map (``-1`` for dropped rows) and the new ids of the
+        inserts.
+        """
+        rank = self._rank if self._rank is not None else np.arange(
+            len(prob), dtype=np.int64
+        )
+        src, dst = np.asarray(self._src), np.asarray(self._dst)
+        kept_src, kept_dst = src[keep], dst[keep]
+        order = np.argsort(inserts[:, 0], kind="stable")
+        low = np.minimum(kept_src, kept_dst)
+        floor = np.minimum.accumulate(low[::-1])[::-1]
+        slots = np.searchsorted(floor, inserts[order, 0], side="right")
+        slots += np.arange(len(order), dtype=np.int64)
+        total = len(kept_src) + len(order)
+        placed = np.zeros(total, dtype=bool)
+        placed[slots] = True
+        kept_slots = np.flatnonzero(~placed)
+
+        ends = np.empty((total, 2), dtype=np.int64)
+        ends[kept_slots, 0] = kept_src
+        ends[kept_slots, 1] = kept_dst
+        ends[slots] = inserts[order]
+        new_prob = np.empty(total, dtype=np.float64)
+        new_prob[kept_slots] = prob[keep]
+        new_prob[slots] = insert_ps[order]
+        new_rank = np.empty(total, dtype=np.int64)
+        new_rank[kept_slots] = rank[keep]
+        new_rank[slots] = insert_ranks[order]
+        if total < 2 or bool(np.all(new_rank[1:] > new_rank[:-1])):
+            new_rank = None  # ranks follow the rows
+        else:
+            new_rank.setflags(write=False)
+
+        id_map = np.full(len(prob), -1, dtype=np.int64)
+        id_map[keep] = kept_slots
+        insert_eids = np.empty(len(order), dtype=np.int64)
+        insert_eids[order] = slots
+        self._set_rows(_read_only(ends), _read_only(new_prob), new_rank)
+        return id_map, insert_eids
+
+    def _apply_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """Apply a checked structural :class:`EdgeDeltaBatch` in place;
+        returns ``(id_map, insert_eids)`` (see :meth:`_splice`)."""
+        self._flush()
+        prob = self._prob
+        if len(batch.update_eids):
+            prob = prob.copy()
+            prob[batch.update_eids] = batch.update_ps
+        keep = np.ones(len(prob), dtype=bool)
+        keep[batch.delete_eids] = False
+        count = len(batch.insert_ps)
+        ranks = self._next_rank + np.arange(count, dtype=np.int64)
+        self._next_rank += count
+        return self._splice(
+            prob, keep, batch.insert_endpoints, batch.insert_ps, ranks
+        )
+
+    def _invalidate_caches(self) -> None:
+        """Drop every derived view; the next accessor rebuilds it."""
+        self._flush()
+        if not self._labels_shared:
+            self._ids = None
+        self._edge_list = None
+        self._pairs = None
+        self._csr = None
+
+    def _pair_map(self) -> dict:
+        """``(lower id, higher id) -> edge id`` of the arrays' rows."""
+        if self._pairs is None:
+            lo = np.minimum(self._src, self._dst).tolist()
+            hi = np.maximum(self._src, self._dst).tolist()
+            self._pairs = dict(zip(zip(lo, hi), range(len(lo))))
+        return self._pairs
+
+    def _key(self, u: Vertex, v: Vertex) -> "tuple[int, int] | None":
+        ids = self._index()
+        a = ids.get(u)
+        b = ids.get(v)
+        if a is None or b is None:
+            return None
+        return (a, b) if a < b else (b, a)
+
+    def _slot(self, key: "tuple[int, int] | None") -> "int | None":
+        """Where an edge lives: ``-1`` for a buffered insert, else its row
+        in the arrays; ``None`` when the graph has no such edge."""
+        if key is None:
+            return None
+        if key in self._ins:
+            return -1
+        eid = self._pair_map().get(key)
+        if eid is None or eid in self._dele:
+            return None
+        return eid
+
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, neighbour ids, edge ids)``, each vertex's
+        incident edges in creation-rank order."""
+        self._flush()
+        if self._csr is None:
+            ends = self.edge_index_array()
+            flat = ends.reshape(-1)
+            if self._rank is None:
+                order = np.argsort(flat, kind="stable")
+            else:
+                order = np.lexsort((np.repeat(self._rank, 2), flat))
+            indptr = np.zeros(self.number_of_vertices() + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(flat, minlength=self.number_of_vertices()),
+                out=indptr[1:],
+            )
+            self._csr = (
+                _read_only(indptr),
+                _read_only(ends[:, ::-1].reshape(-1)[order]),
+                _read_only(order // 2),
+            )
+        return self._csr
+
+    def _incident(self, vertex: Vertex) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour ids and edge ids of ``vertex`` in rank order."""
+        i = self.vertex_id(vertex)
+        indptr, neighbours, eids = self._adjacency()
+        start, stop = indptr[i], indptr[i + 1]
+        return neighbours[start:stop], eids[start:stop]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -94,70 +419,90 @@ class UncertainGraph:
         )
 
     def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self._adj
+        return vertex in self._index()
 
     def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._adj)
+        return iter(self._labels)
 
     def number_of_vertices(self) -> int:
         """Number of vertices ``|V|``."""
-        return len(self._adj)
+        return len(self._labels)
 
     def number_of_edges(self) -> int:
         """Number of edges ``|E|``."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self._prob) - len(self._dele) + len(self._ins)
 
-    def vertices(self) -> list[Vertex]:
-        """List of vertices in insertion order."""
-        return list(self._adj)
+    def vertices(self) -> "list[Vertex] | range":
+        """Vertices in id (first-touch) order: a new list, or the ``range``
+        of a graph whose labels are its dense ids."""
+        labels = self._labels
+        return labels if isinstance(labels, range) else list(labels)
+
+    def vertex_id(self, vertex: Vertex) -> int:
+        """Dense id of ``vertex``; :class:`GraphError` names a vertex
+        that is not in the graph."""
+        try:
+            return self._index()[vertex]
+        except KeyError:
+            raise GraphError(f"vertex not in graph: {vertex!r}") from None
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex, float]]:
-        """Iterate over ``(u, v, p)`` triples, each undirected edge once."""
-        seen: set[Vertex] = set()
-        for u, nbrs in self._adj.items():
-            seen.add(u)
-            for v, p in nbrs.items():
-                if v not in seen:
-                    yield u, v, p
+        """Iterate over ``(u, v, p)`` triples in edge-id order."""
+        return (
+            (u, v, p) for (u, v), p in
+            zip(self.edge_list(), self.probability_array().tolist())
+        )
 
     def neighbors(self, vertex: Vertex) -> Mapping[Vertex, float]:
         """Read-only mapping ``neighbor -> probability`` for ``vertex``.
 
-        The returned proxy is a live *view* of the adjacency — it
-        reflects later mutations but cannot be written through, so
-        callers can't corrupt the graph's internal state.
+        Incident edges are listed by creation rank.  The mapping is a
+        snapshot: later mutations of the graph do not show through it.
         """
-        try:
-            return types.MappingProxyType(self._adj[vertex])
-        except KeyError:
-            raise GraphError(f"vertex not in graph: {vertex!r}") from None
+        neighbours, eids = self._incident(vertex)
+        labels = self._labels
+        return types.MappingProxyType(dict(zip(
+            map(labels.__getitem__, neighbours.tolist()),
+            self._prob[eids].tolist(),
+        )))
 
     def degree(self, vertex: Vertex) -> int:
         """Number of incident edges (topological degree)."""
-        return len(self.neighbors(vertex))
+        return len(self._incident(vertex)[0])
 
     def expected_degree(self, vertex: Vertex) -> float:
         """Expected degree: sum of incident edge probabilities."""
-        return sum(self.neighbors(vertex).values())
+        eids = self._incident(vertex)[1]
+        return sum(self._prob[eids].tolist())
 
     def expected_degrees(self) -> dict[Vertex, float]:
         """Expected degree of every vertex."""
-        return {v: sum(nbrs.values()) for v, nbrs in self._adj.items()}
+        indptr, _, eids = self._adjacency()
+        probs = self._prob[eids].tolist()
+        bounds = indptr.tolist()
+        return {
+            v: sum(probs[bounds[i]:bounds[i + 1]])
+            for i, v in enumerate(self._labels)
+        }
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return ``True`` if the undirected edge ``(u, v)`` exists."""
-        return u in self._adj and v in self._adj[u]
+        return self._slot(self._key(u, v)) is not None
 
     def probability(self, u: Vertex, v: Vertex) -> float:
         """Existence probability of edge ``(u, v)``."""
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise GraphError(f"edge not in graph: ({u!r}, {v!r})") from None
+        key = self._key(u, v)
+        slot = self._slot(key)
+        if slot is None:
+            raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
+        if slot < 0:
+            return self._ins[key][0]
+        p = self._upd.get(slot)
+        return float(self._prob[slot]) if p is None else p
 
     def expected_number_of_edges(self) -> float:
         """Expected edge count ``sum_e p_e`` of the possible worlds."""
-        return float(sum(p for _, _, p in self.edges()))
+        return float(sum(self.probability_array().tolist()))
 
     def total_probability(self) -> float:
         """Alias of :meth:`expected_number_of_edges` (paper: probability mass)."""
@@ -166,16 +511,13 @@ class UncertainGraph:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _invalidate_caches(self) -> None:
-        self._edge_cache = None
-        self._indexer_cache = None
-        self._edge_index_cache = None
-
     def add_vertex(self, vertex: Vertex) -> None:
         """Register a vertex (no-op if already present)."""
-        if vertex not in self._adj:
-            self._adj[vertex] = {}
-            self._invalidate_caches()
+        if vertex not in self._index():
+            self._own_labels()
+            self._ids[vertex] = len(self._labels)
+            self._labels.append(vertex)
+            self._csr = None
 
     def add_edge(self, u: Vertex, v: Vertex, p: float) -> None:
         """Add (or overwrite) the undirected edge ``(u, v)`` with probability ``p``."""
@@ -184,18 +526,27 @@ class UncertainGraph:
         p = _validate_probability(p)
         self.add_vertex(u)
         self.add_vertex(v)
-        self._adj[u][v] = p
-        self._adj[v][u] = p
-        self._invalidate_caches()
+        key = self._key(u, v)
+        slot = self._slot(key)
+        if slot is None:
+            self._ins[key] = [p, self._next_rank]
+            self._next_rank += 1
+        elif slot < 0:
+            self._ins[key][0] = p
+        else:
+            self._upd[slot] = p
 
     def set_probability(self, u: Vertex, v: Vertex, p: float) -> None:
         """Update the probability of an existing edge."""
-        if not self.has_edge(u, v):
+        key = self._key(u, v)
+        slot = self._slot(key)
+        if slot is None:
             raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
         p = _validate_probability(p)
-        self._adj[u][v] = p
-        self._adj[v][u] = p
-        self._invalidate_caches()
+        if slot < 0:
+            self._ins[key][0] = p
+        else:
+            self._upd[slot] = p
 
     def set_probabilities(self, eids: np.ndarray, probabilities: np.ndarray) -> None:
         """Update the probabilities of existing edges named by edge id.
@@ -223,133 +574,133 @@ class UncertainGraph:
                 f"eids/probabilities length mismatch: "
                 f"{len(eids)} vs {len(probabilities)}"
             )
-        edge_list, old = self._build_edge_cache()
+        old = self.probability_array()
         if not len(eids):
             return
-        if eids.min() < 0 or eids.max() >= len(edge_list):
-            raise GraphError(f"edge id outside [0, {len(edge_list)})")
+        if eids.min() < 0 or eids.max() >= len(old):
+            raise GraphError(f"edge id outside [0, {len(old)})")
         bad = np.flatnonzero(~((probabilities > 0.0) & (probabilities <= 1.0)))
         if len(bad):
             _validate_probability(probabilities[bad[0]])
         new = old.copy()
         new[eids] = probabilities
-        new.setflags(write=False)
-        adj = self._adj
-        for eid, p in zip(eids.tolist(), new[eids].tolist()):
-            u, v = edge_list[eid]
-            adj[u][v] = p
-            adj[v][u] = p
-        self._edge_cache = (edge_list, new)
+        self._prob = _read_only(new)
 
     def remove_edge(self, u: Vertex, v: Vertex) -> float:
         """Remove edge ``(u, v)``; returns its probability."""
-        if not self.has_edge(u, v):
+        key = self._key(u, v)
+        slot = self._slot(key)
+        if slot is None:
             raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-        p = self._adj[u].pop(v)
-        self._adj[v].pop(u)
-        self._invalidate_caches()
-        return p
+        if slot < 0:
+            return self._ins.pop(key)[0]
+        self._dele.add(slot)
+        p = self._upd.pop(slot, None)
+        return float(self._prob[slot]) if p is None else p
 
     def remove_vertex(self, vertex: Vertex) -> None:
-        """Remove a vertex and all incident edges."""
-        nbrs = self.neighbors(vertex)
-        for other in list(nbrs):
-            self._adj[other].pop(vertex)
-        del self._adj[vertex]
-        self._invalidate_caches()
+        """Remove a vertex and all incident edges; later ids shift down."""
+        i = self.vertex_id(vertex)
+        self._flush()
+        src, dst = np.asarray(self._src), np.asarray(self._dst)
+        keep = (src != i) & (dst != i)
+        if not keep.all():
+            no_inserts = np.empty((0, 2), dtype=np.int64)
+            self._splice(self._prob, keep, no_inserts, np.empty(0),
+                         np.empty(0, dtype=np.int64))
+        ends = self.edge_index_array().copy()
+        ends[ends > i] -= 1
+        self._set_rows(_read_only(ends), self._prob, self._rank)
+        self._own_labels()
+        del self._labels[i]
+        self._set_labels(self._labels, None)
 
     # ------------------------------------------------------------------
     # Vectorised views
     # ------------------------------------------------------------------
     def vertex_indexer(self) -> dict[Vertex, int]:
-        """Map each vertex to a dense integer id (insertion order).
+        """Map each vertex to its dense integer id (first-touch order).
 
         Cached until the vertex set mutates; treat the returned dict as
         read-only (it is shared between callers).
         """
-        if self._indexer_cache is None:
-            self._indexer_cache = {v: i for i, v in enumerate(self._adj)}
-        return self._indexer_cache
-
-    def _build_edge_cache(self) -> tuple[list[Edge], np.ndarray]:
-        if self._edge_cache is None:
-            edge_list: list[Edge] = []
-            probs: list[float] = []
-            for u, v, p in self.edges():
-                edge_list.append((u, v))
-                probs.append(p)
-            self._edge_cache = (edge_list, np.asarray(probs, dtype=np.float64))
-        return self._edge_cache
+        self._labels_shared = True
+        return self._index()
 
     def edge_list(self) -> list[Edge]:
-        """Stable list of undirected edges (cached until mutation)."""
-        return self._build_edge_cache()[0]
+        """Stable list of undirected edges ``(u, v)`` in edge-id order."""
+        self._flush()
+        if self._edge_list is None:
+            label = self._labels.__getitem__
+            self._edge_list = list(zip(
+                map(label, np.asarray(self._src).tolist()),
+                map(label, np.asarray(self._dst).tolist()),
+            ))
+        return self._edge_list
 
     def probability_array(self) -> np.ndarray:
-        """Probabilities aligned with :meth:`edge_list` (cached, read-only)."""
-        arr = self._build_edge_cache()[1]
-        arr.setflags(write=False)
-        return arr
+        """Probabilities aligned with :meth:`edge_list` (read-only)."""
+        self._flush()
+        return self._prob
 
     def edge_index_array(self) -> np.ndarray:
         """``(m, 2)`` int array of dense vertex ids aligned with :meth:`edge_list`.
 
-        Cached until mutation (the samplers and every sparsifier request
-        it repeatedly) and returned read-only.
+        Read-only; stacked once from the stored columns of a graph
+        opened from a binary dataset.
         """
-        if self._edge_index_cache is None:
-            indexer = self.vertex_indexer()
-            edge_list = self.edge_list()
-            out = np.empty((len(edge_list), 2), dtype=np.int64)
-            for i, (u, v) in enumerate(edge_list):
-                out[i, 0] = indexer[u]
-                out[i, 1] = indexer[v]
-            out.setflags(write=False)
-            self._edge_index_cache = out
-        return self._edge_index_cache
+        self._flush()
+        if self._ends is None:
+            ends = np.empty((len(self._prob), 2), dtype=np.int64)
+            ends[:, 0] = self._src
+            ends[:, 1] = self._dst
+            self._ends = _read_only(ends)
+        return self._ends
 
     def expected_degree_array(self) -> np.ndarray:
         """Expected degrees as a vector aligned with :meth:`vertex_indexer`.
 
-        Accumulated in :meth:`edge_list` order (one ``bincount`` over the
-        interleaved endpoint ids), *not* per-row insertion order: float
-        summation order is part of the bit-identity contract, and this is
-        the one order every graph representation shares —
-        ``EdgeArrayGraph`` views, worker processes rebuilding the graph
-        from shipped arrays or an mmap'd dataset, and this class — so
-        expected degrees (and everything downstream: ``D_1``, GDB
-        objectives) agree bit for bit across all of them.
+        Accumulated in edge-id order (one ``bincount`` over the
+        interleaved endpoint ids): float summation order is part of the
+        bit-identity contract, and every consumer of the edge arrays —
+        ``D_1``, GDB objectives, the samplers — sums in this order.
         """
+        ends = self.edge_index_array()
         return np.bincount(
-            self.edge_index_array().reshape(-1),
-            weights=np.repeat(self.probability_array(), 2),
+            ends.reshape(-1),
+            weights=np.repeat(self._prob, 2),
             minlength=self.number_of_vertices(),
         )
 
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
+    def _component_labels(self) -> np.ndarray:
+        """Connected-component label of every vertex id."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        n = self.number_of_vertices()
+        ends = self.edge_index_array()
+        adjacency = coo_matrix(
+            (np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n)
+        )
+        return connected_components(adjacency, directed=False)[1]
+
     def is_connected(self) -> bool:
         """Topological connectivity of the support graph (ignoring probabilities)."""
-        n = self.number_of_vertices()
-        if n <= 1:
+        if self.number_of_vertices() <= 1:
             return True
-        indexer = self.vertex_indexer()
-        uf = UnionFind(n)
-        for u, v, _ in self.edges():
-            uf.union(indexer[u], indexer[v])
-        return uf.components == 1
+        return bool(np.all(self._component_labels() == 0))
 
     def connected_components(self) -> list[set[Vertex]]:
-        """Connected components of the support graph."""
-        indexer = self.vertex_indexer()
-        vertices = list(self._adj)
-        uf = UnionFind(len(vertices))
-        for u, v, _ in self.edges():
-            uf.union(indexer[u], indexer[v])
+        """Connected components of the support graph, ordered by their
+        first vertex."""
         groups: dict[int, set[Vertex]] = {}
-        for vertex, idx in indexer.items():
-            groups.setdefault(uf.find(idx), set()).add(vertex)
+        if not self.number_of_vertices():
+            return []
+        for vertex, label in zip(self._labels, self._component_labels().tolist()):
+            groups.setdefault(label, set()).add(vertex)
         return list(groups.values())
 
     def density(self) -> float:
@@ -367,11 +718,10 @@ class UncertainGraph:
         """
         inside = set(subset)
         for v in inside:
-            if v not in self._adj:
-                raise GraphError(f"vertex not in graph: {v!r}")
+            self.vertex_id(v)
         total = 0.0
         for u in inside:
-            for v, p in self._adj[u].items():
+            for v, p in self.neighbors(u).items():
                 if v not in inside:
                     total += p
         return total
@@ -382,18 +732,26 @@ class UncertainGraph:
     def copy(self, name: str | None = None) -> "UncertainGraph":
         """Independent copy: same vertices, edges, probabilities and orders.
 
-        The adjacency rows are copied dict by dict, and the cached views
-        come along as new objects, so the copy's first consumer pays no
-        O(m) rebuild.  Only the read-only endpoint array is shared.
+        The immutable edge arrays are shared, the label list and indexer
+        are copied, and cached views come along, so the copy's first
+        consumer pays no O(m) rebuild.
         """
-        clone = UncertainGraph(name=self.name if name is None else name)
-        clone._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
-        if self._edge_cache is not None:
-            edge_list, probs = self._edge_cache
-            clone._edge_cache = (list(edge_list), probs.copy())
-        if self._indexer_cache is not None:
-            clone._indexer_cache = dict(self._indexer_cache)
-        clone._edge_index_cache = self._edge_index_cache
+        self._flush()
+        clone = UncertainGraph.__new__(UncertainGraph)
+        clone.name = self.name if name is None else name
+        labels = self._labels
+        clone._set_labels(
+            labels if isinstance(labels, range) else list(labels),
+            None if self._ids is None else dict(self._ids),
+        )
+        clone._set_rows(
+            self._ends, self._prob.view(), self._rank,
+            src=self._src, dst=self._dst,
+        )
+        clone._next_rank = self._next_rank
+        if self._edge_list is not None:
+            clone._edge_list = list(self._edge_list)
+        clone._csr = self._csr
         return clone
 
     def subgraph_with_edges(
@@ -403,31 +761,55 @@ class UncertainGraph:
 
         This is the shape every sparsifier produces: ``V`` is kept in
         full (paper section 3: sparsified graphs keep all vertices) and
-        only the edge set shrinks.
+        only the edge set shrinks.  Edges keep the order given (a
+        repeated edge keeps its first position and its last
+        probability).
         """
-        out = UncertainGraph(vertices=self._adj, name=name)
+        rows: list[tuple[int, int]] = []
+        probs: list[float] = []
         for u, v, p in edges:
-            if not self.has_edge(u, v):
+            key = self._key(u, v)
+            if self._slot(key) is None:
                 raise GraphError(f"edge not in parent graph: ({u!r}, {v!r})")
-            out.add_edge(u, v, p)
-        return out
+            rows.append(key)
+            probs.append(_validate_probability(p))
+        rows_array = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        labels = self._labels
+        return UncertainGraph._from_creation_rows(
+            labels if isinstance(labels, range) else list(labels),
+            None if self._ids is None else dict(self._ids),
+            rows_array[:, 0], rows_array[:, 1], np.array(probs), name=name,
+        )
 
     def induced_subgraph(self, vertices: Iterable[Vertex], name: str = "") -> "UncertainGraph":
-        """Induced subgraph on ``vertices`` (edges with both endpoints kept)."""
+        """Induced subgraph on ``vertices`` (edges with both endpoints kept).
+
+        Vertices come in the iteration order of ``set(vertices)``; edges
+        keep this graph's edge order.
+        """
         keep = set(vertices)
-        out = UncertainGraph(vertices=keep, name=name)
-        for u, v, p in self.edges():
-            if u in keep and v in keep:
-                out.add_edge(u, v, p)
-        return out
+        labels = list(keep)
+        ids = {v: i for i, v in enumerate(labels)}
+        new_id = np.fromiter(
+            (ids.get(v, -1) for v in self._labels), np.int64,
+            self.number_of_vertices(),
+        )
+        ends = self.edge_index_array()
+        a, b = new_id[ends[:, 0]], new_id[ends[:, 1]]
+        inside = (a >= 0) & (b >= 0)
+        rows, prob, rank = _canonical_rows(
+            a[inside], b[inside], self._prob[inside], len(labels)
+        )
+        return UncertainGraph._from_parts(labels, ids, rows, prob, rank, name=name)
 
     def relabel_to_integers(self) -> tuple["UncertainGraph", dict[Vertex, int]]:
         """Return an isomorphic copy on vertices ``0..n-1`` plus the mapping."""
         # Copy: the caller owns the returned mapping, not the cache.
-        mapping = dict(self.vertex_indexer())
-        out = UncertainGraph(vertices=range(len(mapping)), name=self.name)
-        for u, v, p in self.edges():
-            out.add_edge(mapping[u], mapping[v], p)
+        mapping = dict(self._index())
+        out = UncertainGraph._from_parts(
+            list(range(len(mapping))), None, self.edge_index_array(),
+            self._prob, None, name=self.name,
+        )
         return out, mapping
 
     def to_networkx(self) -> Any:
@@ -435,7 +817,7 @@ class UncertainGraph:
         import networkx as nx
 
         g = nx.Graph(name=self.name)
-        g.add_nodes_from(self._adj)
+        g.add_nodes_from(self._labels)
         g.add_weighted_edges_from(self.edges(), weight="probability")
         return g
 
@@ -449,20 +831,14 @@ class UncertainGraph:
     ) -> "UncertainGraph":
         """Bulk constructor from dense-id edge arrays.
 
-        Builds the graph in one pass from the array layout the vectorised
+        Builds the graph with array ops from the layout the vectorised
         algorithms already hold (``SparsificationState.build_graph``, the
-        samplers' edge views), validating everything with array ops
-        instead of per-edge calls.  When the input rows are already in
-        the canonical edge order — each row ``(u, v)`` with ``u < v`` as
-        dense ids, sorted by ``u`` — the cached edge views
-        (:meth:`edge_list` / :meth:`probability_array` /
-        :meth:`edge_index_array`) are pre-seeded so the first consumer
-        pays nothing; that is exactly the order
-        ``SparsificationState.build_graph`` supplies.  Other input
-        orders are accepted but the views are built lazily in canonical
-        order, so edge ids stay stable across later cache
-        invalidations (a pre-seeded non-canonical order would silently
-        renumber edges on the first mutation).
+        samplers' edge views), validating everything at once.  Rows are
+        taken in creation order: each is written ``(lower, higher)`` and
+        rows are sorted by lower id, so rows already in that order are
+        kept as given and any other order is re-sorted (edge ids then
+        follow the canonical order, not the input's).  A ``range`` of
+        vertices is kept as is, without a label list.
 
         Parameters
         ----------
@@ -477,8 +853,8 @@ class UncertainGraph:
         name:
             Optional label for the new graph.
         """
-        vertex_list = list(vertices)
-        n = len(vertex_list)
+        labels = vertices if isinstance(vertices, range) else list(vertices)
+        n = len(labels)
         endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
         probabilities = np.asarray(probabilities, dtype=np.float64).reshape(-1)
         m = len(probabilities)
@@ -486,59 +862,22 @@ class UncertainGraph:
             raise GraphError(
                 f"endpoints/probabilities length mismatch: {len(endpoints)} vs {m}"
             )
-        if m:
-            if endpoints.min() < 0 or endpoints.max() >= n:
-                raise GraphError("endpoint id outside the vertex range")
-            if np.any(endpoints[:, 0] == endpoints[:, 1]):
-                raise GraphError("self-loops are not allowed")
-            lo = float(probabilities.min())
-            if not (lo > 0.0 and float(probabilities.max()) <= 1.0):
-                raise ProbabilityError(
-                    "edge probabilities must be in (0, 1]"
-                )
-            canonical = np.sort(endpoints, axis=1)
-            if len(np.unique(canonical, axis=0)) != m:
-                raise GraphError("duplicate undirected edges in edge arrays")
-
-        out = cls(name=name)
-        adj = out._adj
-        for v in vertex_list:
-            adj[v] = {}
-        if len(adj) != n:
-            raise GraphError("duplicate vertices in vertex list")
-
-        edge_list: list[Edge] = []
-        for (ui, vi), p in zip(endpoints.tolist(), probabilities.tolist()):
-            u = vertex_list[ui]
-            v = vertex_list[vi]
-            adj[u][v] = p
-            adj[v][u] = p
-            edge_list.append((u, v))
-
-        # Pre-seed the cached views only when the input order is the
-        # order :meth:`edges` would reproduce from the adjacency
-        # (rows ``u < v`` sorted by ``u``): then a later cache rebuild
-        # yields identical edge ids.  Non-canonical orders leave the
-        # caches lazy instead of pinning an order that the first
-        # mutation would silently renumber.
-        canonical_order = m == 0 or (
-            bool(np.all(endpoints[:, 0] < endpoints[:, 1]))
-            and bool(np.all(np.diff(endpoints[:, 0]) >= 0))
+        validate_edge_arrays(n, endpoints[:, 0], endpoints[:, 1], probabilities)
+        ids = None
+        if not isinstance(labels, range):
+            ids = {v: i for i, v in enumerate(labels)}
+            if len(ids) != n:
+                raise GraphError("duplicate vertices in vertex list")
+        ends, prob, rank = _canonical_rows(
+            endpoints[:, 0], endpoints[:, 1], probabilities, n
         )
-        if canonical_order:
-            out._edge_cache = (edge_list, probabilities.copy())
-            out._indexer_cache = {v: i for i, v in enumerate(vertex_list)}
-            index_cache = endpoints.copy()
-            index_cache.setflags(write=False)
-            out._edge_index_cache = index_cache
-        return out
+        return cls._from_parts(labels, ids, ends, prob, rank, name=name)
 
     @classmethod
     def from_networkx(cls, graph: Any, probability_attr: str = "probability") -> "UncertainGraph":
         """Build from a networkx graph carrying a probability edge attribute."""
         out = cls(name=str(graph.name) if getattr(graph, "name", "") else "")
-        out_vertices = list(graph.nodes())
-        for v in out_vertices:
+        for v in graph.nodes():
             out.add_vertex(v)
         for u, v, data in graph.edges(data=True):
             if probability_attr not in data:
@@ -553,7 +892,7 @@ class UncertainGraph:
     # ------------------------------------------------------------------
     def isomorphic_probabilities(self, other: "UncertainGraph", tol: float = 1e-9) -> bool:
         """Same vertex set, same edges, probabilities equal within ``tol``."""
-        if set(self._adj) != set(other._adj):
+        if set(self._labels) != set(other._labels):
             return False
         if self.number_of_edges() != other.number_of_edges():
             return False

@@ -30,8 +30,10 @@ The header digest covers exactly the three payload sections, so
 the file is *not* copied into RAM — pages fault in lazily as the
 algorithms touch them, and concurrent processes mapping the same file
 share the pages read-only.  ``BinaryDataset.graph()`` wraps the arrays
-in an :class:`~repro.core.array_graph.EdgeArrayGraph`, which feeds
-``SparsificationState`` / ``BackbonePlan`` / ``WorldSampler`` directly.
+in an :class:`~repro.core.uncertain_graph.UncertainGraph` without a copy
+(rows in stored order), which feeds ``SparsificationState`` /
+``BackbonePlan`` / ``WorldSampler`` directly and serves every other
+algorithm too.
 
 Vertices are dense ids ``0 .. n-1``: the binary format stores topology,
 not labels.  ``write_binary`` therefore insists the graph's vertices
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.array_graph import EdgeArrayGraph
+from repro.core.uncertain_graph import UncertainGraph, validate_edge_arrays
 from repro.exceptions import GraphError
 
 MAGIC = b"RPBG"
@@ -236,20 +238,18 @@ class BinaryDataset:
                 f"header {self.header.digest[:12]}…, payload {actual[:12]}…"
             )
 
-    def graph(self, materialise: bool = False, name: "str | None" = None):
-        """The dataset as a graph.
+    def graph(self, name: "str | None" = None) -> UncertainGraph:
+        """The dataset as an :class:`UncertainGraph` over the arrays.
 
-        Default: an :class:`EdgeArrayGraph` *view* over the arrays — no
-        copy, out-of-core when mmap-backed.  ``materialise=True`` builds
-        a full dict-adjacency :class:`UncertainGraph` (only sensible for
-        graphs that fit comfortably in RAM).
+        No copy and no check (the writer validated, the digest pins the
+        bytes): O(1), and out-of-core when mmap-backed.  Vertices are
+        ``range(n)`` and rows keep their stored order; the edge list,
+        indexer and adjacency are built only if a caller asks.
         """
-        view = EdgeArrayGraph(
+        return UncertainGraph._from_stored_rows(
             self.n_vertices, self.src, self.dst, self.probabilities,
             name=self.name if name is None else name,
-            validate=False,  # writer validated; digest pins the bytes
         )
-        return view.materialise() if materialise else view
 
 
 def write_binary_arrays(
@@ -262,20 +262,24 @@ def write_binary_arrays(
 ) -> BinaryHeader:
     """Write edge arrays as a binary dataset; returns the header written.
 
-    ``validate=True`` runs the :class:`EdgeArrayGraph` well-formedness
-    checks first, so no malformed file is ever produced with a valid
-    digest.
+    ``validate=True`` runs the array-level well-formedness checks
+    (:func:`~repro.core.uncertain_graph.validate_edge_arrays`) first, so
+    no malformed file is ever produced with a valid digest.
     """
     src = np.ascontiguousarray(src, dtype="<i8").reshape(-1)
     dst = np.ascontiguousarray(dst, dtype="<i8").reshape(-1)
     prob = np.ascontiguousarray(probabilities, dtype="<f8").reshape(-1)
-    if validate:
-        EdgeArrayGraph(n_vertices, src, dst, prob, validate=True)
     if not (len(src) == len(dst) == len(prob)):
         raise GraphError(
             f"edge array lengths disagree: src={len(src)} dst={len(dst)} "
             f"prob={len(prob)}"
         )
+    if validate:
+        if n_vertices < 0:
+            raise GraphError(
+                f"vertex count must be non-negative, got {n_vertices}"
+            )
+        validate_edge_arrays(n_vertices, src, dst, prob)
     digest = _payload_digest(src, dst, prob)
     header = BinaryHeader(
         n_vertices=int(n_vertices), n_edges=len(prob), digest=digest.hex(),
@@ -293,7 +297,7 @@ def write_binary(
     path: "str | os.PathLike",
     allow_relabel: bool = False,
 ) -> BinaryHeader:
-    """Write a graph (``UncertainGraph`` or ``EdgeArrayGraph``) to ``path``.
+    """Write a graph to ``path``.
 
     The format stores dense integer ids only.  When the graph's labels
     are exactly the ints ``0 .. n-1`` (in any iteration order) they are

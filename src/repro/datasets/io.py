@@ -125,47 +125,9 @@ def graph_digest(graph: UncertainGraph) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
-#: Line count above which :func:`parse_edge_list` switches to the
-#: chunked fast path (the scalar loop is faster for tiny inputs).
-_FAST_PARSE_THRESHOLD = 8192
-
-#: Lines per fast-path chunk: bounds pending-token memory and keeps the
+#: Lines per parse chunk: bounds pending-token memory and keeps the
 #: bulk float conversions in cache-sized batches.
-_FAST_PARSE_CHUNK = 65536
-
-
-def _parse_edge_list_scalar(
-    text: str, name: str = "", source: str = "<string>"
-) -> UncertainGraph:
-    """The line-at-a-time reference parser (see :func:`parse_edge_list`).
-
-    Kept verbatim as the behavioural pin for the fast path: every
-    fixture must parse bit-identically through both, including error
-    type/message/line for malformed input.
-    """
-    graph = UncertainGraph(name=name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            graph.add_vertex(parts[0])
-            continue
-        if len(parts) != 3:
-            raise GraphError(
-                f"{source}:{lineno}: expected 'u v p' or a bare vertex, "
-                f"got {raw.rstrip()!r}"
-            )
-        u, v, p_raw = parts
-        try:
-            p = float(p_raw)
-        except ValueError:
-            raise GraphError(
-                f"{source}:{lineno}: probability is not a number: {p_raw!r}"
-            ) from None
-        graph.add_edge(u, v, p)
-    return graph
+_PARSE_CHUNK = 65536
 
 
 def _edge_lineno(lines: list, start: int, edge_index: int) -> int:
@@ -188,13 +150,14 @@ def _edge_lineno(lines: list, start: int, edge_index: int) -> int:
 def _convert_probabilities(
     tokens: list, range_checked: int, source: str, lines: list, start: int
 ):
-    """Convert pending probability tokens, replaying scalar error order.
+    """Convert pending probability tokens, replaying line-order errors.
 
     Tokens are converted in line order; the first failure raises exactly
-    what the scalar loop would have raised at that line.  Only the first
-    ``range_checked`` tokens get the domain check — a trailing token
-    whose line failed *after* conversion (a self-loop) is converted but
-    not range-checked, because ``add_edge`` checks self-loops first.
+    what adding the lines one at a time raises at that line.  Only the
+    first ``range_checked`` tokens get the domain check — a trailing
+    token whose line failed *after* conversion (a self-loop) is
+    converted but not range-checked, because ``add_edge`` checks
+    self-loops first.
 
     Bulk ``numpy`` conversion handles the common all-numeric case in one
     vectorised pass; any failure falls back to a per-token ``float()``
@@ -234,24 +197,39 @@ def _convert_probabilities(
     return probs
 
 
-def _parse_edge_list_fast(
+def parse_edge_list(
     text: str, name: str = "", source: str = "<string>"
 ) -> UncertainGraph:
-    """Chunked fast parser, bit-identical to the scalar reference.
+    """Parse edge-list *text* into an :class:`UncertainGraph`.
 
-    Lines are routed exactly like the scalar loop (so vertex/edge dict
-    insertion order — and hence every downstream edge view — is
-    preserved, including bare-vertex interleaving and duplicate-edge
-    overwrites), but probability tokens are converted in bulk per chunk
-    and adjacency entries are written directly, skipping the per-edge
-    method dispatch, probability re-validation, and cache invalidation
-    the reference pays on every line.
+    The in-memory counterpart of :func:`read_edge_list` — callers that
+    already hold the file's bytes (and have digested them) parse the
+    same content instead of re-reading a file that may have changed.
+    ``source`` labels error messages.
+
+    The result is the graph that adding the lines one at a time would
+    build: vertex ids in first-touch order (bare-vertex lines included),
+    a repeated edge keeps its first position and takes its last
+    probability, and the first malformed line raises — with the error
+    that line-at-a-time parsing gives.  Lines are routed in chunks,
+    probability tokens converted in bulk, and labels mapped to ids with
+    one dict; the edge rows are then deduplicated and ordered with array
+    ops.
+
+    Raises
+    ------
+    GraphError
+        On malformed lines or out-of-range probabilities.
     """
-    graph = UncertainGraph(name=name)
-    adj = graph._adj
+    import numpy as np
+
+    touched: dict = {}          # vertex tokens in first-touch order
+    all_us: list = []
+    all_vs: list = []
+    prob_chunks: list = []
     lines = text.splitlines()
-    for start in range(0, len(lines), _FAST_PARSE_CHUNK):
-        chunk = lines[start:start + _FAST_PARSE_CHUNK]
+    for start in range(0, len(lines), _PARSE_CHUNK):
+        chunk = lines[start:start + _PARSE_CHUNK]
         us: list = []           # edge endpoints, line order
         vs: list = []
         tokens: list = []       # pending probability tokens, line order
@@ -267,8 +245,8 @@ def _parse_edge_list_fast(
                 v = parts[1]
                 tokens_append(parts[2])
                 if u == v:
-                    # Scalar order: this line's float() ran before the
-                    # self-loop check, earlier lines validated fully.
+                    # Line order: this line's float() runs before the
+                    # self-loop check, earlier lines validate fully.
                     _convert_probabilities(
                         tokens, len(tokens) - 1, source, lines, start
                     )
@@ -281,7 +259,7 @@ def _parse_edge_list_fast(
                 vops.append((len(us), parts[0]))
             else:
                 # Earlier float/domain errors outrank this line's
-                # structure error in the scalar loop — validate first.
+                # structure error — validate them first.
                 _convert_probabilities(
                     tokens, len(tokens), source, lines, start
                 )
@@ -289,83 +267,31 @@ def _parse_edge_list_fast(
                     f"{source}:{start + offset + 1}: expected 'u v p' or a "
                     f"bare vertex, got {raw.rstrip()!r}"
                 )
-        # tolist() yields Python floats — the scalar loop stores Python
-        # floats too, and repr(np.float64) would break serialisation.
-        probs = _convert_probabilities(
-            tokens, len(tokens), source, lines, start
-        ).tolist()
-        if vops:
-            # Bare vertices interleave with edges: replay in line order
-            # so dict insertion order matches the scalar loop exactly.
-            vi = 0
-            n_vops = len(vops)
-            for eid, p in enumerate(probs):
-                while vi < n_vops and vops[vi][0] == eid:
-                    token = vops[vi][1]
-                    if token not in adj:
-                        adj[token] = {}
-                    vi += 1
-                u = us[eid]
-                v = vs[eid]
-                row = adj.get(u)
-                if row is None:
-                    row = adj[u] = {}
-                col = adj.get(v)
-                if col is None:
-                    col = adj[v] = {}
-                row[v] = p
-                col[u] = p
-            while vi < n_vops:
-                token = vops[vi][1]
-                if token not in adj:
-                    adj[token] = {}
-                vi += 1
-        else:
-            for u, v, p in zip(us, vs, probs):
-                row = adj.get(u)
-                if row is None:
-                    row = adj[u] = {}
-                col = adj.get(v)
-                if col is None:
-                    col = adj[v] = {}
-                row[v] = p
-                col[u] = p
-    graph._invalidate_caches()
-    return graph
-
-
-def parse_edge_list(
-    text: str, name: str = "", source: str = "<string>", engine: str = "auto"
-) -> UncertainGraph:
-    """Parse edge-list *text* into an :class:`UncertainGraph`.
-
-    The in-memory counterpart of :func:`read_edge_list` — callers that
-    already hold the file's bytes (and have digested them) parse the
-    same content instead of re-reading a file that may have changed.
-    ``source`` labels error messages.
-
-    ``engine`` selects the implementation: ``"scalar"`` (the
-    line-at-a-time reference), ``"fast"`` (chunked bulk conversion), or
-    ``"auto"`` (default: fast beyond a line-count threshold).  The two
-    engines are bit-identical — same graph, same insertion order, same
-    errors — so the knob only exists for testing and benchmarks.
-
-    Raises
-    ------
-    GraphError
-        On malformed lines or out-of-range probabilities.
-    """
-    if engine not in ("auto", "scalar", "fast"):
-        raise ValueError(
-            f"engine must be 'auto', 'scalar' or 'fast', got {engine!r}"
+        prob_chunks.append(
+            _convert_probabilities(tokens, len(tokens), source, lines, start)
         )
-    if engine == "auto":
-        engine = (
-            "fast" if text.count("\n") >= _FAST_PARSE_THRESHOLD else "scalar"
-        )
-    if engine == "fast":
-        return _parse_edge_list_fast(text, name=name, source=source)
-    return _parse_edge_list_scalar(text, name=name, source=source)
+        # First touches in line order: bare vertices interleave with
+        # edges, and an edge touches u before v.
+        position = 0
+        for edge_position, token in vops:
+            touched.update(dict.fromkeys(itertools.chain.from_iterable(
+                zip(us[position:edge_position], vs[position:edge_position])
+            )))
+            touched.setdefault(token)
+            position = edge_position
+        touched.update(dict.fromkeys(itertools.chain.from_iterable(
+            zip(us[position:], vs[position:])
+        )))
+        all_us += us
+        all_vs += vs
+    ids = dict(zip(touched, range(len(touched))))
+    return UncertainGraph._from_creation_rows(
+        list(ids), ids,
+        np.fromiter(map(ids.__getitem__, all_us), np.int64, len(all_us)),
+        np.fromiter(map(ids.__getitem__, all_vs), np.int64, len(all_vs)),
+        np.concatenate(prob_chunks) if prob_chunks else np.empty(0),
+        name=name,
+    )
 
 
 def read_edge_list(path: "str | os.PathLike", name: str = "") -> UncertainGraph:

@@ -71,10 +71,10 @@ def erdos_renyi_uncertain(
                 break
     draw = beta_probability_sampler(p_mean, rng)
     probs = draw(len(chosen))
-    graph = UncertainGraph(vertices=range(n), name=name or f"er(n={n})")
-    for (u, v), p in zip(sorted(chosen), probs):
-        graph.add_edge(u, v, float(p))
-    return graph
+    return UncertainGraph.from_edge_arrays(
+        list(range(n)), np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2),
+        probs, name=name or f"er(n={n})",
+    )
 
 
 def barabasi_albert_uncertain(
@@ -113,10 +113,10 @@ def barabasi_albert_uncertain(
             repeated.extend((new, t))
     draw = beta_probability_sampler(p_mean, rng)
     probs = draw(len(edges))
-    graph = UncertainGraph(vertices=range(n), name=name or f"ba(n={n})")
-    for (u, v), p in zip(edges, probs):
-        graph.add_edge(u, v, float(p))
-    return graph
+    return UncertainGraph.from_edge_arrays(
+        list(range(n)), np.array(edges, dtype=np.int64).reshape(-1, 2), probs,
+        name=name or f"ba(n={n})",
+    )
 
 
 def flickr_like(
@@ -198,8 +198,8 @@ def forest_fire_like_arrays(
     """Array-native forest-fire-style generator: ``(n, src, dst, prob)``.
 
     The scale path for the out-of-core benchmarks: a 10M+ edge graph is
-    produced as three dense arrays in O(m) vectorised work, never
-    touching a dict adjacency.  Growth model (forest-fire flavoured):
+    produced as three dense arrays in O(m) vectorised work, with no
+    per-edge Python loop.  Growth model (forest-fire flavoured):
     vertices arrive in id order and each new vertex ``u`` links to
     earlier vertices ``floor(u * r^gamma)`` with ``r ~ U[0, 1)`` — the
     ``gamma``-biased copy step concentrates endpoints on early vertices,
@@ -211,11 +211,11 @@ def forest_fire_like_arrays(
     :func:`beta_probability_sampler`.
 
     Returns edges in canonical order (``src < dst`` rows sorted
-    lexicographically) so :meth:`UncertainGraph.from_edge_arrays`
-    pre-seeds its edge views, and deterministically for a fixed seed
-    regardless of how many top-up rounds the dedup loop needs.  Feed
-    the arrays to :func:`repro.datasets.binary_io.write_binary_arrays`
-    or wrap them in an :class:`~repro.core.array_graph.EdgeArrayGraph`.
+    lexicographically), which :meth:`UncertainGraph.from_edge_arrays`
+    keeps as given, and deterministically for a fixed seed regardless of
+    how many top-up rounds the dedup loop needs.  Feed the arrays to
+    :func:`repro.datasets.binary_io.write_binary_arrays` or to
+    :meth:`UncertainGraph.from_edge_arrays`.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")

@@ -48,6 +48,8 @@ class SourceDistanceQuery:
             raise ValueError(
                 f"source must be a non-negative integer vertex id, got {source!r}"
             )
+        if not is_index(n):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         self.source = source
         self.n = n
         self.weighted = bool(weighted)

@@ -68,9 +68,12 @@ def exact_connectivity_probability(graph: UncertainGraph) -> float:
 
 
 def exact_reliability(graph: UncertainGraph, source, target) -> float:
-    """Exact two-terminal reliability ``Pr[target reachable from source]``."""
-    indexer = graph.vertex_indexer()
-    s, t = indexer[source], indexer[target]
+    """Exact two-terminal reliability ``Pr[target reachable from source]``.
+
+    A ``source`` or ``target`` not in the graph raises
+    :class:`~repro.exceptions.GraphError` naming it.
+    """
+    s, t = graph.vertex_id(source), graph.vertex_id(target)
 
     def connected(batch: WorldBatch) -> np.ndarray:
         labels = batch.component_labels()

@@ -192,8 +192,10 @@ def repeated_estimates(
     """Variance protocol: ``runs`` independent scalar estimates Phi_i(G).
 
     Paper section 6.3 re-runs each estimator 100 times and reports the
-    unbiased variance of the results.
+    unbiased variance of the results.  ``runs`` must be a positive
+    integer (:class:`EstimationError` otherwise).
     """
+    _check_positive_int("runs", runs)
     generators = spawn_rngs(rng, runs)
     estimator = MonteCarloEstimator(
         graph, n_samples=n_samples, batch_size=batch_size

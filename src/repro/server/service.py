@@ -531,12 +531,6 @@ class SparsifierService:
         entry = self._dataset(norm["dataset"], norm["digest"])
         graph = entry["graph"]
         spec = parse_variant(norm["variant"])
-        if entry.get("binary") and spec.method not in ("gdb", "emd", "lp"):
-            raise ServerError(
-                f"variant {norm['variant']!r} needs the dict-backed graph "
-                "API; binary (memory-mapped) datasets support the "
-                "array-native GDB/EMD/LP variants"
-            )
         plan = self._plan_for(entry) if spec.accepts_plan else None
         result = sparsify(
             graph,

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EdgeArrayGraph, UncertainGraph
+from repro.core import UncertainGraph
 from repro.datasets import (
     binary_digest,
     graph_digest,
@@ -98,7 +98,7 @@ class TestRoundTrip:
                                   g.edge_index_array())
             assert np.array_equal(view.probability_array(),
                                   g.probability_array())
-            assert graph_digest(view.materialise()) == graph_digest(g)
+            assert graph_digest(view) == graph_digest(g)
 
         # mmap and in-memory loads expose the same bits
         a = read_binary(binary, mmap=True)
@@ -119,7 +119,7 @@ class TestRoundTrip:
         assert loaded2.n_vertices == g.number_of_vertices()
         original = {frozenset((u, v)): p for u, v, p in g.edges()}
         restored = {frozenset((int(u), int(v))): p
-                    for u, v, p in loaded2.graph().materialise().edges()}
+                    for u, v, p in loaded2.graph().edges()}
         assert restored == original
 
         # determinism: a given graph always serialises to the same bytes
@@ -136,7 +136,7 @@ class TestRoundTrip:
             loaded = read_binary(path, mmap=mmap, verify=True)
             assert loaded.n_vertices == 4
             assert loaded.n_edges == 0
-            assert loaded.graph().materialise().number_of_edges() == 0
+            assert loaded.graph().number_of_edges() == 0
 
     def test_mmap_arrays_are_lazy_views(self, sample):
         _g, path, _header = sample
@@ -155,7 +155,7 @@ class TestRoundTrip:
         write_binary(g, path)
         loaded = read_binary(path)
         restored = {frozenset((int(u), int(v))): p
-                    for u, v, p in loaded.graph().materialise().edges()}
+                    for u, v, p in loaded.graph().edges()}
         assert restored == {frozenset(e): p for e, p in
                             [((3, 1), 0.5), ((0, 2), 0.25), ((1, 0), 0.75)]}
 
@@ -171,16 +171,39 @@ class TestRoundTrip:
         assert np.array_equal(loaded.dst, [1, 2])
 
     def test_from_arrays_feeds_state_without_materialising(self, sample):
+        from repro.core.backbone import BackbonePlan
         from repro.core.discrepancy import SparsificationState
+        from repro.core.grid import gdb_grid
+        from repro.sampling import WorldSampler
 
-        _g, path, _header = sample
-        view = read_binary(path, mmap=True).graph()
+        g, path, _header = sample
+        dataset = read_binary(path, mmap=True)
+        view = dataset.graph()
+        assert isinstance(view, UncertainGraph)
+        assert view.vertices() == range(6)
         state = SparsificationState(view)
         assert state.m == view.number_of_edges()
-        reference = SparsificationState(view.materialise())
+        reference = SparsificationState(g)
         assert np.array_equal(state.original_degrees,
                               reference.original_degrees)
         assert np.array_equal(state.edge_vertices, reference.edge_vertices)
+        # The array-native paths build no label list, identity indexer,
+        # edge-list tuples, pair map or adjacency: the rows stay the
+        # mapped arrays, and a result graph shares the range labels.
+        BackbonePlan(view).backbone(0.9)
+        gdb_grid(view, [0.9], [0.25], rng=5, build_graphs=False)
+        WorldSampler(view).sample_mask_matrix(4, rng=0)
+        state.select_edges(np.array([0, 2]), np.array([0.5, 0.75]))
+        result = state.build_graph()
+        assert result.vertices() == range(6)
+        for graph in (view, result):
+            assert isinstance(graph._labels, range)
+            assert graph._ids is None
+            assert graph._edge_list is None
+            assert graph._pairs is None
+            assert graph._csr is None
+        assert view._src is dataset.src and view._dst is dataset.dst
+        assert view.probability_array() is dataset.probabilities
 
 
 class TestDigest:
@@ -288,12 +311,14 @@ class TestWriteValidation:
                                 [0.5, 0.25])
 
     def test_malformed_arrays_never_written_with_valid_digest(self, tmp_path):
-        # validate=True runs the EdgeArrayGraph checks up front.
+        # validate=True runs the array checks up front.
         with pytest.raises(Exception):
             write_binary_arrays(tmp_path / "bad.bin", 2, [0], [5], [0.5])
 
     def test_edge_array_graph_round_trip(self, tmp_path):
-        view = EdgeArrayGraph(4, [0, 1, 2], [1, 2, 3], [0.5, 0.25, 1.0])
+        view = UncertainGraph.from_edge_arrays(
+            range(4), [[0, 1], [1, 2], [2, 3]], [0.5, 0.25, 1.0]
+        )
         path = tmp_path / "view.bin"
         write_binary(view, path)
         loaded = read_binary(path, verify=True).graph()

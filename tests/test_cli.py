@@ -387,11 +387,22 @@ class TestBinaryInputs:
         assert code == 0
         assert out.exists()
 
-    def test_sparsify_ni_rejected_on_binary(self, binary_file, tmp_path,
-                                            capsys):
-        code = main(["sparsify", str(binary_file), str(tmp_path / "o.txt"),
-                     "--alpha", "0.4", "--variant", "NI", "--seed", "0"])
-        assert code != 0
+    def test_every_variant_runs_on_binary(self, binary_file, tmp_path,
+                                          capsys):
+        """Binary inputs are the same graph type as text ones: every
+        variant runs and writes what the library computes on them."""
+        from repro.core import available_variants, sparsify
+        from repro.datasets import format_edge_list, read_binary
+
+        graph = read_binary(binary_file, mmap=True).graph()
+        for variant in available_variants():
+            out = tmp_path / "o.txt"
+            code = main(["sparsify", str(binary_file), str(out),
+                         "--alpha", "0.4", "--variant", variant,
+                         "--seed", "0"])
+            assert code == 0, variant
+            expected = sparsify(graph, 0.4, variant=variant, rng=0)
+            assert out.read_text() == format_edge_list(expected), variant
 
     def test_estimate_from_binary(self, binary_file, capsys):
         code = main(["estimate", str(binary_file), "--query", "connectivity",

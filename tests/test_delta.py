@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.array_graph import EdgeArrayGraph
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.discrepancy import SparsificationState
@@ -155,6 +154,27 @@ class TestApplyDelta:
         assert applied.new_m == M
         eid = int(applied.insert_eids[0])
         assert applied.graph.probability_array()[eid] == 0.5
+
+    def test_inserts_follow_their_lower_endpoint_on_stored_rows(self):
+        """Rows as a binary file stores them need not be in edge order;
+        an insert still goes right after the last surviving row whose
+        lower endpoint is at most its own, and is not appended."""
+        stored = UncertainGraph._from_stored_rows(
+            5, np.array([0, 3, 2]), np.array([1, 4, 1]),
+            np.array([0.5, 0.25, 0.75]),
+        )
+        batch = EdgeDeltaBatch(
+            insert_endpoints=[[0, 2], [2, 3]], insert_ps=[0.125, 0.375],
+        )
+        applied = apply_delta(stored, batch, in_place=True)
+        assert applied.graph is stored
+        assert applied.insert_eids.tolist() == [1, 4]
+        assert applied.id_map.tolist() == [0, 2, 3]
+        assert stored.edge_list() == [(0, 1), (0, 2), (3, 4), (2, 1), (2, 3)]
+        assert stored.probability_array().tolist() == \
+            [0.5, 0.125, 0.25, 0.75, 0.375]
+        # Ranks follow creation: the inserts list after the stored rows.
+        assert list(stored.neighbors(2)) == [1, 0, 3]
 
 
 class TestBatchValidation:
@@ -310,11 +330,13 @@ class TestBatchValidation:
             apply_delta(graph, batch, in_place=True)
         assert views(graph) == before
         index = graph.edge_index_array()
-        arrays = EdgeArrayGraph(
+        stored = UncertainGraph._from_stored_rows(
             4, index[:, 0], index[:, 1], graph.probability_array()
         )
-        with pytest.raises(GraphError, match="existing edge"):
-            apply_delta(arrays, batch)
+        before = views(stored)
+        with pytest.raises(GraphError, match=r"existing edge: \(1, 2\)"):
+            apply_delta(stored, batch)
+        assert views(stored) == before
 
 
 class TestFromPairs:

@@ -9,7 +9,7 @@ import pytest
 from oracles.exact import exact_expectation, exact_query_probability, iter_worlds
 from repro.core import UncertainGraph
 from repro.datasets import erdos_renyi_uncertain, figure1_graph, figure1_sparsified
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, GraphError
 from repro.sampling import exact_connectivity_probability, exact_reliability
 
 
@@ -117,3 +117,10 @@ def test_ensemble_enumeration_matches_world_enumeration(seed):
                 assert exact_reliability(graph, source, target) == (
                     _oracle_reliability(graph, source, target)
                 )
+
+
+@pytest.mark.parametrize("source, target", [(99, 1), (0, 99)])
+def test_reliability_names_an_unknown_vertex(source, target):
+    g = UncertainGraph([(0, 1, 0.5), (1, 2, 0.25), (0, 2, 1.0)])
+    with pytest.raises(GraphError, match="vertex not in graph: 99"):
+        exact_reliability(g, source, target)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.io import parse_edge_list_scalar
 from repro.core import UncertainGraph
-from repro.core.array_graph import EdgeArrayGraph
 from repro.datasets import (
     dataset_digest,
     parse_edge_list,
@@ -180,33 +180,52 @@ def test_format_edge_list_matches_file(tmp_path, small_sparse):
     assert path.read_text() == format_edge_list(small_sparse)
 
 
+_tokens = st.sampled_from(["a", "b", "c", "d", "e", "1", "2", "é"])
+_prob_tokens = st.one_of(
+    st.floats(min_value=1e-6, max_value=1.0).map(repr),
+    st.sampled_from(["0.0", "2.0", "-0.5", "nan", "inf", "xx", "1_0", "1e-3",
+                     ".5", "1"]),
+)
+_text_lines = st.one_of(
+    st.tuples(_tokens, _tokens, _prob_tokens).map(" ".join),
+    _tokens,
+    st.sampled_from(["", "   ", "# comment", "a b 0.5 # trailing",
+                     "a b", "a b 0.5 extra", "\t c  d  0.25 "]),
+)
+
+
 class TestParseEngineParity:
-    """The chunked fast parser is pinned bit-identical to the scalar loop.
+    """The chunked parser is pinned to the line-at-a-time oracle
+    (``oracles.io.parse_edge_list_scalar``, which adds each line through
+    the graph's per-edge API).
 
     Same graph (vertices, edges, insertion order, Python-float
     probabilities), same serialisation, and the same exception type /
-    message / line number on every malformed input — the fast path is
-    an implementation detail, never an observable change.
+    message / line number on every malformed input.
     """
 
     @staticmethod
     def both(text):
-        return (parse_edge_list(text, source="f", engine="scalar"),
-                parse_edge_list(text, source="f", engine="fast"))
+        return (parse_edge_list_scalar(text, source="f"),
+                parse_edge_list(text, source="f"))
 
     def assert_identical(self, text):
         scalar, fast = self.both(text)
         assert list(scalar.vertices()) == list(fast.vertices())
         assert list(scalar.edges()) == list(fast.edges())
+        assert scalar.edge_index_array().tobytes() == \
+            fast.edge_index_array().tobytes()
+        assert [list(scalar.neighbors(v).items()) for v in scalar] == \
+            [list(fast.neighbors(v).items()) for v in fast]
         assert format_edge_list(scalar) == format_edge_list(fast)
         for _u, _v, p in fast.edges():
             assert type(p) is float  # repr(np.float64) would break writes
 
     def assert_same_error(self, text):
         errors = []
-        for engine in ("scalar", "fast"):
+        for parse in (parse_edge_list_scalar, parse_edge_list):
             with pytest.raises(Exception) as excinfo:
-                parse_edge_list(text, source="f", engine=engine)
+                parse(text, source="f")
             errors.append(excinfo.value)
         scalar_error, fast_error = errors
         assert type(scalar_error) is type(fast_error)
@@ -234,7 +253,7 @@ class TestParseEngineParity:
         assert list(scalar.edges()) == list(fast.edges())
 
     def test_large_input_identical(self):
-        # Big enough that the fast path runs multiple full chunks.
+        # Big enough that the parser runs multiple full chunks.
         import random
 
         rng = random.Random(11)
@@ -270,25 +289,33 @@ class TestParseEngineParity:
         self.assert_same_error(text)
 
     def test_error_parity_beyond_first_chunk(self):
-        from repro.datasets.io import _FAST_PARSE_CHUNK
+        from repro.datasets.io import _PARSE_CHUNK
 
-        prefix = "a b 0.5\n" * (_FAST_PARSE_CHUNK + 7)
+        prefix = "a b 0.5\n" * (_PARSE_CHUNK + 7)
         self.assert_same_error(prefix + "bad line with four tokens\n")
         self.assert_same_error(prefix + "c d not-a-number\n")
 
-    def test_auto_dispatch_threshold(self):
-        from repro.datasets.io import _FAST_PARSE_THRESHOLD
-
-        big = "\n".join(
-            f"u{i} w{i} 0.5" for i in range(_FAST_PARSE_THRESHOLD + 1)
-        )
-        auto = parse_edge_list(big)
-        assert list(auto.edges()) == \
-            list(parse_edge_list(big, engine="scalar").edges())
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            parse_edge_list("a b 0.5\n", engine="turbo")
+    @settings(max_examples=120, deadline=None)
+    @given(lines=st.lists(_text_lines, max_size=40), big=st.booleans())
+    def test_random_texts_match_line_at_a_time(self, lines, big):
+        """Random texts below 8,192 lines: the same graph, or the same
+        error type, message and line."""
+        if big:  # push the random lines past a few thousand edge lines
+            lines = ["f0 f1 0.5"] * 5000 + lines + ["f2 f3 0.25"] * 3000
+        text = "\n".join(lines)
+        try:
+            scalar = parse_edge_list_scalar(text, source="f")
+        except Exception as error:  # noqa: BLE001 - any error must match
+            with pytest.raises(type(error)) as excinfo:
+                parse_edge_list(text, source="f")
+            assert str(excinfo.value) == str(error)
+            return
+        fast = parse_edge_list(text, source="f")
+        assert list(fast.vertices()) == list(scalar.vertices())
+        assert fast.edge_list() == scalar.edge_list()
+        assert fast.probability_array().tobytes() == \
+            scalar.probability_array().tobytes()
+        assert format_edge_list(fast) == format_edge_list(scalar)
 
 
 # -- format_edge_list against the per-edge writer it replaced ---------------
@@ -400,6 +427,8 @@ class TestFormatEdgeListOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_edge_array_graph_matches_reference(self, data):
+        """A graph over stored edge rows (the binary loader's wrapping:
+        any orientation, any order) serialises like the reference."""
         n = data.draw(st.integers(0, 12))
         pairs = data.draw(st.lists(
             st.tuples(st.integers(0, max(n - 1, 0)),
@@ -408,7 +437,7 @@ class TestFormatEdgeListOracle:
         ))
         pairs = [(u, v) for u, v in pairs if u != v]
         probs = [data.draw(_probabilities) for _ in pairs]
-        graph = EdgeArrayGraph(
+        graph = UncertainGraph._from_stored_rows(
             n,
             np.array([u for u, _ in pairs], dtype=np.int64),
             np.array([v for _, v in pairs], dtype=np.int64),

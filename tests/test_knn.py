@@ -31,6 +31,11 @@ class TestSourceDistanceQuery:
         out = full_outcome(SourceDistanceQuery(0, 4), g)
         assert out[2] == np.inf and out[3] == np.inf
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True, 3.0])
+    def test_rejects_a_vertex_count_that_is_not_an_index(self, n):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            SourceDistanceQuery(0, n)
+
     def test_unit_count(self):
         assert SourceDistanceQuery(0, 7).unit_count() == 7
 

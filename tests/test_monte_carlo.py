@@ -87,6 +87,12 @@ class TestVarianceProtocol:
         )
         assert estimates.shape == (5,)
 
+    @pytest.mark.parametrize("runs", [0, -1, 2.5, True])
+    def test_invalid_run_count(self, triangle, runs):
+        with pytest.raises(EstimationError, match="runs"):
+            repeated_estimates(triangle, DegreeQuery(3), runs=runs,
+                               n_samples=5, rng=0)
+
     def test_unbiased_variance_matches_numpy(self):
         data = np.array([1.0, 2.0, 3.0, 4.0])
         assert unbiased_variance(data) == pytest.approx(np.var(data, ddof=1))

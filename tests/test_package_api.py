@@ -48,8 +48,12 @@ def test_public_callables_documented(module_name):
             assert obj.__doc__, f"{module_name}.{name} missing docstring"
 
 
-#: Parameters that only chose between equivalent Monte-Carlo engines.
-REMOVED_ENGINE_PARAMETERS = {"batched", "bfs_kernel", "kernel"}
+#: Parameters that only chose between equivalent implementations: the
+#: Monte-Carlo engines, the sparsifier and parser engines, and the
+#: binary dataset's materialised graph.
+REMOVED_ENGINE_PARAMETERS = {
+    "batched", "bfs_kernel", "kernel", "engine", "materialise",
+}
 
 
 def _signatures(obj):
@@ -74,6 +78,20 @@ def test_no_engine_selection_parameters(module_name):
         for label, signature in _signatures(obj):
             taken = REMOVED_ENGINE_PARAMETERS & set(signature.parameters)
             assert not taken, f"{module_name}.{label} takes {sorted(taken)}"
+
+
+def test_one_graph_type(tmp_path):
+    """The binary loader and the text parser give the same class."""
+    import repro.core
+    from repro.core import UncertainGraph
+    from repro.datasets import read_binary, write_binary
+
+    assert not hasattr(repro.core, "EdgeArrayGraph")
+    assert "EdgeArrayGraph" not in repro.core.__all__
+    path = tmp_path / "g.rpbg"
+    write_binary(UncertainGraph([(0, 1, 0.5), (1, 2, 0.25)]), path)
+    graph = read_binary(path, mmap=True).graph()
+    assert type(graph) is UncertainGraph
 
 
 def test_library_never_imports_test_oracles():

@@ -534,14 +534,13 @@ class TestBinaryDatasets:
             "sparsify", {"dataset": dataset, **SPARSIFY})
         from_binary, _ = service.handle(
             "sparsify", {"dataset": binary, **SPARSIFY})
-        # Bit-identity is a *same-representation* contract (worker-count
-        # invariance), not a cross-representation one: the text dataset's
-        # dict graph works in first-touch indexer space while the binary
-        # file stores the numeric labels as dense ids, so pipeline sums
-        # run in different orders and GDB may legitimately keep a
-        # slightly different edge set.  What must agree: the structural
-        # invariants of the sparsifier — same edge budget, same vertex
-        # universe, probabilities in (0, 1].
+        # Bit-identity holds per input, not across formats: the text
+        # dataset's graph numbers its vertices in first-touch order while
+        # the binary file stores the numeric labels themselves as dense
+        # ids, so pipeline sums run in different orders and GDB may
+        # legitimately keep a slightly different edge set.  What must
+        # agree: the structural invariants of the sparsifier — same edge
+        # budget, same vertex universe, probabilities in (0, 1].
         def parse(body):
             artifact = json.loads(body)["artifact"]
             edges = {}
@@ -592,11 +591,19 @@ class TestBinaryDatasets:
         with pytest.raises(ServerError, match="digest"):
             service.handle("sparsify", {"dataset": str(bad), **SPARSIFY})
 
-    def test_unsupported_variant_on_binary_rejected(self, service, binary):
-        with pytest.raises(ServerError, match="binary"):
-            service.handle("sparsify",
-                           {"dataset": binary, "alpha": 0.4,
-                            "variant": "NI", "seed": 0})
+    def test_every_variant_runs_on_binary(self, service, binary):
+        from repro.core import available_variants
+        from repro.datasets import read_binary
+
+        graph = read_binary(binary, mmap=True).graph()
+        for variant in available_variants():
+            body, _ = service.handle("sparsify", {
+                "dataset": binary, "alpha": 0.4, "variant": variant,
+                "seed": 0,
+            })
+            expected = sparsify(graph, 0.4, variant=variant, rng=0)
+            assert json.loads(body)["artifact"] == \
+                format_edge_list(expected, header=False), variant
 
     def test_estimate_on_binary(self, service, binary):
         body, _ = service.handle("estimate", {

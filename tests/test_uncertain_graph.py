@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.graph import UncertainGraph as DictGraph
+from oracles.graph import _apply_to_uncertain
 from repro.core import UncertainGraph
+from repro.core.delta import EdgeDeltaBatch, apply_delta
+from repro.datasets import format_edge_list
 from repro.exceptions import GraphError, ProbabilityError
 
 
@@ -251,9 +255,10 @@ class TestReadOnlyViews:
             nbrs["b"] = 0.1
         with pytest.raises(TypeError):
             del nbrs["b"]
-        # The view is live: graph mutations show through it.
+        # The mapping is a snapshot: later mutations show in a new call.
         triangle.set_probability("a", "b", 0.75)
-        assert nbrs["b"] == 0.75
+        assert nbrs["b"] == 0.5
+        assert triangle.neighbors("a")["b"] == 0.75
 
     def test_neighbors_missing_vertex(self, triangle):
         with pytest.raises(GraphError):
@@ -466,8 +471,11 @@ class TestCopyIndependence:
         assert clone.edge_list() is not triangle.edge_list()
         assert clone.probability_array() is not triangle.probability_array()
         assert clone.vertex_indexer() is not triangle.vertex_indexer()
-        for v in triangle:
-            assert clone._adj[v] is not triangle._adj[v]
+        clone.add_vertex("d")
+        clone.add_edge("a", "d", 0.5)
+        assert triangle.vertices() == ["a", "b", "c"]
+        assert "d" not in triangle.vertex_indexer()
+        assert triangle.number_of_edges() == 3
 
 
 class TestSetProbabilities:
@@ -517,3 +525,154 @@ class TestSetProbabilities:
         with pytest.raises(error, match=match):
             triangle.set_probabilities(eids, ps)
         assert _snapshot(triangle) == before
+
+
+# -- the array graph against the dict-of-dicts oracle ------------------------
+
+def _oracle_views(graph):
+    """Every order-carrying view the two graph classes must agree on."""
+    return (
+        list(graph.vertices()),
+        list(graph.edge_list()),
+        graph.edge_index_array().tobytes(),
+        graph.probability_array().tobytes(),
+        [(v, list(graph.neighbors(v).items())) for v in graph.vertices()],
+        format_edge_list(graph),
+    )
+
+
+def _draw_batch(data, graph, structural):
+    m = graph.number_of_edges()
+    n = graph.number_of_vertices()
+    eids = list(range(m))
+    updates = data.draw(st.lists(st.sampled_from(eids), unique=True,
+                                 max_size=4)) if eids else []
+    deletes, inserts = [], []
+    if structural:
+        rest = [e for e in eids if e not in updates]
+        deletes = data.draw(st.lists(st.sampled_from(rest), unique=True,
+                                     max_size=3)) if rest else []
+        existing = {
+            (min(a, b), max(a, b))
+            for a, b in graph.edge_index_array().tolist()
+        }
+        free = [(a, b) for a in range(n) for b in range(a + 1, n)
+                if (a, b) not in existing]
+        inserts = data.draw(st.lists(st.sampled_from(free), unique=True,
+                                     max_size=3)) if free else []
+    return EdgeDeltaBatch(
+        update_eids=np.array(updates, dtype=np.int64),
+        update_ps=[data.draw(_oracle_probs) for _ in updates],
+        delete_eids=np.array(deletes, dtype=np.int64),
+        insert_endpoints=np.array(inserts, dtype=np.int64).reshape(-1, 2),
+        insert_ps=[data.draw(_oracle_probs) for _ in inserts],
+    )
+
+
+_oracle_probs = st.floats(min_value=0.01, max_value=1.0)
+_oracle_labels = st.integers(0, 7)
+
+
+def _one_mutation(data, graph, oracle):
+    """Draw one per-edge mutation and run it on both graphs."""
+    edges = oracle.edge_list()
+    kind = data.draw(st.sampled_from(
+        ["add_vertex", "remove_vertex", "add_edge", "overwrite",
+         "remove_edge", "set_probability"]
+    ))
+    if kind == "add_vertex":
+        label = data.draw(_oracle_labels)
+        graph.add_vertex(label)
+        oracle.add_vertex(label)
+    elif kind == "remove_vertex" and oracle.number_of_vertices():
+        label = data.draw(st.sampled_from(oracle.vertices()))
+        graph.remove_vertex(label)
+        oracle.remove_vertex(label)
+    elif kind in ("add_edge", "remove_vertex") or not edges:
+        u = data.draw(_oracle_labels)
+        v = data.draw(_oracle_labels.filter(lambda x: x != u))
+        p = data.draw(_oracle_probs)
+        graph.add_edge(u, v, p)
+        oracle.add_edge(u, v, p)
+    else:
+        u, v = data.draw(st.sampled_from(edges))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        if kind == "remove_edge":
+            assert graph.remove_edge(u, v) == oracle.remove_edge(u, v)
+        elif kind == "overwrite":
+            p = data.draw(_oracle_probs)
+            graph.add_edge(u, v, p)
+            oracle.add_edge(u, v, p)
+        else:
+            p = data.draw(_oracle_probs)
+            graph.set_probability(u, v, p)
+            oracle.set_probability(u, v, p)
+
+
+def _one_step(data, graph, oracle):
+    """Draw one step, run it on both graphs; returns the pair to go on with."""
+    kind = data.draw(st.sampled_from(
+        ["mutations", "mutations", "mutations", "set_probabilities", "copy",
+         "from_arrays", "delta", "delta"]
+    ))
+    if kind == "mutations":
+        # Several buffered per-edge mutations before the next array read.
+        for _ in range(data.draw(st.integers(1, 4))):
+            _one_mutation(data, graph, oracle)
+    elif kind == "set_probabilities":
+        m = oracle.number_of_edges()
+        eids = data.draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True,
+                                  max_size=min(m, 3)))
+        ps = [data.draw(_oracle_probs) for _ in eids]
+        graph.set_probabilities(np.array(eids, dtype=np.int64), ps)
+        oracle.set_probabilities(np.array(eids, dtype=np.int64), ps)
+    elif kind == "copy":
+        graph, oracle = graph.copy(name="c"), oracle.copy(name="c")
+    elif kind == "from_arrays":
+        rows = oracle.edge_index_array().copy()
+        probs = oracle.probability_array().copy()
+        if data.draw(st.booleans()):  # shuffled and flipped rows
+            order = data.draw(st.permutations(range(len(rows))))
+            rows, probs = rows[list(order)], probs[list(order)]
+            flip = np.array([data.draw(st.booleans()) for _ in range(len(rows))],
+                            dtype=bool)
+            rows[flip] = rows[flip][:, ::-1]
+        vertices = oracle.vertices()
+        graph = UncertainGraph.from_edge_arrays(vertices, rows, probs)
+        oracle = DictGraph.from_edge_arrays(vertices, rows, probs)
+    else:
+        batch = _draw_batch(data, oracle, structural=data.draw(st.booleans()))
+        in_place = data.draw(st.booleans())
+        applied = apply_delta(graph, batch, in_place=in_place)
+        expected = _apply_to_uncertain(oracle, batch, in_place)
+        assert np.array_equal(applied.id_map, expected.id_map)
+        assert np.array_equal(applied.insert_eids, expected.insert_eids)
+        assert applied.new_m == expected.new_m
+        assert np.array_equal(applied.old_update_ps, expected.old_update_ps)
+        if not in_place:
+            graph, oracle = applied.graph, expected.graph
+    return graph, oracle
+
+
+class TestAgainstDictOracle:
+    """Random operation sequences through the array graph and the
+    dict-of-dicts graph it replaced (``oracles.graph``): identical vertex,
+    edge and neighbour orders and identical bytes after every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_sequences_match(self, data):
+        initial = data.draw(st.lists(
+            st.tuples(_oracle_labels, _oracle_labels, _oracle_probs)
+            .filter(lambda e: e[0] != e[1]),
+            max_size=8,
+        ))
+        isolated = data.draw(st.lists(_oracle_labels, max_size=2))
+        graph = UncertainGraph(initial, vertices=isolated)
+        oracle = DictGraph(initial, vertices=isolated)
+        assert _oracle_views(graph) == _oracle_views(oracle)
+        for _ in range(data.draw(st.integers(1, 12))):
+            graph, oracle = _one_step(data, graph, oracle)
+            assert _oracle_views(graph) == _oracle_views(oracle)
+            assert graph.number_of_edges() == oracle.number_of_edges()

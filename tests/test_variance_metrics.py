@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import UncertainGraph, sparsify
+from repro.exceptions import EstimationError
 from repro.metrics import VarianceComparison, relative_variance
 from repro.queries import DegreeQuery, ReliabilityQuery
 from repro.queries.shortest_path import sample_vertex_pairs
@@ -39,3 +40,10 @@ def test_gdb_reduces_reliability_variance(small_power_law):
         small_power_law, sparsified, query, runs=10, n_samples=50, rng=2
     )
     assert comparison.relative < 1.0
+
+
+@pytest.mark.parametrize("runs", [0, -1, 2.5, True])
+def test_invalid_run_count_names_runs(triangle, runs):
+    with pytest.raises(EstimationError, match="runs"):
+        relative_variance(triangle, triangle, DegreeQuery(3), runs=runs,
+                          n_samples=5, rng=0)
