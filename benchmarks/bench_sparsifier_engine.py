@@ -15,7 +15,7 @@ side of every table is the scalar reference in ``tests/oracles/``
   run to the exact descent fixed point (``h = 1``), where the two
   converged objectives must agree within 1e-6.
 - **EMD**: the full Algorithm 3 with the deferred-heap E-phase and its
-  vectorised candidate scan + fused M-phase against the scalar
+  candidate-table scan + sequential M-phase against the scalar
   reference.  Here the two sides are *bit-identical by construction*, so
   the equality gate is exact (``tol=0``) and always runs; the speedup
   floor is softer (``MIN_EMD_SPEEDUP``, default 1.2 — the E-phase is
@@ -25,13 +25,20 @@ side of every table is the scalar reference in ``tests/oracles/``
   max-discrepancy scan, one candidate at a time).  Both make the same
   decisions, so the gate is exact equality of ``phat``, ``delta``,
   ``selected``, ``total_residual`` and the swap count after the pass;
-  the timing floor is ``MIN_LAZY_SPEEDUP`` (default 1.5).
+  the timing floor is ``MIN_LAZY_SPEEDUP`` (default 1.5).  The vector
+  side includes building the candidate table, which :func:`emd` does
+  once per call.
+- **EMD M-phase**: one ``gdb_refine`` call on a sequential plan (EMD's
+  M-phase config) against the scalar reference loop.  Equality gates
+  exactly (``phat``, ``delta``, ``total_residual`` and the sweep
+  count); the timing is recorded, with no floor.
 
 Results land under ``benchmarks/results/`` like the other benches, with
 a machine-readable twin in ``BENCH_sparsifier_engine.json``: one section
-per test (``gdb_sweep``, ``emd``, ``emd_e_phase``), each holding both
-sides' seconds and the speedup; ``gdb_sweep`` adds ms per sweep and
-``emd_e_phase`` the swap count.
+per test (``gdb_sweep``, ``emd``, ``emd_e_phase``, ``emd_m_phase``),
+each holding both sides' seconds and the speedup; ``gdb_sweep`` adds ms
+per sweep, ``emd_e_phase`` the swap count and ``emd_m_phase`` the sweep
+count.
 Each test rewrites the file with every section measured so far in the
 run.
 """
@@ -45,24 +52,31 @@ import pytest
 
 from oracles.emd import e_phase, reference_emd
 from oracles.gdb import loop_refine
-from repro.core import EMDConfig, GDBConfig, SparsificationState, emd, gdb_refine
+from repro.core import (
+    EMDConfig,
+    GDBConfig,
+    SparsificationState,
+    build_sweep_plan,
+    emd,
+    gdb_refine,
+)
 from repro.core.backbone import bgi_backbone
-from repro.core.emd_sparsifier import _e_phase_lazy
+from repro.core.emd_sparsifier import _candidate_table, _e_phase_lazy
 from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
 
 #: Acceptance floor for the color-blocked GDB sweep vs the scalar loop
-#: (measured ~11-22x on a 2-vCPU host; CI overrides via
+#: (measured ~14-17x on a 2-vCPU host; CI overrides via
 #: REPRO_BENCH_SPARSIFIER_MIN_SPEEDUP for noisy shared runners).
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SPARSIFIER_MIN_SPEEDUP", "3.0"))
 
-#: Acceptance floor for full EMD (measured ~4.6-5.3x on a 2-vCPU host).
+#: Acceptance floor for full EMD (measured ~6.3-8.1x on a 2-vCPU host).
 MIN_EMD_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_SPARSIFIER_MIN_EMD_SPEEDUP", "1.2")
 )
 
 #: Acceptance floor for the vector vs reference E-phase pass (measured
-#: ~5.4-8.5x on a 2-vCPU host).
+#: ~7.3-10.6x on a 2-vCPU host, candidate-table build included).
 MIN_LAZY_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_SPARSIFIER_MIN_LAZY_SPEEDUP", "1.5")
 )
@@ -235,7 +249,12 @@ def test_bench_emd_lazy_e_phase(bench_graph, backbone, emit, emit_json,
     always gates exactly on the state they leave behind.
     """
     config = EMDConfig()
-    passes = {"loop": e_phase, "vector": _e_phase_lazy}
+    passes = {
+        "loop": e_phase,
+        "vector": lambda state, config: _e_phase_lazy(
+            state, config, _candidate_table(state)
+        ),
+    }
 
     def timed_e_phase(engine):
         state = seeded_state(bench_graph, backbone)
@@ -292,3 +311,64 @@ def test_bench_emd_lazy_e_phase(bench_graph, backbone, emit, emit_json,
     assert speedup >= MIN_LAZY_SPEEDUP, (
         f"vector E-phase only {speedup:.2f}x faster (need >= {MIN_LAZY_SPEEDUP}x)"
     )
+
+
+def test_bench_emd_m_phase(bench_graph, backbone, emit, emit_json, sections):
+    """EMD's M-phase, ``gdb_refine`` on a sequential plan, vs the scalar
+    reference loop from the same seeded backbone.
+
+    Both run the same edge-id-order sweeps and stopping rule, so
+    equality always gates exactly on the state they leave behind and on
+    the sweep count.
+    """
+    emd_config = EMDConfig()
+    config = GDBConfig(
+        h=emd_config.h, tau=emd_config.tau,
+        max_sweeps=emd_config.gdb_max_sweeps, k=1,
+        relative=emd_config.relative,
+    )
+    refines = {
+        "loop": loop_refine,
+        "vector": lambda state, config: gdb_refine(
+            state, config, plan=build_sweep_plan(state, sequential_only=True)
+        ),
+    }
+    timings = {}
+    runs = {}
+    for engine, refine in refines.items():
+        state = seeded_state(bench_graph, backbone)
+        start = time.perf_counter()
+        sweeps = refine(state, config)
+        timings[engine] = time.perf_counter() - start
+        state.verify()
+        runs[engine] = (sweeps, state)
+
+    loop_sweeps, loop = runs["loop"]
+    vector_sweeps, vector = runs["vector"]
+    assert vector_sweeps == loop_sweeps
+    for name in ("phat", "delta"):
+        assert getattr(vector, name).tobytes() == getattr(loop, name).tobytes(), (
+            f"M-phase {name} differs between loop and vector"
+        )
+    assert float(vector.total_residual).hex() == float(loop.total_residual).hex()
+
+    speedup = timings["loop"] / timings["vector"]
+    table = ResultTable(
+        title=(
+            f"EMD M-phase — gdb_refine on a sequential plan, {len(backbone)} "
+            f"backbone edges of {bench_graph.number_of_edges()} "
+            f"(alpha={ALPHA:.0%})"
+        ),
+        headers=["engine", "seconds", "speedup", "sweeps"],
+        notes="phat, delta, total_residual and sweep count identical (gated)",
+    )
+    table.add_row("loop", timings["loop"], 1.0, loop_sweeps)
+    table.add_row("vector", timings["vector"], speedup, vector_sweeps)
+    emit("bench_sparsifier_emd_m_phase", table)
+    sections["emd_m_phase"] = {
+        "loop_s": timings["loop"],
+        "vector_s": timings["vector"],
+        "speedup": speedup,
+        "sweeps": loop_sweeps,
+    }
+    emit_json("sparsifier_engine", sections)

@@ -346,7 +346,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.input)
+    graph = _load_graph(args.input)
     degrees = graph.expected_degrees()
     mean_degree = sum(degrees.values()) / max(len(degrees), 1)
     print(f"vertices:         {graph.number_of_vertices()}")
@@ -360,8 +360,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    original = read_edge_list(args.original)
-    sparsified = read_edge_list(args.sparsified)
+    original = _load_graph(args.original)
+    sparsified = _load_graph(args.sparsified)
     print(f"edge ratio:         "
           f"{sparsified.number_of_edges() / max(original.number_of_edges(), 1):.4f}")
     print(f"degree MAE (abs):   "
@@ -444,6 +444,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     from repro.datasets.binary_io import (
         is_binary_file,
         read_binary,
+        stored_vertex_ids,
         write_binary,
     )
 
@@ -457,12 +458,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         raise ReproError(f"{args.input} is already a text dataset")
     if target == "binary":
         graph = read_edge_list(args.input)
-        try:
-            dense = set(graph.vertices()) == set(range(graph.number_of_vertices()))
-        except TypeError:
-            dense = False
         header = write_binary(graph, args.output, allow_relabel=args.allow_relabel)
-        note = "" if dense else " (vertices relabelled to dense ids)"
+        relabelled = stored_vertex_ids(graph) is None
+        note = " (vertices relabelled to dense ids)" if relabelled else ""
         print(
             f"{args.input} -> {args.output}: {header.n_vertices} vertices, "
             f"{header.n_edges} edges, digest {header.digest[:16]}…{note}"
@@ -486,7 +484,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     from repro.core import IncrementalSparsifier
     from repro.datasets import DriftWorkload
 
-    graph = read_edge_list(args.input)
+    graph = _load_graph(args.input)
     workload = DriftWorkload(
         graph,
         edge_fraction=args.edge_fraction,
@@ -617,7 +615,7 @@ def main(argv: "list[str] | None" = None) -> int:
             from repro.core.diagnostics import analyze_sparsification
 
             report = analyze_sparsification(
-                read_edge_list(args.original), read_edge_list(args.sparsified)
+                _load_graph(args.original), _load_graph(args.sparsified)
             )
             print(report.format())
             return 0

@@ -22,15 +22,23 @@ One discipline fixes every discrete decision of the E-phase:
   only on a strict improvement, so the first maximal candidate in
   ascending edge-id order wins.
 
-The E-phase keeps ``|delta|`` in a :class:`~repro.utils.heap.LazyMaxHeap`:
-the endpoints touched by a removal and by the preceding insertion are
-only marked, and the next peek refreshes them in one pass, so an E-phase
-costs ``O(alpha |E| log |V|)`` heap work (section 4.3's complexity
-argument) without four eager sifts per swap.  It scores every candidate
-at ``v_H`` in one array computation.  The M-phase is GDB's fused
-sequential sweep (edge-id order).  Together they reproduce the scalar
-reference (a brute-force ``v_H`` scan, one candidate at a time, and the
-one-rule-call-per-edge GDB loop; ``tests/oracles/``) bit for bit.
+The E-phase runs in plain Python floats: ``delta``, ``phat`` and
+``selected`` are pulled into lists once per E-phase and written back
+once.  It keeps ``|delta|`` in a :class:`~repro.utils.heap.LazyMaxHeap`
+held over the ``delta`` list: the endpoints touched by a removal and by
+the preceding insertion are only marked, and the next peek refreshes
+them together, so an E-phase costs ``O(alpha |E| log |V|)`` heap work
+(section 4.3's complexity argument) without four eager sifts per swap.
+The candidates at ``v_H`` are scanned from a per-vertex table built
+once per :func:`emd` call (:func:`_candidate_table`: each incident
+edge's other endpoint, the endpoints' original expected degrees, the
+edge's input probability and its entropy-guard threshold, all static
+for the graph).  The M-phase is one
+:func:`~repro.core.gdb.gdb_refine` call on a sequential plan (edge-id
+order), which runs its sweeps over lists pulled once per call.
+Together they reproduce the scalar reference (a brute-force ``v_H``
+scan, one candidate at a time, and the one-rule-call-per-edge GDB loop;
+``tests/oracles/``) bit for bit.
 """
 
 from __future__ import annotations
@@ -77,24 +85,55 @@ class EMDConfig:
         )
 
 
-def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
-    """Edge swapping with deferred heap maintenance and fused scoring.
+def _candidate_table(state: SparsificationState) -> list:
+    """Per-vertex rows of the E-phase candidate scan, static for a graph.
+
+    ``table[t]`` lists, in ascending edge-id order, one tuple
+    ``(c, w, pi_w, pi_t + pi_w, p_c, |p_c - 0.5|)`` per original edge
+    ``c`` at vertex ``t``, where ``w`` is the edge's other endpoint,
+    ``pi`` the original expected degrees and ``p_c`` the edge's input
+    probability.  Built once per :func:`emd` call.  The two rows of an
+    edge share their float objects and every row refers to one int
+    object per vertex, which keeps the table about a third smaller than
+    rows built from per-row array conversions.
+    """
+    pi = state.original_degrees.tolist()
+    p = state.p_original.tolist()
+    vertices = list(range(state.n))
+    table = [[] for _ in vertices]
+    for c, (u, v) in enumerate(state.edge_vertices.tolist()):
+        u = vertices[u]  # the shared int object for this vertex id
+        v = vertices[v]
+        p_c = p[c]
+        guard = abs(p_c - 0.5)
+        pi_u = pi[u]
+        pi_v = pi[v]
+        denominator = pi_u + pi_v
+        table[u].append((c, v, pi_v, denominator, p_c, guard))
+        table[v].append((c, u, pi_u, denominator, p_c, guard))
+    return table
+
+
+def _e_phase_lazy(
+    state: SparsificationState, config: EMDConfig, table: list
+) -> int:
+    """Edge swapping with deferred heap maintenance, in Python floats.
 
     One pass of Algorithm 3, lines 8-20, making exactly the decisions of
     the scalar reference (``tests/oracles/emd.py``).  Returns the number
     of structural swaps (edges replaced by a different edge); zero means
-    the backbone has stabilised.  The endpoint discrepancies dirtied by
-    a removal (and by the previous iteration's insertion) are only
-    *marked* with :meth:`LazyMaxHeap.defer`; the peek before the
-    candidate scan flushes them in one batched magnitude rescan and
-    returns the exact argmax of ``|delta|``, smallest id first — the
-    reference's brute-force scan.
+    the backbone has stabilised.  ``table`` is :func:`_candidate_table`
+    of the state's graph.
 
-    The per-removal work is fused: the membership bookkeeping of
-    ``deselect_edge`` / ``select_edge`` is inlined on the state arrays
-    (same float operations), the removed edge's incumbent scores are
-    scalar Python, and the candidate scan shares one endpoint gather
-    between the step rule and the gain.  Gains are Eq. 10 halved,
+    ``delta``, ``phat`` and ``selected`` are pulled into lists once and
+    written back once.  The endpoint discrepancies dirtied by a removal
+    (and by the previous iteration's insertion) are only *marked* with
+    :meth:`LazyMaxHeap.defer`; the peek before the candidate scan
+    refreshes them and returns the exact argmax of ``|delta|``, smallest
+    id first — the reference's brute-force scan.
+
+    The membership bookkeeping of ``deselect_edge`` / ``select_edge`` is
+    inlined (same float operations).  Gains are Eq. 10 halved,
     ``w (delta_u + delta_v - w)``: the reference's factored gain is
     exactly twice that, so every comparison agrees.  Insertion
     probabilities follow Eq. 9 with the entropy guard of Algorithm 3
@@ -106,24 +145,32 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
     The removed edge itself may appear among the candidates, but its
     score there equals its incumbent rule-optimal score, so it never
     wins the strict comparison — the reference's skip.
+
+    The scan walks ``v_H``'s table row with ``v_H = t`` and the other
+    endpoint ``w``: ``d_t + d_w`` and ``pi_w d_t + pi_t d_w`` are the
+    reference's ``d_u + d_v`` and ``pi_v d_u + pi_u d_v`` with the
+    operands of one IEEE ``+`` swapped when ``t = v``, and ``+`` and
+    ``*`` are commutative, so every step, probability and gain is
+    bit-identical.  A strict ``>`` keeps the first maximal candidate in
+    ascending edge-id order.
     """
     relative = config.relative
     h = config.h
-    delta = state.delta
-    phat = state.phat
-    p_original = state.p_original
-    selected = state.selected
-    edge_vertices = state.edge_vertices
-    endpoint_list = edge_vertices.tolist()
-    original_degrees = state.original_degrees
-    degree_list = original_degrees.tolist()
+    delta = state.delta.tolist()
+    phat = state.phat.tolist()
+    selected = state.selected.tolist()
+    degree_list = state.original_degrees.tolist()
     total_residual = state.total_residual
     heap = LazyMaxHeap(delta)
     swaps = 0
-    for eid in state.selected_edge_ids().tolist():
-        u, v = endpoint_list[eid]
+    removals = state.selected_edge_ids()
+    for eid, (u, v), original in zip(
+        removals.tolist(),
+        state.edge_vertices[removals].tolist(),
+        state.p_original[removals].tolist(),
+    ):
         # Inlined state.deselect_edge(eid).
-        previous_p = float(phat[eid])
+        previous_p = phat[eid]
         phat[eid] = 0.0
         selected[eid] = False
         delta[u] += previous_p
@@ -132,15 +179,13 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
         heap.defer(u, v)
 
         top_vertex = heap.peek()
-        incident = state.incident_edges(top_vertex)
-        candidates = incident[~selected[incident]]
 
         # The removed edge competes both at its rule-optimal probability
         # and at the probability it already had (the entropy guard can
         # cap the former below the latter; keeping the edge unchanged
         # must never lose to a worse swap).
-        du = float(delta[u])
-        dv = float(delta[v])
+        du = delta[u]
+        dv = delta[v]
         s_e = du + dv
         if relative:
             pi_u = degree_list[u]
@@ -153,62 +198,64 @@ def _e_phase_lazy(state: SparsificationState, config: EMDConfig) -> int:
             p_opt = 0.0
         elif step > 1.0:
             p_opt = 1.0
+        elif abs(step - 0.5) < abs(original - 0.5):
+            p_opt = min(max(original + h * step, 0.0), 1.0)
         else:
-            original = float(p_original[eid])
-            if abs(step - 0.5) < abs(original - 0.5):
-                p_opt = min(max(original + h * step, 0.0), 1.0)
-            else:
-                p_opt = step
+            p_opt = step
         # Half-gains throughout: Eq. 10's factored gain is exactly twice
         # these, so every argmax and comparison agrees.
-        best_eid = eid
+        best_eid, best_u, best_v = eid, u, v
         best_p = p_opt
         best_gain = p_opt * (s_e - p_opt)
         keep_gain = previous_p * (s_e - previous_p)
         if keep_gain > best_gain:
             best_gain, best_p = keep_gain, previous_p
 
-        if len(candidates):
-            uv = edge_vertices[candidates]
-            d_u = delta[uv[:, 0]]
-            d_v = delta[uv[:, 1]]
-            s = d_u + d_v
+        d_t = delta[top_vertex]
+        pi_t = degree_list[top_vertex]
+        for c, w, pi_w, denominator, p_c, guard in table[top_vertex]:
+            if selected[c]:
+                continue
+            d_w = delta[w]
+            s = d_t + d_w
             if relative:
-                pi_u = original_degrees[uv[:, 0]]
-                pi_v = original_degrees[uv[:, 1]]
                 # Candidates are real edges, so both endpoints carry
                 # positive original expected degree: no zero guard.
-                steps = (pi_v * d_u + pi_u * d_v) / (pi_u + pi_v)
+                step = (pi_w * d_t + pi_t * d_w) / denominator
             else:
-                steps = 0.5 * s
-            originals = p_original[candidates]
-            # Out-of-box steps never trip the guard (|steps - 0.5| > 0.5
-            # >= |originals - 0.5| there), so clamping and attenuation
-            # commute into one where.
-            raises = np.abs(steps - 0.5) < np.abs(originals - 0.5)
-            probs = np.minimum(np.maximum(steps, 0.0), 1.0)
-            if raises.any():
-                attenuated = np.minimum(
-                    np.maximum(originals + h * steps, 0.0), 1.0
-                )
-                probs = np.where(raises, attenuated, probs)
-            gains = probs * (s - probs)
-            top = int(gains.argmax())
-            if float(gains[top]) > best_gain:
-                best_gain = float(gains[top])
-                best_eid = int(candidates[top])
-                best_p = float(probs[top])
+                step = 0.5 * s
+            # A step outside (0, 1) never trips the guard (|step - 0.5|
+            # >= 0.5 >= |p_c - 0.5|), and an attenuated step is positive,
+            # so only its upper clamp can bind.  ``<=`` maps a -0.0 step
+            # to 0.0, as the reference's ``0.0 + step`` does.
+            if step <= 0.0:
+                p = 0.0
+            elif step > 1.0:
+                p = 1.0
+            elif abs(step - 0.5) < guard:
+                p = p_c + h * step
+                if p > 1.0:
+                    p = 1.0
+            else:
+                p = step
+            gain = p * (s - p)
+            if gain > best_gain:
+                best_gain = gain
+                best_eid, best_u, best_v = c, top_vertex, w
+                best_p = p
 
         # Inlined state.select_edge(best_eid, probability=best_p).
-        bu, bv = endpoint_list[best_eid]
         selected[best_eid] = True
         phat[best_eid] = best_p
-        delta[bu] -= best_p
-        delta[bv] -= best_p
+        delta[best_u] -= best_p
+        delta[best_v] -= best_p
         total_residual -= best_p
         if best_eid != eid:
             swaps += 1
-        heap.defer(bu, bv)
+        heap.defer(best_u, best_v)
+    state.delta[:] = delta
+    state.phat[:] = phat
+    state.selected[:] = selected
     state.total_residual = total_residual
     return swaps
 
@@ -256,12 +303,13 @@ def emd(
         h=config.h, tau=config.tau, max_sweeps=4 * config.gdb_max_sweeps,
         k=1, relative=config.relative,
     )
+    table = _candidate_table(state)
     objective = state.d1(relative=config.relative)
     # The M-phase sweeps in edge-id order (a sequential-only plan): the
     # colored sweep would converge to the same objective along another
     # trajectory, and every later E-phase swap depends on it.
     for _ in range(config.max_iterations):
-        swaps = _e_phase_lazy(state, config)            # E-phase: swap edges
+        swaps = _e_phase_lazy(state, config, table)     # E-phase: swap edges
         plan = build_sweep_plan(state, sequential_only=True)
         gdb_refine(state, gdb_config, plan=plan)        # M-phase: re-optimise
         new_objective = state.d1(relative=config.relative)

@@ -14,11 +14,11 @@ parameter ``h in [0, 1]`` (Algorithm 2, line 10).  Sweeps repeat until
 the objective improves by less than ``tau``.
 
 The sweeps themselves live in :mod:`repro.core.sweep`: color-blocked
-array sweeps for the endpoint-local ``k = 1`` rules, and the fused
-sequential sweep (edge-id order, plain Python floats) for the
-globally-coupled ``k >= 2`` / ``k = "n"`` rules.  The scalar
-one-rule-call-per-edge reference they are checked against lives with
-the tests (``tests/oracles/``).
+array sweeps for the endpoint-local ``k = 1`` rules, and the sequential
+solve (edge-id order, plain Python floats pulled once per solve) for the
+globally-coupled ``k >= 2`` / ``k = "n"`` rules and EMD's M-phase.  The
+scalar one-rule-call-per-edge reference they are checked against lives
+with the tests (``tests/oracles/``).
 
 The public entry point is :func:`gdb`; :func:`gdb_refine` runs the same
 loop in place on an existing :class:`SparsificationState` (EMD's M-phase
@@ -39,7 +39,7 @@ from repro.core.sweep import (
     apply_probability_vector,
     build_sweep_plan,
     colored_sweep,
-    fused_sweep,
+    sequential_refine,
 )
 from repro.core.uncertain_graph import UncertainGraph
 
@@ -111,7 +111,8 @@ def gdb_refine(
     (that is EMD's job).
 
     A ``k = 1`` solve on a colored plan runs color-blocked sweeps; every
-    other solve runs the fused sequential sweep in edge-id order.
+    other solve is one :func:`~repro.core.sweep.sequential_refine` call
+    (edge-id order, plain Python floats, the same stopping rule).
 
     Parameters
     ----------
@@ -131,17 +132,14 @@ def gdb_refine(
     colored = _colored_eligible(k, state.n)
     if plan is None:
         plan = build_sweep_plan(state, sequential_only=not colored)
-    colored = colored and plan.n_colors > 0
+    if not (colored and plan.n_colors > 0):
+        return sequential_refine(state, plan, config)
     objective = state.d1(relative=config.relative)
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
-        if colored:
-            colored_sweep(state, plan, config.relative, config.h)
-        else:
-            fused_sweep(state, plan, k, config.relative, config.h)
+        colored_sweep(state, plan, config.relative, config.h)
         new_objective = state.d1(relative=config.relative)
         if abs(objective - new_objective) <= config.tau:
-            objective = new_objective
             break
         objective = new_objective
     return sweeps

@@ -1,4 +1,4 @@
-"""Color-blocked and fused sweeps for the iterative sparsifiers.
+"""Color-blocked and sequential sweeps for the iterative sparsifiers.
 
 GDB (:mod:`repro.core.gdb`) performs cyclic coordinate descent: one
 closed-form rule step per edge, applied immediately, then clamped and
@@ -16,19 +16,22 @@ one of two layouts:
   dispatch overhead off the hot path.  The tail runs as one fused pass
   over plain Python floats, indexed by the local endpoint ids the plan
   precomputes.
-- **Fused sequential** (all rules): edge-id order, executed over plain
-  Python floats pulled from the state arrays once per sweep, with the
-  rules and the clamp/attenuation of Algorithm 2 written out expression
-  by expression.  Rules with a global residual term (``k >= 2`` and
-  ``k = "n"``) couple every edge through ``total_residual``, so color
-  classes are *not* independent for them; they always run this path.
+- **Sequential** (all rules): edge-id order, executed over plain Python
+  floats by :func:`sequential_refine`, which runs a whole solve (every
+  sweep and the stopping rule) over lists pulled from the state once
+  per call, with the rules and the clamp/attenuation of Algorithm 2
+  written out expression by expression.  Rules with a global residual
+  term (``k >= 2`` and ``k = "n"``) couple every edge through
+  ``total_residual``, so color classes are *not* independent for them;
+  they always run this path, and so does EMD's M-phase.
 
 Both layouts are checked against the scalar reference (one rule call
-and one state update per edge, ``tests/oracles/``): the fused sweep and
-the colored sweep are bit-identical to it in their own edge orders, and
-since coordinate descent on the convex ``D_1`` objective reaches the
-same converged value in either order, colored and fused solves agree
-within the converged-D1 contract pinned by ``tests/test_sweep.py``.
+and one state update per edge, ``tests/oracles/``): the sequential solve
+and the colored sweep are bit-identical to it in their own edge orders,
+and since coordinate descent on the convex ``D_1`` objective reaches the
+same converged value in either order, colored and sequential solves
+agree within the converged-D1 contract pinned by
+``tests/test_sweep.py``.
 
 The entropy guard uses the closed form ``H(p') > H(p)  <=>
 |p' - 0.5| < |p - 0.5|`` (see :func:`repro.core.entropy.entropy_increases`)
@@ -38,11 +41,15 @@ so no sweep spends a transcendental call per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.discrepancy import SparsificationState
 from repro.utils.binomials import cut_rule_coefficients
+
+if TYPE_CHECKING:
+    from repro.core.gdb import GDBConfig
 
 #: Color classes smaller than this run in the scalar tail instead of as
 #: an array block: ~20 numpy dispatches per class cost more than a few
@@ -78,8 +85,8 @@ class SweepPlan:
     parameters, and grid cells): the greedy coloring, the large color
     classes as gather-ready arrays, the scalar tail with its local
     endpoint indexing, and the sequential (edge-id-ordered) endpoint
-    lists the fused sweep consumes.  Nothing in it depends on edge
-    probabilities, so a plan survives probability-only drift.
+    lists :func:`sequential_refine` consumes.  Nothing in it depends on
+    edge probabilities, so a plan survives probability-only drift.
     """
 
     eids: np.ndarray                 # ascending edge ids of the swept set
@@ -91,9 +98,8 @@ class SweepPlan:
     tail_verts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     tail_lu: list = field(default_factory=list)     # tail endpoints as
     tail_lv: list = field(default_factory=list)     # positions in tail_verts
-    seq_eids: list = field(default_factory=list)    # edge-id order
-    seq_u: list = field(default_factory=list)
-    seq_v: list = field(default_factory=list)
+    seq_u: list = field(default_factory=list)       # endpoints of eids, in
+    seq_v: list = field(default_factory=list)       # edge-id order
 
 
 def build_sweep_plan(
@@ -105,9 +111,9 @@ def build_sweep_plan(
     """Color the (selected) edge set and lay out the sweep schedule.
 
     With ``sequential_only=True`` the coloring is skipped and only the
-    fused sweep's edge-id-ordered lists are laid out (the ``k >= 2``
-    rules never consume color classes, and EMD's M-phase keeps to
-    edge-id order).
+    sequential solve's edge-id-ordered lists are laid out (the
+    ``k >= 2`` rules never consume color classes, and EMD's M-phase
+    keeps to edge-id order).
     """
     if eids is None:
         eids = state.selected_edge_ids()
@@ -118,7 +124,6 @@ def build_sweep_plan(
             eids=eids,
             colors=np.zeros(0, dtype=np.int64),
             n_colors=0,
-            seq_eids=eids.tolist(),
             seq_u=endpoints[:, 0].tolist(),
             seq_v=endpoints[:, 1].tolist(),
         )
@@ -139,7 +144,6 @@ def _layout_plan(
         eids=eids,
         colors=colors,
         n_colors=n_colors,
-        seq_eids=eids.tolist(),
         seq_u=endpoints[:, 0].tolist(),
         seq_v=endpoints[:, 1].tolist(),
     )
@@ -346,74 +350,90 @@ def apply_probability_vector(state: SparsificationState, eids: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Fused sequential sweep (all rules, edge-id order)
+# Sequential sweeps (all rules, edge-id order)
 # ----------------------------------------------------------------------
-def fused_sweep(
-    state: SparsificationState,
-    plan: SweepPlan,
-    k: "int | str",
-    relative: bool,
-    h: float,
-) -> None:
-    """One edge-id-order sweep over plain Python floats.
+def sequential_refine(
+    state: SparsificationState, plan: SweepPlan, config: "GDBConfig"
+) -> int:
+    """A whole GDB solve in edge-id order over plain Python floats.
 
-    Pulls ``delta`` / ``phat`` into lists, writes the rule and
-    clamp/attenuation arithmetic out expression by expression, and
-    writes the arrays back once — the IEEE operation sequence per edge
-    is that of the scalar reference, so results are bit-for-bit equal
-    to it at a fraction of the interpreter overhead.
+    Runs sweeps until one improves the objective by at most
+    ``config.tau`` (capped at ``config.max_sweeps``) and returns the
+    sweep count.  ``delta`` and the swept edges' ``phat`` (a compact list
+    in plan order) are pulled once per call, and ``p_original`` only for
+    the ``k >= 2`` / ``k = "n"`` rules, which read it; the rule and the
+    clamp/attenuation arithmetic are written out expression by
+    expression, so the IEEE operation sequence per edge is that of the
+    scalar reference and the results are bit-for-bit equal to it.  After
+    every sweep ``delta`` and ``total_residual`` are written back (O(n))
+    and the objective is read from ``state.d1()``, so the stop decisions
+    and the sweep count are the reference's too; ``phat`` is written
+    back once, at the end.
     """
     n = state.n
-    delta = state.delta.tolist()
-    phat = state.phat.tolist()
-    total_residual = float(state.total_residual)
-    p_original = state.p_original.tolist()
+    k = config.k
+    relative = config.relative
+    h = config.h
     use_full = k == "n" or (isinstance(k, int) and k >= n)
     use_cut = not use_full and isinstance(k, int) and k >= 2
     if use_cut:
         degree_coeff, global_coeff = cut_rule_coefficients(n, k)
+    delta = state.delta.tolist()
+    phat = state.phat[plan.eids].tolist()
+    p_original = (
+        state.p_original[plan.eids].tolist() if use_full or use_cut else None
+    )
     pi = state.original_degrees.tolist() if relative else None
+    total_residual = float(state.total_residual)
+    edges = list(zip(range(len(plan.seq_u)), plan.seq_u, plan.seq_v))
 
-    for eid, u, v in zip(plan.seq_eids, plan.seq_u, plan.seq_v):
-        du = delta[u]
-        dv = delta[v]
-        if use_full:
-            step = total_residual - (p_original[eid] - phat[eid])
-        elif use_cut:
-            step = degree_coeff * (du + dv)
-            if global_coeff != 0.0:
-                edge_residual = p_original[eid] - phat[eid]
-                step += global_coeff * (
-                    total_residual - (du + dv - edge_residual)
+    objective = state.d1(relative=relative)
+    sweeps = 0
+    for sweeps in range(1, config.max_sweeps + 1):
+        for i, u, v in edges:
+            du = delta[u]
+            dv = delta[v]
+            if use_full:
+                step = total_residual - (p_original[i] - phat[i])
+            elif use_cut:
+                step = degree_coeff * (du + dv)
+                if global_coeff != 0.0:
+                    edge_residual = p_original[i] - phat[i]
+                    step += global_coeff * (
+                        total_residual - (du + dv - edge_residual)
+                    )
+            elif relative:
+                pi_u = pi[u]
+                pi_v = pi[v]
+                denominator = pi_u + pi_v
+                step = (
+                    (pi_v * du + pi_u * dv) / denominator
+                    if denominator > 0.0 else 0.0
                 )
-        elif relative:
-            pi_u = pi[u]
-            pi_v = pi[v]
-            denominator = pi_u + pi_v
-            step = (
-                (pi_v * du + pi_u * dv) / denominator
-                if denominator > 0.0 else 0.0
-            )
-        else:
-            step = 0.5 * (du + dv)
+            else:
+                step = 0.5 * (du + dv)
 
-        current = phat[eid]
-        proposed = current + step
-        if proposed < 0.0:
-            new_p = 0.0
-        elif proposed > 1.0:
-            new_p = 1.0
-        elif abs(proposed - 0.5) < abs(current - 0.5):
-            new_p = min(max(current + h * step, 0.0), 1.0)
-        else:
-            new_p = proposed
-        if new_p != current:
-            change = new_p - current
-            delta[u] = du - change
-            delta[v] = delta[v] - change
-            total_residual -= change
-            phat[eid] = new_p
-
-    state.delta[:] = delta
-    state.phat[:] = phat
-    state.total_residual = total_residual
+            current = phat[i]
+            proposed = current + step
+            if proposed < 0.0:
+                new_p = 0.0
+            elif proposed > 1.0:
+                new_p = 1.0
+            elif abs(proposed - 0.5) < abs(current - 0.5):
+                new_p = min(max(current + h * step, 0.0), 1.0)
+            else:
+                new_p = proposed
+            if new_p != current:
+                change = new_p - current
+                delta[u] = du - change
+                delta[v] = delta[v] - change
+                total_residual -= change
+                phat[i] = new_p
+        state.delta[:] = delta
+        state.total_residual = total_residual
+        new_objective = state.d1(relative=relative)
+        if abs(objective - new_objective) <= config.tau:
+            break
+        objective = new_objective
+    state.phat[plan.eids] = phat
+    return sweeps

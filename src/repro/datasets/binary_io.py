@@ -292,6 +292,33 @@ def write_binary_arrays(
     return header
 
 
+def stored_vertex_ids(graph) -> "np.ndarray | None":
+    """The id :func:`write_binary` stores for each dense vertex id.
+
+    When the graph's labels are exactly the ints ``0 .. n-1`` (in any
+    iteration order, or spelled as the decimal strings a text file
+    parses to) each vertex is stored under its own label's value.  Any
+    other label set returns ``None``: writing it replaces the labels by
+    their dense indexer positions.
+    """
+    n = graph.number_of_vertices()
+    labels = list(graph.vertices())
+    if labels == list(range(n)):
+        return np.arange(n, dtype=np.int64)
+    # Labels may still be the dense ints in scrambled order (e.g. a
+    # generator inserting vertices in edge-creation order): map the
+    # indexer positions back to the true labels so ids round-trip.
+    try:
+        label_array = np.asarray(labels, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(labels) == n and np.array_equal(
+        np.sort(label_array), np.arange(n, dtype=np.int64)
+    ):
+        return label_array
+    return None
+
+
 def write_binary(
     graph,
     path: "str | os.PathLike",
@@ -301,41 +328,25 @@ def write_binary(
 
     The format stores dense integer ids only.  When the graph's labels
     are exactly the ints ``0 .. n-1`` (in any iteration order) they are
-    written as-is — a lossless round trip.  Any other label set is
-    *lossy* (labels are replaced by their dense indexer positions) and
-    requires an explicit ``allow_relabel=True``; otherwise
-    :class:`GraphError` is raised.
+    written as-is — a lossless round trip (:func:`stored_vertex_ids`).
+    Any other label set is *lossy* (labels are replaced by their dense
+    indexer positions) and requires an explicit ``allow_relabel=True``;
+    otherwise :class:`GraphError` is raised.
     """
-    n = graph.number_of_vertices()
+    ids = stored_vertex_ids(graph)
+    if ids is None and not allow_relabel:
+        raise GraphError(
+            "binary datasets store dense integer vertices 0..n-1; "
+            "this graph has other labels — pass allow_relabel=True "
+            "to map them through vertex_indexer() (lossy: labels "
+            "are dropped)"
+        )
     endpoints = graph.edge_index_array()
-    labels = list(graph.vertices())
-    if labels == list(range(n)):
-        src, dst = endpoints[:, 0], endpoints[:, 1]
-    else:
-        # Labels may still be the dense ints in scrambled order (e.g. a
-        # generator inserting vertices in edge-creation order): map the
-        # indexer positions back to the true labels so ids round-trip.
-        try:
-            label_array = np.asarray(labels, dtype=np.int64)
-            dense_set = len(labels) == n and np.array_equal(
-                np.sort(label_array), np.arange(n, dtype=np.int64)
-            )
-        except (TypeError, ValueError, OverflowError):
-            dense_set = False
-        if dense_set:
-            src = label_array[endpoints[:, 0]]
-            dst = label_array[endpoints[:, 1]]
-        elif allow_relabel:
-            src, dst = endpoints[:, 0], endpoints[:, 1]
-        else:
-            raise GraphError(
-                "binary datasets store dense integer vertices 0..n-1; "
-                "this graph has other labels — pass allow_relabel=True "
-                "to map them through vertex_indexer() (lossy: labels "
-                "are dropped)"
-            )
+    src, dst = endpoints[:, 0], endpoints[:, 1]
+    if ids is not None:
+        src, dst = ids[src], ids[dst]
     return write_binary_arrays(
-        path, n, src, dst,
+        path, graph.number_of_vertices(), src, dst,
         graph.probability_array(),
         validate=False,  # edge views of a live graph are well-formed
     )

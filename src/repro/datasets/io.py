@@ -300,10 +300,17 @@ def read_edge_list(path: "str | os.PathLike", name: str = "") -> UncertainGraph:
     Raises
     ------
     GraphError
-        On malformed lines or out-of-range probabilities.
+        On a file that is not UTF-8 text (a binary dataset, say), on
+        malformed lines or on out-of-range probabilities.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as error:
+            raise GraphError(
+                f"{os.fspath(path)}: not a UTF-8 edge list ({error.reason} "
+                f"at byte {error.start})"
+            ) from None
     return parse_edge_list(
         text,
         name=name or os.path.basename(os.fspath(path)),

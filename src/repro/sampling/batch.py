@@ -460,11 +460,19 @@ class WorldBatch:
         if size == 0:
             self._labels = np.empty((N, n), dtype=np.int32)
             return self._labels
-        world, edge = np.nonzero(self.masks)
-        ends = self.topology.edge_vertices[edge] + (world * n)[:, None]
-        graph = coo_matrix(
-            (np.ones(len(edge)), (ends[:, 0], ends[:, 1])), shape=(size, size)
-        )
+        # Alive (world, edge) pairs in 2-D ``np.nonzero`` order, split
+        # from the flat index (cheaper); one 1-D gather per endpoint,
+        # offset in place.  The pairs are dropped before the labelling
+        # pass, which holds the peak memory.
+        world, edge = np.divmod(np.flatnonzero(self.masks), self.m)
+        world *= n
+        ends = self.topology.edge_vertices
+        rows = ends[:, 0][edge]
+        rows += world
+        cols = ends[:, 1][edge]
+        cols += world
+        del world, edge
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
         count, component = connected_components(graph, directed=False)
         first = np.full(count, size, dtype=np.int64)
         np.minimum.at(first, component, np.arange(size))
@@ -491,7 +499,7 @@ class WorldBatch:
             & masks[:, edge_ids[:, 1]]
             & masks[:, edge_ids[:, 2]]
         )
-        w_idx, t_idx = np.nonzero(tri_alive)
+        w_idx, t_idx = np.divmod(np.flatnonzero(tri_alive), len(corners))
         if w_idx.size == 0:
             return counts
         for corner in range(3):

@@ -3,7 +3,7 @@
 Contents
 --------
 - :class:`repro.utils.heap.LazyMaxHeap` — EMD's vertex heap (paper
-  section 4.3), with deferred updates over a live priority array.
+  section 4.3), with deferred updates over a live list of priorities.
 - :class:`repro.utils.unionfind.UnionFind` — disjoint sets with union by
   rank and path compression, used by every spanning-forest routine.
 - :func:`repro.utils.binomials.binomial_prefix_sum` — the paper's

@@ -1,32 +1,29 @@
-"""Lazy max-heap over the magnitudes of a live array.
+"""Lazy max-heap over the magnitudes of a live list.
 
 EMD (paper Algorithm 3) keeps the vertices of the graph in a max-heap
 ordered by the magnitude of their degree discrepancy ``|delta_A(v)|`` and
 repeatedly (a) peeks at the top vertex and (b) updates the keys of the
 two endpoints of an edge after a swap.  :class:`LazyMaxHeap` serves its
-vector E-phase: priorities live in a numpy array owned by the caller,
-heap entries are stale *upper bounds* cleaned out lazily at peek time,
-and several updates are batched into one rescan of the dirty items
-instead of one eager sift per change.
+E-phase: priorities live in a Python list of floats owned by the caller
+(the E-phase's ``delta``), heap entries are stale *upper bounds* cleaned
+out lazily at peek time, and the few endpoints a swap touches are
+refreshed together at the next peek instead of one eager sift per
+change.
 """
 
 from __future__ import annotations
 
 import heapq
 
-import numpy as np
-
 
 class LazyMaxHeap:
     """Deferred-update max-heap over ``|values[i]|`` for dense int items.
 
-    The caller owns ``values`` (e.g. ``SparsificationState.delta``) and
-    mutates it freely; the heap tracks the *magnitudes* ``|values[i]|``.
-    Instead of eagerly re-sifting on every change, the caller marks the
-    touched items with :meth:`defer`; :meth:`peek` first flushes all
-    pending items with **one** vectorised magnitude rescan (so several
-    edge removals/insertions share a single ``np.abs`` gather), then
-    lazily discards stale heap entries.
+    The caller owns ``values`` (a list of floats) and mutates it freely;
+    the heap tracks the *magnitudes* ``|values[i]|``.  Instead of
+    eagerly re-sifting on every change, the caller marks the touched
+    items with :meth:`defer`; :meth:`peek` first refreshes every pending
+    item, then lazily discards stale heap entries.
 
     Entries are kept as upper bounds: a deferred *decrease* leaves its
     old (larger) entry in the heap to be popped and refreshed at peek
@@ -42,12 +39,12 @@ class LazyMaxHeap:
 
     __slots__ = ("_values", "_bound", "_entries", "_pending")
 
-    def __init__(self, values: np.ndarray) -> None:
+    def __init__(self, values: list) -> None:
         self._values = values
-        self._bound = np.abs(values).astype(np.float64)
+        self._bound = [abs(value) for value in values]
         # (-magnitude, item) tuples; heapq pops the largest magnitude,
         # then the smallest item id.
-        self._entries = list(zip((-self._bound).tolist(), range(len(values))))
+        self._entries = [(-bound, item) for item, bound in enumerate(self._bound)]
         heapq.heapify(self._entries)
         self._pending: list[int] = []
 
@@ -59,36 +56,17 @@ class LazyMaxHeap:
         self._pending.extend(items)
 
     def _flush(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        if len(pending) <= 32:
-            # Tiny batches (EMD defers ~4 endpoints between peeks): the
-            # fixed cost of the numpy path exceeds a scalar walk.
-            values = self._values
-            bound = self._bound
-            entries = self._entries
-            for item in pending:
-                magnitude = abs(float(values[item]))
-                if magnitude > bound[item]:
-                    bound[item] = magnitude
-                    heapq.heappush(entries, (-magnitude, item))
-            pending.clear()
-            return
-        idx = np.array(pending, dtype=np.int64)
-        pending.clear()
-        magnitudes = np.abs(self._values[idx])
-        grew = magnitudes > self._bound[idx]
-        if np.any(grew):
-            entries = self._entries
-            bound = self._bound
-            for item, magnitude in zip(
-                idx[grew].tolist(), magnitudes[grew].tolist()
-            ):
+        values = self._values
+        bound = self._bound
+        entries = self._entries
+        for item in self._pending:
+            magnitude = abs(values[item])
+            if magnitude > bound[item]:
                 bound[item] = magnitude
                 heapq.heappush(entries, (-magnitude, item))
         # Deferred decreases keep their stale upper-bound entries; peek
         # cleans them out lazily.
+        self._pending.clear()
 
     def peek(self) -> int:
         """Item with the maximum ``|values[item]|`` (exact argmax)."""
@@ -109,12 +87,11 @@ class LazyMaxHeap:
         """Assert the upper-bound invariant (used by tests)."""
         if self._pending:
             raise AssertionError("validate() with pending updates")
-        magnitudes = np.abs(self._values)
-        if np.any(self._bound < magnitudes):
-            raise AssertionError("bound fell below a current magnitude")
         entry_values: dict[int, set[float]] = {}
         for negated, item in self._entries:
             entry_values.setdefault(item, set()).add(-negated)
-        for item in range(len(self._values)):
+        for item, value in enumerate(self._values):
+            if self._bound[item] < abs(value):
+                raise AssertionError("bound fell below a current magnitude")
             if self._bound[item] not in entry_values.get(item, ()):
                 raise AssertionError(f"no entry backing bound of item {item}")

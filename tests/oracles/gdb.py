@@ -1,11 +1,11 @@
 """Scalar GDB (Algorithm 2): one rule call and one state update per edge.
 
 :func:`loop_refine` is the reference :func:`repro.core.gdb.gdb_refine` is
-checked against.  The fused sequential sweep reproduces it bit for bit
-(same edge-id order, same arithmetic); the color-blocked ``k = 1``
-sweep visits the edges in (color, edge-id) order instead, which
-:func:`reference_colored_sweep` replays one block and one tail edge at
-a time.
+checked against.  The sequential solve (``sequential_refine``)
+reproduces it bit for bit (same edge-id order, same arithmetic, same
+stopping rule); the color-blocked ``k = 1`` sweep visits the edges in
+(color, edge-id) order instead, which :func:`reference_colored_sweep`
+replays one block and one tail edge at a time.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""CLI: sparsify / info / compare / variants subcommands."""
+"""CLI: every subcommand, on text and binary datasets."""
 
 import pytest
 
@@ -323,6 +323,23 @@ class TestConvert:
                      "--allow-relabel"]) == 0
         assert "relabelled" in capsys.readouterr().out
 
+    def test_dense_text_labels_are_not_relabelled(self, graph_file, tmp_path,
+                                                  capsys):
+        # A text file's labels parse as the strings "0".."n-1"; each is
+        # stored under its own integer, so the note must not claim a
+        # relabelling, with or without --allow-relabel.
+        from repro.datasets import read_binary
+
+        original = read_edge_list(graph_file)
+        for extra in ([], ["--allow-relabel"]):
+            binary = tmp_path / f"graph{len(extra)}.bin"
+            assert main(["convert", str(graph_file), str(binary)] + extra) == 0
+            assert "relabelled" not in capsys.readouterr().out
+            stored = read_binary(binary).graph()
+            assert {frozenset(e[:2]): e[2] for e in stored.edges()} == {
+                frozenset((int(u), int(v))): p for u, v, p in original.edges()
+            }
+
 
 class TestGrid:
     args = ["--alphas", "0.3,0.5", "--h-values", "0.1,0.4", "--seed", "2"]
@@ -409,3 +426,59 @@ class TestBinaryInputs:
                      "--samples", "20", "--seed", "1"])
         assert code == 0
         assert capsys.readouterr().out
+
+    def test_info_from_binary(self, graph_file, binary_file, capsys):
+        assert main(["info", str(graph_file)]) == 0
+        text_lines = capsys.readouterr().out.splitlines()
+        assert main(["info", str(binary_file)]) == 0
+        binary_lines = capsys.readouterr().out.splitlines()
+        assert binary_lines[:3] == text_lines[:3]  # vertices, edges, density
+
+    @pytest.fixture
+    def binary_pair(self, binary_file, tmp_path):
+        """The binary dataset and a binary sparsifier of it."""
+        from repro.core import sparsify
+        from repro.datasets import read_binary, write_binary
+
+        graph = read_binary(binary_file, mmap=True).graph()
+        sparse = tmp_path / "sparse.bin"
+        write_binary(sparsify(graph, 0.4, rng=1), sparse)
+        return binary_file, sparse
+
+    def test_compare_from_binary(self, binary_pair, capsys):
+        assert main(["compare"] + [str(p) for p in binary_pair]) == 0
+        output = capsys.readouterr().out
+        assert "degree MAE" in output
+        assert "relative entropy" in output
+
+    def test_diagnose_from_binary(self, binary_pair, capsys):
+        assert main(["diagnose"] + [str(p) for p in binary_pair]) == 0
+        assert "saturated edges" in capsys.readouterr().out
+
+    def test_drift_from_binary(self, binary_file, capsys):
+        code = main([
+            "drift", str(binary_file), "--alpha", "0.3", "--batches", "2",
+            "--edge-fraction", "0.02", "--insert-rate", "0.01",
+            "--delete-rate", "0.01", "--seed", "11", "--compare-rebuild",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[-3:-1]
+        assert [row.split()[-1] for row in rows] == ["yes", "yes"]
+
+    @pytest.mark.parametrize("command", ["info", "compare", "diagnose", "drift"])
+    def test_undecodable_file_is_a_clean_error(self, graph_file, tmp_path,
+                                               command, capsys):
+        # Neither a binary dataset nor UTF-8 text: one error line naming
+        # the file, no traceback.
+        junk = tmp_path / "junk.dat"
+        junk.write_bytes(b"RPBX\xc8\xff\x00 not text")
+        argv = {
+            "info": ["info", str(junk)],
+            "compare": ["compare", str(graph_file), str(junk)],
+            "diagnose": ["diagnose", str(graph_file), str(junk)],
+            "drift": ["drift", str(junk), "--alpha", "0.3"],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(junk) in err
+        assert "UTF-8" in err and len(err.splitlines()) == 1

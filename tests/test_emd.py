@@ -1,5 +1,7 @@
 """EMD (Algorithm 3): budget invariants, swap behaviour, quality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,16 @@ from repro.core import (
     emd,
     gdb,
     graph_entropy,
+    sparsify,
 )
 from repro.core.backbone import bgi_backbone, random_backbone, target_edge_count
-from repro.datasets import erdos_renyi_uncertain, flickr_like
+from repro.datasets import (
+    erdos_renyi_uncertain,
+    flickr_like,
+    forest_fire_like_arrays,
+    format_edge_list,
+    parse_edge_list,
+)
 from repro.metrics import degree_discrepancy_mae
 
 
@@ -142,12 +151,13 @@ class TestQuality:
 
 
 class TestEngines:
-    """EMD = deferred-heap E-phase with a vectorised candidate scan +
-    fused M-phase, against the scalar reference (``oracles.emd``).
+    """EMD = deferred-heap E-phase scanning the per-vertex candidate
+    table + sequential M-phase, against the scalar reference
+    (``oracles.emd``).
 
     Both E-phases pick the smallest-id max-discrepancy vertex and compare
     the same (factored) gains with the reference's candidate order and
-    strict tie-breaking, and the fused M-phase is bit-identical to the
+    strict tie-breaking, and the sequential M-phase is bit-identical to the
     reference loop, so the two must agree swap for swap: same edge set,
     same probabilities (exact), for every config variant and backbone.
     """
@@ -204,6 +214,34 @@ class TestEngines:
                 emd(small_power_law, alpha=0.3, rng=0, engine=engine)
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # The fused sweep is the M-phase's own choice, not a knob.
+        # The M-phase's sequential solve is its own choice, not a knob.
         with pytest.raises(TypeError, match="engine"):
             emd(small_power_law, alpha=0.3, rng=0, engine="fused")
+
+
+#: sha256 of the int64 edge array and float64 probabilities of
+#: ``sparsify(graph, 0.4, variant, rng=1)`` on a query-5k-shaped input
+#: (forest fire, n=500, avg_degree=20, ~5k edges, written as text and
+#: re-parsed), keyed by (generator seed, variant).  Recorded before the
+#: E- and M-phases moved to Python floats; any drift in EMD's decisions
+#: or arithmetic changes them.
+GOLDEN_EMD_DIGESTS = {
+    (1000, "EMD^R-t"): "709bb2d56385603bf6626754692f17190e2a38ed1973ed098ed3cc9f5fdbde82",
+    (1000, "EMD^A-t"): "625a47b4aa654d676db1e45383c7d66bfb9ab63040bb6ed296a78ad66846dbc9",
+    (1001, "EMD^R-t"): "71f99b890940ac7dee090a7fcd580f3e6fd9ef4467ded6d1112e20d3144a512a",
+    (1001, "EMD^A-t"): "c55b55d17aacb72b921f60add087a314ef091b22befe79c28299963b27d3dce4",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("seed,variant", sorted(GOLDEN_EMD_DIGESTS))
+    def test_query_sized_outputs_unchanged(self, seed, variant):
+        n, src, dst, prob = forest_fire_like_arrays(500, avg_degree=20, rng=seed)
+        graph = parse_edge_list(format_edge_list(UncertainGraph.from_edge_arrays(
+            range(n), np.stack([src, dst], axis=1), prob,
+        )))
+        result = sparsify(graph, 0.4, variant, rng=1)
+        ev = np.ascontiguousarray(result.edge_index_array(), dtype=np.int64)
+        ps = np.ascontiguousarray(result.probability_array(), dtype=np.float64)
+        digest = hashlib.sha256(ev.tobytes() + ps.tobytes()).hexdigest()
+        assert digest == GOLDEN_EMD_DIGESTS[(seed, variant)]

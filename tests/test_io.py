@@ -56,6 +56,14 @@ def test_malformed_line_rejected(tmp_path):
         read_edge_list(path)
 
 
+def test_undecodable_file_rejected_naming_path(tmp_path):
+    path = tmp_path / "g.bin"
+    path.write_bytes(b"0 1 0.5\n\xc8\xff 2 0.5\n")
+    with pytest.raises(GraphError, match="not a UTF-8 edge list") as info:
+        read_edge_list(path)
+    assert str(path) in str(info.value)
+
+
 def test_non_numeric_probability_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a b xyz\n")

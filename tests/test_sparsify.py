@@ -130,7 +130,7 @@ class TestEngineKnob:
                          engine=engine)
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # The fused sweep is the M-phase's own choice, not a sparsify() knob.
+        # The M-phase's sequential solve is its own choice, not a sparsify() knob.
         with pytest.raises(TypeError, match="engine"):
             sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fused")
 

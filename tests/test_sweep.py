@@ -18,7 +18,7 @@ from repro.core import (
     greedy_edge_coloring,
 )
 from repro.core.backbone import bgi_backbone, random_backbone
-from repro.core.sweep import colored_sweep, extend_sweep_plan, fused_sweep
+from repro.core.sweep import colored_sweep, extend_sweep_plan
 from repro.datasets import erdos_renyi_uncertain
 
 #: Converged-D1 contract: the production sweeps and the scalar reference
@@ -98,7 +98,7 @@ class TestPlan:
         block_eids = [e for eids, _, _ in plan.blocks for e in eids.tolist()]
         covered = sorted(block_eids + list(plan.tail_eids))
         assert covered == sorted(int(e) for e in ids)
-        assert plan.seq_eids == sorted(int(e) for e in ids)
+        assert plan.eids.tolist() == sorted(int(e) for e in ids)
 
     def test_sequential_only_plan_skips_coloring(self, small_power_law):
         state = SparsificationState(small_power_law)
@@ -106,7 +106,9 @@ class TestPlan:
             state.select_edge(eid)
         plan = build_sweep_plan(state, sequential_only=True)
         assert plan.n_colors == 0 and not plan.blocks
-        assert plan.seq_eids == [int(e) for e in state.selected_edge_ids()]
+        assert plan.eids.tolist() == [int(e) for e in state.selected_edge_ids()]
+        ends = state.edge_vertices[plan.eids]
+        assert (plan.seq_u, plan.seq_v) == (ends[:, 0].tolist(), ends[:, 1].tolist())
 
     def test_colored_sweep_matches_loop_order_objective(self, small_power_law):
         """One colored sweep is a valid coordinate-descent pass: the
@@ -213,7 +215,7 @@ class TestEngineEquivalence:
     ``k = 1``: the colored order differs from the loop order, but
     coordinate descent on the convex D1 objective converges to the same
     value (gated at 1e-6).  ``k >= 2`` / ``"n"``: ``gdb_refine`` runs
-    the fused sequential sweep in the loop's order — results are exactly
+    the sequential solve in the loop's order — results are exactly
     equal.  Per-sweep monotone descent of D1 is asserted for the k = 1
     rules (the k >= 2 rules minimise D_k, not D1).
     """
@@ -233,7 +235,7 @@ class TestEngineEquivalence:
                         for a, b in zip(trajectory, trajectory[1:])
                     )
             else:
-                # Fused sweep: bit-identical trajectory to the loop.
+                # Sequential solve: bit-identical trajectory to the loop.
                 assert vec_traj == loop_traj
                 assert vec_obj == loop_obj
 
@@ -277,9 +279,9 @@ class TestGdbFacade:
                            engine=engine)
 
     def test_fused_is_refine_only(self, small_power_law):
-        # The facade cannot pick the fused sweep; gdb_refine runs it on a
-        # sequential-only plan (EMD's M-phase) and matches the reference
-        # loop bit for bit.
+        # The facade cannot pick the sequential solve; gdb_refine runs it
+        # on a sequential-only plan (EMD's M-phase) and matches the
+        # reference loop bit for bit.
         with pytest.raises(TypeError):
             gdb(small_power_law, alpha=0.4, rng=0, engine="fused")
         states = []
@@ -306,22 +308,33 @@ class TestGdbFacade:
             loop_refine(state, GDBConfig(k=2, relative=True))
 
 
-class TestFusedSweep:
-    def test_fused_equals_loop_single_sweep(self, small_power_law):
-        """One fused sweep reproduces one loop sweep bit for bit."""
-        for k in (1, 2, "n"):
-            states = []
-            for _ in range(2):
-                state = SparsificationState(small_power_law)
-                for eid in bgi_backbone(small_power_law, 0.3, rng=4):
-                    state.select_edge(eid)
-                states.append(state)
-            config = GDBConfig(h=0.05, k=k, tau=0.0, max_sweeps=1)
-            loop_refine(states[0], config)
-            plan = build_sweep_plan(states[1], sequential_only=True)
-            fused_sweep(states[1], plan, k, False, 0.05)
-            assert np.array_equal(states[0].phat, states[1].phat)
-            assert np.array_equal(states[0].delta, states[1].delta)
+#: Every rule family ``sequential_refine`` runs: (k, relative).
+SEQUENTIAL_RULES = [(1, False), (1, True), (2, False), (3, False), ("n", False)]
+
+
+class TestSequentialRefine:
+    @pytest.mark.parametrize("tau", [GDBConfig.tau, 0.0])
+    @pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("k,relative", SEQUENTIAL_RULES)
+    def test_equals_loop_refine(self, small_power_law, k, relative, h, tau):
+        """A whole solve on a sequential plan, under the default ``tau``
+        (and ``tau = 0``, where several solves stop on an exact fixed
+        point before the cap), reproduces the reference loop bit for
+        bit: probabilities, discrepancies, residual and sweep count."""
+        states = []
+        for _ in range(2):
+            state = SparsificationState(small_power_law)
+            state.select_edges(bgi_backbone(small_power_law, 0.3, rng=4))
+            states.append(state)
+        config = GDBConfig(h=h, k=k, relative=relative, tau=tau)
+        loop_sweeps = loop_refine(states[0], config)
+        plan = build_sweep_plan(states[1], sequential_only=True)
+        sweeps = gdb_refine(states[1], config, plan=plan)
+        assert sweeps == loop_sweeps
+        assert states[0].phat.tobytes() == states[1].phat.tobytes()
+        assert states[0].delta.tobytes() == states[1].delta.tobytes()
+        assert (float(states[0].total_residual).hex()
+                == float(states[1].total_residual).hex())
 
 
 class TestGridDriver:
