@@ -4,9 +4,9 @@ A fig05-style ``(alpha, h)`` ladder on a ~10k-edge Forest-Fire sample of
 a Flickr-style topology (the paper's "Flickr reduced" construction).
 Backbone construction for the whole ladder, per-call reference vs plan:
 
-- **reference** — one :func:`bgi_backbone_legacy` per alpha (what the
-  pre-plan grid driver paid: a fresh scalar Kruskal + spanning peels +
-  Monte-Carlo top-up per alpha; ``h`` cells already shared backbones).
+- **reference** — one ``oracles.backbone.bgi_backbone_legacy`` per alpha
+  (the scalar per-call Algorithm 1: a fresh scalar Kruskal + spanning
+  peels + Monte-Carlo top-up per alpha; ``h`` cells share backbones).
 - **plan** — one :class:`BackbonePlan` for the graph: a single stable
   argsort + vectorised nested Kruskal peels, then each alpha is a
   peel-prefix slice plus its seeded top-up.
@@ -28,7 +28,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.backbone import BackbonePlan, bgi_backbone_legacy
+from oracles.backbone import bgi_backbone_legacy
+from repro.core.backbone import BackbonePlan
 from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
 

@@ -16,8 +16,8 @@ Package layout
 --------------
 - :mod:`repro.core` — the uncertain-graph model and the paper's
   sparsifiers (GDB, EMD, LP, backbones, entropy, discrepancies),
-- :mod:`repro.baselines` — NI cut-sparsifier and Baswana–Sen spanner
-  adaptations, plus random / representative baselines,
+- :mod:`repro.baselines` — NI cut-sparsifier, Baswana–Sen spanner and
+  effective-resistance adaptations, plus a random baseline,
 - :mod:`repro.sampling` — possible-world samplers, exact enumeration,
   Monte-Carlo and stratified estimators,
 - :mod:`repro.queries` — PR / SP / RL / CC / connectivity queries,

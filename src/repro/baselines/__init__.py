@@ -8,8 +8,6 @@
   — Spielman–Srivastava leverage-score sparsifier (section 2.2).
 - :func:`repro.baselines.random_sparsifier.random_sparsify` — plain MC
   edge sampling.
-- :func:`repro.baselines.representative.representative_instance` —
-  deterministic expected-degree representative ([29, 30], section 2.3).
 """
 
 from repro.baselines.effective_resistance import (
@@ -18,7 +16,6 @@ from repro.baselines.effective_resistance import (
 )
 from repro.baselines.ni import integer_weights, ni_sparsify
 from repro.baselines.random_sparsifier import random_sparsify
-from repro.baselines.representative import representative_instance
 from repro.baselines.spanner import baswana_sen_spanner, spanner_sparsify
 
 __all__ = [
@@ -28,6 +25,5 @@ __all__ = [
     "integer_weights",
     "ni_sparsify",
     "random_sparsify",
-    "representative_instance",
     "spanner_sparsify",
 ]

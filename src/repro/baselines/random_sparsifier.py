@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backbone import random_backbone
+from repro.core.backbone import build_backbone
 from repro.core.uncertain_graph import UncertainGraph
 
 
@@ -21,7 +21,7 @@ def random_sparsify(
     name: str = "",
 ) -> UncertainGraph:
     """Keep ``alpha |E|`` MC-sampled edges at their original probabilities."""
-    chosen = random_backbone(graph, alpha, rng=rng)
+    chosen = build_backbone(graph, alpha, method="random", rng=rng)
     edge_list = graph.edge_list()
     probabilities = graph.probability_array()
     edges = [

@@ -6,12 +6,12 @@ Sparsify a graph file to 30% of its edges with the paper's best variant::
 
     repro-sparsify sparsify graph.txt out.txt --alpha 0.3 --variant EMD^R-t
 
-Sparsify a whole alpha ladder, reusing one backbone plan (a single
-Kruskal pass serves every ratio; outputs are bit-identical to per-alpha
-runs under the same seed)::
+Sparsify a whole alpha ladder; GDB/EMD/LP/NI variants share one backbone
+plan across the ratios (a single Kruskal pass serves every ratio; outputs
+are bit-identical to per-alpha runs under the same seed)::
 
     repro-sparsify sparsify graph.txt out-{alpha}.txt \
-        --alpha 0.1,0.2,0.4 --variant GDB^A-t --backbone-plan
+        --alpha 0.1,0.2,0.4 --variant GDB^A-t
 
 Print structural statistics of a graph (entropy, degrees, density)::
 
@@ -91,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sparsify_cmd.add_argument(
         "--h", type=float, default=0.05, dest="entropy_h",
         help="entropy parameter h in [0, 1] (default 0.05)",
-    )
-    sparsify_cmd.add_argument(
-        "--backbone-plan", action="store_true",
-        help="build one BackbonePlan and reuse it across all alphas "
-        "(one Kruskal pass for the whole ladder; outputs are "
-        "bit-identical to per-alpha construction under the same seed; "
-        "NI memoises its forest-peel structure on the plan instead)",
     )
     sparsify_cmd.add_argument(
         "--lp-solver", choices=["highs", "pdp"], default="highs",
@@ -309,7 +302,7 @@ def _load_graph(path: str, input_format: str = "auto"):
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
-    from repro.core import parse_variant
+    from repro.core import BackbonePlan, parse_variant
 
     graph = _load_graph(args.input, args.input_format)
     alphas = _parse_alphas(args.alpha)
@@ -318,16 +311,10 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
             "multiple alphas need an output template containing '{alpha}', "
             "e.g. out-{alpha}.txt"
         )
-    plan = None
-    if args.backbone_plan:
-        from repro.core import BackbonePlan
-
-        if not parse_variant(args.variant).accepts_plan:
-            raise ReproError(
-                f"--backbone-plan only applies to GDB/EMD/LP/NI variants, "
-                f"not {args.variant!r}"
-            )
-        plan = BackbonePlan(graph)
+    # One plan serves the whole --alpha ladder: one Kruskal pass, and
+    # outputs bit-identical to per-alpha runs under the same seed.
+    accepts_plan = parse_variant(args.variant).accepts_plan
+    plan = BackbonePlan(graph) if accepts_plan else None
     for alpha in alphas:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,

@@ -15,11 +15,7 @@ Public surface:
 from repro.core.backbone import (
     BackbonePlan,
     bgi_backbone,
-    bgi_backbone_legacy,
     build_backbone,
-    local_degree_backbone,
-    maximum_spanning_forest,
-    random_backbone,
     target_edge_count,
 )
 from repro.core.delta import AppliedDelta, EdgeDeltaBatch, apply_delta
@@ -71,7 +67,6 @@ __all__ = [
     "VariantSpec",
     "available_variants",
     "bgi_backbone",
-    "bgi_backbone_legacy",
     "build_backbone",
     "build_sweep_plan",
     "check_budget",
@@ -89,13 +84,10 @@ __all__ = [
     "gdb_refine_warm",
     "graph_entropy",
     "greedy_edge_coloring",
-    "local_degree_backbone",
     "lp_assign_probabilities",
     "lp_sparsify",
-    "maximum_spanning_forest",
     "objective_rows",
     "parse_variant",
-    "random_backbone",
     "relative_entropy",
     "sparsify",
     "target_edge_count",

@@ -1,37 +1,41 @@
 """Backbone graph initialisation (paper Algorithm 1 and section 3.3).
 
 Every proposed sparsifier starts from an unweighted *backbone* with
-``alpha |E|`` edges.  Two constructions are offered:
+``alpha |E|`` edges.  :data:`BACKBONE_METHODS` lists the constructions:
 
-- **BGI** (Algorithm 1): peel maximum spanning forests off ``G`` (edge
+- ``"bgi"`` (Algorithm 1): peel maximum spanning forests off ``G`` (edge
   probabilities act as weights) until a spanning budget ``alpha'`` is
   filled — this guarantees connectivity — then top up to ``alpha |E|``
   by Monte-Carlo sampling the remaining edges with their probabilities.
   The paper sets ``alpha'`` to the minimum of ``0.5 alpha`` and the mass
   of the first six forests; both knobs are exposed.
-- **random backbone**: plain Monte-Carlo sampling of edges until the
-  budget is reached (the ``-t``-less variants of section 6.1, also the
-  Local Degree-style heuristic of [24] is provided for ablations).
+- ``"random"``: plain Monte-Carlo sampling of edges until the budget is
+  reached (the ``-t``-less variants of section 6.1).
+- ``"local_degree"``: the Local Degree heuristic of [24], for ablations.
+- ``"t_bundle"``: edge-disjoint spanner layers plus the MC top-up
+  (footnote 8, :mod:`repro.core.tbundle`).
 
-All functions work on *edge ids* — positions in
-``graph.edge_list()`` — so they compose directly with
-:class:`repro.core.discrepancy.SparsificationState`, and all builders
-return **read-only int64 arrays** of edge ids.
+All builders work on *edge ids* — positions in ``graph.edge_list()`` —
+so they compose directly with
+:class:`repro.core.discrepancy.SparsificationState`, and all return
+**read-only int64 arrays** of edge ids.
 
 Plan-then-instantiate
 ---------------------
-The forest peels of Algorithm 1 do not depend on ``alpha`` — only on
-the probability ordering of the edges.  :class:`BackbonePlan` exploits
-this: built once per graph, it runs a single stable argsort plus a
-vectorised multi-peel Kruskal (on
+:meth:`BackbonePlan.backbone` is the one builder and the one place that
+dispatches on the method; :func:`build_backbone` and :func:`bgi_backbone`
+run it on a plan built for the call.  The forest peels of Algorithm 1 do
+not depend on ``alpha`` — only on the probability ordering of the edges.
+The plan exploits this: built once per graph, it runs a single stable
+argsort plus a vectorised multi-peel Kruskal (on
 :class:`repro.utils.unionfind.ArrayUnionFind`) that labels every edge
 with its *forest-peel rank*, after which the backbone for **any**
 ``alpha`` is a prefix slice of the peel order plus the seeded
-Monte-Carlo top-up.  Backbones produced through a plan are bit-identical
-to the per-call reference builder (:func:`bgi_backbone_legacy`) for the
-same ``(alpha, seed)``, and backbones for nested alphas share their
-forest prefix (``alpha_1 <= alpha_2`` implies the ``alpha_1`` forest
-prefix is a prefix of the ``alpha_2`` one).
+Monte-Carlo top-up.  Backbones for nested alphas share their forest
+prefix (``alpha_1 <= alpha_2`` implies the ``alpha_1`` forest prefix is
+a prefix of the ``alpha_2`` one).  The scalar per-call form of
+Algorithm 1 is a test oracle (``tests/oracles/backbone.py``) that the
+plan matches bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +46,12 @@ import numpy as np
 
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import SparsificationError
-from repro.utils.rng import ensure_rng
-from repro.utils.unionfind import ArrayUnionFind, UnionFind
+from repro.utils.rng import check_seed, ensure_rng
+from repro.utils.unionfind import ArrayUnionFind
+
+#: The backbone construction methods :meth:`BackbonePlan.backbone`
+#: dispatches on.
+BACKBONE_METHODS = ("bgi", "random", "local_degree", "t_bundle")
 
 
 def target_edge_count(m: int, alpha: float) -> int:
@@ -62,79 +70,6 @@ def _as_edge_ids(ids) -> np.ndarray:
     return arr
 
 
-def maximum_spanning_forest(
-    n: int,
-    candidate_ids: np.ndarray,
-    edge_vertices: np.ndarray,
-    probabilities: np.ndarray,
-) -> np.ndarray:
-    """Kruskal maximum spanning forest over a subset of edges.
-
-    Parameters
-    ----------
-    n:
-        Number of vertices (dense ids ``0..n-1``).
-    candidate_ids:
-        Edge ids eligible for the forest.
-    edge_vertices:
-        ``(m, 2)`` array of endpoints for *all* edges (indexed by id).
-    probabilities:
-        Weight of every edge (indexed by id); higher is kept first.
-
-    Returns
-    -------
-    numpy.ndarray
-        Read-only int64 ids of the forest edges in acceptance order
-        (maximal: one tree per connected component of the candidate
-        subgraph).
-    """
-    order = np.argsort(-probabilities[candidate_ids], kind="stable")
-    uf = UnionFind(n)
-    forest: list[int] = []
-    for idx in order:
-        eid = int(candidate_ids[idx])
-        u, v = edge_vertices[eid]
-        if uf.union(int(u), int(v)):
-            forest.append(eid)
-    return _as_edge_ids(forest)
-
-
-def _mc_top_up(
-    chosen: list[int],
-    remaining: set[int],
-    probabilities: np.ndarray,
-    target: int,
-    rng: np.random.Generator,
-    max_passes: int = 10_000,
-) -> None:
-    """Fill ``chosen`` up to ``target`` by sampling ``remaining`` edges.
-
-    Repeated passes over a random permutation, keeping each edge with
-    its probability (Algorithm 1, lines 7-11).  Because every
-    probability is strictly positive the loop terminates with
-    probability 1; a deterministic fallback guards against pathological
-    RNG streaks.
-    """
-    passes = 0
-    while len(chosen) < target and remaining:
-        passes += 1
-        if passes > max_passes:
-            # Deterministic fallback: take the highest-probability leftovers.
-            leftovers = sorted(remaining, key=lambda e: -probabilities[e])
-            for eid in leftovers[: target - len(chosen)]:
-                chosen.append(eid)
-                remaining.discard(eid)
-            return
-        order = rng.permutation(np.fromiter(remaining, dtype=np.int64, count=len(remaining)))
-        draws = rng.random(len(order))
-        for eid, draw in zip(order, draws):
-            if draw < probabilities[eid]:
-                chosen.append(int(eid))
-                remaining.discard(int(eid))
-                if len(chosen) >= target:
-                    return
-
-
 def _mc_top_up_array(
     parts: list[np.ndarray],
     count: int,
@@ -144,13 +79,18 @@ def _mc_top_up_array(
     rng: np.random.Generator,
     max_passes: int = 10_000,
 ) -> int:
-    """Array twin of :func:`_mc_top_up`; appends pick batches to ``parts``.
+    """Fill up to ``target`` edges by sampling ``remaining`` edges.
 
-    Draw-for-draw identical to the scalar reference: each pass consumes
+    Repeated passes over a random permutation, keeping each edge with
+    its probability (Algorithm 1, lines 7-11); appends each pass's
+    picks to ``parts`` and returns the new count.  Each pass consumes
     one ``rng.permutation`` over the ascending remaining ids plus one
-    ``rng.random`` block, and keeps accepted edges in permutation order
+    ``rng.random`` block and keeps accepted edges in permutation order
     (``remaining`` must be sorted ascending — the iteration order of the
-    reference's ``set`` of dense edge ids).  Returns the new count.
+    scalar oracle's ``set`` of dense edge ids, which it matches draw for
+    draw).  Every probability is strictly positive, so the loop ends
+    with probability 1; a deterministic fallback guards against
+    pathological RNG streaks.
     """
     passes = 0
     while count < target and len(remaining):
@@ -240,10 +180,9 @@ class BackbonePlan:
     the peel order — truncated by Algorithm 1's spanning budget — plus
     the seeded Monte-Carlo top-up.  Guarantees:
 
-    - **determinism** — ``plan.backbone(alpha, rng=seed)`` is
-      bit-identical to the per-call reference
-      (:func:`bgi_backbone_legacy` / the scalar ``random`` and
-      ``local_degree`` builders) for every ``(alpha, seed)``; results
+    - **determinism** — ``plan.backbone(alpha, method, rng=seed)``
+      depends only on the graph, the method, its options and
+      ``(alpha, seed)``, never on what the plan built before; results
       for int seeds are memoised, so repeated requests are free;
     - **nesting** — for ``alpha_1 <= alpha_2`` (same
       ``spanning_fraction`` / ``max_forests``) the forest prefix of the
@@ -577,11 +516,20 @@ class BackbonePlan:
     ) -> np.ndarray:
         """Backbone edge ids for ``alpha`` under ``method``.
 
-        ``method`` / ``rng`` / ``kwargs`` follow :func:`build_backbone`.
-        Results for int seeds are memoised (backbones are deterministic
-        given ``(method, alpha, seed)``), so ladder drivers that re-seed
-        per alpha get each cell's backbone exactly once.
+        ``method`` is one of :data:`BACKBONE_METHODS`; ``kwargs`` are its
+        options: ``spanning_fraction``, ``max_forests`` and ``top_up``
+        (``"mc"`` or ``"stable"``) for ``"bgi"``, ``stretch`` and
+        ``max_layers`` for ``"t_bundle"``, none for the others.  ``rng``
+        is a seed, a generator or ``None``; a seed is checked here once
+        for every method (:func:`~repro.utils.rng.check_seed`).  Results
+        for int seeds are memoised (backbones are deterministic given
+        ``(method, alpha, seed)``), so ladder drivers that re-seed per
+        alpha get each cell's backbone exactly once.
         """
+        if method not in BACKBONE_METHODS:
+            raise ValueError(f"unknown backbone method: {method!r}")
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            rng = check_seed(rng)
         if method == "bgi":
             # Normalise the spanning knobs so explicit defaults and
             # omitted kwargs share one cache key.
@@ -590,80 +538,65 @@ class BackbonePlan:
                 **kwargs,
             }
         key = None
-        if rng is None or isinstance(rng, (int, np.integer)):
-            if method == "local_degree" or rng is not None:
-                key = (
-                    method,
-                    float(alpha),
-                    None if rng is None else int(rng),
-                    tuple(sorted(kwargs.items())),
-                )
+        if isinstance(rng, int) or (rng is None and method == "local_degree"):
+            key = (method, float(alpha), rng, tuple(sorted(kwargs.items())))
         with self._lock:
             if key is not None and key in self._cache:
                 return self._cache[key]
-            ids = self._instantiate(alpha, method, rng, kwargs)
+            ids = _as_edge_ids(self._instantiate(alpha, method, rng, kwargs))
             if key is not None:
                 self._cache[key] = ids
             return ids
 
     def _instantiate(self, alpha, method, rng, kwargs) -> np.ndarray:
-        if method == "bgi":
-            opts = dict(kwargs)
-            top_up = opts.pop("top_up", "mc")
-            prefix = self.forest_prefix(alpha, **opts)
-            target = target_edge_count(self.m, alpha)
-            remaining = np.setdiff1d(
-                np.arange(self.m, dtype=np.int64), prefix, assume_unique=True
+        if method == "t_bundle":
+            from repro.core.tbundle import t_bundle_backbone
+
+            return t_bundle_backbone(self.graph, alpha, rng=rng, **kwargs)
+        if method != "bgi" and kwargs:
+            raise TypeError(
+                f"{method} backbone takes no extra options, got {sorted(kwargs)}"
             )
-            parts = [prefix]
-            if top_up == "stable":
-                if not isinstance(rng, (int, np.integer)):
-                    raise SparsificationError(
-                        "the stable top-up needs an integer seed (its "
-                        "hash keys are a pure function of the seed)"
-                    )
-                _stable_top_up(
-                    parts, len(prefix), remaining, self.edge_vertices,
-                    self.probabilities, target, int(rng), self.n,
-                )
-            elif top_up == "mc":
-                _mc_top_up_array(
-                    parts, len(prefix), remaining, self.probabilities,
-                    target, ensure_rng(rng),
-                )
-            else:
-                raise SparsificationError(
-                    f"unknown top_up {top_up!r} (use 'mc' or 'stable')"
-                )
-            return _as_edge_ids(np.concatenate(parts))
+        target = target_edge_count(self.m, alpha)
+        if method == "local_degree":
+            if self._local_degree_order is None:
+                self._local_degree_order = _local_degree_order(self.graph)
+            return self._local_degree_order[:target]
         if method == "random":
-            if kwargs:
-                raise TypeError(
-                    f"random backbone takes no extra options, got {sorted(kwargs)}"
-                )
-            target = target_edge_count(self.m, alpha)
-            parts: list[np.ndarray] = []
+            parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
             _mc_top_up_array(
                 parts, 0, np.arange(self.m, dtype=np.int64),
                 self.probabilities, target, ensure_rng(rng),
             )
-            joined = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            return np.concatenate(parts)
+        # "bgi": Algorithm 1's forest prefix, then the chosen top-up.
+        opts = dict(kwargs)
+        top_up = opts.pop("top_up")
+        if top_up not in ("mc", "stable"):
+            raise SparsificationError(
+                f"unknown top_up {top_up!r} (use 'mc' or 'stable')"
             )
-            return _as_edge_ids(joined)
-        if method == "local_degree":
-            if kwargs:
-                raise TypeError(
-                    f"local_degree backbone takes no extra options, "
-                    f"got {sorted(kwargs)}"
-                )
-            if self._local_degree_order is None:
-                self._local_degree_order = _local_degree_order(self.graph)
-            target = target_edge_count(self.m, alpha)
-            return _as_edge_ids(self._local_degree_order[:target])
-        # Methods without a plan formulation (t_bundle) fall back to the
-        # per-call builder.
-        return build_backbone(self.graph, alpha, method=method, rng=rng, **kwargs)
+        prefix = self.forest_prefix(alpha, **opts)
+        remaining = np.setdiff1d(
+            np.arange(self.m, dtype=np.int64), prefix, assume_unique=True
+        )
+        parts = [prefix]
+        if top_up == "mc":
+            _mc_top_up_array(
+                parts, len(prefix), remaining, self.probabilities,
+                target, ensure_rng(rng),
+            )
+        elif rng is None or isinstance(rng, np.random.Generator):
+            raise SparsificationError(
+                "the stable top-up needs an integer seed (its hash keys "
+                "are a pure function of the seed)"
+            )
+        else:
+            _stable_top_up(
+                parts, len(prefix), remaining, self.edge_vertices,
+                self.probabilities, target, rng, self.n,
+            )
+        return np.concatenate(parts)
 
 
 def bgi_backbone(
@@ -678,9 +611,8 @@ def bgi_backbone(
 
     Returns the ids of ``alpha |E|`` edges as a read-only int64 array:
     first the union of maximum spanning forests (connectivity backbone),
-    then Monte-Carlo top-up.  Runs through a :class:`BackbonePlan`
-    (pass ``plan`` to reuse one across calls); results are bit-identical
-    to the per-call reference :func:`bgi_backbone_legacy`.
+    then Monte-Carlo top-up.  ``build_backbone(method="bgi")`` under
+    Algorithm 1's name; pass ``plan`` to reuse one across calls.
 
     Parameters
     ----------
@@ -706,105 +638,10 @@ def bgi_backbone(
         ``alpha < (|V| - 1) / |E|`` for a connected graph (the paper's
         footnote 7 assumption).
     """
-    if plan is None:
-        plan = BackbonePlan(graph)
-    elif plan.graph is not graph:
-        raise ValueError("backbone plan was built for a different graph")
-    return plan.backbone(
-        alpha, method="bgi", rng=rng,
+    return build_backbone(
+        graph, alpha, method="bgi", rng=rng, plan=plan,
         spanning_fraction=spanning_fraction, max_forests=max_forests,
     )
-
-
-def bgi_backbone_legacy(
-    graph: UncertainGraph,
-    alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    spanning_fraction: float = 0.5,
-    max_forests: int = 6,
-) -> np.ndarray:
-    """Per-call reference implementation of Algorithm 1.
-
-    The scalar list-and-set construction :func:`bgi_backbone` used before
-    the plan refactor; kept as the seeded-equivalence oracle the plan
-    path is regression-pinned against.
-    """
-    rng = ensure_rng(rng)
-    m = graph.number_of_edges()
-    n = graph.number_of_vertices()
-    target = target_edge_count(m, alpha)
-    edge_vertices = graph.edge_index_array()
-    probabilities = np.array(graph.probability_array())
-
-    remaining = set(range(m))
-    chosen: list[int] = []
-
-    # First forest: a maximum spanning tree (of each component).
-    first = maximum_spanning_forest(
-        n, np.fromiter(remaining, dtype=np.int64, count=len(remaining)),
-        edge_vertices, probabilities,
-    )
-    if len(first) > target:
-        raise SparsificationError(
-            f"alpha={alpha} keeps {target} edges but a spanning forest needs "
-            f"{len(first)}; connectivity cannot be preserved "
-            f"(require alpha >= (|V|-1)/|E|)"
-        )
-    chosen.extend(int(e) for e in first)
-    remaining.difference_update(chosen)
-
-    spanning_budget = int(spanning_fraction * alpha * m)
-    forests_built = 1
-    while (
-        len(chosen) < spanning_budget
-        and forests_built < max_forests
-        and remaining
-        and len(chosen) < target
-    ):
-        forest = [
-            int(e) for e in maximum_spanning_forest(
-                n, np.fromiter(remaining, dtype=np.int64, count=len(remaining)),
-                edge_vertices, probabilities,
-            )
-        ]
-        if not forest:
-            break
-        if len(chosen) + len(forest) > target:
-            forest = forest[: target - len(chosen)]
-        chosen.extend(forest)
-        remaining.difference_update(forest)
-        forests_built += 1
-
-    _mc_top_up(chosen, remaining, probabilities, target, rng)
-    return _as_edge_ids(chosen)
-
-
-def random_backbone(
-    graph: UncertainGraph,
-    alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    plan: "BackbonePlan | None" = None,
-) -> np.ndarray:
-    """Random backbone: Monte-Carlo edge sampling until ``alpha |E|`` edges.
-
-    This is the backbone of the non-``t`` variants in section 6.1 (and
-    the deterministic-graph heuristic of [24]): connectivity is *not*
-    guaranteed.  Returns a read-only int64 edge-id array.
-    """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method="random", rng=rng)
-    rng = ensure_rng(rng)
-    m = graph.number_of_edges()
-    target = target_edge_count(m, alpha)
-    probabilities = np.array(graph.probability_array())
-    parts: list[np.ndarray] = []
-    _mc_top_up_array(
-        parts, 0, np.arange(m, dtype=np.int64), probabilities, target, rng
-    )
-    joined = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return _as_edge_ids(joined)
 
 
 def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
@@ -839,31 +676,6 @@ def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
     )
 
 
-def local_degree_backbone(
-    graph: UncertainGraph,
-    alpha: float,
-    plan: "BackbonePlan | None" = None,
-) -> np.ndarray:
-    """Local Degree heuristic backbone (Lindner et al. [24], for ablations).
-
-    Each vertex nominates its incident edges towards the highest-degree
-    neighbours; edges are accepted in nomination-rank order until the
-    budget fills.  Deterministic; the nomination ranking is alpha-free,
-    so a :class:`BackbonePlan` computes it once and slices per alpha.
-    """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method="local_degree")
-    m = graph.number_of_edges()
-    target = target_edge_count(m, alpha)
-    return _as_edge_ids(_local_degree_order(graph)[:target])
-
-
-#: The backbone construction methods :func:`build_backbone` dispatches on.
-BACKBONE_METHODS = ("bgi", "random", "local_degree", "t_bundle")
-
-
 def build_backbone(
     graph: UncertainGraph,
     alpha: float,
@@ -872,27 +684,18 @@ def build_backbone(
     plan: "BackbonePlan | None" = None,
     **kwargs,
 ) -> np.ndarray:
-    """Dispatch on backbone construction method.
+    """Backbone edge ids of ``graph`` for ``alpha`` under ``method``.
 
     ``method`` is one of ``"bgi"`` (Algorithm 1, the ``-t`` variants),
     ``"random"`` (Monte-Carlo sampling), ``"local_degree"`` ([24]) or
-    ``"t_bundle"`` (edge-disjoint spanner layers, footnote 8 / [21]).
+    ``"t_bundle"`` (edge-disjoint spanner layers, footnote 8 / [21]);
+    ``rng`` and ``kwargs`` follow :meth:`BackbonePlan.backbone`.
     Returns a read-only int64 edge-id array.  Pass ``plan`` (a
     :class:`BackbonePlan` for ``graph``) to share the Kruskal peel work
     — and, for int seeds, the backbones themselves — across calls.
     """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method=method, rng=rng, **kwargs)
-    if method == "bgi":
-        return bgi_backbone(graph, alpha, rng=rng, **kwargs)
-    if method == "random":
-        return random_backbone(graph, alpha, rng=rng, **kwargs)
-    if method == "local_degree":
-        return local_degree_backbone(graph, alpha, **kwargs)
-    if method == "t_bundle":
-        from repro.core.tbundle import t_bundle_backbone
-
-        return _as_edge_ids(t_bundle_backbone(graph, alpha, rng=rng, **kwargs))
-    raise ValueError(f"unknown backbone method: {method!r}")
+    if plan is None:
+        plan = BackbonePlan(graph)
+    elif plan.graph is not graph:
+        raise ValueError("backbone plan was built for a different graph")
+    return plan.backbone(alpha, method=method, rng=rng, **kwargs)

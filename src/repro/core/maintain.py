@@ -87,22 +87,21 @@ class IncrementalSparsifier:
         restart seeds converged probabilities, which only the
         coordinate-descent core consumes).
     rng:
-        Integer seed for backbone instantiation.  A bare generator is
-        rejected: the backbone's MC top-up replays under the *same* seed
-        every batch, which is what keeps the maintained selection equal
-        to a cold rebuild's.
+        Non-negative integer seed for backbone instantiation.  A bare
+        generator is rejected: the backbone's top-up replays under the
+        *same* seed every batch, which is what keeps the maintained
+        selection equal to a cold rebuild's.
     h / tau / max_sweeps:
         GDB entropy parameter, convergence threshold and sweep cap,
         shared by the initial build and every warm re-convergence.
-    top_up:
-        BGI top-up discipline.  ``"stable"`` (default) draws the
-        weighted sample by seeded order statistics, so a small delta
-        moves the selection by O(|delta|) edges and the warm restart
-        stays warm; ``"mc"`` replays the permutation-based Monte-Carlo
-        pass, which re-randomises the top-up wholesale on any change
-        (correct, but every batch then restarts far from converged).
-        Either way the maintained selection is bit-identical to a fresh
-        plan's under the same seed and mode.
+
+    A ``-t`` variant tops its BGI backbone up with the plan's
+    ``"stable"`` discipline: the weighted sample is drawn by seeded
+    order statistics, so a small delta moves the selection by
+    O(|delta|) edges and the warm restart stays warm (the
+    permutation-based ``"mc"`` pass ``sparsify`` uses re-randomises the
+    top-up wholesale on any change).  The maintained selection is
+    bit-identical to a fresh plan's under the same seed.
     """
 
     def __init__(
@@ -114,7 +113,6 @@ class IncrementalSparsifier:
         h: float = 0.05,
         tau: float = 1e-9,
         max_sweeps: int = 200,
-        top_up: str = "stable",
     ) -> None:
         spec = parse_variant(variant)
         if spec.method != "gdb":
@@ -126,7 +124,7 @@ class IncrementalSparsifier:
         if isinstance(rng, bool) or not isinstance(rng, (int, np.integer)):
             raise ValueError(
                 "IncrementalSparsifier needs an integer seed: the backbone "
-                "MC top-up replays under the same seed every batch"
+                "top-up replays under the same seed every batch"
             )
         self.graph = graph
         self.alpha = float(alpha)
@@ -135,10 +133,8 @@ class IncrementalSparsifier:
         self.config = GDBConfig(h=h, tau=tau, max_sweeps=max_sweeps,
                                 k=spec.k, relative=spec.relative)
         self.backbone_method = "bgi" if spec.bgi_backbone else "random"
-        if top_up not in ("mc", "stable"):
-            raise ValueError(f"unknown top_up {top_up!r} (use 'mc' or 'stable')")
         self.backbone_kwargs = (
-            {"top_up": top_up} if self.backbone_method == "bgi" else {}
+            {"top_up": "stable"} if self.backbone_method == "bgi" else {}
         )
 
         self.plan = BackbonePlan(graph)

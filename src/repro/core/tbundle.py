@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.spanner import baswana_sen_spanner
-from repro.core.backbone import _mc_top_up, target_edge_count
+from repro.core.backbone import _mc_top_up_array, target_edge_count
 from repro.core.uncertain_graph import UncertainGraph
 from repro.utils.rng import ensure_rng
 
@@ -31,13 +31,14 @@ def t_bundle_backbone(
     rng: "int | np.random.Generator | None" = None,
     stretch: int = 2,
     max_layers: int = 8,
-) -> list[int]:
+) -> np.ndarray:
     """Backbone from edge-disjoint spanner layers + MC top-up.
 
     Layers are added while they fit within the ``alpha |E|`` budget
     (each layer is a ``(2 * stretch - 1)``-spanner of the edges not yet
     claimed); the remainder is filled by Monte-Carlo edge sampling like
-    Algorithm 1's lines 7-11.
+    Algorithm 1's lines 7-11.  Returns the int64 edge ids, layers first
+    (each in ascending id order), then the top-up picks.
 
     Parameters
     ----------
@@ -63,32 +64,32 @@ def t_bundle_backbone(
     probabilities = np.array(graph.probability_array())
     weights = -np.log(np.clip(probabilities, 1e-15, 1.0))
 
-    remaining = set(range(m))
-    chosen: list[int] = []
+    remaining = np.arange(m, dtype=np.int64)  # unclaimed ids, ascending
+    parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    count = 0
     for _ in range(max_layers):
-        if not remaining or len(chosen) >= target:
+        if not len(remaining) or count >= target:
             break
-        candidate_ids = np.fromiter(remaining, dtype=np.int64, count=len(remaining))
         # Spanner over the residual subgraph: relabel edges into a
         # compact array for the spanner routine.
         layer_local = baswana_sen_spanner(
-            n, edge_vertices[candidate_ids], weights[candidate_ids], stretch, rng
+            n, edge_vertices[remaining], weights[remaining], stretch, rng
         )
-        layer = [int(candidate_ids[i]) for i in layer_local]
-        if not layer:
+        layer = remaining[np.asarray(layer_local, dtype=np.int64)]
+        if not len(layer):
             break
-        if len(chosen) + len(layer) > target:
-            if not chosen:
+        if count + len(layer) > target:
+            if not count:
                 # Even one layer overflows (small budgets on sparse
                 # graphs): keep the layer's lightest — most probable —
-                # edges, the same fallback as the SP benchmark.
-                layer.sort(key=lambda eid: (weights[eid], eid))
-                layer = layer[:target]
-                chosen.extend(layer)
-                remaining.difference_update(layer)
+                # edges, ties by ascending id, the same fallback as the
+                # SP benchmark.  That fills the budget: no top-up.
+                parts.append(layer[np.lexsort((layer, weights[layer]))[:target]])
+                count = target
             break
-        chosen.extend(layer)
-        remaining.difference_update(layer)
+        parts.append(layer)
+        count += len(layer)
+        remaining = np.setdiff1d(remaining, layer, assume_unique=True)
 
-    _mc_top_up(chosen, remaining, probabilities, target, rng)
-    return chosen
+    _mc_top_up_array(parts, count, remaining, probabilities, target, rng)
+    return np.concatenate(parts)

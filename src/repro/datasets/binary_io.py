@@ -292,6 +292,26 @@ def write_binary_arrays(
     return header
 
 
+def _label_value(label) -> "int | None":
+    """A vertex label's integer value, or ``None`` when it has none.
+
+    Only a non-bool integer or the canonical decimal spelling of one
+    (``str(int(s)) == s``) counts: ``"00"``, ``" 1"``, ``1.5``, ``0.0``
+    and ``True`` have no integer value here, so storing them is a
+    relabel rather than a silent coercion.
+    """
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        return int(label)
+    if isinstance(label, str):
+        try:
+            value = int(label)
+        except ValueError:
+            return None
+        if str(value) == label:
+            return value
+    return None
+
+
 def stored_vertex_ids(graph) -> "np.ndarray | None":
     """The id :func:`write_binary` stores for each dense vertex id.
 
@@ -299,23 +319,27 @@ def stored_vertex_ids(graph) -> "np.ndarray | None":
     iteration order, or spelled as the decimal strings a text file
     parses to) each vertex is stored under its own label's value.  Any
     other label set returns ``None``: writing it replaces the labels by
-    their dense indexer positions.
+    their dense indexer positions.  A label counts as an int only when
+    it is one (not a bool) or is its canonical decimal string, so
+    ``"00"``, ``1.5`` or ``True`` never pass as 0, 1 or 1.
     """
     n = graph.number_of_vertices()
-    labels = list(graph.vertices())
-    if labels == list(range(n)):
+    labels = graph.vertices()
+    if isinstance(labels, range):  # stored rows: the labels are the ids
         return np.arange(n, dtype=np.int64)
-    # Labels may still be the dense ints in scrambled order (e.g. a
-    # generator inserting vertices in edge-creation order): map the
-    # indexer positions back to the true labels so ids round-trip.
+    if not all(type(label) is int for label in labels):
+        labels = [_label_value(label) for label in labels]
+        if None in labels:
+            return None
+    # Labels may be the dense ints in scrambled order (e.g. a generator
+    # inserting vertices in edge-creation order): map the indexer
+    # positions back to the true labels so ids round-trip.
     try:
-        label_array = np.asarray(labels, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+        ids = np.array(labels, dtype=np.int64)
+    except OverflowError:
         return None
-    if len(labels) == n and np.array_equal(
-        np.sort(label_array), np.arange(n, dtype=np.int64)
-    ):
-        return label_array
+    if np.array_equal(np.sort(ids), np.arange(n, dtype=np.int64)):
+        return ids
     return None
 
 

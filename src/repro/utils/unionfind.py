@@ -1,20 +1,18 @@
-"""Disjoint-set (union-find) structures.
+"""Disjoint-set (union-find) structure.
 
 Used by every spanning-tree / spanning-forest routine in the package:
 the BGI backbone initialisation (Algorithm 1), the Nagamochi-Ibaraki
 forest decomposition (Algorithm 4) and connectivity checks.
 
-Two implementations with the same set semantics:
-
-- :class:`UnionFind` — the scalar list-based reference (union by rank,
-  path halving).
-- :class:`ArrayUnionFind` — array-native state with the batched
-  primitives :meth:`~ArrayUnionFind.find_many` (vectorised
-  grandparent-jumping with full path compression of the queried
-  elements) and :meth:`~ArrayUnionFind.union_batch` (order-respecting
-  batched unions: the merged set is exactly what sequential
-  :meth:`~ArrayUnionFind.union` calls in index order would produce).
-  The backbone planner's nested Kruskal peels run on it.
+:class:`ArrayUnionFind` keeps its state in arrays and adds the batched
+primitives :meth:`~ArrayUnionFind.find_many` (vectorised
+grandparent-jumping with full path compression of the queried elements)
+and :meth:`~ArrayUnionFind.union_batch` (order-respecting batched
+unions: the merged set is exactly what sequential
+:meth:`~ArrayUnionFind.union` calls in index order would produce).  The
+backbone planner's nested Kruskal peels run on it.  The scalar
+list-based union-find it is checked against is a test oracle
+(``tests/oracles/unionfind.py``).
 """
 
 from __future__ import annotations
@@ -22,84 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class UnionFind:
-    """Union-find over the integers ``0 .. n-1``.
-
-    Implements union by rank and path halving; both ``find`` and
-    ``union`` run in effectively-constant amortised time.
-
-    Parameters
-    ----------
-    n:
-        Number of elements.  Elements are the integers ``0 .. n-1``.
-    """
-
-    __slots__ = ("_parent", "_rank", "_components")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"element count must be non-negative, got {n}")
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self._components = n
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    @property
-    def components(self) -> int:
-        """Number of disjoint sets currently tracked."""
-        return self._components
-
-    def find(self, x: int) -> int:
-        """Return the representative of the set containing ``x``."""
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the sets containing ``x`` and ``y``.
-
-        Returns
-        -------
-        bool
-            ``True`` if a merge happened, ``False`` if the two elements
-            were already in the same set.
-        """
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        rank = self._rank
-        if rank[rx] < rank[ry]:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        if rank[rx] == rank[ry]:
-            rank[rx] += 1
-        self._components -= 1
-        return True
-
-    def connected(self, x: int, y: int) -> bool:
-        """Return ``True`` when ``x`` and ``y`` are in the same set."""
-        return self.find(x) == self.find(y)
-
-    def reset(self) -> None:
-        """Return the structure to ``n`` singleton sets."""
-        n = len(self._parent)
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self._components = n
-
-
 class ArrayUnionFind:
     """Array-native union-find over the integers ``0 .. n-1``.
 
-    Set semantics match :class:`UnionFind` exactly (union by rank with
-    path compression); on top of the scalar ``find`` / ``union`` it adds
-    the batched primitives ``find_many`` and ``union_batch`` that the
-    vectorised Kruskal peels of :class:`repro.core.backbone.BackbonePlan`
-    are built on.
+    Union by rank with path compression; on top of the scalar ``find``
+    / ``union`` it adds the batched primitives ``find_many`` and
+    ``union_batch`` that the vectorised Kruskal peels of
+    :class:`repro.core.backbone.BackbonePlan` are built on.
     """
 
     __slots__ = ("_parent", "_rank", "_components", "_scratch")

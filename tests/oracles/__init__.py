@@ -15,6 +15,10 @@ or distances within ``rtol=1e-9``):
   edge-id-order refinement loop, and the colored-sweep reference;
 - :mod:`oracles.emd` — EMD's insertion probability (Eq. 9), gain
   (Eq. 10), brute-force E-phase and the whole of Algorithm 3;
+- :mod:`oracles.backbone` — Algorithm 1 re-peeling its spanning forests
+  per call, with the set-based Monte-Carlo top-up;
+- :mod:`oracles.unionfind` — the scalar union-find the backbone, NI and
+  graph oracles run on;
 - :mod:`oracles.ni` — Algorithm 4 re-peeling its forests per call;
 - :mod:`oracles.worlds` — one possible world as its own CSR
   (:class:`~oracles.worlds.World`) and the one-world draws;

@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from oracles.unionfind import UnionFind
 from repro.core.delta import (
     AppliedDelta,
     EdgeDeltaBatch,
@@ -31,7 +32,6 @@ from repro.core.delta import (
     _pair_keys,
 )
 from repro.exceptions import GraphError, ProbabilityError
-from repro.utils.unionfind import UnionFind
 
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]

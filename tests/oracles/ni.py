@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.utils.unionfind import UnionFind
+from oracles.unionfind import UnionFind
 
 
 def ni_core(

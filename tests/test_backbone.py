@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.backbone import maximum_spanning_forest
+from oracles.unionfind import UnionFind
 from repro.core import UncertainGraph
-from repro.core.backbone import (
-    bgi_backbone,
-    build_backbone,
-    local_degree_backbone,
-    maximum_spanning_forest,
-    random_backbone,
-    target_edge_count,
-)
+from repro.core.backbone import bgi_backbone, build_backbone, target_edge_count
 from repro.datasets import flickr_like
 from repro.exceptions import SparsificationError
-from repro.utils.unionfind import UnionFind
 
 
 def backbone_graph(graph, ids):
@@ -113,7 +107,7 @@ class TestBGI:
 
 class TestRandomBackbone:
     def test_budget_met(self, small_power_law):
-        ids = random_backbone(small_power_law, 0.3, rng=0)
+        ids = build_backbone(small_power_law, 0.3, method="random", rng=0)
         assert len(ids) == target_edge_count(small_power_law.number_of_edges(), 0.3)
         assert len(set(ids)) == len(ids)
 
@@ -123,7 +117,7 @@ class TestRandomBackbone:
         g = UncertainGraph(edges)
         counts = np.zeros(g.number_of_edges())
         for seed in range(30):
-            for eid in random_backbone(g, 0.5, rng=seed):
+            for eid in build_backbone(g, 0.5, method="random", rng=seed):
                 counts[eid] += 1
         probs = g.probability_array()
         high = counts[np.array(probs) > 0.5].mean()
@@ -133,8 +127,8 @@ class TestRandomBackbone:
 
 class TestLocalDegree:
     def test_budget_and_determinism(self, small_power_law):
-        a = local_degree_backbone(small_power_law, 0.3)
-        b = local_degree_backbone(small_power_law, 0.3)
+        a = build_backbone(small_power_law, 0.3, method="local_degree")
+        b = build_backbone(small_power_law, 0.3, method="local_degree")
         assert np.array_equal(a, b)
         assert len(a) == target_edge_count(small_power_law.number_of_edges(), 0.3)
 
@@ -143,7 +137,7 @@ class TestLocalDegree:
         edges = [(0, i, 0.5) for i in range(1, 8)]
         edges += [(7, 8, 0.5), (8, 9, 0.5)]
         g = UncertainGraph(edges)
-        ids = local_degree_backbone(g, 0.5)
+        ids = build_backbone(g, 0.5, method="local_degree")
         edge_list = g.edge_list()
         chosen = {frozenset(edge_list[e]) for e in ids}
         hub_edges = sum(1 for pair in chosen if 0 in pair)

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.backbone import _mc_top_up, bgi_backbone_legacy
+from oracles.unionfind import UnionFind
 from repro.core import GDBConfig, UncertainGraph, gdb, gdb_grid, sparsify
 from repro.core.backbone import (
+    BACKBONE_METHODS,
     BackbonePlan,
+    _mc_top_up_array,
     bgi_backbone,
-    bgi_backbone_legacy,
     build_backbone,
-    local_degree_backbone,
-    random_backbone,
     target_edge_count,
 )
 from repro.core.emd_sparsifier import emd
 from repro.core.lp import lp_sparsify
 from repro.datasets import flickr_like, twitter_like
-from repro.utils.unionfind import UnionFind
 
 ALPHAS = (0.3, 0.45, 0.6, 0.85)
 
@@ -110,21 +110,46 @@ class TestSeededEquivalence:
             assert np.array_equal(shared.peel_rank, reference.peel_rank)
 
     def test_random_and_local_degree_ride_the_plan(self, graph, plan):
+        # A shared plan warmed by other methods and alphas builds what a
+        # fresh one does.
+        plan.backbone(0.5, rng=3)
         for alpha in (0.25, 0.6):
             assert np.array_equal(
                 plan.backbone(alpha, method="random", rng=11),
-                random_backbone(graph, alpha, rng=11),
+                build_backbone(graph, alpha, method="random", rng=11),
             )
             assert np.array_equal(
                 plan.backbone(alpha, method="local_degree"),
-                local_degree_backbone(graph, alpha),
+                build_backbone(graph, alpha, method="local_degree"),
             )
 
     def test_t_bundle_falls_back(self, graph, plan):
+        # t-bundle has no alpha-free plan state; a shared plan memoises
+        # its int-seed results and builds what a fresh plan does.
+        plan.backbone(0.4, rng=5)
         via_plan = build_backbone(graph, 0.4, method="t_bundle", rng=5,
                                   plan=plan)
         direct = build_backbone(graph, 0.4, method="t_bundle", rng=5)
         assert np.array_equal(via_plan, direct)
+        assert plan.backbone(0.4, method="t_bundle", rng=5) is via_plan
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.6])
+    def test_random_matches_oracle_top_up(self, graph, plan, alpha):
+        """The random backbone is Algorithm 1's top-up from nothing."""
+        probabilities = np.array(graph.probability_array())
+        target = target_edge_count(graph.number_of_edges(), alpha)
+        for seed in (0, 11):
+            chosen: list[int] = []
+            _mc_top_up(chosen, set(range(graph.number_of_edges())),
+                       probabilities, target, np.random.default_rng(seed))
+            assert plan.backbone(alpha, method="random", rng=seed).tolist() == chosen
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        ids = plan.backbone(alpha, method="random", rng=ours)
+        chosen = []
+        _mc_top_up(chosen, set(range(graph.number_of_edges())),
+                   probabilities, target, theirs)
+        assert ids.tolist() == chosen
+        assert ours.random() == theirs.random()  # same draws consumed
 
     def test_int_seed_backbones_memoised(self, graph, plan):
         a = plan.backbone(0.4, rng=8)
@@ -205,10 +230,9 @@ class TestNormalisedReturns:
     def test_builders_return_read_only_int64(self, graph, plan):
         results = [
             bgi_backbone(graph, 0.4, rng=0),
-            bgi_backbone_legacy(graph, 0.4, rng=0),
-            random_backbone(graph, 0.4, rng=0),
-            local_degree_backbone(graph, 0.4),
-            build_backbone(graph, 0.4, method="t_bundle", rng=0),
+            *(build_backbone(graph, 0.4, method=m, rng=0)
+              for m in BACKBONE_METHODS),
+            build_backbone(graph, 0.4, top_up="stable", rng=0),
             plan.backbone(0.4, rng=0),
             plan.forest_prefix(0.4),
         ]
@@ -216,6 +240,57 @@ class TestNormalisedReturns:
             assert isinstance(ids, np.ndarray)
             assert ids.dtype == np.int64
             assert not ids.flags.writeable
+
+
+class TestMCTopUpFallback:
+    """``_mc_top_up_array``'s deterministic fallback (taken once
+    ``max_passes`` passes leave the budget short) against the oracle."""
+
+    @pytest.mark.parametrize("probabilities", ["spread", "tied"])
+    @pytest.mark.parametrize("max_passes", [0, 1, 2])
+    def test_fallback_matches_oracle(self, probabilities, max_passes):
+        m = 200
+        rng = np.random.default_rng(5)
+        if probabilities == "spread":
+            probs = rng.uniform(0.001, 0.2, size=m)
+        else:  # ties decide the order: ascending edge id
+            probs = rng.choice([0.01, 0.05, 0.1], size=m)
+        for count, target in ((0, 150), (40, 190), (10, 11)):
+            start = np.arange(count, dtype=np.int64)
+            remaining = np.arange(count, m, dtype=np.int64)
+            ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+            parts = [start]
+            got = _mc_top_up_array(parts, count, remaining, probs, target,
+                                   ours, max_passes=max_passes)
+            chosen = start.tolist()
+            _mc_top_up(chosen, set(range(count, m)), probs, target, theirs,
+                       max_passes=max_passes)
+            assert got == len(chosen) == target
+            assert np.concatenate(parts).tolist() == chosen
+            assert ours.random() == theirs.random()
+
+
+class TestSeedBoundary:
+    """One seed check for every method at ``BackbonePlan.backbone``."""
+
+    @pytest.mark.parametrize("method", BACKBONE_METHODS)
+    def test_bool_seed_rejected(self, graph, plan, method):
+        for seed in (True, False):
+            with pytest.raises(TypeError):
+                plan.backbone(0.4, method=method, rng=seed)
+
+    @pytest.mark.parametrize("top_up", ["mc", "stable"])
+    def test_negative_seed_rejected_by_both_top_ups(self, plan, top_up):
+        with pytest.raises(ValueError, match="non-negative"):
+            plan.backbone(0.4, rng=-3, top_up=top_up)
+
+    @pytest.mark.parametrize("method", BACKBONE_METHODS)
+    def test_negative_seed_rejected_by_every_method(self, graph, method):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_backbone(graph, 0.4, method=method, rng=-3)
+
+    def test_numpy_seed_shares_the_int_memo(self, plan):
+        assert plan.backbone(0.4, rng=np.int64(8)) is plan.backbone(0.4, rng=8)
 
 
 class TestPlanThreading:

@@ -42,6 +42,7 @@ from repro.datasets.binary_io import (
     is_binary_data,
     pack_header,
     parse_header,
+    stored_vertex_ids,
 )
 from repro.exceptions import GraphError
 
@@ -169,6 +170,31 @@ class TestRoundTrip:
         assert loaded.n_vertices == 3
         assert np.array_equal(loaded.src, [0, 1])
         assert np.array_equal(loaded.dst, [1, 2])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["00", "1", "2"], [0.0, 1.5, 2.25], [True, 0]],
+        ids=["padded-decimal", "floats", "bool"],
+    )
+    def test_labels_without_an_int_value_need_allow_relabel(self, tmp_path,
+                                                            labels):
+        # "00" is not stored as 0, 1.5 not as 1, True not as 1: only a
+        # non-bool int or a canonical decimal string keeps its value.
+        g = UncertainGraph(
+            [(u, v, 0.5) for u, v in zip(labels, labels[1:])]
+        )
+        assert stored_vertex_ids(g) is None
+        path = tmp_path / "labels.bin"
+        with pytest.raises(GraphError, match="allow_relabel"):
+            write_binary(g, path)
+        write_binary(g, path, allow_relabel=True)
+        loaded = read_binary(path, verify=True)
+        assert np.array_equal(loaded.src, np.arange(len(labels) - 1))
+        assert np.array_equal(loaded.dst, np.arange(1, len(labels)))
+
+    def test_int_valued_labels_keep_their_values(self):
+        g = UncertainGraph([("2", "0", 0.5), (np.int64(1), "2", 0.25)])
+        assert stored_vertex_ids(g).tolist() == [2, 0, 1]
 
     def test_from_arrays_feeds_state_without_materialising(self, sample):
         from repro.core.backbone import BackbonePlan

@@ -54,23 +54,40 @@ def test_sparsify_bad_variant_fails(graph_file, tmp_path, capsys):
 
 
 class TestBackbonePlanFlag:
+    """``sparsify`` shares one backbone plan across an ``--alpha`` ladder
+    for GDB/EMD/LP/NI variants; there is no flag to turn it off."""
+
     def test_plan_output_identical_to_direct(self, graph_file, tmp_path):
-        direct = tmp_path / "direct.txt"
-        planned = tmp_path / "planned.txt"
-        base = ["--alpha", "0.4", "--variant", "GDB^A-t", "--seed", "3"]
-        assert main(["sparsify", str(graph_file), str(direct)] + base) == 0
-        assert main(
-            ["sparsify", str(graph_file), str(planned)] + base
-            + ["--backbone-plan"]
-        ) == 0
-        assert direct.read_text() == planned.read_text()
+        # The CLI's shared plan gives the library's plan-free output.
+        from repro.core import sparsify
+
+        for variant in ("GDB^A-t", "EMD^R", "LP-t", "NI", "SP", "RANDOM"):
+            out = tmp_path / f"cli-{variant}.txt"
+            assert main([
+                "sparsify", str(graph_file), str(out), "--alpha", "0.4",
+                "--variant", variant, "--seed", "3",
+            ]) == 0
+            direct = tmp_path / f"lib-{variant}.txt"
+            write_edge_list(
+                sparsify(read_edge_list(graph_file), 0.4, variant=variant,
+                         rng=3),
+                direct,
+            )
+            assert out.read_text() == direct.read_text(), variant
+
+    def test_flag_is_gone(self, graph_file, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main([
+                "sparsify", str(graph_file), str(tmp_path / "out.txt"),
+                "--alpha", "0.4", "--backbone-plan",
+            ])
+        assert "--backbone-plan" in capsys.readouterr().err
 
     def test_alpha_ladder_with_template(self, graph_file, tmp_path, capsys):
         template = tmp_path / "out-{alpha}.txt"
         code = main([
             "sparsify", str(graph_file), str(template),
             "--alpha", "0.3,0.5", "--variant", "GDB^A-t", "--seed", "3",
-            "--backbone-plan",
         ])
         assert code == 0
         original = read_edge_list(graph_file)
@@ -82,20 +99,20 @@ class TestBackbonePlanFlag:
         assert capsys.readouterr().out.count("H ratio") == 2
 
     def test_ladder_outputs_match_per_alpha_runs(self, graph_file, tmp_path):
-        template = tmp_path / "ladder-{alpha}.txt"
-        main([
-            "sparsify", str(graph_file), str(template),
-            "--alpha", "0.3,0.5", "--variant", "GDB^A-t", "--seed", "5",
-            "--backbone-plan",
-        ])
-        for alpha in ("0.3", "0.5"):
-            single = tmp_path / f"single-{alpha}.txt"
+        for variant in ("GDB^A-t", "EMD^R-t", "NI", "ER"):
+            template = tmp_path / "ladder-{alpha}.txt"
             main([
-                "sparsify", str(graph_file), str(single),
-                "--alpha", alpha, "--variant", "GDB^A-t", "--seed", "5",
+                "sparsify", str(graph_file), str(template),
+                "--alpha", "0.3,0.5", "--variant", variant, "--seed", "5",
             ])
-            ladder = tmp_path / f"ladder-{alpha}.txt"
-            assert ladder.read_text() == single.read_text()
+            for alpha in ("0.3", "0.5"):
+                single = tmp_path / f"single-{alpha}.txt"
+                main([
+                    "sparsify", str(graph_file), str(single),
+                    "--alpha", alpha, "--variant", variant, "--seed", "5",
+                ])
+                ladder = tmp_path / f"ladder-{alpha}.txt"
+                assert ladder.read_text() == single.read_text(), variant
 
     def test_multi_alpha_requires_template(self, graph_file, tmp_path, capsys):
         assert main([
@@ -111,21 +128,11 @@ class TestBackbonePlanFlag:
         ]) == 1
         assert "invalid --alpha" in capsys.readouterr().err
 
-    def test_plan_rejected_for_benchmark_variants(self, graph_file, tmp_path,
-                                                  capsys):
-        # NI accepts a plan (memoised peel structure); SP still refuses.
-        assert main([
-            "sparsify", str(graph_file), str(tmp_path / "out.txt"),
-            "--alpha", "0.4", "--variant", "SP", "--backbone-plan",
-        ]) == 1
-        assert "--backbone-plan only applies" in capsys.readouterr().err
-
     def test_plan_accepted_for_ni(self, graph_file, tmp_path, capsys):
         out = tmp_path / "out-ni.txt"
         assert main([
             "sparsify", str(graph_file), str(out),
             "--alpha", "0.4", "--variant", "NI", "--seed", "3",
-            "--backbone-plan",
         ]) == 0
         assert out.exists()
 
@@ -322,6 +329,21 @@ class TestConvert:
         assert main(["convert", str(source), str(binary),
                      "--allow-relabel"]) == 0
         assert "relabelled" in capsys.readouterr().out
+
+    def test_padded_labels_are_relabelled_not_coerced(self, tmp_path, capsys):
+        # "00" is a label of its own, not the id 0.
+        from repro.datasets import read_binary
+
+        source = tmp_path / "padded.txt"
+        source.write_text("00 1 0.5\n1 2 0.25\n")
+        binary = tmp_path / "padded.bin"
+        assert main(["convert", str(source), str(binary)]) != 0
+        assert "allow_relabel" in capsys.readouterr().err
+        assert main(["convert", str(source), str(binary),
+                     "--allow-relabel"]) == 0
+        assert "relabelled" in capsys.readouterr().out
+        stored = read_binary(binary)
+        assert stored.src.tolist() == [0, 1] and stored.dst.tolist() == [1, 2]
 
     def test_dense_text_labels_are_not_relabelled(self, graph_file, tmp_path,
                                                   capsys):

@@ -593,9 +593,11 @@ class TestIncrementalSparsifier:
             with pytest.raises(ValueError, match="integer seed"):
                 IncrementalSparsifier(GRAPH.copy(), 0.4, rng=rng)
 
-    def test_rejects_unknown_top_up(self):
-        with pytest.raises(ValueError, match="top_up"):
-            IncrementalSparsifier(GRAPH.copy(), 0.4, top_up="bogus")
+    @pytest.mark.parametrize("variant", ["GDB^A-t", "GDB^A"])
+    def test_rejects_negative_seed(self, variant):
+        # Both top-ups ("stable" for -t, "mc" otherwise) refuse it alike.
+        with pytest.raises(ValueError, match="non-negative"):
+            IncrementalSparsifier(GRAPH.copy(), 0.4, variant=variant, rng=-3)
 
     def test_maintained_matches_cold_rebuild(self):
         maintainer = IncrementalSparsifier(

@@ -17,7 +17,7 @@ from repro.core import (
     graph_entropy,
     sparsify,
 )
-from repro.core.backbone import bgi_backbone, random_backbone, target_edge_count
+from repro.core.backbone import bgi_backbone, build_backbone, target_edge_count
 from repro.datasets import (
     erdos_renyi_uncertain,
     flickr_like,
@@ -26,6 +26,11 @@ from repro.datasets import (
     parse_edge_list,
 )
 from repro.metrics import degree_discrepancy_mae
+
+
+def random_backbone(graph, alpha, rng=None):
+    """The ``-t``-less variants' Monte-Carlo backbone."""
+    return build_backbone(graph, alpha, method="random", rng=rng)
 
 
 def tie_heavy_graph(n, seed, probabilities):

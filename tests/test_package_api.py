@@ -94,6 +94,33 @@ def test_one_graph_type(tmp_path):
     assert type(graph) is UncertainGraph
 
 
+def test_one_backbone_builder():
+    """Algorithm 1's scalar form and the per-method builders live only in
+    the test oracles; ``BackbonePlan.backbone`` builds every backbone."""
+    import repro.baselines
+    import repro.core
+    import repro.core.backbone
+    import repro.utils
+    import repro.utils.unionfind
+    from repro.core import IncrementalSparsifier
+
+    scalar = ("bgi_backbone_legacy", "maximum_spanning_forest",
+              "random_backbone", "local_degree_backbone")
+    gone = {
+        repro.core: scalar,
+        repro.core.backbone: scalar + ("_mc_top_up",),
+        repro.utils: ("UnionFind",),
+        repro.utils.unionfind: ("UnionFind",),
+        repro.baselines: ("representative_instance",),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.baselines.representative")
+    assert "top_up" not in inspect.signature(IncrementalSparsifier).parameters
+
+
 def test_library_never_imports_test_oracles():
     package = Path(repro.__file__).parent
     pattern = re.compile(r"^\s*(from|import)\s+oracles\b", re.MULTILINE)

@@ -1,10 +1,8 @@
-"""Random sparsifier and representative-instance baselines."""
+"""Random sparsifier baseline."""
 
-import numpy as np
 import pytest
 
-from repro.baselines import random_sparsify, representative_instance
-from repro.core import UncertainGraph
+from repro.baselines import random_sparsify
 from repro.core.backbone import target_edge_count
 
 
@@ -25,37 +23,3 @@ class TestRandomSparsify:
         b = random_sparsify(small_power_law, 0.3, rng=1)
         assert not a.isomorphic_probabilities(b)
 
-
-class TestRepresentative:
-    def test_zero_entropy(self, small_power_law):
-        from repro.core import graph_entropy
-
-        rep = representative_instance(small_power_law)
-        assert graph_entropy(rep) == 0.0
-
-    def test_all_probabilities_one(self, small_power_law):
-        rep = representative_instance(small_power_law)
-        assert all(p == 1.0 for _, _, p in rep.edges())
-
-    def test_preserves_expected_degrees_approximately(self, small_power_law):
-        """The greedy rounding lands within ~1 of each expected degree."""
-        rep = representative_instance(small_power_law)
-        errors = [
-            abs(small_power_law.expected_degree(v) - rep.expected_degree(v))
-            for v in small_power_law.vertices()
-        ]
-        assert float(np.mean(errors)) < 1.0
-
-    def test_representative_smaller_than_original(self, small_power_law):
-        rep = representative_instance(small_power_law)
-        assert rep.number_of_edges() < small_power_law.number_of_edges()
-
-    def test_deterministic(self, small_power_law):
-        a = representative_instance(small_power_law)
-        b = representative_instance(small_power_law)
-        assert a.isomorphic_probabilities(b)
-
-    def test_high_probability_graph_keeps_most_edges(self):
-        g = UncertainGraph([(i, (i + 1) % 10, 0.95) for i in range(10)])
-        rep = representative_instance(g)
-        assert rep.number_of_edges() >= 8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import check_seed, ensure_rng, spawn_rngs
 
 
 def test_none_gives_generator():
@@ -31,6 +31,27 @@ def test_numpy_integer_seed_accepted():
 def test_invalid_type_rejected():
     with pytest.raises(TypeError):
         ensure_rng("not-a-seed")
+
+
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+def test_bool_seed_rejected(seed):
+    # Python counts True as the int 1; a flag is still not a seed.
+    with pytest.raises(TypeError, match="bool"):
+        ensure_rng(seed)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        ensure_rng(-3)
+    with pytest.raises(ValueError, match="non-negative"):
+        ensure_rng(np.int64(-1))
+
+
+def test_check_seed_normalises_numpy_integers():
+    assert check_seed(np.uint8(5)) == 5
+    assert type(check_seed(np.int64(5))) is int
+    with pytest.raises(TypeError):
+        check_seed(5.0)
 
 
 def test_spawn_count_and_independence():

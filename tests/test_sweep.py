@@ -17,7 +17,7 @@ from repro.core import (
     gdb_refine,
     greedy_edge_coloring,
 )
-from repro.core.backbone import bgi_backbone, random_backbone
+from repro.core.backbone import bgi_backbone, build_backbone
 from repro.core.sweep import colored_sweep, extend_sweep_plan
 from repro.datasets import erdos_renyi_uncertain
 
@@ -27,6 +27,11 @@ TOL = 1e-6
 
 #: The two sides of the contract, by the name the results carry.
 REFINES = {"loop": loop_refine, "vector": gdb_refine}
+
+
+def random_backbone(graph, alpha, rng=None):
+    """The ``-t``-less variants' Monte-Carlo backbone."""
+    return build_backbone(graph, alpha, method="random", rng=rng)
 
 
 def converged_pair(graph, backbone_ids, max_chunks=30, **config_kwargs):

@@ -1,11 +1,13 @@
-"""Union-find: unions, finds, component counts, reset — scalar and array."""
+"""Union-find: unions, finds, component counts, reset — the scalar
+oracle and the array-native production class checked against it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.unionfind import ArrayUnionFind, UnionFind
+from oracles.unionfind import UnionFind
+from repro.utils.unionfind import ArrayUnionFind
 
 
 def test_initial_state_is_singletons():
