@@ -7,7 +7,7 @@ equal budget and compares degree MAE, cut MAE and connectivity.
 """
 
 from repro.core import GDBConfig, gdb
-from repro.core.backbone import BackbonePlan, build_backbone
+from repro.core.backbone import build_backbone
 from repro.experiments.common import ResultTable, make_flickr_proxy
 from repro.metrics import (
     degree_discrepancy_mae,
@@ -27,9 +27,8 @@ def run_backbone_ablation(scale, alpha: float = 0.3, seed: int = 51) -> ResultTa
         title=f"Ablation — backbone methods + GDB (alpha={alpha:.0%}, {graph.name})",
         headers=["backbone", "degree_MAE", "cut_MAE", "largest_component"],
     )
-    plan = BackbonePlan(graph)
     for method in BACKBONES:
-        ids = build_backbone(graph, alpha, method=method, rng=seed, plan=plan)
+        ids = build_backbone(graph, alpha, method=method, rng=seed)
         sparsified = gdb(graph, backbone_ids=ids, config=GDBConfig())
         components = sparsified.connected_components()
         table.add_row(

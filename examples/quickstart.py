@@ -12,7 +12,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import datasets, graph_entropy, sparsify
-from repro.core import BackbonePlan
 from repro.metrics import degree_discrepancy_mae, relative_entropy
 from repro.queries import ReliabilityQuery, sample_vertex_pairs
 from repro.sampling import MonteCarloEstimator
@@ -23,13 +22,12 @@ def main() -> None:
     print(f"original:   {graph}")
     print(f"entropy:    {graph_entropy(graph):.1f} bits")
 
-    # Sweeping several sparsification ratios?  Build one backbone plan:
-    # a single Kruskal pass serves every alpha (results are identical
-    # to per-alpha construction under the same seed).
-    plan = BackbonePlan(graph)
+    # Sweeping several sparsification ratios: the graph's backbone plan
+    # is built on the first call, so a single Kruskal pass serves every
+    # alpha (results are identical to per-alpha construction under the
+    # same seed).
     for alpha in (0.2, 0.3, 0.5):
-        ladder = sparsify(graph, alpha, variant="GDB^A-t", rng=7,
-                          backbone_plan=plan)
+        ladder = sparsify(graph, alpha, variant="GDB^A-t", rng=7)
         print(f"alpha={alpha:.0%}: degree MAE "
               f"{degree_discrepancy_mae(graph, ladder):.4f}")
 

@@ -36,8 +36,8 @@ algorithm is therefore split in two:
 1. :func:`ni_peel_structure` — one structural pass running every peel as
    a batched Kruskal sweep on
    :class:`~repro.utils.unionfind.ArrayUnionFind`, producing the
-   exhaustion order and per-edge exhaustion round; memoised on a
-   :class:`~repro.core.backbone.BackbonePlan` (key
+   exhaustion order and per-edge exhaustion round; memoised on the
+   graph's :class:`~repro.core.backbone.BackbonePlan` (key
    ``("ni_peel", max_weight)``), so NI shares its plan cache with BGI
    and repeated calls (the epsilon calibration loop, alpha ladders) pay
    for the peels once; and
@@ -182,7 +182,6 @@ def ni_sparsify(
     max_calibration_steps: int = 60,
     max_weight: int = 128,
     name: str = "",
-    backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """NI benchmark sparsifier: calibrated Algorithm 4 + MC top-up.
 
@@ -200,10 +199,6 @@ def ni_sparsify(
         Upper bound on calibration retries before giving up.
     max_weight:
         Weight-quantisation cap (see module docstring).
-    backbone_plan:
-        Optional :class:`BackbonePlan` for ``graph``; the peel structure
-        is memoised on it, so NI shares the cache the BGI-seeded
-        sparsifiers already use.
 
     Raises
     ------
@@ -212,8 +207,6 @@ def ni_sparsify(
         ``alpha |E|`` edges (practically unreachable: ``epsilon`` large
         enough keeps nothing).
     """
-    if backbone_plan is not None and backbone_plan.graph is not graph:
-        raise ValueError("backbone plan was built for a different graph")
     rng = ensure_rng(rng)
     m = graph.number_of_edges()
     n = graph.number_of_vertices()
@@ -222,8 +215,7 @@ def ni_sparsify(
     probabilities = np.array(graph.probability_array())
     weights, scale = integer_weights(probabilities, max_weight=max_weight)
 
-    plan = backbone_plan if backbone_plan is not None else BackbonePlan(graph)
-    structure = plan.cached(
+    structure = BackbonePlan.of(graph).cached(
         ("ni_peel", max_weight),
         lambda: ni_peel_structure(n, edge_vertices, weights),
     )

@@ -6,9 +6,9 @@ Sparsify a graph file to 30% of its edges with the paper's best variant::
 
     repro-sparsify sparsify graph.txt out.txt --alpha 0.3 --variant EMD^R-t
 
-Sparsify a whole alpha ladder; GDB/EMD/LP/NI variants share one backbone
-plan across the ratios (a single Kruskal pass serves every ratio; outputs
-are bit-identical to per-alpha runs under the same seed)::
+Sparsify a whole alpha ladder; GDB/EMD/LP/NI variants share the graph's
+backbone plan across the ratios (a single Kruskal pass serves every
+ratio; outputs are bit-identical to per-alpha runs under the same seed)::
 
     repro-sparsify sparsify graph.txt out-{alpha}.txt \
         --alpha 0.1,0.2,0.4 --variant GDB^A-t
@@ -62,17 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format_flag(cmd) -> None:
-        cmd.add_argument(
-            "--format", choices=["auto", "text", "binary"], default="auto",
-            dest="input_format",
-            help="input format; 'auto' (default) sniffs the binary magic. "
-            "Binary inputs are memory-mapped (out-of-core).",
-        )
-
     sparsify_cmd = sub.add_parser("sparsify", help="sparsify an edge-list file")
     sparsify_cmd.add_argument("input", help="input edge list (u v p per line)")
-    add_format_flag(sparsify_cmd)
     sparsify_cmd.add_argument(
         "output",
         help="output edge list path; with several alphas it is a template "
@@ -134,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "estimate", help="Monte-Carlo estimate of a query on a graph file"
     )
     estimate_cmd.add_argument("input", help="edge-list path")
-    add_format_flag(estimate_cmd)
     estimate_cmd.add_argument(
         "--query", choices=["reliability", "distance", "pagerank",
                             "clustering", "connectivity"],
@@ -160,16 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     convert_cmd = sub.add_parser(
-        "convert", help="convert a dataset between text and binary formats"
+        "convert",
+        help="convert a text dataset to binary, or a binary one to text",
     )
     convert_cmd.add_argument("input", help="input dataset (text or binary)")
     convert_cmd.add_argument("output", help="output dataset path")
-    convert_cmd.add_argument(
-        "--to", choices=["auto", "text", "binary"], default="auto",
-        dest="target_format",
-        help="output format; 'auto' (default) picks the opposite of the "
-        "input's format",
-    )
     convert_cmd.add_argument(
         "--allow-relabel", action="store_true",
         help="permit text graphs whose vertices are not the dense ids "
@@ -181,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "grid", help="sweep GDB over an (alpha, h) grid"
     )
     grid_cmd.add_argument("input", help="input dataset (text or binary)")
-    add_format_flag(grid_cmd)
     grid_cmd.add_argument(
         "--alphas", required=True,
         help="comma-separated sparsification ratios, e.g. 0.2,0.4",
@@ -287,39 +271,29 @@ def _parse_alphas(raw: str) -> list[float]:
     return _parse_floats(raw, "--alpha")
 
 
-def _load_graph(path: str, input_format: str = "auto"):
+def _load_graph(path: str):
     """Load a dataset as an :class:`UncertainGraph`: binary inputs
-    memory-mapped (rows as stored), text inputs parsed."""
+    (sniffed by their magic) memory-mapped with rows as stored, text
+    inputs parsed."""
     from repro.datasets.binary_io import is_binary_file, read_binary
 
-    binary = (
-        input_format == "binary"
-        or (input_format == "auto" and is_binary_file(path))
-    )
-    if binary:
+    if is_binary_file(path):
         return read_binary(path, mmap=True).graph()
     return read_edge_list(path)
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
-    from repro.core import BackbonePlan, parse_variant
-
-    graph = _load_graph(args.input, args.input_format)
+    graph = _load_graph(args.input)
     alphas = _parse_alphas(args.alpha)
     if len(alphas) > 1 and "{alpha}" not in args.output:
         raise ReproError(
             "multiple alphas need an output template containing '{alpha}', "
             "e.g. out-{alpha}.txt"
         )
-    # One plan serves the whole --alpha ladder: one Kruskal pass, and
-    # outputs bit-identical to per-alpha runs under the same seed.
-    accepts_plan = parse_variant(args.variant).accepts_plan
-    plan = BackbonePlan(graph) if accepts_plan else None
     for alpha in alphas:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,
-            h=args.entropy_h, backbone_plan=plan,
-            lp_solver=args.lp_solver,
+            h=args.entropy_h, lp_solver=args.lp_solver,
         )
         output = args.output.replace("{alpha}", f"{alpha:g}")
         write_edge_list(sparsified, output)
@@ -396,7 +370,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     from repro.sampling import MonteCarloEstimator
 
-    graph = _load_graph(args.input, args.input_format)
+    graph = _load_graph(args.input)
     n = graph.number_of_vertices()
     if args.weighted and args.query != "distance":
         raise EstimationError(
@@ -432,22 +406,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         is_binary_file,
         read_binary,
         stored_vertex_ids,
-        write_binary,
+        write_binary_ids,
     )
 
-    input_binary = is_binary_file(args.input)
-    target = args.target_format
-    if target == "auto":
-        target = "text" if input_binary else "binary"
-    if input_binary and target == "binary":
-        raise ReproError(f"{args.input} is already a binary dataset")
-    if not input_binary and target == "text":
-        raise ReproError(f"{args.input} is already a text dataset")
-    if target == "binary":
+    if not is_binary_file(args.input):
         graph = read_edge_list(args.input)
-        header = write_binary(graph, args.output, allow_relabel=args.allow_relabel)
-        relabelled = stored_vertex_ids(graph) is None
-        note = " (vertices relabelled to dense ids)" if relabelled else ""
+        ids = stored_vertex_ids(graph)
+        header = write_binary_ids(
+            graph, args.output, ids, allow_relabel=args.allow_relabel
+        )
+        note = " (vertices relabelled to dense ids)" if ids is None else ""
         print(
             f"{args.input} -> {args.output}: {header.n_vertices} vertices, "
             f"{header.n_edges} edges, digest {header.digest[:16]}…{note}"
@@ -543,7 +511,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
     from repro.core.grid import gdb_grid, objective_rows
 
-    graph = _load_graph(args.input, args.input_format)
+    graph = _load_graph(args.input)
     alphas = _parse_floats(args.alphas, "--alphas")
     h_values = _parse_floats(args.h_values, "--h-values")
     results = gdb_grid(

@@ -24,10 +24,10 @@ Plan-then-instantiate
 ---------------------
 :meth:`BackbonePlan.backbone` is the one builder and the one place that
 dispatches on the method; :func:`build_backbone` and :func:`bgi_backbone`
-run it on a plan built for the call.  The forest peels of Algorithm 1 do
-not depend on ``alpha`` — only on the probability ordering of the edges.
-The plan exploits this: built once per graph, it runs a single stable
-argsort plus a vectorised multi-peel Kruskal (on
+run it on the graph's plan, :meth:`BackbonePlan.of`.  The forest peels
+of Algorithm 1 do not depend on ``alpha`` — only on the probability
+ordering of the edges.  The plan exploits this: built once per graph, it
+runs a single stable argsort plus a vectorised multi-peel Kruskal (on
 :class:`repro.utils.unionfind.ArrayUnionFind`) that labels every edge
 with its *forest-peel rank*, after which the backbone for **any**
 ``alpha`` is a prefix slice of the peel order plus the seeded
@@ -36,11 +36,22 @@ prefix (``alpha_1 <= alpha_2`` implies the ``alpha_1`` forest prefix is
 a prefix of the ``alpha_2`` one).  The scalar per-call form of
 Algorithm 1 is a test oracle (``tests/oracles/backbone.py``) that the
 plan matches bit for bit.
+
+One plan per graph
+------------------
+:meth:`BackbonePlan.of` hands every caller the same plan for a graph
+and builds it on first use.  A plan holds the graph's
+``edge_index_array()`` and ``probability_array()`` and records its
+vertex count; the graph never writes those arrays in place, so every
+mutation replaces at least one of the three and the next ``of`` call
+builds a fresh plan.  The plan keeps no reference to the graph, which
+lets it live exactly as long as the graph does.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -49,9 +60,23 @@ from repro.exceptions import SparsificationError
 from repro.utils.rng import check_seed, ensure_rng
 from repro.utils.unionfind import ArrayUnionFind
 
-#: The backbone construction methods :meth:`BackbonePlan.backbone`
-#: dispatches on.
-BACKBONE_METHODS = ("bgi", "random", "local_degree", "t_bundle")
+#: Each backbone construction method :meth:`BackbonePlan.backbone`
+#: dispatches on, with its options and their defaults.
+_METHOD_OPTIONS = {
+    "bgi": {"spanning_fraction": 0.5, "max_forests": 6, "top_up": "mc"},
+    "random": {},
+    "local_degree": {},
+    "t_bundle": {"stretch": 2, "max_layers": 8},
+}
+
+#: The backbone construction methods.
+BACKBONE_METHODS = tuple(_METHOD_OPTIONS)
+
+#: The plan :meth:`BackbonePlan.of` built for each live graph.
+_PLANS: "weakref.WeakKeyDictionary[UncertainGraph, BackbonePlan]" = (
+    weakref.WeakKeyDictionary()
+)
+_PLANS_LOCK = threading.Lock()
 
 
 def target_edge_count(m: int, alpha: float) -> int:
@@ -195,14 +220,14 @@ class BackbonePlan:
     state is guarded by one re-entrant lock, so a single plan can be
     shared by concurrent threads (e.g. the job server's workers) — calls
     that mutate or read lazy structures serialise, and every caller sees
-    fully-built peels.
+    fully-built peels.  ``BackbonePlan(graph)`` is a fresh plan of its
+    own; :meth:`of` is the graph's shared one.
     """
 
     def __init__(self, graph: UncertainGraph) -> None:
-        self.graph = graph
         self.n = graph.number_of_vertices()
         self.edge_vertices = graph.edge_index_array()
-        self.probabilities = np.array(graph.probability_array(), dtype=np.float64)
+        self.probabilities = graph.probability_array()
         self.m = len(self.probabilities)
         self._lock = threading.RLock()
         self._forests: list[np.ndarray] = []
@@ -210,6 +235,35 @@ class BackbonePlan:
         self._unpeeled: "np.ndarray | None" = None  # sorted-order ids left
         self._local_degree_order: "np.ndarray | None" = None
         self._cache: dict = {}
+
+    @classmethod
+    def of(cls, graph: UncertainGraph) -> "BackbonePlan":
+        """The graph's plan, built on first use and shared by every caller.
+
+        A plan that no longer serves ``graph`` (its edge arrays or vertex
+        count changed since) is replaced by a fresh one.  The build runs
+        under a module lock, so concurrent callers get one plan and share
+        its Kruskal pass.  :func:`copy <UncertainGraph.copy>` does not
+        carry the plan along.
+        """
+        with _PLANS_LOCK:
+            plan = cls.lookup(graph)
+            if plan is None:
+                plan = _PLANS[graph] = cls(graph)
+            return plan
+
+    @staticmethod
+    def lookup(graph: UncertainGraph) -> "BackbonePlan | None":
+        """The plan :meth:`of` would return for ``graph`` if it has one
+        already; ``None`` otherwise.  Never builds a plan."""
+        plan = _PLANS.get(graph)
+        if plan is None or not (
+            plan.edge_vertices is graph.edge_index_array()
+            and plan.probabilities is graph.probability_array()
+            and plan.n == graph.number_of_vertices()
+        ):
+            return None
+        return plan
 
     def cached(self, key, factory):
         """Memoise arbitrary per-graph derived data on the plan.
@@ -276,12 +330,11 @@ class BackbonePlan:
         The clone has its own lock, forest list, rank labels, memo and
         unpeeled cursor, so repairing or extending it never perturbs the
         original — the server uses this to derive the plan of a drifted
-        dataset from the registered one without invalidating in-flight
+        dataset from the old graph's plan without invalidating in-flight
         readers of the old plan.
         """
         with self._lock:
             twin = BackbonePlan.__new__(BackbonePlan)
-            twin.graph = self.graph
             twin.n = self.n
             twin.edge_vertices = self.edge_vertices
             twin.probabilities = self.probabilities
@@ -320,15 +373,18 @@ class BackbonePlan:
           the unpeeled pool), so repeated ``backbone(alpha, seed)``
           requests recompute once and re-memoise.
 
-        Returns ``self`` (mutated in place, under the plan lock).
+        Returns ``self`` (mutated in place, under the plan lock), which
+        becomes the plan :meth:`of` returns for ``applied.graph``.
         """
         with self._lock:
             self._repair_locked(applied)
+        with _PLANS_LOCK:
+            _PLANS[applied.graph] = self
         return self
 
     def _repair_locked(self, applied) -> None:
         graph = applied.graph
-        new_probs = np.array(graph.probability_array(), dtype=np.float64)
+        new_probs = graph.probability_array()
         new_ev = graph.edge_index_array()
         new_m = len(new_probs)
 
@@ -350,7 +406,7 @@ class BackbonePlan:
                     remapped.append(nf)
                 kept = remapped
 
-        self.graph = graph
+        self.n = graph.number_of_vertices()
         self.edge_vertices = new_ev
         self.probabilities = new_probs
         self.m = new_m
@@ -523,44 +579,44 @@ class BackbonePlan:
         is a seed, a generator or ``None``; a seed is checked here once
         for every method (:func:`~repro.utils.rng.check_seed`).  Results
         for int seeds are memoised (backbones are deterministic given
-        ``(method, alpha, seed)``), so ladder drivers that re-seed per
-        alpha get each cell's backbone exactly once.
+        ``(method, alpha, seed)`` and the options, explicit defaults
+        included), so ladder drivers that re-seed per alpha get each
+        cell's backbone exactly once.
         """
-        if method not in BACKBONE_METHODS:
+        if method not in _METHOD_OPTIONS:
             raise ValueError(f"unknown backbone method: {method!r}")
+        defaults = _METHOD_OPTIONS[method]
+        unknown = sorted(set(kwargs) - set(defaults))
+        if unknown:
+            raise TypeError(f"{method} backbone takes no options {unknown}")
+        options = {**defaults, **kwargs}
         if rng is not None and not isinstance(rng, np.random.Generator):
             rng = check_seed(rng)
-        if method == "bgi":
-            # Normalise the spanning knobs so explicit defaults and
-            # omitted kwargs share one cache key.
-            kwargs = {
-                "spanning_fraction": 0.5, "max_forests": 6, "top_up": "mc",
-                **kwargs,
-            }
         key = None
         if isinstance(rng, int) or (rng is None and method == "local_degree"):
-            key = (method, float(alpha), rng, tuple(sorted(kwargs.items())))
+            key = (method, float(alpha), rng, tuple(sorted(options.items())))
         with self._lock:
             if key is not None and key in self._cache:
                 return self._cache[key]
-            ids = _as_edge_ids(self._instantiate(alpha, method, rng, kwargs))
+            ids = _as_edge_ids(self._instantiate(alpha, method, rng, options))
             if key is not None:
                 self._cache[key] = ids
             return ids
 
-    def _instantiate(self, alpha, method, rng, kwargs) -> np.ndarray:
+    def _instantiate(self, alpha, method, rng, options) -> np.ndarray:
         if method == "t_bundle":
             from repro.core.tbundle import t_bundle_backbone
 
-            return t_bundle_backbone(self.graph, alpha, rng=rng, **kwargs)
-        if method != "bgi" and kwargs:
-            raise TypeError(
-                f"{method} backbone takes no extra options, got {sorted(kwargs)}"
+            return t_bundle_backbone(
+                self.n, self.edge_vertices, self.probabilities, alpha,
+                rng=rng, **options,
             )
         target = target_edge_count(self.m, alpha)
         if method == "local_degree":
             if self._local_degree_order is None:
-                self._local_degree_order = _local_degree_order(self.graph)
+                self._local_degree_order = _local_degree_order(
+                    self.n, self.edge_vertices
+                )
             return self._local_degree_order[:target]
         if method == "random":
             parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -570,7 +626,7 @@ class BackbonePlan:
             )
             return np.concatenate(parts)
         # "bgi": Algorithm 1's forest prefix, then the chosen top-up.
-        opts = dict(kwargs)
+        opts = dict(options)
         top_up = opts.pop("top_up")
         if top_up not in ("mc", "stable"):
             raise SparsificationError(
@@ -605,14 +661,13 @@ def bgi_backbone(
     rng: "int | np.random.Generator | None" = None,
     spanning_fraction: float = 0.5,
     max_forests: int = 6,
-    plan: "BackbonePlan | None" = None,
 ) -> np.ndarray:
     """Backbone Graph Initialisation (Algorithm 1).
 
     Returns the ids of ``alpha |E|`` edges as a read-only int64 array:
     first the union of maximum spanning forests (connectivity backbone),
     then Monte-Carlo top-up.  ``build_backbone(method="bgi")`` under
-    Algorithm 1's name; pass ``plan`` to reuse one across calls.
+    Algorithm 1's name.
 
     Parameters
     ----------
@@ -627,9 +682,6 @@ def bgi_backbone(
         (the paper's ``0.5 alpha`` rule).
     max_forests:
         Stop peeling forests after this many (the paper's "first six").
-    plan:
-        Optional precomputed plan for ``graph``; built on the fly when
-        omitted.
 
     Raises
     ------
@@ -639,41 +691,34 @@ def bgi_backbone(
         footnote 7 assumption).
     """
     return build_backbone(
-        graph, alpha, method="bgi", rng=rng, plan=plan,
+        graph, alpha, method="bgi", rng=rng,
         spanning_fraction=spanning_fraction, max_forests=max_forests,
     )
 
 
-def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
-    """Full Local-Degree nomination ranking of all edges (alpha-free)."""
-    m = graph.number_of_edges()
-    indexer = graph.vertex_indexer()
-    edge_list = graph.edge_list()
-    edge_id_of: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(edge_list):
-        a, b = indexer[u], indexer[v]
-        edge_id_of[(min(a, b), max(a, b))] = eid
-    degrees = {v: graph.degree(v) for v in graph.vertices()}
+def _local_degree_order(n: int, edge_vertices: np.ndarray) -> np.ndarray:
+    """Full Local-Degree nomination ranking of all edges (alpha-free).
 
-    # rank[eid] = best (lowest) nomination position across both endpoints.
-    # Ties between equal-degree neighbours break on dense vertex id, so
-    # the ranking is a pure function of the graph's content: the order
-    # neighbors() lists them in (creation rank) never leaks in.
-    rank: dict[int, float] = {}
-    for u in graph.vertices():
-        nbrs = sorted(graph.neighbors(u),
-                      key=lambda w: (-degrees[w], indexer[w]))
-        for position, w in enumerate(nbrs):
-            a, b = indexer[u], indexer[w]
-            eid = edge_id_of[(min(a, b), max(a, b))]
-            score = position / max(degrees[u], 1)
-            if eid not in rank or score < rank[eid]:
-                rank[eid] = score
-
-    return np.array(
-        sorted(range(m), key=lambda eid: (rank.get(eid, 1.0), eid)),
-        dtype=np.int64,
+    Every vertex ranks its neighbours by descending degree, ties by
+    ascending dense id, so the ranking is a pure function of the edge
+    arrays: the order incident edges were created in never leaks in.  An
+    edge scores its better nomination position over both endpoints,
+    divided by that endpoint's degree; edges are ordered by score, ties
+    by ascending id.
+    """
+    m = len(edge_vertices)
+    owner = edge_vertices.reshape(-1)  # half-edge 2e + side, at its owner
+    other = edge_vertices[:, ::-1].reshape(-1)
+    degree = np.bincount(owner, minlength=n)
+    by_owner = np.lexsort((other, -degree[other], owner))
+    first_slot = np.cumsum(degree) - degree
+    position = np.empty(2 * m, dtype=np.int64)
+    position[by_owner] = (
+        np.arange(2 * m, dtype=np.int64) - first_slot[owner[by_owner]]
     )
+    score = position / np.maximum(degree[owner], 1)
+    score = np.minimum(score[0::2], score[1::2])
+    return np.lexsort((np.arange(m, dtype=np.int64), score))
 
 
 def build_backbone(
@@ -681,7 +726,6 @@ def build_backbone(
     alpha: float,
     method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
-    plan: "BackbonePlan | None" = None,
     **kwargs,
 ) -> np.ndarray:
     """Backbone edge ids of ``graph`` for ``alpha`` under ``method``.
@@ -690,12 +734,8 @@ def build_backbone(
     ``"random"`` (Monte-Carlo sampling), ``"local_degree"`` ([24]) or
     ``"t_bundle"`` (edge-disjoint spanner layers, footnote 8 / [21]);
     ``rng`` and ``kwargs`` follow :meth:`BackbonePlan.backbone`.
-    Returns a read-only int64 edge-id array.  Pass ``plan`` (a
-    :class:`BackbonePlan` for ``graph``) to share the Kruskal peel work
-    — and, for int seeds, the backbones themselves — across calls.
+    Returns a read-only int64 edge-id array, built on the graph's plan
+    (:meth:`BackbonePlan.of`), so calls on one graph share its Kruskal
+    peels and, for int seeds, the backbones themselves.
     """
-    if plan is None:
-        plan = BackbonePlan(graph)
-    elif plan.graph is not graph:
-        raise ValueError("backbone plan was built for a different graph")
-    return plan.backbone(alpha, method=method, rng=rng, **kwargs)
+    return BackbonePlan.of(graph).backbone(alpha, method=method, rng=rng, **kwargs)

@@ -169,21 +169,6 @@ class SparsificationState:
         np.cumsum(counts, out=self.inc_indptr[1:])
         self.inc_indptr.setflags(write=False)
 
-    @property
-    def indexer(self) -> dict:
-        """``vertex -> dense id`` map of the original graph (lazy).
-
-        Only scalar label-facing callers need this; the vectorised paths
-        never touch it, and building it eagerly would cost O(n) dict
-        entries for array-backed graphs.
-        """
-        return self.graph.vertex_indexer()
-
-    @property
-    def vertex_of(self) -> list:
-        """Dense id -> vertex label list of the original graph (lazy)."""
-        return list(self.graph.vertices())
-
     def incident_edges(self, vertex: int) -> np.ndarray:
         """Ids of all original edges incident to dense vertex ``vertex``.
 
@@ -256,40 +241,6 @@ class SparsificationState:
         self.selected[eids] = True
         self._scatter_probabilities(eids, new_ps)
 
-    def apply_probabilities(self, eids: np.ndarray, new_ps: np.ndarray) -> None:
-        """Batched probability update for *distinct* selected edges.
-
-        Delta bookkeeping is scattered with unbuffered ``np.subtract.at``
-        so edges sharing an endpoint accumulate correctly; the global
-        residual absorbs the summed change.  This is the batched
-        primitive for drivers and callers (grid seeding, tests); the
-        color-blocked sweep inlines the same scatter without the
-        validation, using the plan's guarantee that a color class has
-        unique, selected edges with unique endpoints.
-        """
-        eids = np.asarray(eids, dtype=np.int64)
-        new_ps = np.asarray(new_ps, dtype=np.float64)
-        if new_ps.shape != eids.shape:
-            raise GraphError(
-                f"probabilities shape {new_ps.shape} does not match "
-                f"eids shape {eids.shape}"
-            )
-        if not np.all(self.selected[eids]):
-            raise GraphError("apply_probabilities on an unselected edge")
-        if len(np.unique(eids)) != len(eids):
-            raise GraphError("duplicate edge ids in apply_probabilities")
-        # Same probability domain as ``UncertainGraph.from_edge_arrays``:
-        # the in-place path used to skip this, letting out-of-domain
-        # values hide until materialisation.  (NaN fails both
-        # comparisons, so it is rejected too.)
-        bad = np.flatnonzero(~((new_ps > 0.0) & (new_ps <= 1.0)))
-        if len(bad):
-            raise GraphError(
-                f"edge probability must be in (0, 1], got "
-                f"{new_ps[bad[0]]!r} for edge {int(eids[bad[0]])}"
-            )
-        self._scatter_probabilities(eids, new_ps)
-
     def deselect_edges(self, eids: np.ndarray) -> np.ndarray:
         """Remove a batch of distinct edges from the sparsified set.
 
@@ -315,47 +266,17 @@ class SparsificationState:
         self.phat[eids] = new_ps
 
     # -- snapshots (grid sweeps re-anneal from a shared seed state) --------
-    def snapshot(self, eids: "np.ndarray | None" = None) -> tuple:
-        """Copy of the mutable state (see :meth:`restore`).
-
-        With ``eids=None`` (the default) the snapshot is the full
-        O(m + n) copy the grid driver uses.  Passing an edge-id array
-        takes an O(dirty) *partial* snapshot covering exactly those
-        edges and their endpoint vertices — valid to restore only if no
-        other edge's ``phat``/``selected`` entry (and hence no other
-        vertex's ``delta``) mutates in between, which is the contract of
-        a tight update loop that touches a known dirty set.  Restoring a
-        partial snapshot is bit-identical to restoring a full one taken
-        at the same moment.
-        """
-        if eids is None:
-            return (
-                self.phat.copy(),
-                self.selected.copy(),
-                self.delta.copy(),
-                self.total_residual,
-            )
-        eids = np.asarray(eids, dtype=np.int64)
-        vertices = np.unique(self.edge_vertices[eids])
+    def snapshot(self) -> tuple:
+        """O(m + n) copy of the mutable state (see :meth:`restore`)."""
         return (
-            "partial",
-            eids.copy(),
-            self.phat[eids].copy(),
-            self.selected[eids].copy(),
-            vertices,
-            self.delta[vertices].copy(),
+            self.phat.copy(),
+            self.selected.copy(),
+            self.delta.copy(),
             self.total_residual,
         )
 
     def restore(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot`; the grid driver's reset-per-cell."""
-        if isinstance(snap[0], str):
-            _, eids, phat, selected, vertices, delta, total_residual = snap
-            self.phat[eids] = phat
-            self.selected[eids] = selected
-            self.delta[vertices] = delta
-            self.total_residual = total_residual
-            return
         phat, selected, delta, total_residual = snap
         self.phat[:] = phat
         self.selected[:] = selected
@@ -435,10 +356,6 @@ class SparsificationState:
         scale = np.where(self.original_degrees > 0, self.original_degrees, 1.0)
         rel = np.where(self.original_degrees > 0, self.delta / scale, 0.0)
         return float(np.dot(rel, rel))
-
-    def mean_absolute_delta(self) -> float:
-        """MAE of the absolute degree discrepancy (Table 2's metric)."""
-        return float(np.abs(self.delta).mean())
 
     # -- materialisation ----------------------------------------------------
     def build_graph(self, name: str = "") -> UncertainGraph:

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backbone import BackbonePlan
 from repro.core.discrepancy import SparsificationState
 from repro.core.gdb import (
     GDBConfig,
@@ -268,13 +267,11 @@ def emd(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Expectation-Maximization Degree (Algorithm 3).
 
-    Arguments mirror :func:`repro.core.gdb.gdb` (including
-    ``backbone_plan``, which the ``alpha`` path uses to build the seed
-    backbone); EMD additionally mutates the backbone's *edge set* during
+    Arguments mirror :func:`repro.core.gdb.gdb`; EMD additionally
+    mutates the backbone's *edge set* during
     its E-phases, so it is less sensitive to the initial backbone than
     GDB (section 4.3).
 
@@ -285,7 +282,7 @@ def emd(
     """
     config = config or EMDConfig()
     backbone_ids = _resolve_backbone(
-        graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
+        graph, alpha, backbone_ids, backbone_method, rng
     )
 
     state = SparsificationState(graph)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backbone import BackbonePlan, build_backbone
+from repro.core.backbone import build_backbone
 from repro.core.discrepancy import SparsificationState
 from repro.core.sweep import (
     SweepPlan,
@@ -237,28 +237,18 @@ def _resolve_backbone(
     backbone_ids,
     backbone_method: str,
     rng,
-    backbone_plan: "BackbonePlan | None",
 ) -> np.ndarray:
     """Shared backbone resolution for the gdb/emd/lp facades.
 
-    Exactly one of ``alpha`` or ``backbone_ids`` must be given; a
-    ``backbone_plan`` (which must belong to ``graph``) only applies to
-    the ``alpha`` path, where it replaces the per-call
-    :func:`build_backbone`.
+    Exactly one of ``alpha`` or ``backbone_ids`` must be given; the
+    ``alpha`` path builds the backbone on the graph's plan
+    (:func:`build_backbone`).
     """
     if (alpha is None) == (backbone_ids is None):
         raise ValueError("provide exactly one of alpha or backbone_ids")
-    if backbone_plan is not None:
-        if backbone_plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        if backbone_ids is not None:
-            raise ValueError(
-                "backbone_plan only applies when the backbone is built "
-                "from alpha; drop it when passing backbone_ids"
-            )
     if backbone_ids is None:
         backbone_ids = build_backbone(
-            graph, alpha, method=backbone_method, rng=rng, plan=backbone_plan
+            graph, alpha, method=backbone_method, rng=rng
         )
     return np.asarray(backbone_ids, dtype=np.int64)
 
@@ -271,7 +261,6 @@ def gdb(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    backbone_plan: "BackbonePlan | None" = None,
 ) -> UncertainGraph:
     """Sparsify ``graph`` with Gradient Descent Backbone (Algorithm 2).
 
@@ -296,11 +285,6 @@ def gdb(
         Seed / generator for backbone construction.
     name:
         Name for the returned graph.
-    backbone_plan:
-        Optional :class:`~repro.core.backbone.BackbonePlan` for
-        ``graph``: the ``alpha`` path builds its backbone from the plan
-        (bit-identical to the per-call builder for the same seed, with
-        the Kruskal peels shared across calls).
 
     Returns
     -------
@@ -309,7 +293,7 @@ def gdb(
     """
     config = config or GDBConfig()
     backbone_ids = _resolve_backbone(
-        graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
+        graph, alpha, backbone_ids, backbone_method, rng
     )
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)

@@ -11,7 +11,7 @@ except the backbone prefix length and sweep plan is independent of
 
 - one :class:`SparsificationState` per graph (CSR incidence shared by
   every cell),
-- one :class:`~repro.core.backbone.BackbonePlan` per graph (a single
+- the graph's :class:`~repro.core.backbone.BackbonePlan` (a single
   stable argsort + nested Kruskal peels shared by every *alpha*; each
   alpha's backbone is a peel-prefix slice plus its seeded MC top-up),
 - one backbone + seeded-state snapshot + :class:`SweepPlan` per alpha,
@@ -96,14 +96,13 @@ def gdb_grid(
     build_graphs: bool = True,
     name_prefix: str = "",
     consume=None,
-    backbone_plan: "BackbonePlan | None" = None,
 ) -> dict[tuple[float, float], "GridCell | object"]:
     """Run GDB over the full ``alphas x h_values`` grid, sharing setup.
 
     Returns a dict keyed ``(alpha, h)``.  Each cell is equivalent to an
     independent :func:`repro.core.gdb.gdb` call with the same backbone —
     the snapshot/restore resets probabilities exactly to the backbone
-    seed between cells, and the shared :class:`BackbonePlan` yields
+    seed between cells, and the graph's :class:`BackbonePlan` yields
     backbones bit-identical to per-cell ``build_backbone`` calls.
 
     ``consume``, if given, is called with each finished
@@ -112,17 +111,10 @@ def gdb_grid(
     to its metrics on the spot so the driver never holds more than one
     materialised graph at a time (``build_graphs=False`` skips
     materialisation altogether when only objectives are wanted).
-
-    ``backbone_plan``, if given, must belong to ``graph``; otherwise one
-    is built internally (callers sweeping several grids over the same
-    graph should build one plan and pass it to every call).
     """
     alphas = list(alphas)
     h_values = list(h_values)
-    if backbone_plan is None:
-        backbone_plan = BackbonePlan(graph)
-    elif backbone_plan.graph is not graph:
-        raise ValueError("backbone plan was built for a different graph")
+    backbone_plan = BackbonePlan.of(graph)
     state = SparsificationState(graph)
     empty = state.snapshot()
     colored = _colored_eligible(k, state.n)

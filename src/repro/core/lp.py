@@ -42,7 +42,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.core.backbone import BackbonePlan
 from repro.core.gdb import _resolve_backbone
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import SparsificationError
@@ -320,15 +319,13 @@ def lp_sparsify(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    backbone_plan: "BackbonePlan | None" = None,
     solver: str = "highs",
     tol: float = 1e-3,
     min_probability: float = 1e-9,
 ) -> UncertainGraph:
     """Sparsify by backbone construction + optimal LP assignment.
 
-    Mirrors :func:`repro.core.gdb.gdb`'s interface (including
-    ``backbone_plan`` for the ``alpha`` path) plus the ``solver`` knob
+    Mirrors :func:`repro.core.gdb.gdb`'s interface plus the ``solver`` knob
     (``"highs"`` reference or the first-order ``"pdp"``, gap tolerance
     ``tol``).
 
@@ -344,7 +341,7 @@ def lp_sparsify(
         )
     _validate_solver(solver)
     backbone_ids = _resolve_backbone(
-        graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
+        graph, alpha, backbone_ids, backbone_method, rng
     )
     probabilities = lp_assign_probabilities(
         graph, backbone_ids, solver=solver, tol=tol

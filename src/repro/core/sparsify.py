@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backbone import BackbonePlan, target_edge_count
+from repro.core.backbone import target_edge_count
 from repro.core.emd_sparsifier import EMDConfig, emd
 from repro.core.gdb import GDBConfig, gdb
 from repro.core.lp import lp_sparsify
@@ -67,20 +67,6 @@ class VariantSpec:
             label += "-t"
         return label
 
-    @property
-    def accepts_plan(self) -> bool:
-        """Whether :func:`sparsify` accepts ``backbone_plan`` for this
-        variant — GDB/EMD/LP build their backbone from the plan, NI
-        memoises its forest-peel structure on it.  The reuse hook
-        long-lived callers (CLI ladders, the job server) key on."""
-        return self.method in ("gdb", "emd", "lp", "ni")
-
-    @property
-    def accepts_backbone(self) -> bool:
-        """Whether :func:`sparsify` accepts precomputed ``backbone`` ids
-        (the iterative GDB/EMD/LP methods only)."""
-        return self.method in ("gdb", "emd", "lp")
-
 
 def parse_variant(variant: str) -> VariantSpec:
     """Parse a paper-notation variant string into a :class:`VariantSpec`."""
@@ -112,8 +98,6 @@ def sparsify(
     h: float = 0.05,
     tau: float = 1e-9,
     name: str = "",
-    backbone_plan: "BackbonePlan | None" = None,
-    backbone: "np.ndarray | list[int] | None" = None,
     lp_solver: str = "highs",
 ) -> UncertainGraph:
     """Sparsify an uncertain graph with any paper variant.
@@ -137,16 +121,6 @@ def sparsify(
         Convergence threshold for GDB/EMD.
     name:
         Optional name for the output graph.
-    backbone_plan:
-        Optional :class:`~repro.core.backbone.BackbonePlan` for
-        ``graph``: GDB/EMD/LP variants build their backbone from the
-        plan (bit-identical to the per-call builder for the same seed),
-        and NI memoises its forest-peel structure on it, so one plan
-        serves a whole alpha ladder or variant sweep.
-    backbone:
-        Optional precomputed backbone edge ids (positions into
-        ``graph.edge_list()``), skipping backbone construction entirely.
-        Mutually exclusive with ``backbone_plan``.
     lp_solver:
         Probability solver for the LP variants: ``"highs"`` (default,
         the exact scipy reference) or ``"pdp"`` (first-order
@@ -157,49 +131,34 @@ def sparsify(
     -------
     UncertainGraph
         The sparsified graph ``G' = (V, E', p')``.
+
+    GDB/EMD/LP build their backbone on the graph's
+    :class:`~repro.core.backbone.BackbonePlan` and NI memoises its
+    forest-peel structure there, so repeated calls on one graph (an
+    alpha ladder, a variant sweep) share the Kruskal work; the output
+    equals that of the same call on a fresh copy of the graph.
     """
     spec = parse_variant(variant)
     backbone_method = "bgi" if spec.bgi_backbone else "random"
     label = name or f"{spec.canonical_name}@{alpha:g}({graph.name})"
-    if backbone is not None and backbone_plan is not None:
-        raise ValueError("provide at most one of backbone and backbone_plan")
-    if backbone is not None and not spec.accepts_backbone:
-        raise ValueError(
-            f"variant {spec.canonical_name!r} does not take a backbone; "
-            f"precomputed backbones only apply to GDB/EMD/LP"
-        )
-    if backbone_plan is not None and not spec.accepts_plan:
-        raise ValueError(
-            f"variant {spec.canonical_name!r} does not take a backbone plan; "
-            f"backbone_plan applies to GDB/EMD/LP/NI"
-        )
-    # The iterative methods take exactly one of (alpha, backbone_ids).
-    seed_kwargs = (
-        dict(backbone_ids=backbone)
-        if backbone is not None
-        else dict(alpha=alpha, backbone_plan=backbone_plan)
-    )
 
     if spec.method == "gdb":
         config = GDBConfig(h=h, tau=tau, k=spec.k, relative=spec.relative)
-        return gdb(graph, config=config,
-                   backbone_method=backbone_method, rng=rng, name=label,
-                   **seed_kwargs)
+        return gdb(graph, alpha, config=config,
+                   backbone_method=backbone_method, rng=rng, name=label)
     if spec.method == "emd":
         if spec.k != 1:
             raise ValueError("EMD is defined for k = 1 only (paper section 5)")
         config = EMDConfig(h=h, tau=tau, relative=spec.relative)
-        return emd(graph, config=config,
-                   backbone_method=backbone_method, rng=rng, name=label,
-                   **seed_kwargs)
+        return emd(graph, alpha, config=config,
+                   backbone_method=backbone_method, rng=rng, name=label)
     if spec.method == "lp":
-        return lp_sparsify(graph, backbone_method=backbone_method, rng=rng,
-                           name=label, solver=lp_solver, **seed_kwargs)
+        return lp_sparsify(graph, alpha, backbone_method=backbone_method,
+                           rng=rng, name=label, solver=lp_solver)
     if spec.method == "ni":
         from repro.baselines.ni import ni_sparsify
 
-        return ni_sparsify(graph, alpha, rng=rng, name=label,
-                           backbone_plan=backbone_plan)
+        return ni_sparsify(graph, alpha, rng=rng, name=label)
     if spec.method == "sp":
         from repro.baselines.spanner import spanner_sparsify
 

@@ -12,7 +12,9 @@ wants from a skeleton.
 We reuse the Baswana–Sen implementation from
 :mod:`repro.baselines.spanner` with ``-log p`` weights, so each bundle
 layer keeps the most-probable paths available.  Exposed through
-``build_backbone(..., method="t_bundle")`` for the backbone ablation.
+``build_backbone(..., method="t_bundle")`` for the backbone ablation;
+:class:`~repro.core.backbone.BackbonePlan` calls it with its edge
+arrays.
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ import numpy as np
 
 from repro.baselines.spanner import baswana_sen_spanner
 from repro.core.backbone import _mc_top_up_array, target_edge_count
-from repro.core.uncertain_graph import UncertainGraph
 from repro.utils.rng import ensure_rng
 
 
 def t_bundle_backbone(
-    graph: UncertainGraph,
+    n: int,
+    edge_vertices: np.ndarray,
+    probabilities: np.ndarray,
     alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    stretch: int = 2,
-    max_layers: int = 8,
+    rng: "int | np.random.Generator | None",
+    stretch: int,
+    max_layers: int,
 ) -> np.ndarray:
     """Backbone from edge-disjoint spanner layers + MC top-up.
 
@@ -42,8 +45,9 @@ def t_bundle_backbone(
 
     Parameters
     ----------
-    graph:
-        The uncertain graph.
+    n, edge_vertices, probabilities:
+        The graph's vertex count, ``(m, 2)`` dense endpoint array and
+        edge probabilities, in edge-id order.
     alpha:
         Sparsification ratio in ``(0, 1)``.
     rng:
@@ -57,11 +61,8 @@ def t_bundle_backbone(
     (most probable) edges are kept up to the budget.
     """
     rng = ensure_rng(rng)
-    m = graph.number_of_edges()
-    n = graph.number_of_vertices()
+    m = len(probabilities)
     target = target_edge_count(m, alpha)
-    edge_vertices = graph.edge_index_array()
-    probabilities = np.array(graph.probability_array())
     weights = -np.log(np.clip(probabilities, 1e-15, 1.0))
 
     remaining = np.arange(m, dtype=np.int64)  # unclaimed ids, ascending

@@ -357,7 +357,21 @@ def write_binary(
     indexer positions) and requires an explicit ``allow_relabel=True``;
     otherwise :class:`GraphError` is raised.
     """
-    ids = stored_vertex_ids(graph)
+    return write_binary_ids(
+        graph, path, stored_vertex_ids(graph), allow_relabel=allow_relabel
+    )
+
+
+def write_binary_ids(
+    graph,
+    path: "str | os.PathLike",
+    ids: "np.ndarray | None",
+    allow_relabel: bool = False,
+) -> BinaryHeader:
+    """:func:`write_binary` with ``ids = stored_vertex_ids(graph)``
+    already computed, for a caller that also needs to know whether the
+    write relabels (``ids is None``) and should not scan the labels
+    twice."""
     if ids is None and not allow_relabel:
         raise GraphError(
             "binary datasets store dense integer vertices 0..n-1; "

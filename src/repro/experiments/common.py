@@ -168,24 +168,6 @@ def timed(fn, *args, **kwargs) -> tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def plan_for_variant(plan, variant: str):
-    """``plan`` if ``variant`` can use one (GDB/EMD/LP/NI), else ``None``.
-
-    The comparison drivers mix plan-aware variants (backbone-seeded
-    GDB/EMD/LP, plus NI — which memoises its peel structure on the
-    plan) with the SP/ER benchmark methods, which take none; this keeps
-    one ``sparsify(..., backbone_plan=plan_for_variant(plan, v))`` call
-    site.
-    """
-    from repro.core.sparsify import parse_variant
-
-    return (
-        plan
-        if parse_variant(variant).method in ("gdb", "emd", "lp", "ni")
-        else None
-    )
-
-
 def geometric_mean(values) -> float:
     """Geometric mean, ignoring non-positive entries (log-scale summaries)."""
     arr = np.asarray([v for v in values if v > 0], dtype=np.float64)

@@ -4,13 +4,13 @@
     for the main variants, versus alpha (Flickr reduced).
 (b) Execution time of LP vs GDB vs EMD versus alpha — GDB < EMD << LP.
 
-Both panels share one :class:`~repro.core.backbone.BackbonePlan`: the
-``-t`` variants of a given alpha use the *same* BGI backbone (and the
-``-t``-less ones the same random backbone), so the plan memoises each
-``(method, alpha, seed)`` backbone instead of re-running Kruskal +
+Both panels share the graph's :class:`~repro.core.backbone.BackbonePlan`:
+the ``-t`` variants of a given alpha use the *same* BGI backbone (and
+the ``-t``-less ones the same random backbone), so the plan memoises
+each ``(method, alpha, seed)`` backbone instead of re-running Kruskal +
 top-up once per variant.  Panel (b) therefore times the optimisation
-cores over identical seed backbones; the plan's one-off construction is
-reported separately in its table notes.
+cores over identical seed backbones; building them is reported
+separately in its table notes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.experiments.common import (
     ResultTable,
     SMALL,
     make_flickr_reduced,
-    plan_for_variant,
     timed,
 )
 from repro.metrics import sample_cut_sets, sampled_cut_discrepancy_mae
@@ -35,13 +34,10 @@ def run_fig04a(
     variants: tuple[str, ...] = FIG4A_VARIANTS,
     seed: int = 17,
     graph=None,
-    backbone_plan: "BackbonePlan | None" = None,
-    lp_solver: str = "highs",
 ) -> ResultTable:
     """MAE of ``delta_A(S)`` over sampled k-cuts vs alpha (Fig. 4a)."""
     if graph is None:
         graph = make_flickr_reduced(scale, seed=seed)
-    plan = backbone_plan if backbone_plan is not None else BackbonePlan(graph)
     n = graph.number_of_vertices()
     cut_sets = sample_cut_sets(n, samples_per_k=scale.cut_samples_per_k, rng=seed)
     table = ResultTable(
@@ -53,11 +49,7 @@ def run_fig04a(
     for variant in variants:
         row: list = [variant]
         for alpha in scale.alphas:
-            sparsified = sparsify(
-                graph, alpha, variant=variant, rng=seed,
-                backbone_plan=plan_for_variant(plan, variant),
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=variant, rng=seed)
             row.append(
                 sampled_cut_discrepancy_mae(graph, sparsified, cut_sets=cut_sets)
             )
@@ -69,13 +61,11 @@ def run_fig04b(
     scale: ExperimentScale = SMALL,
     seed: int = 17,
     graph=None,
-    backbone_plan: "BackbonePlan | None" = None,
-    lp_solver: str = "highs",
 ) -> ResultTable:
     """Wall-clock seconds of LP vs GDB vs EMD vs alpha (Fig. 4b)."""
     if graph is None:
         graph = make_flickr_reduced(scale, seed=seed)
-    plan = backbone_plan if backbone_plan is not None else BackbonePlan(graph)
+    plan = BackbonePlan.of(graph)
     # Warm the per-alpha BGI backbones up front so the timed loop
     # measures the optimisation cores over identical seed backbones.
     _, plan_seconds = timed(
@@ -91,8 +81,7 @@ def run_fig04b(
         row: list = [variant]
         for alpha in scale.alphas:
             _, seconds = timed(
-                sparsify, graph, alpha, variant=variant, rng=seed,
-                backbone_plan=plan, lp_solver=lp_solver,
+                sparsify, graph, alpha, variant=variant, rng=seed
             )
             row.append(seconds)
         table.rows.append(row)
@@ -102,16 +91,12 @@ def run_fig04b(
 def run_fig04(
     scale: ExperimentScale = SMALL,
     seed: int = 17,
-    lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
-    """Both panels off one shared backbone plan."""
+    """Both panels on one graph, so they share its backbone plan."""
     graph = make_flickr_reduced(scale, seed=seed)
-    plan = BackbonePlan(graph)
     return (
-        run_fig04a(scale, seed=seed, graph=graph,
-                   backbone_plan=plan, lp_solver=lp_solver),
-        run_fig04b(scale, seed=seed, graph=graph,
-                   backbone_plan=plan, lp_solver=lp_solver),
+        run_fig04a(scale, seed=seed, graph=graph),
+        run_fig04b(scale, seed=seed, graph=graph),
     )
 
 

@@ -9,8 +9,9 @@ Sweeps ``h in {0, 0.01, 0.05, 0.1, 0.5, 1}``:
 The paper picks ``h = 0.05`` as the balanced default.
 
 The sweep runs through :func:`repro.core.grid.gdb_grid`, which builds
-the CSR state and one :class:`~repro.core.backbone.BackbonePlan` once
-for the whole grid — the maximum-spanning-forest peels are shared
+the CSR state once and uses the graph's
+:class:`~repro.core.backbone.BackbonePlan` for the whole grid — the
+maximum-spanning-forest peels are shared
 across *alphas*, each alpha's backbone is a peel-prefix slice plus its
 seeded top-up, and one backbone + sweep plan per alpha is shared across
 every ``h`` — instead of rebuilding everything per grid point.
@@ -18,7 +19,6 @@ every ``h`` — instead of rebuilding everything per grid point.
 
 from __future__ import annotations
 
-from repro.core.backbone import BackbonePlan
 from repro.core.grid import gdb_grid
 from repro.experiments.common import (
     ExperimentScale,
@@ -63,7 +63,6 @@ def run_fig05(
         h_values=h_values,
         rng=seed,
         consume=to_metrics,
-        backbone_plan=BackbonePlan(graph),
     )
     for h in h_values:
         mae_row: list = [h]

@@ -10,7 +10,6 @@ usually by orders of magnitude; NI is closest to competitive on Twitter
 from __future__ import annotations
 
 from repro.core import sparsify
-from repro.core.backbone import BackbonePlan
 from repro.core.uncertain_graph import UncertainGraph
 from repro.experiments.common import (
     REPRESENTATIVE_EMD,
@@ -20,7 +19,6 @@ from repro.experiments.common import (
     SMALL,
     make_flickr_proxy,
     make_twitter_proxy,
-    plan_for_variant,
 )
 from repro.metrics import (
     degree_discrepancy_mae,
@@ -36,13 +34,9 @@ def structural_comparison(
     scale: ExperimentScale,
     methods: tuple[str, ...] = COMPARISON_METHODS,
     seed: int = 23,
-    lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE tables (method x alpha) for one dataset."""
     n = graph.number_of_vertices()
-    # One backbone plan per dataset: the GDB/EMD variants share their
-    # per-(method, alpha) seed backbones instead of re-running Kruskal.
-    plan = BackbonePlan(graph)
     cut_sets = sample_cut_sets(n, samples_per_k=scale.cut_samples_per_k, rng=seed)
     degree = ResultTable(
         title=f"Fig. 6 — MAE of delta_A(u) ({graph.name})",
@@ -56,11 +50,7 @@ def structural_comparison(
         degree_row: list = [method]
         cut_row: list = [method]
         for alpha in scale.alphas:
-            sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed,
-                backbone_plan=plan_for_variant(plan, method),
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=method, rng=seed)
             degree_row.append(degree_discrepancy_mae(graph, sparsified))
             cut_row.append(
                 sampled_cut_discrepancy_mae(graph, sparsified, cut_sets=cut_sets)
@@ -73,15 +63,14 @@ def structural_comparison(
 def run_fig06(
     scale: ExperimentScale = SMALL,
     seed: int = 23,
-    lp_solver: str = "highs",
 ) -> dict[str, tuple[ResultTable, ResultTable]]:
     """Both datasets' structural comparisons, keyed by dataset name."""
     return {
         "flickr": structural_comparison(
-            make_flickr_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
+            make_flickr_proxy(scale), scale, seed=seed,
         ),
         "twitter": structural_comparison(
-            make_twitter_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
+            make_twitter_proxy(scale), scale, seed=seed,
         ),
     }
 

@@ -11,14 +11,8 @@ slowest.
 from __future__ import annotations
 
 from repro.core import sparsify
-from repro.core.backbone import BackbonePlan
 from repro.datasets import densify, flickr_like
-from repro.experiments.common import (
-    ExperimentScale,
-    ResultTable,
-    SMALL,
-    plan_for_variant,
-)
+from repro.experiments.common import ExperimentScale, ResultTable, SMALL
 from repro.experiments.fig06 import COMPARISON_METHODS
 from repro.metrics import (
     degree_discrepancy_mae,
@@ -40,7 +34,6 @@ def run_fig07(
     scale: ExperimentScale = SMALL,
     alpha: float = 0.16,
     seed: int = 29,
-    lp_solver: str = "highs",
 ) -> tuple[ResultTable, ResultTable]:
     """Degree-MAE and cut-MAE vs density at fixed alpha (Fig. 7)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -59,17 +52,11 @@ def run_fig07(
         )
         for d, g in graphs.items()
     }
-    # One backbone plan per density level, shared across methods.
-    plans = {d: BackbonePlan(g) for d, g in graphs.items()}
     for method in COMPARISON_METHODS:
         degree_row: list = [method]
         cut_row: list = [method]
         for density, graph in graphs.items():
-            sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed,
-                backbone_plan=plan_for_variant(plans[density], method),
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=method, rng=seed)
             degree_row.append(degree_discrepancy_mae(graph, sparsified))
             cut_row.append(
                 sampled_cut_discrepancy_mae(

@@ -10,7 +10,6 @@ across density.
 from __future__ import annotations
 
 from repro.core import sparsify
-from repro.core.backbone import BackbonePlan
 from repro.core.uncertain_graph import UncertainGraph
 from repro.experiments.common import (
     ExperimentScale,
@@ -18,7 +17,6 @@ from repro.experiments.common import (
     SMALL,
     make_flickr_proxy,
     make_twitter_proxy,
-    plan_for_variant,
 )
 from repro.experiments.fig06 import COMPARISON_METHODS
 from repro.experiments.fig07 import make_density_sweep
@@ -27,22 +25,16 @@ from repro.metrics import relative_entropy
 
 def entropy_vs_alpha(
     graph: UncertainGraph, scale: ExperimentScale, seed: int = 31,
-    lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per alpha for one dataset."""
     table = ResultTable(
         title=f"Fig. 8 — relative entropy H(G')/H(G) ({graph.name})",
         headers=["method"] + [f"{int(a * 100)}%" for a in scale.alphas],
     )
-    plan = BackbonePlan(graph)
     for method in COMPARISON_METHODS:
         row: list = [method]
         for alpha in scale.alphas:
-            sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed,
-                backbone_plan=plan_for_variant(plan, method),
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=method, rng=seed)
             row.append(relative_entropy(sparsified, graph))
         table.rows.append(row)
     return table
@@ -50,7 +42,6 @@ def entropy_vs_alpha(
 
 def entropy_vs_density(
     scale: ExperimentScale, alpha: float = 0.16, seed: int = 31,
-    lp_solver: str = "highs",
 ) -> ResultTable:
     """Relative entropy per method per density (Fig. 8c)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -59,34 +50,23 @@ def entropy_vs_density(
         headers=["method"] + [f"{int(d * 100)}%" for d in scale.densities],
         notes="paper: roughly constant across density",
     )
-    plans = {d: BackbonePlan(g) for d, g in graphs.items()}
     for method in COMPARISON_METHODS:
         row: list = [method]
         for density, graph in graphs.items():
-            sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed,
-                backbone_plan=plan_for_variant(plans[density], method),
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=method, rng=seed)
             row.append(relative_entropy(sparsified, graph))
         table.rows.append(row)
     return table
 
 
 def run_fig08(
-    scale: ExperimentScale = SMALL, seed: int = 31, lp_solver: str = "highs",
+    scale: ExperimentScale = SMALL, seed: int = 31,
 ) -> dict[str, ResultTable]:
     """All three panels keyed 'flickr' / 'twitter' / 'density'."""
     return {
-        "flickr": entropy_vs_alpha(
-            make_flickr_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
-        ),
-        "twitter": entropy_vs_alpha(
-            make_twitter_proxy(scale), scale, seed=seed, lp_solver=lp_solver,
-        ),
-        "density": entropy_vs_density(
-            scale, seed=seed, lp_solver=lp_solver,
-        ),
+        "flickr": entropy_vs_alpha(make_flickr_proxy(scale), scale, seed=seed),
+        "twitter": entropy_vs_alpha(make_twitter_proxy(scale), scale, seed=seed),
+        "density": entropy_vs_density(scale, seed=seed),
     }
 
 

@@ -33,7 +33,6 @@ def run_table2(
     scale: ExperimentScale = SMALL,
     variants: tuple[str, ...] = TABLE2_VARIANTS,
     seed: int = 13,
-    lp_solver: str = "highs",
 ) -> ResultTable:
     """MAE of ``delta_A(u)`` for every variant x alpha (Table 2)."""
     graph = make_flickr_reduced(scale, seed=seed)
@@ -48,10 +47,7 @@ def run_table2(
     for variant in variants:
         row: list = [variant]
         for alpha in scale.alphas:
-            sparsified = sparsify(
-                graph, alpha, variant=variant, rng=seed,
-                lp_solver=lp_solver,
-            )
+            sparsified = sparsify(graph, alpha, variant=variant, rng=seed)
             row.append(degree_discrepancy_mae(graph, sparsified))
         table.rows.append(row)
     return table

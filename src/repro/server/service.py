@@ -458,10 +458,7 @@ class SparsifierService:
                 f"binary dataset {dataset!r} failed digest verification: "
                 f"{error}"
             ) from error
-        entry = {
-            "graph": ds.graph(), "plan": None, "lock": threading.Lock(),
-            "binary": True,
-        }
+        entry = {"graph": ds.graph(), "binary": True}
         with self._datasets_lock:
             entry = self._datasets.setdefault(digest, entry)
             self._datasets.move_to_end(digest)
@@ -481,7 +478,7 @@ class SparsifierService:
             name=os.path.basename(dataset) or dataset,
             source=dataset,
         )
-        entry = {"graph": graph, "plan": None, "lock": threading.Lock()}
+        entry = {"graph": graph}
         with self._datasets_lock:
             entry = self._datasets.setdefault(digest, entry)
             self._datasets.move_to_end(digest)
@@ -490,7 +487,7 @@ class SparsifierService:
         return entry
 
     def _dataset(self, dataset: str, digest: str) -> dict:
-        """The parsed graph (plus a lazily-built plan slot) for a digest.
+        """The registry entry holding the parsed graph for a digest.
 
         Content-addressed: rewriting a file changes its digest and loads
         a fresh entry, so stale graphs are never served.  Bounded LRU
@@ -516,28 +513,16 @@ class SparsifierService:
             )
         return self._register(dataset, digest, raw)
 
-    def _plan_for(self, entry: dict) -> BackbonePlan:
-        """The dataset's memoised BackbonePlan (the plan-reuse hook):
-        one Kruskal decomposition serves every request on the graph.
-        ``entry['lock']`` serialises construction; the plan itself is
-        internally locked, so concurrent jobs may share it freely."""
-        with entry["lock"]:
-            if entry["plan"] is None:
-                entry["plan"] = BackbonePlan(entry["graph"])
-            return entry["plan"]
-
     # -- job bodies ----------------------------------------------------------
     def _run_sparsify(self, norm: dict) -> bytes:
         entry = self._dataset(norm["dataset"], norm["digest"])
         graph = entry["graph"]
         spec = parse_variant(norm["variant"])
-        plan = self._plan_for(entry) if spec.accepts_plan else None
         result = sparsify(
             graph,
             norm["alpha"],
             variant=norm["variant"],
             rng=norm["seed"],
-            backbone_plan=plan,
             **{name: norm[name] for name in _SPARSIFY_FIELDS.get(spec.method, ())},
         )
         document = {
@@ -607,7 +592,6 @@ class SparsifierService:
             backbone_method=norm["backbone_method"],
             rng=norm["seed"],
             build_graphs=False,
-            backbone_plan=self._plan_for(entry),
         )
         return canonical_body({
             "endpoint": "grid",
@@ -625,9 +609,10 @@ class SparsifierService:
         The drifted graph is registered under its *own* content digest
         and overlays the dataset path, the superseded digest's cached
         artifacts are invalidated (only those — other datasets stay
-        hot), and the dataset's memoised :class:`BackbonePlan` is
-        *repaired* rather than rebuilt, so the next sparsify request
-        re-peels only the dirty forest ranks.  With ``resparsify``
+        hot), and the old graph's :class:`BackbonePlan`, when a request
+        built one, is *repaired* into the drifted graph's plan rather
+        than rebuilt, so the next sparsify request re-peels only the
+        dirty forest ranks.  With ``resparsify``
         params the refreshed artifact is recomputed eagerly at
         background priority (behind all interactive traffic).
         """
@@ -657,20 +642,16 @@ class SparsifierService:
                     "update applies to text datasets; binary datasets are "
                     "immutable snapshots (re-export and rewrite instead)"
                 )
-            with entry["lock"]:
-                batch = EdgeDeltaBatch.from_pairs(
-                    entry["graph"], updates=updates, inserts=inserts,
-                    deletes=deletes,
-                )
-                applied = apply_delta(entry["graph"], batch, in_place=False)
-                new_digest = graph_digest(applied.graph)
-                plan = entry["plan"]
-                new_plan = plan.clone().repair(applied) \
-                    if plan is not None else None
-            new_entry = {
-                "graph": applied.graph, "plan": new_plan,
-                "lock": threading.Lock(),
-            }
+            graph = entry["graph"]
+            batch = EdgeDeltaBatch.from_pairs(
+                graph, updates=updates, inserts=inserts, deletes=deletes,
+            )
+            applied = apply_delta(graph, batch, in_place=False)
+            new_digest = graph_digest(applied.graph)
+            plan = BackbonePlan.lookup(graph)
+            if plan is not None:
+                plan.clone().repair(applied)
+            new_entry = {"graph": applied.graph}
             with self._datasets_lock:
                 new_entry = self._datasets.setdefault(new_digest, new_entry)
                 self._datasets.move_to_end(new_digest)
@@ -703,7 +684,7 @@ class SparsifierService:
             "deletes": int(len(batch.delete_eids)),
             "structural": bool(batch.is_structural),
             "invalidated": invalidated,
-            "plan_repaired": new_plan is not None,
+            "plan_repaired": plan is not None,
             "refresh_queued": refresh_queued,
         }
 

@@ -7,7 +7,9 @@ scalar Kruskal (:func:`maximum_spanning_forest` on
 returns the same ids, in the same order, and leaves a generator in the
 same state; its array top-up
 (:func:`repro.core.backbone._mc_top_up_array`) draws over the ascending
-ids this set iterates in.
+ids this set iterates in.  :func:`local_degree_order` is the dict-based
+Local Degree ranking the plan's array form
+(:func:`repro.core.backbone._local_degree_order`) reproduces.
 """
 
 from __future__ import annotations
@@ -159,3 +161,34 @@ def bgi_backbone_legacy(
 
     _mc_top_up(chosen, remaining, probabilities, target, rng)
     return _as_edge_ids(chosen)
+
+
+def local_degree_order(graph) -> np.ndarray:
+    """Full Local-Degree nomination ranking of all edges (alpha-free),
+    one vertex and one neighbour at a time."""
+    m = graph.number_of_edges()
+    indexer = graph.vertex_indexer()
+    edge_list = graph.edge_list()
+    edge_id_of: dict[tuple[int, int], int] = {}
+    for eid, (u, v) in enumerate(edge_list):
+        a, b = indexer[u], indexer[v]
+        edge_id_of[(min(a, b), max(a, b))] = eid
+    degrees = {v: graph.degree(v) for v in graph.vertices()}
+
+    # rank[eid] = best (lowest) nomination position across both endpoints.
+    # Ties between equal-degree neighbours break on dense vertex id.
+    rank: dict[int, float] = {}
+    for u in graph.vertices():
+        nbrs = sorted(graph.neighbors(u),
+                      key=lambda w: (-degrees[w], indexer[w]))
+        for position, w in enumerate(nbrs):
+            a, b = indexer[u], indexer[w]
+            eid = edge_id_of[(min(a, b), max(a, b))]
+            score = position / max(degrees[u], 1)
+            if eid not in rank or score < rank[eid]:
+                rank[eid] = score
+
+    return np.array(
+        sorted(range(m), key=lambda eid: (rank.get(eid, 1.0), eid)),
+        dtype=np.int64,
+    )

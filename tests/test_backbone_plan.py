@@ -1,21 +1,33 @@
-"""BackbonePlan: nested peels, seeded bit-identity, plan threading."""
+"""BackbonePlan: nested peels, seeded bit-identity, one plan per graph."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.backbone import _mc_top_up, bgi_backbone_legacy
+from oracles.backbone import _mc_top_up, bgi_backbone_legacy, local_degree_order
 from oracles.unionfind import UnionFind
-from repro.core import GDBConfig, UncertainGraph, gdb, gdb_grid, sparsify
+from repro.core import (
+    GDBConfig,
+    UncertainGraph,
+    available_variants,
+    gdb,
+    gdb_grid,
+    sparsify,
+)
 from repro.core.backbone import (
     BACKBONE_METHODS,
     BackbonePlan,
+    _local_degree_order,
     _mc_top_up_array,
     bgi_backbone,
     build_backbone,
     target_edge_count,
 )
+from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.emd_sparsifier import emd
 from repro.core.lp import lp_sparsify
 from repro.datasets import flickr_like, twitter_like
@@ -72,10 +84,9 @@ class TestSeededEquivalence:
             dict(max_forests=1),
             dict(spanning_fraction=0.9, max_forests=3),
         ):
-            assert np.array_equal(
-                bgi_backbone(graph, 0.5, rng=2, plan=plan, **kwargs),
-                bgi_backbone_legacy(graph, 0.5, rng=2, **kwargs),
-            )
+            legacy = bgi_backbone_legacy(graph, 0.5, rng=2, **kwargs)
+            assert np.array_equal(plan.backbone(0.5, rng=2, **kwargs), legacy)
+            assert np.array_equal(bgi_backbone(graph, 0.5, rng=2, **kwargs), legacy)
 
     def test_concurrent_sharing_is_serially_equivalent(self, graph):
         # One plan shared by many threads (the job server's workers)
@@ -123,15 +134,44 @@ class TestSeededEquivalence:
                 build_backbone(graph, alpha, method="local_degree"),
             )
 
-    def test_t_bundle_falls_back(self, graph, plan):
-        # t-bundle has no alpha-free plan state; a shared plan memoises
-        # its int-seed results and builds what a fresh plan does.
-        plan.backbone(0.4, rng=5)
-        via_plan = build_backbone(graph, 0.4, method="t_bundle", rng=5,
-                                  plan=plan)
-        direct = build_backbone(graph, 0.4, method="t_bundle", rng=5)
+    def test_t_bundle_falls_back(self, graph):
+        # t-bundle has no alpha-free plan state; the graph's plan
+        # memoises its int-seed results and builds what a fresh plan does.
+        shared = BackbonePlan.of(graph)
+        shared.backbone(0.4, rng=5)
+        via_plan = build_backbone(graph, 0.4, method="t_bundle", rng=5)
+        direct = BackbonePlan(graph).backbone(0.4, method="t_bundle", rng=5)
         assert np.array_equal(via_plan, direct)
-        assert plan.backbone(0.4, method="t_bundle", rng=5) is via_plan
+        assert shared.backbone(0.4, method="t_bundle", rng=5) is via_plan
+
+    @pytest.mark.parametrize("method, defaults", [
+        ("bgi", dict(spanning_fraction=0.5, max_forests=6, top_up="mc")),
+        ("t_bundle", dict(stretch=2, max_layers=8)),
+    ])
+    def test_explicit_defaults_share_the_memo(self, plan, method, defaults):
+        bare = plan.backbone(0.4, method=method, rng=5)
+        for name, value in defaults.items():
+            assert plan.backbone(0.4, method=method, rng=5,
+                                 **{name: value}) is bare
+        assert plan.backbone(0.4, method=method, rng=5, **defaults) is bare
+
+    def test_unknown_option_rejected(self, plan):
+        for method in BACKBONE_METHODS:
+            with pytest.raises(TypeError, match="no options"):
+                plan.backbone(0.4, method=method, rng=5, stretchh=3)
+
+    def test_local_degree_matches_oracle(self, graph):
+        scrambled = UncertainGraph(
+            [(f"v{v}", f"v{u}", p) for u, v, p in reversed(list(graph.edges()))],
+            vertices=["isolated"],
+        )
+        ties = UncertainGraph([(i, (i + 1) % 12, 0.5) for i in range(12)])
+        for g in (graph, scrambled, ties,
+                  twitter_like(n=80, avg_degree=6, seed=2)):
+            assert np.array_equal(
+                _local_degree_order(g.number_of_vertices(), g.edge_index_array()),
+                local_degree_order(g),
+            )
 
     @pytest.mark.parametrize("alpha", [0.25, 0.6])
     def test_random_matches_oracle_top_up(self, graph, plan, alpha):
@@ -293,55 +333,170 @@ class TestSeedBoundary:
         assert plan.backbone(0.4, rng=np.int64(8)) is plan.backbone(0.4, rng=8)
 
 
+def _warm(graph):
+    """Use the graph's plan for other alphas, seeds and methods."""
+    for alpha, seed in ((0.3, 1), (0.55, 2)):
+        for method in BACKBONE_METHODS:
+            build_backbone(graph, alpha, method=method, rng=seed)
+        build_backbone(graph, alpha, rng=seed, top_up="stable")
+        for variant in ("NI", "GDB^R", "EMD^A-t"):
+            sparsify(graph, alpha, variant=variant, rng=seed)
+
+
 class TestPlanThreading:
-    def test_gdb_emd_lp_accept_plan(self, graph, plan):
+    def test_gdb_emd_lp_accept_plan(self, graph):
+        # The facades build on the graph's plan, warm or not.
+        _warm(graph)
         for fn in (gdb, emd, lp_sparsify):
-            direct = fn(graph, alpha=0.4, rng=6)
-            planned = fn(graph, alpha=0.4, rng=6, backbone_plan=plan)
-            assert planned.isomorphic_probabilities(direct, tol=0.0)
+            direct = fn(graph.copy(), alpha=0.4, rng=6)
+            planned = fn(graph, alpha=0.4, rng=6)
+            assert list(planned.edges()) == list(direct.edges())
 
-    def test_sparsify_accepts_plan(self, graph, plan):
-        for variant in ("GDB^A-t", "EMD^R-t", "GDB^R", "LP-t"):
-            direct = sparsify(graph, 0.4, variant=variant, rng=6)
-            planned = sparsify(graph, 0.4, variant=variant, rng=6,
-                               backbone_plan=plan)
-            assert planned.isomorphic_probabilities(direct, tol=0.0)
+    def test_sparsify_accepts_plan(self, graph):
+        """Every variant on a graph whose plan other alphas, seeds and
+        variants already used equals the same call on a fresh copy."""
+        _warm(graph)
+        for variant in available_variants():
+            direct = sparsify(graph.copy(), 0.4, variant=variant, rng=6)
+            planned = sparsify(graph, 0.4, variant=variant, rng=6)
+            assert list(planned.edges()) == list(direct.edges()), variant
 
-    def test_sparsify_precomputed_backbone(self, graph, plan):
-        ids = plan.backbone(0.4, rng=6)
+    def test_sparsify_precomputed_backbone(self, graph):
+        ids = BackbonePlan.of(graph).backbone(0.4, rng=6)
         direct = sparsify(graph, 0.4, variant="GDB^A-t", rng=6)
-        seeded = sparsify(graph, 0.4, variant="GDB^A-t", rng=6, backbone=ids)
+        seeded = gdb(graph, backbone_ids=ids)
         assert seeded.isomorphic_probabilities(direct, tol=0.0)
 
-    def test_sparsify_rejects_plan_for_benchmarks(self, graph, plan):
-        # NI accepts a plan since it memoises its peel structure there;
-        # the remaining benchmark methods still refuse one.
-        with pytest.raises(ValueError):
-            sparsify(graph, 0.4, variant="SP", rng=0, backbone_plan=plan)
-        with pytest.raises(ValueError):
+    def test_sparsify_rejects_plan_for_benchmarks(self, graph):
+        # No variant takes a plan or a backbone.
+        with pytest.raises(TypeError):
+            sparsify(graph, 0.4, variant="SP", rng=0,
+                     backbone_plan=BackbonePlan(graph))
+        with pytest.raises(TypeError):
             sparsify(graph, 0.4, variant="RANDOM", rng=0,
                      backbone=np.arange(3))
 
-    def test_sparsify_rejects_backbone_plus_plan(self, graph, plan):
-        with pytest.raises(ValueError):
+    def test_sparsify_rejects_backbone_plus_plan(self, graph):
+        with pytest.raises(TypeError):
             sparsify(graph, 0.4, variant="GDB^A", rng=0,
-                     backbone_plan=plan, backbone=np.arange(3))
+                     backbone_plan=BackbonePlan(graph), backbone=np.arange(3))
 
     def test_plan_for_other_graph_rejected(self, graph):
         other = twitter_like(n=50, avg_degree=8, seed=1)
-        stale = BackbonePlan(other)
-        with pytest.raises(ValueError):
-            gdb(graph, alpha=0.4, rng=0, backbone_plan=stale)
-        with pytest.raises(ValueError):
-            build_backbone(graph, 0.4, rng=0, plan=stale)
-        with pytest.raises(ValueError):
+        assert BackbonePlan.of(other) is not BackbonePlan.of(graph)
+        with pytest.raises(TypeError):
+            build_backbone(graph, 0.4, rng=0, plan=BackbonePlan(other))
+        with pytest.raises(TypeError):
             gdb_grid(graph, alphas=(0.4,), h_values=(0.05,), rng=0,
-                     backbone_plan=stale)
+                     backbone_plan=BackbonePlan(other))
 
-    def test_plan_with_explicit_backbone_ids_rejected(self, graph, plan):
-        ids = plan.backbone(0.4, rng=0)
+    def test_plan_with_explicit_backbone_ids_rejected(self, graph):
+        ids = build_backbone(graph, 0.4, rng=0)
         with pytest.raises(ValueError):
-            gdb(graph, backbone_ids=ids, backbone_plan=plan)
+            gdb(graph, alpha=0.4, backbone_ids=ids)
+
+
+def _touch_edge(graph):
+    u, v, p = next(iter(graph.edges()))
+    return u, v, 0.5 if p != 0.5 else 0.25
+
+
+#: Every way to change a graph, each of which must retire its plan.
+MUTATIONS = {
+    "set_probabilities": lambda g: g.set_probabilities(
+        np.array([0, 3]), np.array([0.11, 0.93])
+    ),
+    "set_probability": lambda g: g.set_probability(*_touch_edge(g)),
+    "add_edge_new": lambda g: g.add_edge(g.vertices()[0], "fresh", 0.7),
+    "add_edge_overwrite": lambda g: g.add_edge(*_touch_edge(g)),
+    "remove_edge": lambda g: g.remove_edge(*_touch_edge(g)[:2]),
+    "add_vertex": lambda g: g.add_vertex("isolated"),
+    "remove_vertex": lambda g: g.remove_vertex(g.vertices()[-1]),
+    "apply_delta_probabilities": lambda g: apply_delta(
+        g, EdgeDeltaBatch(update_eids=[1, 4], update_ps=[0.2, 0.8])
+    ),
+    "apply_delta_structural": lambda g: apply_delta(
+        g, EdgeDeltaBatch(update_eids=[2], update_ps=[0.3], delete_eids=[5])
+    ),
+}
+
+
+def _plan_outputs(plan):
+    return [
+        plan.backbone(0.5, method=method, rng=3) for method in BACKBONE_METHODS
+    ] + [plan.backbone(0.5, rng=3, top_up="stable")]
+
+
+class TestOnePlanPerGraph:
+    def test_of_is_shared_and_the_constructor_is_not(self, graph):
+        fresh = BackbonePlan(graph)
+        assert BackbonePlan.lookup(graph) is None  # nothing built yet
+        shared = BackbonePlan.of(graph)
+        assert shared is not fresh
+        assert BackbonePlan.of(graph) is shared
+        assert BackbonePlan.lookup(graph) is shared
+
+    def test_copy_does_not_share_the_plan(self, graph):
+        shared = BackbonePlan.of(graph)
+        copy = graph.copy()
+        assert BackbonePlan.lookup(copy) is None
+        assert BackbonePlan.of(copy) is not shared
+        assert BackbonePlan.of(graph) is shared
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_mutation_retires_the_plan(self, graph, mutation):
+        stale = BackbonePlan.of(graph)
+        _plan_outputs(stale)
+        MUTATIONS[mutation](graph)
+        assert BackbonePlan.lookup(graph) is None
+        plan = BackbonePlan.of(graph)
+        assert plan is not stale
+        for got, want in zip(_plan_outputs(plan),
+                             _plan_outputs(BackbonePlan(graph.copy()))):
+            assert np.array_equal(got, want)
+
+    def test_empty_updates_keep_the_plan(self, graph):
+        plan = BackbonePlan.of(graph)
+        graph.set_probabilities(np.array([], dtype=np.int64), np.array([]))
+        apply_delta(graph, EdgeDeltaBatch())
+        assert BackbonePlan.of(graph) is plan
+
+    def test_repair_makes_the_plan_of_the_new_graph(self, graph):
+        plan = BackbonePlan.of(graph)
+        _plan_outputs(plan)
+        batch = EdgeDeltaBatch(update_eids=[0], update_ps=[0.99],
+                               delete_eids=[7])
+        applied = apply_delta(graph, batch, in_place=False)
+        repaired = plan.clone().repair(applied)
+        assert BackbonePlan.of(applied.graph) is repaired
+        assert BackbonePlan.of(graph) is plan
+        for got, want in zip(_plan_outputs(repaired),
+                             _plan_outputs(BackbonePlan(applied.graph))):
+            assert np.array_equal(got, want)
+
+    def test_concurrent_callers_get_one_plan(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                graph = flickr_like(n=40, avg_degree=8, seed=trial)
+                gate = threading.Barrier(4)
+                got = []
+
+                def fetch():
+                    gate.wait(timeout=10)
+                    got.append(BackbonePlan.of(graph))
+
+                threads = [threading.Thread(target=fetch) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len(got) == 4
+                assert all(plan is got[0] for plan in got)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGridLadder:
@@ -357,14 +512,15 @@ class TestGridLadder:
                 cell.backbone, bgi_backbone_legacy(graph, alpha, rng=9)
             )
 
-    def test_one_plan_serves_whole_ladder(self, graph, plan):
+    def test_one_plan_serves_whole_ladder(self, graph):
         alphas = (0.35, 0.5)
         cells = gdb_grid(
             graph, alphas=alphas, h_values=(0.05,), rng=9,
-            build_graphs=False, backbone_plan=plan,
+            build_graphs=False,
         )
-        # The plan memoises per (alpha, seed): grid backbones are the
-        # exact arrays the plan hands to direct calls.
+        # The graph's plan memoises per (alpha, seed): grid backbones
+        # are the exact arrays it hands to direct calls.
+        plan = BackbonePlan.of(graph)
         for (alpha, h), cell in cells.items():
             assert cell.backbone is plan.backbone(alpha, rng=9)
 
@@ -383,11 +539,8 @@ class TestGridLadder:
         for ids in seen.values():
             assert np.array_equal(ids, expected)
 
-    def test_grid_cells_match_plain_gdb_with_plan_backbone(self, graph, plan):
-        cells = gdb_grid(
-            graph, alphas=(0.5,), h_values=(0.05,), rng=2,
-            backbone_plan=plan,
-        )
+    def test_grid_cells_match_plain_gdb_with_plan_backbone(self, graph):
+        cells = gdb_grid(graph, alphas=(0.5,), h_values=(0.05,), rng=2)
         cell = cells[(0.5, 0.05)]
         direct = gdb(
             graph, backbone_ids=cell.backbone, config=GDBConfig(h=0.05),

@@ -54,11 +54,12 @@ def test_sparsify_bad_variant_fails(graph_file, tmp_path, capsys):
 
 
 class TestBackbonePlanFlag:
-    """``sparsify`` shares one backbone plan across an ``--alpha`` ladder
-    for GDB/EMD/LP/NI variants; there is no flag to turn it off."""
+    """``sparsify`` shares the graph's backbone plan across an
+    ``--alpha`` ladder for GDB/EMD/LP/NI variants; there is no flag to
+    turn it off."""
 
     def test_plan_output_identical_to_direct(self, graph_file, tmp_path):
-        # The CLI's shared plan gives the library's plan-free output.
+        # The CLI's shared plan gives the library's single-call output.
         from repro.core import sparsify
 
         for variant in ("GDB^A-t", "EMD^R", "LP-t", "NI", "SP", "RANDOM"):
@@ -314,11 +315,43 @@ class TestConvert:
         assert restored == {frozenset((int(u), int(v))): p
                             for u, v, p in original.edges()}
 
-    def test_same_format_rejected(self, graph_file, tmp_path, capsys):
-        code = main(["convert", str(graph_file), str(tmp_path / "o.txt"),
-                     "--to", "text"])
-        assert code != 0
-        assert "already" in capsys.readouterr().err
+    def test_format_flags_are_gone(self, graph_file, tmp_path, capsys):
+        # The binary magic decides the format of every input.
+        for argv, flag in (
+            (["sparsify", str(graph_file), str(tmp_path / "o.txt"),
+              "--alpha", "0.4", "--format", "text"], "--format"),
+            (["estimate", str(graph_file), "--format", "text"], "--format"),
+            (["grid", str(graph_file), "--alphas", "0.4", "--h-values",
+              "0.05", "--format", "text"], "--format"),
+            (["convert", str(graph_file), str(tmp_path / "o.bin"),
+              "--to", "binary"], "--to"),
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_labels_scanned_once(self, graph_file, tmp_path, capsys,
+                                 monkeypatch, relabel):
+        from repro.datasets import binary_io, write_binary
+
+        source = graph_file
+        if relabel:
+            source = tmp_path / "named.txt"
+            source.write_text("alice bob 0.5\nbob carol 0.25\n")
+        reference = tmp_path / "reference.bin"
+        write_binary(read_edge_list(source), reference, allow_relabel=True)
+        calls = []
+        scan = binary_io.stored_vertex_ids
+        monkeypatch.setattr(binary_io, "stored_vertex_ids",
+                            lambda graph: calls.append(1) or scan(graph))
+        binary = tmp_path / "graph.bin"
+        assert main(["convert", str(source), str(binary),
+                     "--allow-relabel"]) == 0
+        assert len(calls) == 1
+        assert binary.read_bytes() == reference.read_bytes()
+        out = capsys.readouterr().out
+        assert ("relabelled" in out) == relabel
 
     def test_non_dense_labels_need_allow_relabel(self, tmp_path, capsys):
         source = tmp_path / "named.txt"

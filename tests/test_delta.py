@@ -527,39 +527,6 @@ class TestStateApplyDelta:
         state.verify()
 
 
-class TestSnapshotRestore:
-    def test_partial_matches_full(self):
-        graph = GRAPH.copy()
-        state = SparsificationState(graph)
-        ids = BackbonePlan(graph).backbone(0.4, rng=3, top_up="stable")
-        state.select_edges(ids)
-        dirty = np.asarray(ids[:5], dtype=np.int64)
-        full = state.snapshot()
-        partial = state.snapshot(dirty)
-        state.apply_probabilities(
-            dirty, np.linspace(0.2, 0.9, len(dirty))
-        )
-        state.restore(partial)
-        phat, selected, delta, total_residual = full
-        assert np.array_equal(state.phat, phat)
-        assert np.array_equal(state.selected, selected)
-        assert np.array_equal(state.delta, delta)
-        assert state.total_residual == total_residual
-        state.verify()
-
-    def test_apply_probabilities_rejects_out_of_domain(self):
-        graph = GRAPH.copy()
-        state = SparsificationState(graph)
-        ids = BackbonePlan(graph).backbone(0.4, rng=3, top_up="stable")
-        state.select_edges(ids)
-        eid = int(ids[0])
-        for bad in (0.0, -0.1, 1.0 + 1e-9, float("nan")):
-            with pytest.raises(GraphError, match=rf"edge {eid}"):
-                state.apply_probabilities(
-                    np.array([eid]), np.array([bad])
-                )
-
-
 class TestDriftWorkload:
     def test_replay_is_deterministic(self):
         def stream():

@@ -14,6 +14,7 @@ from repro.core import (
     degree_discrepancy_vector,
     delta_1,
 )
+from repro.core.sweep import apply_probability_vector
 from repro.datasets import flickr_like
 from repro.exceptions import GraphError
 
@@ -290,12 +291,6 @@ class TestBatchedPrimitives:
         with pytest.raises(GraphError):
             state.select_edges(np.array([0, 1, 2]), probabilities=np.array([0.4]))
 
-    def test_apply_probabilities_rejects_shape_mismatch(self, triangle):
-        state = SparsificationState(triangle)
-        state.select_edges(np.array([0, 1]))
-        with pytest.raises(GraphError):
-            state.apply_probabilities(np.array([0, 1]), np.array([0.5]))
-
     def test_select_edges_rejects_duplicates(self, triangle):
         state = SparsificationState(triangle)
         with pytest.raises(GraphError):
@@ -307,36 +302,6 @@ class TestBatchedPrimitives:
         with pytest.raises(GraphError):
             state.select_edges(np.array([0, 1]))
 
-    def test_apply_probabilities_matches_scalar(self, small_power_law):
-        batched = SparsificationState(small_power_law)
-        scalar = SparsificationState(small_power_law)
-        rng = np.random.default_rng(1)
-        eids = rng.choice(batched.m, size=batched.m // 2, replace=False)
-        for state in (batched, scalar):
-            state.select_edges(eids)
-        # Strictly positive draws: apply_probabilities enforces the
-        # (0, 1] edge-probability domain.
-        new_ps = rng.uniform(0.01, 1.0, size=len(eids))
-        batched.apply_probabilities(eids, new_ps)
-        for eid, p in zip(eids, new_ps):
-            scalar.set_probability(int(eid), float(p))
-        assert np.allclose(batched.phat, scalar.phat, atol=0)
-        assert np.allclose(batched.delta, scalar.delta, atol=1e-12)
-        assert batched.total_residual == pytest.approx(scalar.total_residual)
-        batched.verify()
-
-    def test_apply_probabilities_rejects_unselected(self, triangle):
-        state = SparsificationState(triangle)
-        state.select_edge(0)
-        with pytest.raises(GraphError):
-            state.apply_probabilities(np.array([0, 1]), np.array([0.5, 0.5]))
-
-    def test_apply_probabilities_rejects_duplicates(self, triangle):
-        state = SparsificationState(triangle)
-        state.select_edge(0)
-        with pytest.raises(GraphError):
-            state.apply_probabilities(np.array([0, 0]), np.array([0.5, 0.6]))
-
     def test_snapshot_restore_roundtrip(self, small_power_law):
         state = SparsificationState(small_power_law)
         state.select_edges(np.arange(0, state.m, 2))
@@ -345,7 +310,8 @@ class TestBatchedPrimitives:
             state.phat.copy(), state.selected.copy(), state.delta.copy(),
             state.total_residual, state.d1(),
         )
-        state.apply_probabilities(
+        apply_probability_vector(
+            state,
             np.arange(0, state.m, 2),
             np.full(len(np.arange(0, state.m, 2)), 0.5),
         )
@@ -411,5 +377,7 @@ def test_property_mixed_scalar_and_batched_ops(seed):
                     size=int(rng.integers(1, min(8, len(selected)) + 1)),
                     replace=False,
                 )
-                state.apply_probabilities(take, rng.uniform(0.01, 1, len(take)))
+                apply_probability_vector(
+                    state, take, rng.uniform(0.01, 1, len(take))
+                )
     state.verify()

@@ -1,17 +1,19 @@
-"""Examples stay present, compile, and expose a main() entry point.
+"""Examples stay present, expose a main() entry point, and run.
 
-The examples run multi-minute Monte-Carlo demos, so executing them here
-would dominate the suite; instead this compiles each one and checks its
-structure, plus executes the cheapest (quickstart) logic at toy size by
-reusing its building blocks.
+Each example runs end to end as its own process in a couple of seconds,
+so a stale call into the library fails here rather than for a reader.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+SRC_DIR = EXAMPLES_DIR.parent / "src"
 EXPECTED = [
     "quickstart.py",
     "router_network_reliability.py",
@@ -58,27 +60,15 @@ def test_example_only_uses_public_api(name):
                 )
 
 
-def test_quickstart_pipeline_at_toy_size():
-    """The quickstart's exact call sequence, shrunk to run in seconds."""
-    from repro import datasets, graph_entropy, sparsify
-    from repro.metrics import degree_discrepancy_mae, relative_entropy
-    from repro.queries import ReliabilityQuery, sample_vertex_pairs
-    from repro.sampling import MonteCarloEstimator
-
-    from repro.core import BackbonePlan
-
-    graph = datasets.twitter_like(n=60, avg_degree=16, seed=7)
-    plan = BackbonePlan(graph)
-    for alpha in (0.3, 0.5):
-        ladder = sparsify(graph, alpha, variant="GDB^A-t", rng=7,
-                          backbone_plan=plan)
-        assert degree_discrepancy_mae(graph, ladder) < 0.5
-    sparse = sparsify(graph, alpha=0.3, variant="EMD^R-t", rng=7)
-    assert graph_entropy(sparse) < graph_entropy(graph)
-    assert relative_entropy(sparse, graph) < 1.0
-    assert degree_discrepancy_mae(graph, sparse) < 0.5
-    pairs = sample_vertex_pairs(graph, 5, rng=1)
-    estimate = MonteCarloEstimator(sparse, n_samples=40).run(
-        ReliabilityQuery(pairs), rng=2
-    ).scalar_estimate()
-    assert 0.0 <= estimate <= 1.0
+@pytest.mark.parametrize("name", EXPECTED)
+def test_example_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / name)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

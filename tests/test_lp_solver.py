@@ -243,33 +243,32 @@ def test_ni_plan_bit_identical_to_legacy(small_power_law, alpha, seed,
 
 
 def test_ni_memoises_peel_structure_on_plan(small_power_law):
-    plan = BackbonePlan(small_power_law)
-    first = ni_sparsify(small_power_law, 0.4, rng=7, backbone_plan=plan)
+    first = ni_sparsify(small_power_law, 0.4, rng=7)
+    plan = BackbonePlan.of(small_power_law)
     key = ("ni_peel", 128)
     assert key in plan._cache
     structure = plan._cache[key]
-    second = ni_sparsify(small_power_law, 0.5, rng=7, backbone_plan=plan)
+    second = ni_sparsify(small_power_law, 0.5, rng=7)
     # The second alpha reuses the memoised structure object untouched.
+    assert BackbonePlan.of(small_power_law) is plan
     assert plan._cache[key] is structure
     assert first.number_of_edges() < second.number_of_edges()
 
 
 def test_ni_plan_seed_stream_matches_planless(small_power_law):
-    """Passing a plan must not change the output for a given seed."""
-    plan = BackbonePlan(small_power_law)
-    with_plan = ni_sparsify(
-        small_power_law, 0.4, rng=3, backbone_plan=plan
-    )
-    without = ni_sparsify(small_power_law, 0.4, rng=3)
-    assert sorted(with_plan.edges()) == sorted(without.edges())
+    """The graph's warm plan must not change the output for a seed."""
+    ni_sparsify(small_power_law, 0.25, rng=9)
+    with_plan = ni_sparsify(small_power_law, 0.4, rng=3)
+    without = ni_sparsify(small_power_law.copy(), 0.4, rng=3)
+    assert list(with_plan.edges()) == list(without.edges())
 
 
 def test_ni_rejects_bad_peeler_and_foreign_plan(small_power_law, small_sparse):
-    # One peeler: there is none to pick, good or bad.
+    # One peeler and one plan per graph: there is none to pick.
     for peeler in ("recursive", "plan", "legacy"):
         with pytest.raises(TypeError, match="peeler"):
             ni_sparsify(small_power_law, 0.4, rng=0, peeler=peeler)
-    with pytest.raises(ValueError, match="different graph"):
+    with pytest.raises(TypeError, match="backbone_plan"):
         ni_sparsify(
             small_power_law, 0.4, rng=0,
             backbone_plan=BackbonePlan(small_sparse),
@@ -304,15 +303,12 @@ def test_ni_peel_structure_trivial_graphs():
 
 
 def test_sparsify_facade_accepts_plan_for_ni(small_power_law):
-    plan = BackbonePlan(small_power_law)
-    out = sparsify(
-        small_power_law, 0.4, variant="NI", rng=2, backbone_plan=plan
-    )
+    out = sparsify(small_power_law, 0.4, variant="NI", rng=2)
     assert out.number_of_edges() == target_edge_count(
         small_power_law.number_of_edges(), 0.4
     )
-    assert ("ni_peel", 128) in plan._cache
-    # SP/ER/RANDOM still refuse a plan.
-    with pytest.raises(ValueError, match="backbone plan"):
-        sparsify(small_power_law, 0.4, variant="SP", rng=2,
-                 backbone_plan=plan)
+    assert ("ni_peel", 128) in BackbonePlan.of(small_power_law)._cache
+    # No variant takes a plan: the graph's own is the only one.
+    with pytest.raises(TypeError, match="backbone_plan"):
+        sparsify(small_power_law, 0.4, variant="NI", rng=2,
+                 backbone_plan=BackbonePlan(small_power_law))

@@ -49,10 +49,11 @@ def test_public_callables_documented(module_name):
 
 
 #: Parameters that only chose between equivalent implementations: the
-#: Monte-Carlo engines, the sparsifier and parser engines, and the
-#: binary dataset's materialised graph.
+#: Monte-Carlo engines, the sparsifier and parser engines, the binary
+#: dataset's materialised graph, and the backbone plan a caller built.
 REMOVED_ENGINE_PARAMETERS = {
     "batched", "bfs_kernel", "kernel", "engine", "materialise",
+    "backbone_plan",
 }
 
 
@@ -119,6 +120,42 @@ def test_one_backbone_builder():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.baselines.representative")
     assert "top_up" not in inspect.signature(IncrementalSparsifier).parameters
+
+
+def test_one_backbone_plan_per_graph():
+    """The graph's plan is the only one: no builder takes a plan, no
+    sparsifier a precomputed backbone, and the plan-threading helpers
+    are gone."""
+    import repro.experiments.common
+    from repro.core import VariantSpec, bgi_backbone, build_backbone, sparsify
+    from repro.experiments import run_fig04a, run_fig04b
+    from repro.server import SparsifierService
+
+    for fn in (build_backbone, bgi_backbone):
+        assert "plan" not in inspect.signature(fn).parameters
+    assert "backbone" not in inspect.signature(sparsify).parameters
+    for fn in (run_fig04a, run_fig04b):
+        assert "backbone_plan" not in inspect.signature(fn).parameters
+    assert not hasattr(repro.experiments.common, "plan_for_variant")
+    for name in ("accepts_plan", "accepts_backbone"):
+        assert not hasattr(VariantSpec, name)
+    assert not hasattr(SparsifierService, "_plan_for")
+
+
+def test_experiment_drivers_take_no_lp_solver():
+    """The experiment drivers always ran the exact LP solver."""
+    drivers = {
+        "fig04": ("run_fig04a", "run_fig04b", "run_fig04"),
+        "fig06": ("structural_comparison", "run_fig06"),
+        "fig07": ("run_fig07",),
+        "fig08": ("entropy_vs_alpha", "entropy_vs_density", "run_fig08"),
+        "table2": ("run_table2",),
+    }
+    for module_name, names in drivers.items():
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        for name in names:
+            parameters = inspect.signature(getattr(module, name)).parameters
+            assert "lp_solver" not in parameters, name
 
 
 def test_library_never_imports_test_oracles():

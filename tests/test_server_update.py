@@ -96,8 +96,11 @@ class TestUpdateSemantics:
         assert not hit
 
     def test_structural_update_repairs_plan(self, service, dataset):
+        graph, u, v, p = _first_edge(dataset)
+        # No request has built the graph's plan yet: nothing to repair.
+        out = service.update({"dataset": dataset, "updates": [[u, v, p]]})
+        assert not out["plan_repaired"]
         service.handle("sparsify", {"dataset": dataset, **SPARSIFY})
-        graph, u, v, _ = _first_edge(dataset)
         out = service.update({
             "dataset": dataset, "deletes": [[u, v]],
         })

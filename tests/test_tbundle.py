@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import UncertainGraph
 from repro.core.backbone import build_backbone, target_edge_count
-from repro.core.tbundle import t_bundle_backbone
 from repro.datasets import erdos_renyi_uncertain, flickr_like, twitter_like
 
 
@@ -17,20 +16,20 @@ def dense_graph():
 
 
 def test_budget_met(dense_graph):
-    ids = t_bundle_backbone(dense_graph, 0.4, rng=0)
+    ids = build_backbone(dense_graph, 0.4, method="t_bundle", rng=0)
     assert len(ids) == target_edge_count(dense_graph.number_of_edges(), 0.4)
     assert len(set(ids)) == len(ids)
 
 
 def test_valid_edge_ids(dense_graph):
     m = dense_graph.number_of_edges()
-    ids = t_bundle_backbone(dense_graph, 0.4, rng=0)
+    ids = build_backbone(dense_graph, 0.4, method="t_bundle", rng=0)
     assert all(0 <= e < m for e in ids)
 
 
 def test_first_layer_preserves_connectivity(dense_graph):
     """If one full spanner layer fits, the backbone is connected."""
-    ids = t_bundle_backbone(dense_graph, 0.6, rng=0)
+    ids = build_backbone(dense_graph, 0.6, method="t_bundle", rng=0)
     edge_list = dense_graph.edge_list()
     probs = dense_graph.probability_array()
     backbone = dense_graph.subgraph_with_edges(
@@ -44,7 +43,7 @@ def test_small_budget_truncates_layer(dense_graph):
     tiny_alpha = (dense_graph.number_of_vertices() - 1) / (
         dense_graph.number_of_edges()
     ) * 1.05
-    ids = t_bundle_backbone(dense_graph, tiny_alpha, rng=0)
+    ids = build_backbone(dense_graph, tiny_alpha, method="t_bundle", rng=0)
     assert len(ids) == target_edge_count(
         dense_graph.number_of_edges(), tiny_alpha
     )
@@ -56,8 +55,8 @@ def test_dispatch_through_build_backbone(dense_graph):
 
 
 def test_stretch_parameter(dense_graph):
-    narrow = t_bundle_backbone(dense_graph, 0.5, rng=0, stretch=2)
-    wide = t_bundle_backbone(dense_graph, 0.5, rng=0, stretch=4)
+    narrow = build_backbone(dense_graph, 0.5, method="t_bundle", rng=0, stretch=2)
+    wide = build_backbone(dense_graph, 0.5, method="t_bundle", rng=0, stretch=4)
     assert len(narrow) == len(wide)  # same budget either way
 
 
