@@ -11,9 +11,12 @@ side of every table is the scalar reference in ``tests/oracles/``
   number of ``k = 1`` coordinate-descent sweeps, color-blocked arrays
   against the scalar reference loop.  The speedup gate (``MIN_SPEEDUP``,
   default 3x) is timing-based and therefore core-count-aware — it skips
-  itself on single-core machines; equality always gates via a separate
-  run to the exact descent fixed point (``h = 1``), where the two
-  converged objectives must agree within 1e-6.
+  itself on single-core machines; equality always gates, twice: a
+  separate run to the exact descent fixed point (``h = 1``), where the
+  two converged objectives must agree within 1e-6, and the bytes of
+  ``phat``, ``delta`` and ``total_residual`` after the timed sweeps,
+  which must equal those ``reference_colored_sweep`` leaves after as
+  many sweeps in the same (color, edge-id) order.
 - **EMD**: the full Algorithm 3 with the deferred-heap E-phase and its
   candidate-table scan + sequential M-phase against the scalar
   reference.  Here the two sides are *bit-identical by construction*, so
@@ -37,8 +40,8 @@ Results land under ``benchmarks/results/`` like the other benches, with
 a machine-readable twin in ``BENCH_sparsifier_engine.json``: one section
 per test (``gdb_sweep``, ``emd``, ``emd_e_phase``, ``emd_m_phase``),
 each holding both sides' seconds and the speedup; ``gdb_sweep`` adds ms
-per sweep, ``emd_e_phase`` the swap count and ``emd_m_phase`` the sweep
-count.
+per sweep for the loop, the colored-sweep oracle and production,
+``emd_e_phase`` the swap count and ``emd_m_phase`` the sweep count.
 Each test rewrites the file with every section measured so far in the
 run.
 """
@@ -51,7 +54,7 @@ import time
 import pytest
 
 from oracles.emd import e_phase, reference_emd
-from oracles.gdb import loop_refine
+from oracles.gdb import loop_refine, reference_colored_sweep
 from repro.core import (
     EMDConfig,
     GDBConfig,
@@ -66,8 +69,9 @@ from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
 
 #: Acceptance floor for the color-blocked GDB sweep vs the scalar loop
-#: (measured ~14-17x on a 2-vCPU host; CI overrides via
-#: REPRO_BENCH_SPARSIFIER_MIN_SPEEDUP for noisy shared runners).
+#: (measured 21.9-23.5x on a 2-vCPU host, plan build included; CI
+#: overrides via REPRO_BENCH_SPARSIFIER_MIN_SPEEDUP for noisy shared
+#: runners).
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SPARSIFIER_MIN_SPEEDUP", "3.0"))
 
 #: Acceptance floor for full EMD (measured ~6.3-8.1x on a 2-vCPU host).
@@ -134,7 +138,7 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
                                 sections):
     timings = {}
     sweep_objectives = {}
-    for engine in ("loop", "vector"):
+    for engine in ("loop", "vector"):  # ``state`` stays the vector side's
         state = seeded_state(bench_graph, backbone)
         config = GDBConfig(h=0.05, tau=0.0, max_sweeps=N_SWEEPS)
         start = time.perf_counter()
@@ -154,6 +158,21 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
         f"loop and vector converged {gap:.3e} apart"
     )
 
+    # Exactness always gates too: the colored-sweep oracle, run for the
+    # same number of sweeps in the same (color, edge-id) order, leaves
+    # the same bytes behind as the timed vector side.
+    oracle = seeded_state(bench_graph, backbone)
+    plan = build_sweep_plan(oracle)
+    start = time.perf_counter()
+    for _ in range(N_SWEEPS):
+        reference_colored_sweep(oracle, plan, False, 0.05)
+    oracle_s = time.perf_counter() - start
+    for name in ("phat", "delta"):
+        assert getattr(oracle, name).tobytes() == getattr(state, name).tobytes(), (
+            f"colored sweep {name} differs from reference_colored_sweep"
+        )
+    assert float(oracle.total_residual).hex() == float(state.total_residual).hex()
+
     speedup = timings["loop"] / timings["vector"]
     table = ResultTable(
         title=(
@@ -164,10 +183,13 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
         headers=["engine", "seconds", "speedup", "D1 after sweeps"],
         notes=(
             f"converged objectives (h=1 fixed point) agree to {gap:.2e}; "
-            f"gated <= 1e-6"
+            f"gated <= 1e-6; after {N_SWEEPS} sweeps phat, delta and "
+            f"total_residual equal reference_colored_sweep's bytes (gated)"
         ),
     )
     table.add_row("loop", timings["loop"], 1.0, sweep_objectives["loop"])
+    table.add_row("reference colored", oracle_s, timings["loop"] / oracle_s,
+                  oracle.d1())
     table.add_row("vector", timings["vector"], speedup, sweep_objectives["vector"])
     emit("bench_sparsifier_gdb", table)
     sections["gdb_sweep"] = {
@@ -176,7 +198,9 @@ def test_bench_gdb_sweep_engine(bench_graph, backbone, emit, emit_json,
         "loop_s": timings["loop"],
         "vector_s": timings["vector"],
         "loop_ms_per_sweep": 1e3 * timings["loop"] / N_SWEEPS,
+        "reference_colored_ms_per_sweep": 1e3 * oracle_s / N_SWEEPS,
         "vector_ms_per_sweep": 1e3 * timings["vector"] / N_SWEEPS,
+        "colored_bytes_equal": True,
         "speedup": speedup,
         "converged_gap": gap,
     }

@@ -13,8 +13,13 @@ one of two layouts:
   order.  Classes below :data:`MIN_BLOCK_SIZE` are folded into a scalar
   tail (power-law hubs force many tiny classes; any sequential order is
   still exact coordinate descent), which keeps the per-class numpy
-  dispatch overhead off the hot path.  The tail runs as one fused pass
-  over plain Python floats, indexed by the local endpoint ids the plan
+  dispatch overhead off the hot path.  The plan lays the swept edges out
+  once in sweep order (the classes, then the tail), so a sweep pulls
+  ``phat`` into that order with one gather and writes it back with one
+  scatter.  In between, each class runs on its slice in 16 numpy calls
+  (one gather and one scatter of its endpoints' discrepancies, in-place
+  arithmetic on 0-d operands), and the tail runs as one fused pass over
+  plain Python floats, indexed by the local endpoint ids the plan
   precomputes.
 - **Sequential** (all rules): edge-id order, executed over plain Python
   floats by :func:`sequential_refine`, which runs a whole solve (every
@@ -52,9 +57,15 @@ if TYPE_CHECKING:
     from repro.core.gdb import GDBConfig
 
 #: Color classes smaller than this run in the scalar tail instead of as
-#: an array block: ~20 numpy dispatches per class cost more than a few
-#: scalar steps.
+#: an array block: ~16 numpy dispatches per class cost more than a few
+#: scalar steps.  It fixes the sweep order, so changing it changes every
+#: trajectory.
 MIN_BLOCK_SIZE = 16
+
+try:  # the clip ufunc itself; ``np.clip`` reaches it through Python wrappers
+    _clip = np._core.umath.clip
+except AttributeError:  # numpy < 2
+    _clip = np.core.umath.clip
 
 
 def greedy_edge_coloring(endpoints: np.ndarray) -> np.ndarray:
@@ -62,44 +73,81 @@ def greedy_edge_coloring(endpoints: np.ndarray) -> np.ndarray:
 
     Processes edges in the given order and assigns each the smallest
     color unused at either endpoint (at most ``2 * max_degree - 1``
-    colors).  Per-vertex used-color sets are integer bitmasks, so one
-    edge costs two ``|`` and one lowest-zero-bit scan.
+    colors).  Per-vertex used-color sets are integer bitmasks in a list
+    indexed by (non-negative) vertex id, so one edge costs two ``|`` and
+    one lowest-zero-bit scan.
     """
-    colors = np.zeros(len(endpoints), dtype=np.int64)
-    used: dict[int, int] = {}
-    for i, (u, v) in enumerate(np.asarray(endpoints).tolist()):
-        mask = used.get(u, 0) | used.get(v, 0)
+    endpoints = np.asarray(endpoints)
+    if len(endpoints) and endpoints.min() < 0:
+        raise ValueError(f"negative vertex id {endpoints.min()} in the endpoints")
+    used = [0] * (int(endpoints.max()) + 1 if len(endpoints) else 0)
+    colors = []
+    for u, v in endpoints.tolist():
+        mask = used[u] | used[v]
         free = ~mask & (mask + 1)  # lowest zero bit of the mask
-        c = free.bit_length() - 1
-        colors[i] = c
-        used[u] = used.get(u, 0) | free
-        used[v] = used.get(v, 0) | free
-    return colors
+        colors.append(free.bit_length() - 1)
+        used[u] |= free
+        used[v] |= free
+    return np.array(colors, dtype=np.int64)
 
 
 @dataclass
 class SweepPlan:
-    """Precomputed execution plan for sweeps over a fixed edge set.
+    """Precomputed execution plan for colored sweeps over a fixed edge set.
 
     Built once per backbone (and reused across sweeps, entropy
-    parameters, and grid cells): the greedy coloring, the large color
-    classes as gather-ready arrays, the scalar tail with its local
-    endpoint indexing, and the sequential (edge-id-ordered) endpoint
-    lists :func:`sequential_refine` consumes.  Nothing in it depends on
-    edge probabilities, so a plan survives probability-only drift.
+    parameters, and grid cells): the greedy coloring and the swept edges
+    laid out in sweep order, with each large color class's endpoints as
+    one gather-ready array and the scalar tail's endpoints as local
+    indices.  Nothing in it depends on edge probabilities, so a plan
+    survives probability-only drift.  A sequential-only plan carries
+    just ``eids``.
     """
 
     eids: np.ndarray                 # ascending edge ids of the swept set
     colors: np.ndarray               # greedy color per edge, aligned with eids
     n_colors: int
-    blocks: list = field(default_factory=list)      # (eids, u, v) arrays per class
+    # Swept edges in sweep order: the large classes (color-major,
+    # edge-id-minor), then the tail (ascending ids).
+    sweep_eids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    # One (start, stop, uv) per large class: its slice of sweep_eids and
+    # its endpoints as a (2, size) array (row 0 the u ends, row 1 the v).
+    blocks: list = field(default_factory=list)
     # Small-class edges (ascending ids) and their sorted unique endpoints.
     tail_eids: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     tail_verts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     tail_lu: list = field(default_factory=list)     # tail endpoints as
     tail_lv: list = field(default_factory=list)     # positions in tail_verts
-    seq_u: list = field(default_factory=list)       # endpoints of eids, in
-    seq_v: list = field(default_factory=list)       # edge-id order
+
+
+def _checked_ids(state: SparsificationState, eids, what: str) -> np.ndarray:
+    """``eids`` as an int64 array of ascending, distinct, selected ids.
+
+    Raises ``ValueError`` naming the first id that is out of range,
+    unselected, duplicated or out of ascending order: a plan over such
+    ids would step an edge twice, or an edge outside ``E'``, and corrupt
+    the state's bookkeeping.
+    """
+    eids = np.asarray(eids, dtype=np.int64)
+    if eids.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d sequence of edge ids")
+    in_range = (eids >= 0) & (eids < state.m)
+    bad = ~in_range
+    bad[in_range] = ~state.selected[eids[in_range]]
+    bad[1:] |= eids[1:] <= eids[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        eid = int(eids[i])
+        if not in_range[i]:
+            reason = f"out of range for {state.m} edges"
+        elif not state.selected[eid]:
+            reason = "not selected"
+        elif eid == eids[i - 1]:
+            reason = "duplicated"
+        else:
+            reason = f"out of ascending order (after {int(eids[i - 1])})"
+        raise ValueError(f"{what}: edge id {eid} is {reason}")
+    return eids
 
 
 def build_sweep_plan(
@@ -110,24 +158,19 @@ def build_sweep_plan(
 ) -> SweepPlan:
     """Color the (selected) edge set and lay out the sweep schedule.
 
-    With ``sequential_only=True`` the coloring is skipped and only the
-    sequential solve's edge-id-ordered lists are laid out (the
-    ``k >= 2`` rules never consume color classes, and EMD's M-phase
-    keeps to edge-id order).
+    ``eids`` (default: every selected edge) must be ascending, distinct
+    and selected; anything else raises ``ValueError``.  With
+    ``sequential_only=True`` the coloring is skipped and the plan
+    carries only ``eids`` (the ``k >= 2`` rules never consume color
+    classes, and EMD's M-phase keeps to edge-id order).
     """
     if eids is None:
         eids = state.selected_edge_ids()
-    eids = np.asarray(eids, dtype=np.int64)
-    endpoints = state.edge_vertices[eids]
+    else:
+        eids = _checked_ids(state, eids, "sweep plan")
     if sequential_only:
-        return SweepPlan(
-            eids=eids,
-            colors=np.zeros(0, dtype=np.int64),
-            n_colors=0,
-            seq_u=endpoints[:, 0].tolist(),
-            seq_v=endpoints[:, 1].tolist(),
-        )
-    colors = greedy_edge_coloring(endpoints)
+        return SweepPlan(eids=eids, colors=np.zeros(0, np.int64), n_colors=0)
+    colors = greedy_edge_coloring(state.edge_vertices[eids])
     return _layout_plan(state, eids, colors, min_block_size)
 
 
@@ -137,34 +180,28 @@ def _layout_plan(
     colors: np.ndarray,
     min_block_size: int = MIN_BLOCK_SIZE,
 ) -> SweepPlan:
-    """Lay out blocks/tail/sequential lists for an already-colored set."""
+    """Lay out the sweep order, blocks and tail of an already-colored set."""
     n_colors = int(colors.max()) + 1 if len(colors) else 0
-    endpoints = state.edge_vertices[eids]
-    plan = SweepPlan(
-        eids=eids,
-        colors=colors,
-        n_colors=n_colors,
-        seq_u=endpoints[:, 0].tolist(),
-        seq_v=endpoints[:, 1].tolist(),
-    )
-    # Group classes with one stable sort (color-major, edge-id-minor)
-    # instead of scanning the color array once per color: greedy needs
-    # up to 2*max_degree - 1 colors, so the per-color scan is
-    # O(n_colors * m) on power-law backbones.
+    # One stable sort groups the classes color-major, edge-id-minor
+    # (eids ascend); classes of at least min_block_size edges keep that
+    # order and the rest fold into the tail, in ascending edge-id order.
     order = np.argsort(colors, kind="stable")
-    boundaries = np.searchsorted(colors[order], np.arange(n_colors + 1))
-    tail: list[np.ndarray] = []
-    for color in range(n_colors):
-        class_eids = eids[order[boundaries[color]:boundaries[color + 1]]]
-        if len(class_eids) >= min_block_size:
-            uv = state.edge_vertices[class_eids]
-            plan.blocks.append((class_eids, uv[:, 0].copy(), uv[:, 1].copy()))
-        else:
-            tail.append(class_eids)
-    if tail:
-        plan.tail_eids = np.sort(np.concatenate(tail))
-        ends = state.edge_vertices[plan.tail_eids]
-        plan.tail_verts, local = np.unique(ends.ravel(), return_inverse=True)
+    sizes = np.bincount(colors, minlength=n_colors)
+    is_block = sizes >= min_block_size
+    in_block = is_block[colors[order]]
+    tail_eids = eids[np.sort(order[~in_block])]
+    sweep_eids = np.concatenate([eids[order[in_block]], tail_eids])
+    ends = state.edge_vertices[sweep_eids]
+    plan = SweepPlan(
+        eids=eids, colors=colors, n_colors=n_colors,
+        sweep_eids=sweep_eids, tail_eids=tail_eids,
+    )
+    stops = np.cumsum(sizes[is_block]).tolist()
+    for start, stop in zip([0] + stops, stops):
+        plan.blocks.append((start, stop, ends[start:stop].T.copy()))
+    if len(tail_eids):
+        tail_ends = ends[len(sweep_eids) - len(tail_eids):]
+        plan.tail_verts, local = np.unique(tail_ends.ravel(), return_inverse=True)
         local = local.reshape(-1, 2)
         plan.tail_lu = local[:, 0].tolist()
         plan.tail_lv = local[:, 1].tolist()
@@ -182,42 +219,54 @@ def extend_sweep_plan(
 
     The surviving edges keep their colors (``eids`` aligned with
     ``colors``; the coloring must be proper, e.g. taken from an existing
-    :class:`SweepPlan`); each added edge greedily takes the lowest color
-    unused at either endpoint, consulting per-vertex bitmasks built
-    lazily from the state's CSR incidence.  The merged set is returned
-    in ascending edge-id order, matching :func:`build_sweep_plan`'s
-    layout conventions.
+    :class:`SweepPlan`); each added edge, in ascending id order, greedily
+    takes the lowest color unused at either endpoint.  Both id sets must
+    be ascending, distinct, selected and disjoint (``ValueError``
+    otherwise).  The merged set is returned in ascending edge-id order,
+    matching :func:`build_sweep_plan`'s layout conventions.
     """
-    eids = np.asarray(eids, dtype=np.int64)
+    eids = _checked_ids(state, eids, "surviving plan edges")
+    added = _checked_ids(state, added_eids, "added edges")
     colors = np.asarray(colors, dtype=np.int64)
-    added = np.unique(np.asarray(added_eids, dtype=np.int64))
-    if len(added) and len(eids) and np.isin(added, eids).any():
-        raise ValueError("added edges overlap the existing plan")
+    if colors.shape != eids.shape:
+        raise ValueError(
+            f"{len(colors)} colors for {len(eids)} surviving plan edges"
+        )
+    overlap = np.isin(added, eids)
+    if overlap.any():
+        raise ValueError(
+            f"added edges overlap the existing plan: edge id "
+            f"{int(added[np.argmax(overlap)])}"
+        )
     if not len(added):
         return _layout_plan(state, eids, colors, min_block_size)
-    color_of = dict(zip(eids.tolist(), colors.tolist()))
-    used: dict[int, int] = {}
     ev = state.edge_vertices
-
-    def vertex_mask(v: int) -> int:
-        mask = used.get(v)
-        if mask is None:
-            mask = 0
-            for eid in state.incident_edges(v).tolist():
-                c = color_of.get(eid)
-                if c is not None:
-                    mask |= 1 << c
-            used[v] = mask
-        return mask
-
-    new_colors = np.empty(len(added), dtype=np.int64)
-    for i, eid in enumerate(added.tolist()):
-        u, v = int(ev[eid, 0]), int(ev[eid, 1])
-        mask = vertex_mask(u) | vertex_mask(v)
+    added_ends = ev[added]
+    touched = np.unique(added_ends)
+    # Used-color masks of the touched vertices in one array pass: the
+    # surviving colors scattered by endpoint into 64-bit words, one row
+    # of words per touched vertex, then one Python int per row.
+    slot = np.full(state.n, -1, dtype=np.int64)
+    slot[touched] = np.arange(len(touched))
+    rows = slot[ev[eids]]
+    hit = rows >= 0
+    hit_colors = np.broadcast_to(colors[:, None], rows.shape)[hit]
+    words = int(colors.max()) // 64 + 1 if len(colors) else 1
+    masks = np.zeros((words, len(touched)), dtype=np.uint64)
+    np.bitwise_or.at(
+        masks, (hit_colors >> 6, rows[hit]),
+        np.uint64(1) << (hit_colors & 63).astype(np.uint64),
+    )
+    vertex_masks = [0] * len(touched)
+    for word, column in enumerate(masks.tolist()):
+        shift = 64 * word
+        vertex_masks = [m | (w << shift) for m, w in zip(vertex_masks, column)]
+    used = dict(zip(touched.tolist(), vertex_masks))
+    new_colors = []
+    for u, v in added_ends.tolist():
+        mask = used[u] | used[v]
         free = ~mask & (mask + 1)  # lowest zero bit of the mask
-        c = free.bit_length() - 1
-        new_colors[i] = c
-        color_of[eid] = c
+        new_colors.append(free.bit_length() - 1)
         used[u] |= free
         used[v] |= free
     all_eids = np.concatenate([eids, added])
@@ -237,16 +286,17 @@ def colored_sweep(
 ) -> None:
     """One ``k = 1`` coordinate-descent sweep in (color, edge-id) order.
 
-    Each large color class is one array step: within a class no two
-    edges share an endpoint, so the simultaneous application below is
-    exactly the sequential one.  The scalar tail then runs in ascending
-    edge-id order over plain Python floats gathered once per sweep.
-    Both mirror the ``k = 1`` rule (Eq. 8) and the clamp/attenuation of
-    Algorithm 2 operation for operation, so ``phat``, ``delta`` and
-    ``total_residual`` come out bit-identical to stepping every edge
-    through the scalar rule and step of the reference in that order
-    (``total_residual`` takes one rounded sum per block, then one
-    decrement per tail edge).
+    The swept probabilities are pulled into the plan's sweep order once
+    and written back once.  Each large color class is then one array
+    step on its slice: within a class no two edges share an endpoint,
+    so the simultaneous application below is exactly the sequential
+    one.  The scalar tail runs last, in ascending edge-id order over
+    plain Python floats.  Both mirror the ``k = 1`` rule (Eq. 8) and the
+    clamp/attenuation of Algorithm 2 operation for operation, so
+    ``phat``, ``delta`` and ``total_residual`` come out bit-identical to
+    stepping every edge through the scalar rule and step of the
+    reference in that order (``total_residual`` takes one rounded sum
+    per block, then one decrement per tail edge).
 
     ``relative`` selects the relative rule, whose weights are the
     endpoints' original expected degrees; they are read from the state
@@ -255,77 +305,88 @@ def colored_sweep(
     phat = state.phat
     delta = state.delta
     degrees = state.original_degrees
-    for class_eids, u, v in plan.blocks:
-        current = phat[class_eids]
-        du = delta[u]
-        dv = delta[v]
-        if relative:
-            pi_u = degrees[u]
-            pi_v = degrees[v]
-            denominator = pi_u + pi_v
-            steps = np.divide(
-                pi_v * du + pi_u * dv, denominator,
-                out=np.zeros(len(current)), where=denominator > 0.0,
-            )
-        else:
-            steps = 0.5 * (du + dv)
-        proposed = current + steps
-        # One select plus an in-place clamp: a proposal outside [0, 1]
-        # is farther from 0.5 than any current value in [0, 1], so it
-        # never takes the attenuated branch, and the attenuated value
-        # lies between current and proposed.
-        new_p = np.where(
-            np.abs(proposed - 0.5) < np.abs(current - 0.5),
-            current + h * steps, proposed,
-        )
-        new_p.clip(0.0, 1.0, out=new_p)
-        changes = new_p - current
+    p = phat[plan.sweep_eids]
+    n_block = len(p) - len(plan.tail_eids)
+    # Scalars as 0-d arrays: a ufunc converts a Python float on every call.
+    half, h_, zero, one = (np.array(x) for x in (0.5, h, 0.0, 1.0))
+    # Every edge is stepped once per sweep, so each block edge's current
+    # distance from 0.5 (the entropy guard's baseline) is known up front.
+    dist = np.subtract(p[:n_block], half)
+    np.absolute(dist, out=dist)
+    total_residual = state.total_residual
+    for start, stop, uv in plan.blocks:
+        current = p[start:stop]
         # Endpoints are unique within a class, so writing back from the
-        # values gathered above is an exact read-modify-write scatter.
-        delta[u] = du - changes
-        delta[v] = dv - changes
-        state.total_residual -= float(changes.sum())
-        phat[class_eids] = new_p
-
-    tail = plan.tail_eids
-    if not len(tail):
-        return
-    verts = plan.tail_verts
-    dloc = delta[verts].tolist()
-    ploc = phat[tail].tolist()
-    pi = degrees[verts].tolist() if relative else None
-    total_residual = float(state.total_residual)
-    for i, (iu, iv) in enumerate(zip(plan.tail_lu, plan.tail_lv)):
-        du = dloc[iu]
-        dv = dloc[iv]
+        # values gathered here is an exact read-modify-write scatter.
+        d = delta[uv]
         if relative:
-            pi_u = pi[iu]
-            pi_v = pi[iv]
-            denominator = pi_u + pi_v
-            step = (
-                (pi_v * du + pi_u * dv) / denominator
-                if denominator > 0.0 else 0.0
+            pi = degrees[uv]
+            denominator = pi[0] + pi[1]
+            steps = pi[1] * d[0]
+            pi[0] *= d[1]
+            steps += pi[0]
+            steps = np.divide(
+                steps, denominator,
+                out=np.zeros(len(steps)), where=denominator > zero,
             )
         else:
-            step = 0.5 * (du + dv)
-        current = ploc[i]
-        proposed = current + step
-        if proposed < 0.0:
-            new_p = 0.0
-        elif proposed > 1.0:
-            new_p = 1.0
-        elif abs(proposed - 0.5) < abs(current - 0.5):
-            new_p = min(max(current + h * step, 0.0), 1.0)
-        else:
-            new_p = proposed
-        if new_p != current:
-            change = new_p - current
-            dloc[iu] = du - change
-            dloc[iv] = dloc[iv] - change
-            total_residual -= change
-            ploc[i] = new_p
-    delta[verts] = dloc
-    phat[tail] = ploc
+            steps = d[0] + d[1]
+            steps *= half
+        proposed = current + steps
+        guard = proposed - half
+        np.absolute(guard, out=guard)
+        # A proposal outside [0, 1] is farther from 0.5 than any current
+        # value in [0, 1], so it never takes the attenuated branch, and
+        # the attenuated value lies between current and proposed: one
+        # masked write plus a clamp is the scalar rule's branch chain.
+        steps *= h_
+        steps += current
+        np.putmask(proposed, guard < dist[start:stop], steps)
+        _clip(proposed, zero, one, out=proposed)
+        np.subtract(proposed, current, out=steps)
+        d -= steps
+        delta[uv] = d
+        total_residual -= np.add.reduce(steps)
+        current[:] = proposed
+    total_residual = float(total_residual)
+
+    if n_block < len(p):
+        verts = plan.tail_verts
+        dloc = delta[verts].tolist()
+        ploc = p[n_block:].tolist()
+        pi = degrees[verts].tolist() if relative else None
+        for i, (iu, iv) in enumerate(zip(plan.tail_lu, plan.tail_lv)):
+            du = dloc[iu]
+            dv = dloc[iv]
+            if relative:
+                pi_u = pi[iu]
+                pi_v = pi[iv]
+                denominator = pi_u + pi_v
+                step = (
+                    (pi_v * du + pi_u * dv) / denominator
+                    if denominator > 0.0 else 0.0
+                )
+            else:
+                step = 0.5 * (du + dv)
+            current = ploc[i]
+            proposed = current + step
+            if proposed < 0.0:
+                new_p = 0.0
+            elif proposed > 1.0:
+                new_p = 1.0
+            elif abs(proposed - 0.5) < abs(current - 0.5):
+                new_p = min(max(current + h * step, 0.0), 1.0)
+            else:
+                new_p = proposed
+            if new_p != current:
+                change = new_p - current
+                dloc[iu] = du - change
+                dloc[iv] = dloc[iv] - change
+                total_residual -= change
+                ploc[i] = new_p
+        delta[verts] = dloc
+        p[n_block:] = ploc
+    phat[plan.sweep_eids] = p
     state.total_residual = total_residual
 
 
@@ -385,7 +446,8 @@ def sequential_refine(
     )
     pi = state.original_degrees.tolist() if relative else None
     total_residual = float(state.total_residual)
-    edges = list(zip(range(len(plan.seq_u)), plan.seq_u, plan.seq_v))
+    ends = state.edge_vertices[plan.eids]
+    edges = list(zip(range(len(ends)), ends[:, 0].tolist(), ends[:, 1].tolist()))
 
     objective = state.d1(relative=relative)
     sweeps = 0

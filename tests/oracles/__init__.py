@@ -12,7 +12,8 @@ or distances within ``rtol=1e-9``):
   13-16), scalar and per-array, with the state's endpoint and residual
   lookups;
 - :mod:`oracles.gdb` — the clamp-and-attenuate step of Algorithm 2, the
-  edge-id-order refinement loop, and the colored-sweep reference;
+  edge-id-order refinement loop, the colored-sweep reference, and the
+  dict-based greedy colorings of a fresh and of an extended sweep plan;
 - :mod:`oracles.emd` — EMD's insertion probability (Eq. 9), gain
   (Eq. 10), brute-force E-phase and the whole of Algorithm 3;
 - :mod:`oracles.backbone` — Algorithm 1 re-peeling its spanning forests

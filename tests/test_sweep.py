@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.gdb import loop_refine, reference_colored_sweep
+from oracles.gdb import (
+    loop_refine,
+    reference_colored_sweep,
+    reference_extend_colors,
+    reference_greedy_edge_coloring,
+)
+from oracles.rules import degree_step_absolute_array, degree_step_relative_array
 from repro.core import (
     GDBConfig,
     SparsificationState,
@@ -18,8 +24,13 @@ from repro.core import (
     greedy_edge_coloring,
 )
 from repro.core.backbone import bgi_backbone, build_backbone
-from repro.core.sweep import colored_sweep, extend_sweep_plan
-from repro.datasets import erdos_renyi_uncertain
+from repro.core.sweep import (
+    MIN_BLOCK_SIZE,
+    apply_probability_vector,
+    colored_sweep,
+    extend_sweep_plan,
+)
+from repro.datasets import erdos_renyi_uncertain, flickr_like
 
 #: Converged-D1 contract: the production sweeps and the scalar reference
 #: loop agree to this gate when both run to tight convergence.
@@ -92,6 +103,12 @@ class TestColoring:
         assert len(plan.eids) == 0
         assert plan.n_colors == 0
 
+    def test_negative_vertex_id_rejected(self):
+        # Masks live in a list indexed by vertex id, where -1 would
+        # silently alias the highest vertex.
+        with pytest.raises(ValueError, match="negative vertex id -1"):
+            greedy_edge_coloring(np.array([[0, 1], [2, -1]]))
+
 
 class TestPlan:
     def test_plan_partitions_selected_edges(self, small_power_law):
@@ -100,7 +117,10 @@ class TestPlan:
         for eid in ids:
             state.select_edge(eid)
         plan = build_sweep_plan(state)
-        block_eids = [e for eids, _, _ in plan.blocks for e in eids.tolist()]
+        block_eids = [
+            e for start, stop, _ in plan.blocks
+            for e in plan.sweep_eids[start:stop].tolist()
+        ]
         covered = sorted(block_eids + list(plan.tail_eids))
         assert covered == sorted(int(e) for e in ids)
         assert plan.eids.tolist() == sorted(int(e) for e in ids)
@@ -112,8 +132,7 @@ class TestPlan:
         plan = build_sweep_plan(state, sequential_only=True)
         assert plan.n_colors == 0 and not plan.blocks
         assert plan.eids.tolist() == [int(e) for e in state.selected_edge_ids()]
-        ends = state.edge_vertices[plan.eids]
-        assert (plan.seq_u, plan.seq_v) == (ends[:, 0].tolist(), ends[:, 1].tolist())
+        assert not len(plan.sweep_eids) and not len(plan.tail_eids)
 
     def test_colored_sweep_matches_loop_order_objective(self, small_power_law):
         """One colored sweep is a valid coordinate-descent pass: the
@@ -132,37 +151,45 @@ PLAN_KINDS = ("build", "restrict", "extend", "no-tail", "no-blocks")
 
 
 def make_plan(state, kind):
-    """A sweep plan over the selected edges, laid out by ``kind``."""
+    """A sweep plan over the selected edges, laid out by ``kind``, and
+    the block-size threshold it was laid out with."""
     full = build_sweep_plan(state)
     if kind == "build":
-        return full
+        return full, MIN_BLOCK_SIZE
     if kind == "restrict":
         # What the maintainer lays out when backbone edges only leave:
         # the survivors keep their colors, nothing is added.
         keep = np.arange(len(full.eids)) % 4 != 0
-        return extend_sweep_plan(state, full.eids[keep], full.colors[keep], [])
+        plan = extend_sweep_plan(state, full.eids[keep], full.colors[keep], [])
+        return plan, MIN_BLOCK_SIZE
     if kind == "extend":
         base = build_sweep_plan(state, eids=full.eids[::2])
-        return extend_sweep_plan(state, base.eids, base.colors, full.eids[1::2])
+        plan = extend_sweep_plan(state, base.eids, base.colors, full.eids[1::2])
+        return plan, MIN_BLOCK_SIZE
     if kind == "no-tail":
         plan = build_sweep_plan(state, min_block_size=1)
         assert plan.blocks and not len(plan.tail_eids)
-        return plan
-    plan = build_sweep_plan(state, min_block_size=len(full.eids) + 1)
+        return plan, 1
+    size = len(full.eids) + 1
+    plan = build_sweep_plan(state, min_block_size=size)
     assert not plan.blocks and len(plan.tail_eids)
-    return plan
+    return plan, size
 
 
 def assert_sweeps_bit_identical(graph, backbone_ids, kind, relative, h,
-                                sweeps=30):
+                                sweeps=30, pinned=None):
     """Production and oracle sweeps from one state agree bit for bit
-    after every sweep."""
+    after every sweep.  ``pinned`` optionally overwrites the seeded
+    probabilities of the backbone edges (in ascending id order) before
+    the first sweep."""
     oracle, fast = (SparsificationState(graph) for _ in range(2))
     for state in (oracle, fast):
         state.select_edges(np.asarray(backbone_ids, dtype=np.int64))
-    plan = make_plan(fast, kind)
+        if pinned is not None:
+            apply_probability_vector(state, np.sort(backbone_ids), pinned)
+    plan, min_block_size = make_plan(fast, kind)
     for sweep in range(sweeps):
-        reference_colored_sweep(oracle, plan, relative, h)
+        reference_colored_sweep(oracle, plan, relative, h, min_block_size)
         colored_sweep(fast, plan, relative, h)
         context = (kind, relative, h, sweep)
         assert oracle.phat.tobytes() == fast.phat.tobytes(), context
@@ -199,6 +226,163 @@ def test_property_colored_sweep_bit_identical_on_er_graphs(
     graph = erdos_renyi_uncertain(n, avg_degree=avg_degree, rng=seed)
     ids = backbone_fn(graph, 0.6, rng=seed)
     assert_sweeps_bit_identical(graph, ids, kind, relative, h)
+
+
+@pytest.fixture(scope="module")
+def serve_shaped():
+    """A serve-3k-shaped backbone: ~24k edges, BGI at alpha 0.4, ~9.6k
+    swept edges in classes of up to ~1,150 edges plus a few hundred
+    tail edges."""
+    graph = flickr_like(n=3000, avg_degree=16, seed=11)
+    return graph, bgi_backbone(graph, 0.4, rng=11)
+
+
+@pytest.mark.parametrize("kind", ["build", "extend"])
+@pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("relative", [False, True])
+def test_colored_sweep_bit_identical_at_production_scale(serve_shaped, kind,
+                                                         relative, h):
+    graph, ids = serve_shaped
+    state = SparsificationState(graph)
+    state.select_edges(ids)
+    plan = build_sweep_plan(state)
+    sizes = [stop - start for start, stop, _ in plan.blocks]
+    assert max(sizes) > 1000 and len(sizes) > 40 and len(plan.tail_eids)
+    assert_sweeps_bit_identical(graph, ids, kind, relative, h, sweeps=4)
+
+
+def test_extend_colors_equal_reference_at_production_scale(serve_shaped):
+    """Over 64 colors, so a vertex's used colors span two mask words."""
+    graph, ids = serve_shaped
+    state = SparsificationState(graph)
+    state.select_edges(ids)
+    sel = state.selected_edge_ids()
+    added = sel[np.random.default_rng(1).random(len(sel)) < 0.15]
+    base = build_sweep_plan(state, eids=np.setdiff1d(sel, added))
+    plan = extend_sweep_plan(state, base.eids, base.colors, added)
+    assert plan.n_colors > 64
+    expected = reference_extend_colors(state, base.eids, base.colors, added)
+    assert np.array_equal(plan.colors[np.isin(plan.eids, added)], expected)
+
+
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+@pytest.mark.parametrize("h", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("relative", [False, True])
+def test_colored_sweep_bit_identical_from_pinned_probabilities(kind, relative,
+                                                               h):
+    """Probabilities pinned at 0.0, 0.5 and 1.0 on a dense backbone,
+    whose first steps overshoot [0, 1] in both directions."""
+    graph = erdos_renyi_uncertain(60, avg_degree=24, p_mean=0.5, rng=5)
+    ids = np.arange(graph.number_of_edges())
+    pinned = np.resize([0.0, 0.5, 1.0], len(ids))
+    state = SparsificationState(graph)
+    state.select_edges(ids)
+    apply_probability_vector(state, ids, pinned)
+    rule = degree_step_relative_array if relative else degree_step_absolute_array
+    proposed = pinned + rule(state, ids)
+    assert (proposed < 0.0).any() and (proposed > 1.0).any()
+    assert_sweeps_bit_identical(graph, ids, kind, relative, h, pinned=pinned)
+
+
+class TestPlanBoundary:
+    """A plan over ids that are not ascending, distinct and selected
+    would step an edge twice or outside the backbone; both plan
+    builders refuse such ids by name."""
+
+    @pytest.fixture
+    def state(self):
+        graph = flickr_like(n=200, avg_degree=8, seed=1)
+        state = SparsificationState(graph)
+        state.select_edges(bgi_backbone(graph, 0.4, rng=1))
+        return state
+
+    def bad_ids(self, state):
+        """(ids, message) pairs, each naming its first bad id."""
+        sel = state.selected_edge_ids()
+        unselected = int(np.flatnonzero(~state.selected)[0])
+        return [
+            ([sel[3], sel[3]], f"edge id {sel[3]} is duplicated"),
+            ([sel[0], unselected], f"edge id {unselected} is not selected"),
+            ([sel[0], state.m], f"edge id {state.m} is out of range"),
+            ([-1, sel[0]], "edge id -1 is out of range"),
+            ([sel[5], sel[2]], f"edge id {sel[2]} is out of ascending order"),
+        ]
+
+    def test_build_refuses_bad_ids(self, state):
+        before = state.snapshot()
+        for ids, message in self.bad_ids(state):
+            with pytest.raises(ValueError, match=message):
+                build_sweep_plan(state, eids=ids)
+        for ids, _ in self.bad_ids(state):
+            with pytest.raises(ValueError):
+                build_sweep_plan(state, eids=ids, sequential_only=True)
+        after = state.snapshot()
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        state.verify()
+
+    def test_extend_refuses_bad_ids(self, state):
+        sel = state.selected_edge_ids()
+        base = build_sweep_plan(state, eids=sel[::2])
+        for ids, message in self.bad_ids(state):
+            with pytest.raises(ValueError, match=message):
+                extend_sweep_plan(state, base.eids, base.colors, ids)
+            colors = np.zeros(len(ids), dtype=np.int64)
+            with pytest.raises(ValueError, match=message):
+                extend_sweep_plan(state, ids, colors, [])
+        with pytest.raises(ValueError, match=f"overlap.*{sel[2]}"):
+            extend_sweep_plan(state, base.eids, base.colors, sel[1:4])
+        with pytest.raises(ValueError, match="colors"):
+            extend_sweep_plan(state, base.eids, base.colors[1:], sel[1::2])
+
+    def test_valid_ids_accepted(self, state):
+        sel = state.selected_edge_ids()
+        full = build_sweep_plan(state, eids=sel)
+        assert np.array_equal(full.colors, build_sweep_plan(state).colors)
+        base = build_sweep_plan(state, eids=sel[::2])
+        grown = extend_sweep_plan(state, base.eids, base.colors, sel[1::2])
+        assert np.array_equal(grown.eids, sel)
+        assert len(build_sweep_plan(state, eids=[]).eids) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 120),
+    m=st.integers(0, 600),
+)
+def test_property_greedy_coloring_equals_reference(seed, n, m):
+    endpoints = np.random.default_rng(seed).integers(0, n, size=(m, 2))
+    colors = greedy_edge_coloring(endpoints)
+    assert colors.dtype == np.int64
+    assert np.array_equal(colors, reference_greedy_edge_coloring(endpoints))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(20, 200),
+    avg_degree=st.integers(2, 24),
+    keep=st.floats(0.0, 1.0),
+    add=st.floats(0.0, 1.0),
+)
+def test_property_extend_colors_equal_reference(seed, n, avg_degree, keep,
+                                                add):
+    """The array-built masks give the added edges the colors of the
+    dict walk over incident edges, for any split of a backbone into a
+    colored part and an added part."""
+    graph = erdos_renyi_uncertain(n, avg_degree=avg_degree, rng=seed)
+    rng = np.random.default_rng(seed)
+    state = SparsificationState(graph)
+    state.select_edges(np.flatnonzero(rng.random(state.m) < 0.6))
+    sel = state.selected_edge_ids()
+    in_base = rng.random(len(sel)) < keep
+    base = build_sweep_plan(state, eids=sel[in_base])
+    added = sel[~in_base & (rng.random(len(sel)) < add)]
+    plan = extend_sweep_plan(state, base.eids, base.colors, added)
+    expected = reference_extend_colors(state, base.eids, base.colors, added)
+    assert np.array_equal(plan.colors[np.isin(plan.eids, added)], expected)
+    assert np.array_equal(plan.colors[np.isin(plan.eids, base.eids)],
+                          base.colors)
 
 
 @pytest.mark.parametrize("backbone_fn", [bgi_backbone, random_backbone])
@@ -340,6 +524,24 @@ class TestSequentialRefine:
         assert states[0].delta.tobytes() == states[1].delta.tobytes()
         assert (float(states[0].total_residual).hex()
                 == float(states[1].total_residual).hex())
+
+    @pytest.mark.parametrize("k", [2, "n"])
+    def test_colored_plan_runs_the_same_solve(self, small_power_law, k):
+        """A ``k >= 2`` solve handed a colored plan reads only its
+        ``eids``, so it matches the solve on a sequential-only plan."""
+        states = []
+        for _ in range(2):
+            state = SparsificationState(small_power_law)
+            state.select_edges(bgi_backbone(small_power_law, 0.3, rng=4))
+            states.append(state)
+        config = GDBConfig(k=k, max_sweeps=20)
+        plans = (build_sweep_plan(states[0], sequential_only=True),
+                 build_sweep_plan(states[1]))
+        assert plans[1].n_colors > 0
+        sweeps = [gdb_refine(s, config, plan=p) for s, p in zip(states, plans)]
+        assert sweeps[0] == sweeps[1]
+        assert states[0].phat.tobytes() == states[1].phat.tobytes()
+        assert states[0].delta.tobytes() == states[1].delta.tobytes()
 
 
 class TestGridDriver:
