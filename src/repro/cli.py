@@ -83,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--h", type=float, default=0.05, dest="entropy_h",
         help="entropy parameter h in [0, 1] (default 0.05)",
     )
-    sparsify_cmd.add_argument(
-        "--lp-solver", choices=["highs", "pdp"], default="highs",
-        help="probability solver for LP variants: exact scipy HiGHS "
-        "(default) or the first-order primal-dual projection solver",
-    )
 
     info_cmd = sub.add_parser("info", help="print graph statistics")
     info_cmd.add_argument("input", help="edge list path")
@@ -293,7 +288,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     for alpha in alphas:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,
-            h=args.entropy_h, lp_solver=args.lp_solver,
+            h=args.entropy_h,
         )
         output = args.output.replace("{alpha}", f"{alpha:g}")
         write_edge_list(sparsified, output)

@@ -242,15 +242,42 @@ def _resolve_backbone(
 
     Exactly one of ``alpha`` or ``backbone_ids`` must be given; the
     ``alpha`` path builds the backbone on the graph's plan
-    (:func:`build_backbone`).
+    (:func:`build_backbone`), and a caller's ids are checked by
+    :func:`_checked_backbone_ids`.
     """
     if (alpha is None) == (backbone_ids is None):
         raise ValueError("provide exactly one of alpha or backbone_ids")
     if backbone_ids is None:
-        backbone_ids = build_backbone(
-            graph, alpha, method=backbone_method, rng=rng
-        )
-    return np.asarray(backbone_ids, dtype=np.int64)
+        return build_backbone(graph, alpha, method=backbone_method, rng=rng)
+    return _checked_backbone_ids(graph, backbone_ids)
+
+
+def _checked_backbone_ids(graph: UncertainGraph, backbone_ids) -> np.ndarray:
+    """A caller's backbone as an int64 array of distinct ids in ``[0, m)``.
+
+    Raises ``ValueError`` naming the first id that is not an integer, is
+    out of range or repeats an earlier one (numpy indexing would read a
+    negative id from the end and truncate a fractional one).
+    """
+    ids = np.asarray(backbone_ids)
+    if ids.ndim != 1:
+        raise ValueError("backbone_ids must be a 1-d sequence of edge ids")
+    if ids.dtype.kind not in "iu":
+        for value in ids.tolist():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise ValueError(f"backbone id {value!r} is not an integer")
+    ids = ids.astype(np.int64)
+    m = graph.number_of_edges()
+    bad = (ids < 0) | (ids >= m)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    bad[repeats] = True
+    if bad.any():
+        eid = int(ids[np.argmax(bad)])
+        reason = "duplicated" if 0 <= eid < m else f"out of range for {m} edges"
+        raise ValueError(f"backbone id {eid} is {reason}")
+    return ids
 
 
 def gdb(

@@ -69,7 +69,13 @@ class VariantSpec:
 
 
 def parse_variant(variant: str) -> VariantSpec:
-    """Parse a paper-notation variant string into a :class:`VariantSpec`."""
+    """Parse a paper-notation variant string into a :class:`VariantSpec`.
+
+    Notation the method does not read is refused: EMD is defined for
+    ``k = 1`` only (paper section 5), Theorem 1's LP is the absolute
+    ``k = 1`` program (no ``^R``, no ``_k``), and NI, SP, ER and RANDOM
+    take no modifier at all.
+    """
     match = _VARIANT_RE.match(variant.strip())
     if match is None:
         raise ValueError(
@@ -82,6 +88,18 @@ def parse_variant(variant: str) -> VariantSpec:
     disc = (match.group("disc") or "A").upper()
     k_raw = match.group("k")
     k: int | str = 1 if k_raw is None else ("n" if k_raw == "n" else int(k_raw))
+    if method == "emd":
+        unread = k != 1
+    elif method == "lp":
+        unread = disc == "R" or k != 1
+    else:
+        unread = method != "gdb" and any(match.group("disc", "k", "backbone"))
+    if unread:
+        raise ValueError(
+            f"variant {variant!r} uses notation {method.upper()} does not "
+            f"read: EMD takes k = 1 only, LP neither ^R nor _k, and NI, SP, "
+            f"ER and RANDOM no modifier"
+        )
     return VariantSpec(
         method=method,
         relative=(disc == "R"),
@@ -98,7 +116,6 @@ def sparsify(
     h: float = 0.05,
     tau: float = 1e-9,
     name: str = "",
-    lp_solver: str = "highs",
 ) -> UncertainGraph:
     """Sparsify an uncertain graph with any paper variant.
 
@@ -121,11 +138,6 @@ def sparsify(
         Convergence threshold for GDB/EMD.
     name:
         Optional name for the output graph.
-    lp_solver:
-        Probability solver for the LP variants: ``"highs"`` (default,
-        the exact scipy reference) or ``"pdp"`` (first-order
-        primal-dual projection; see :func:`repro.core.lp.solve_pdp`).
-        Other variants ignore it.
 
     Returns
     -------
@@ -147,14 +159,12 @@ def sparsify(
         return gdb(graph, alpha, config=config,
                    backbone_method=backbone_method, rng=rng, name=label)
     if spec.method == "emd":
-        if spec.k != 1:
-            raise ValueError("EMD is defined for k = 1 only (paper section 5)")
         config = EMDConfig(h=h, tau=tau, relative=spec.relative)
         return emd(graph, alpha, config=config,
                    backbone_method=backbone_method, rng=rng, name=label)
     if spec.method == "lp":
         return lp_sparsify(graph, alpha, backbone_method=backbone_method,
-                           rng=rng, name=label, solver=lp_solver)
+                           rng=rng, name=label)
     if spec.method == "ni":
         from repro.baselines.ni import ni_sparsify
 
@@ -175,7 +185,11 @@ def sparsify(
 
 
 def available_variants() -> list[str]:
-    """Canonical list of variant strings exercised in the paper's tables."""
+    """Canonical list of the variant strings :func:`sparsify` accepts.
+
+    Every entry but ``ER`` and ``RANDOM`` appears in the paper's
+    experiments; those two are extra baselines.
+    """
     return [
         "LP", "LP-t",
         "GDB^A", "GDB^R", "GDB^A_2", "GDB^A_n",

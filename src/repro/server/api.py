@@ -6,8 +6,8 @@ control).  Endpoints:
 
 ``POST /sparsify``
     ``{"dataset": path, "alpha": 0.3, "variant": "EMD^R-t", "seed": 0,
-    "h": 0.05, "lp_solver": "highs", "priority": 20}`` → the sparsified
-    edge list (``artifact`` field) plus metadata.
+    "h": 0.05, "priority": 20}`` → the sparsified edge list
+    (``artifact`` field) plus metadata.
 ``POST /estimate``
     ``{"dataset": path, "query": "reliability", "samples": 200,
     "pairs": 50, "weighted": false, "seed": 0}`` → scalar estimate +

@@ -2,7 +2,7 @@
 
 Artifacts are the exact response bodies the server sends (bytes), keyed
 by the full parameter tuple that determines them —
-``(dataset digest, endpoint, alpha, h, seed, solver, …)``.
+``(dataset digest, endpoint, alpha, h, seed, variant, …)``.
 Because every compute layer underneath is deterministic under a
 fixed seed (the bit-identity contracts of PRs 1–6) and dataset
 round-trips are lossless, a cache hit is *guaranteed* byte-identical to

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from repro.core.backbone import BACKBONE_METHODS, BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.grid import gdb_grid, objective_rows
-from repro.core.lp import LP_SOLVERS
 from repro.core.sparsify import parse_variant, sparsify
 from repro.datasets.io import (
     content_digest,
@@ -56,15 +55,10 @@ _ESTIMATE_QUERIES = (
 _PAIR_QUERIES = ("reliability", "distance")
 
 
-#: The optional sparsify fields each method reads; the others are
-#: validated but kept out of the cache key and the artifact (and left
-#: to the defaults).  Only GDB and EMD have an iterative core that
-#: reads the entropy parameter ``h``.
-_SPARSIFY_FIELDS = {
-    "gdb": ("h",),
-    "emd": ("h",),
-    "lp": ("lp_solver",),
-}
+#: The methods whose iterative core reads the entropy parameter ``h``;
+#: for the others it is validated but kept out of the cache key and the
+#: artifact (and left to the default).
+_ENTROPY_METHODS = ("gdb", "emd")
 
 
 def _choice(params: dict, name: str, default: str, allowed: tuple) -> str:
@@ -270,17 +264,14 @@ class SparsifierService:
         if endpoint == "sparsify":
             if "alpha" not in params:
                 raise ServerError("sparsify needs an 'alpha' in (0, 1)")
-            norm.update(
-                alpha=float(params.pop("alpha")),
-                variant=str(params.pop("variant", "EMD^R-t")),
-            )
-            spec = parse_variant(norm["variant"])  # fail fast on bad notation
-            fields = {
-                "h": _entropy_parameter(params.pop("h", 0.05)),
-                "lp_solver": _choice(params, "lp_solver", "highs", LP_SOLVERS),
-            }
-            for name in _SPARSIFY_FIELDS.get(spec.method, ()):
-                norm[name] = fields[name]
+            norm["alpha"] = float(params.pop("alpha"))
+            # Fail fast on bad notation, and key on the canonical name:
+            # "emd^r-t" and "EMD^R-t" are one computation.
+            spec = parse_variant(str(params.pop("variant", "EMD^R-t")))
+            norm["variant"] = spec.canonical_name
+            h = _entropy_parameter(params.pop("h", 0.05))
+            if spec.method in _ENTROPY_METHODS:
+                norm["h"] = h
             if not 0.0 < norm["alpha"] < 1.0:
                 raise ServerError(f"alpha must be in (0, 1), got {norm['alpha']}")
         elif endpoint == "estimate":
@@ -517,27 +508,25 @@ class SparsifierService:
     def _run_sparsify(self, norm: dict) -> bytes:
         entry = self._dataset(norm["dataset"], norm["digest"])
         graph = entry["graph"]
-        spec = parse_variant(norm["variant"])
+        options = {"h": norm["h"]} if "h" in norm else {}
         result = sparsify(
             graph,
             norm["alpha"],
             variant=norm["variant"],
             rng=norm["seed"],
-            **{name: norm[name] for name in _SPARSIFY_FIELDS.get(spec.method, ())},
+            **options,
         )
-        document = {
+        return canonical_body({
             "endpoint": "sparsify",
             "digest": norm["digest"],
-            "variant": spec.canonical_name,
+            "variant": norm["variant"],
             "alpha": norm["alpha"],
             "seed": norm["seed"],
             "vertices": result.number_of_vertices(),
             "edges": result.number_of_edges(),
             "artifact": format_edge_list(result, header=False),
-        }
-        if "h" in norm:
-            document["h"] = norm["h"]
-        return canonical_body(document)
+            **options,
+        })
 
     def _run_estimate(self, norm: dict) -> bytes:
         from repro.queries import (

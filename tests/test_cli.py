@@ -44,6 +44,18 @@ def test_sparsify_engine_flag_rejects_unknown(graph_file, tmp_path, capsys):
             assert "--engine" in capsys.readouterr().err
 
 
+def test_sparsify_has_no_lp_solver_flag(graph_file, tmp_path, capsys):
+    # HiGHS is the only LP solver: the flag is an argparse error.
+    for solver in ("highs", "pdp"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sparsify", str(graph_file), str(tmp_path / "x.txt"),
+                "--alpha", "0.4", "--variant", "LP", "--lp-solver", solver,
+            ])
+        assert exit_info.value.code == 2
+        assert "--lp-solver" in capsys.readouterr().err
+
+
 def test_sparsify_bad_variant_fails(graph_file, tmp_path, capsys):
     out = tmp_path / "sparse.txt"
     with pytest.raises(ValueError):

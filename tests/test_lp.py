@@ -1,17 +1,26 @@
-"""LP probability assignment (Theorem 1)."""
+"""LP probability assignment (Theorem 1), solved by HiGHS."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.lp as lp_module
 from repro.core import (
     UncertainGraph,
     d1_objective,
     gdb,
     lp_assign_probabilities,
     lp_sparsify,
+    sparsify,
 )
 from repro.core.backbone import bgi_backbone, target_edge_count
 from repro.core.gdb import GDBConfig
+from repro.core.lp import backbone_incidence
+from repro.datasets import erdos_renyi_uncertain, figure1_graph
+from repro.exceptions import SparsificationError
 
 
 def test_empty_backbone_gives_empty_assignment(small_power_law):
@@ -72,3 +81,109 @@ def test_exact_on_solvable_instance():
     probs = lp_assign_probabilities(g, [0, 1])
     assert np.all(probs <= 0.5 + 1e-9)
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_backbone_incidence_structure(path4):
+    incidence = backbone_incidence(path4, np.array([0, 2]))
+    assert incidence.shape == (4, 2)
+    dense = incidence.toarray()
+    # Each column has exactly two unit entries at the edge's endpoints.
+    assert np.all(dense.sum(axis=0) == 2.0)
+    edges = path4.edge_index_array()
+    for j, eid in enumerate((0, 2)):
+        assert dense[edges[eid, 0], j] == 1.0
+        assert dense[edges[eid, 1], j] == 1.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    alpha=st.floats(min_value=0.3, max_value=0.7),
+)
+def test_property_lemma1_feasible_on_er(seed, alpha):
+    """On random ER graphs and backbones the LP solution stays in the
+    box and never raises an expected degree (Lemma 1)."""
+    graph = erdos_renyi_uncertain(36, avg_degree=10, rng=seed % 5)
+    ids = bgi_backbone(graph, alpha, rng=seed)
+    probabilities = lp_assign_probabilities(graph, ids)
+    assert np.all(probabilities >= 0.0) and np.all(probabilities <= 1.0)
+    products = backbone_incidence(graph, ids) @ probabilities
+    assert np.all(products <= graph.expected_degree_array() + 1e-9)
+
+
+def test_solver_failure_carries_highs_message(small_power_law, monkeypatch):
+    monkeypatch.setattr(
+        lp_module, "linprog",
+        lambda *args, **kwargs: SimpleNamespace(
+            success=False, message="Iteration limit reached.", x=None
+        ),
+    )
+    with pytest.raises(SparsificationError,
+                       match="LP solver failed: Iteration limit reached."):
+        lp_sparsify(small_power_law, alpha=0.4, rng=0)
+
+
+def test_one_solver(small_power_law):
+    """HiGHS is the only LP solver: nothing selects another."""
+    for name in ("LP_SOLVERS", "PDPDiagnostics", "solve_pdp",
+                 "_feasible_rescale", "_validate_solver"):
+        assert not hasattr(lp_module, name), name
+    ids = bgi_backbone(small_power_law, 0.4, rng=0)
+    with pytest.raises(TypeError, match="solver"):
+        lp_assign_probabilities(small_power_law, ids, solver="highs")
+    with pytest.raises(TypeError, match="solver"):
+        lp_sparsify(small_power_law, alpha=0.4, rng=0, solver="highs")
+    with pytest.raises(TypeError, match="lp_solver"):
+        sparsify(small_power_law, 0.4, variant="LP-t", rng=0,
+                 lp_solver="highs")
+
+
+# ----------------------------------------------------------------------
+# min_probability: the (0, 1] contract and the edge budget
+# ----------------------------------------------------------------------
+def _path_backbone_ids(graph):
+    """Edge ids of the path u1-u2-u3-u4 inside the K4 figure-1 graph."""
+    wanted = [
+        frozenset(("u1", "u2")),
+        frozenset(("u2", "u3")),
+        frozenset(("u3", "u4")),
+    ]
+    by_pair = {
+        frozenset(edge[:2]): eid for eid, edge in enumerate(graph.edge_list())
+    }
+    return [by_pair[pair] for pair in wanted]
+
+
+def test_zero_probability_edges_survive_at_floor():
+    """On K4(0.3) with a path backbone the LP forces the middle edge to
+    zero (end edges saturate both shared vertices); the floor keeps it in
+    the output so the budget stays exact."""
+    graph = figure1_graph()
+    ids = _path_backbone_ids(graph)
+    probabilities = lp_assign_probabilities(graph, ids)
+    assert float(probabilities.sum()) == pytest.approx(1.8, abs=5e-3)
+    assert probabilities.min() <= 5e-3  # the squeezed middle edge
+
+    sparsified = lp_sparsify(graph, backbone_ids=ids)
+    assert sparsified.number_of_edges() == len(ids)
+    for _, _, p in sparsified.edges():
+        assert p >= 1e-9
+
+
+def test_min_probability_floor_applied(small_power_law):
+    floor = 0.37
+    sparsified = lp_sparsify(
+        small_power_law, alpha=0.4, rng=0, min_probability=floor
+    )
+    assert sparsified.number_of_edges() == target_edge_count(
+        small_power_law.number_of_edges(), 0.4
+    )
+    assert all(p >= floor for _, _, p in sparsified.edges())
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
+def test_min_probability_validated(small_power_law, bad):
+    with pytest.raises(ValueError, match="min_probability"):
+        lp_sparsify(
+            small_power_law, alpha=0.4, rng=0, min_probability=bad
+        )

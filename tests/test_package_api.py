@@ -48,12 +48,13 @@ def test_public_callables_documented(module_name):
             assert obj.__doc__, f"{module_name}.{name} missing docstring"
 
 
-#: Parameters that only chose between equivalent implementations: the
-#: Monte-Carlo engines, the sparsifier and parser engines, the binary
-#: dataset's materialised graph, and the backbone plan a caller built.
+#: Parameters that only chose between implementations: the Monte-Carlo
+#: engines, the sparsifier and parser engines, the binary dataset's
+#: materialised graph, the backbone plan a caller built, and the LP
+#: solver (HiGHS is the only one).
 REMOVED_ENGINE_PARAMETERS = {
     "batched", "bfs_kernel", "kernel", "engine", "materialise",
-    "backbone_plan",
+    "backbone_plan", "lp_solver", "solver",
 }
 
 
@@ -68,11 +69,24 @@ def _signatures(obj):
             yield f"{obj.__qualname__}.{name}", inspect.signature(member)
 
 
-@pytest.mark.parametrize("module_name", SUBPACKAGES)
+#: Experiment modules with public drivers that ``repro.experiments``
+#: does not export (``structural_comparison``, ``entropy_vs_alpha``, ...).
+EXPERIMENT_MODULES = [
+    f"repro.experiments.{name}"
+    for name in ("fig04", "fig06", "fig07", "fig08", "table2")
+]
+
+
+@pytest.mark.parametrize("module_name", SUBPACKAGES + EXPERIMENT_MODULES)
 def test_no_engine_selection_parameters(module_name):
-    """One Monte-Carlo engine: no exported callable picks another."""
+    """One implementation per layer: no public callable picks another."""
     module = importlib.import_module(module_name)
-    for name in getattr(module, "__all__", []):
+    names = getattr(module, "__all__", None) or [
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and getattr(obj, "__module__", None) == module_name
+    ]
+    for name in names:
         obj = getattr(module, name)
         if not (inspect.isclass(obj) or inspect.isfunction(obj)):
             continue
@@ -140,22 +154,6 @@ def test_one_backbone_plan_per_graph():
     for name in ("accepts_plan", "accepts_backbone"):
         assert not hasattr(VariantSpec, name)
     assert not hasattr(SparsifierService, "_plan_for")
-
-
-def test_experiment_drivers_take_no_lp_solver():
-    """The experiment drivers always ran the exact LP solver."""
-    drivers = {
-        "fig04": ("run_fig04a", "run_fig04b", "run_fig04"),
-        "fig06": ("structural_comparison", "run_fig06"),
-        "fig07": ("run_fig07",),
-        "fig08": ("entropy_vs_alpha", "entropy_vs_density", "run_fig08"),
-        "table2": ("run_table2",),
-    }
-    for module_name, names in drivers.items():
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        for name in names:
-            parameters = inspect.signature(getattr(module, name)).parameters
-            assert "lp_solver" not in parameters, name
 
 
 def test_library_never_imports_test_oracles():

@@ -228,10 +228,6 @@ class TestServiceCore:
     def test_bad_enumerated_params_rejected_before_queueing(
         self, service, dataset
     ):
-        with pytest.raises(ServerError, match="lp_solver"):
-            service.handle(
-                "sparsify", {"dataset": dataset, **SPARSIFY, "lp_solver": "cplex"}
-            )
         # Integral fields are checked, not truncated: a fractional seed
         # would otherwise be served another seed's artifact.
         for endpoint, extra in (
@@ -279,11 +275,11 @@ class TestServiceCore:
         for alphas in ([1.4], [0.0], [0.2, float("nan")]):
             with pytest.raises(ServerError, match="alphas"):
                 service.handle("grid", {"dataset": dataset, "alphas": alphas})
-        # There is no array-backend knob, no EMD mode and no sweep
-        # engine: each field is just unknown, for every variant.
+        # There is no array-backend knob, no EMD mode, no sweep engine
+        # and no LP solver: each field is just unknown, for every variant.
         for field, value in (
             ("backend", "numpy"), ("emd_mode", "fast"), ("engine", "vector"),
-            ("engine", "loop"),
+            ("engine", "loop"), ("lp_solver", "highs"), ("lp_solver", "pdp"),
         ):
             for variant in ("GDB^A-t", "EMD^R-t", "LP-t"):
                 with pytest.raises(ServerError, match="unknown parameters"):
@@ -308,20 +304,24 @@ class TestServiceCore:
         lp = {**gdb, "variant": "LP-t"}
         emd = {**gdb, "variant": "EMD^A-t"}
         ni = {**gdb, "variant": "NI"}
-        for params, unused in (
-            (gdb, {"lp_solver": "pdp"}),
-            (lp, {"h": 0.5}),
-            (emd, {"lp_solver": "pdp"}),
-            (ni, {"h": 0.5}),
-        ):
+        for params in (lp, ni):
             body, hit = service.handle("sparsify", params)
-            assert not hit
-            assert ("h" in json.loads(body)) == (params in (gdb, emd))
-            again, hit = service.handle("sparsify", {**params, **unused})
+            assert not hit and "h" not in json.loads(body)
+            again, hit = service.handle("sparsify", {**params, "h": 0.5})
             assert hit and again == body  # byte-identical hit
-        assert service.queue.stats()["submitted"] == 4
-        # A field the variant does read still partitions the cache.
+        # There is no LP solver to choose: the field is refused before
+        # queueing, whichever variant the request names.
+        for params in (gdb, lp, emd):
+            with pytest.raises(
+                ServerError,
+                match=r"unknown parameters for sparsify: \['lp_solver'\]",
+            ):
+                service.handle("sparsify", {**params, "lp_solver": "pdp"})
+        assert service.queue.stats()["submitted"] == 2
+        # A field the variant does read partitions the cache.
         for params in (gdb, emd):
+            body, hit = service.handle("sparsify", params)
+            assert not hit and json.loads(body)["h"] == 0.05
             body, hit = service.handle("sparsify", {**params, "h": 0.5})
             assert not hit and json.loads(body)["h"] == 0.5
         # Only the pair queries read ``pairs``.
@@ -335,6 +335,44 @@ class TestServiceCore:
         service.handle("estimate", reliability)
         _, hit = service.handle("estimate", {**reliability, "pairs": 7})
         assert not hit
+
+    def test_variant_keyed_on_its_canonical_name(self, service, dataset):
+        """Spellings of one variant are one computation: one miss, then
+        byte-identical hits, one job per canonical variant."""
+        spellings = {
+            "EMD^R-t": ("EMD^R-t", "emd^r-t", " EMD^R-t "),
+            "LP^A": ("LP", "LP^A", "lp^a", "LP_1"),
+            "SP": ("SP", "SS", "sp"),
+            "GDB^A_2": ("GDB^A_2", "GDB_2", "gdb^a_2"),
+        }
+        for canonical, names in spellings.items():
+            bodies = set()
+            for i, variant in enumerate(names):
+                body, hit = service.handle("sparsify", {
+                    "dataset": dataset, **SPARSIFY, "variant": variant,
+                })
+                assert hit == (i > 0), variant
+                assert json.loads(body)["variant"] == canonical
+                bodies.add(body)
+            assert len(bodies) == 1
+        assert service.queue.stats()["submitted"] == len(spellings)
+
+    def test_unread_variant_notation_refused_before_queueing(
+        self, service, dataset
+    ):
+        for variant in ("EMD^A_2", "LP^R", "LP_2", "NI^R", "NI-t", "SP_2",
+                        "ER-t", "RANDOM^A"):
+            with pytest.raises(ValueError, match="does not read"):
+                service.handle("sparsify", {
+                    "dataset": dataset, **SPARSIFY, "variant": variant,
+                })
+            with pytest.raises(ValueError, match="does not read"):
+                service.update({
+                    "dataset": dataset, "updates": [],
+                    "resparsify": {**SPARSIFY, "variant": variant},
+                })
+        stats = service.queue.stats()
+        assert (stats["submitted"], stats["failed"]) == (0, 0)
 
     def test_scheduled_refresh_warms_the_cache(self, service, dataset):
         params = {"dataset": dataset, "alpha": 0.45, "variant": "GDB^A",

@@ -1,5 +1,8 @@
 """Variant parsing and the unified sparsify() front-end."""
 
+import re
+
+import numpy as np
 import pytest
 
 from oracles.emd import reference_emd
@@ -11,6 +14,10 @@ from repro.core import (
     available_variants,
     build_backbone,
     check_budget,
+    emd,
+    gdb,
+    lp_assign_probabilities,
+    lp_sparsify,
     parse_variant,
     sparsify,
     target_edge_count,
@@ -50,7 +57,12 @@ class TestParse:
         for name in ("GDB^A", "GDB^R-t", "GDB^A_2", "GDB^A_n", "EMD^R-t"):
             assert parse_variant(name).canonical_name == name
 
-    @pytest.mark.parametrize("bad", ["", "XYZ", "GDB^Q", "GDB_", "GDB--t"])
+    @pytest.mark.parametrize("bad", [
+        "", "XYZ", "GDB^Q", "GDB_", "GDB--t",
+        # Notation the method does not read.
+        "LP^R", "LP^R-t", "LP_2", "LP^A_n", "EMD^A_2", "EMD_n", "NI^R",
+        "NI_2", "NI-t", "SP^A", "SS-t", "ER_5", "RANDOM^R", "RANDOM-t",
+    ])
     def test_invalid_variants(self, bad):
         with pytest.raises(ValueError):
             parse_variant(bad)
@@ -133,6 +145,53 @@ class TestEngineKnob:
         # The M-phase's sequential solve is its own choice, not a sparsify() knob.
         with pytest.raises(TypeError, match="engine"):
             sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fused")
+
+
+class TestBackboneIds:
+    """A caller's backbone ids are checked where ``gdb``, ``emd`` and
+    ``lp_sparsify`` (and ``lp_assign_probabilities``) receive them."""
+
+    FACADES = {
+        "gdb": lambda g, ids: gdb(g, backbone_ids=ids),
+        "emd": lambda g, ids: emd(g, backbone_ids=ids),
+        "lp": lambda g, ids: lp_sparsify(g, backbone_ids=ids),
+        "lp_assign": lp_assign_probabilities,
+    }
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    @pytest.mark.parametrize("ids, message", [
+        pytest.param([-1, 0], "backbone id -1 is out of range for {m} edges",
+                     id="negative"),
+        pytest.param([0.5, 1], "backbone id 0.5 is not an integer",
+                     id="fraction"),
+        pytest.param(["0", 1], "backbone id '0' is not an integer",
+                     id="string"),
+        pytest.param([True, False], "backbone id True is not an integer",
+                     id="bool"),
+        pytest.param([3, "m"], "backbone id {m} is out of range for {m} edges",
+                     id="past-the-end"),
+        pytest.param([4, 0, 7, 0], "backbone id 0 is duplicated", id="repeat"),
+        pytest.param([[0, 1]], "1-d sequence", id="nested"),
+    ])
+    def test_bad_ids_refused(self, small_power_law, facade, ids, message):
+        m = small_power_law.number_of_edges()
+        ids = [m if i == "m" else i for i in ids]
+        with pytest.raises(ValueError, match=re.escape(message.format(m=m))):
+            self.FACADES[facade](small_power_law, ids)
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    def test_integer_ids_in_any_form(self, small_power_law, facade):
+        """Another integer dtype and integral floats name the same
+        backbone as the builder's int64 array."""
+        ids = build_backbone(small_power_law, 0.4, rng=0)
+        run = self.FACADES[facade]
+        expected = run(small_power_law, ids)
+        for same in (ids.astype(np.int32), [float(i) for i in ids]):
+            result = run(small_power_law, same)
+            if facade == "lp_assign":
+                assert result.tobytes() == expected.tobytes()
+            else:
+                assert result.edge_list() == expected.edge_list()
 
 
 def test_check_budget_detects_mismatch(small_power_law):
