@@ -156,6 +156,22 @@ def test_one_backbone_plan_per_graph():
     assert not hasattr(SparsifierService, "_plan_for")
 
 
+def test_experiment_drivers_take_no_lp_solver():
+    """The experiment drivers always ran the exact LP solver."""
+    drivers = {
+        "fig04": ("run_fig04a", "run_fig04b", "run_fig04"),
+        "fig06": ("structural_comparison", "run_fig06"),
+        "fig07": ("run_fig07",),
+        "fig08": ("entropy_vs_alpha", "entropy_vs_density", "run_fig08"),
+        "table2": ("run_table2",),
+    }
+    for module_name, names in drivers.items():
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        for name in names:
+            parameters = inspect.signature(getattr(module, name)).parameters
+            assert "lp_solver" not in parameters, name
+
+
 def test_library_never_imports_test_oracles():
     package = Path(repro.__file__).parent
     pattern = re.compile(r"^\s*(from|import)\s+oracles\b", re.MULTILINE)
