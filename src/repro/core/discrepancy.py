@@ -136,10 +136,8 @@ class SparsificationState:
       feeding the cut rules, Eq. 13-16),
     - ``selected`` — boolean membership of each edge in ``E'``.
 
-    Incidence is stored in CSR form — ``inc_indptr`` (``n + 1``) and
-    ``inc_eids`` (``2 m``, ascending edge ids per vertex) — so the sweep
-    and scan passes slice a vertex's incident edges as one contiguous
-    array view instead of walking ``list[list[int]]``.
+    Edges are reached through ``edge_vertices`` only; the state keeps no
+    vertex-to-edge incidence (no production pass reads one).
 
     The class is deliberately unaware of *which* rule updates
     probabilities; GDB / EMD drive it.
@@ -156,25 +154,6 @@ class SparsificationState:
         self.original_degrees = original.expected_degree_array()
         self.delta = self.original_degrees.copy()
         self.total_residual = float(self.p_original.sum())
-        # CSR incidence, built once with array ops: a stable argsort of
-        # the flattened endpoint column groups entries by vertex, and
-        # within a vertex ascending flat index means ascending edge id
-        # (flat position 2*eid / 2*eid + 1).
-        flat = self.edge_vertices.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        self.inc_eids = order // 2
-        self.inc_eids.setflags(write=False)
-        counts = np.bincount(flat, minlength=self.n)
-        self.inc_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.inc_indptr[1:])
-        self.inc_indptr.setflags(write=False)
-
-    def incident_edges(self, vertex: int) -> np.ndarray:
-        """Ids of all original edges incident to dense vertex ``vertex``.
-
-        A read-only CSR slice, in ascending edge-id order.
-        """
-        return self.inc_eids[self.inc_indptr[vertex]:self.inc_indptr[vertex + 1]]
 
     # -- membership -----------------------------------------------------
     def select_edge(self, eid: int, probability: float | None = None) -> None:
@@ -330,14 +309,6 @@ class SparsificationState:
         np.add.at(held, self.edge_vertices[sel, 1], self.phat[sel])
         self.delta = self.original_degrees - held
         self.total_residual = float(self.p_original.sum() - self.phat.sum())
-        flat = self.edge_vertices.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        self.inc_eids = order // 2
-        self.inc_eids.setflags(write=False)
-        counts = np.bincount(flat, minlength=self.n)
-        self.inc_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.inc_indptr[1:])
-        self.inc_indptr.setflags(write=False)
 
     # -- views ------------------------------------------------------------
     def selected_edge_ids(self) -> np.ndarray:

@@ -36,6 +36,7 @@ from repro.core.backbone import build_backbone
 from repro.core.discrepancy import SparsificationState
 from repro.core.sweep import (
     SweepPlan,
+    _integer_ids,
     apply_probability_vector,
     build_sweep_plan,
     colored_sweep,
@@ -259,15 +260,7 @@ def _checked_backbone_ids(graph: UncertainGraph, backbone_ids) -> np.ndarray:
     out of range or repeats an earlier one (numpy indexing would read a
     negative id from the end and truncate a fractional one).
     """
-    ids = np.asarray(backbone_ids)
-    if ids.ndim != 1:
-        raise ValueError("backbone_ids must be a 1-d sequence of edge ids")
-    if ids.dtype.kind not in "iu":
-        for value in ids.tolist():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not float(value).is_integer():
-                raise ValueError(f"backbone id {value!r} is not an integer")
-    ids = ids.astype(np.int64)
+    ids = _integer_ids(backbone_ids, "backbone_ids", "backbone id")
     m = graph.number_of_edges()
     bad = (ids < 0) | (ids >= m)
     order = np.argsort(ids, kind="stable")

@@ -33,8 +33,13 @@ def backbone_incidence(
     ``backbone_ids[j]``.  Built with array ops: the endpoint gather
     supplies the row indices directly and every column index appears
     twice, so no per-edge Python loop is needed.
+
+    Raises
+    ------
+    ValueError
+        If an id is not an integer, is out of range or repeats.
     """
-    backbone_ids = np.asarray(backbone_ids, dtype=np.int64)
+    backbone_ids = _checked_backbone_ids(graph, backbone_ids)
     n = graph.number_of_vertices()
     m_b = len(backbone_ids)
     if m_b == 0:
@@ -61,12 +66,12 @@ def lp_assign_probabilities(
     SparsificationError
         If HiGHS fails (``p' = 0`` is always feasible, so it should not).
     """
-    backbone_ids = _checked_backbone_ids(graph, backbone_ids)
-    if len(backbone_ids) == 0:
+    incidence = backbone_incidence(graph, backbone_ids)
+    if incidence.shape[1] == 0:
         return np.zeros(0, dtype=np.float64)
     result = linprog(
-        c=-np.ones(len(backbone_ids)),
-        A_ub=backbone_incidence(graph, backbone_ids),
+        c=-np.ones(incidence.shape[1]),
+        A_ub=incidence,
         b_ub=graph.expected_degree_array(),
         bounds=(0.0, 1.0),
         method="highs",

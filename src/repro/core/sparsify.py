@@ -87,7 +87,9 @@ def parse_variant(variant: str) -> VariantSpec:
         method = "sp"
     disc = (match.group("disc") or "A").upper()
     k_raw = match.group("k")
-    k: int | str = 1 if k_raw is None else ("n" if k_raw == "n" else int(k_raw))
+    k: int | str = 1
+    if k_raw is not None:
+        k = "n" if k_raw.lower() == "n" else int(k_raw)
     if method == "emd":
         unread = k != 1
     elif method == "lp":

@@ -45,6 +45,7 @@ so no sweep spends a transcendental call per edge.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -120,17 +121,35 @@ class SweepPlan:
     tail_lv: list = field(default_factory=list)     # positions in tail_verts
 
 
+def _integer_ids(ids, sequence: str, name: str) -> np.ndarray:
+    """``ids`` as a 1-d int64 array, refusing any value that is not an
+    integer.
+
+    Integral floats pass (``2.0`` names edge 2); booleans, fractions and
+    non-numbers raise ``ValueError`` naming the first one, where numpy's
+    conversion would read ``True`` as 1 and truncate ``0.5`` to 0.
+    ``sequence`` and ``name`` label the messages.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"{sequence} must be a 1-d sequence of edge ids")
+    if ids.dtype.kind not in "iu":
+        for value in ids.tolist():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise ValueError(f"{name} {value!r} is not an integer")
+    return ids.astype(np.int64)
+
+
 def _checked_ids(state: SparsificationState, eids, what: str) -> np.ndarray:
     """``eids`` as an int64 array of ascending, distinct, selected ids.
 
-    Raises ``ValueError`` naming the first id that is out of range,
-    unselected, duplicated or out of ascending order: a plan over such
-    ids would step an edge twice, or an edge outside ``E'``, and corrupt
-    the state's bookkeeping.
+    Raises ``ValueError`` naming the first id that is not an integer,
+    out of range, unselected, duplicated or out of ascending order: a
+    plan over such ids would step an edge twice, or an edge outside
+    ``E'``, and corrupt the state's bookkeeping.
     """
-    eids = np.asarray(eids, dtype=np.int64)
-    if eids.ndim != 1:
-        raise ValueError(f"{what} must be a 1-d sequence of edge ids")
+    eids = _integer_ids(eids, what, f"{what}: edge id")
     in_range = (eids >= 0) & (eids < state.m)
     bad = ~in_range
     bad[in_range] = ~state.selected[eids[in_range]]

@@ -25,6 +25,8 @@ import hashlib
 import itertools
 import os
 
+import numpy as np
+
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import GraphError
 
@@ -47,13 +49,18 @@ def _serialisable_token(vertex) -> str:
     return token
 
 
-def format_edge_list(graph: UncertainGraph, header: bool = True) -> str:
-    """Serialise a graph to the edge-list text format.
+def _edge_lines(pairs, probabilities, tokens: dict) -> list:
+    """The ``u v p`` line of each edge: ``tokens`` maps every endpoint to
+    its checked token, and ``repr`` writes each probability as the
+    shortest string that parses back to the same float."""
+    return [
+        f"{tokens[u]} {tokens[v]} {p!r}\n"
+        for (u, v), p in zip(pairs, probabilities)
+    ]
 
-    This is the exact content :func:`write_edge_list` writes; exposing it
-    as a string lets callers (the artifact server, digests) serialise
-    without touching disk.  Probabilities use ``repr`` so the write →
-    read round trip is bit-identical.
+
+def edge_list_lines(graph: UncertainGraph) -> list:
+    """The lines of ``format_edge_list(graph, header=False)``.
 
     One line per edge in :meth:`~UncertainGraph.edge_list` order, then
     one per isolated vertex in vertex order.  Each vertex's token is
@@ -67,19 +74,50 @@ def format_edge_list(graph: UncertainGraph, header: bool = True) -> str:
         vertex: _serialisable_token(vertex)
         for vertex in itertools.chain(touched, isolated)
     }
-    lines = []
-    if header:
-        lines.append(
-            f"# uncertain graph {graph.name!r}: "
-            f"{graph.number_of_vertices()} vertices, "
-            f"{graph.number_of_edges()} edges\n"
-        )
-    lines += [
-        f"{tokens[u]} {tokens[v]} {p!r}\n"
-        for (u, v), p in zip(edge_list, graph.probability_array().tolist())
-    ]
+    lines = _edge_lines(edge_list, graph.probability_array().tolist(), tokens)
     lines += [f"{tokens[vertex]}\n" for vertex in isolated]
-    return "".join(lines)
+    return lines
+
+
+def patch_edge_list_lines(lines: list, graph: UncertainGraph, eids) -> list:
+    """:func:`edge_list_lines` of ``graph`` from those of a graph that
+    differs from it only in the probabilities of edges ``eids``.
+
+    Rewrites only the changed edges' lines, so a probability-only delta
+    costs O(|delta|) formatting plus one O(m) list copy; ``lines`` is
+    left as it was.
+    """
+    eids = np.asarray(eids, dtype=np.int64).tolist()
+    edge_list = graph.edge_list()
+    pairs = [edge_list[eid] for eid in eids]
+    tokens = {
+        vertex: _serialisable_token(vertex)
+        for vertex in itertools.chain.from_iterable(pairs)
+    }
+    probabilities = graph.probability_array()[eids].tolist()
+    patched = list(lines)
+    for eid, line in zip(eids, _edge_lines(pairs, probabilities, tokens)):
+        patched[eid] = line
+    return patched
+
+
+def format_edge_list(graph: UncertainGraph, header: bool = True) -> str:
+    """Serialise a graph to the edge-list text format.
+
+    This is the exact content :func:`write_edge_list` writes; exposing it
+    as a string lets callers (the artifact server, digests) serialise
+    without touching disk.  Probabilities use ``repr`` so the write →
+    read round trip is bit-identical.  The lines after the header are
+    :func:`edge_list_lines`.
+    """
+    content = "".join(edge_list_lines(graph))
+    if not header:
+        return content
+    return (
+        f"# uncertain graph {graph.name!r}: "
+        f"{graph.number_of_vertices()} vertices, "
+        f"{graph.number_of_edges()} edges\n"
+    ) + content
 
 
 def write_edge_list(graph: UncertainGraph, path: "str | os.PathLike") -> None:
@@ -114,15 +152,22 @@ def dataset_digest(path: "str | os.PathLike") -> str:
     return digest.hexdigest()
 
 
+def lines_digest(lines: list) -> str:
+    """SHA-256 hex digest of serialised lines joined as UTF-8 text."""
+    return content_digest("".join(lines).encode("utf-8"))
+
+
 def graph_digest(graph: UncertainGraph) -> str:
     """SHA-256 hex digest of a graph's canonical serialisation.
 
     Name-independent (the header comment carries the name and is
     excluded), so two graphs with identical vertices/edges/probabilities
-    digest identically regardless of how they were labelled.
+    digest identically regardless of how they were labelled.  A caller
+    that keeps a graph's :func:`edge_list_lines` gets the same digest
+    after a probability change from :func:`patch_edge_list_lines` and
+    :func:`lines_digest`.
     """
-    content = format_edge_list(graph, header=False)
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    return lines_digest(edge_list_lines(graph))
 
 
 #: Lines per parse chunk: bounds pending-token memory and keeps the
@@ -164,8 +209,6 @@ def _convert_probabilities(
     scan, which both locates the first bad token and accepts the few
     spellings Python allows but numpy doesn't (e.g. ``1_0``).
     """
-    import numpy as np
-
     from repro.exceptions import ProbabilityError
 
     try:
@@ -221,8 +264,6 @@ def parse_edge_list(
     GraphError
         On malformed lines or out-of-range probabilities.
     """
-    import numpy as np
-
     touched: dict = {}          # vertex tokens in first-touch order
     all_us: list = []
     all_vs: list = []

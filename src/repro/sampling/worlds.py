@@ -57,6 +57,12 @@ def check_vertices(vertices: "np.ndarray | Iterable[int]", n: int) -> np.ndarray
     return np.array([check_vertex(v, n) for v in vertices], dtype=np.int64)
 
 
+#: Bytes of the uniform block :meth:`WorldSampler.sample_mask_matrix`
+#: refills: small enough to stay in a core's L2 cache while it is
+#: compared with ``p``.
+_UNIFORM_BLOCK_BYTES = 1 << 20
+
+
 class WorldSampler:
     """Vectorised Monte-Carlo possible-world sampler for a graph.
 
@@ -99,15 +105,27 @@ class WorldSampler:
     def sample_mask_matrix(
         self, count: int, rng: "int | np.random.Generator | None" = None
     ) -> np.ndarray:
-        """``(count, m)`` Bernoulli mask matrix from one vectorised RNG call.
+        """``(count, m)`` Bernoulli mask matrix: ``rng.random((count, m)) < p``.
 
         ``Generator.random`` fills row-major from the stream, so row
         ``i`` consumes exactly the uniforms of the ``i``-th world drawn
         one ``rng.random(m)`` at a time, and a run split into chunks
-        draws the same worlds as one call.
+        draws the same worlds as one call.  The uniforms are drawn a
+        few rows at a time into one reused block of
+        :data:`_UNIFORM_BLOCK_BYTES` (at least one row), so the
+        ``(count, m)`` float matrix is never built; the stream is
+        consumed exactly as one ``rng.random((count, m))`` call would.
         """
         rng = ensure_rng(rng)
-        return rng.random((count, self.m)) < self.probabilities
+        masks = np.empty((count, self.m), dtype=bool)
+        rows = max(1, _UNIFORM_BLOCK_BYTES // (8 * max(self.m, 1)))
+        block = np.empty((min(rows, count), self.m))
+        for start in range(0, count, rows):
+            uniforms = block[:min(rows, count - start)]
+            rng.random(out=uniforms)
+            np.less(uniforms, self.probabilities,
+                    out=masks[start:start + len(uniforms)])
+        return masks
 
     def sample_batch(
         self,

@@ -32,9 +32,11 @@ from repro.core.grid import gdb_grid, objective_rows
 from repro.core.sparsify import parse_variant, sparsify
 from repro.datasets.io import (
     content_digest,
+    edge_list_lines,
     format_edge_list,
-    graph_digest,
+    lines_digest,
     parse_edge_list,
+    patch_edge_list_lines,
 )
 from repro.exceptions import AdmissionError, ServerError
 from repro.server.cache import ArtifactCache
@@ -604,6 +606,13 @@ class SparsifierService:
         dirty forest ranks.  With ``resparsify``
         params the refreshed artifact is recomputed eagerly at
         background priority (behind all interactive traffic).
+
+        The new digest is :func:`~repro.datasets.io.graph_digest` of the
+        drifted graph.  The live overlay entry keeps the graph's
+        serialised lines, so a probability-only delta on it rewrites
+        only the changed edges' lines before hashing; the first update
+        of a registered file, a structural delta and an update after
+        the entry was evicted serialise the whole graph.
         """
         params = dict(params)
         dataset = params.pop("dataset", None)
@@ -636,7 +645,14 @@ class SparsifierService:
                 graph, updates=updates, inserts=inserts, deletes=deletes,
             )
             applied = apply_delta(graph, batch, in_place=False)
-            new_digest = graph_digest(applied.graph)
+            kept = entry.get("lines")
+            if kept is None or batch.is_structural:
+                lines = edge_list_lines(applied.graph)
+            else:
+                lines = patch_edge_list_lines(
+                    kept, applied.graph, batch.update_eids
+                )
+            new_digest = lines_digest(lines)
             plan = BackbonePlan.lookup(graph)
             if plan is not None:
                 plan.clone().repair(applied)
@@ -647,6 +663,10 @@ class SparsifierService:
                 self._overlays[dataset] = new_digest
                 while len(self._datasets) > self.config.dataset_capacity:
                     self._datasets.popitem(last=False)
+            # Only the live overlay entry keeps its serialised lines.
+            if entry is not new_entry:
+                entry.pop("lines", None)
+            new_entry["lines"] = lines
             invalidated = self.cache.invalidate(old_digest)
         refresh_queued = False
         if resparsify is not None:

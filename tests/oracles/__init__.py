@@ -16,6 +16,8 @@ or distances within ``rtol=1e-9``):
   dict-based greedy colorings of a fresh and of an extended sweep plan;
 - :mod:`oracles.emd` — EMD's insertion probability (Eq. 9), gain
   (Eq. 10), brute-force E-phase and the whole of Algorithm 3;
+- :mod:`oracles.incidence` — the vertex-to-edge CSR incidence the
+  EMD, GDB and extend oracles walk (the state keeps none);
 - :mod:`oracles.backbone` — Algorithm 1 re-peeling its spanning forests
   per call, with the set-based Monte-Carlo top-up;
 - :mod:`oracles.unionfind` — the scalar union-find the backbone, NI and

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from oracles.gdb import loop_refine
+from oracles.incidence import Incidence
 from oracles.rules import degree_step_absolute, degree_step_relative, endpoints
 from repro.core.discrepancy import SparsificationState
 from repro.core.emd_sparsifier import EMDConfig
@@ -71,6 +72,7 @@ def e_phase(state: SparsificationState, config: EMDConfig) -> int:
     different edge); zero means the backbone has stabilised.
     """
     swaps = 0
+    incidence = Incidence(state)
     for eid in [int(e) for e in state.selected_edge_ids()]:
         previous_p = state.deselect_edge(eid)
 
@@ -81,7 +83,7 @@ def e_phase(state: SparsificationState, config: EMDConfig) -> int:
         # Line 17's arg max also includes the just-removed edge e, but
         # that is scored separately below (as the incumbent), so it is
         # skipped here.
-        incident = state.incident_edges(top_vertex)
+        incident = incidence.incident_edges(top_vertex)
         candidates = [
             int(candidate)
             for candidate in incident[~state.selected[incident]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.incidence import Incidence
 from oracles.rules import (
     degree_step_absolute,
     degree_step_absolute_array,
@@ -143,12 +144,13 @@ def reference_extend_colors(state, eids, colors, added_eids):
     color_of = dict(zip(np.asarray(eids).tolist(), np.asarray(colors).tolist()))
     used = {}
     ev = state.edge_vertices
+    incidence = Incidence(state)
 
     def vertex_mask(v):
         mask = used.get(v)
         if mask is None:
             mask = 0
-            for eid in state.incident_edges(v).tolist():
+            for eid in incidence.incident_edges(v).tolist():
                 c = color_of.get(eid)
                 if c is not None:
                     mask |= 1 << c

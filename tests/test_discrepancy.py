@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.incidence import Incidence
 from oracles.rules import endpoints, residual_excluding, residual_excluding_edge_only
 from repro.core import (
     SparsificationState,
@@ -242,27 +243,32 @@ def test_property_state_invariants_after_random_ops(seed):
 
 
 class TestCSRIncidence:
+    """The oracles' incidence CSR (``oracles.incidence``), which the
+    state no longer builds, against a brute-force walk."""
+
     def test_matches_bruteforce_incidence(self, small_power_law):
         state = SparsificationState(small_power_law)
+        incidence = Incidence(state)
         brute: dict[int, list[int]] = {v: [] for v in range(state.n)}
         for eid in range(state.m):
             u, v = endpoints(state, eid)
             brute[u].append(eid)
             brute[v].append(eid)
         for vertex in range(state.n):
-            got = state.incident_edges(vertex).tolist()
+            got = incidence.incident_edges(vertex).tolist()
             assert got == brute[vertex]  # ascending edge ids per vertex
 
     def test_indptr_shape_and_total(self, triangle):
         state = SparsificationState(triangle)
-        assert len(state.inc_indptr) == state.n + 1
-        assert state.inc_indptr[-1] == 2 * state.m
-        assert len(state.inc_eids) == 2 * state.m
+        incidence = Incidence(state)
+        assert len(incidence.inc_indptr) == state.n + 1
+        assert incidence.inc_indptr[-1] == 2 * state.m
+        assert len(incidence.inc_eids) == 2 * state.m
 
     def test_incidence_is_read_only(self, triangle):
-        state = SparsificationState(triangle)
+        incidence = Incidence(SparsificationState(triangle))
         with pytest.raises(ValueError):
-            state.inc_eids[0] = 99
+            incidence.inc_eids[0] = 99
 
 
 class TestBatchedPrimitives:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles.emd import best_probability, gain
+from oracles.incidence import Incidence
 from oracles.rules import endpoints
 from repro.core import SparsificationState, UncertainGraph
 
@@ -45,7 +46,7 @@ def test_gain_negative_when_oversatisfied(state):
     remaining = [e for e in range(state.m) if not state.selected[e]]
     # Pick a remaining edge and force it onto vertex 0? None touch 0 now;
     # instead deselect one and re-insert at a probability far above demand.
-    eid = int(state.incident_edges(0)[0])
+    eid = int(Incidence(state).incident_edges(0)[0])
     state.deselect_edge(eid)
     assert gain(state, eid, 1.0) < gain(state, eid, 0.1)
 

@@ -18,6 +18,7 @@ from repro.datasets import (
     read_edge_list,
     write_edge_list,
 )
+from repro.datasets.io import edge_list_lines, lines_digest, patch_edge_list_lines
 from repro.exceptions import GraphError
 
 
@@ -470,3 +471,37 @@ class TestFormatEdgeListOracle:
         isolated_last = UncertainGraph([("a", "b", 0.5)], vertices=["c d"])
         with pytest.raises(GraphError, match="'c d'"):
             format_edge_list(isolated_last)
+
+
+class TestPatchedLines:
+    """Lines kept from a full pass and patched after a probability
+    change are the lines, and give the digest, of a new full pass."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_uncertain_graphs(), data=st.data())
+    def test_patch_equals_full_pass(self, graph, data):
+        lines = edge_list_lines(graph)
+        assert "".join(lines) == format_edge_list(graph, header=False)
+        for _ in range(data.draw(st.integers(1, 4))):
+            m = graph.number_of_edges()
+            eids = data.draw(st.lists(
+                st.integers(0, max(m - 1, 0)), unique=True,
+                max_size=min(m, 6),
+            ))
+            graph.set_probabilities(
+                np.array(eids, dtype=np.int64),
+                [data.draw(_probabilities) for _ in eids],
+            )
+            kept = list(lines)
+            patched = patch_edge_list_lines(lines, graph, eids)
+            assert lines == kept  # the caller's lines are left alone
+            assert patched == edge_list_lines(graph)
+            assert lines_digest(patched) == graph_digest(graph)
+            lines = patched
+
+    def test_lines_digest_is_graph_digest(self, small_power_law):
+        lines = edge_list_lines(small_power_law)
+        assert lines_digest(lines) == graph_digest(small_power_law)
+        assert lines_digest(lines) == hashlib.sha256(
+            format_edge_list(small_power_law, header=False).encode("utf-8")
+        ).hexdigest()

@@ -95,6 +95,26 @@ def test_backbone_incidence_structure(path4):
         assert dense[edges[eid, 1], j] == 1.0
 
 
+@pytest.mark.parametrize("ids", [
+    pytest.param([-1, 0], id="negative"),
+    pytest.param([0.7, 1], id="fraction"),
+    pytest.param(["m", 0], id="past-the-end"),
+    pytest.param([0, 0], id="repeat"),
+])
+def test_backbone_incidence_checks_ids(small_power_law, ids):
+    """``backbone_incidence`` refuses the ids ``lp_assign_probabilities``
+    refuses, with the same message, instead of reading ``-1`` as the
+    last edge or truncating ``0.7`` to edge 0."""
+    m = small_power_law.number_of_edges()
+    ids = [m if i == "m" else i for i in ids]
+    with pytest.raises(ValueError) as assigned:
+        lp_assign_probabilities(small_power_law, ids)
+    with pytest.raises(ValueError) as built:
+        backbone_incidence(small_power_law, ids)
+    assert str(built.value) == str(assigned.value)
+    assert str(built.value).startswith("backbone id ")
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

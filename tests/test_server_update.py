@@ -10,7 +10,10 @@ The contracts under test:
   graph (the overlay is transparent);
 - ``resparsify`` queues a background refresh that warms the cache;
 - malformed requests fail loudly (unknown params, binary datasets,
-  missing edges/vertices, malformed rows) before the delta lands.
+  missing edges/vertices, malformed rows) before the delta lands;
+- every returned digest is ``graph_digest`` of the drifted graph, also
+  when the server patched the changed edges' lines into the ones it
+  kept for the overlay.
 """
 
 from __future__ import annotations
@@ -20,11 +23,19 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-from repro.core import sparsify
+from repro.core import UncertainGraph, sparsify
 from repro.core.delta import EdgeDeltaBatch, apply_delta
-from repro.datasets import read_edge_list, twitter_like, write_edge_list
+from repro.datasets import (
+    dataset_digest,
+    graph_digest,
+    read_edge_list,
+    twitter_like,
+    write_edge_list,
+)
+from repro.datasets.io import edge_list_lines
 from repro.exceptions import GraphError, ServerError
 from repro.server import ServerConfig, SparsifierService, start_server
 
@@ -158,6 +169,125 @@ class TestUpdateSemantics:
             service.update({
                 "dataset": str(path), "updates": [[0, 1, 0.5]],
             })
+
+
+def _drift_rows(model, rng, updates=0, inserts=0, deletes=0, as_int=False):
+    """``/update`` rows for ``model``: distinct edges to update and
+    delete, and absent pairs to insert.  ``as_int`` sends integer labels
+    (parsed labels are strings; the server falls back to them)."""
+    edges = model.edge_list()
+    picked = rng.choice(len(edges), size=updates + deletes, replace=False)
+    name = int if as_int else (lambda label: label)
+
+    def probability():
+        return float(rng.uniform(0.01, 1.0))
+
+    rows = {
+        "updates": [[name(edges[e][0]), name(edges[e][1]), probability()]
+                    for e in picked[:updates].tolist()],
+        "deletes": [[name(edges[e][0]), name(edges[e][1])]
+                    for e in picked[updates:].tolist()],
+        "inserts": [],
+    }
+    present = set(edges) | {(v, u) for u, v in edges}
+    vertices = model.vertices()
+    while len(rows["inserts"]) < inserts:
+        a, b = rng.choice(len(vertices), size=2, replace=False).tolist()
+        u, v = vertices[a], vertices[b]
+        if (u, v) not in present:
+            present |= {(u, v), (v, u)}
+            rows["inserts"].append([name(u), name(v), probability()])
+    return rows
+
+
+class TestUpdateDigest:
+    """Every ``/update`` digest is ``graph_digest`` of the drifted graph,
+    whether the server patched its kept lines (a probability-only delta
+    on the live overlay entry) or serialised the whole graph (the first
+    update of a file, a structural delta, an update after eviction)."""
+
+    #: (updates, inserts, deletes) per step: probability-only, structural
+    #: and mixed batches, and an empty one (the digest does not move).
+    CHAIN = [(30, 0, 0), (1, 0, 0), (0, 3, 2), (12, 0, 0), (5, 2, 2),
+             (8, 0, 0), (0, 0, 0), (0, 0, 4), (3, 0, 0)]
+
+    @staticmethod
+    def _write(tmp_path, name, labels):
+        """A text dataset with integer or string labels and two
+        isolated vertices."""
+        base = twitter_like(n=40, avg_degree=6, seed=5)
+        label = (lambda x: f"v{x}") if labels == "str" else (lambda x: x)
+        graph = UncertainGraph(
+            [(label(u), label(v), p) for u, v, p in base.edges()],
+            vertices=[label(1000), label(1001)],
+        )
+        path = tmp_path / name
+        write_edge_list(graph, path)
+        return str(path)
+
+    @staticmethod
+    def _lines_kept(service):
+        return [entry for entry in service._datasets.values()
+                if "lines" in entry]
+
+    def _push(self, service, path, model, rows):
+        out = service.update({"dataset": path, **rows})
+        batch = EdgeDeltaBatch.from_pairs(model, **rows)
+        apply_delta(model, batch, in_place=True)
+        assert out["structural"] == batch.is_structural
+        assert out["digest"] == graph_digest(model)
+        return out
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    def test_chain_of_updates(self, tmp_path, labels):
+        path = self._write(tmp_path, f"{labels}.txt", labels)
+        model = read_edge_list(path)
+        assert model.number_of_vertices() > len(
+            {v for e in model.edge_list() for v in e}
+        )  # the isolated vertices are there
+        rng = np.random.default_rng(3)
+        with SparsifierService(ServerConfig(workers=1)) as service:
+            for updates, inserts, deletes in self.CHAIN:
+                rows = _drift_rows(model, rng, updates, inserts, deletes,
+                                   as_int=labels == "int")
+                out = self._push(service, path, model, rows)
+                # Only the live overlay entry keeps its lines, and they
+                # are the drifted graph's.
+                kept = self._lines_kept(service)
+                assert len(kept) == 1
+                assert kept[0] is service._datasets[out["digest"]]
+                assert kept[0]["lines"] == edge_list_lines(model)
+
+    def test_first_update_of_a_registered_file(self, tmp_path):
+        path = self._write(tmp_path, "fresh.txt", "int")
+        model = read_edge_list(path)
+        rng = np.random.default_rng(4)
+        with SparsifierService(ServerConfig(workers=1)) as service:
+            service.handle("estimate", {"dataset": path, "samples": 5})
+            assert not self._lines_kept(service)
+            out = self._push(service, path, model, _drift_rows(model, rng, 7))
+            assert out["old_digest"] == dataset_digest(path)
+
+    def test_update_after_the_overlay_is_evicted(self, tmp_path):
+        path = self._write(tmp_path, "a.txt", "str")
+        other = self._write(tmp_path, "b.txt", "int")
+        model = read_edge_list(path)
+        rng = np.random.default_rng(5)
+        config = ServerConfig(workers=1, dataset_capacity=1)
+        with SparsifierService(config) as service:
+            self._push(service, path, model, _drift_rows(model, rng, 9))
+            out = self._push(service, path, model, _drift_rows(model, rng, 4))
+            service.handle("sparsify", {"dataset": other, **SPARSIFY})
+            assert out["digest"] not in service._datasets
+            assert not self._lines_kept(service)
+            # The overlay went with its entry: the next delta lands on
+            # the file's graph again, and takes a full pass.
+            stale = read_edge_list(path)
+            out = self._push(service, path, stale, _drift_rows(stale, rng, 6))
+            assert out["old_digest"] == dataset_digest(path)
+            self._push(service, path, stale, _drift_rows(stale, rng, 2))
+            assert self._lines_kept(service)[0]["lines"] == \
+                edge_list_lines(stale)
 
 
 def _malformed(u, v):

@@ -45,6 +45,18 @@ class TestParse:
         assert parse_variant("GDB^A_n").k == "n"
         assert parse_variant("GDB^A").k == 1
 
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("GDB^A_N", "GDB^A_n"),
+        ("GDB^A_N-t", "GDB^A_n-t"),
+        ("gdb^a_N", "GDB^A_n"),
+        ("gdb^r_N-T", "GDB^R_n-t"),
+    ])
+    def test_n_subscript_in_either_case(self, spelling, canonical):
+        spec = parse_variant(spelling)
+        assert spec.k == "n"
+        assert spec.canonical_name == canonical
+        assert spec == parse_variant(canonical)
+
     def test_backbone_suffix(self):
         assert parse_variant("EMD^R-t").bgi_backbone is True
         assert parse_variant("EMD^R").bgi_backbone is False
@@ -62,9 +74,16 @@ class TestParse:
         # Notation the method does not read.
         "LP^R", "LP^R-t", "LP_2", "LP^A_n", "EMD^A_2", "EMD_n", "NI^R",
         "NI_2", "NI-t", "SP^A", "SS-t", "ER_5", "RANDOM^R", "RANDOM-t",
+        # The n subscript reads the same in either case.
+        "EMD^A_N", "EMD_N", "emd^r_N-t", "LP^A_N", "NI_N",
     ])
     def test_invalid_variants(self, bad):
         with pytest.raises(ValueError):
+            parse_variant(bad)
+
+    @pytest.mark.parametrize("bad", ["EMD^A_N", "EMD^A_n", "emd^r_N-t"])
+    def test_emd_n_subscript_is_unread_notation(self, bad):
+        with pytest.raises(ValueError, match="does not read"):
             parse_variant(bad)
 
 

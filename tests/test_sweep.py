@@ -1,6 +1,8 @@
 """GDB sweeps: coloring, the colored-sweep oracle, equivalence with the
 scalar reference loop, grid driver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,6 +335,46 @@ class TestPlanBoundary:
             extend_sweep_plan(state, base.eids, base.colors, sel[1:4])
         with pytest.raises(ValueError, match="colors"):
             extend_sweep_plan(state, base.eids, base.colors[1:], sel[1::2])
+
+    @pytest.mark.parametrize("ids, message", [
+        pytest.param([0.5, 1.5, 5.5], "edge id 0.5 is not an integer",
+                     id="fractions"),
+        pytest.param(["sel0", 2.5], "edge id 2.5 is not an integer",
+                     id="fraction-after-integral-float"),
+        pytest.param([True, False], "edge id True is not an integer",
+                     id="bools"),
+        pytest.param(["0"], "edge id '0' is not an integer", id="string"),
+    ])
+    def test_non_integer_ids_refused(self, state, ids, message):
+        """Fractional, boolean and non-numeric ids are refused by both
+        plan builders, never truncated to a plan over other edges."""
+        sel = state.selected_edge_ids()
+        ids = [float(sel[0]) if i == "sel0" else i for i in ids]
+        base = build_sweep_plan(state, eids=sel[::2])
+        colors = np.zeros(len(ids), dtype=np.int64)
+        calls = (
+            lambda: build_sweep_plan(state, eids=ids),
+            lambda: build_sweep_plan(state, eids=ids, sequential_only=True),
+            lambda: extend_sweep_plan(state, base.eids, base.colors, ids),
+            lambda: extend_sweep_plan(state, ids, colors, []),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_integral_float_ids_accepted(self, state):
+        sel = state.selected_edge_ids()
+        as_floats = [float(eid) for eid in sel]
+        plan = build_sweep_plan(state, eids=as_floats)
+        assert np.array_equal(plan.eids, sel)
+        assert np.array_equal(plan.colors, build_sweep_plan(state).colors)
+        base = build_sweep_plan(state, eids=sel[::2])
+        grown = extend_sweep_plan(
+            state, as_floats[::2], base.colors, as_floats[1::2]
+        )
+        expected = extend_sweep_plan(state, base.eids, base.colors, sel[1::2])
+        assert np.array_equal(grown.eids, expected.eids)
+        assert np.array_equal(grown.colors, expected.colors)
 
     def test_valid_ids_accepted(self, state):
         sel = state.selected_edge_ids()

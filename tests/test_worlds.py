@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles.worlds import log_world_probability, sample_many, world_from_mask
 from repro.core import UncertainGraph
 from repro.datasets import flickr_like
-from repro.sampling import WorldSampler
+from repro.sampling import WorldSampler, worlds
 
 
 def full_world(graph):
@@ -112,6 +112,57 @@ class TestClustering:
         indexer = g.vertex_indexer()
         for vertex, cc in expected.items():
             assert coefficients[indexer[vertex]] == pytest.approx(cc)
+
+
+class TestBlockwiseMasks:
+    """``sample_mask_matrix`` draws its uniforms a block of rows at a
+    time; the masks and the stream it leaves behind must be those of
+    one ``rng.random((count, m)) < p`` call."""
+
+    @staticmethod
+    def assert_one_call_draw(sampler, count):
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        masks = sampler.sample_mask_matrix(count, rng=ours)
+        expected = theirs.random((count, sampler.m)) < sampler.probabilities
+        assert masks.dtype == np.bool_
+        assert masks.shape == expected.shape == (count, sampler.m)
+        assert masks.tobytes() == expected.tobytes()
+        assert ours.random(3).tobytes() == theirs.random(3).tobytes()
+
+    @pytest.fixture(scope="class")
+    def sampler(self):
+        return WorldSampler(flickr_like(n=400, avg_degree=12, seed=3))
+
+    def test_default_block_several_blocks(self, sampler):
+        rows = worlds._UNIFORM_BLOCK_BYTES // (8 * sampler.m)
+        assert 1 < rows < 200
+        for count in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+            self.assert_one_call_draw(sampler, count)
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 11])
+    def test_three_row_block(self, sampler, monkeypatch, count):
+        monkeypatch.setattr(worlds, "_UNIFORM_BLOCK_BYTES", 3 * 8 * sampler.m)
+        self.assert_one_call_draw(sampler, count)
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_row_larger_than_the_block(self, sampler, monkeypatch, count):
+        monkeypatch.setattr(worlds, "_UNIFORM_BLOCK_BYTES", 64)
+        assert 8 * sampler.m > 64
+        self.assert_one_call_draw(sampler, count)
+
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_no_edges(self, count):
+        sampler = WorldSampler(UncertainGraph(vertices=[0, 1, 2]))
+        assert sampler.m == 0
+        self.assert_one_call_draw(sampler, count)
+
+    def test_chunks_draw_the_same_worlds(self, sampler, monkeypatch):
+        """Chunked calls on one generator read the stream in one pass."""
+        monkeypatch.setattr(worlds, "_UNIFORM_BLOCK_BYTES", 4 * 8 * sampler.m)
+        rng = np.random.default_rng(11)
+        chunks = [sampler.sample_mask_matrix(c, rng=rng) for c in (3, 0, 6, 5)]
+        whole = sampler.sample_mask_matrix(14, rng=np.random.default_rng(11))
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
 class TestSampler:
