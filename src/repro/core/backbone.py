@@ -240,8 +240,9 @@ class BackbonePlan:
     def of(cls, graph: UncertainGraph) -> "BackbonePlan":
         """The graph's plan, built on first use and shared by every caller.
 
-        A plan that no longer serves ``graph`` (its edge arrays or vertex
-        count changed since) is replaced by a fresh one.  The build runs
+        A plan that no longer serves ``graph`` (an in-place
+        :func:`~repro.core.delta.apply_delta` replaced its edge arrays
+        since) is replaced by a fresh one.  The build runs
         under a module lock, so concurrent callers get one plan and share
         its Kruskal pass.  :func:`copy <UncertainGraph.copy>` does not
         carry the plan along.
@@ -260,7 +261,6 @@ class BackbonePlan:
         if plan is None or not (
             plan.edge_vertices is graph.edge_index_array()
             and plan.probabilities is graph.probability_array()
-            and plan.n == graph.number_of_vertices()
         ):
             return None
         return plan

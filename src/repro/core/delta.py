@@ -191,12 +191,6 @@ class EdgeDeltaBatch:
 
     # -- views -----------------------------------------------------------
     @property
-    def is_empty(self) -> bool:
-        return not (
-            len(self.update_eids) or len(self.delete_eids) or len(self.insert_ps)
-        )
-
-    @property
     def is_structural(self) -> bool:
         """Whether the batch changes the edge *set* (ids renumber)."""
         return bool(len(self.delete_eids) or len(self.insert_ps))
@@ -327,12 +321,6 @@ class AppliedDelta:
     old_update_ps: np.ndarray   # aligned with batch.update_eids
     insert_eids: np.ndarray     # new ids aligned with batch.insert_endpoints
 
-    def update_eids_new(self) -> np.ndarray:
-        """New ids of the updated edges (updates always survive)."""
-        if not self.structural:
-            return self.batch.update_eids
-        return self.id_map[self.batch.update_eids]
-
 
 def _check_eid_range(batch: EdgeDeltaBatch, m: int) -> None:
     for eids, what in ((batch.update_eids, "update"), (batch.delete_eids, "delete")):
@@ -375,13 +363,15 @@ def apply_delta(
 ) -> AppliedDelta:
     """Apply ``batch`` to ``graph`` and return the :class:`AppliedDelta`.
 
-    Mutates ``graph`` by default; ``in_place=False`` works on a copy
-    (what the server uses so registered graphs shared with running jobs
-    stay frozen).  Deleted rows drop out, survivors keep their relative
-    order, and each inserted edge goes right after the surviving edges
-    of its lower endpoint, ranked after every existing edge — on rows in
-    canonical order exactly where adding the edges one at a time puts
-    them.  A batch that fails a check leaves ``graph`` untouched.
+    This is the one way to change a graph.  It replaces ``graph``'s
+    arrays by default; ``in_place=False`` works on a copy (what the
+    server uses so registered graphs shared with running jobs stay
+    frozen).  A probability-only batch patches a copy of the probability
+    array and keeps every structural view.  Otherwise deleted rows drop
+    out, survivors keep their relative order, and each inserted edge
+    goes right after the surviving edges of its lower endpoint, ranked
+    after every existing edge.  A batch that fails a check leaves
+    ``graph`` untouched.
     """
     m = graph.number_of_edges()
     n = graph.number_of_vertices()
@@ -400,16 +390,9 @@ def apply_delta(
     old_update_ps = graph.probability_array()[batch.update_eids]
     if not in_place:
         graph = graph.copy()
-    if not batch.is_structural:
-        graph.set_probabilities(batch.update_eids, batch.update_ps)
-        return AppliedDelta(
-            batch=batch, graph=graph, id_map=np.arange(m, dtype=np.int64),
-            old_m=m, new_m=m, structural=False, old_update_ps=old_update_ps,
-            insert_eids=np.empty(0, dtype=np.int64),
-        )
     id_map, insert_eids = graph._apply_batch(batch)
     return AppliedDelta(
         batch=batch, graph=graph, id_map=id_map, old_m=m,
-        new_m=graph.number_of_edges(), structural=True,
+        new_m=graph.number_of_edges(), structural=batch.is_structural,
         old_update_ps=old_update_ps, insert_eids=insert_eids,
     )

@@ -21,24 +21,25 @@ Edge order
 ----------
 Vertex ids are first-touch positions.  Each edge row is written
 ``(lower id, higher id)`` and rows are sorted by ``(lower id, creation
-rank)``.  Overwriting an edge keeps its rank; removing it and adding it
-again gives it a new rank.  :meth:`neighbors` lists a vertex's incident
-edges by rank.  A graph opened from a binary dataset keeps its rows as
-stored (rank = row position).
+rank)``; a repeated pair keeps its first rank and its last probability.
+:meth:`neighbors` lists a vertex's incident edges by rank.  A graph
+opened from a binary dataset keeps its rows as stored (rank = row
+position).
 
-Per-edge mutations (:meth:`add_edge`, :meth:`remove_edge`,
-:meth:`set_probability`) are buffered and folded into the arrays on the
-next array access, by the same splice :func:`repro.core.delta.apply_delta`
-uses: deleted rows drop out and each inserted edge goes right after the
-surviving edges of its lower endpoint.  The arrays themselves are never
-written in place, so an array a caller obtained earlier keeps its values.
+A graph is built once: by the constructor, :meth:`from_edge_arrays`,
+the text parser or the binary loader.  After that only
+:func:`repro.core.delta.apply_delta` changes it, and it never writes an
+array in place: updates patch a copy of the probability array, and a
+structural batch drops deleted rows and puts each inserted edge right
+after the surviving edges of its lower endpoint (one row splice).  An
+array a caller obtained earlier keeps its values, and the labels never
+change, so copies share them.
 """
 
 from __future__ import annotations
 
 import types
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from typing import Any
 
 import numpy as np
 
@@ -124,10 +125,12 @@ class UncertainGraph:
     Parameters
     ----------
     edges:
-        Optional iterable of ``(u, v, p)`` triples.
+        Optional iterable of ``(u, v, p)`` triples.  A repeated pair
+        keeps its first position and its last probability; the first
+        self-loop or probability outside ``(0, 1]`` raises.
     vertices:
-        Optional iterable of isolated vertices to pre-register (vertices
-        that appear in ``edges`` need not be listed).
+        Optional iterable of vertices to register before the edges'
+        endpoints (isolated vertices must be listed here).
     name:
         Optional label used in ``repr`` and experiment tables.
 
@@ -146,28 +149,39 @@ class UncertainGraph:
         vertices: Iterable[Vertex] | None = None,
         name: str = "",
     ) -> None:
-        self.name = name
         ids: dict = {}
         if vertices is not None:
             for v in vertices:
                 ids.setdefault(v, len(ids))
-        self._set_labels(list(ids), ids)
-        empty = np.empty((0, 2), dtype=np.int64)
-        self._set_rows(_read_only(empty), _read_only(np.empty(0)), None)
-        self._next_rank = 0
+        a: list = []
+        b: list = []
+        probs: list = []
         if edges is not None:
             for u, v, p in edges:
-                self.add_edge(u, v, p)
+                a.append(ids.setdefault(u, len(ids)))
+                b.append(ids.setdefault(v, len(ids)))
+                if a[-1] == b[-1]:
+                    raise GraphError(f"self-loops are not allowed: {u!r}")
+                probs.append(_validate_probability(p))
+        ends, prob, rank = _canonical_rows(
+            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            np.array(probs, dtype=np.float64), len(ids), dedupe=True,
+        )
+        self._init(list(ids), ids, ends, prob, rank, name)
 
     # ------------------------------------------------------------------
     # Internal state
     # ------------------------------------------------------------------
-    def _set_labels(self, labels: "list | range", ids: "dict | None") -> None:
-        """Install vertex labels; the graph owns ``labels`` and ``ids``."""
+    def _init(
+        self, labels: "list | range", ids: "dict | None",
+        ends: np.ndarray, prob: np.ndarray, rank: "np.ndarray | None",
+        name: str,
+    ) -> None:
+        self.name = name
         self._labels = labels
         self._ids = ids
-        self._labels_shared = False
-        self._csr = None
+        rank = None if rank is None else _read_only(rank)
+        self._set_rows(_read_only(ends), _read_only(prob), rank)
 
     def _set_rows(
         self, ends: "np.ndarray | None", prob: np.ndarray,
@@ -184,9 +198,6 @@ class UncertainGraph:
         self._dst = dst
         self._prob = prob
         self._rank = rank
-        self._upd: dict[int, float] = {}
-        self._dele: set[int] = set()
-        self._ins: dict[tuple[int, int], list] = {}
         self._edge_list = None
         self._pairs = None
         self._csr = None
@@ -197,17 +208,13 @@ class UncertainGraph:
         prob: np.ndarray, rank: "np.ndarray | None", name: str = "",
     ) -> "UncertainGraph":
         out = cls.__new__(cls)
-        out.name = name
-        out._set_labels(labels, ids)
-        rank = None if rank is None else _read_only(rank)
-        out._set_rows(_read_only(ends), _read_only(prob), rank)
-        out._next_rank = len(prob) if rank is None else int(rank.max()) + 1
+        out._init(labels, ids, ends, prob, rank, name)
         return out
 
     @classmethod
     def _from_creation_rows(
-        cls, labels: list, ids: "dict | None", a: np.ndarray, b: np.ndarray,
-        probabilities: np.ndarray, name: str = "",
+        cls, labels: "list | range", ids: "dict | None", a: np.ndarray,
+        b: np.ndarray, probabilities: np.ndarray, name: str = "",
     ) -> "UncertainGraph":
         """Graph from dense-id rows given in creation order, where a
         repeated pair is an overwrite (see :func:`_canonical_rows`)."""
@@ -230,66 +237,34 @@ class UncertainGraph:
                 array.setflags(write=False)
         out = cls.__new__(cls)
         out.name = name
-        out._set_labels(range(int(n)), None)
+        out._labels = range(int(n))
+        out._ids = None
         out._set_rows(None, prob, None, src=src, dst=dst)
-        out._next_rank = len(prob)
         return out
-
-    def _own_labels(self) -> None:
-        """Make the label list and indexer private before mutating them."""
-        if isinstance(self._labels, range) or self._labels_shared:
-            ids = self._index()
-            self._labels = list(self._labels)
-            self._ids = dict(ids)
-            self._labels_shared = False
 
     def _index(self) -> dict:
         if self._ids is None:
             self._ids = {v: i for i, v in enumerate(self._labels)}
         return self._ids
 
-    def _flush(self) -> None:
-        """Fold the buffered per-edge mutations into the edge arrays."""
-        if not (self._upd or self._dele or self._ins):
-            return
-        prob = self._prob
-        if self._upd:
-            prob = prob.copy()
-            prob[np.fromiter(self._upd, np.int64, len(self._upd))] = list(
-                self._upd.values()
-            )
-            prob.setflags(write=False)
-        if self._dele or self._ins:
-            keep = np.ones(len(prob), dtype=bool)
-            keep[np.fromiter(self._dele, np.int64, len(self._dele))] = False
-            pairs = np.array(list(self._ins), dtype=np.int64).reshape(-1, 2)
-            values = list(self._ins.values())
-            self._splice(
-                prob, keep, pairs,
-                np.array([value[0] for value in values], dtype=np.float64),
-                np.array([value[1] for value in values], dtype=np.int64),
-            )
-        else:
-            self._prob = prob
-            self._upd = {}
-
     def _splice(
         self, prob: np.ndarray, keep: np.ndarray, inserts: np.ndarray,
-        insert_ps: np.ndarray, insert_ranks: np.ndarray,
+        insert_ps: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Drop the rows where ``keep`` is False and insert new edges.
 
         ``inserts`` holds ``(lower, higher)`` dense pairs in creation
-        order, ranked ``insert_ranks``.  Each goes right after the last
-        surviving row whose lower endpoint is at most its own (on rows
-        in edge order: after the surviving edges of its lower endpoint),
-        inserts sharing a lower endpoint in creation order.  Returns the
-        old → new id map (``-1`` for dropped rows) and the new ids of the
-        inserts.
+        order; they are ranked after every existing edge.  Each goes
+        right after the last surviving row whose lower endpoint is at
+        most its own (on rows in edge order: after the surviving edges
+        of its lower endpoint), inserts sharing a lower endpoint in
+        creation order.  Returns the old → new id map (``-1`` for
+        dropped rows) and the new ids of the inserts.
         """
         rank = self._rank if self._rank is not None else np.arange(
             len(prob), dtype=np.int64
         )
+        next_rank = int(rank.max()) + 1 if len(rank) else 0
         src, dst = np.asarray(self._src), np.asarray(self._dst)
         kept_src, kept_dst = src[keep], dst[keep]
         order = np.argsort(inserts[:, 0], kind="stable")
@@ -311,7 +286,7 @@ class UncertainGraph:
         new_prob[slots] = insert_ps[order]
         new_rank = np.empty(total, dtype=np.int64)
         new_rank[kept_slots] = rank[keep]
-        new_rank[slots] = insert_ranks[order]
+        new_rank[slots] = next_rank + order
         if total < 2 or bool(np.all(new_rank[1:] > new_rank[:-1])):
             new_rank = None  # ranks follow the rows
         else:
@@ -325,30 +300,25 @@ class UncertainGraph:
         return id_map, insert_eids
 
     def _apply_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        """Apply a checked structural :class:`EdgeDeltaBatch` in place;
-        returns ``(id_map, insert_eids)`` (see :meth:`_splice`)."""
-        self._flush()
+        """Apply a checked :class:`EdgeDeltaBatch` in place; returns
+        ``(id_map, insert_eids)`` (see :meth:`_splice`).
+
+        A probability-only batch patches a copy of the probability array
+        and keeps every structural view: the endpoint arrays, the edge
+        list, the indexer and the CSR.
+        """
         prob = self._prob
         if len(batch.update_eids):
             prob = prob.copy()
             prob[batch.update_eids] = batch.update_ps
+            prob.setflags(write=False)
+        if not batch.is_structural:
+            self._prob = prob
+            return (np.arange(len(prob), dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
         keep = np.ones(len(prob), dtype=bool)
         keep[batch.delete_eids] = False
-        count = len(batch.insert_ps)
-        ranks = self._next_rank + np.arange(count, dtype=np.int64)
-        self._next_rank += count
-        return self._splice(
-            prob, keep, batch.insert_endpoints, batch.insert_ps, ranks
-        )
-
-    def _invalidate_caches(self) -> None:
-        """Drop every derived view; the next accessor rebuilds it."""
-        self._flush()
-        if not self._labels_shared:
-            self._ids = None
-        self._edge_list = None
-        self._pairs = None
-        self._csr = None
+        return self._splice(prob, keep, batch.insert_endpoints, batch.insert_ps)
 
     def _pair_map(self) -> dict:
         """``(lower id, higher id) -> edge id`` of the arrays' rows."""
@@ -367,21 +337,13 @@ class UncertainGraph:
         return (a, b) if a < b else (b, a)
 
     def _slot(self, key: "tuple[int, int] | None") -> "int | None":
-        """Where an edge lives: ``-1`` for a buffered insert, else its row
-        in the arrays; ``None`` when the graph has no such edge."""
-        if key is None:
-            return None
-        if key in self._ins:
-            return -1
-        eid = self._pair_map().get(key)
-        if eid is None or eid in self._dele:
-            return None
-        return eid
+        """The edge id of a dense pair; ``None`` when the graph has no
+        such edge."""
+        return None if key is None else self._pair_map().get(key)
 
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``(indptr, neighbour ids, edge ids)``, each vertex's
         incident edges in creation-rank order."""
-        self._flush()
         if self._csr is None:
             ends = self.edge_index_array()
             flat = ends.reshape(-1)
@@ -430,7 +392,7 @@ class UncertainGraph:
 
     def number_of_edges(self) -> int:
         """Number of edges ``|E|``."""
-        return len(self._prob) - len(self._dele) + len(self._ins)
+        return len(self._prob)
 
     def vertices(self) -> "list[Vertex] | range":
         """Vertices in id (first-touch) order: a new list, or the ``range``
@@ -457,7 +419,7 @@ class UncertainGraph:
         """Read-only mapping ``neighbor -> probability`` for ``vertex``.
 
         Incident edges are listed by creation rank.  The mapping is a
-        snapshot: later mutations of the graph do not show through it.
+        snapshot: a later in-place delta does not show through it.
         """
         neighbours, eids = self._incident(vertex)
         labels = self._labels
@@ -491,129 +453,14 @@ class UncertainGraph:
 
     def probability(self, u: Vertex, v: Vertex) -> float:
         """Existence probability of edge ``(u, v)``."""
-        key = self._key(u, v)
-        slot = self._slot(key)
-        if slot is None:
+        eid = self._slot(self._key(u, v))
+        if eid is None:
             raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-        if slot < 0:
-            return self._ins[key][0]
-        p = self._upd.get(slot)
-        return float(self._prob[slot]) if p is None else p
+        return float(self._prob[eid])
 
     def expected_number_of_edges(self) -> float:
         """Expected edge count ``sum_e p_e`` of the possible worlds."""
         return float(sum(self.probability_array().tolist()))
-
-    def total_probability(self) -> float:
-        """Alias of :meth:`expected_number_of_edges` (paper: probability mass)."""
-        return self.expected_number_of_edges()
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add_vertex(self, vertex: Vertex) -> None:
-        """Register a vertex (no-op if already present)."""
-        if vertex not in self._index():
-            self._own_labels()
-            self._ids[vertex] = len(self._labels)
-            self._labels.append(vertex)
-            self._csr = None
-
-    def add_edge(self, u: Vertex, v: Vertex, p: float) -> None:
-        """Add (or overwrite) the undirected edge ``(u, v)`` with probability ``p``."""
-        if u == v:
-            raise GraphError(f"self-loops are not allowed: {u!r}")
-        p = _validate_probability(p)
-        self.add_vertex(u)
-        self.add_vertex(v)
-        key = self._key(u, v)
-        slot = self._slot(key)
-        if slot is None:
-            self._ins[key] = [p, self._next_rank]
-            self._next_rank += 1
-        elif slot < 0:
-            self._ins[key][0] = p
-        else:
-            self._upd[slot] = p
-
-    def set_probability(self, u: Vertex, v: Vertex, p: float) -> None:
-        """Update the probability of an existing edge."""
-        key = self._key(u, v)
-        slot = self._slot(key)
-        if slot is None:
-            raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-        p = _validate_probability(p)
-        if slot < 0:
-            self._ins[key][0] = p
-        else:
-            self._upd[slot] = p
-
-    def set_probabilities(self, eids: np.ndarray, probabilities: np.ndarray) -> None:
-        """Update the probabilities of existing edges named by edge id.
-
-        Ids are positions in :meth:`edge_list`.  A probability change
-        leaves the edge set and its order alone, so the edge list, the
-        vertex indexer and :meth:`edge_index_array` stay cached.  The
-        probability array is replaced by a patched copy: an array a
-        caller obtained from :meth:`probability_array` earlier keeps its
-        values.
-        """
-        eids = np.asarray(eids)
-        probabilities = np.asarray(probabilities)
-        if (eids.size and eids.dtype.kind not in "iu") or (
-            probabilities.size and probabilities.dtype.kind not in "iuf"
-        ):
-            raise GraphError(
-                f"edge ids must be integers and probabilities real numbers, "
-                f"got {eids.dtype} and {probabilities.dtype}"
-            )
-        eids = eids.astype(np.int64).reshape(-1)
-        probabilities = probabilities.astype(np.float64).reshape(-1)
-        if len(eids) != len(probabilities):
-            raise GraphError(
-                f"eids/probabilities length mismatch: "
-                f"{len(eids)} vs {len(probabilities)}"
-            )
-        old = self.probability_array()
-        if not len(eids):
-            return
-        if eids.min() < 0 or eids.max() >= len(old):
-            raise GraphError(f"edge id outside [0, {len(old)})")
-        bad = np.flatnonzero(~((probabilities > 0.0) & (probabilities <= 1.0)))
-        if len(bad):
-            _validate_probability(probabilities[bad[0]])
-        new = old.copy()
-        new[eids] = probabilities
-        self._prob = _read_only(new)
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> float:
-        """Remove edge ``(u, v)``; returns its probability."""
-        key = self._key(u, v)
-        slot = self._slot(key)
-        if slot is None:
-            raise GraphError(f"edge not in graph: ({u!r}, {v!r})")
-        if slot < 0:
-            return self._ins.pop(key)[0]
-        self._dele.add(slot)
-        p = self._upd.pop(slot, None)
-        return float(self._prob[slot]) if p is None else p
-
-    def remove_vertex(self, vertex: Vertex) -> None:
-        """Remove a vertex and all incident edges; later ids shift down."""
-        i = self.vertex_id(vertex)
-        self._flush()
-        src, dst = np.asarray(self._src), np.asarray(self._dst)
-        keep = (src != i) & (dst != i)
-        if not keep.all():
-            no_inserts = np.empty((0, 2), dtype=np.int64)
-            self._splice(self._prob, keep, no_inserts, np.empty(0),
-                         np.empty(0, dtype=np.int64))
-        ends = self.edge_index_array().copy()
-        ends[ends > i] -= 1
-        self._set_rows(_read_only(ends), self._prob, self._rank)
-        self._own_labels()
-        del self._labels[i]
-        self._set_labels(self._labels, None)
 
     # ------------------------------------------------------------------
     # Vectorised views
@@ -621,15 +468,13 @@ class UncertainGraph:
     def vertex_indexer(self) -> dict[Vertex, int]:
         """Map each vertex to its dense integer id (first-touch order).
 
-        Cached until the vertex set mutates; treat the returned dict as
-        read-only (it is shared between callers).
+        Cached; treat the returned dict as read-only (it is shared
+        between callers and with the graph's copies).
         """
-        self._labels_shared = True
         return self._index()
 
     def edge_list(self) -> list[Edge]:
         """Stable list of undirected edges ``(u, v)`` in edge-id order."""
-        self._flush()
         if self._edge_list is None:
             label = self._labels.__getitem__
             self._edge_list = list(zip(
@@ -640,7 +485,6 @@ class UncertainGraph:
 
     def probability_array(self) -> np.ndarray:
         """Probabilities aligned with :meth:`edge_list` (read-only)."""
-        self._flush()
         return self._prob
 
     def edge_index_array(self) -> np.ndarray:
@@ -649,7 +493,6 @@ class UncertainGraph:
         Read-only; stacked once from the stored columns of a graph
         opened from a binary dataset.
         """
-        self._flush()
         if self._ends is None:
             ends = np.empty((len(self._prob), 2), dtype=np.int64)
             ends[:, 0] = self._src
@@ -714,15 +557,18 @@ class UncertainGraph:
         """Expected cut size ``C_G(S)`` of a vertex set (Definition 1).
 
         Sum of probabilities of edges with exactly one endpoint in
-        ``subset``.
+        ``subset``, added up in vertex-id order and each vertex's
+        neighbour order, so the float result does not depend on how
+        ``subset`` is ordered or on string hashing.
         """
-        inside = set(subset)
-        for v in inside:
-            self.vertex_id(v)
+        inside = {self.vertex_id(v) for v in subset}
+        indptr, neighbours, eids = self._adjacency()
         total = 0.0
-        for u in inside:
-            for v, p in self.neighbors(u).items():
-                if v not in inside:
+        for i in sorted(inside):
+            start, stop = indptr[i], indptr[i + 1]
+            for j, p in zip(neighbours[start:stop].tolist(),
+                            self._prob[eids[start:stop]].tolist()):
+                if j not in inside:
                     total += p
         return total
 
@@ -730,28 +576,18 @@ class UncertainGraph:
     # Copies / conversions
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "UncertainGraph":
-        """Independent copy: same vertices, edges, probabilities and orders.
+        """A second graph object with this graph's content.
 
-        The immutable edge arrays are shared, the label list and indexer
-        are copied, and cached views come along, so the copy's first
-        consumer pays no O(m) rebuild.
+        It shares the labels, the indexer, the edge arrays and every
+        cached view: none of them is ever written in place, so the
+        copy's first consumer pays no O(m) rebuild, and an in-place
+        :func:`~repro.core.delta.apply_delta` on either graph leaves the
+        other as it was.  The copy starts without a
+        :class:`~repro.core.backbone.BackbonePlan` of its own.
         """
-        self._flush()
         clone = UncertainGraph.__new__(UncertainGraph)
+        clone.__dict__.update(self.__dict__)
         clone.name = self.name if name is None else name
-        labels = self._labels
-        clone._set_labels(
-            labels if isinstance(labels, range) else list(labels),
-            None if self._ids is None else dict(self._ids),
-        )
-        clone._set_rows(
-            self._ends, self._prob.view(), self._rank,
-            src=self._src, dst=self._dst,
-        )
-        clone._next_rank = self._next_rank
-        if self._edge_list is not None:
-            clone._edge_list = list(self._edge_list)
-        clone._csr = self._csr
         return clone
 
     def subgraph_with_edges(
@@ -774,26 +610,25 @@ class UncertainGraph:
             rows.append(key)
             probs.append(_validate_probability(p))
         rows_array = np.array(rows, dtype=np.int64).reshape(-1, 2)
-        labels = self._labels
         return UncertainGraph._from_creation_rows(
-            labels if isinstance(labels, range) else list(labels),
-            None if self._ids is None else dict(self._ids),
-            rows_array[:, 0], rows_array[:, 1], np.array(probs), name=name,
+            self._labels, self._ids, rows_array[:, 0], rows_array[:, 1],
+            np.array(probs, dtype=np.float64), name=name,
         )
 
     def induced_subgraph(self, vertices: Iterable[Vertex], name: str = "") -> "UncertainGraph":
         """Induced subgraph on ``vertices`` (edges with both endpoints kept).
 
-        Vertices come in the iteration order of ``set(vertices)``; edges
-        keep this graph's edge order.
+        Vertices keep this graph's id order and edges its edge order, so
+        the result does not depend on how ``vertices`` is ordered or on
+        string hashing.  :class:`GraphError` names a vertex that is not
+        in the graph.
         """
-        keep = set(vertices)
-        labels = list(keep)
-        ids = {v: i for i, v in enumerate(labels)}
-        new_id = np.fromiter(
-            (ids.get(v, -1) for v in self._labels), np.int64,
-            self.number_of_vertices(),
-        )
+        new_id = np.full(self.number_of_vertices(), -1, dtype=np.int64)
+        new_id[np.fromiter(map(self.vertex_id, vertices), np.int64)] = 0
+        kept = np.flatnonzero(new_id == 0)
+        new_id[kept] = np.arange(len(kept))
+        labels = list(map(self._labels.__getitem__, kept.tolist()))
+        ids = dict(zip(labels, range(len(labels))))
         ends = self.edge_index_array()
         a, b = new_id[ends[:, 0]], new_id[ends[:, 1]]
         inside = (a >= 0) & (b >= 0)
@@ -811,15 +646,6 @@ class UncertainGraph:
             self._prob, None, name=self.name,
         )
         return out, mapping
-
-    def to_networkx(self) -> Any:
-        """Convert to a :class:`networkx.Graph` with ``probability`` edge attrs."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        g.add_nodes_from(self._labels)
-        g.add_weighted_edges_from(self.edges(), weight="probability")
-        return g
 
     @classmethod
     def from_edge_arrays(
@@ -872,20 +698,6 @@ class UncertainGraph:
             endpoints[:, 0], endpoints[:, 1], probabilities, n
         )
         return cls._from_parts(labels, ids, ends, prob, rank, name=name)
-
-    @classmethod
-    def from_networkx(cls, graph: Any, probability_attr: str = "probability") -> "UncertainGraph":
-        """Build from a networkx graph carrying a probability edge attribute."""
-        out = cls(name=str(graph.name) if getattr(graph, "name", "") else "")
-        for v in graph.nodes():
-            out.add_vertex(v)
-        for u, v, data in graph.edges(data=True):
-            if probability_attr not in data:
-                raise GraphError(
-                    f"edge ({u!r}, {v!r}) missing attribute {probability_attr!r}"
-                )
-            out.add_edge(u, v, data[probability_attr])
-        return out
 
     # ------------------------------------------------------------------
     # Equality (structural, probability-tolerant)

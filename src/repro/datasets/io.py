@@ -198,11 +198,12 @@ def _convert_probabilities(
     """Convert pending probability tokens, replaying line-order errors.
 
     Tokens are converted in line order; the first failure raises exactly
-    what adding the lines one at a time raises at that line.  Only the
+    what reading the lines one at a time raises at that line.  Only the
     first ``range_checked`` tokens get the domain check — a trailing
     token whose line failed *after* conversion (a self-loop) is
-    converted but not range-checked, because ``add_edge`` checks
-    self-loops first.
+    converted but not range-checked, because a graph refuses a
+    self-loop before it checks the probability's range (the
+    :class:`UncertainGraph` constructor's order).
 
     Bulk ``numpy`` conversion handles the common all-numeric case in one
     vectorised pass; any failure falls back to a per-token ``float()``
@@ -250,8 +251,8 @@ def parse_edge_list(
     same content instead of re-reading a file that may have changed.
     ``source`` labels error messages.
 
-    The result is the graph that adding the lines one at a time would
-    build: vertex ids in first-touch order (bare-vertex lines included),
+    The result is the graph that reading the lines one at a time
+    builds: vertex ids in first-touch order (bare-vertex lines included),
     a repeated edge keeps its first position and takes its last
     probability, and the first malformed line raises — with the error
     that line-at-a-time parsing gives.  Lines are routed in chunks,

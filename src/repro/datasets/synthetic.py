@@ -161,12 +161,15 @@ def densify(
 
     Adds uniformly random non-edges (probabilities drawn from the same
     Beta family) until ``|E| = density * n(n-1)/2``.  ``density`` is a
-    fraction of the complete graph in (0, 1].
+    fraction of the complete graph in (0, 1].  The drawn edges are
+    spliced in once, in draw order, by the graph's insert rule (each
+    right after the edges of its lower endpoint; see
+    :mod:`repro.core.uncertain_graph`).
     """
     if not (0.0 < density <= 1.0):
         raise ValueError(f"density must be in (0, 1], got {density}")
     rng = ensure_rng(rng)
-    out, mapping = graph.relabel_to_integers()
+    out, _ = graph.relabel_to_integers()
     n = out.number_of_vertices()
     max_edges = n * (n - 1) // 2
     target = int(round(density * max_edges))
@@ -176,14 +179,20 @@ def densify(
             f"{out.number_of_edges()}"
         )
     draw = beta_probability_sampler(p_mean, rng)
-    missing = target - out.number_of_edges()
-    while missing > 0:
+    m = out.number_of_edges()
+    drawn: dict = {}  # new (lower, higher) pairs in draw order
+    while m + len(drawn) < target:
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
-        if u == v or out.has_edge(u, v):
+        pair = (u, v) if u < v else (v, u)
+        if u == v or pair in drawn or out.has_edge(u, v):
             continue
-        out.add_edge(u, v, float(draw(1)[0]))
-        missing -= 1
+        drawn[pair] = float(draw(1)[0])
+    out._splice(
+        out.probability_array(), np.ones(m, dtype=bool),
+        np.array(list(drawn), dtype=np.int64).reshape(-1, 2),
+        np.array(list(drawn.values()), dtype=np.float64),
+    )
     out.name = name or f"densified({density:.0%})"
     return out
 
@@ -273,7 +282,6 @@ def grid_uncertain(
     ``[2 p_mean - 1, 1]`` when ``p_mean > 0.5`` (else Beta).
     """
     rng = ensure_rng(rng)
-    graph = UncertainGraph(name=name or f"grid({rows}x{cols})")
 
     def vertex(r: int, c: int) -> int:
         return r * cols + c
@@ -284,14 +292,19 @@ def grid_uncertain(
             return float(rng.uniform(low, 1.0))
         return float(np.clip(rng.beta(1.0, (1 - p_mean) / p_mean), 1e-3, 1.0))
 
+    edges = []
     for r in range(rows):
         for c in range(cols):
-            graph.add_vertex(vertex(r, c))
             if r + 1 < rows:
-                graph.add_edge(vertex(r, c), vertex(r + 1, c), draw())
+                edges.append((vertex(r, c), vertex(r + 1, c), draw()))
             if c + 1 < cols:
-                graph.add_edge(vertex(r, c), vertex(r, c + 1), draw())
-    return graph
+                edges.append((vertex(r, c), vertex(r, c + 1), draw()))
+    # Every cell but the first is first touched by an edge of an earlier
+    # cell, so only vertex 0 needs registering (a 1x1 grid has no edges).
+    return UncertainGraph(
+        edges, vertices=[0] if rows > 0 and cols > 0 else None,
+        name=name or f"grid({rows}x{cols})",
+    )
 
 
 def figure1_graph() -> UncertainGraph:
@@ -301,11 +314,10 @@ def figure1_graph() -> UncertainGraph:
     :func:`repro.sampling.exact.exact_connectivity_probability`).
     """
     vertices = ["u1", "u2", "u3", "u4"]
-    graph = UncertainGraph(vertices=vertices, name="figure1a")
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1:]:
-            graph.add_edge(u, v, 0.3)
-    return graph
+    return UncertainGraph(
+        [(u, v, 0.3) for i, u in enumerate(vertices) for v in vertices[i + 1:]],
+        vertices=vertices, name="figure1a",
+    )
 
 
 def figure1_sparsified() -> UncertainGraph:
@@ -313,7 +325,7 @@ def figure1_sparsified() -> UncertainGraph:
 
     Exact Pr[connected] = 0.6^3 = 0.216.
     """
-    graph = UncertainGraph(name="figure1b")
-    for u, v in (("u1", "u2"), ("u2", "u4"), ("u4", "u3")):
-        graph.add_edge(u, v, 0.6)
-    return graph
+    return UncertainGraph(
+        [("u1", "u2", 0.6), ("u2", "u4", 0.6), ("u4", "u3", 0.6)],
+        name="figure1b",
+    )

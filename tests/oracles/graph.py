@@ -10,16 +10,15 @@ to the end).  :func:`_apply_to_uncertain` is the matching
 ``apply_delta`` body: updates, then deletes and inserts one edge at a
 time, with the id map read back from the mutated enumeration.
 
-``tests/test_uncertain_graph.py`` drives random operation sequences
-through both classes and compares every view after every step.
+``tests/test_uncertain_graph.py`` builds both classes from the same
+triples, drives random ``apply_delta`` sequences through both and
+compares every view (:func:`views`) after every step.
 """
 
 from __future__ import annotations
 
 import types
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from typing import Any
-
 import numpy as np
 
 from oracles.unionfind import UnionFind
@@ -31,6 +30,7 @@ from repro.core.delta import (
     _existing_insert,
     _pair_keys,
 )
+from repro.datasets.io import format_edge_list
 from repro.exceptions import GraphError, ProbabilityError
 
 Vertex = Hashable
@@ -161,10 +161,6 @@ class UncertainGraph:
     def expected_number_of_edges(self) -> float:
         """Expected edge count ``sum_e p_e`` of the possible worlds."""
         return float(sum(p for _, _, p in self.edges()))
-
-    def total_probability(self) -> float:
-        """Alias of :meth:`expected_number_of_edges` (paper: probability mass)."""
-        return self.expected_number_of_edges()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -433,15 +429,6 @@ class UncertainGraph:
             out.add_edge(mapping[u], mapping[v], p)
         return out, mapping
 
-    def to_networkx(self) -> Any:
-        """Convert to a :class:`networkx.Graph` with ``probability`` edge attrs."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        g.add_nodes_from(self._adj)
-        g.add_weighted_edges_from(self.edges(), weight="probability")
-        return g
-
     @classmethod
     def from_edge_arrays(
         cls,
@@ -536,21 +523,6 @@ class UncertainGraph:
             out._edge_index_cache = index_cache
         return out
 
-    @classmethod
-    def from_networkx(cls, graph: Any, probability_attr: str = "probability") -> "UncertainGraph":
-        """Build from a networkx graph carrying a probability edge attribute."""
-        out = cls(name=str(graph.name) if getattr(graph, "name", "") else "")
-        out_vertices = list(graph.nodes())
-        for v in out_vertices:
-            out.add_vertex(v)
-        for u, v, data in graph.edges(data=True):
-            if probability_attr not in data:
-                raise GraphError(
-                    f"edge ({u!r}, {v!r}) missing attribute {probability_attr!r}"
-                )
-            out.add_edge(u, v, data[probability_attr])
-        return out
-
     # ------------------------------------------------------------------
     # Equality (structural, probability-tolerant)
     # ------------------------------------------------------------------
@@ -629,4 +601,18 @@ def _apply_to_uncertain(
         batch=batch, graph=graph, id_map=id_map, old_m=m,
         new_m=len(new_keys), structural=True, old_update_ps=old_update_ps,
         insert_eids=insert_eids,
+    )
+
+
+def views(graph) -> tuple:
+    """Every order-carrying view the two graph classes must agree on:
+    vertices, edges, endpoint and probability bytes, each vertex's
+    neighbours in order, and the serialisation."""
+    return (
+        list(graph.vertices()),
+        list(graph.edge_list()),
+        graph.edge_index_array().tobytes(),
+        graph.probability_array().tobytes(),
+        [(v, list(graph.neighbors(v).items())) for v in graph.vertices()],
+        format_edge_list(graph),
     )

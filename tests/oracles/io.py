@@ -1,16 +1,17 @@
 """The line-at-a-time edge-list parser.
 
-Each line goes through the graph's own per-edge API: a bare token is
-``add_vertex``, ``u v p`` is ``float(p)`` then ``add_edge``.  This is the
-behaviour :func:`repro.datasets.io.parse_edge_list` reproduces with
-chunked routing and bulk conversion, pinned in ``tests/test_io.py``:
-same graph, and the same error type, message and line on malformed
-input.
+Each line goes through the dict-of-dicts oracle graph's per-edge API
+(:mod:`oracles.graph`): a bare token is ``add_vertex``, ``u v p`` is
+``float(p)`` then ``add_edge``.  This is the behaviour
+:func:`repro.datasets.io.parse_edge_list` reproduces with chunked
+routing and bulk conversion, pinned in ``tests/test_io.py``: same
+vertex, edge and neighbour orders and probabilities, and the same error
+type, message and line on malformed input.
 """
 
 from __future__ import annotations
 
-from repro.core.uncertain_graph import UncertainGraph
+from oracles.graph import UncertainGraph
 from repro.exceptions import GraphError
 
 

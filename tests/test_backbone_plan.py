@@ -396,22 +396,9 @@ class TestPlanThreading:
             gdb(graph, alpha=0.4, backbone_ids=ids)
 
 
-def _touch_edge(graph):
-    u, v, p = next(iter(graph.edges()))
-    return u, v, 0.5 if p != 0.5 else 0.25
-
-
-#: Every way to change a graph, each of which must retire its plan.
+#: Every way to change a graph (an in-place ``apply_delta``), each of
+#: which must retire its plan.
 MUTATIONS = {
-    "set_probabilities": lambda g: g.set_probabilities(
-        np.array([0, 3]), np.array([0.11, 0.93])
-    ),
-    "set_probability": lambda g: g.set_probability(*_touch_edge(g)),
-    "add_edge_new": lambda g: g.add_edge(g.vertices()[0], "fresh", 0.7),
-    "add_edge_overwrite": lambda g: g.add_edge(*_touch_edge(g)),
-    "remove_edge": lambda g: g.remove_edge(*_touch_edge(g)[:2]),
-    "add_vertex": lambda g: g.add_vertex("isolated"),
-    "remove_vertex": lambda g: g.remove_vertex(g.vertices()[-1]),
     "apply_delta_probabilities": lambda g: apply_delta(
         g, EdgeDeltaBatch(update_eids=[1, 4], update_ps=[0.2, 0.8])
     ),
@@ -457,7 +444,6 @@ class TestOnePlanPerGraph:
 
     def test_empty_updates_keep_the_plan(self, graph):
         plan = BackbonePlan.of(graph)
-        graph.set_probabilities(np.array([], dtype=np.int64), np.array([]))
         apply_delta(graph, EdgeDeltaBatch())
         assert BackbonePlan.of(graph) is plan
 

@@ -14,7 +14,18 @@ from repro.datasets import (
     grid_uncertain,
     twitter_like,
 )
+from repro.datasets.binary_io import read_binary, write_binary_arrays
+from repro.datasets.io import format_edge_list, parse_edge_list
 from repro.utils.rng import ensure_rng
+from oracles.graph import views
+from oracles.io import parse_edge_list_scalar
+from oracles.synthetic import (
+    densify_rows,
+    densify_scalar,
+    figure1_graph_scalar,
+    figure1_sparsified_scalar,
+    grid_uncertain_scalar,
+)
 
 
 class TestBetaSampler:
@@ -144,3 +155,68 @@ class TestFigure1:
         assert g.number_of_edges() == 3
         assert g.is_connected()
         assert all(p == 0.6 for _, _, p in g.edges())
+
+
+class TestAgainstPerEdgeLoops:
+    """Each generator builds once; the result equals its old per-edge
+    loop replayed on the dict graph (``oracles.synthetic``): labels,
+    edge order, neighbour order, probability bytes and name."""
+
+    @staticmethod
+    def assert_same(graph, oracle):
+        assert graph.name == oracle.name
+        assert views(graph) == views(oracle)
+
+    @pytest.mark.parametrize("rows, cols", [
+        (0, 3), (1, 1), (1, 4), (4, 1), (3, 3), (4, 5),
+    ])
+    @pytest.mark.parametrize("p_mean", [0.9, 0.3])
+    def test_grid(self, rows, cols, p_mean):
+        self.assert_same(grid_uncertain(rows, cols, p_mean=p_mean, rng=7),
+                         grid_uncertain_scalar(rows, cols, p_mean=p_mean, rng=7))
+
+    def test_figure1(self):
+        self.assert_same(figure1_graph(), figure1_graph_scalar())
+        self.assert_same(figure1_sparsified(), figure1_sparsified_scalar())
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_densify(self, density, seed):
+        # A parsed graph: string labels, and lines in an order that is
+        # not the edge order, so the source has creation ranks.
+        text = format_edge_list(flickr_like(n=24, avg_degree=4, seed=seed))
+        lines = text.splitlines(keepends=True)
+        text = "".join(lines[:1] + lines[:0:-1])
+        self.assert_same(
+            densify(parse_edge_list(text), density, rng=seed),
+            densify_scalar(parse_edge_list_scalar(text), density, rng=seed),
+        )
+
+    @pytest.mark.parametrize("density", [0.3, 0.8])
+    def test_densify_binary_rows_out_of_order(self, tmp_path, density):
+        """Rows as a binary file stores them (shuffled, either
+        orientation): each drawn edge lands after the last row whose
+        lower endpoint is at most its own, ranked after every row."""
+        base = flickr_like(n=20, avg_degree=4, seed=2)
+        rng = np.random.default_rng(9)
+        order = rng.permutation(base.number_of_edges())
+        ends = base.edge_index_array()[order]
+        flip = rng.random(len(ends)) < 0.5
+        ends[flip] = ends[flip][:, ::-1]
+        path = tmp_path / "g.rpbg"
+        write_binary_arrays(path, base.number_of_vertices(), ends[:, 0],
+                            ends[:, 1], base.probability_array()[order])
+        graph = read_binary(path, mmap=True).graph()
+        assert graph.edge_index_array().tolist() == ends.tolist()
+
+        dense = densify(graph, density, rng=4)
+        rows, probs, ranks = densify_rows(graph, density, rng=4)
+        assert dense.edge_index_array().tolist() == rows
+        assert dense.probability_array().tobytes() == \
+            np.array(probs, dtype=np.float64).tobytes()
+        by_rank = np.argsort(ranks)
+        for vertex in dense.vertices():
+            want = [(b if a == vertex else a, probs[e])
+                    for e in by_rank.tolist()
+                    for a, b in [rows[e]] if vertex in (a, b)]
+            assert list(dense.neighbors(vertex).items()) == want

@@ -89,7 +89,8 @@ class TestApplyDelta:
         assert np.all(np.diff(survivors) > 0) or len(survivors) < 2
         # Updated / inserted probabilities land where the map says.
         new_ps = np.asarray(applied.graph.probability_array())
-        assert np.allclose(new_ps[applied.update_eids_new()], batch.update_ps)
+        assert np.allclose(new_ps[applied.id_map[batch.update_eids]],
+                           batch.update_ps)
         assert np.allclose(new_ps[applied.insert_eids], batch.insert_ps)
         new_index = np.sort(
             np.asarray(applied.graph.edge_index_array()), axis=1
@@ -116,11 +117,29 @@ class TestApplyDelta:
 
         original = views(GRAPH)
         graph = apply_delta(GRAPH, batch, in_place=False).graph
-        carried = views(graph)
-        graph._invalidate_caches()
-        assert carried == views(graph)
+        fresh = UncertainGraph.from_edge_arrays(
+            graph.vertices(), graph.edge_index_array().copy(),
+            graph.probability_array().copy(),
+        )
+        assert views(graph) == views(fresh)
         # The registered graph the copy came from is untouched.
         assert views(GRAPH) == original
+
+    @pytest.mark.parametrize("update_eids", [[], [0, 7]])
+    def test_probability_update_shares_structural_views(self, update_eids):
+        source = GRAPH.copy()
+        views = (source.edge_index_array(), source.edge_list(),
+                 source.vertex_indexer(), source._adjacency())
+        batch = EdgeDeltaBatch(update_eids=update_eids,
+                               update_ps=[0.5] * len(update_eids))
+        graph = apply_delta(source, batch, in_place=False).graph
+        assert graph is not source
+        for got, want in zip((graph.edge_index_array(), graph.edge_list(),
+                              graph.vertex_indexer(), graph._adjacency()),
+                             views):
+            assert got is want
+        assert graph.probability_array()[update_eids].tolist() == \
+            [0.5] * len(update_eids)
 
     def test_in_place_update_keeps_earlier_arrays(self):
         graph = GRAPH.copy()
@@ -137,11 +156,11 @@ class TestApplyDelta:
 
     def test_empty_batch_is_identity(self):
         batch = EdgeDeltaBatch()
-        assert batch.is_empty and not batch.is_structural and batch.size == 0
+        assert not batch.is_structural and batch.size == 0
         applied = apply_delta(GRAPH, batch, in_place=False)
         assert not applied.structural
         assert np.array_equal(applied.id_map, np.arange(M))
-        assert len(applied.update_eids_new()) == len(applied.insert_eids) == 0
+        assert len(applied.insert_eids) == 0
 
     def test_delete_then_reinsert_same_pair(self):
         u, v = sorted(int(x) for x in GRAPH.edge_index_array()[0])
@@ -240,7 +259,7 @@ class TestBatchValidation:
 
     def test_empty_inserts_accepted(self):
         batch = EdgeDeltaBatch(insert_endpoints=[], insert_ps=[])
-        assert batch.insert_endpoints.shape == (0, 2) and batch.is_empty
+        assert batch.insert_endpoints.shape == (0, 2) and batch.size == 0
 
     def test_integer_ids_of_any_width_accepted(self):
         batch = EdgeDeltaBatch(
@@ -342,11 +361,11 @@ class TestBatchValidation:
 class TestFromPairs:
     @pytest.fixture
     def labelled(self):
-        g = UncertainGraph(name="labelled")
-        g.add_edge("0", "1", 0.9)
-        g.add_edge("1", "2", 0.8)
-        g.add_edge("0", "2", 0.7)
-        return g
+        # "3" is isolated: registered after the edges' endpoints.
+        return UncertainGraph(
+            [("0", "1", 0.9), ("1", "2", 0.8), ("0", "2", 0.7)],
+            vertices=["0", "1", "2", "3"], name="labelled",
+        )
 
     def test_string_label_fallback(self, labelled):
         # JSON clients send bare ints against parsed (string-labelled)
@@ -362,10 +381,8 @@ class TestFromPairs:
             EdgeDeltaBatch.from_pairs(labelled, updates=[("0", "9", 0.5)])
 
     def test_update_of_missing_edge(self, labelled):
-        g = labelled
-        g.add_vertex("3")
         with pytest.raises(GraphError, match="edge not in graph"):
-            EdgeDeltaBatch.from_pairs(g, updates=[("0", "3", 0.5)])
+            EdgeDeltaBatch.from_pairs(labelled, updates=[("0", "3", 0.5)])
 
     def test_insert_of_existing_edge(self, labelled):
         with pytest.raises(GraphError, match="insert of an existing"):
@@ -393,8 +410,11 @@ class TestFromPairs:
         )
         assert batch.update_eids.tolist() == [0]
 
-    def test_boolean_never_takes_the_string_fallback(self, labelled):
-        labelled.add_edge("True", "0", 0.5)
+    def test_boolean_never_takes_the_string_fallback(self):
+        labelled = UncertainGraph(
+            [("0", "1", 0.9), ("1", "2", 0.8), ("0", "2", 0.7),
+             ("True", "0", 0.5)]
+        )
         with pytest.raises(GraphError, match="boolean: True"):
             EdgeDeltaBatch.from_pairs(labelled, updates=[(True, "0", 0.25)])
         batch = EdgeDeltaBatch.from_pairs(labelled, updates=[("True", 0, 0.25)])
@@ -416,14 +436,12 @@ class TestFromPairs:
         ({"inserts": [("0", "3")]}, "must be a list"),
     ])
     def test_malformed_rows_rejected(self, labelled, kwargs, match):
-        labelled.add_vertex("3")
         with pytest.raises(GraphError, match=match) as excinfo:
             EdgeDeltaBatch.from_pairs(labelled, **kwargs)
         (row,) = next(iter(kwargs.values()))
         assert repr(row) in str(excinfo.value)
 
     def test_well_formed_rows_of_every_kind(self, labelled):
-        labelled.add_vertex("3")
         batch = EdgeDeltaBatch.from_pairs(
             labelled, updates=[("1", "0", np.float64(0.5)), ["1", "2", 1]],
             deletes=[("2", "0")], inserts=[[3, "0", 0.25]],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles.io import parse_edge_list_scalar
 from repro.core import UncertainGraph
+from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.datasets import (
     dataset_digest,
     parse_edge_list,
@@ -177,9 +178,11 @@ def test_dataset_digest_tracks_content(tmp_path):
 def test_graph_digest_name_independent(small_power_law):
     renamed = small_power_law.copy(name="something else entirely")
     assert graph_digest(renamed) == graph_digest(small_power_law)
-    mutated = small_power_law.copy()
-    u, v, p = next(iter(mutated.edges()))
-    mutated.set_probability(u, v, p / 2)
+    p = float(small_power_law.probability_array()[0])
+    mutated = apply_delta(
+        small_power_law, EdgeDeltaBatch(update_eids=[0], update_ps=[p / 2]),
+        in_place=False,
+    ).graph
     assert graph_digest(mutated) != graph_digest(small_power_law)
 
 
@@ -206,7 +209,7 @@ _text_lines = st.one_of(
 class TestParseEngineParity:
     """The chunked parser is pinned to the line-at-a-time oracle
     (``oracles.io.parse_edge_list_scalar``, which adds each line through
-    the graph's per-edge API).
+    the dict oracle graph's per-edge API).
 
     Same graph (vertices, edges, insertion order, Python-float
     probabilities), same serialisation, and the same exception type /
@@ -385,16 +388,14 @@ def _uncertain_graphs(draw, labels=_good_labels):
     """Graphs with int and string labels, isolated vertices, both edge
     orientations and any insertion order (rows are not canonical)."""
     pool = draw(st.lists(labels, min_size=2, max_size=10, unique=True))
-    graph = UncertainGraph(name=draw(st.text(max_size=4)))
-    for vertex in draw(st.lists(st.sampled_from(pool), unique=True)):
-        graph.add_vertex(vertex)
-    for u, v, p in draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.sampled_from(pool), _probabilities),
+    vertices = draw(st.lists(st.sampled_from(pool), unique=True))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(pool), _probabilities)
+        .filter(lambda e: e[0] != e[1]),
         max_size=25,
-    )):
-        if u != v:
-            graph.add_edge(u, v, p)
-    return graph
+    ))
+    return UncertainGraph(edges, vertices=vertices,
+                          name=draw(st.text(max_size=4)))
 
 
 class TestFormatEdgeListOracle:
@@ -412,25 +413,28 @@ class TestFormatEdgeListOracle:
     @settings(max_examples=80, deadline=None)
     @given(graph=_uncertain_graphs(), data=st.data())
     def test_matches_reference_after_mutations(self, graph, data):
-        graph.probability_array()  # warm caches: bulk updates patch them
+        graph.probability_array()  # warm caches: updates keep them
         for _ in range(data.draw(st.integers(1, 6))):
-            edges = graph.edge_list()
-            vertices = graph.vertices()
-            kind = data.draw(st.sampled_from(["add", "remove", "bulk"]))
-            if kind == "add" and len(vertices) >= 2:
-                u = data.draw(st.sampled_from(vertices))
-                v = data.draw(st.sampled_from(vertices))
-                if u != v:
-                    graph.add_edge(u, v, data.draw(_probabilities))
-            elif kind == "remove" and edges:
-                graph.remove_edge(*data.draw(st.sampled_from(edges)))
-            elif edges:
-                eids = data.draw(st.lists(
-                    st.integers(0, len(edges) - 1), unique=True, max_size=5))
-                graph.set_probabilities(
-                    np.array(eids, dtype=np.int64),
-                    [data.draw(_probabilities) for _ in eids],
-                )
+            m = graph.number_of_edges()
+            n = graph.number_of_vertices()
+            eids = data.draw(st.lists(
+                st.integers(0, max(m - 1, 0)), unique=True, max_size=min(m, 5)))
+            split = data.draw(st.integers(0, len(eids)))
+            existing = {tuple(sorted(row))
+                        for row in graph.edge_index_array().tolist()}
+            free = [(a, b) for a in range(n) for b in range(a + 1, n)
+                    if (a, b) not in existing]
+            inserts = data.draw(st.lists(st.sampled_from(free), unique=True,
+                                         max_size=3)) if free else []
+            batch = EdgeDeltaBatch(
+                update_eids=eids[:split],
+                update_ps=[data.draw(_probabilities) for _ in eids[:split]],
+                delete_eids=eids[split:],
+                insert_endpoints=inserts,
+                insert_ps=[data.draw(_probabilities) for _ in inserts],
+            )
+            graph = apply_delta(graph, batch,
+                                in_place=data.draw(st.booleans())).graph
             assert format_edge_list(graph) == reference_format_edge_list(graph)
 
     @settings(max_examples=60, deadline=None)
@@ -463,9 +467,8 @@ class TestFormatEdgeListOracle:
 
     def test_first_encountered_bad_vertex_is_named(self):
         # Vertex order puts "x y" before "p q"; the lines meet "p q" first.
-        graph = UncertainGraph(vertices=["ok", "x y"])
-        graph.add_edge("ok", "p q", 0.5)
-        graph.add_edge("ok", "x y", 0.5)
+        graph = UncertainGraph([("ok", "p q", 0.5), ("ok", "x y", 0.5)],
+                               vertices=["ok", "x y"])
         with pytest.raises(GraphError, match="'p q'"):
             format_edge_list(graph)
         isolated_last = UncertainGraph([("a", "b", 0.5)], vertices=["c d"])
@@ -488,10 +491,10 @@ class TestPatchedLines:
                 st.integers(0, max(m - 1, 0)), unique=True,
                 max_size=min(m, 6),
             ))
-            graph.set_probabilities(
-                np.array(eids, dtype=np.int64),
-                [data.draw(_probabilities) for _ in eids],
-            )
+            graph = apply_delta(graph, EdgeDeltaBatch(
+                update_eids=np.array(eids, dtype=np.int64),
+                update_ps=[data.draw(_probabilities) for _ in eids],
+            ), in_place=False).graph
             kept = list(lines)
             patched = patch_edge_list_lines(lines, graph, eids)
             assert lines == kept  # the caller's lines are left alone

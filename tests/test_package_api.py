@@ -172,6 +172,27 @@ def test_experiment_drivers_take_no_lp_solver():
             assert "lp_solver" not in parameters, name
 
 
+#: The per-edge mutators, the edit buffer behind them and the helpers
+#: only tests called: a graph is built once and changed only through
+#: ``apply_delta``.
+REMOVED_GRAPH_NAMES = {
+    "add_vertex", "add_edge", "set_probability", "set_probabilities",
+    "remove_edge", "remove_vertex", "_flush", "_invalidate_caches",
+    "_own_labels", "total_probability", "to_networkx", "from_networkx",
+}
+
+
+def test_graph_changes_only_through_apply_delta():
+    from repro.core import UncertainGraph
+    from repro.core.delta import AppliedDelta, EdgeDeltaBatch
+
+    graph = UncertainGraph([(0, 1, 0.5)])
+    assert not REMOVED_GRAPH_NAMES & set(dir(UncertainGraph))
+    assert not {"_upd", "_dele", "_ins", "_labels_shared"} & set(vars(graph))
+    assert not hasattr(EdgeDeltaBatch, "is_empty")
+    assert not hasattr(AppliedDelta, "update_eids_new")
+
+
 def test_library_never_imports_test_oracles():
     package = Path(repro.__file__).parent
     pattern = re.compile(r"^\s*(from|import)\s+oracles\b", re.MULTILINE)

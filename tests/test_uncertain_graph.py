@@ -1,4 +1,10 @@
-"""UncertainGraph: construction, mutation, views, invariants."""
+"""UncertainGraph: construction, deltas, views, invariants."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.graph import UncertainGraph as DictGraph
-from oracles.graph import _apply_to_uncertain
+from oracles.graph import _apply_to_uncertain, views as _oracle_views
 from repro.core import UncertainGraph
 from repro.core.delta import EdgeDeltaBatch, apply_delta
-from repro.datasets import format_edge_list
 from repro.exceptions import GraphError, ProbabilityError
+
+
+def _update(graph, eids, ps, in_place=True):
+    """A probability-only delta; returns the graph it produced."""
+    return apply_delta(
+        graph, EdgeDeltaBatch(update_eids=eids, update_ps=ps),
+        in_place=in_place,
+    ).graph
+
+
+def _eid(graph, u, v):
+    return graph.edge_list().index((u, v))
 
 
 class TestConstruction:
@@ -32,13 +49,27 @@ class TestConstruction:
         assert "|V|=3" in repr(triangle)
         assert "|E|=3" in repr(triangle)
 
+    def test_repeated_pair_keeps_first_position_and_last_probability(self):
+        g = UncertainGraph([("a", "b", 0.5), ("b", "c", 0.25),
+                            ("b", "a", 0.75)], vertices=["z"])
+        assert g.vertices() == ["z", "a", "b", "c"]
+        assert g.edge_list() == [("a", "b"), ("b", "c")]
+        assert g.probability_array().tolist() == [0.75, 0.25]
+
+    @pytest.mark.parametrize("edges, error, match", [
+        ([(1, 2, 0.5), (3, 3, 0.5), (4, 5, 2.0)], GraphError, "self-loops"),
+        ([(1, 2, 0.5), (4, 5, 2.0), (3, 3, 0.5)], ProbabilityError, "2.0"),
+        ([(3, 3, "x")], GraphError, "self-loops"),
+        ([(1, 2, "x")], ValueError, "could not convert"),
+        # A NaN label is not equal to itself, but it names one vertex.
+        ([(float("nan"),) * 2 + (0.5,)], GraphError, "self-loops"),
+    ])
+    def test_first_bad_triple_raises(self, edges, error, match):
+        with pytest.raises(error, match=match):
+            UncertainGraph(edges)
+
 
 class TestEdges:
-    def test_add_edge_registers_vertices(self):
-        g = UncertainGraph()
-        g.add_edge(1, 2, 0.5)
-        assert 1 in g and 2 in g
-
     def test_probability_symmetric(self, triangle):
         assert triangle.probability("a", "b") == triangle.probability("b", "a")
 
@@ -56,27 +87,18 @@ class TestEdges:
         assert g.probability(1, 2) == 1.0
 
     def test_set_probability(self, triangle):
-        triangle.set_probability("a", "b", 0.9)
+        batch = EdgeDeltaBatch.from_pairs(triangle, updates=[("a", "b", 0.9)])
+        apply_delta(triangle, batch)
         assert triangle.probability("a", "b") == 0.9
         assert triangle.probability("b", "a") == 0.9
 
     def test_set_probability_missing_edge_raises(self, triangle):
         with pytest.raises(GraphError):
-            triangle.set_probability("a", "zzz", 0.5)
-
-    def test_remove_edge_returns_probability(self, triangle):
-        assert triangle.remove_edge("a", "b") == 0.5
-        assert not triangle.has_edge("a", "b")
-        assert triangle.number_of_edges() == 2
+            EdgeDeltaBatch.from_pairs(triangle, updates=[("a", "zzz", 0.5)])
 
     def test_remove_missing_edge_raises(self, triangle):
         with pytest.raises(GraphError):
-            triangle.remove_edge("a", "nope")
-
-    def test_remove_vertex_removes_incident_edges(self, triangle):
-        triangle.remove_vertex("b")
-        assert triangle.number_of_edges() == 1
-        assert "b" not in triangle
+            EdgeDeltaBatch.from_pairs(triangle, deletes=[("a", "nope")])
 
     def test_edges_iterates_each_once(self, triangle):
         edges = list(triangle.edges())
@@ -120,8 +142,11 @@ class TestVectorViews:
 
     def test_cache_invalidated_on_mutation(self, triangle):
         before = len(triangle.edge_list())
-        triangle.remove_edge("a", "b")
+        apply_delta(triangle, EdgeDeltaBatch(
+            delete_eids=[_eid(triangle, "a", "b")]
+        ))
         assert len(triangle.edge_list()) == before - 1
+        assert not triangle.has_edge("a", "b")
 
     def test_edge_index_array_shape(self, small_power_law):
         arr = small_power_law.edge_index_array()
@@ -170,11 +195,36 @@ class TestStructure:
         with pytest.raises(GraphError):
             triangle.expected_cut_size(["nope"])
 
+    def test_expected_cut_size_sums_in_id_order(self):
+        """The float sum runs over the subset in vertex-id order (then
+        each vertex's neighbours in order), whatever order ``subset`` or
+        a set of it has: vertex 8's ten tiny edges vanish only when
+        added after vertex 1's 1.0."""
+        edges = [(1, 0, 1.0)] + [(8, 10 + k, 1e-16) for k in range(10)]
+        graph = UncertainGraph(edges, vertices=range(20))
+        tiny = 0.0
+        for _ in range(10):
+            tiny += 1e-16
+        assert graph.expected_cut_size([8]) == tiny
+        assert tiny + 1.0 > 1.0  # vertex 8 first would not give 1.0
+        for subset in ([8, 1], [1, 8]):
+            assert graph.expected_cut_size(subset) == 1.0
+
+    def test_induced_subgraph_unknown_vertex_raises(self, triangle):
+        with pytest.raises(GraphError, match="'nope'"):
+            triangle.induced_subgraph(["a", "nope"])
+
+    def test_induced_subgraph_keeps_id_order(self, triangle):
+        sub = triangle.induced_subgraph(["c", "a", "c"])
+        assert sub.vertices() == ["a", "c"]
+        assert sub.edge_list() == [("a", "c")]
+
 
 class TestCopiesAndConversions:
     def test_copy_is_deep(self, triangle):
         clone = triangle.copy()
-        clone.set_probability("a", "b", 0.99)
+        _update(clone, [_eid(clone, "a", "b")], [0.99])
+        assert clone.probability("a", "b") == 0.99
         assert triangle.probability("a", "b") == 0.5
 
     def test_subgraph_with_edges_keeps_vertices(self, triangle):
@@ -198,24 +248,11 @@ class TestCopiesAndConversions:
         assert relabeled.number_of_edges() == 3
         assert relabeled.probability(mapping["a"], mapping["b"]) == 0.5
 
-    def test_networkx_roundtrip(self, triangle):
-        nx_graph = triangle.to_networkx()
-        back = UncertainGraph.from_networkx(nx_graph)
-        assert back.isomorphic_probabilities(triangle)
-
-    def test_from_networkx_missing_attr_raises(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_edge(1, 2)
-        with pytest.raises(GraphError):
-            UncertainGraph.from_networkx(g)
-
     def test_isomorphic_probabilities_tolerance(self, triangle):
-        other = triangle.copy()
-        other.set_probability("a", "b", 0.5 + 1e-12)
+        eid = _eid(triangle, "a", "b")
+        other = _update(triangle, [eid], [0.5 + 1e-12], in_place=False)
         assert triangle.isomorphic_probabilities(other)
-        other.set_probability("a", "b", 0.6)
+        other = _update(triangle, [eid], [0.6], in_place=False)
         assert not triangle.isomorphic_probabilities(other)
 
 
@@ -231,12 +268,10 @@ class TestCopiesAndConversions:
     )
 )
 def test_property_edge_count_consistent(edges):
-    g = UncertainGraph()
+    edges = [(u, v, p) for u, v, p in edges if u != v]
+    g = UncertainGraph(edges)
     expected = {}
     for u, v, p in edges:
-        if u == v:
-            continue
-        g.add_edge(u, v, p)
         expected[frozenset((u, v))] = p
     assert g.number_of_edges() == len(expected)
     for key, p in expected.items():
@@ -255,8 +290,8 @@ class TestReadOnlyViews:
             nbrs["b"] = 0.1
         with pytest.raises(TypeError):
             del nbrs["b"]
-        # The mapping is a snapshot: later mutations show in a new call.
-        triangle.set_probability("a", "b", 0.75)
+        # The mapping is a snapshot: a later delta shows in a new call.
+        _update(triangle, [_eid(triangle, "a", "b")], [0.75])
         assert nbrs["b"] == 0.5
         assert triangle.neighbors("a")["b"] == 0.75
 
@@ -264,24 +299,17 @@ class TestReadOnlyViews:
         with pytest.raises(GraphError):
             triangle.neighbors("zzz")
 
-    def test_vertex_indexer_cached_until_mutation(self, triangle):
-        first = triangle.vertex_indexer()
-        assert triangle.vertex_indexer() is first
-        triangle.add_vertex("d")
-        second = triangle.vertex_indexer()
-        assert second is not first
-        assert second["d"] == 3
-
     def test_edge_index_array_cached_and_read_only(self, triangle):
         first = triangle.edge_index_array()
         assert triangle.edge_index_array() is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 99
-        triangle.add_edge("a", "d", 0.5)
+        apply_delta(triangle, EdgeDeltaBatch(delete_eids=[1]))
         second = triangle.edge_index_array()
         assert second is not first
-        assert len(second) == 4
+        assert len(second) == 2
+        assert len(first) == 3  # a held array keeps its values
 
 
 class TestFromEdgeArrays:
@@ -294,11 +322,14 @@ class TestFromEdgeArrays:
     def test_matches_incremental_construction(self):
         vertices, endpoints, probabilities = self.make_arrays()
         bulk = UncertainGraph.from_edge_arrays(vertices, endpoints, probabilities)
-        incremental = UncertainGraph(vertices=vertices)
-        for (u, v), p in zip(endpoints, probabilities):
-            incremental.add_edge(vertices[u], vertices[v], float(p))
+        incremental = UncertainGraph(
+            [(vertices[u], vertices[v], float(p))
+             for (u, v), p in zip(endpoints, probabilities)],
+            vertices=vertices,
+        )
         assert bulk.isomorphic_probabilities(incremental)
         assert bulk.vertices() == incremental.vertices()
+        assert bulk.edge_list() == incremental.edge_list()
 
     def test_preseeded_views_for_canonical_order(self):
         # Rows (u, v) with u < v sorted by u — the order build_graph
@@ -317,20 +348,24 @@ class TestFromEdgeArrays:
         assert not g.edge_index_array().flags.writeable
 
     def test_non_canonical_order_gets_canonical_views(self):
-        # Arbitrary input order is accepted, but the views are built
-        # lazily in the order edges() reproduces from the adjacency —
-        # so edge ids stay stable across later cache invalidations.
+        # Arbitrary input order is accepted; rows are re-sorted into
+        # the canonical order, so a graph rebuilt from its own rows
+        # keeps every edge id.
         vertices, endpoints, probabilities = self.make_arrays()
         g = UncertainGraph.from_edge_arrays(vertices, endpoints, probabilities)
         before = list(g.edge_list())
         assert before == [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
-        g.add_vertex("z")  # invalidates caches, edge set unchanged
-        assert g.edge_list() == before  # same ids for the same edges
+        rebuilt = UncertainGraph.from_edge_arrays(
+            vertices, g.edge_index_array(), g.probability_array()
+        )
+        assert rebuilt.edge_list() == before  # same ids for the same edges
 
     def test_views_rebuild_after_mutation(self):
         vertices, endpoints, probabilities = self.make_arrays()
         g = UncertainGraph.from_edge_arrays(vertices, endpoints, probabilities)
-        g.add_edge("b", "d", 0.9)
+        g.edge_list()
+        apply_delta(g, EdgeDeltaBatch(insert_endpoints=[[1, 3]],
+                                      insert_ps=[0.9]))
         assert g.number_of_edges() == 5
         assert len(g.edge_list()) == 5
         assert g.probability("b", "d") == 0.9
@@ -414,32 +449,50 @@ def _views(graph):
 
 
 def _cold_views(graph):
-    """The cached views, then the views a fresh rebuild computes."""
-    warm = _views(graph)
-    graph._invalidate_caches()
-    return warm, _views(graph)
+    """The cached views, then the views of a graph freshly built from
+    the same rows."""
+    fresh = UncertainGraph.from_edge_arrays(
+        graph.vertices(), graph.edge_index_array().copy(),
+        graph.probability_array().copy(),
+    )
+    return _views(graph), _views(fresh)
+
+
+def _free_pair(graph):
+    """The first dense pair that is not an edge."""
+    taken = {tuple(sorted(row)) for row in graph.edge_index_array().tolist()}
+    n = graph.number_of_vertices()
+    return next((a, b) for a in range(n) for b in range(a + 1, n)
+                if (a, b) not in taken)
 
 
 def _mutate(graph, kind):
-    edges = graph.edge_list()
+    """One in-place delta of the given kind."""
+    m = graph.number_of_edges()
     if kind == "bulk":
-        graph.set_probabilities(np.array([0, len(edges) - 1]), [0.125, 0.875])
+        batch = EdgeDeltaBatch(update_eids=[0, m - 1], update_ps=[0.125, 0.875])
     elif kind == "add":
-        graph.add_edge("fresh", edges[0][0], 0.5)
+        batch = EdgeDeltaBatch(insert_endpoints=[_free_pair(graph)],
+                               insert_ps=[0.5])
     else:
-        graph.remove_edge(*edges[1])
+        batch = EdgeDeltaBatch(delete_eids=[1])
+    apply_delta(graph, batch)
 
 
 class TestCopyIndependence:
-    """``copy`` carries the adjacency and cached views as new objects."""
+    """``copy`` shares every view, and an in-place delta on either side
+    leaves the other as it was."""
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_copy_equals_original(self, small_power_law, warm):
         graph = small_power_law
-        # Re-adding an edge moves it to the end of both rows, so row
-        # order is no longer the order a rebuild from edges() gives.
-        u, v = graph.edge_list()[0]
-        graph.add_edge(v, u, graph.remove_edge(u, v))
+        # Deleting an edge and inserting it again ranks it after every
+        # other edge, so neighbour order is no longer edge order.
+        pair = sorted(graph.edge_index_array()[0].tolist())
+        apply_delta(graph, EdgeDeltaBatch(
+            delete_eids=[0], insert_endpoints=[pair],
+            insert_ps=[float(graph.probability_array()[0])],
+        ))
         if warm:
             graph.edge_index_array()
         clone = graph.copy(name="clone")
@@ -465,27 +518,28 @@ class TestCopyIndependence:
         warm, cold = _cold_views(target)
         assert warm == cold
 
-    def test_copy_does_not_alias_mutable_views(self, triangle):
-        triangle.edge_index_array()
+    def test_copy_shares_every_view(self, triangle):
+        views = (triangle.edge_list(), triangle.probability_array(),
+                 triangle.edge_index_array(), triangle.vertex_indexer(),
+                 triangle._adjacency())
         clone = triangle.copy()
-        assert clone.edge_list() is not triangle.edge_list()
-        assert clone.probability_array() is not triangle.probability_array()
-        assert clone.vertex_indexer() is not triangle.vertex_indexer()
-        clone.add_vertex("d")
-        clone.add_edge("a", "d", 0.5)
-        assert triangle.vertices() == ["a", "b", "c"]
-        assert "d" not in triangle.vertex_indexer()
-        assert triangle.number_of_edges() == 3
+        for got, want in zip((clone.edge_list(), clone.probability_array(),
+                              clone.edge_index_array(), clone.vertex_indexer(),
+                              clone._adjacency()), views):
+            assert got is want
 
 
 class TestSetProbabilities:
+    """Probability-only deltas: a patched copy of the probability array,
+    every structural view kept."""
+
     def test_updates_adjacency_and_keeps_structure(self, small_power_law):
         graph = small_power_law
         edges = graph.edge_list()
         index = graph.edge_index_array()
         held = graph.probability_array()
         held_bytes = held.tobytes()
-        graph.set_probabilities(np.array([3, 0]), np.array([0.25, 1.0]))
+        _update(graph, [3, 0], [0.25, 1.0])
         # Structural views are the same objects; the holder's array kept
         # its values, and the new array is read-only.
         assert graph.edge_list() is edges
@@ -496,50 +550,41 @@ class TestSetProbabilities:
         assert probs[3] == 0.25 and probs[0] == 1.0
         for (u, v), p in zip(edges, probs.tolist()):
             assert graph.probability(u, v) == p == graph.probability(v, u)
+        assert dict(graph.neighbors(edges[0][0]))[edges[0][1]] == 1.0
         warm, cold = _cold_views(graph)
         assert warm == cold
 
     def test_cold_graph(self, triangle):
-        triangle.set_probabilities([1], [0.75])
+        _update(triangle, [1], [0.75])
         u, v = triangle.edge_list()[1]
         assert triangle.probability(u, v) == 0.75
 
     def test_empty_update_is_a_no_op(self, triangle):
         before = _snapshot(triangle)
-        triangle.set_probabilities([], [])
+        held = triangle.probability_array()
+        _update(triangle, [], [])
         assert _snapshot(triangle) == before
+        assert triangle.probability_array() is held
 
     @pytest.mark.parametrize("eids, ps, error, match", [
         ([0, 1], [0.5], GraphError, "mismatch"),
-        ([3], [0.5], GraphError, r"\[0, 3\)"),
-        ([-1], [0.5], GraphError, r"\[0, 3\)"),
+        ([3], [0.5], GraphError, "out of range for 3 edges"),
+        ([-1], [0.5], GraphError, "negative edge id"),
         ([0], [0.0], ProbabilityError, r"\(0, 1\]"),
         ([0, 1], [0.5, float("nan")], ProbabilityError, r"\(0, 1\]"),
-        ([1.7], [0.5], GraphError, "integers"),
-        ([True], [0.5], GraphError, "integers"),
-        ([0], [True], GraphError, "real numbers"),
-        ([0], ["0.5"], GraphError, "real numbers"),
+        ([1.7], [0.5], GraphError, "must be an integer"),
+        ([True], [0.5], GraphError, "must be an integer"),
+        ([0], [True], GraphError, "must be a real number"),
+        ([0], ["0.5"], GraphError, "must be a real number"),
     ])
     def test_rejects_bad_input_untouched(self, triangle, eids, ps, error, match):
         before = _snapshot(triangle)
         with pytest.raises(error, match=match):
-            triangle.set_probabilities(eids, ps)
+            _update(triangle, eids, ps)
         assert _snapshot(triangle) == before
 
 
 # -- the array graph against the dict-of-dicts oracle ------------------------
-
-def _oracle_views(graph):
-    """Every order-carrying view the two graph classes must agree on."""
-    return (
-        list(graph.vertices()),
-        list(graph.edge_list()),
-        graph.edge_index_array().tobytes(),
-        graph.probability_array().tobytes(),
-        [(v, list(graph.neighbors(v).items())) for v in graph.vertices()],
-        format_edge_list(graph),
-    )
-
 
 def _draw_batch(data, graph, structural):
     m = graph.number_of_edges()
@@ -573,61 +618,11 @@ _oracle_probs = st.floats(min_value=0.01, max_value=1.0)
 _oracle_labels = st.integers(0, 7)
 
 
-def _one_mutation(data, graph, oracle):
-    """Draw one per-edge mutation and run it on both graphs."""
-    edges = oracle.edge_list()
-    kind = data.draw(st.sampled_from(
-        ["add_vertex", "remove_vertex", "add_edge", "overwrite",
-         "remove_edge", "set_probability"]
-    ))
-    if kind == "add_vertex":
-        label = data.draw(_oracle_labels)
-        graph.add_vertex(label)
-        oracle.add_vertex(label)
-    elif kind == "remove_vertex" and oracle.number_of_vertices():
-        label = data.draw(st.sampled_from(oracle.vertices()))
-        graph.remove_vertex(label)
-        oracle.remove_vertex(label)
-    elif kind in ("add_edge", "remove_vertex") or not edges:
-        u = data.draw(_oracle_labels)
-        v = data.draw(_oracle_labels.filter(lambda x: x != u))
-        p = data.draw(_oracle_probs)
-        graph.add_edge(u, v, p)
-        oracle.add_edge(u, v, p)
-    else:
-        u, v = data.draw(st.sampled_from(edges))
-        if data.draw(st.booleans()):
-            u, v = v, u
-        if kind == "remove_edge":
-            assert graph.remove_edge(u, v) == oracle.remove_edge(u, v)
-        elif kind == "overwrite":
-            p = data.draw(_oracle_probs)
-            graph.add_edge(u, v, p)
-            oracle.add_edge(u, v, p)
-        else:
-            p = data.draw(_oracle_probs)
-            graph.set_probability(u, v, p)
-            oracle.set_probability(u, v, p)
-
-
 def _one_step(data, graph, oracle):
     """Draw one step, run it on both graphs; returns the pair to go on with."""
-    kind = data.draw(st.sampled_from(
-        ["mutations", "mutations", "mutations", "set_probabilities", "copy",
-         "from_arrays", "delta", "delta"]
-    ))
-    if kind == "mutations":
-        # Several buffered per-edge mutations before the next array read.
-        for _ in range(data.draw(st.integers(1, 4))):
-            _one_mutation(data, graph, oracle)
-    elif kind == "set_probabilities":
-        m = oracle.number_of_edges()
-        eids = data.draw(st.lists(st.integers(0, max(m - 1, 0)), unique=True,
-                                  max_size=min(m, 3)))
-        ps = [data.draw(_oracle_probs) for _ in eids]
-        graph.set_probabilities(np.array(eids, dtype=np.int64), ps)
-        oracle.set_probabilities(np.array(eids, dtype=np.int64), ps)
-    elif kind == "copy":
+    kind = data.draw(st.sampled_from(["delta", "delta", "delta", "copy",
+                                      "from_arrays"]))
+    if kind == "copy":
         graph, oracle = graph.copy(name="c"), oracle.copy(name="c")
     elif kind == "from_arrays":
         rows = oracle.edge_index_array().copy()
@@ -655,10 +650,22 @@ def _one_step(data, graph, oracle):
     return graph, oracle
 
 
+_mixed_labels = st.one_of(st.integers(0, 5), st.sampled_from("abc"))
+
+
+def _outcome(build):
+    try:
+        return _oracle_views(build())
+    except (GraphError, ValueError) as error:
+        return type(error), str(error)
+
+
 class TestAgainstDictOracle:
-    """Random operation sequences through the array graph and the
-    dict-of-dicts graph it replaced (``oracles.graph``): identical vertex,
-    edge and neighbour orders and identical bytes after every step."""
+    """The array graph against the dict-of-dicts graph it replaced
+    (``oracles.graph``): built from the same triples, then random
+    ``apply_delta`` sequences (in place or not), copies and array
+    rebuilds; identical vertex, edge and neighbour orders and identical
+    bytes after every step."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -676,3 +683,58 @@ class TestAgainstDictOracle:
             graph, oracle = _one_step(data, graph, oracle)
             assert _oracle_views(graph) == _oracle_views(oracle)
             assert graph.number_of_edges() == oracle.number_of_edges()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(
+            _mixed_labels, _mixed_labels,
+            st.one_of(_oracle_probs, st.sampled_from([0.0, 1.5, "0.5", "x"])),
+        ), max_size=12),
+        isolated=st.lists(_mixed_labels, max_size=3),
+    )
+    def test_constructor_matches_per_edge_loop(self, edges, isolated):
+        """Repeated pairs (either orientation), isolated vertices listed
+        before or among the endpoints, and bad triples: the same graph,
+        or the same error as the dict graph's ``add_edge`` loop."""
+        assert _outcome(lambda: UncertainGraph(edges, vertices=isolated)) == \
+            _outcome(lambda: DictGraph(edges, vertices=isolated))
+
+
+# -- outputs that must not depend on string hashing ---------------------------
+
+_HASH_SEED_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from repro.datasets import flickr_like, forest_fire_sample
+    from repro.datasets.io import format_edge_list, parse_edge_list
+
+    graph = parse_edge_list(format_edge_list(
+        flickr_like(n=200, avg_degree=8, seed=3)))
+    sample = forest_fire_sample(graph, 80, rng=5)
+    print(hashlib.sha256(format_edge_list(sample).encode()).hexdigest())
+    vertices = graph.vertices()
+    rng = np.random.default_rng(0)
+    cuts = [graph.expected_cut_size(
+                [vertices[i] for i in rng.choice(200, 60, replace=False)])
+            for _ in range(20)]
+    print(" ".join(c.hex() for c in cuts))
+""")
+
+
+def _run_with_hash_seed(seed):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+def test_string_labels_give_the_same_bytes_under_any_hash_seed():
+    """``induced_subgraph`` (through Forest Fire sampling) and
+    ``expected_cut_size`` on a parsed, string-labelled graph: one run
+    per hash seed, byte-identical output."""
+    first, second = (_run_with_hash_seed(seed) for seed in (1, 2))
+    assert first == second
