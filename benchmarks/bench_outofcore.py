@@ -5,7 +5,8 @@ binary dataset and as a text edge list, then runs ``gdb_grid`` end to
 end in *subprocesses* (one per phase) so ``ru_maxrss`` measures each
 execution model in isolation:
 
-- ``import``       — interpreter + numpy/scipy import floor (baseline),
+- ``import``       — interpreter + numpy import floor (baseline; no
+  phase loads scipy, which ``import repro`` leaves out),
 - ``binary_grid``  — mmap-backed binary load + the grid driver,
 - ``text_grid``    — materialised text parse into the text-parsed graph +
   the grid driver (skipped above ``TEXT_CAP`` edges).
@@ -70,7 +71,7 @@ phase, args = sys.argv[1], json.loads(sys.argv[2])
 sys.path.insert(0, args["srcpath"])
 out = {"phase": phase}
 if phase == "import":
-    import repro  # noqa: F401  (pull in numpy/scipy for the RSS floor)
+    import repro  # noqa: F401  (pull in numpy for the RSS floor)
     import repro.core, repro.datasets  # noqa: F401
 elif phase == "binary_grid":
     from repro.core.grid import gdb_grid, objective_rows
@@ -110,6 +111,7 @@ elif phase == "text_grid":
 else:
     raise SystemExit(f"unknown phase {phase!r}")
 out["ru_maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out["scipy"] = "scipy" in sys.modules
 print(json.dumps(out))
 """
 
@@ -157,6 +159,9 @@ def test_bench_outofcore(corpus, emit, emit_json):
     if corpus["text"] is not None:
         text = _run_phase("text_grid", text=corpus["text"], **grid_args)
 
+    # The increments are memory the grid adds, not a library import.
+    for phase in (baseline, binary, text):
+        assert phase is None or not phase["scipy"], phase["phase"]
     floor_kb = baseline["ru_maxrss_kb"]
     binary_inc = binary["ru_maxrss_kb"] - floor_kb
     payload = {

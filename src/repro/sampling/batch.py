@@ -10,7 +10,8 @@ runs over *all* worlds simultaneously as dense NumPy kernels —
 - *weighted* distances (the ``-log p`` most-probable-path transform)
   via the bucketed delta-stepping kernel,
 - connected components via one ``scipy.sparse.csgraph`` pass over the
-  block-diagonal graph of all worlds,
+  block-diagonal graph of all worlds, its CSR built straight from the
+  alive (world, edge) pairs,
 - triangle counting from a precomputed parent triangle table.
 
 Every kernel returns exactly what building each world's own CSR and
@@ -103,6 +104,14 @@ def auto_chunk_size(
     return int(max(1, min(n_samples, budget_bytes // max(per_world, 1))))
 
 
+def _label_index_dtype(nodes: int, entries: int) -> type:
+    """Index dtype of a component-labelling CSR with ``nodes`` rows and
+    ``entries`` stored entries: int32 while every column index
+    (``< nodes``) and row pointer (``<= entries``) fits, else int64."""
+    fits = max(nodes, entries) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
+
+
 def chunk_counts(n_samples: int, chunk: int) -> list[int]:
     """Chunk boundaries of a run: full chunks, then the remainder."""
     if n_samples < 0:
@@ -174,11 +183,17 @@ class BatchTopology:
     dir_edge:
         Undirected parent-edge id of each directed edge — the column to
         consult in a mask matrix.
+    tail_order:
+        ``None`` when the parent edges' first endpoints ascend (every
+        parsed or generated graph's canonical rows), else the stable
+        column order that makes them ascend (a binary file's stored
+        rows): :meth:`WorldBatch.component_labels` reads the mask
+        columns in this order.
     """
 
     __slots__ = (
         "n", "m", "edge_vertices", "indptr", "indices", "dir_source",
-        "dir_edge", "_triangles", "_target_grouping",
+        "dir_edge", "tail_order", "_triangles", "_target_grouping",
     )
 
     def __init__(self, n: int, edge_vertices: np.ndarray) -> None:
@@ -198,6 +213,10 @@ class BatchTopology:
         )[order]
         counts = np.bincount(sources, minlength=n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self.tail_order = (
+            None if bool(np.all(u[1:] >= u[:-1]))
+            else np.argsort(u, kind="stable")
+        )
         self._triangles: tuple[np.ndarray, np.ndarray] | None = None
         self._target_grouping: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -353,10 +372,6 @@ class WorldBatch:
             self._alive_directed = self.masks[:, self.topology.dir_edge]
         return self._alive_directed
 
-    def edge_counts(self) -> np.ndarray:
-        """``(N,)`` alive-edge count per world."""
-        return self.masks.sum(axis=1)
-
     def degrees(self) -> np.ndarray:
         """``(N, n)`` int64 degree matrix.
 
@@ -443,40 +458,58 @@ class WorldBatch:
         One :func:`scipy.sparse.csgraph.connected_components` pass over
         the block-diagonal union of all worlds: vertex ``v`` of world
         ``w`` is node ``w * n + v``, with one entry per alive edge of
-        the mask matrix.  Node ids ascend inside a world's block, so a
-        component's smallest node is its smallest vertex id plus the
-        block offset — the label is that node mod ``n``.  Cached: every
+        the mask matrix.  The CSR is built straight from the alive
+        pairs: ``flatnonzero`` lists them world-major, so once the
+        parent edges' first endpoints ascend (the topology's
+        ``tail_order``) they are already in row order and the row
+        pointer is one ``bincount``.  Node ids ascend inside a world's
+        block, so a component's smallest node is its smallest vertex id
+        plus the block offset — the label is that node mod ``n``, which
+        depends on the masks alone.  Cached: every
         connectivity-flavoured query on the batch shares one pass.
         """
         if self._labels is not None:
             return self._labels
-        # Imported on first use: csgraph adds ~1-2 MB of resident memory
-        # to processes that never label components.
-        from scipy.sparse import coo_matrix
+        # Imported on first use: scipy.sparse and its csgraph add ~28 MB
+        # of resident memory to processes that never label components.
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        N, n = self.n_worlds, self.n
+        N, n, m = self.n_worlds, self.n, self.m
         size = N * n
         if size == 0:
             self._labels = np.empty((N, n), dtype=np.int32)
             return self._labels
-        # Alive (world, edge) pairs in 2-D ``np.nonzero`` order, split
-        # from the flat index (cheaper); one 1-D gather per endpoint,
-        # offset in place.  The pairs are dropped before the labelling
-        # pass, which holds the peak memory.
-        world, edge = np.divmod(np.flatnonzero(self.masks), self.m)
+        masks, ends = self.masks, self.topology.edge_vertices
+        order = self.topology.tail_order
+        if order is not None:
+            masks, ends = masks[:, order], ends[order]
+        # Each temporary is dropped once consumed: the labelling pass,
+        # which adds the transposed CSR, holds the peak memory.
+        world, edge = np.divmod(np.flatnonzero(masks), m)
+        del masks
+        index = _label_index_dtype(size, len(edge))
         world *= n
-        ends = self.topology.edge_vertices
-        rows = ends[:, 0][edge]
-        rows += world
-        cols = ends[:, 1][edge]
-        cols += world
+        tails = ends[:, 0].astype(index)[edge]
+        tails += world
+        heads = ends[:, 1].astype(index)[edge]
+        heads += world
         del world, edge
-        graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+        indptr = np.zeros(size + 1, dtype=index)
+        np.cumsum(np.bincount(tails, minlength=size), out=indptr[1:])
+        del tails
+        graph = csr_matrix(
+            (np.ones(len(heads)), heads, indptr), shape=(size, size)
+        )
+        del heads, indptr
         count, component = connected_components(graph, directed=False)
-        first = np.full(count, size, dtype=np.int64)
-        np.minimum.at(first, component, np.arange(size))
-        self._labels = (first[component] % n).astype(np.int32).reshape(N, n)
+        del graph
+        first = np.full(count, size, dtype=index)
+        np.minimum.at(first, component, np.arange(size, dtype=index))
+        labels = first[component]
+        del first, component
+        labels %= n
+        self._labels = labels.astype(np.int32, copy=False).reshape(N, n)
         return self._labels
 
     def connected_component_count(self) -> np.ndarray:

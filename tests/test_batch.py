@@ -21,7 +21,12 @@ from oracles import estimators as per_world
 from oracles.queries import evaluate, world_pagerank
 from oracles.worlds import batch_worlds, sample_mask
 from repro.core import UncertainGraph
-from repro.datasets import erdos_renyi_uncertain, forest_fire_like_arrays
+from repro.datasets import (
+    erdos_renyi_uncertain,
+    flickr_like,
+    forest_fire_like_arrays,
+)
+from repro.datasets.binary_io import read_binary, write_binary_arrays
 from repro.exceptions import EstimationError
 from repro.queries import (
     ClusteringCoefficientQuery,
@@ -46,9 +51,11 @@ from repro.sampling import (
     auto_chunk_size,
     evaluate_chunks,
 )
+from repro.sampling import batch as batch_module
 from repro.sampling.batch import (
     BATCH_BYTES_ENV,
     DEFAULT_BATCH_BYTES,
+    _label_index_dtype,
     kernel_world_bytes,
 )
 
@@ -129,7 +136,7 @@ class TestKernelEquivalence:
             batch.degrees(), np.stack([w.degrees() for w in worlds])
         )
         assert np.array_equal(
-            batch.edge_counts(), [w.number_of_edges() for w in worlds]
+            batch.masks.sum(axis=1), [w.number_of_edges() for w in worlds]
         )
         assert np.array_equal(
             batch.bfs_distances(0), np.stack([w.bfs_distances(0) for w in worlds])
@@ -300,6 +307,79 @@ class TestComponentLabels:
         labels = batch.component_labels()
         assert labels.shape == (0, 3) and labels.dtype == np.int32
         assert batch.connected_component_count().shape == (0,)
+
+    def test_binary_rows_out_of_order(self, tmp_path):
+        """Rows as a binary file stores them (shuffled, either
+        orientation): the labelling reads the mask columns in the order
+        that makes the first endpoints ascend."""
+        base = flickr_like(n=40, avg_degree=5, seed=3)
+        rng = np.random.default_rng(9)
+        order = rng.permutation(base.number_of_edges())
+        ends = base.edge_index_array()[order]
+        flip = rng.random(len(ends)) < 0.5
+        ends[flip] = ends[flip][:, ::-1]
+        path = tmp_path / "g.rpbg"
+        write_binary_arrays(path, base.number_of_vertices(), ends[:, 0],
+                            ends[:, 1], base.probability_array()[order])
+        graph = read_binary(path, mmap=True).graph()
+        assert graph.edge_index_array().tolist() == ends.tolist()
+
+        masks = rng.random((24, len(ends))) < 0.4
+        batch = WorldSampler(graph).batch_from_masks(masks)
+        assert batch.topology.tail_order is not None
+        assert_labels_match_worlds(batch)
+        # The same worlds over the canonical rows: the same labels.
+        canonical = WorldSampler(base).batch_from_masks(
+            masks[:, np.argsort(order)]
+        )
+        assert canonical.topology.tail_order is None
+        assert np.array_equal(
+            batch.component_labels(), canonical.component_labels()
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=18),
+        avg_degree=st.integers(min_value=1, max_value=6),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        row_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_row_permutations(self, n, avg_degree, graph_seed, row_seed):
+        graph = erdos_renyi_uncertain(
+            n, avg_degree=min(avg_degree, n - 1), rng=graph_seed
+        )
+        m = graph.number_of_edges()
+        rng = np.random.default_rng(row_seed)
+        ends = graph.edge_index_array()[rng.permutation(m)]
+        flip = rng.random(m) < 0.5
+        ends[flip] = ends[flip][:, ::-1]
+        masks = rng.random((12, m)) < rng.random(m)
+        assert_labels_match_worlds(WorldBatch(n, ends, masks))
+
+    def test_index_dtype_switches_at_2_31(self):
+        """int32 indices while every node id and row pointer fits."""
+        limit = 2**31 - 1
+        assert _label_index_dtype(limit, limit) is np.int32
+        assert _label_index_dtype(limit + 1, 0) is np.int64
+        assert _label_index_dtype(0, limit + 1) is np.int64
+
+    def test_wide_indices_give_the_same_labels(self, monkeypatch):
+        """The labelling asks for its index dtype with the node count and
+        the alive count, and int64 indices label the same."""
+        graph = erdos_renyi_uncertain(30, avg_degree=3, rng=4)
+        masks = np.random.default_rng(2).random((9, graph.number_of_edges())) < 0.6
+        narrow = WorldSampler(graph).batch_from_masks(masks).component_labels()
+        asked = []
+
+        def wide(nodes, entries):
+            asked.append((nodes, entries))
+            return np.int64
+
+        monkeypatch.setattr(batch_module, "_label_index_dtype", wide)
+        labels = WorldSampler(graph).batch_from_masks(masks).component_labels()
+        assert asked == [(9 * 30, int(masks.sum()))]
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, narrow)
 
 
 class TestTriangleTable:
@@ -501,7 +581,7 @@ class TestEstimatorEquivalence:
                 return np.array([float(world.number_of_edges())])
 
             def evaluate_batch(self, batch):
-                return batch.edge_counts().astype(np.float64)[:, None]
+                return batch.masks.sum(axis=1).astype(np.float64)[:, None]
 
         assert small_power_law.number_of_vertices() == 60
         for query in (

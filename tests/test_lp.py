@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,8 +133,9 @@ def test_property_lemma1_feasible_on_er(seed, alpha):
 
 
 def test_solver_failure_carries_highs_message(small_power_law, monkeypatch):
+    # ``lp_assign_probabilities`` imports ``linprog`` when called.
     monkeypatch.setattr(
-        lp_module, "linprog",
+        scipy.optimize, "linprog",
         lambda *args, **kwargs: SimpleNamespace(
             success=False, message="Iteration limit reached.", x=None
         ),

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,6 +194,54 @@ def test_graph_changes_only_through_apply_delta():
     assert not {"_upd", "_dele", "_ins", "_labels_shared"} & set(vars(graph))
     assert not hasattr(EdgeDeltaBatch, "is_empty")
     assert not hasattr(AppliedDelta, "update_eids_new")
+
+
+def test_world_batch_has_no_test_only_helpers():
+    """``edge_counts`` only served tests: ``masks.sum(axis=1)`` is it."""
+    from repro.sampling import WorldBatch
+
+    assert not hasattr(WorldBatch, "edge_counts")
+
+
+#: Run in a fresh interpreter: which scipy modules each step loads.
+_SCIPY_PROBE = r"""
+import sys
+
+def scipy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "scipy"}
+
+import repro, repro.cli, repro.server.service, repro.core.maintain
+assert not scipy_modules(), sorted(scipy_modules())[:5]
+
+from repro.core import lp_sparsify
+from repro.datasets import flickr_like
+from repro.queries import ReliabilityQuery
+from repro.sampling import MonteCarloEstimator
+
+graph = flickr_like(n=40, avg_degree=6, seed=1)
+MonteCarloEstimator(graph, n_samples=16).run(ReliabilityQuery([(0, 1)]), rng=0)
+loaded = scipy_modules()
+assert "scipy.sparse.csgraph" in loaded, sorted(loaded)
+assert "scipy.optimize" not in loaded, sorted(loaded)
+lp_sparsify(graph, alpha=0.5, rng=0)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_only_where_it_runs():
+    """Importing the package, its CLI, server and maintainer loads no
+    scipy; a reliability estimate loads ``scipy.sparse.csgraph`` and
+    only the LP loads ``scipy.optimize``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_library_never_imports_test_oracles():
